@@ -226,6 +226,55 @@ func TestGateFollowsScrapesAndSubscribers(t *testing.T) {
 	}
 }
 
+// TestShutdownDeliversQueuedFrames pins the end of the SSE stream:
+// frames already queued for a subscriber when Shutdown begins are
+// written before the stream closes, all of them and in order, however
+// far the subscriber's writer had got.
+func TestShutdownDeliversQueuedFrames(t *testing.T) {
+	const n = 2000
+	srv, client := startServer(t, Options{EventBuffer: 2 * n})
+	resp, err := client.Get(srv.URL() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	for i := 0; srv.hub.subscribers() == 0; i++ {
+		if i > 500 {
+			t.Fatal("SSE subscriber never registered")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for i := 1; i <= n; i++ {
+		srv.hub.Emit(obs.Event{Kind: obs.KindRes, I: i})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 1
+	for _, line := range strings.Split(string(body), "\n") {
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok || !strings.Contains(data, `"ev":"res"`) {
+			continue
+		}
+		var ev struct {
+			I int `json:"i"`
+		}
+		if err := json.Unmarshal([]byte(data), &ev); err != nil || ev.I != next {
+			t.Fatalf("frame %d out of order: %s", next, data)
+		}
+		next++
+	}
+	if next-1 != n {
+		t.Fatalf("stream carried %d of %d queued frames", next-1, n)
+	}
+}
+
 // TestHubDropPolicy pins the slow-subscriber contract: a full buffer
 // drops the newest frames (the buffered prefix is untouched and stays
 // in order) and the loss is counted per subscriber for the explicit
