@@ -75,7 +75,7 @@ func cmdChaos(args []string) error {
 	if err != nil {
 		return err
 	}
-	eng := newEngine(*j)
+	eng := newEngine(*j, of.observer)
 	rows, err := experiments.ChaosMatrix(eng, cfg)
 	if err != nil {
 		finish()

@@ -33,7 +33,7 @@ func cmdExplain(args []string) error {
 			return err
 		}
 		return of.withObs(func() error {
-			newEngine(*j) // after activate: a -serve tracker attaches here
+			newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
 			rep, err := explain.Analyze(tr, explain.Options{Selector: policy.SelectLevel(*level)})
 			if err != nil {
 				return err

@@ -81,7 +81,7 @@ func cmdKernel(args []string) error {
 	}
 
 	return of.withObs(func() error {
-		eng := newEngine(*j) // after activate: a -serve tracker attaches here
+		eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
 		cfg.Publish = of.kernelStore()
 		start := time.Now()
 		res, err := kernel.Run(cfg, eng)

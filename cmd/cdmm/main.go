@@ -30,6 +30,7 @@ import (
 	"cdmm/internal/core"
 	"cdmm/internal/engine"
 	"cdmm/internal/experiments"
+	"cdmm/internal/obs"
 	"cdmm/internal/policy"
 	"cdmm/internal/report"
 	"cdmm/internal/sweep"
@@ -44,12 +45,13 @@ func registerJFlag(fs *flag.FlagSet) *int {
 	return fs.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 }
 
-// newEngine builds the command's engine from -j and installs it as the
-// process default so package-level conveniences share its memo store.
-// When a telemetry server is live (cdmm serve, or the -serve flag) the
-// engine also reports plan/run lifecycle into its tracker and logger.
-func newEngine(j int) *engine.Engine {
-	e := engine.New(j)
+// newEngine builds the command's engine from -j, observing its runs
+// through o (nil observes nothing), and installs it as the process
+// default so package-level conveniences share its memo store. When a
+// telemetry server is live (cdmm serve, or the -serve flag) the engine
+// also reports plan/run lifecycle into its tracker and logger.
+func newEngine(j int, o *obs.Observer) *engine.Engine {
+	e := engine.New(j).WithObserver(o)
 	if serveProgress != nil {
 		e.WithProgress(serveProgress)
 	}
@@ -124,7 +126,7 @@ func runCommand(cmd string, args []string) error {
 			if perr := fs.Parse(rest); perr != nil {
 				return perr
 			}
-			out, rerr := report.Generate(p, report.Options{Engine: newEngine(*j)})
+			out, rerr := report.Generate(p, report.Options{Engine: newEngine(*j, serveObserver)})
 			if rerr != nil {
 				return rerr
 			}
@@ -303,7 +305,7 @@ func cmdFamily(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := experiments.PolicyFamily(newEngine(*j), nil)
+	rows, err := experiments.PolicyFamily(newEngine(*j, serveObserver), nil)
 	if err != nil {
 		return err
 	}
@@ -318,7 +320,7 @@ func cmdDetune(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := experiments.DetuneStudy(newEngine(*j).WithCellMode(*cell), nil, nil)
+	rows, err := experiments.DetuneStudy(newEngine(*j, serveObserver).WithCellMode(*cell), nil, nil)
 	if err != nil {
 		return err
 	}
@@ -336,7 +338,7 @@ func cmdPageSize(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := experiments.PageSizeSensitivity(newEngine(*j), prog, []int{128, 256, 512, 1024})
+	rows, err := experiments.PageSizeSensitivity(newEngine(*j, serveObserver), prog, []int{128, 256, 512, 1024})
 	if err != nil {
 		return err
 	}
@@ -361,24 +363,25 @@ func cmdSim(args []string) error {
 			return err
 		}
 		return of.withObs(func() error {
-			newEngine(*j) // after activate: a -serve tracker attaches here
+			o := of.observer
+			newEngine(*j, o) // after activate: a -serve tracker attaches here
 			var res vmsim.Result
 			var err error
 			switch *polName {
 			case "cd":
-				res, err = p.RunCD(core.CDOptions{Level: *level})
+				res, err = p.RunCDObserved(core.CDOptions{Level: *level}, o)
 				if err != nil {
 					return err
 				}
 			case "lru":
-				res = vmsim.Run(tr.RefsOnly(), policy.NewLRU(*frames))
+				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewLRU(*frames), o)
 			case "fifo":
-				res = vmsim.Run(tr.RefsOnly(), policy.NewFIFO(*frames))
+				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewFIFO(*frames), o)
 			case "ws":
-				res = vmsim.Run(tr.RefsOnly(), policy.NewWS(*tau))
+				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewWS(*tau), o)
 			case "opt":
 				refs := tr.Pages()
-				res = vmsim.Run(tr.RefsOnly(), policy.NewOPT(refs, *frames))
+				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewOPT(refs, *frames), o)
 			default:
 				return fmt.Errorf("unknown policy %q", *polName)
 			}
@@ -405,17 +408,17 @@ func cmdSweep(args []string) error {
 		return err
 	}
 	return of.withObs(func() error {
-		newEngine(*j) // after activate: a -serve tracker attaches here
+		newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
 		if *polName == "" {
-			return sweepSummary(target)
+			return sweepSummary(target, of.observer)
 		}
 		return sweepCurve(os.Stdout, target, *polName, *grid, *level, *asJSON)
 	})
 }
 
 // sweepSummary is the original sweep report: CD at every directive
-// stratum versus the tuned LRU and WS minima.
-func sweepSummary(target string) error {
+// stratum versus the tuned LRU and WS minima. o observes the CD runs.
+func sweepSummary(target string, o *obs.Observer) error {
 	p, err := loadProgram(target)
 	if err != nil {
 		return err
@@ -441,7 +444,7 @@ func sweepSummary(target string) error {
 	fmt.Printf("best LRU: ST=%.4g at m=%d (PF=%d)\n", lruST, mBest, lru.Faults(mBest))
 	fmt.Printf("best WS : ST=%.4g at tau=%d (PF=%d, MEM=%.2f)\n", wsRes.ST(), tauBest, wsRes.Faults, wsRes.MEM())
 	for lvl := 1; lvl <= p.MaxPI(); lvl++ {
-		res, err := p.RunCD(core.CDOptions{Level: lvl})
+		res, err := p.RunCDObserved(core.CDOptions{Level: lvl}, o)
 		if err != nil {
 			return err
 		}
@@ -677,10 +680,11 @@ func cmdTables(which string, args []string) error {
 		}
 	}
 	start := time.Now()
-	err = runTablesTo(os.Stdout, which, newEngine(*j).WithCellMode(*cell))
+	err = runTablesTo(os.Stdout, which, newEngine(*j, of.observer).WithCellMode(*cell))
 	if err == nil && *timing {
-		// The other mode renders to the bit bucket on a fresh engine:
-		// same compiled programs, but every simulation and sweep redone.
+		// The other mode renders to the bit bucket on a fresh, unobserved
+		// engine: same compiled programs, but every simulation and sweep
+		// redone.
 		thisDur := time.Since(start)
 		otherStart := time.Now()
 		err = runTablesTo(io.Discard, which, engine.New(*j).WithCellMode(!*cell))
@@ -861,21 +865,22 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	return of.withObs(func() error {
-		newEngine(*j) // after activate: a -serve tracker attaches here
+		o := of.observer
+		newEngine(*j, o) // after activate: a -serve tracker attaches here
 		meta := src.Meta()
 		var res vmsim.Result
 		var err error
 		switch *polName {
 		case "cd":
-			res, err = vmsim.RunSource(src, policy.NewCD(policy.SelectLevel(*level), 2), nil)
+			res, err = vmsim.RunSource(src, policy.NewCD(policy.SelectLevel(*level), 2), o)
 		case "lru":
 			// LRU/FIFO/WS ignore directives, so streaming the full event
 			// stream gives the same Result as the directive-free view.
-			res, err = vmsim.RunSource(src, policy.NewLRU(*frames), nil)
+			res, err = vmsim.RunSource(src, policy.NewLRU(*frames), o)
 		case "fifo":
-			res, err = vmsim.RunSource(src, policy.NewFIFO(*frames), nil)
+			res, err = vmsim.RunSource(src, policy.NewFIFO(*frames), o)
 		case "ws":
-			res, err = vmsim.RunSource(src, policy.NewWS(*tau), nil)
+			res, err = vmsim.RunSource(src, policy.NewWS(*tau), o)
 		case "opt":
 			// OPT needs the whole future reference string, so it cannot
 			// stream; materialize the trace whatever the input format.
@@ -883,7 +888,7 @@ func cmdReplay(args []string) error {
 			if merr != nil {
 				return merr
 			}
-			res = vmsim.Run(tr.RefsOnly(), policy.NewOPT(tr.Pages(), *frames))
+			res = vmsim.RunObserved(tr.RefsOnly(), policy.NewOPT(tr.Pages(), *frames), o)
 		default:
 			return fmt.Errorf("unknown policy %q", *polName)
 		}

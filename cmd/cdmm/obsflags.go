@@ -12,7 +12,6 @@ import (
 	"cdmm/internal/kernel"
 	"cdmm/internal/obs"
 	"cdmm/internal/serve"
-	"cdmm/internal/vmsim"
 )
 
 // obsFlags holds the observability flags shared by sim, replay, profile
@@ -24,6 +23,12 @@ type obsFlags struct {
 	serveAddr  *string
 	cpuprofile *string
 	memprofile *string
+
+	// observer is the command's run observer once activated: the
+	// requested sinks, or the enclosing `cdmm serve` observer when the
+	// command asks for none (nil when neither applies). Commands hand it
+	// to newEngine and to their direct simulator calls.
+	observer *obs.Observer
 
 	sink *obs.JSONLSink
 	reg  *obs.Registry
@@ -42,9 +47,9 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	return f
 }
 
-// activate opens the requested sinks, installs the process-wide run
-// observer and starts CPU profiling. Call it before newEngine: a -serve
-// telemetry server attaches its progress tracker to every engine built
+// activate opens the requested sinks, builds the command's run observer
+// and starts CPU profiling. Call it before newEngine: a -serve telemetry
+// server attaches its progress tracker to every engine built
 // afterwards. The returned finish func must be called exactly once
 // after the command's work to flush and close everything; its error
 // must be propagated.
@@ -90,8 +95,9 @@ func (f *obsFlags) activate() (func() error, error) {
 		serveProgress = f.srv.Progress()
 		serveLogger = logger
 	}
+	f.observer = serveObserver
 	if o.Tracer != nil || o.Metrics != nil {
-		vmsim.DefaultObserver = &o
+		f.observer = &o
 	}
 	if *f.cpuprofile != "" {
 		file, err := os.Create(*f.cpuprofile)
@@ -134,7 +140,6 @@ func (f *obsFlags) finish() error {
 			first = err
 		}
 	}
-	vmsim.DefaultObserver = nil
 	if f.srv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		keep(f.srv.Shutdown(ctx))

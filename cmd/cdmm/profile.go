@@ -21,7 +21,7 @@ func cmdProfile(args []string) error {
 			return err
 		}
 		return of.withObs(func() error {
-			eng := newEngine(*j) // after activate: a -serve tracker attaches here
+			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
 			fmt.Println(p.Summary())
 			out, err := report.TimelineReport(eng, p, *buckets)
 			if err != nil {

@@ -11,18 +11,21 @@ import (
 	"time"
 
 	"cdmm/internal/engine"
+	"cdmm/internal/obs"
 	"cdmm/internal/serve"
-	"cdmm/internal/vmsim"
 )
 
 // serveProgress and serveLogger, when non-nil, are picked up by every
 // engine newEngine builds, so a telemetry server started by `cdmm
 // serve` (or the -serve flag) tracks the plans of whatever command runs
-// under it. They are process-wide because commands construct engines at
+// under it. serveObserver is the `cdmm serve` run observer, the one a
+// nested command observes its runs through when it asks for no sinks of
+// its own. They are process-wide because commands construct engines at
 // several layers; only the serve paths write them.
 var (
 	serveProgress *engine.Progress
 	serveLogger   *slog.Logger
+	serveObserver *obs.Observer
 )
 
 // serveTestHook, when non-nil, replaces the wait-for-SIGINT loop of a
@@ -57,13 +60,13 @@ func cmdServe(args []string) error {
 	}
 	serveProgress = srv.Progress()
 	serveLogger = logger
-	vmsim.DefaultObserver = srv.Observer()
+	serveObserver = srv.Observer()
 	defer func() {
-		vmsim.DefaultObserver = nil
+		serveObserver = nil
 		serveProgress = nil
 		serveLogger = nil
 	}()
-	newEngine(*j)
+	newEngine(*j, serveObserver)
 
 	var cmdErr error
 	if len(nested) > 0 {

@@ -139,7 +139,7 @@ func (p *Program) Simulate(pol policy.Policy) (vmsim.Result, error) {
 }
 
 // SimulateObserved replays the program's trace under any policy with an
-// observer attached (nil observes nothing beyond vmsim.DefaultObserver).
+// observer attached (nil observes nothing).
 func (p *Program) SimulateObserved(pol policy.Policy, o *obs.Observer) (vmsim.Result, error) {
 	tr, err := p.Trace()
 	if err != nil {

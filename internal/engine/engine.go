@@ -37,8 +37,8 @@ import (
 // self-deadlock); nest through Memo instead.
 type Engine struct {
 	workers int
-	// obs, when non-nil, overrides vmsim.DefaultObserver as the base
-	// observer for every run the engine executes.
+	// obs, when non-nil, is the base observer for every run the engine
+	// executes.
 	obs *obs.Observer
 
 	memo memo
@@ -81,8 +81,8 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers, memo: memo{m: map[Key]*memoEntry{}}}
 }
 
-// WithObserver sets the engine's base observer (overriding
-// vmsim.DefaultObserver) and returns the engine. Call before Map.
+// WithObserver sets the engine's base observer and returns the engine.
+// Runs observe nothing without one. Call before Map.
 func (e *Engine) WithObserver(o *obs.Observer) *Engine {
 	e.obs = o
 	return e
@@ -237,15 +237,6 @@ func (rc *RunCtx) Report(res vmsim.Result) {
 	rc.eng.progress.report(rc.progressID, res)
 }
 
-// baseObserver resolves the observer the engine ultimately feeds:
-// the explicit engine observer, else the process-wide default.
-func (e *Engine) baseObserver() *obs.Observer {
-	if e.obs != nil {
-		return e.obs
-	}
-	return vmsim.DefaultObserver
-}
-
 // newRunCtx builds the per-run context. When the base observer has a
 // tracer, the run gets a private buffer so parallel runs never contend
 // on (or nondeterministically interleave into) the shared sink. runID is
@@ -296,7 +287,7 @@ func Map[T, R any](e *Engine, items []T, fn func(*RunCtx, T) (R, error)) ([]R, e
 // merged streams (and must not nest — see the Engine doc).
 func MapNamed[T, R any](e *Engine, label string, items []T, fn func(*RunCtx, T) (R, error)) ([]R, error) {
 	e = Or(e)
-	base := e.baseObserver()
+	base := e.obs
 	if base != nil && base.Tracer != nil {
 		e.planMu.Lock()
 		defer e.planMu.Unlock()

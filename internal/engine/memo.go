@@ -101,7 +101,7 @@ func (e *Engine) Memo(rc *RunCtx, k Key, fn func(comp *RunCtx, o *obs.Observer) 
 	if ok {
 		<-ent.done
 	} else {
-		base := e.baseObserver()
+		base := e.obs
 		comp := &RunCtx{eng: e, progressID: -1}
 		// The computing requester's live-position callback rides along so
 		// a long memoized prerequisite still moves that run's /progress
@@ -135,7 +135,7 @@ func (e *Engine) Memo(rc *RunCtx, k Key, fn func(comp *RunCtx, o *obs.Observer) 
 		// order is identical whether this requester computed or waited.
 		rc.keys = append(rc.keys, k)
 		rc.keys = append(rc.keys, ent.keys...)
-	} else if base := e.baseObserver(); base != nil && base.Tracer != nil {
+	} else if base := e.obs; base != nil && base.Tracer != nil {
 		e.flushMu.Lock()
 		for _, nk := range ent.keys {
 			e.memo.flush(nk, base.Tracer)
@@ -215,7 +215,12 @@ func (e *Engine) LRUSweep(rc *RunCtx, program string) (*sweep.LRUCurve, error) {
 			return nil, err
 		}
 		if e.cellMode {
-			return sweep.FromLRUCells(vmsim.SweepLRU(c.Trace, c.V())), nil
+			refs := c.Trace.RefsOnly()
+			cells := make([]vmsim.Result, c.V())
+			for m := range cells {
+				cells[m] = vmsim.Run(refs, policy.NewLRU(m+1))
+			}
+			return sweep.FromLRUCells(cells), nil
 		}
 		return sweep.NewLRU(c.Trace)
 	})

@@ -181,8 +181,9 @@ func Collect(quick bool) (*Baseline, error) {
 // collectBlockStep measures StepBlock throughput with the whole CONDUCT
 // reference string handed over in one call — the ceiling of the block-
 // stepped hot path, with zero cursor or dispatch overhead. The paired
-// per-reference Step measurement pins down the speedup block stepping
-// buys; the fault anchors tie both to the simulated behavior.
+// per-reference measurement (a loop over the concrete LRU.Ref) pins down
+// the speedup block stepping buys; the fault anchors tie both to the
+// simulated behavior.
 func collectBlockStep(b *Baseline, target time.Duration) error {
 	w, err := workloads.Get("CONDUCT")
 	if err != nil {
@@ -212,7 +213,7 @@ func collectBlockStep(b *Baseline, target time.Duration) error {
 	cs = measure(target, len(pages), func() {
 		pol.Reset()
 		for _, pg := range pages {
-			pol.Step(pg)
+			pol.Ref(pg)
 		}
 	})
 	cs.Name = "single_step/LRU"
@@ -300,7 +301,12 @@ func collectSweepCurves(b *Baseline, target time.Duration) error {
 			panic(err)
 		}
 	})
-	cellLRU := minTime(2, func() { vmsim.SweepLRU(tr, v) })
+	refs := tr.RefsOnly()
+	cellLRU := minTime(2, func() {
+		for m := 1; m <= v; m++ {
+			vmsim.Run(refs, policy.NewLRU(m))
+		}
+	})
 	curveWS := minTime(3, func() {
 		s, err := sweep.NewWS(tr)
 		if err != nil {
@@ -310,7 +316,11 @@ func collectSweepCurves(b *Baseline, target time.Duration) error {
 			panic(err)
 		}
 	})
-	cellWS := minTime(2, func() { vmsim.SweepWS(tr, taus) })
+	cellWS := minTime(2, func() {
+		for _, tau := range taus {
+			vmsim.Run(refs, policy.NewWS(tau))
+		}
+	})
 	b.SweepSpeedupLRU = float64(cellLRU.Nanoseconds()) / float64(curveLRU.Nanoseconds())
 	b.SweepSpeedupWS = float64(cellWS.Nanoseconds()) / float64(curveWS.Nanoseconds())
 	return nil

@@ -18,16 +18,43 @@ type BlockResult struct {
 	SpaceTime int64
 }
 
-// BlockStepper is the batched hot-path interface: StepBlock replays a
-// run of consecutive page references — a directive-free block of the
-// trace — and accumulates the indexes into out. It must be exactly
-// equivalent to calling Step for each page and accumulating the results:
-// same faults, same eviction sequence, same MemSum/SpaceTime/VTime, same
-// running MaxResident. Batching exists so a policy can hoist loop-
-// invariant work (interface dispatch, constant charges, degraded checks)
-// out of the per-reference path.
+// BlockStepper is the simulator's one stepping contract: StepBlock
+// replays a run of consecutive page references — a directive-free block
+// of the trace — and accumulates the indexes into out. It must be
+// exactly equivalent to calling StepRef for each page: same faults, same
+// eviction sequence, same MemSum/SpaceTime/VTime, same running
+// MaxResident. Batching exists so a policy can hoist loop-invariant work
+// (interface dispatch, constant charges, degraded checks) out of the
+// per-reference path. Policies without a StepBlock of their own are
+// stepped through StepRef.
 type BlockStepper interface {
 	StepBlock(pages []mem.Page, out *BlockResult)
+}
+
+// StepRef replays one reference under p by the per-reference charging
+// rule every StepBlock folds: Ref, then Resident for the running peak,
+// then the space-time charge (Charge), with one unit of virtual time per
+// reference plus FaultService per fault. It adds the reference's indexes
+// into out and reports whether it faulted and the pages charged.
+func StepRef(p Policy, pg mem.Page, out *BlockResult) (fault bool, charged int) {
+	fault = p.Ref(pg)
+	dt := int64(1)
+	if fault {
+		out.Faults++
+		dt += FaultService
+	}
+	r := p.Resident()
+	if r > out.MaxResident {
+		out.MaxResident = r
+	}
+	charged = r // Charge(p), without asking for Resident twice
+	if c, ok := p.(Charger); ok {
+		charged = c.Charged()
+	}
+	out.VTime += dt
+	out.SpaceTime += int64(charged) * dt
+	out.MemSum += int64(charged)
+	return fault, charged
 }
 
 // fixedCharge folds a block's accumulation for fixed-partition policies
@@ -86,11 +113,13 @@ func (p *FIFO) StepBlock(pages []mem.Page, out *BlockResult) {
 // inlined; sparse or unseen pages take the shared slotOf path (reloading
 // the possibly-regrown slot state), and a full ring syncs the locals and
 // defers to pushWin to grow. Expiry or eviction observers fall back to
-// the per-reference loop so hooks fire mid-step in Ref's exact order and
-// may safely touch the policy.
+// StepRef so hooks fire mid-step in Ref's exact order and may safely
+// touch the policy.
 func (p *WS) StepBlock(pages []mem.Page, out *BlockResult) {
 	if p.onExpire != nil || p.onEvict != nil {
-		p.stepBlockObserved(pages, out)
+		for _, pg := range pages {
+			StepRef(p, pg, out)
+		}
 		return
 	}
 	var faults int
@@ -159,61 +188,6 @@ func (p *WS) StepBlock(pages []mem.Page, out *BlockResult) {
 	out.MaxResident = maxRes
 }
 
-// stepBlockObserved is WS block stepping with expiry/eviction hooks
-// installed: per-reference Ref calls, so hooks observe every state
-// transition exactly as single stepping would produce it.
-func (p *WS) stepBlockObserved(pages []mem.Page, out *BlockResult) {
-	var faults int
-	var vt, memSum, spaceTime int64
-	maxRes := out.MaxResident
-	for _, pg := range pages {
-		dt := int64(1)
-		if p.Ref(pg) {
-			faults++
-			dt += FaultService
-		}
-		r := int64(p.resident)
-		if p.resident > maxRes {
-			maxRes = p.resident
-		}
-		vt += dt
-		spaceTime += r * dt
-		memSum += r
-	}
-	out.Faults += faults
-	out.VTime += vt
-	out.MemSum += memSum
-	out.SpaceTime += spaceTime
-	out.MaxResident = maxRes
-}
-
-// StepBlock implements BlockStepper.
-func (p *DWS) StepBlock(pages []mem.Page, out *BlockResult) {
-	var faults int
-	var vt, memSum, spaceTime int64
-	maxRes := out.MaxResident
-	for _, pg := range pages {
-		dt := int64(1)
-		if p.Ref(pg) {
-			faults++
-			dt += FaultService
-		}
-		res := p.ws.resident + p.heldCount
-		if res > maxRes {
-			maxRes = res
-		}
-		r := int64(res)
-		vt += dt
-		spaceTime += r * dt
-		memSum += r
-	}
-	out.Faults += faults
-	out.VTime += vt
-	out.MemSum += memSum
-	out.SpaceTime += spaceTime
-	out.MaxResident = maxRes
-}
-
 // StepBlock implements BlockStepper. CD degrades only on directive
 // events, never inside a reference run, so the degraded check hoists out
 // of the loop: a degraded policy hands the whole block to its WS
@@ -271,6 +245,5 @@ var (
 	_ BlockStepper = (*LRU)(nil)
 	_ BlockStepper = (*FIFO)(nil)
 	_ BlockStepper = (*WS)(nil)
-	_ BlockStepper = (*DWS)(nil)
 	_ BlockStepper = (*CD)(nil)
 )

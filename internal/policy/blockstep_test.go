@@ -9,7 +9,7 @@ import (
 )
 
 // Block-stepping differential: StepBlock must be *exactly* the fold of
-// Step over the block — same faults, same eviction sequence, same
+// StepRef over the block — same faults, same eviction sequence, same
 // MemSum/SpaceTime/VTime, same running MaxResident — and both must match
 // the map-based oracle driven through the generic Ref/Resident/Charge
 // path. The streams reuse the randomized op generator of
@@ -18,7 +18,7 @@ import (
 // short blocks, directive-only blocks and cap-split runs are all hit.
 
 // accumGeneric advances out by one reference through the generic
-// three-call path (the vmsim fallback loop for non-Stepper policies).
+// three-call path, restated independently of StepRef for the oracle.
 func accumGeneric(p Policy, pg mem.Page, out *BlockResult) {
 	fault := p.Ref(pg)
 	dt := int64(1)
@@ -35,20 +35,23 @@ func accumGeneric(p Policy, pg mem.Page, out *BlockResult) {
 	out.MemSum += int64(m)
 }
 
-// accumStep advances out by one reference through the Stepper fast path.
-func accumStep(st Stepper, pg mem.Page, out *BlockResult) {
-	fault, r, m := st.Step(pg)
-	dt := int64(1)
-	if fault {
-		out.Faults++
-		dt += FaultService
+// stepRefs is the block stepping of a policy without a StepBlock of its
+// own: StepRef once per reference, as the simulator replays it.
+type stepRefs struct{ p Policy }
+
+func (s stepRefs) StepBlock(pages []mem.Page, out *BlockResult) {
+	for _, pg := range pages {
+		StepRef(s.p, pg, out)
 	}
-	if r > out.MaxResident {
-		out.MaxResident = r
+}
+
+// blockStepper returns p's own StepBlock, or stepRefs for a policy
+// without one.
+func blockStepper(p Policy) BlockStepper {
+	if bst, ok := p.(BlockStepper); ok {
+		return bst
 	}
-	out.VTime += dt
-	out.SpaceTime += int64(m) * dt
-	out.MemSum += int64(m)
+	return stepRefs{p}
 }
 
 // collectEvictions installs an eviction recorder when the policy
@@ -69,9 +72,8 @@ func collectEvictions(p Policy) *[]mem.Page {
 // cut only at directives), mirroring CursorOpts.MaxBlock.
 func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []diffOp, maxBlock int, tag string) {
 	t.Helper()
-	bst := blocked.(BlockStepper)
-	bareBst := bare.(BlockStepper)
-	st := stepped.(Stepper)
+	bst := blockStepper(blocked)
+	bareBst := blockStepper(bare)
 	evB := collectEvictions(blocked)
 	evS := collectEvictions(stepped)
 
@@ -92,7 +94,7 @@ func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []dif
 			if maxBlock > 0 && len(pages) >= maxBlock {
 				flush()
 			}
-			accumStep(st, op.page, &rs)
+			StepRef(stepped, op.page, &rs)
 			accumGeneric(oracle, op.page, &ro)
 		case opAlloc:
 			flush()
@@ -117,7 +119,7 @@ func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []dif
 	flush()
 
 	if rb != rs {
-		t.Fatalf("%s: StepBlock %+v != Step %+v", tag, rb, rs)
+		t.Fatalf("%s: StepBlock %+v != StepRef %+v", tag, rb, rs)
 	}
 	if rb != ro {
 		t.Fatalf("%s: StepBlock %+v != oracle %+v", tag, rb, ro)
@@ -135,30 +137,21 @@ func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []dif
 	}
 }
 
-// blockCases are the policies implementing BlockStepper.
-func blockCases() []diffCase {
-	var cases []diffCase
-	for _, tc := range diffCases() {
-		if _, ok := tc.dense().(BlockStepper); ok {
-			cases = append(cases, tc)
-		}
-	}
-	return cases
-}
+// blockCases are the policies the block differential covers: every
+// policy block-steps, through its own StepBlock or through StepRef.
+func blockCases() []diffCase { return diffCases() }
 
-// TestBlockStepCoversAllSteppers guards the case list: every Stepper in
-// the differential suite must also block-step, or the hot path silently
-// loses its batching for that policy.
+// TestBlockStepCoversAllSteppers guards the case list: every policy of
+// the differential suite is block-stepped against StepRef, and the
+// policies the paper's tables replay (LRU, FIFO, WS, CD) keep a batched
+// StepBlock of their own, or the hot path silently loses its batching.
 func TestBlockStepCoversAllSteppers(t *testing.T) {
-	if len(blockCases()) == 0 {
-		t.Fatal("no BlockStepper policies in the differential suite")
+	if len(blockCases()) != len(diffCases()) {
+		t.Fatal("block differential skips policies of the differential suite")
 	}
-	for _, tc := range diffCases() {
-		p := tc.dense()
-		_, isStep := p.(Stepper)
-		_, isBlock := p.(BlockStepper)
-		if isBlock && !isStep {
-			t.Errorf("%s: BlockStepper without Stepper (no single-step oracle)", tc.name)
+	for _, p := range []Policy{NewLRU(4), NewFIFO(4), NewWS(7), NewCD(SelectLevel(1), 2)} {
+		if _, ok := p.(BlockStepper); !ok {
+			t.Errorf("%s: hot-path policy without its own StepBlock", p.Name())
 		}
 	}
 }
@@ -195,7 +188,7 @@ func TestBlockStepResetReuse(t *testing.T) {
 			opsB := genOps(r, 2000, genPages(r, 50), tc.directives)
 
 			used := tc.dense()
-			usedBst := used.(BlockStepper)
+			usedBst := blockStepper(used)
 			var warm BlockResult
 			for _, op := range opsA {
 				if op.kind == opRef {

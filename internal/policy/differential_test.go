@@ -15,7 +15,7 @@ import (
 // operation streams — references with locality plus wild sparse pages,
 // and ALLOCATE/LOCK/UNLOCK directives for CD — asserting identical fault,
 // Resident and Charge values after every single operation, across Reset
-// reuse, and through the Stepper fast path.
+// reuse, and through the StepRef helper.
 
 const (
 	opRef = iota
@@ -103,20 +103,22 @@ func genOps(r *rand.Rand, n int, pages []mem.Page, withDirectives bool) []diffOp
 
 // runDiff drives dense and oracle over the same stream, comparing after
 // every operation. useStep additionally routes dense references through
-// the Stepper fast path and checks its triple against the oracle.
+// the StepRef helper and checks its fault, resident peak and charge
+// against the oracle.
 func runDiff(t *testing.T, dense, oracle Policy, ops []diffOp, useStep bool, tag string) {
 	t.Helper()
-	stepper, _ := dense.(Stepper)
 	for i, op := range ops {
 		switch op.kind {
 		case opRef:
-			if useStep && stepper != nil {
-				fault, res, chg := stepper.Step(op.page)
+			if useStep {
+				var acc BlockResult
+				fault, chg := StepRef(dense, op.page, &acc)
+				res := acc.MaxResident
 				if of := oracle.Ref(op.page); fault != of {
 					t.Fatalf("%s: op %d ref %d: fault dense=%v oracle=%v", tag, i, op.page, fault, of)
 				}
 				if res != oracle.Resident() || chg != Charge(oracle) {
-					t.Fatalf("%s: op %d ref %d: Step (res=%d chg=%d) != oracle (res=%d chg=%d)",
+					t.Fatalf("%s: op %d ref %d: StepRef (res=%d chg=%d) != oracle (res=%d chg=%d)",
 						tag, i, op.page, res, chg, oracle.Resident(), Charge(oracle))
 				}
 			} else if df, of := dense.Ref(op.page), oracle.Ref(op.page); df != of {
@@ -200,7 +202,7 @@ func diffCases() []diffCase {
 }
 
 // TestDenseMatchesOracle is the core differential: dense vs oracle over
-// several seeded random streams, via both the Ref and the Step paths.
+// several seeded random streams, via both the Ref and the StepRef paths.
 func TestDenseMatchesOracle(t *testing.T) {
 	for _, tc := range diffCases() {
 		tc := tc

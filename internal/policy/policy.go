@@ -63,9 +63,10 @@ func Charge(p Policy) int {
 }
 
 // AsCD returns the CD policy underlying p, seeing through any chain of
-// wrappers that expose Unwrap (e.g. Instrumented), or nil when p is not
-// driven by a CD policy. The simulator uses it to surface CD-specific
-// counters and hook points regardless of decoration.
+// wrappers that expose Unwrap (decorators such as the simulator's
+// invariant checker), or nil when p is not driven by a CD policy. The
+// simulator uses it to surface CD-specific counters and hook points
+// regardless of decoration.
 func AsCD(p Policy) *CD {
 	for p != nil {
 		if cd, ok := p.(*CD); ok {
@@ -78,15 +79,6 @@ func AsCD(p Policy) *CD {
 		p = u.Unwrap()
 	}
 	return nil
-}
-
-// Stepper is an optional hot-path interface: Step performs Ref and also
-// returns the post-reference Resident and Charge values, so the
-// simulation loop pays one dynamic dispatch per reference instead of
-// three. Step must be exactly equivalent to calling Ref, then Resident,
-// then Charge.
-type Stepper interface {
-	Step(pg mem.Page) (fault bool, resident, charged int)
 }
 
 // EvictObserver is implemented by policies that can report each page

@@ -165,15 +165,13 @@ func (s *LRUCurve) Result(m int) vmsim.Result {
 	m = s.clamp(m)
 	pf := s.faults[m]
 	vt := int64(s.Refs) + int64(pf)*policy.FaultService
-	return vmsim.Result{
-		Policy:      policy.NewLRU(m).Name(),
-		Refs:        s.Refs,
+	return vmsim.ResultOf(policy.NewLRU(m), s.Refs, &policy.BlockResult{
 		Faults:      pf,
-		MemSum:      float64(m) * float64(s.Refs),
-		SpaceTime:   float64(m) * float64(vt),
-		VirtualTime: vt,
 		MaxResident: m,
-	}
+		VTime:       vt,
+		MemSum:      int64(m) * int64(s.Refs),
+		SpaceTime:   int64(m) * vt,
+	})
 }
 
 // MinST returns the allocation minimizing space-time cost and that cost.

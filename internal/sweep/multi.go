@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"cdmm/internal/mem"
 	"cdmm/internal/policy"
 	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
@@ -17,45 +16,42 @@ import (
 // grid instead of once per cell. This is the grouped pass behind FIFO
 // capacity grids and CD detune grids, which have no closed-form curve.
 //
-// Policies must implement policy.BlockStepper (all the fixed built-ins
-// do); each policy value must be exclusive to this call.
+// Policies without a StepBlock of their own step per reference through
+// policy.StepRef; each policy value must be exclusive to this call.
 func Multi(src trace.Source, pols []policy.Policy) ([]vmsim.Result, error) {
 	meta := src.Meta()
 	tb := src.Tables()
 	steppers := make([]policy.BlockStepper, len(pols))
 	outs := make([]policy.BlockResult, len(pols))
 	for i, pol := range pols {
-		pol.Reset()
-		hintPolicyPages(meta, pol)
-		bst, ok := pol.(policy.BlockStepper)
-		if !ok {
-			// Per-reference fallback keeps Multi total; wrap the single
-			// stepper in a one-policy block loop.
-			bst = fallbackStepper{pol}
-		}
-		steppers[i] = bst
+		vmsim.Prepare(pol, meta)
+		steppers[i], _ = pol.(policy.BlockStepper)
 	}
 
-	cur := src.Blocks(trace.CursorOpts{})
-	defer cur.Close()
-	var b trace.Block
-	for cur.Next(&b) {
+	err := trace.Walk(src, trace.CursorOpts{}, func(b trace.Block) bool {
 		for i, bst := range steppers {
-			bst.StepBlock(b.Pages, &outs[i])
+			if bst != nil {
+				bst.StepBlock(b.Pages, &outs[i])
+				continue
+			}
+			for _, pg := range b.Pages {
+				policy.StepRef(pols[i], pg, &outs[i])
+			}
 		}
 		if b.HasDir {
 			for _, pol := range pols {
-				applyDir(pol, tb, b.Dir)
+				vmsim.ApplyDirective(pol, tb, b.Dir)
 			}
 		}
-	}
-	if err := cur.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return nil, err
 	}
 
 	results := make([]vmsim.Result, len(pols))
 	for i, pol := range pols {
-		results[i] = resultOf(pol, meta.Refs, &outs[i])
+		results[i] = vmsim.ResultOf(pol, meta.Refs, &outs[i])
 	}
 	return results, nil
 }
@@ -70,59 +66,4 @@ func FIFOCurve(src trace.Source, caps []int) ([]vmsim.Result, error) {
 		pols[i] = policy.NewFIFO(m)
 	}
 	return Multi(src, pols)
-}
-
-// applyDir feeds a block-closing directive event to the policy, exactly
-// as vmsim's block loop does.
-func applyDir(pol policy.Policy, tb *trace.SideTables, e trace.Event) {
-	switch e.Kind {
-	case trace.EvAlloc:
-		pol.Alloc(tb.Alloc(e))
-	case trace.EvLock:
-		pol.Lock(tb.Lock(e))
-	case trace.EvUnlock:
-		pol.Unlock(tb.Unlock(e))
-	}
-}
-
-// hintPolicyPages pre-sizes a policy's dense page-indexed state from the
-// stream's page universe, seeing through Unwrap wrappers.
-func hintPolicyPages(meta trace.Meta, pol policy.Policy) {
-	for p := pol; p != nil; {
-		if h, ok := p.(policy.PageHinter); ok {
-			h.HintPages(meta.MaxPage, meta.Distinct)
-			return
-		}
-		u, ok := p.(interface{ Unwrap() policy.Policy })
-		if !ok {
-			return
-		}
-		p = u.Unwrap()
-	}
-}
-
-// fallbackStepper adapts a per-reference policy to the block interface
-// with the exact accounting of vmsim's per-reference loop.
-type fallbackStepper struct{ pol policy.Policy }
-
-func (f fallbackStepper) StepBlock(pages []mem.Page, out *policy.BlockResult) {
-	charger, _ := f.pol.(policy.Charger)
-	for _, pg := range pages {
-		fault := f.pol.Ref(pg)
-		dt := int64(1)
-		if fault {
-			out.Faults++
-			dt += policy.FaultService
-		}
-		m := f.pol.Resident()
-		if m > out.MaxResident {
-			out.MaxResident = m
-		}
-		if charger != nil {
-			m = charger.Charged()
-		}
-		out.VTime += dt
-		out.SpaceTime += int64(m) * dt
-		out.MemSum += int64(m)
-	}
 }

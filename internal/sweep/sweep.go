@@ -27,15 +27,13 @@
 //     replay.
 //
 // Every engine is differentially tested against per-cell vmsim replay;
-// the per-cell path remains available (engine cell mode, vmsim.SweepLRU/
-// SweepWS) as the oracle.
+// the per-cell path remains available (engine cell mode, one vmsim.Run
+// per curve point) as the oracle.
 package sweep
 
 import (
 	"cdmm/internal/mem"
-	"cdmm/internal/policy"
 	"cdmm/internal/trace"
-	"cdmm/internal/vmsim"
 )
 
 // walkRefs streams the source's reference string through fn block by
@@ -43,32 +41,8 @@ import (
 // directive-blind policies, matching their per-cell oracles which replay
 // the directive-free view).
 func walkRefs(src trace.Source, fn func(pages []mem.Page)) error {
-	cur := src.Blocks(trace.CursorOpts{})
-	defer cur.Close()
-	var b trace.Block
-	for cur.Next(&b) {
+	return trace.Walk(src, trace.CursorOpts{}, func(b trace.Block) bool {
 		fn(b.Pages)
-	}
-	return cur.Err()
-}
-
-// resultOf converts one policy's accumulated block indexes into the
-// common Result form, exactly as vmsim's block loop does.
-func resultOf(pol policy.Policy, refs int, out *policy.BlockResult) vmsim.Result {
-	res := vmsim.Result{
-		Policy:      pol.Name(),
-		Refs:        refs,
-		Faults:      out.Faults,
-		MaxResident: out.MaxResident,
-		VirtualTime: out.VTime,
-		SpaceTime:   float64(out.SpaceTime),
-		MemSum:      float64(out.MemSum),
-	}
-	if cd := policy.AsCD(pol); cd != nil {
-		res.SwapSignals = cd.SwapSignals
-		res.LockReleases = cd.LockReleases
-		res.Degraded = cd.Degraded()
-		res.DegradedReason = cd.DegradedReason()
-	}
-	return res
+		return true
+	})
 }

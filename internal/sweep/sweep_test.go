@@ -51,10 +51,22 @@ func mustWS(t *testing.T, src trace.Source) *sweep.WS {
 	return s
 }
 
+// bruteLRU is the brute-force oracle of the LRU curve: one full replay
+// of the directive-free trace per allocation in [1, maxFrames], indexed
+// by allocation-1.
+func bruteLRU(tr *trace.Trace, maxFrames int) []vmsim.Result {
+	refs := tr.RefsOnly()
+	out := make([]vmsim.Result, maxFrames)
+	for m := 1; m <= maxFrames; m++ {
+		out[m-1] = vmsim.Run(refs, policy.NewLRU(m))
+	}
+	return out
+}
+
 func TestLRUCurveMatchesBrute(t *testing.T) {
 	tr := randomTrace(42, 3000, 40)
 	s := mustLRU(t, tr)
-	brute := vmsim.SweepLRU(tr, s.V)
+	brute := bruteLRU(tr, s.V)
 	for m := 1; m <= s.V; m++ {
 		b := brute[m-1]
 		if got := s.Faults(m); got != b.Faults {
@@ -105,7 +117,7 @@ func TestLRUCurvePropertyRandom(t *testing.T) {
 func TestLRUCurveCompression(t *testing.T) {
 	tr := randomTrace(3, 60000, 12)
 	s := mustLRU(t, tr)
-	brute := vmsim.SweepLRU(tr, s.V)
+	brute := bruteLRU(tr, s.V)
 	for m := 1; m <= s.V; m++ {
 		if got := s.Faults(m); got != brute[m-1].Faults {
 			t.Fatalf("m=%d: faults %d != brute %d", m, got, brute[m-1].Faults)
@@ -190,7 +202,7 @@ func TestLRUCurveMinAllocationForFaults(t *testing.T) {
 func TestFromLRUCells(t *testing.T) {
 	tr := randomTrace(19, 2000, 20)
 	curve := mustLRU(t, tr)
-	cells := sweep.FromLRUCells(vmsim.SweepLRU(tr, curve.V))
+	cells := sweep.FromLRUCells(bruteLRU(tr, curve.V))
 	if cells.V != curve.V || cells.Refs != curve.Refs {
 		t.Fatalf("cell rebuild V/Refs mismatch: %d/%d vs %d/%d", cells.V, cells.Refs, curve.V, curve.Refs)
 	}

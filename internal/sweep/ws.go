@@ -433,15 +433,13 @@ func (s *WS) runGrid(uniq []int) error {
 			stS[i] += r * int64(gap)
 		}
 		vt := int64(n) + int64(pf[i])*policy.FaultService
-		s.cache[uniq[i]] = vmsim.Result{
-			Policy:      policy.NewWS(uniq[i]).Name(),
-			Refs:        n,
+		s.cache[uniq[i]] = vmsim.ResultOf(policy.NewWS(uniq[i]), n, &policy.BlockResult{
 			Faults:      pf[i],
-			MemSum:      float64(memS[i]),
-			SpaceTime:   float64(stS[i]),
-			VirtualTime: vt,
 			MaxResident: maxws[i],
-		}
+			VTime:       vt,
+			MemSum:      memS[i],
+			SpaceTime:   stS[i],
+		})
 	}
 	return nil
 }

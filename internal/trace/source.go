@@ -175,8 +175,8 @@ func (t *Trace) Blocks(opts CursorOpts) Cursor {
 // walk allocates nothing. Blocks are passed by value; their slices are
 // zero-copy views invalidated by the next iteration, exactly as with
 // Cursor.Next. The simulator's block loop takes this path for in-memory
-// traces, which is what lets steady-state replays report zero
-// allocations per run.
+// traces (through Walk), which is what lets steady-state replays report
+// zero allocations per run.
 func (t *Trace) WalkBlocks(opts CursorOpts, fn func(Block) bool) error {
 	c := t.blockCursor(opts)
 	var b Block
@@ -186,6 +186,25 @@ func (t *Trace) WalkBlocks(opts CursorOpts, fn func(Block) bool) error {
 		}
 	}
 	return c.Err()
+}
+
+// Walk streams any source's blocks through fn (stopping early when fn
+// returns false) and returns the cursor's error. In-memory traces walk
+// through WalkBlocks, so a whole walk over one allocates nothing; other
+// sources walk a Blocks cursor, closed before Walk returns.
+func Walk(src Source, opts CursorOpts, fn func(Block) bool) error {
+	if t, ok := src.(*Trace); ok {
+		return t.WalkBlocks(opts, fn)
+	}
+	cur := src.Blocks(opts)
+	defer cur.Close()
+	var b Block
+	for cur.Next(&b) {
+		if !fn(b) {
+			break
+		}
+	}
+	return cur.Err()
 }
 
 // blockCursor returns the concrete cursor by value so the hot in-memory

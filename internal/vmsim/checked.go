@@ -36,12 +36,9 @@ func (e *InvariantError) Error() string {
 // bookkeeping internally consistent (CD only, while not degraded), and
 // the emitted event stream must replay — via obs.Replay — to exactly the
 // fault count and memory sum of the returned Result. Events still reach o
-// (or DefaultObserver) as in RunObserved. The Result is valid up to the
-// point of failure even when an error is returned.
+// as in RunObserved. The Result is valid up to the point of failure even
+// when an error is returned.
 func RunChecked(tr *trace.Trace, pol policy.Policy, o *obs.Observer) (Result, error) {
-	if o == nil {
-		o = DefaultObserver
-	}
 	col := &obs.Collector{}
 	tracers := obs.MultiTracer{col}
 	checkedObs := &obs.Observer{Tracer: tracers}

@@ -120,50 +120,6 @@ func TestObservedCDEmitsDirectiveEvents(t *testing.T) {
 	}
 }
 
-// TestDefaultObserver checks that Run picks up the process-wide observer
-// the CLI installs.
-func TestDefaultObserver(t *testing.T) {
-	col := &obs.Collector{}
-	DefaultObserver = &obs.Observer{Tracer: col}
-	defer func() { DefaultObserver = nil }()
-	res := Run(refTrace(1, 2, 3, 1, 2, 3), policy.NewLRU(2))
-	if len(col.Events) == 0 {
-		t.Fatal("default observer saw no events")
-	}
-	_, faults, _ := obs.Replay(col.Events)
-	if faults != res.Faults {
-		t.Errorf("default-observed faults = %d, want %d", faults, res.Faults)
-	}
-}
-
-// TestSweepObserved checks per-point sweep summaries.
-func TestSweepObserved(t *testing.T) {
-	tr := randomTrace(3, 2000, 20)
-	col := &obs.Collector{}
-	reg := obs.NewRegistry()
-	o := &obs.Observer{Tracer: col, Metrics: reg}
-	lru := SweepLRUObserved(tr, 10, o)
-	ws := SweepWSObserved(tr, []int{10, 100, 1000}, o)
-	points := 0
-	for _, e := range col.Events {
-		if e.Kind != obs.KindSweep {
-			t.Errorf("unexpected %q event in sweep stream", e.Kind)
-			continue
-		}
-		points++
-	}
-	if want := len(lru) + len(ws); points != want {
-		t.Errorf("sweep events = %d, want %d", points, want)
-	}
-	if got := reg.Counter("sweep_points").Value(); got != int64(points) {
-		t.Errorf("sweep_points counter = %d, want %d", got, points)
-	}
-	// Sweep events carry the exact per-point aggregates.
-	if e := col.Events[0]; e.Faults != lru[0].Faults || e.ST != lru[0].ST() {
-		t.Errorf("sweep point 0 = %+v, want PF=%d ST=%g", e, lru[0].Faults, lru[0].ST())
-	}
-}
-
 // TestMultiprogEvents checks job-tagged events from the multiprogramming
 // driver under pool pressure.
 func TestMultiprogEvents(t *testing.T) {
