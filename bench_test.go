@@ -167,7 +167,7 @@ func BenchmarkRun(b *testing.B) {
 // the CONDUCT trace (the largest workload).
 func BenchmarkPolicyReplay(b *testing.B) {
 	tr := compiledTrace(b, "CONDUCT")
-	refs := tr.StripDirectives()
+	refs := tr.RefsOnly()
 	w, _ := workloads.Get("CONDUCT")
 
 	b.Run("LRU", func(b *testing.B) {
@@ -257,16 +257,16 @@ func BenchmarkAblationLock(b *testing.B) {
 // stripLocks removes LOCK/UNLOCK events, keeping references and ALLOCATEs.
 func stripLocks(tr *trace.Trace) *trace.Trace {
 	out := trace.New(tr.Name + "-nolocks")
-	for _, e := range tr.Events {
-		switch e.Kind {
-		case trace.EvRef:
-			out.AddRef(tr.Page(e))
-		case trace.EvAlloc:
-			d := tr.Alloc(e)
-			out.Allocs = append(out.Allocs, d)
-			out.Events = append(out.Events, trace.Event{Kind: trace.EvAlloc, Arg: int32(len(out.Allocs) - 1)})
+	out.Allocs = tr.Allocs
+	_ = tr.WalkBlocks(trace.CursorOpts{}, func(b trace.Block) bool {
+		for _, pg := range b.Pages {
+			out.AddRef(pg)
 		}
-	}
+		if b.HasDir && b.Dir.Kind == trace.EvAlloc {
+			out.Append(b.Dir)
+		}
+		return true
+	})
 	return out
 }
 
@@ -284,7 +284,7 @@ func BenchmarkAblationOptGap(b *testing.B) {
 			if m < 1 {
 				m = 1
 			}
-			refs := c.Trace.StripDirectives()
+			refs := c.Trace.RefsOnly()
 			opt := vmsim.Run(refs, policy.NewOPT(c.Trace.Pages(), m))
 			if i == 0 {
 				b.Logf("%-8s CD: PF=%-6d | OPT(m=%d): PF=%-6d (CD/OPT fault ratio %.2f)",
@@ -328,7 +328,7 @@ func BenchmarkMultiprog(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			jobs := make([]*vmsim.Job, len(mix))
 			for k, name := range mix {
-				jobs[k] = &vmsim.Job{Name: name, Trace: traces[k].StripDirectives(), Policy: policy.NewWS(1000)}
+				jobs[k] = &vmsim.Job{Name: name, Trace: traces[k].RefsOnly(), Policy: policy.NewWS(1000)}
 			}
 			res := vmsim.RunMulti(jobs, vmsim.MultiConfig{Frames: 80})
 			if i == 0 {
@@ -403,20 +403,20 @@ func BenchmarkBLIDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceEncode measures trace serialization round trips.
+// BenchmarkTraceEncode measures CDT3 serialization round trips.
 func BenchmarkTraceEncode(b *testing.B) {
 	tr := compiledTrace(b, "MAIN")
 	b.Run("Write", func(b *testing.B) {
 		b.SetBytes(int64(tr.Refs))
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if _, err := tr.WriteTo(&buf); err != nil {
+			if _, err := trace.WriteCDT3(&buf, tr, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	if _, err := trace.WriteCDT3(&buf, tr, 0); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()

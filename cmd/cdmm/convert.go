@@ -1,8 +1,8 @@
-// cdmm convert: translate traces between the row-oriented CDT1/CDT2
-// encodings and the columnar streaming CDT3 format, with a byte-exact
-// round-trip check and a per-section size breakdown. CDT3 is the format
-// the streaming replay path (cdmm replay on a .cdt3 file) consumes in
-// O(chunk) memory.
+// cdmm convert: re-encode any trace — a CDT1/CDT2/CDT3 file, a workload
+// or a .f program — as CDT3, with a byte-exact round-trip check and a
+// per-section size breakdown. CDT3 is the only format cdmm writes, and
+// the one the streaming replay path (cdmm replay on a CDT3 file)
+// consumes in O(chunk) memory; the row formats CDT1/CDT2 are read-only.
 package main
 
 import (
@@ -22,11 +22,10 @@ func cmdConvert(args []string) error {
 		in, args = args[0], args[1:]
 	}
 	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-	out := fs.String("o", "", "output trace file")
-	to := fs.String("to", "cdt3", "target format: cdt3, or cdt1 (row encoding; traces with sites write CDT2)")
+	out := fs.String("o", "", "output CDT3 trace file")
 	chunk := fs.Int("chunk", trace.DefaultChunkEvents, "CDT3 chunk size in events")
-	check := fs.Bool("check", false, "verify the output re-encodes byte-identically to the input")
-	stat := fs.Bool("stat", false, "print per-section sizes and compression ratio")
+	check := fs.Bool("check", false, "verify the output decodes and re-encodes byte-identically")
+	stat := fs.Bool("stat", false, "print per-section sizes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -37,43 +36,25 @@ func cmdConvert(args []string) error {
 		return fmt.Errorf("missing input (trace file, workload, or .f program); or -stat for the suite-wide breakdown")
 	}
 
-	tr, rowBytes, err := loadTraceInput(in)
+	tr, inBytes, err := loadTraceInput(in)
 	if err != nil {
 		return err
 	}
-
-	var outBytes []byte
+	var buf bytes.Buffer
 	var stats trace.CDT3Stats
-	switch *to {
-	case "cdt3":
-		var buf bytes.Buffer
-		if _, err := trace.WriteCDT3Stats(&buf, tr, *chunk, &stats); err != nil {
-			return err
-		}
-		outBytes = buf.Bytes()
-	case "cdt1", "cdt2":
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			return err
-		}
-		outBytes = buf.Bytes()
-	default:
-		return fmt.Errorf("unknown target format %q (want cdt3 or cdt1)", *to)
+	if _, err := trace.WriteCDT3Stats(&buf, tr, *chunk, &stats); err != nil {
+		return err
 	}
+	outBytes := buf.Bytes()
 
 	if *check {
-		if err := checkRoundTrip(rowBytes, outBytes, *chunk); err != nil {
+		if err := checkRoundTrip(outBytes, *chunk); err != nil {
 			return err
 		}
 		fmt.Println("round-trip check: ok (re-encode is byte-identical)")
 	}
 	if *stat {
-		if *to == "cdt3" {
-			printCDT3Stats(tr.Name, &stats, int64(len(rowBytes)))
-		} else {
-			fmt.Printf("%s: %d events, %d row-format bytes (%.2fx vs CDT3 input of %d bytes)\n",
-				tr.Name, len(tr.Events), len(outBytes), float64(len(outBytes))/float64(len(rowBytes)), len(rowBytes))
-		}
+		printCDT3Stats(tr.Name, &stats, inBytes)
 	}
 	if *out != "" {
 		if err := os.WriteFile(*out, outBytes, 0o644); err != nil {
@@ -81,100 +62,69 @@ func cmdConvert(args []string) error {
 		}
 		fmt.Printf("wrote %d bytes to %s\n", len(outBytes), *out)
 	} else if !*stat && !*check {
-		fmt.Printf("%s: %d events -> %d bytes (no -o given, nothing written)\n", tr.Name, len(tr.Events), len(outBytes))
+		fmt.Printf("%s: %d events -> %d bytes (no -o given, nothing written)\n", tr.Name, stats.Events, len(outBytes))
 	}
 	return nil
 }
 
 // loadTraceInput resolves the convert input: an existing trace file (any
-// CDT format) or a workload/program name compiled and traced on the fly.
-// rowBytes is the trace's canonical row encoding (the file bytes for
-// CDT1/CDT2 inputs, an in-memory encode otherwise) — the reference the
-// round-trip check compares against and the denominator of the
-// compression ratio.
-func loadTraceInput(in string) (tr *trace.Trace, rowBytes []byte, err error) {
-	if raw, rerr := os.ReadFile(in); rerr == nil && len(raw) >= 4 && strings.HasPrefix(string(raw[:4]), "CDT") {
-		tr, err = trace.Read(bytes.NewReader(raw))
+// CDT format), whose size it also returns, or a workload/program name
+// compiled and traced on the fly (size 0).
+func loadTraceInput(in string) (*trace.Trace, int64, error) {
+	if raw, err := os.ReadFile(in); err == nil && bytes.HasPrefix(raw, []byte("CDT")) {
+		tr, err := trace.Read(bytes.NewReader(raw))
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", in, err)
+			return nil, 0, fmt.Errorf("%s: %w", in, err)
 		}
-		if string(raw[:4]) == "CDT3" {
-			var buf bytes.Buffer
-			if _, err = tr.WriteTo(&buf); err != nil {
-				return nil, nil, err
-			}
-			return tr, buf.Bytes(), nil
-		}
-		return tr, raw, nil
+		return tr, int64(len(raw)), nil
 	}
 	p, err := loadProgram(in)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	tr, err = p.Trace()
-	if err != nil {
-		return nil, nil, err
-	}
-	var buf bytes.Buffer
-	if _, err = tr.WriteTo(&buf); err != nil {
-		return nil, nil, err
-	}
-	return tr, buf.Bytes(), nil
+	tr, err := p.Trace()
+	return tr, 0, err
 }
 
-// checkRoundTrip decodes the freshly produced output and verifies both
-// re-encodings are byte-exact: back to the row format against the
-// canonical row bytes, and (for CDT3 outputs) back to CDT3 against the
-// bytes just written. For CDT3 *inputs* the row comparison still holds —
-// the row encoding of a decoded trace is canonical — so every
-// CDT1/CDT2 ↔ CDT3 direction is covered.
-func checkRoundTrip(rowBytes, outBytes []byte, chunk int) error {
-	tr2, err := trace.Read(bytes.NewReader(outBytes))
+// checkRoundTrip decodes the freshly encoded CDT3 output and verifies
+// that re-encoding the decoded trace reproduces it byte for byte.
+func checkRoundTrip(outBytes []byte, chunk int) error {
+	tr, err := trace.Read(bytes.NewReader(outBytes))
 	if err != nil {
 		return fmt.Errorf("round-trip: decoding the converted output failed: %w", err)
 	}
-	var row2 bytes.Buffer
-	if _, err := tr2.WriteTo(&row2); err != nil {
+	var again bytes.Buffer
+	if _, err := trace.WriteCDT3(&again, tr, chunk); err != nil {
 		return err
 	}
-	if !bytes.Equal(row2.Bytes(), rowBytes) {
-		return fmt.Errorf("round-trip: row re-encode differs (%d bytes vs %d canonical)", row2.Len(), len(rowBytes))
-	}
-	if len(outBytes) >= 4 && string(outBytes[:4]) == "CDT3" {
-		var col2 bytes.Buffer
-		if _, err := trace.WriteCDT3(&col2, tr2, chunk); err != nil {
-			return err
-		}
-		if !bytes.Equal(col2.Bytes(), outBytes) {
-			return fmt.Errorf("round-trip: CDT3 re-encode differs (%d bytes vs %d written)", col2.Len(), len(outBytes))
-		}
+	if !bytes.Equal(again.Bytes(), outBytes) {
+		return fmt.Errorf("round-trip: CDT3 re-encode differs (%d bytes vs %d written)", again.Len(), len(outBytes))
 	}
 	return nil
 }
 
-// convertStatAll prints the CDT3 section breakdown and compression ratio
-// for every built-in workload.
+// convertStatAll prints the CDT3 section breakdown for every built-in
+// workload.
 func convertStatAll(chunk int) error {
-	fmt.Printf("%-8s %9s %9s %9s %8s %8s %8s %8s %7s\n",
-		"program", "row(B)", "cdt3(B)", "pages", "dirs", "sites", "tables", "frame", "ratio")
+	fmt.Printf("%-8s %9s %9s %8s %8s %8s %8s\n",
+		"program", "cdt3(B)", "pages", "dirs", "sites", "tables", "frame")
 	for _, w := range workloads.All() {
-		tr, rowBytes, err := loadTraceInput(w.Name)
+		tr, _, err := loadTraceInput(w.Name)
 		if err != nil {
 			return err
 		}
-		var buf bytes.Buffer
 		var st trace.CDT3Stats
-		if _, err := trace.WriteCDT3Stats(&buf, tr, chunk, &st); err != nil {
+		if _, err := trace.WriteCDT3Stats(&bytes.Buffer{}, tr, chunk, &st); err != nil {
 			return err
 		}
-		fmt.Printf("%-8s %9d %9d %9d %8d %8d %8d %8d %6.2fx\n",
-			tr.Name, len(rowBytes), st.TotalBytes, st.PageBytes, st.DirBytes, st.SiteBytes,
-			st.HeaderBytes+st.TableBytes, st.FrameBytes, float64(len(rowBytes))/float64(st.TotalBytes))
+		fmt.Printf("%-8s %9d %9d %8d %8d %8d %8d\n",
+			tr.Name, st.TotalBytes, st.PageBytes, st.DirBytes, st.SiteBytes,
+			st.HeaderBytes+st.TableBytes, st.FrameBytes)
 	}
 	return nil
 }
 
-func printCDT3Stats(name string, st *trace.CDT3Stats, rowLen int64) {
+func printCDT3Stats(name string, st *trace.CDT3Stats, inLen int64) {
 	fmt.Printf("%s: CDT3 %d bytes in %d chunks (%d events, %d refs)\n",
 		name, st.TotalBytes, st.Chunks, st.Events, st.Refs)
 	fmt.Printf("  header  %9d B\n", st.HeaderBytes)
@@ -183,7 +133,7 @@ func printCDT3Stats(name string, st *trace.CDT3Stats, rowLen int64) {
 	fmt.Printf("  dirs    %9d B  (directive side-band)\n", st.DirBytes)
 	fmt.Printf("  sites   %9d B  (RLE site runs)\n", st.SiteBytes)
 	fmt.Printf("  framing %9d B\n", st.FrameBytes)
-	if rowLen > 0 {
-		fmt.Printf("  row encoding %d B -> %.2fx compression\n", rowLen, float64(rowLen)/float64(st.TotalBytes))
+	if inLen > 0 {
+		fmt.Printf("  input file %d B -> %.2fx\n", inLen, float64(inLen)/float64(st.TotalBytes))
 	}
 }

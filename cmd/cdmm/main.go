@@ -179,14 +179,14 @@ commands:
   compile  <prog|file.f>    compile and show the inserted memory directives
   locality <prog|file.f>    show the hierarchical locality structure
   trace    <prog|file.f> [-o file]   execute, summarize, optionally save the
-                            trace (row CDT1/CDT2, or columnar CDT3 when the
-                            file name ends in .cdt3)
+                            trace (CDT3, whatever the file name)
   replay   <trace-file> [sim flags]  simulate a policy over a saved trace;
                             CDT3 files stream in O(chunk) memory
-  convert  <trace|prog> [-o f] [-to cdt3|cdt1] [-chunk N] [-check] [-stat]
-                            translate between row and columnar trace formats
+  convert  <trace|prog> [-o f] [-chunk N] [-check] [-stat]
+                            re-encode any trace (CDT1/CDT2/CDT3 file,
+                            workload or program) as CDT3
       -check                       byte-identical round-trip verification
-      -stat                        per-section sizes and compression ratio
+      -stat                        per-section sizes
                             (no input: breakdown for every built-in workload)
   bli      <prog|file.f>    detect runtime localities (Madison-Batson BLIs)
   sim      <prog|file.f> [flags]   simulate one policy over the trace
@@ -802,14 +802,14 @@ func runTablesTo(w io.Writer, which string, eng *engine.Engine) error {
 func cmdTrace(args []string) error {
 	return withProgram(args, func(p *core.Program, rest []string) error {
 		fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-		out := fs.String("o", "", "write the trace to this file (row CDT1/CDT2, or columnar CDT3 for *.cdt3)")
-		chunk := fs.Int("chunk", trace.DefaultChunkEvents, "CDT3 chunk size in events (for *.cdt3 outputs)")
-		repeat := fs.Int("repeat", 1, "replicate the reference string N times in the CDT3 output (drops directives; for big-trace streaming tests)")
+		out := fs.String("o", "", "write the trace to this file (CDT3)")
+		chunk := fs.Int("chunk", trace.DefaultChunkEvents, "CDT3 chunk size in events")
+		repeat := fs.Int("repeat", 1, "replicate the reference string N times in the output (drops directives; for big-trace streaming tests)")
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		if *repeat > 1 && (*out == "" || !strings.HasSuffix(*out, ".cdt3")) {
-			return fmt.Errorf("-repeat needs a *.cdt3 output (row formats materialize the whole stream)")
+		if *repeat > 1 && *out == "" {
+			return fmt.Errorf("-repeat needs an -o output")
 		}
 		tr, err := p.Trace()
 		if err != nil {
@@ -821,16 +821,11 @@ func cmdTrace(args []string) error {
 			if err != nil {
 				return err
 			}
-			var n int64
-			if strings.HasSuffix(*out, ".cdt3") {
-				var src trace.Source = tr
-				if *repeat > 1 {
-					src = trace.Repeat(tr, *repeat)
-				}
-				n, err = trace.WriteCDT3(f, src, *chunk)
-			} else {
-				n, err = tr.WriteTo(f)
+			var src trace.Source = tr
+			if *repeat > 1 {
+				src = trace.Repeat(tr, *repeat)
 			}
+			n, err := trace.WriteCDT3(f, src, *chunk)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -66,7 +66,7 @@ func main() {
 	for i, name := range mix {
 		wsJobs[i] = &vmsim.Job{
 			Name:   name,
-			Trace:  traces[name].StripDirectives(),
+			Trace:  traces[name].RefsOnly(),
 			Policy: policy.NewWS(1000),
 		}
 	}

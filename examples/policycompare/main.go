@@ -38,7 +38,7 @@ func main() {
 
 	lru, _ := prog.LRUSweep()
 	ws, _ := prog.WSSweep()
-	refs := tr.StripDirectives()
+	refs := tr.RefsOnly()
 	pages := tr.Pages()
 
 	// LRU and OPT across a ladder of allocations.

@@ -71,7 +71,7 @@ func main() {
 	fmt.Println(cd)
 
 	// Baselines on the same reference string.
-	refs := tr.StripDirectives()
+	refs := tr.RefsOnly()
 	for _, pol := range []policy.Policy{
 		policy.NewLRU(8),
 		policy.NewLRU(32),

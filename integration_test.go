@@ -6,6 +6,7 @@
 package cdmm_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -114,11 +115,9 @@ func TestPipelineInvariantsOnRandomPrograms(t *testing.T) {
 				t.Fatalf("trace: %v\n%s", err, src)
 			}
 			// Invariant: every referenced page lies inside the address space.
-			for _, e := range tr.Events {
-				if e.Kind == trace.EvRef {
-					if p := tr.Page(e); int(p) < 0 || int(p) >= prog.V() {
-						t.Fatalf("page %d outside V=%d", p, prog.V())
-					}
+			for _, p := range tr.Pages() {
+				if int(p) < 0 || int(p) >= prog.V() {
+					t.Fatalf("page %d outside V=%d", p, prog.V())
 				}
 			}
 			if tr.Distinct > prog.V() {
@@ -148,7 +147,7 @@ func TestPipelineInvariantsOnRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refs := tr.StripDirectives()
+			refs := tr.RefsOnly()
 			for _, m := range []int{1, 3, sweep.V} {
 				brute := vmsim.Run(refs, policy.NewLRU(m))
 				if sweep.Faults(m) != brute.Faults {
@@ -157,26 +156,23 @@ func TestPipelineInvariantsOnRandomPrograms(t *testing.T) {
 			}
 
 			// Invariant: the trace round-trips through the binary format.
-			var buf strings.Builder
-			if _, err := tr.WriteTo(&writerAdapter{&buf}); err != nil {
+			var buf, again bytes.Buffer
+			if _, err := trace.WriteCDT3(&buf, tr, 0); err != nil {
 				t.Fatal(err)
 			}
-			got, err := trace.Read(strings.NewReader(buf.String()))
+			got, err := trace.Read(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Refs != tr.Refs || got.Distinct != tr.Distinct || len(got.Events) != len(tr.Events) {
+			if _, err := trace.WriteCDT3(&again, got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got.Meta() != tr.Meta() || !bytes.Equal(again.Bytes(), buf.Bytes()) {
 				t.Fatalf("trace round trip mismatch")
 			}
 		})
 	}
 }
-
-// writerAdapter adapts strings.Builder to io.Writer (Builder has Write but
-// the explicit adapter keeps the binary bytes intact through string).
-type writerAdapter struct{ b *strings.Builder }
-
-func (w *writerAdapter) Write(p []byte) (int, error) { return w.b.Write(p) }
 
 // TestWorkloadsUnderEveryPolicy runs every workload under every policy
 // family member once, checking the compulsory lower bound and that the
@@ -190,7 +186,7 @@ func TestWorkloadsUnderEveryPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs := c.Trace.StripDirectives()
+		refs := c.Trace.RefsOnly()
 		pols := []policy.Policy{
 			policy.NewLRU(16),
 			policy.NewFIFO(16),
@@ -229,7 +225,7 @@ func TestOPTLowerBoundsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := c.Trace.StripDirectives()
+	refs := c.Trace.RefsOnly()
 	pages := c.Trace.Pages()
 	for _, m := range []int{4, 8, 16, 32} {
 		opt := vmsim.Run(refs, policy.NewOPT(pages, m))

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -29,6 +30,17 @@ func testTrace() *trace.Trace {
 		tr.AddRef(mem.Page(i % 8))
 	}
 	return tr
+}
+
+// encode returns tr's CDT3 bytes, the canonical form two traces are
+// compared in.
+func encode(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := trace.WriteCDT3(&buf, tr, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestDeriveSeedIndependence: distinct cell identities must give distinct
@@ -63,7 +75,7 @@ func TestInjectorsDeterministic(t *testing.T) {
 		t.Run(f.Name, func(t *testing.T) {
 			a := f.Perturb(base, NewRand(42), 0.7)
 			b := f.Perturb(base, NewRand(42), 0.7)
-			if !reflect.DeepEqual(a, b) {
+			if !bytes.Equal(encode(t, a), encode(t, b)) {
 				t.Fatal("same seed produced different perturbations")
 			}
 		})
@@ -81,8 +93,8 @@ func TestInjectorsPreserveInput(t *testing.T) {
 		}
 		f.Perturb(base, NewRand(7), 1.0)
 	}
-	if !reflect.DeepEqual(base.Events, want.Events) {
-		t.Error("an injector mutated the input trace's events")
+	if !bytes.Equal(encode(t, base), encode(t, want)) {
+		t.Error("an injector mutated the input trace")
 	}
 	if !reflect.DeepEqual(base.Allocs, want.Allocs) {
 		t.Error("an injector mutated the input trace's alloc table")
@@ -106,7 +118,7 @@ func TestZeroIntensityIsIdentity(t *testing.T) {
 		}
 		t.Run(f.Name, func(t *testing.T) {
 			got := f.Perturb(base, NewRand(9), 0)
-			if !reflect.DeepEqual(got.Events, base.Events) {
+			if !reflect.DeepEqual(events(got), events(base)) {
 				t.Error("intensity 0 changed the event stream")
 			}
 			if got.Refs != base.Refs || got.Distinct != base.Distinct {
@@ -121,12 +133,15 @@ func TestZeroIntensityIsIdentity(t *testing.T) {
 func TestTruncate(t *testing.T) {
 	base := testTrace()
 	half := truncateTrace(base, nil, 0.5)
-	if want := len(base.Events) / 2; len(half.Events) != want {
-		t.Errorf("events after 0.5 truncation = %d, want %d", len(half.Events), want)
+	if want := base.Meta().Events / 2; half.Meta().Events != want {
+		t.Errorf("events after 0.5 truncation = %d, want %d", half.Meta().Events, want)
+	}
+	if !reflect.DeepEqual(events(half), events(base)[:half.Meta().Events]) {
+		t.Error("truncation is not a prefix of the original stream")
 	}
 	all := truncateTrace(base, nil, 1)
-	if len(all.Events) != 0 || all.Refs != 0 || all.Distinct != 0 {
-		t.Errorf("full truncation left %d events, refs=%d", len(all.Events), all.Refs)
+	if all.Meta().Events != 0 || all.Refs != 0 || all.Distinct != 0 {
+		t.Errorf("full truncation left %d events, refs=%d", all.Meta().Events, all.Refs)
 	}
 }
 
@@ -211,11 +226,11 @@ func TestRegistryOrderStable(t *testing.T) {
 func TestTenantKill(t *testing.T) {
 	base := testTrace()
 	out := tenantKill(base, NewRand(11), 1.0)
-	n := len(base.Events)
-	if len(out.Events) < n {
-		t.Fatalf("perturbed trace shorter than the original: %d < %d", len(out.Events), n)
+	got, want := events(out), events(base)
+	if len(got) < len(want) {
+		t.Fatalf("perturbed trace shorter than the original: %d < %d", len(got), len(want))
 	}
-	if !reflect.DeepEqual(out.Events[len(out.Events)-n:], base.Events) {
+	if !reflect.DeepEqual(got[len(got)-len(want):], want) {
 		t.Error("perturbed trace does not end with a complete replay")
 	}
 	// The partial attempts are prefixes, so the whole output replays only

@@ -6,101 +6,98 @@ import (
 	"cdmm/internal/trace"
 )
 
-// clone returns a copy of tr with private event and side-table slices.
-// Side-table *entries* are still shared with the original (compiled
-// traces are memoized and must never be mutated); injectors that edit an
-// entry must replace it with their own copy.
-func clone(tr *trace.Trace, suffix string) *trace.Trace {
-	return &trace.Trace{
-		Name:       tr.Name + "+" + suffix,
-		Events:     append([]trace.Event(nil), tr.Events...),
-		Allocs:     append([]trace.AllocDirective(nil), tr.Allocs...),
-		LockSets:   append([]trace.LockSet(nil), tr.LockSets...),
-		UnlockSets: append([][]mem.Page(nil), tr.UnlockSets...),
-		Refs:       tr.Refs,
-		Distinct:   tr.Distinct,
-	}
+// events returns tr's event stream in order, as a private slice the
+// injectors that edit the event order may rearrange freely.
+func events(tr *trace.Trace) []trace.Event {
+	out := make([]trace.Event, 0, tr.Meta().Events)
+	_ = tr.WalkBlocks(trace.CursorOpts{}, func(b trace.Block) bool {
+		for _, pg := range b.Pages {
+			out = append(out, trace.Event{Kind: trace.EvRef, Arg: int32(pg)})
+		}
+		if b.HasDir {
+			out = append(out, b.Dir)
+		}
+		return true
+	})
+	return out
 }
 
-// rebuild recomputes the reference statistics (Refs, Distinct) of a
-// perturbed trace from its event list.
-func rebuild(t *trace.Trace) *trace.Trace {
-	t.Refs = 0
-	seen := map[mem.Page]bool{}
-	for _, e := range t.Events {
-		if e.Kind == trace.EvRef {
-			t.Refs++
-			seen[mem.Page(e.Arg)] = true
-		}
+// rebuild returns the trace tr+suffix made of the given events, which
+// index tr's side tables (shared, read-only). Its reference counters are
+// recomputed by appending; like every injector's output, it carries no
+// site column.
+func rebuild(tr *trace.Trace, suffix string, evs []trace.Event) *trace.Trace {
+	out := trace.New(tr.Name + "+" + suffix)
+	out.Allocs, out.LockSets, out.UnlockSets = tr.Allocs, tr.LockSets, tr.UnlockSets
+	for _, e := range evs {
+		out.Append(e)
 	}
-	t.Distinct = len(seen)
-	return t
+	return out
 }
 
-// maxRefPage returns the largest page number the trace references (-1
-// for an empty reference string).
-func maxRefPage(tr *trace.Trace) int {
-	max := -1
-	for _, e := range tr.Events {
-		if e.Kind == trace.EvRef && int(e.Arg) > max {
-			max = int(e.Arg)
-		}
-	}
-	return max
+// retable returns tr+suffix sharing tr's event columns (read-only) with
+// private copies of the side-table slices, for injectors that edit only
+// table entries. The entries themselves are still shared (compiled
+// traces are memoized and must never be mutated): an injector that edits
+// one replaces it with its own copy.
+func retable(tr *trace.Trace, suffix string) *trace.Trace {
+	out := tr.WithoutSites()
+	out.Name = tr.Name + "+" + suffix
+	out.Allocs = append([]trace.AllocDirective(nil), tr.Allocs...)
+	out.LockSets = append([]trace.LockSet(nil), tr.LockSets...)
+	return out
 }
 
 // dropDirectives removes each directive event with probability intensity
 // — the "compiler forgot to emit it" fault. The reference string is
 // untouched, so only CD sees a difference.
 func dropDirectives(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "drop")
-	kept := out.Events[:0]
-	for _, e := range out.Events {
+	evs := events(tr)
+	kept := evs[:0]
+	for _, e := range evs {
 		if e.Kind != trace.EvRef && rng.Bool(intensity) {
 			continue
 		}
 		kept = append(kept, e)
 	}
-	out.Events = kept
-	return rebuild(out)
+	return rebuild(tr, "drop", kept)
 }
 
 // dupDirectives emits each directive event twice with probability
 // intensity — re-executed directives must be idempotent for CD.
 func dupDirectives(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "dup")
-	events := make([]trace.Event, 0, len(out.Events))
-	for _, e := range out.Events {
-		events = append(events, e)
+	evs := events(tr)
+	duped := make([]trace.Event, 0, len(evs))
+	for _, e := range evs {
+		duped = append(duped, e)
 		if e.Kind != trace.EvRef && rng.Bool(intensity) {
-			events = append(events, e)
+			duped = append(duped, e)
 		}
 	}
-	out.Events = events
-	return rebuild(out)
+	return rebuild(tr, "dup", duped)
 }
 
 // reorderDirectives slides each directive event 1-64 positions later
 // with probability intensity, modeling directives arriving after the
 // loop they were meant to precede.
 func reorderDirectives(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "reorder")
-	for i := 0; i < len(out.Events); i++ {
-		e := out.Events[i]
+	evs := events(tr)
+	for i := 0; i < len(evs); i++ {
+		e := evs[i]
 		if e.Kind == trace.EvRef || !rng.Bool(intensity) {
 			continue
 		}
 		to := i + 1 + rng.Intn(64)
-		if to >= len(out.Events) {
-			to = len(out.Events) - 1
+		if to >= len(evs) {
+			to = len(evs) - 1
 		}
-		copy(out.Events[i:to], out.Events[i+1:to+1])
-		out.Events[to] = e
+		copy(evs[i:to], evs[i+1:to+1])
+		evs[to] = e
 		// The slid event is re-visited at its new position; skipping past
 		// it keeps one slide per original event.
 		i = to
 	}
-	return rebuild(out)
+	return rebuild(tr, "reorder", evs)
 }
 
 // corruptPriorities randomizes ALLOCATE arm priority indexes and LOCK
@@ -108,7 +105,7 @@ func reorderDirectives(tr *trace.Trace, rng *Rand, intensity float64) *trace.Tra
 // the strictly-decreasing-PI contract (and sometimes the PJ >= 1 one)
 // that the CD validator checks.
 func corruptPriorities(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "badpri")
+	out := retable(tr, "badpri")
 	for i, d := range out.Allocs {
 		if !rng.Bool(intensity) {
 			continue
@@ -130,24 +127,23 @@ func corruptPriorities(tr *trace.Trace, rng *Rand, intensity float64) *trace.Tra
 // accumulate until memory pressure forces their release (the §3.2
 // pressure valve) — a liveness fault rather than a contract violation.
 func lockNoUnlock(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "nounlock")
-	kept := out.Events[:0]
-	for _, e := range out.Events {
+	evs := events(tr)
+	kept := evs[:0]
+	for _, e := range evs {
 		if e.Kind == trace.EvUnlock && rng.Bool(intensity) {
 			continue
 		}
 		kept = append(kept, e)
 	}
-	out.Events = kept
-	return rebuild(out)
+	return rebuild(tr, "nounlock", kept)
 }
 
 // unknownSegment redirects LOCK page sets past the program's address
 // space with probability intensity per lock set — the mistargeted-
 // directive fault the validator's range check exists for.
 func unknownSegment(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "unkseg")
-	v := maxRefPage(tr) + 1
+	out := retable(tr, "unkseg")
+	v := int(tr.MaxPage()) + 1
 	for i, ls := range out.LockSets {
 		if len(ls.Pages) == 0 || !rng.Bool(intensity) {
 			continue
@@ -166,7 +162,7 @@ func unknownSegment(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace 
 // degrades performance silently; a large scale-up can push a request
 // past the address space and trip the validator instead.
 func staleDirectives(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "stale")
+	out := retable(tr, "stale")
 	factors := []struct{ num, den int }{{1, 4}, {1, 2}, {2, 1}, {4, 1}, {8, 1}}
 	for i, d := range out.Allocs {
 		if !rng.Bool(intensity) {
@@ -192,42 +188,41 @@ func staleDirectives(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace
 // footprint; a robust simulator must treat them as cold pages, not
 // crash.
 func bitflipPages(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "bitflip")
+	evs := events(tr)
 	p := intensity / 100
-	for i, e := range out.Events {
+	for i, e := range evs {
 		if e.Kind == trace.EvRef && rng.Bool(p) {
-			out.Events[i].Arg = e.Arg ^ (1 << rng.Intn(12))
+			evs[i].Arg = e.Arg ^ (1 << rng.Intn(12))
 		}
 	}
-	return rebuild(out)
+	return rebuild(tr, "bitflip", evs)
 }
 
 // truncateTrace cuts the trace to its first (1 - intensity) fraction of
 // events — the program crashed or the trace file was cut short. Every
 // accounting identity must still hold over the prefix.
 func truncateTrace(tr *trace.Trace, _ *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "trunc")
-	keep := int(float64(len(out.Events)) * (1 - intensity))
+	evs := events(tr)
+	keep := int(float64(len(evs)) * (1 - intensity))
 	if keep < 0 {
 		keep = 0
 	}
-	out.Events = out.Events[:keep]
-	return rebuild(out)
+	return rebuild(tr, "trunc", evs[:keep])
 }
 
 // wildPages redirects references far outside the address space with
 // probability intensity/100 per reference — wild pointers rather than
 // single bit flips.
 func wildPages(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "wild")
-	v := maxRefPage(tr) + 1
+	evs := events(tr)
+	v := int(tr.MaxPage()) + 1
 	p := intensity / 100
-	for i, e := range out.Events {
+	for i, e := range evs {
 		if e.Kind == trace.EvRef && rng.Bool(p) {
-			out.Events[i].Arg = int32(v + 1 + rng.Intn(1<<16))
+			evs[i].Arg = int32(v + 1 + rng.Intn(1<<16))
 		}
 	}
-	return rebuild(out)
+	return rebuild(tr, "wild", evs)
 }
 
 // tenantKill models a program killed mid-run and restarted from the
@@ -237,17 +232,16 @@ func wildPages(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
 // and locking must be idempotent across re-execution — the same contract
 // the kernel's chaos kill exercises at the scheduler level.
 func tenantKill(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := clone(tr, "kill")
-	if len(out.Events) == 0 || intensity <= 0 {
-		return out
+	evs := events(tr)
+	if len(evs) == 0 || intensity <= 0 {
+		return rebuild(tr, "kill", evs)
 	}
 	attempts := 1 + int(intensity*2)
-	events := make([]trace.Event, 0, (attempts+1)*len(out.Events))
+	runs := make([]trace.Event, 0, (attempts+1)*len(evs))
 	for i := 0; i < attempts; i++ {
-		cut := rng.Intn(len(out.Events))
-		events = append(events, out.Events[:cut]...)
+		cut := rng.Intn(len(evs))
+		runs = append(runs, evs[:cut]...)
 	}
-	events = append(events, out.Events...)
-	out.Events = events
-	return rebuild(out)
+	runs = append(runs, evs...)
+	return rebuild(tr, "kill", runs)
 }

@@ -187,7 +187,7 @@ END DO
 END
 `, true)
 	var unlocks [][]int
-	for _, e := range tr.Events {
+	for _, e := range events(tr) {
 		if e.Kind == trace.EvUnlock {
 			pages := tr.Unlock(e)
 			var ps []int

@@ -233,7 +233,7 @@ END DO
 END
 `, true)
 	var allocs, locks, unlocks int
-	for _, e := range tr.Events {
+	for _, e := range events(tr) {
 		switch e.Kind {
 		case trace.EvAlloc:
 			allocs++
@@ -273,7 +273,7 @@ END
 	// I <= 64, page 1 after.
 	var firstLock, lastLock trace.LockSet
 	seen := false
-	for _, e := range tr.Events {
+	for _, e := range events(tr) {
 		if e.Kind == trace.EvLock {
 			ls := tr.Lock(e)
 			if !seen {
@@ -306,14 +306,14 @@ DO I = 1, 3
 END DO
 END
 `, true)
-	plain := tr.StripDirectives()
+	plain := tr.RefsOnly()
 	if plain.Refs != tr.Refs {
 		t.Errorf("stripped refs = %d, want %d", plain.Refs, tr.Refs)
 	}
 	if plain.Distinct != tr.Distinct {
 		t.Errorf("stripped distinct = %d, want %d", plain.Distinct, tr.Distinct)
 	}
-	for _, e := range plain.Events {
+	for _, e := range events(plain) {
 		if e.Kind != trace.EvRef {
 			t.Fatalf("stripped trace contains %v event", e.Kind)
 		}
@@ -367,14 +367,29 @@ DO J = 1, 4
 END DO
 END
 `
-	t1 := run(t, src, true)
-	t2 := run(t, src, true)
-	if len(t1.Events) != len(t2.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(t1.Events), len(t2.Events))
+	e1 := events(run(t, src, true))
+	e2 := events(run(t, src, true))
+	if len(e1) != len(e2) {
+		t.Fatalf("event counts differ: %d vs %d", len(e1), len(e2))
 	}
-	for i := range t1.Events {
-		if t1.Events[i] != t2.Events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, t1.Events[i], t2.Events[i])
+	for i := range e1 {
+		if e1[i] != e2[i] {
+			t.Fatalf("event %d differs: %+v vs %+v", i, e1[i], e2[i])
 		}
 	}
+}
+
+// events flattens a trace's event stream by walking its blocks.
+func events(tr *trace.Trace) []trace.Event {
+	var out []trace.Event
+	_ = tr.WalkBlocks(trace.CursorOpts{}, func(b trace.Block) bool {
+		for _, pg := range b.Pages {
+			out = append(out, trace.Event{Kind: trace.EvRef, Arg: int32(pg)})
+		}
+		if b.HasDir {
+			out = append(out, b.Dir)
+		}
+		return true
+	})
+	return out
 }

@@ -32,7 +32,7 @@ func FuzzSweep(f *testing.F) {
 			t.Fatal(err)
 		}
 		m := int(knob)%lru.V + 1
-		cell := vmsim.Run(tr.StripDirectives(), policy.NewLRU(m))
+		cell := vmsim.Run(tr.RefsOnly(), policy.NewLRU(m))
 		if got := lru.Result(m); got != cell {
 			t.Fatalf("LRU m=%d: curve %+v != cell %+v", m, got, cell)
 		}

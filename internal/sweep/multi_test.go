@@ -90,7 +90,7 @@ func TestWorkloadCurvesMatchCells(t *testing.T) {
 			if m < 1 {
 				m = 1
 			}
-			b := vmsim.Run(c.Trace.StripDirectives(), policy.NewLRU(m))
+			b := vmsim.Run(c.Trace.RefsOnly(), policy.NewLRU(m))
 			if got := lru.Result(m); got != b {
 				t.Errorf("%s LRU m=%d:\n curve %+v\n cell  %+v", prog.Name, m, got, b)
 			}

@@ -93,7 +93,7 @@ func TestLRUCurvePropertyRandom(t *testing.T) {
 			return false
 		}
 		for _, m := range []int{1, 2, 3, 5, 8, s.V} {
-			b := vmsim.Run(tr.StripDirectives(), policy.NewLRU(m))
+			b := vmsim.Run(tr.RefsOnly(), policy.NewLRU(m))
 			if s.Faults(m) != b.Faults {
 				return false
 			}

@@ -35,7 +35,7 @@ func refString(t *testing.T, src Source, opts CursorOpts) []mem.Page {
 // decoder accepts with matching audit counters.
 func TestRepeatSource(t *testing.T) {
 	base := sitedSampleTrace()
-	baseRefs := refStringOf(base)
+	baseRefs := base.Pages()
 
 	for _, n := range []int{1, 2, 5} {
 		rep := Repeat(base, n)
@@ -44,7 +44,7 @@ func TestRepeatSource(t *testing.T) {
 			t.Fatalf("n=%d: Meta refs=%d events=%d, want refs=%d events=refs",
 				n, m.Refs, m.Events, n*base.Refs)
 		}
-		if m.Distinct != base.Distinct || m.MaxPage != base.maxPageSeen() {
+		if m.Distinct != base.Distinct || m.MaxPage != base.MaxPage() {
 			t.Fatalf("n=%d: Meta universe drifted: %+v", n, m)
 		}
 		if m.HasSites {
@@ -93,23 +93,11 @@ func TestRepeatSource(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: full decode of repeated CDT3: %v", n, err)
 		}
-		if tr.Refs != n*base.Refs || len(tr.Events) != tr.Refs {
-			t.Fatalf("n=%d: decoded refs=%d events=%d", n, tr.Refs, len(tr.Events))
+		if tr.Refs != n*base.Refs || tr.Meta().Events != tr.Refs {
+			t.Fatalf("n=%d: decoded refs=%d events=%d", n, tr.Refs, tr.Meta().Events)
 		}
 		if tr.Distinct != base.Distinct {
 			t.Fatalf("n=%d: decoded distinct=%d, want %d", n, tr.Distinct, base.Distinct)
 		}
 	}
-}
-
-// refStringOf extracts the page references of an in-memory trace row by
-// row, independent of the cursor machinery under test.
-func refStringOf(tr *Trace) []mem.Page {
-	var out []mem.Page
-	for _, e := range tr.Events {
-		if e.Kind == EvRef {
-			out = append(out, mem.Page(e.Arg))
-		}
-	}
-	return out
 }

@@ -1,17 +1,12 @@
-// Source-site side-band: an optional column attributing every trace event
-// to the source construct that produced it — the loop nest, statement and
-// array reference for page references, the owning loop for directive
-// events. The column is run-length encoded (consecutive events from the
-// same statement collapse into one run) and indexes a small site table, so
-// Event stays 8 bytes and a multi-million-reference trace carries full
-// provenance in a few kilobytes. Traces built without SetSite carry no
-// column at all and are byte-identical to pre-side-band traces on disk.
+// Source-site side-band: an optional pair of columns attributing every
+// trace event to the source construct that produced it — the loop nest,
+// statement and array reference for page references, the owning loop for
+// directive events. Each event carries a 4-byte id into a small site
+// table, one column parallel to the page column and one parallel to the
+// directive column. Traces built without SetSite carry no site columns
+// and encode exactly as before the side-band existed; the CDT2 and CDT3
+// formats store the ids on disk as runs.
 package trace
-
-import (
-	"fmt"
-	"math"
-)
 
 // Site identifies one source construct: a statement-level array reference
 // or a directive insertion point.
@@ -31,20 +26,12 @@ type Site struct {
 // NoSite is the site id of events recorded while no site was current.
 const NoSite int32 = -1
 
-// siteRun is one run of the RLE site column: the next n events all carry
-// the same site id (NoSite for unattributed stretches).
-type siteRun struct {
-	n    int32
-	site int32
-}
-
 // AddSite appends a site to the table and returns its id. It enables the
 // site column (see SetSite) but does not change the current site.
 func (t *Trace) AddSite(s Site) int32 {
 	t.enableSites()
-	id := int32(len(t.Sites))
 	t.Sites = append(t.Sites, s)
-	return id
+	return int32(len(t.Sites) - 1)
 }
 
 // SetSite makes id the current site: every subsequently appended event is
@@ -57,37 +44,24 @@ func (t *Trace) SetSite(id int32) {
 	t.curSite = id
 }
 
-// enableSites turns the site column on, backfilling events recorded
-// before the column existed.
+// enableSites turns the site columns on, backfilling events recorded
+// before they existed.
 func (t *Trace) enableSites() {
 	if t.sitesOn {
 		return
 	}
 	t.sitesOn = true
-	t.curSite = NoSite
-	if n := len(t.Events); n > 0 {
-		t.appendSiteRun(int32(n), NoSite)
-	}
+	t.cols.sites = noSites(len(t.cols.pages))
+	t.cols.dirSites = noSites(len(t.cols.dirs))
 }
 
-// noteSite extends the site column by one event carrying the current
-// site. Called once per appended event; a no-op while the column is off.
-func (t *Trace) noteSite() {
-	if !t.sitesOn {
-		return
+// noSites returns n unattributed site ids.
+func noSites(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = NoSite
 	}
-	t.appendSiteRun(1, t.curSite)
-}
-
-// appendSiteRun records n consecutive events at the given site, merging
-// into the previous run when the site matches.
-func (t *Trace) appendSiteRun(n, site int32) {
-	if last := len(t.siteRuns) - 1; last >= 0 && t.siteRuns[last].site == site &&
-		t.siteRuns[last].n <= math.MaxInt32-n {
-		t.siteRuns[last].n += n
-		return
-	}
-	t.siteRuns = append(t.siteRuns, siteRun{n: n, site: site})
+	return s
 }
 
 // HasSites reports whether the trace carries a site column.
@@ -102,70 +76,14 @@ func (t *Trace) Site(id int32) Site {
 	return t.Sites[id]
 }
 
-// SiteCursor walks the site column in lockstep with Events: the i-th Next
-// call returns the site id of Events[i]. Events beyond the recorded runs
-// (or any event of a column-less trace) yield NoSite.
-type SiteCursor struct {
-	runs []siteRun
-	ri   int
-	left int32
-}
-
-// SiteCursor returns a cursor positioned at the first event.
-func (t *Trace) SiteCursor() SiteCursor {
-	return SiteCursor{runs: t.siteRuns}
-}
-
-// Next returns the site id of the next event.
-func (c *SiteCursor) Next() int32 {
-	for c.left == 0 {
-		if c.ri >= len(c.runs) {
-			return NoSite
-		}
-		c.left = c.runs[c.ri].n
-		c.ri++
-	}
-	c.left--
-	return c.runs[c.ri-1].site
-}
-
 // WithoutSites returns a view of the trace with no site column, sharing
-// the (read-only) events and side tables. A column-less trace returns
-// itself. The view writes as CDT1 and simulates identically — it is the
+// t's event columns and directive side tables. The view is always a new
+// trace, even for a column-less t, so a caller may replace its side
+// tables without touching t; it is otherwise read-only. It encodes and
+// simulates identically to the same program traced without sites — the
 // "attribution off" twin used for byte-compat output and overhead
 // measurement.
 func (t *Trace) WithoutSites() *Trace {
-	if !t.sitesOn {
-		return t
-	}
-	return &Trace{
-		Name:       t.Name,
-		Events:     t.Events,
-		Allocs:     t.Allocs,
-		LockSets:   t.LockSets,
-		UnlockSets: t.UnlockSets,
-		Refs:       t.Refs,
-		Distinct:   t.Distinct,
-		curSite:    NoSite,
-		maxSeen:    t.maxPageSeen(),
-		maxKnown:   true,
-	}
-}
-
-// auditSiteRuns validates a decoded site column against the event stream.
-func (t *Trace) auditSiteRuns() error {
-	var total int64
-	for i, r := range t.siteRuns {
-		if r.n <= 0 {
-			return fmt.Errorf("run %d has length %d", i, r.n)
-		}
-		if r.site != NoSite && (r.site < 0 || int(r.site) >= len(t.Sites)) {
-			return fmt.Errorf("run %d references site %d of %d", i, r.site, len(t.Sites))
-		}
-		total += int64(r.n)
-	}
-	if total != int64(len(t.Events)) {
-		return fmt.Errorf("runs cover %d events, trace has %d", total, len(t.Events))
-	}
-	return nil
+	return t.share(SideTables{Allocs: t.Allocs, LockSets: t.LockSets, UnlockSets: t.UnlockSets},
+		columns{pages: t.cols.pages, dirs: t.cols.dirs}, false)
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"cdmm/internal/mem"
@@ -29,22 +30,15 @@ func siteTrace(t *testing.T) *Trace {
 	return tr
 }
 
-// expectSites walks tr's cursor and compares against want, one id per
-// event.
+// expectSites walks tr's blocks with sites and compares against want,
+// one id per event.
 func expectSites(t *testing.T, tr *Trace, want []int32) {
 	t.Helper()
-	if len(want) != len(tr.Events) {
-		t.Fatalf("want list has %d entries for %d events", len(want), len(tr.Events))
+	if n := tr.Meta().Events; len(want) != n {
+		t.Fatalf("want list has %d entries for %d events", len(want), n)
 	}
-	cur := tr.SiteCursor()
-	for i, w := range want {
-		if got := cur.Next(); got != w {
-			t.Fatalf("event %d: site = %d, want %d", i, got, w)
-		}
-	}
-	if got := cur.Next(); got != NoSite {
-		t.Fatalf("cursor past the end returned %d, want NoSite", got)
-	}
+	_, got := flattenSource(t, tr, CursorOpts{WithSites: true})
+	sameSites(t, got, want, "site column")
 }
 
 func TestSiteColumnRLEAndBackfill(t *testing.T) {
@@ -53,9 +47,13 @@ func TestSiteColumnRLEAndBackfill(t *testing.T) {
 		t.Fatal("HasSites = false after SetSite")
 	}
 	expectSites(t, tr, []int32{NoSite, NoSite, 0, 0, 0, 1, 0, 0})
-	// The column must have collapsed consecutive same-site events.
-	if len(tr.siteRuns) != 4 {
-		t.Fatalf("siteRuns = %v, want 4 runs", tr.siteRuns)
+	// Consecutive same-site events collapse into runs on disk.
+	var st CDT3Stats
+	if _, err := WriteCDT3Stats(io.Discard, tr, 0, &st); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(1 + 4*2); st.SiteBytes != want {
+		t.Fatalf("site runs take %d bytes, want %d (4 runs)", st.SiteBytes, want)
 	}
 }
 
@@ -67,21 +65,14 @@ func TestSiteColumnAbsentByDefault(t *testing.T) {
 		t.Fatal("HasSites = true on a trace never given a site")
 	}
 	expectSites(t, tr, []int32{NoSite, NoSite})
-	if len(tr.siteRuns) != 0 {
-		t.Fatalf("siteRuns = %v on a column-less trace", tr.siteRuns)
+	if tr.cols.sites != nil || tr.cols.dirSites != nil {
+		t.Fatal("site columns allocated on a column-less trace")
 	}
 }
 
 func TestSiteRoundTrip(t *testing.T) {
 	tr := siteTrace(t)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[:4]; string(got) != traceMagicV2 {
-		t.Fatalf("magic = %q, want %q", got, traceMagicV2)
-	}
-	back, err := Read(&buf)
+	back, err := Read(bytes.NewReader(encodeCDT3(t, tr, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,46 +90,43 @@ func TestSiteRoundTrip(t *testing.T) {
 	expectSites(t, back, []int32{NoSite, NoSite, 0, 0, 0, 1, 0, 0})
 }
 
-// TestSiteFreeEncodingUnchanged pins the byte-compat contract: a trace
-// without a site column writes exactly the CDT1 bytes it always has,
-// and the WithoutSites view of a sited trace writes those same bytes.
+// TestSiteFreeEncodingUnchanged pins the byte-compat contract: the
+// WithoutSites view of a sited trace encodes exactly like the same
+// program traced without sites.
 func TestSiteFreeEncodingUnchanged(t *testing.T) {
 	plain := New("p")
 	plain.AddRef(1)
+	plain.AddLock(1, 0, []mem.Page{1})
 	plain.AddRef(2)
 	plain.AddRef(1)
-	var want bytes.Buffer
-	if _, err := plain.WriteTo(&want); err != nil {
-		t.Fatal(err)
-	}
-	if got := want.Bytes()[:4]; string(got) != traceMagic {
-		t.Fatalf("magic = %q, want %q", got, traceMagic)
-	}
+	want := encodeCDT3(t, plain, 0)
 
 	sited := New("p")
 	sited.SetSite(sited.AddSite(Site{Nest: "DO 1", Line: 1, Array: "A", Expr: "A(I)"}))
 	sited.AddRef(1)
+	sited.AddLock(1, 0, []mem.Page{1})
 	sited.AddRef(2)
 	sited.AddRef(1)
-	var got bytes.Buffer
-	if _, err := sited.WithoutSites().WriteTo(&got); err != nil {
-		t.Fatal(err)
+	if bytes.Equal(encodeCDT3(t, sited, 0), want) {
+		t.Fatal("the sited trace encodes like the plain one; the test proves nothing")
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+	if !bytes.Equal(encodeCDT3(t, sited.WithoutSites(), 0), want) {
 		t.Fatal("WithoutSites encoding differs from a never-sited trace")
 	}
 }
 
 func TestSiteDecodeRejectsBadRuns(t *testing.T) {
-	tr := siteTrace(t)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	_, raw := readFixture(t, "sample.cdt2")
 	// Truncate the last byte: the final run is cut short.
-	raw := buf.Bytes()
 	if _, err := Read(bytes.NewReader(raw[:len(raw)-1])); err == nil {
 		t.Fatal("decoding a truncated site section succeeded")
+	}
+	// A run one event too long overruns the events it must cover. The
+	// fixture's last run (one-byte length and site) is its final bytes.
+	long := append([]byte(nil), raw...)
+	long[len(long)-2]++
+	if _, err := Read(bytes.NewReader(long)); err == nil {
+		t.Fatal("decoding site runs longer than the event stream succeeded")
 	}
 }
 
@@ -148,24 +136,10 @@ func TestRefsOnlyProjectsSites(t *testing.T) {
 	if !ro.HasSites() {
 		t.Fatal("RefsOnly dropped the site column")
 	}
-	if ro.Refs != 7 || len(ro.Events) != 7 {
-		t.Fatalf("RefsOnly has %d refs / %d events, want 7/7", ro.Refs, len(ro.Events))
+	if ro.Refs != 7 || ro.Meta().Events != 7 {
+		t.Fatalf("RefsOnly has %d refs / %d events, want 7/7", ro.Refs, ro.Meta().Events)
 	}
 	expectSites(t, ro, []int32{NoSite, NoSite, 0, 0, 0, 0, 0})
-}
-
-func TestStripDirectivesKeepsSites(t *testing.T) {
-	tr := siteTrace(t)
-	sd := tr.StripDirectives()
-	if !sd.HasSites() {
-		t.Fatal("StripDirectives dropped the site column")
-	}
-	expectSites(t, sd, []int32{NoSite, NoSite, 0, 0, 0, 0, 0})
-	// The copy owns its site table.
-	sd.Sites[0].Array = "B"
-	if tr.Sites[0].Array != "A" {
-		t.Fatal("StripDirectives shares the parent's site table")
-	}
 }
 
 func TestWithoutSitesSharesEventsOnly(t *testing.T) {
@@ -174,12 +148,24 @@ func TestWithoutSitesSharesEventsOnly(t *testing.T) {
 	if bare.HasSites() {
 		t.Fatal("WithoutSites still reports a site column")
 	}
-	if bare.Refs != tr.Refs || bare.Distinct != tr.Distinct || len(bare.Events) != len(tr.Events) {
+	if bare.Meta().Events != tr.Meta().Events || bare.Refs != tr.Refs || bare.Distinct != tr.Distinct {
 		t.Fatal("WithoutSites changed the event stream")
 	}
+	sameEvents(t, eventsOf(t, bare), eventsOf(t, tr), "events")
 	expectSites(t, bare, []int32{NoSite, NoSite, NoSite, NoSite, NoSite, NoSite, NoSite, NoSite})
+	if len(bare.Sites) != 0 {
+		t.Fatal("WithoutSites kept the site table")
+	}
+	// The view is a new trace even without a column, so replacing its
+	// side tables leaves the original alone.
 	plain := New("p")
-	if plain.WithoutSites() != plain {
-		t.Fatal("WithoutSites on a column-less trace did not return the trace itself")
+	plain.AddLock(1, 0, nil)
+	view := plain.WithoutSites()
+	if view == plain {
+		t.Fatal("WithoutSites on a column-less trace returned the trace itself")
+	}
+	view.LockSets = nil
+	if len(plain.LockSets) != 1 {
+		t.Fatal("replacing the view's side tables changed the original")
 	}
 }

@@ -4,8 +4,7 @@
 // the simulator Blocks — runs of consecutive page references terminated
 // by at most one directive event — so the hot loop steps whole batches
 // through a policy.BlockStepper instead of dispatching per event, and a
-// multi-GB on-disk trace replays in O(chunk) memory without ever
-// materializing []Event.
+// multi-GB on-disk trace replays in O(chunk) memory.
 package trace
 
 import (
@@ -50,11 +49,26 @@ func (st *SideTables) Lock(e Event) LockSet { return st.LockSets[e.Arg] }
 // Unlock resolves an EvUnlock event.
 func (st *SideTables) Unlock(e Event) []mem.Page { return st.UnlockSets[e.Arg] }
 
+// count returns the number of side-table entries a directive event of
+// the given kind may index; 0 for any other kind.
+func (st *SideTables) count(kind EventKind) int {
+	switch kind {
+	case EvAlloc:
+		return len(st.Allocs)
+	case EvLock:
+		return len(st.LockSets)
+	case EvUnlock:
+		return len(st.UnlockSets)
+	}
+	return 0
+}
+
 // Block is one batch of a reference stream: zero or more consecutive
 // page references followed by at most one directive event. Directives
 // are rare in real traces, so blocks are long page runs and the
-// per-block bookkeeping amortizes to nothing. The slices are owned by
-// the cursor and valid only until the next Next call.
+// per-block bookkeeping amortizes to nothing. The slices are read-only
+// views owned by the cursor or its source, valid only until the next
+// Next call.
 type Block struct {
 	// Pages are the consecutive page references of the batch.
 	Pages []mem.Page
@@ -126,44 +140,24 @@ type Source interface {
 // --- *Trace as a Source ---------------------------------------------
 
 // Meta implements Source. It is O(1): the counters are maintained as
-// events are appended, so asking for hints never forces the memoized
-// views to materialize.
+// events are appended.
 func (t *Trace) Meta() Meta {
 	return Meta{
 		Name:     t.Name,
-		Events:   len(t.Events),
+		Events:   len(t.cols.pages) + len(t.cols.dirs),
 		Refs:     t.Refs,
 		Distinct: t.Distinct,
-		MaxPage:  t.maxPageSeen(),
+		MaxPage:  t.maxPage,
 		HasSites: t.sitesOn,
 	}
 }
 
-// Tables implements Source. The result is cached so repeated replays of
-// one trace (policy grids, perf loops) allocate nothing here; the cache
-// invalidates when any side table grows (they are append-only, so equal
-// lengths imply identical content).
-func (t *Trace) Tables() *SideTables {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := t.tables
-	if c == nil || len(c.Allocs) != len(t.Allocs) || len(c.LockSets) != len(t.LockSets) ||
-		len(c.UnlockSets) != len(t.UnlockSets) || len(c.Sites) != len(t.Sites) {
-		c = &SideTables{
-			Allocs:     t.Allocs,
-			LockSets:   t.LockSets,
-			UnlockSets: t.UnlockSets,
-			Sites:      t.Sites,
-		}
-		t.tables = c
-	}
-	return c
-}
+// Tables implements Source: the trace's own side tables.
+func (t *Trace) Tables() *SideTables { return &t.SideTables }
 
 // Blocks implements Source. The cursor serves zero-copy sub-slices of
-// the trace's columnar view — the memoized page column with directive
-// events side-banded at their reference positions — so block-stepped
-// replays touch no per-event structure at all.
+// the trace's columns, so block-stepped replays touch no per-event
+// structure at all.
 func (t *Trace) Blocks(opts CursorOpts) Cursor {
 	c := t.blockCursor(opts)
 	return &c
@@ -210,33 +204,20 @@ func Walk(src Source, opts CursorOpts, fn func(Block) bool) error {
 // blockCursor returns the concrete cursor by value so the hot in-memory
 // replay path can keep it on the stack.
 func (t *Trace) blockCursor(opts CursorOpts) memCursor {
-	t.mu.Lock()
-	d := t.view()
-	t.mu.Unlock()
-	c := memCursor{
-		pages: d.pages,
-		dirs:  d.dirs,
-		max:   opts.MaxBlock,
-	}
-	if opts.WithSites && t.sitesOn {
-		c.sites = true
-		c.siteCur = t.SiteCursor()
-	}
-	return c
+	return memCursor{columns: t.cols, max: opts.MaxBlock, withSites: opts.WithSites && t.sitesOn}
 }
 
-// memCursor iterates the columnar view of an in-memory trace.
+// memCursor cuts blocks out of a set of columns: each block runs from
+// the current reference to the next directive, which closes it, or to
+// the end of the columns, capped at max references. It serves a whole
+// in-memory trace, and each decoded chunk of a streamed one.
 type memCursor struct {
-	pages []mem.Page // full reference string
-	dirs  []dirPos   // directive events at their ref positions
-	max   int        // block cap; 0 = unbounded
+	columns
+	max       int // block cap; 0 = unbounded
+	withSites bool
 
 	ri int // references consumed
 	di int // directives consumed
-
-	sites   bool
-	siteCur SiteCursor
-	siteBuf []int32
 }
 
 // Next implements Cursor.
@@ -248,11 +229,10 @@ func (c *memCursor) Next(b *Block) bool {
 	if c.ri >= len(c.pages) && c.di >= len(c.dirs) {
 		return false
 	}
-	// The block runs to the next directive (or stream end), capped at max.
 	hi := len(c.pages)
 	dirNext := false
 	if c.di < len(c.dirs) {
-		hi = int(c.dirs[c.di].refsBefore)
+		hi = c.dirs[c.di].refsBefore
 		dirNext = true
 	}
 	if c.max > 0 && hi-c.ri > c.max {
@@ -260,31 +240,19 @@ func (c *memCursor) Next(b *Block) bool {
 		dirNext = false
 	}
 	b.Pages = c.pages[c.ri:hi]
-	if c.sites {
-		b.Sites = c.fillSites(b.Pages)
+	if c.withSites {
+		b.Sites = c.sites[c.ri:hi]
 	}
 	c.ri = hi
 	if dirNext {
 		b.HasDir = true
 		b.Dir = c.dirs[c.di].ev
-		if c.sites {
-			b.DirSite = c.siteCur.Next()
+		if c.withSites {
+			b.DirSite = c.dirSites[c.di]
 		}
 		c.di++
 	}
 	return true
-}
-
-// fillSites advances the site cursor over the block's references.
-func (c *memCursor) fillSites(pages []mem.Page) []int32 {
-	if cap(c.siteBuf) < len(pages) {
-		c.siteBuf = make([]int32, len(pages))
-	}
-	buf := c.siteBuf[:len(pages)]
-	for i := range buf {
-		buf[i] = c.siteCur.Next()
-	}
-	return buf
 }
 
 // Err implements Cursor; in-memory iteration cannot fail.

@@ -28,10 +28,11 @@ func TestAllocInterning(t *testing.T) {
 	if len(tr.Allocs) != 1 {
 		t.Errorf("side table entries = %d, want 1 (interned)", len(tr.Allocs))
 	}
-	if len(tr.Events) != 2 {
-		t.Errorf("events = %d, want 2", len(tr.Events))
+	events := eventsOf(t, tr)
+	if len(events) != 2 || tr.Meta().Events != 2 {
+		t.Errorf("events = %d (Meta %d), want 2", len(events), tr.Meta().Events)
 	}
-	arms := tr.Arms(tr.Events[0])
+	arms := tr.Alloc(events[0]).Arms
 	if len(arms) != 2 || arms[0].X != 10 {
 		t.Errorf("arms = %v", arms)
 	}
@@ -41,11 +42,12 @@ func TestLockUnlockRoundTrip(t *testing.T) {
 	tr := New("t")
 	tr.AddLock(3, 7, []mem.Page{4, 5})
 	tr.AddUnlock([]mem.Page{4, 5})
-	ls := tr.Lock(tr.Events[0])
+	events := eventsOf(t, tr)
+	ls := tr.Lock(events[0])
 	if ls.PJ != 3 || ls.Site != 7 || len(ls.Pages) != 2 {
 		t.Errorf("lock set = %+v", ls)
 	}
-	ul := tr.Unlock(tr.Events[1])
+	ul := tr.Unlock(events[1])
 	if len(ul) != 2 || ul[0] != 4 {
 		t.Errorf("unlock pages = %v", ul)
 	}
@@ -60,9 +62,9 @@ func TestPagesAndStrip(t *testing.T) {
 	if len(pages) != 2 || pages[0] != 1 || pages[1] != 2 {
 		t.Errorf("pages = %v", pages)
 	}
-	s := tr.StripDirectives()
-	if len(s.Events) != 2 || s.Refs != 2 || s.Distinct != 2 {
-		t.Errorf("stripped = %+v", s)
+	s := tr.RefsOnly()
+	if s.Meta().Events != 2 || s.Refs != 2 || s.Distinct != 2 {
+		t.Errorf("stripped = %+v", s.Meta())
 	}
 }
 

@@ -21,8 +21,8 @@ func buildMixedTrace() *Trace {
 	return tr
 }
 
-// TestPagesMemoized: repeated Pages() calls return the identical shared
-// slice, and appending an event invalidates the memo.
+// TestPagesMemoized: repeated Pages() calls return the trace's own page
+// column, and an appended reference shows up in the next call.
 func TestPagesMemoized(t *testing.T) {
 	tr := buildMixedTrace()
 	p1 := tr.Pages()
@@ -47,47 +47,19 @@ func TestPagesMemoized(t *testing.T) {
 	}
 }
 
-// TestUniverse checks the dense-id view: IDs parallel to the reference
-// string, ByID in first-appearance order.
-func TestUniverse(t *testing.T) {
-	tr := buildMixedTrace()
-	u := tr.Universe()
-	if u.NumPages != 3 {
-		t.Fatalf("NumPages=%d, want 3", u.NumPages)
-	}
-	if u.MaxPage != 9 {
-		t.Fatalf("Universe MaxPage=%d, want 9", u.MaxPage)
-	}
-	wantByID := []mem.Page{5, 2, 9}
-	for i, pg := range wantByID {
-		if u.ByID[i] != pg {
-			t.Fatalf("ByID=%v, want %v", u.ByID, wantByID)
-		}
-	}
-	wantIDs := []int32{0, 1, 0, 2, 1}
-	for i, id := range wantIDs {
-		if u.IDs[i] != id {
-			t.Fatalf("IDs=%v, want %v", u.IDs, wantIDs)
-		}
-	}
-	if u2 := tr.Universe(); u2 != u {
-		t.Fatal("Universe() not memoized")
-	}
-}
-
-// TestRefsOnly: a trace with directives yields a shared directive-free
-// view; a directive-free trace returns itself; the view shares the
-// parent's memoized reference string.
+// TestRefsOnly: a trace with directives yields a directive-free view
+// sharing the parent's page column; a directive-free trace returns
+// itself.
 func TestRefsOnly(t *testing.T) {
 	tr := buildMixedTrace()
 	ro := tr.RefsOnly()
 	if ro == tr {
 		t.Fatal("RefsOnly returned the original trace despite directives")
 	}
-	if ro.Refs != 5 || len(ro.Events) != 5 {
-		t.Fatalf("RefsOnly Refs=%d events=%d, want 5/5", ro.Refs, len(ro.Events))
+	if ro.Refs != 5 || ro.Meta().Events != 5 {
+		t.Fatalf("RefsOnly Refs=%d events=%d, want 5/5", ro.Refs, ro.Meta().Events)
 	}
-	for _, e := range ro.Events {
+	for _, e := range eventsOf(t, ro) {
 		if e.Kind != EvRef {
 			t.Fatalf("RefsOnly kept a directive event: %v", e)
 		}
@@ -95,16 +67,12 @@ func TestRefsOnly(t *testing.T) {
 	if ro.Distinct != tr.Distinct {
 		t.Fatalf("RefsOnly Distinct=%d, want %d", ro.Distinct, tr.Distinct)
 	}
-	if ro2 := tr.RefsOnly(); ro2 != ro {
-		t.Fatal("RefsOnly() not memoized")
-	}
-	// The child's view shares the parent's pages slice and universe.
 	pp, cp := tr.Pages(), ro.Pages()
 	if &pp[0] != &cp[0] {
 		t.Fatal("RefsOnly view does not share the parent reference string")
 	}
-	if tr.Universe() != ro.Universe() {
-		t.Fatal("RefsOnly view does not share the parent universe")
+	if len(ro.Allocs)+len(ro.LockSets)+len(ro.UnlockSets) != 0 {
+		t.Fatal("RefsOnly view kept directive side tables")
 	}
 	if ro.RefsOnly() != ro {
 		t.Fatal("RefsOnly of a refs-only view should return itself")
@@ -118,24 +86,9 @@ func TestRefsOnly(t *testing.T) {
 	}
 }
 
-// TestRefsOnlyMatchesStripDirectives pins the fast shared view to the
-// slow private copy.
-func TestRefsOnlyMatchesStripDirectives(t *testing.T) {
-	tr := buildMixedTrace()
-	ro, st := tr.RefsOnly(), tr.StripDirectives()
-	if ro.Refs != st.Refs || ro.Distinct != st.Distinct {
-		t.Fatalf("RefsOnly (R=%d V=%d) != StripDirectives (R=%d V=%d)",
-			ro.Refs, ro.Distinct, st.Refs, st.Distinct)
-	}
-	for i := range st.Events {
-		if ro.Events[i] != st.Events[i] {
-			t.Fatalf("event %d: RefsOnly %v != StripDirectives %v", i, ro.Events[i], st.Events[i])
-		}
-	}
-}
-
-// TestViewsConcurrent hammers the memoized views from multiple goroutines
-// (run under -race).
+// TestViewsConcurrent reads and re-views one trace from multiple
+// goroutines (run under -race): the views share its columns with no
+// lock, so concurrent readers must never write.
 func TestViewsConcurrent(t *testing.T) {
 	tr := buildMixedTrace()
 	done := make(chan struct{})
@@ -145,8 +98,9 @@ func TestViewsConcurrent(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				_ = tr.Pages()
 				_ = tr.MaxPage()
-				_ = tr.Universe()
-				_ = tr.RefsOnly()
+				_ = tr.RefsOnly().Meta()
+				_ = tr.WithoutSites().Tables()
+				_ = tr.WalkBlocks(CursorOpts{WithSites: true}, func(Block) bool { return true })
 			}
 		}()
 	}

@@ -54,9 +54,11 @@ func sitedCDPhaseTrace() *trace.Trace {
 	sUnlock := tr.AddSite(trace.Site{Nest: "DO 20", Line: 20, Expr: "UNLOCK"})
 
 	src := cdPhaseTrace()
-	// Rebuild cdPhaseTrace event-for-event, stamping sites.
-	ei := 0
-	for _, e := range src.Events {
+	tr.Allocs, tr.LockSets, tr.UnlockSets = src.Allocs, src.LockSets, src.UnlockSets
+	// Rebuild cdPhaseTrace event-for-event through the raw append,
+	// stamping sites.
+	evs, _ := flatten(src)
+	for ei, e := range evs {
 		switch e.Kind {
 		case trace.EvRef:
 			switch {
@@ -67,25 +69,41 @@ func sitedCDPhaseTrace() *trace.Trace {
 			default:
 				tr.SetSite(sLoop3)
 			}
-			tr.AddRef(mem.Page(e.Arg))
 		case trace.EvAlloc:
 			if ei == 0 {
 				tr.SetSite(sAlloc1)
 			} else {
 				tr.SetSite(sAlloc2)
 			}
-			tr.AddAlloc(&directive.Allocate{Arms: src.Alloc(e).Arms})
 		case trace.EvLock:
 			tr.SetSite(sLock)
-			ls := src.Lock(e)
-			tr.AddLock(ls.PJ, ls.Site, ls.Pages)
 		case trace.EvUnlock:
 			tr.SetSite(sUnlock)
-			tr.AddUnlock(src.Unlock(e))
 		}
-		ei++
+		tr.Append(e)
 	}
 	return tr
+}
+
+// flatten walks tr's blocks with sites into its event stream and the
+// site id of each event (NoSite throughout on a column-less trace).
+func flatten(tr *trace.Trace) (evs []trace.Event, sites []int32) {
+	_ = tr.WalkBlocks(trace.CursorOpts{WithSites: true}, func(b trace.Block) bool {
+		for i, pg := range b.Pages {
+			evs = append(evs, trace.Event{Kind: trace.EvRef, Arg: int32(pg)})
+			site := trace.NoSite
+			if b.Sites != nil {
+				site = b.Sites[i]
+			}
+			sites = append(sites, site)
+		}
+		if b.HasDir {
+			evs = append(evs, b.Dir)
+			sites = append(sites, b.DirSite)
+		}
+		return true
+	})
+	return evs, sites
 }
 
 // TestAttributedMatchesRun pins the tentpole's core identity: the Result
@@ -134,8 +152,8 @@ func TestAttributedSitelessUnattributed(t *testing.T) {
 }
 
 // TestAttributedGroundTruthLRU recomputes the per-site fault counts with
-// an independent map-based LRU walked in lockstep with a SiteCursor and
-// requires an exact match — the attribution pipeline against a second
+// an independent map-based LRU walked over the trace's events and their
+// sites and requires an exact match — the attribution pipeline against a second
 // implementation, not against itself.
 func TestAttributedGroundTruthLRU(t *testing.T) {
 	tr := sitedTrace(17, 8000, 60, 6)
@@ -147,9 +165,9 @@ func TestAttributedGroundTruthLRU(t *testing.T) {
 	resident := map[mem.Page]*rec{}
 	var clock int64
 	wantFaults := map[int32]int{}
-	cur := tr.SiteCursor()
-	for _, e := range tr.Events {
-		site := cur.Next()
+	evs, sites := flatten(tr)
+	for i, e := range evs {
+		site := sites[i]
 		if e.Kind != trace.EvRef {
 			continue
 		}
@@ -272,8 +290,8 @@ func TestAttributedConservationWorkloads(t *testing.T) {
 			tr   *trace.Trace
 		}{
 			{"CD", func() policy.Policy { return policy.NewCD(c.Program.DefaultSet().Selector(), 2) }, c.Trace},
-			{"LRU", func() policy.Policy { return policy.NewLRU(c.V()/2 + 1) }, c.Trace.StripDirectives()},
-			{"WS", func() policy.Policy { return policy.NewWS(1000) }, c.Trace.StripDirectives()},
+			{"LRU", func() policy.Policy { return policy.NewLRU(c.V()/2 + 1) }, c.Trace.RefsOnly()},
+			{"WS", func() policy.Policy { return policy.NewWS(1000) }, c.Trace.RefsOnly()},
 		}
 		for _, pc := range pols {
 			want := Run(pc.tr, pc.mk())

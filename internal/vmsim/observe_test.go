@@ -47,8 +47,8 @@ func TestEventStreamMatchesResult(t *testing.T) {
 		tr   *trace.Trace
 		pol  policy.Policy
 	}{
-		{"LRU", randomTrace(7, 5000, 40).StripDirectives(), policy.NewLRU(8)},
-		{"WS", randomTrace(11, 5000, 40).StripDirectives(), policy.NewWS(64)},
+		{"LRU", randomTrace(7, 5000, 40).RefsOnly(), policy.NewLRU(8)},
+		{"WS", randomTrace(11, 5000, 40).RefsOnly(), policy.NewWS(64)},
 		{"CD", cdPhaseTrace(), policy.NewCD(policy.SelectLevel(2), 2)},
 	}
 	for _, tc := range cases {

@@ -42,11 +42,11 @@ func TestFastPathProgressCallbacks(t *testing.T) {
 		t.Errorf("progress-observed result differs from plain run:\n got %+v\nwant %+v", res, plain)
 	}
 	if len(calls) < 2 {
-		t.Fatalf("got %d progress calls over %d events, want several", len(calls), len(tr.Events))
+		t.Fatalf("got %d progress calls over %d events, want several", len(calls), tr.Meta().Events)
 	}
 	for i, c := range calls {
-		if c.total != len(tr.Events) {
-			t.Fatalf("call %d: total = %d, want %d", i, c.total, len(tr.Events))
+		if c.total != tr.Meta().Events {
+			t.Fatalf("call %d: total = %d, want %d", i, c.total, tr.Meta().Events)
 		}
 		if i > 0 {
 			prev := calls[i-1]
@@ -56,8 +56,8 @@ func TestFastPathProgressCallbacks(t *testing.T) {
 		}
 	}
 	last := calls[len(calls)-1]
-	if last.done != len(tr.Events) {
-		t.Errorf("final done = %d, want %d (the full trace)", last.done, len(tr.Events))
+	if last.done != tr.Meta().Events {
+		t.Errorf("final done = %d, want %d (the full trace)", last.done, tr.Meta().Events)
 	}
 	if last.vt != res.VirtualTime {
 		t.Errorf("final vt = %d, want result virtual time %d", last.vt, res.VirtualTime)

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -50,11 +51,12 @@ func TestAllProgramsCompile(t *testing.T) {
 			}
 			// Directives must be present in every trace.
 			var allocs int
-			for _, e := range c.Trace.Events {
-				if e.Kind == trace.EvAlloc {
+			_ = c.Trace.WalkBlocks(trace.CursorOpts{}, func(b trace.Block) bool {
+				if b.HasDir && b.Dir.Kind == trace.EvAlloc {
 					allocs++
 				}
-			}
+				return true
+			})
 			if allocs == 0 {
 				t.Error("no ALLOCATE events in trace")
 			}
@@ -164,7 +166,7 @@ func TestDirectiveSetOrdering(t *testing.T) {
 }
 
 // TestTracesDeterministic recompiles one program from scratch (bypassing
-// the cache) and compares traces event by event.
+// the cache) and compares the two traces' CDT3 encodings byte for byte.
 func TestTracesDeterministic(t *testing.T) {
 	p, _ := Get("HWSCRT")
 	c := MustCompile(p)
@@ -173,13 +175,15 @@ func TestTracesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Trace.Events) != len(c2.Trace.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(c.Trace.Events), len(c2.Trace.Events))
+	var a, b bytes.Buffer
+	if _, err := trace.WriteCDT3(&a, c.Trace, 0); err != nil {
+		t.Fatal(err)
 	}
-	for i := range c.Trace.Events {
-		if c.Trace.Events[i] != c2.Trace.Events[i] {
-			t.Fatalf("event %d differs", i)
-		}
+	if _, err := trace.WriteCDT3(&b, c2.Trace, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("traces differ: %d vs %d CDT3 bytes", a.Len(), b.Len())
 	}
 }
 
