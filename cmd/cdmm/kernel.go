@@ -50,12 +50,13 @@ func cmdKernel(args []string) error {
 		Level:      *level,
 		Quantum:    *quantum,
 		Checked:    *checked,
+		// Set even without -chaos, so Run rejects an out-of-range value.
+		Chaos: kernel.Chaos{Intensity: *intensity},
 	}
 	if *quick {
 		cfg.Scale = 0.25
 	}
 	if *chaosSel != "" {
-		cfg.Chaos.Intensity = *intensity
 		for _, name := range strings.Split(*chaosSel, ",") {
 			switch strings.TrimSpace(name) {
 			case "kill":
@@ -118,7 +119,7 @@ func cmdKernel(args []string) error {
 			}
 			fmt.Printf("peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, *memCeil)
 			if kb > int64(*memCeil)<<10 {
-				return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: tenant materialization is not bounded by the multiprogramming level",
+				return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: kernel memory must grow with the tenant count alone, never with the references tenants generate",
 					float64(kb)/1024, *memCeil)
 			}
 		}

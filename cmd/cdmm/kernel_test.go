@@ -54,3 +54,24 @@ func TestCmdKernelRejectsUnknownChaos(t *testing.T) {
 		t.Fatal("unknown chaos fault accepted")
 	}
 }
+
+// TestCmdKernelRejectsBadConfig: every out-of-range flag fails the
+// command with an error naming the offending field, instead of running
+// with a default or exhausting memory.
+func TestCmdKernelRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct{ flag, value, field string }{
+		{"-intensity", "7", "Intensity"},
+		{"-quantum", "-5", "Quantum"},
+		{"-frames", "-5", "Frames"},
+		{"-overcommit", "-1", "Overcommit"},
+		{"-shards", "-3", "Shards"},
+		{"-level", "-2", "Level"},
+		{"-pool", "bogus", "Pool"},
+		{"-tenants", "200000000", "Tenants"},
+	} {
+		err := cmdKernel([]string{"-tenants", "100", "-quick", tc.flag, tc.value})
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), tc.value) {
+			t.Errorf("kernel %s %s: got %v, want an error naming %s and %s", tc.flag, tc.value, err, tc.field, tc.value)
+		}
+	}
+}

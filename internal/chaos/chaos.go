@@ -44,6 +44,16 @@ type Fault struct {
 	// machine-class faults.
 	Perturb func(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace
 
+	// Retable is the table-level form of a fault that edits only
+	// directive side-table entries (corrupt-priorities, unknown-segment,
+	// stale-directives): given a stream's side tables and Meta, it
+	// returns new tables, leaving tb untouched. Such a fault's Perturb is
+	// Retable applied to the trace's own tables, drawing from rng in the
+	// same order, so a stream that is never stored — a kernel tenant
+	// generated on demand — is perturbed exactly as its trace would be.
+	// Nil for every other fault.
+	Retable func(tb *trace.SideTables, m trace.Meta, rng *Rand, intensity float64) *trace.SideTables
+
 	// Pressure builds the capacity schedule for a machine-class fault,
 	// given the program's virtual size v (pages) and reference count.
 	// Nil for directive- and trace-class faults.
@@ -61,18 +71,18 @@ var faults = []Fault{
 	{Name: "reorder-directives", Class: ClassDirective,
 		Desc:    "each directive event slides up to 64 events later with probability = intensity",
 		Perturb: reorderDirectives},
-	{Name: "corrupt-priorities", Class: ClassDirective,
-		Desc:    "ALLOCATE arm PIs and LOCK PJs are randomized with probability = intensity",
-		Perturb: corruptPriorities},
+	tableFault("corrupt-priorities", "badpri",
+		"ALLOCATE arm PIs and LOCK PJs are randomized with probability = intensity",
+		corruptPriorities),
 	{Name: "lock-no-unlock", Class: ClassDirective,
 		Desc:    "each UNLOCK is dropped with probability = intensity, leaving locks to pile up",
 		Perturb: lockNoUnlock},
-	{Name: "unknown-segment", Class: ClassDirective,
-		Desc:    "LOCK page sets are redirected past the program's address space with probability = intensity",
-		Perturb: unknownSegment},
-	{Name: "stale-directives", Class: ClassDirective,
-		Desc:    "ALLOCATE requests are rescaled by 1/4x-8x with probability = intensity (post-detune staleness)",
-		Perturb: staleDirectives},
+	tableFault("unknown-segment", "unkseg",
+		"LOCK page sets are redirected past the program's address space with probability = intensity",
+		unknownSegment),
+	tableFault("stale-directives", "stale",
+		"ALLOCATE requests are rescaled by 1/4x-8x with probability = intensity (post-detune staleness)",
+		staleDirectives),
 	{Name: "bitflip-pages", Class: ClassTrace,
 		Desc:    "one low page-number bit flips per reference with probability = intensity/100",
 		Perturb: bitflipPages},

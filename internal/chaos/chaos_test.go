@@ -107,6 +107,33 @@ func TestInjectorsPreserveInput(t *testing.T) {
 	}
 }
 
+// TestRetableForms: exactly the three side-table injectors have a
+// table-level form; it leaves its input tables untouched and yields the
+// tables of the fault's Perturb under the same draws.
+func TestRetableForms(t *testing.T) {
+	var names []string
+	for _, f := range Faults() {
+		if f.Retable == nil {
+			continue
+		}
+		names = append(names, f.Name)
+		base, want := testTrace(), testTrace()
+		got := f.Retable(&base.SideTables, base.Meta(), NewRand(5), 1.0)
+		if !reflect.DeepEqual(base.SideTables, want.SideTables) {
+			t.Errorf("%s: Retable mutated its input tables", f.Name)
+		}
+		if p := f.Perturb(base, NewRand(5), 1.0).Tables(); !reflect.DeepEqual(got, p) {
+			t.Errorf("%s: Retable %+v, Perturb's tables %+v", f.Name, got, p)
+		}
+		if reflect.DeepEqual(got, &want.SideTables) {
+			t.Errorf("%s: intensity 1 left the tables unchanged", f.Name)
+		}
+	}
+	if want := []string{"corrupt-priorities", "unknown-segment", "stale-directives"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("faults with a table-level form = %v, want %v", names, want)
+	}
+}
+
 // TestZeroIntensityIsIdentity: at intensity 0 every injector must return
 // the input stream unchanged (modulo the name suffix) — the guarantee
 // that lets chaos-instrumented paths stay byte-identical when disabled.

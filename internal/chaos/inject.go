@@ -35,17 +35,29 @@ func rebuild(tr *trace.Trace, suffix string, evs []trace.Event) *trace.Trace {
 	return out
 }
 
-// retable returns tr+suffix sharing tr's event columns (read-only) with
-// private copies of the side-table slices, for injectors that edit only
-// table entries. The entries themselves are still shared (compiled
-// traces are memoized and must never be mutated): an injector that edits
-// one replaces it with its own copy.
-func retable(tr *trace.Trace, suffix string) *trace.Trace {
-	out := tr.WithoutSites()
-	out.Name = tr.Name + "+" + suffix
-	out.Allocs = append([]trace.AllocDirective(nil), tr.Allocs...)
-	out.LockSets = append([]trace.LockSet(nil), tr.LockSets...)
-	return out
+// tableFault registers a directive-class fault that edits only side
+// tables: Retable is form, and Perturb names its output tr+suffix, shares
+// tr's event columns (read-only), drops the site column, and indexes the
+// tables form returns.
+func tableFault(name, suffix, desc string, form func(*trace.SideTables, trace.Meta, *Rand, float64) *trace.SideTables) Fault {
+	return Fault{Name: name, Class: ClassDirective, Desc: desc, Retable: form,
+		Perturb: func(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
+			out := tr.WithoutSites()
+			out.Name = tr.Name + "+" + suffix
+			out.SideTables = *form(&out.SideTables, tr.Meta(), rng, intensity)
+			return out
+		}}
+}
+
+// editable returns a copy of tb with private Allocs and LockSets slices,
+// for the table-level injectors. The entries themselves are still shared
+// (compiled traces are memoized and must never be mutated): an injector
+// that edits one replaces it with its own copy.
+func editable(tb *trace.SideTables) *trace.SideTables {
+	out := *tb
+	out.Allocs = append([]trace.AllocDirective(nil), tb.Allocs...)
+	out.LockSets = append([]trace.LockSet(nil), tb.LockSets...)
+	return &out
 }
 
 // dropDirectives removes each directive event with probability intensity
@@ -104,8 +116,8 @@ func reorderDirectives(tr *trace.Trace, rng *Rand, intensity float64) *trace.Tra
 // priorities with probability intensity per side-table entry — breaking
 // the strictly-decreasing-PI contract (and sometimes the PJ >= 1 one)
 // that the CD validator checks.
-func corruptPriorities(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := retable(tr, "badpri")
+func corruptPriorities(tb *trace.SideTables, _ trace.Meta, rng *Rand, intensity float64) *trace.SideTables {
+	out := editable(tb)
 	for i, d := range out.Allocs {
 		if !rng.Bool(intensity) {
 			continue
@@ -141,9 +153,9 @@ func lockNoUnlock(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
 // unknownSegment redirects LOCK page sets past the program's address
 // space with probability intensity per lock set — the mistargeted-
 // directive fault the validator's range check exists for.
-func unknownSegment(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := retable(tr, "unkseg")
-	v := int(tr.MaxPage()) + 1
+func unknownSegment(tb *trace.SideTables, m trace.Meta, rng *Rand, intensity float64) *trace.SideTables {
+	out := editable(tb)
+	v := int(m.MaxPage) + 1
 	for i, ls := range out.LockSets {
 		if len(ls.Pages) == 0 || !rng.Bool(intensity) {
 			continue
@@ -161,8 +173,8 @@ func unknownSegment(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace 
 // uniformly preserves the monotonicity contract, so moderate staleness
 // degrades performance silently; a large scale-up can push a request
 // past the address space and trip the validator instead.
-func staleDirectives(tr *trace.Trace, rng *Rand, intensity float64) *trace.Trace {
-	out := retable(tr, "stale")
+func staleDirectives(tb *trace.SideTables, _ trace.Meta, rng *Rand, intensity float64) *trace.SideTables {
+	out := editable(tb)
 	factors := []struct{ num, den int }{{1, 4}, {1, 2}, {2, 1}, {4, 1}, {8, 1}}
 	for i, d := range out.Allocs {
 		if !rng.Bool(intensity) {

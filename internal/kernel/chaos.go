@@ -45,10 +45,10 @@ func (c *Chaos) intensity() float64 {
 	return 0.4
 }
 
-// corruptInjectors are the directive-stream injectors kernel corruption
-// draws from: the first two trip the CD validator (degraded mode), the
-// third silently mis-sizes allocations — both failure shapes the kernel
-// must absorb.
+// corruptInjectors are the injectors kernel corruption draws from, all
+// table-level (chaos.Fault.Retable): the first two trip the CD validator
+// (degraded mode), the third silently mis-sizes allocations — both
+// failure shapes the kernel must absorb.
 var corruptInjectors = []string{"corrupt-priorities", "unknown-segment", "stale-directives"}
 
 // planTenantChaos fixes a tenant's chaos plan at kernel start: whether
@@ -85,21 +85,31 @@ func planShardTrip(cfg *Config, shardIdx int) int64 {
 	return 8 + int64(rng.Intn(24))
 }
 
-// materializeTenant builds (and, per the chaos plan, perturbs) the
-// tenant's trace. The perturbing PRNG is derived from the tenant
-// identity alone, so admission order cannot change what a tenant replays.
-func materializeTenant(cfg *Config, t *tenant) *trace.Trace {
-	tr := t.spec.Materialize()
+// tenantSource returns the stream a tenant replays: its spec, generated
+// on demand, under side tables the chaos plan's injector perturbed, if
+// any. The perturbing PRNG is derived from the tenant identity alone, so
+// admission order cannot change what a tenant replays.
+func tenantSource(cfg *Config, t *tenant) trace.Source {
 	if t.corrupt == "" {
-		return tr
+		return &t.spec
 	}
 	f, err := chaos.Get(t.corrupt)
-	if err != nil || f.Perturb == nil {
-		return tr
+	if err != nil || f.Retable == nil {
+		return &t.spec
 	}
 	rng := chaos.NewRand(chaos.DeriveSeed(cfg.Seed, "perturb", t.corrupt, t.spec.Name))
-	return f.Perturb(tr, rng, cfg.Chaos.intensity())
+	return retabled{Source: &t.spec, tables: f.Retable(t.spec.Tables(), t.spec.Meta(), rng, cfg.Chaos.intensity())}
 }
+
+// retabled is a source under replaced side tables; the stream is the
+// wrapped source's.
+type retabled struct {
+	trace.Source
+	tables *trace.SideTables
+}
+
+// Tables implements trace.Source.
+func (r retabled) Tables() *trace.SideTables { return r.tables }
 
 // oscillator is a per-shard square wave over frame capacity: full frames
 // for half a period, floor frames for the other half. The phase is a

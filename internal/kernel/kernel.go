@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -16,7 +17,8 @@ import (
 )
 
 // Config parameterizes a kernel run. The zero value is not runnable;
-// set Tenants and call Run, which applies the documented defaults.
+// set Tenants and call Run, which applies the documented defaults to
+// zero fields and rejects out-of-range ones.
 type Config struct {
 	// Tenants is the population size.
 	Tenants int
@@ -105,69 +107,124 @@ type Config struct {
 	Publish *TelemetryStore
 }
 
-// withDefaults returns a copy with the documented defaults applied.
+// MaxTenants bounds Config.Tenants. Run derives every tenant's spec up
+// front, so the population must fit in memory whatever a flag asks for:
+// a million quarter-scale tenants peak near 2 GB of RSS.
+const MaxTenants = 1_000_000
+
+// withDefaults returns a copy with the documented defaults applied to
+// every zero field. Negative and out-of-range values are left for
+// validate to reject.
 func (c Config) withDefaults() Config {
-	if c.Overcommit <= 0 {
+	if c.Overcommit == 0 {
 		c.Overcommit = 4
 	}
 	if c.Pool == "" {
 		c.Pool = "cd"
 	}
-	if c.Level <= 0 {
+	if c.Level == 0 {
 		c.Level = 2
 	}
-	if c.Quantum <= 0 {
+	if c.Quantum == 0 {
 		c.Quantum = 512
 	}
-	if c.Scale <= 0 {
+	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.AdmitHi <= 0 {
+	if c.AdmitHi == 0 {
 		c.AdmitHi = 1.0
 	}
-	if c.AdmitLo <= 0 || c.AdmitLo > c.AdmitHi {
+	if c.AdmitLo == 0 {
 		c.AdmitLo = 0.85 * c.AdmitHi
 	}
-	if c.AgingTicks <= 0 {
+	if c.AgingTicks == 0 {
 		c.AgingTicks = 256 * policy.FaultService
 	}
-	if c.StarveBound <= 0 {
+	if c.StarveBound == 0 {
 		c.StarveBound = c.AgingTicks + 16*int64(c.Quantum)
 	}
-	if c.SwapInDelay <= 0 {
+	if c.SwapInDelay == 0 {
 		c.SwapInDelay = policy.FaultService
 	}
-	if c.ThrashWindow <= 0 {
+	if c.ThrashWindow == 0 {
 		c.ThrashWindow = 32768
 	}
-	if c.ThrashRate <= 0 {
+	if c.ThrashRate == 0 {
 		c.ThrashRate = 400
 	}
-	if c.MaxRestarts <= 0 {
+	if c.MaxRestarts == 0 {
 		c.MaxRestarts = 1
 	}
 	if c.Publish != nil {
 		c.Telemetry = true
 	}
-	if c.TopK <= 0 {
+	if c.TopK == 0 {
 		c.TopK = 64
 	}
-	if c.SLOAdmitWait <= 0 {
+	if c.SLOAdmitWait == 0 {
 		c.SLOAdmitWait = 256 * policy.FaultService
 	}
-	if c.SLOFaultRate <= 0 {
+	if c.SLOFaultRate == 0 {
 		c.SLOFaultRate = c.ThrashRate / 2
 	}
-	if c.SLOBudget <= 0 {
+	if c.SLOBudget == 0 {
 		c.SLOBudget = 0.1
 	}
-	if c.FlightEvents <= 0 {
+	if c.FlightEvents == 0 {
 		c.FlightEvents = 64
 	}
-	if c.MaxIncidents <= 0 {
+	if c.MaxIncidents == 0 {
 		c.MaxIncidents = 4
 	}
 	return c
+}
+
+// validate rejects a defaulted configuration with any field out of
+// range, naming the field and its value.
+func (c *Config) validate() error {
+	if c.Tenants <= 0 || c.Tenants > MaxTenants {
+		return fmt.Errorf("kernel: Tenants must be in [1, %d] (got %d)", MaxTenants, c.Tenants)
+	}
+	switch c.Pool {
+	case "cd", "lru", "ws":
+	default:
+		return fmt.Errorf("kernel: Pool must be cd, lru or ws (got %q)", c.Pool)
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Frames", int64(c.Frames)}, {"Shards", int64(c.Shards)}, {"Level", int64(c.Level)},
+		{"Quantum", int64(c.Quantum)}, {"AgingTicks", c.AgingTicks}, {"StarveBound", c.StarveBound},
+		{"SwapInDelay", c.SwapInDelay}, {"ThrashWindow", int64(c.ThrashWindow)},
+		{"MaxRestarts", int64(c.MaxRestarts)}, {"TopK", int64(c.TopK)}, {"SLOAdmitWait", c.SLOAdmitWait},
+		{"FlightEvents", int64(c.FlightEvents)}, {"MaxIncidents", int64(c.MaxIncidents)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("kernel: %s must not be negative (got %d)", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Overcommit", c.Overcommit}, {"Scale", c.Scale}, {"AdmitHi", c.AdmitHi},
+		{"ThrashRate", c.ThrashRate}, {"SLOFaultRate", c.SLOFaultRate},
+	} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("kernel: %s must be a positive finite number (got %v)", f.name, f.v)
+		}
+	}
+	if !(c.AdmitLo > 0 && c.AdmitLo <= c.AdmitHi) {
+		return fmt.Errorf("kernel: AdmitLo must be in (0, AdmitHi = %v] (got %v)", c.AdmitHi, c.AdmitLo)
+	}
+	if !(c.SLOBudget > 0 && c.SLOBudget <= 1) {
+		return fmt.Errorf("kernel: SLOBudget must be in (0, 1] (got %v)", c.SLOBudget)
+	}
+	if in := c.Chaos.Intensity; !(in >= 0 && in <= 1) {
+		return fmt.Errorf("kernel: Chaos.Intensity must be in [0, 1] (got %v)", in)
+	}
+	return nil
 }
 
 // defaultShards picks ~one shard per 256 tenants, clamped to [1, 64].
@@ -447,8 +504,8 @@ func (g *liveGauges) flush() {
 // per-tenant ordering) is byte-identical at any -j.
 func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Tenants <= 0 {
-		return nil, fmt.Errorf("kernel: Tenants must be positive (got %d)", cfg.Tenants)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 
 	specs := make([]SynthSpec, cfg.Tenants)

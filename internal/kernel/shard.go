@@ -258,13 +258,15 @@ func (sh *shard) popQueue() {
 	sh.queue = sh.queue[1:]
 }
 
-// admit moves a queued tenant to Running: materialize its (possibly
-// chaos-perturbed) trace, build its pool policy, and charge its estimate
-// against the gate. A re-admission after a chaos kill reuses the
-// existing trace and policy.
+// admit moves a queued tenant to Running: open its stream (generated on
+// demand, under chaos-perturbed tables if its plan says so), build its
+// pool policy, and charge its estimate against the gate. A re-admission
+// after a chaos kill reuses the existing source, its rewound cursor and
+// the policy.
 func (sh *shard) admit(t *tenant) {
 	if t.src == nil {
-		t.src = materializeTenant(sh.cfg, t)
+		t.src = tenantSource(sh.cfg, t)
+		t.tables = t.src.Tables()
 	}
 	if t.cur == nil {
 		t.openStream()
@@ -548,7 +550,7 @@ func (sh *shard) kill(t *tenant) {
 }
 
 // finish retires a tenant that reached end of stream, draining any
-// outstanding fault service into its finish time and freeing its trace
+// outstanding fault service into its finish time and freeing its stream
 // and policy.
 func (sh *shard) finish(t *tenant) {
 	sh.telFlush(t)

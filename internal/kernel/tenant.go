@@ -33,6 +33,7 @@ package kernel
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"cdmm/internal/chaos"
 	"cdmm/internal/directive"
@@ -89,8 +90,10 @@ type phase struct {
 
 // SynthSpec describes one synthesized tenant. Specs are pure functions
 // of (seed, id, scale) — see NewSynthSpec — so the whole population is
-// reproducible without storing anything, and a spec is a few dozen bytes
-// until the tenant is admitted and its trace materialized.
+// reproducible without storing anything. A spec is also the tenant's
+// trace.Source: its cursor generates the reference stream on demand, so
+// a tenant costs a few dozen bytes plus one block's cursor state, never
+// a stored trace.
 type SynthSpec struct {
 	ID     int
 	Name   string
@@ -100,7 +103,7 @@ type SynthSpec struct {
 	// Est is the declared footprint the admission gate charges: the
 	// largest outer-arm ALLOCATE request across phases.
 	Est int
-	// Refs is the total reference count of the materialized trace.
+	// Refs is the total reference count of the tenant's stream.
 	Refs int
 }
 
@@ -116,8 +119,8 @@ func NewSynthSpec(seed uint64, id int, scale float64) SynthSpec {
 	n := 1 + rng.Intn(3)
 	for p := 0; p < n; p++ {
 		ph := phase{
-			Base: rng.Intn(24),
-			W:    3 + rng.Intn(18),
+			Base: rng.Intn(synthBases),
+			W:    synthMinW + rng.Intn(synthMaxW-synthMinW+1),
 			Refs: 400 + rng.Intn(2200),
 		}
 		if scale > 0 && scale != 1 {
@@ -150,37 +153,206 @@ func NewSynthSpec(seed uint64, id int, scale float64) SynthSpec {
 	return s
 }
 
-// Materialize builds the tenant's reference stream: per phase, an
-// ALLOCATE else-chain ((2, W+L) else (1, W)) honoring the §3 contract,
-// an optional LOCK over the window's first pages, a cyclic sweep of the
-// window, and the closing UNLOCK. Traces are built at admission and
-// freed at completion, bounding materialized memory by the
-// multiprogramming level rather than the population.
-func (s *SynthSpec) Materialize() *trace.Trace {
-	tr := trace.New(s.Name)
-	for i := range s.Phases {
-		ph := &s.Phases[i]
-		tr.AddAlloc(&directive.Allocate{Arms: []directive.Arm{
+// The windows NewSynthSpec draws: Base in [0, synthBases), W in
+// [synthMinW, synthMaxW].
+const (
+	synthBases = 24
+	synthMinW  = 3
+	synthMaxW  = 20
+	// cycleLen is the length of a window's cyclic row, and so the
+	// longest run of references one block serves.
+	cycleLen = 512
+)
+
+// cyclicRows holds one row per window NewSynthSpec can draw: the
+// window's sweep Base, Base+1, …, Base+W−1, Base, … for cycleLen
+// references. Every run of a phase's sweep is a sub-slice of its row, so
+// the cursor serves references without writing any. The ~0.9 MB table
+// is built on first use: commands that synthesize no tenant never pay
+// for it.
+var cyclicRows = sync.OnceValue(func() []mem.Page {
+	rows := make([]mem.Page, 0, synthBases*(synthMaxW-synthMinW+1)*cycleLen)
+	for base := 0; base < synthBases; base++ {
+		for w := synthMinW; w <= synthMaxW; w++ {
+			rows = appendCycle(rows, base, w, cycleLen)
+		}
+	}
+	return rows
+})
+
+// appendCycle appends the first n references of the sweep of
+// [base, base+w).
+func appendCycle(dst []mem.Page, base, w, n int) []mem.Page {
+	for i := 0; i < n; i++ {
+		dst = append(dst, mem.Page(base+i%w))
+	}
+	return dst
+}
+
+// cyclicRow returns the read-only cyclic row of window [base, base+w):
+// the shared one, or a private row (at least one cycle long) for a
+// window outside the drawn ranges.
+func cyclicRow(base, w int) []mem.Page {
+	if base < 0 || base >= synthBases || w < synthMinW || w > synthMaxW {
+		return appendCycle(nil, base, w, max(w, cycleLen))
+	}
+	i := (base*(synthMaxW-synthMinW+1) + w - synthMinW) * cycleLen
+	return cyclicRows()[i : i+cycleLen : i+cycleLen]
+}
+
+// Meta implements trace.Source, computed from the spec alone. Each phase
+// adds its references, its ALLOCATE and, when locked, a LOCK and an
+// UNLOCK; it touches the first min(W, Refs) pages of its window.
+func (s *SynthSpec) Meta() trace.Meta {
+	m := trace.Meta{Name: s.Name, Refs: s.Refs, MaxPage: -1}
+	for i, ph := range s.Phases {
+		m.Events += ph.Refs + 1
+		if ph.Lock > 0 {
+			m.Events += 2
+		}
+		hi := ph.Base + min(ph.W, ph.Refs)
+		for pg := ph.Base; pg < hi; pg++ {
+			if !touched(s.Phases[:i], pg) {
+				m.Distinct++
+			}
+		}
+		if pg := mem.Page(hi - 1); hi > ph.Base && pg > m.MaxPage {
+			m.MaxPage = pg
+		}
+	}
+	return m
+}
+
+// touched reports whether any of the phases references page pg.
+func touched(phases []phase, pg int) bool {
+	for _, ph := range phases {
+		if pg >= ph.Base && pg < ph.Base+min(ph.W, ph.Refs) {
+			return true
+		}
+	}
+	return false
+}
+
+// Tables implements trace.Source. Per phase there is one ALLOCATE
+// else-chain ((2, W+L) else (1, W)) honoring the §3 contract; each
+// locked phase adds a LOCK of the window's first L pages (its site is
+// the phase index) and the UNLOCK of the same pages. Every call builds
+// fresh tables.
+func (s *SynthSpec) Tables() *trace.SideTables {
+	tb := &trace.SideTables{Allocs: make([]trace.AllocDirective, len(s.Phases))}
+	for i, ph := range s.Phases {
+		tb.Allocs[i] = trace.AllocDirective{Arms: []directive.Arm{
 			{PI: 2, X: ph.W + ph.Lock},
 			{PI: 1, X: ph.W},
-		}})
-		var locked []mem.Page
+		}}
 		if ph.Lock > 0 {
-			locked = make([]mem.Page, ph.Lock)
+			locked := make([]mem.Page, ph.Lock)
 			for j := range locked {
 				locked[j] = mem.Page(ph.Base + j)
 			}
-			tr.AddLock(ph.PJ, i, locked)
-		}
-		for r := 0; r < ph.Refs; r++ {
-			tr.AddRef(mem.Page(ph.Base + r%ph.W))
-		}
-		if locked != nil {
-			tr.AddUnlock(locked)
+			tb.LockSets = append(tb.LockSets, trace.LockSet{PJ: ph.PJ, Site: i, Pages: locked})
+			tb.UnlockSets = append(tb.UnlockSets, locked)
 		}
 	}
+	return tb
+}
+
+// Blocks implements trace.Source: a cursor that generates the stream
+// as it goes, in O(1) memory. The spec carries no site column, so
+// opts.WithSites is ignored.
+func (s *SynthSpec) Blocks(opts trace.CursorOpts) trace.Cursor {
+	return &synthCursor{s: s, max: opts.MaxBlock}
+}
+
+// Materialize copies the tenant's stream into an in-memory trace, for
+// callers that need a *trace.Trace rather than a Source.
+func (s *SynthSpec) Materialize() *trace.Trace {
+	tr := trace.New(s.Name)
+	tr.SideTables = *s.Tables()
+	_ = trace.Walk(s, trace.CursorOpts{}, func(b trace.Block) bool {
+		for _, pg := range b.Pages {
+			tr.AddRef(pg)
+		}
+		if b.HasDir {
+			tr.Append(b.Dir)
+		}
+		return true
+	})
 	return tr
 }
+
+// synthCursor walks a spec's phases. Per phase it serves the ALLOCATE,
+// the LOCK if the phase is locked, the cyclic sweep of the window as
+// runs sliced from the window's cyclic row, and the UNLOCK; each
+// directive is a block of its own.
+type synthCursor struct {
+	s   *SynthSpec
+	max int // block cap; 0 = a row's worth
+
+	p    int        // current phase
+	at   phaseStep  // phase p's next step
+	r    int        // references of phase p served
+	row  []mem.Page // phase p's cyclic row
+	lock int32      // LockSets/UnlockSets index of phase p's lock
+}
+
+// phaseStep is a synthCursor's position within a phase.
+type phaseStep uint8
+
+const (
+	stepAlloc phaseStep = iota
+	stepLock
+	stepSweep
+	stepEnd
+)
+
+// Next implements trace.Cursor.
+func (c *synthCursor) Next(b *trace.Block) bool {
+	*b = trace.Block{DirSite: trace.NoSite}
+	for c.p < len(c.s.Phases) {
+		ph := &c.s.Phases[c.p]
+		switch c.at {
+		case stepAlloc:
+			c.at, c.r, c.row = stepLock, 0, cyclicRow(ph.Base, ph.W)
+			b.HasDir, b.Dir = true, trace.Event{Kind: trace.EvAlloc, Arg: int32(c.p)}
+			return true
+		case stepLock:
+			c.at = stepSweep
+			if ph.Lock > 0 {
+				b.HasDir, b.Dir = true, trace.Event{Kind: trace.EvLock, Arg: c.lock}
+				return true
+			}
+		case stepSweep:
+			if c.r < ph.Refs {
+				off := c.r % ph.W
+				n := min(ph.Refs-c.r, len(c.row)-off)
+				if c.max > 0 && n > c.max {
+					n = c.max
+				}
+				b.Pages = c.row[off : off+n]
+				c.r += n
+				return true
+			}
+			c.at = stepEnd
+			if ph.Lock > 0 {
+				b.HasDir, b.Dir = true, trace.Event{Kind: trace.EvUnlock, Arg: c.lock}
+				c.lock++
+				return true
+			}
+		case stepEnd:
+			c.p, c.at = c.p+1, stepAlloc
+		}
+	}
+	return false
+}
+
+// Err implements trace.Cursor; generation cannot fail.
+func (c *synthCursor) Err() error { return nil }
+
+// Close implements trace.Cursor.
+func (c *synthCursor) Close() error { return nil }
+
+var _ trace.Source = (*SynthSpec)(nil)
 
 // TenantResult is one tenant's final accounting, deterministic across
 // shard parallelism and seeds.
@@ -221,9 +393,9 @@ type tenant struct {
 	step policy.BlockStepper
 	cd   *policy.CD // non-nil only for the CD pool
 
-	src     *trace.Trace
+	src     trace.Source // the spec, or the spec under chaos-perturbed tables
 	cur     trace.Cursor
-	tables  *trace.SideTables
+	tables  *trace.SideTables // src.Tables(), fetched once at first admission
 	blk     trace.Block
 	bi      int
 	dirPend bool
@@ -264,28 +436,27 @@ type tenant struct {
 	finished                    int64
 }
 
-// openStream positions the tenant at the start of its materialized
-// trace.
+// openStream positions the tenant at the start of its stream. A chaos
+// kill rewinds by closing the cursor and opening a new one.
 func (t *tenant) openStream() {
 	t.cur = t.src.Blocks(trace.CursorOpts{})
-	t.tables = t.src.Tables()
 	t.blk = trace.Block{}
 	t.bi = 0
 	t.dirPend = false
 	t.eof = false
 }
 
-// closeStream releases the cursor and, when drop is set, the
-// materialized trace itself (terminal states only).
+// closeStream releases the cursor and, when drop is set, the source and
+// its tables (terminal states only).
 func (t *tenant) closeStream(drop bool) {
 	if t.cur != nil {
 		t.cur.Close()
 		t.cur = nil
 	}
 	t.blk = trace.Block{}
-	t.tables = nil
 	if drop {
 		t.src = nil
+		t.tables = nil
 	}
 }
 

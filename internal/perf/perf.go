@@ -527,11 +527,12 @@ func collectAttrOverhead(b *Baseline, target time.Duration) error {
 
 // collectKernelStep measures the multi-tenant kernel end to end: a
 // fixed 96-tenant population over two shards on one worker, so the
-// number covers tenant synthesis, the admission/reclaim scheduler loop
-// and block-stepped replay together. Per-ref allocations are nonzero
-// here by design (each iteration materializes the population); the
-// anchor is the aggregate fault count, which is deterministic for a
-// fixed config on any machine.
+// number covers spec derivation, the admission/reclaim scheduler loop
+// and block-stepped replay of streams generated on demand. Per-ref
+// allocations are nonzero here by design (each iteration derives the
+// population and opens every tenant's stream and policy); the anchor is
+// the aggregate fault count, which is deterministic for a fixed config
+// on any machine.
 func collectKernelStep(b *Baseline, target time.Duration) error {
 	cfg := kernel.Config{Tenants: 96, Shards: 2, Seed: 1, Scale: 0.25}
 	eng := engine.New(1)

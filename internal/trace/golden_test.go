@@ -21,10 +21,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 // TestColumnsGolden pins the exact stream of every trace the repository
 // builds: the nine compiled workloads with their directive-free and
 // site-free views, each chaos injector's perturbation of the two traces
-// with the most directives, and the first kernel tenants. A line records
-// the CDT3 encoding's sha256 and the source's Meta, so any change to how
-// traces are built, viewed or perturbed shows up as a diff. Regenerate
-// intentionally with:
+// with the most directives, and the first kernel tenants' streams as
+// the kernel generates them. A line records the CDT3 encoding's sha256
+// and the source's Meta, so any change to how traces are built, viewed
+// or perturbed shows up as a diff. Regenerate intentionally with:
 //
 //	go test ./internal/trace -run ColumnsGolden -update
 func TestColumnsGolden(t *testing.T) {
@@ -61,7 +61,7 @@ func TestColumnsGolden(t *testing.T) {
 	}
 	for i := 0; i < 16; i++ {
 		spec := kernel.NewSynthSpec(1, i, 1)
-		record(fmt.Sprintf("tenant/%d", i), spec.Materialize())
+		record(fmt.Sprintf("tenant/%d", i), &spec) // generated on demand
 	}
 
 	path := filepath.Join("testdata", "columns.golden")
