@@ -117,10 +117,10 @@ func TestCollectQuick(t *testing.T) {
 			continue
 		}
 		if c.Name == "kernel_step" {
-			// End-to-end case: each iteration synthesizes and materializes
-			// the tenant population, so it allocates by design — but the
-			// amortized rate must stay far below one allocation per
-			// simulated reference.
+			// End-to-end case: each iteration derives the tenant
+			// population and opens every tenant's stream and policy, so it
+			// allocates by design — but the amortized rate must stay far
+			// below one allocation per simulated reference.
 			if c.AllocsPerRef > 0.5 {
 				t.Fatalf("%s: kernel run allocates %.4f allocs/ref, want amortized < 0.5", c.Name, c.AllocsPerRef)
 			}
@@ -141,8 +141,12 @@ func TestCollectQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The sweep speedups are wall-clock ratios too: zero them so only the
+	// fault anchors are compared (their 5x floor stays enforced by `cdmm
+	// bench -compare` in CI).
 	for _, x := range []*Baseline{b, b2} {
 		x.ServeOverhead, x.AttrOverhead, x.TelemetryOverhead = 0, 0, 0
+		x.SweepSpeedupLRU, x.SweepSpeedupWS = 0, 0
 	}
 	if _, regs := Compare(b, b2, 10); len(regs) != 0 { // huge threshold: only anchors can fail
 		t.Fatalf("fault anchors unstable: %v", regs)
