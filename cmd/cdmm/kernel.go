@@ -20,7 +20,7 @@ func cmdKernel(args []string) error {
 	tenants := fs.Int("tenants", 1000, "tenant population size")
 	frames := fs.Int("frames", 0, "global frame pool (0 = derive from -overcommit)")
 	overcommit := fs.Float64("overcommit", 4, "declared-estimate-to-frames ratio when -frames is 0")
-	shards := fs.Int("shards", 0, "shard count (0 = ~1 per 256 tenants; fixes the result, not -j)")
+	shards := fs.Int("shards", 0, "shard count, at most 4096 (0 = ~1 per 256 tenants; fixes the result, not -j)")
 	seed := fs.Uint64("seed", 1, "base seed for tenant synthesis and chaos")
 	pool := fs.String("pool", "cd", "per-tenant policy: cd, lru, ws")
 	level := fs.Int("level", 2, "CD directive-set stratum")

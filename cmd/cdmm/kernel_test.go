@@ -68,6 +68,7 @@ func TestCmdKernelRejectsBadConfig(t *testing.T) {
 		{"-level", "-2", "Level"},
 		{"-pool", "bogus", "Pool"},
 		{"-tenants", "200000000", "Tenants"},
+		{"-shards", "1000000", "Shards"},
 	} {
 		err := cmdKernel([]string{"-tenants", "100", "-quick", tc.flag, tc.value})
 		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), tc.value) {

@@ -32,7 +32,8 @@ type Config struct {
 	Overcommit float64
 	// Shards is the partition count; determinism is a function of the
 	// shard count, never of -j. 0 picks ~one shard per 256 tenants,
-	// clamped to [1, 64].
+	// clamped to [1, 64]; an explicit count may not exceed 4096 and is
+	// clamped to Tenants.
 	Shards int
 	// Seed drives every synthetic draw and chaos decision.
 	Seed uint64
@@ -109,8 +110,13 @@ type Config struct {
 
 // MaxTenants bounds Config.Tenants. Run derives every tenant's spec up
 // front, so the population must fit in memory whatever a flag asks for:
-// a million quarter-scale tenants peak near 2 GB of RSS.
+// a million quarter-scale tenants peak at 1–1.5 GB of RSS.
 const MaxTenants = 1_000_000
+
+// maxShards bounds Config.Shards. Each shard costs close to a kilobyte
+// beyond its tenants' state, so a shard per tenant would nearly double a
+// MaxTenants population's memory.
+const maxShards = 4096
 
 // withDefaults returns a copy with the documented defaults applied to
 // every zero field. Negative and out-of-range values are left for
@@ -185,6 +191,9 @@ func (c *Config) validate() error {
 	if c.Tenants <= 0 || c.Tenants > MaxTenants {
 		return fmt.Errorf("kernel: Tenants must be in [1, %d] (got %d)", MaxTenants, c.Tenants)
 	}
+	if c.Shards < 0 || c.Shards > maxShards {
+		return fmt.Errorf("kernel: Shards must be in [0, %d] (got %d)", maxShards, c.Shards)
+	}
 	switch c.Pool {
 	case "cd", "lru", "ws":
 	default:
@@ -194,7 +203,7 @@ func (c *Config) validate() error {
 		name string
 		v    int64
 	}{
-		{"Frames", int64(c.Frames)}, {"Shards", int64(c.Shards)}, {"Level", int64(c.Level)},
+		{"Frames", int64(c.Frames)}, {"Level", int64(c.Level)},
 		{"Quantum", int64(c.Quantum)}, {"AgingTicks", c.AgingTicks}, {"StarveBound", c.StarveBound},
 		{"SwapInDelay", c.SwapInDelay}, {"ThrashWindow", int64(c.ThrashWindow)},
 		{"MaxRestarts", int64(c.MaxRestarts)}, {"TopK", int64(c.TopK)}, {"SLOAdmitWait", c.SLOAdmitWait},

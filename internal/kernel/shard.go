@@ -189,7 +189,10 @@ func (sh *shard) run(prog obs.ProgressFunc) *shardResult {
 		sh.res.Tenants = append(sh.res.Tenants, t.result())
 	}
 	sh.res.Telem = sh.tl
-	return &sh.res
+	// Return a copy: a pointer into sh would keep the whole shard, every
+	// tenant struct included, alive until Run merges all shards.
+	res := sh.res
+	return &res
 }
 
 // iterBudget bounds the scheduler loop: a structural backstop far above

@@ -222,7 +222,9 @@ func TestConfigValidation(t *testing.T) {
 		{func(c *Config) { c.Tenants = MaxTenants + 1 }, "Tenants must be in [1, 1000000] (got 1000001)"},
 		{func(c *Config) { c.Pool = "bogus" }, `Pool must be cd, lru or ws (got "bogus")`},
 		{func(c *Config) { c.Frames = -5 }, "Frames must not be negative (got -5)"},
-		{func(c *Config) { c.Shards = -3 }, "Shards must not be negative (got -3)"},
+		{func(c *Config) { c.Shards = -3 }, "Shards must be in [0, 4096] (got -3)"},
+		{func(c *Config) { c.Shards = maxShards + 1 }, "Shards must be in [0, 4096] (got 4097)"},
+		{func(c *Config) { c.Shards = maxShards }, ""},
 		{func(c *Config) { c.Level = -2 }, "Level must not be negative (got -2)"},
 		{func(c *Config) { c.Quantum = -5 }, "Quantum must not be negative (got -5)"},
 		{func(c *Config) { c.AgingTicks = -1 }, "AgingTicks must not be negative (got -1)"},
