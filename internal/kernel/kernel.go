@@ -657,8 +657,11 @@ func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 		}
 	}
 	if cfg.Telemetry {
-		merged := newTelem(&cfg)
-		for _, sr := range shardResults {
+		// Fold the shards into the first one's state, which no one else
+		// reads once its shard is done: merging into a fresh telem would
+		// only copy it first.
+		merged := shardResults[0].Telem
+		for _, sr := range shardResults[1:] {
 			merged.merge(sr.Telem)
 		}
 		res.Telemetry = merged.snapshot(&cfg)
