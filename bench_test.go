@@ -28,11 +28,16 @@ import (
 	"cdmm/internal/workloads"
 )
 
+// benchEng is shared by the benchmarks that regenerate whole studies, so
+// compiled programs, sweeps and CD runs stay memoized across benchmarks
+// and iterations.
+var benchEng = engine.New(0)
+
 // BenchmarkTable1 regenerates Table 1: the effect of executing different
 // directive sets under the CD policy (MAIN x4, FDJAC x2, TQL x2).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(nil)
+		rows, err := experiments.Table1(benchEng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +51,7 @@ func BenchmarkTable1(b *testing.B) {
 // LRU and tuned WS versus CD.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(nil)
+		rows, err := experiments.Table2(benchEng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +65,7 @@ func BenchmarkTable2(b *testing.B) {
 // average memory.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(nil)
+		rows, err := experiments.Table3(benchEng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +79,7 @@ func BenchmarkTable3(b *testing.B) {
 // matching CD's fault count.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table4(nil)
+		rows, err := experiments.Table4(benchEng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -363,7 +368,7 @@ func BenchmarkCompile(b *testing.B) {
 // WS, Damped WS, Sampled WS, VSWS and PFF — at CD-matched memory scale.
 func BenchmarkPolicyFamily(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PolicyFamily(nil, nil)
+		rows, err := experiments.PolicyFamily(benchEng, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,7 +385,7 @@ func BenchmarkPageSizeSensitivity(b *testing.B) {
 	sizes := []int{128, 256, 512, 1024}
 	for i := 0; i < b.N; i++ {
 		for _, prog := range []string{"HWSCRT", "MAIN"} {
-			rows, err := experiments.PageSizeSensitivity(nil, prog, sizes)
+			rows, err := experiments.PageSizeSensitivity(benchEng, prog, sizes)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -434,7 +439,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 // ALLOCATE X scaled by 0.5x to 2x, per canonical program.
 func BenchmarkDetune(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.DetuneStudy(nil, nil, nil)
+		rows, err := experiments.DetuneStudy(benchEng, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -46,10 +46,9 @@ func registerJFlag(fs *flag.FlagSet) *int {
 }
 
 // newEngine builds the command's engine from -j, observing its runs
-// through o (nil observes nothing), and installs it as the process
-// default so package-level conveniences share its memo store. When a
-// telemetry server is live (cdmm serve, or the -serve flag) the engine
-// also reports plan/run lifecycle into its tracker and logger.
+// through o (nil observes nothing). When a telemetry server is live
+// (cdmm serve, or the -serve flag) the engine also reports plan/run
+// lifecycle into its tracker and logger.
 func newEngine(j int, o *obs.Observer) *engine.Engine {
 	e := engine.New(j).WithObserver(o)
 	if serveProgress != nil {
@@ -58,7 +57,6 @@ func newEngine(j int, o *obs.Observer) *engine.Engine {
 	if serveLogger != nil {
 		e.WithLogger(serveLogger)
 	}
-	engine.SetDefault(e)
 	return e
 }
 

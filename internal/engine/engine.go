@@ -1,8 +1,8 @@
 // Package engine is the concurrent run-plan executor sitting between the
 // simulator core (vmsim, policy, workloads) and everything that drives
 // whole experiment grids (experiments, report, the CLI). Callers declare
-// a set of independent runs — Map over a slice of run descriptors — and
-// the engine executes them on a bounded worker pool, memoizing shared
+// a set of independent runs — MapNamed over a slice of run descriptors —
+// and the engine executes them on a bounded worker pool, memoizing shared
 // prerequisites (compiled workloads, LRU/WS sweeps, CD policy runs) with
 // singleflight semantics so each expensive artifact is computed exactly
 // once per engine however many runs request it.
@@ -11,12 +11,14 @@
 // declaration order, memo keys are composite (program, set, policy,
 // parameters), and observability events are buffered per run and merged
 // in declaration order — so tables, reports and JSONL event streams are
-// byte-identical at any parallelism level, including Workers == 1, which
+// byte-identical at any parallelism level, including one worker, which
 // degenerates to a plain sequential loop with no goroutines at all.
+//
+// The package keeps no process-wide engine: every caller constructs one
+// with New and passes it explicitly.
 package engine
 
 import (
-	"context"
 	"log/slog"
 	"runtime"
 	"sync"
@@ -29,11 +31,11 @@ import (
 // Engine executes declared runs on a bounded worker pool and memoizes
 // their shared prerequisites. The zero value is not usable; construct
 // with New. An Engine is safe for concurrent use; when an event tracer
-// is attached, whole Map plans are additionally serialized (planMu) so
-// two simultaneous plans can never interleave their merged streams or
+// is attached, whole MapNamed plans are additionally serialized (planMu)
+// so two simultaneous plans can never interleave their merged streams or
 // race over which plan a shared memoized computation's events flush
 // into — the stream layout is a function of the plans alone. The cost
-// is that a run body must not call Map on its own engine (it would
+// is that a run body must not call MapNamed on its own engine (it would
 // self-deadlock); nest through Memo instead.
 type Engine struct {
 	workers int
@@ -45,7 +47,7 @@ type Engine struct {
 
 	// flushMu serializes merged event emission into the base tracer.
 	flushMu sync.Mutex
-	// planMu serializes entire Map plans while a tracer is attached,
+	// planMu serializes entire MapNamed plans while a tracer is attached,
 	// keeping each plan's merged stream contiguous and memo flushes
 	// deterministic (see the type comment).
 	planMu sync.Mutex
@@ -55,7 +57,7 @@ type Engine struct {
 	// progressChunk simulated events while runs are in flight.
 	progress *Progress
 	// log, when non-nil, receives structured lifecycle records (plan
-	// start/end, retries, failures).
+	// start/end, failures).
 	log *slog.Logger
 
 	// cellMode forces the per-cell replay path for sweep artifacts: every
@@ -63,13 +65,6 @@ type Engine struct {
 	// point on a one-pass curve. The differential oracle and the slow leg
 	// of `cdmm table* -timing`.
 	cellMode bool
-
-	// ctx cancels in-flight plans (nil means context.Background()).
-	ctx context.Context
-	// retries and backoff bound the retry loop for transient run
-	// failures (see Transient); zero retries disables it.
-	retries int
-	backoff time.Duration
 }
 
 // New returns an engine running at most workers simulations at once.
@@ -82,52 +77,25 @@ func New(workers int) *Engine {
 }
 
 // WithObserver sets the engine's base observer and returns the engine.
-// Runs observe nothing without one. Call before Map.
+// Runs observe nothing without one. Call before MapNamed.
 func (e *Engine) WithObserver(o *obs.Observer) *Engine {
 	e.obs = o
 	return e
 }
 
-// WithContext attaches a cancellation context to the engine: once ctx is
-// done, runs not yet started fail immediately with ctx.Err() and run
-// bodies can observe the cancellation through RunCtx.Ctx. Call before
-// Map.
-func (e *Engine) WithContext(ctx context.Context) *Engine {
-	e.ctx = ctx
-	return e
-}
-
-// WithProgress attaches a lifecycle tracker: every Map plan and run the
-// engine executes is registered with p, including live in-run trace
+// WithProgress attaches a lifecycle tracker: every MapNamed plan and run
+// the engine executes is registered with p, including live in-run trace
 // position via the simulator's chunked progress callbacks. One tracker
-// may be shared by several engines. Call before Map.
+// may be shared by several engines. Call before MapNamed.
 func (e *Engine) WithProgress(p *Progress) *Engine {
 	e.progress = p
 	return e
 }
 
-// Progress returns the attached lifecycle tracker (nil when none).
-func (e *Engine) Progress() *Progress { return e.progress }
-
 // WithLogger attaches a structured logger for plan/run lifecycle
-// records; nil (the default) logs nothing. Call before Map.
+// records; nil (the default) logs nothing. Call before MapNamed.
 func (e *Engine) WithLogger(l *slog.Logger) *Engine {
 	e.log = l
-	return e
-}
-
-// WithRetry makes Map retry a run that fails with a Transient error up
-// to retries additional attempts, sleeping backoff, 2×backoff, 4×backoff…
-// between attempts (exponential backoff; backoff 0 retries immediately).
-// Each attempt runs with a fresh RunCtx, so a failed attempt leaves no
-// events or memo-request records behind. Non-transient errors are never
-// retried. Call before Map.
-func (e *Engine) WithRetry(retries int, backoff time.Duration) *Engine {
-	if retries < 0 {
-		retries = 0
-	}
-	e.retries = retries
-	e.backoff = backoff
 	return e
 }
 
@@ -136,66 +104,17 @@ func (e *Engine) WithRetry(retries int, backoff time.Duration) *Engine {
 // one-pass curve engines in internal/sweep, true replays the trace per
 // curve point through vmsim — the differential oracle. Memo keys carry
 // the mode, so one engine can hold both modes' artifacts without
-// collision (the -timing comparison does exactly that). Call before Map.
+// collision (the -timing comparison does exactly that). Call before
+// MapNamed.
 func (e *Engine) WithCellMode(cell bool) *Engine {
 	e.cellMode = cell
 	return e
 }
 
-// CellMode reports whether the engine replays per cell (see WithCellMode).
-func (e *Engine) CellMode() bool { return e.cellMode }
-
-// context returns the engine's cancellation context.
-func (e *Engine) context() context.Context {
-	if e.ctx != nil {
-		return e.ctx
-	}
-	return context.Background()
-}
-
-// Workers returns the worker-pool bound.
-func (e *Engine) Workers() int { return e.workers }
-
-var (
-	defaultMu  sync.Mutex
-	defaultEng *Engine
-)
-
-// Default returns the process-wide engine, creating it with GOMAXPROCS
-// workers on first use. Package-level conveniences (experiments.CDRun,
-// the tables with a nil engine) run through it, sharing one memo store —
-// the moral successor of the old global bundle cache, minus the global
-// mutex serialization.
-func Default() *Engine {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultEng == nil {
-		defaultEng = New(0)
-	}
-	return defaultEng
-}
-
-// SetDefault installs e as the process-wide engine (nil resets to a
-// fresh GOMAXPROCS engine on next use). The CLI calls this after parsing
-// -j so nested helpers pick up the requested parallelism.
-func SetDefault(e *Engine) {
-	defaultMu.Lock()
-	defaultEng = e
-	defaultMu.Unlock()
-}
-
-// Or returns e, or the default engine when e is nil.
-func Or(e *Engine) *Engine {
-	if e == nil {
-		return Default()
-	}
-	return e
-}
-
-// RunCtx is handed to every run a Map executes. It carries the run's
-// observer (nil when the engine observes nothing) and records which memo
-// keys the run requested, so the engine can merge memoized runs' event
-// buffers deterministically.
+// RunCtx is handed to every run a MapNamed executes. It carries the
+// run's observer (nil when the engine observes nothing) and records which
+// memo keys the run requested, so the engine can merge memoized runs'
+// event buffers deterministically.
 type RunCtx struct {
 	// Index is the run's position in the declared plan.
 	Index int
@@ -203,9 +122,6 @@ type RunCtx struct {
 	// shared (atomic) metrics registry. Pass it to vmsim.RunObserved and
 	// friends; never write to a shared sink directly from inside a run.
 	Obs *obs.Observer
-	// Ctx is the engine's cancellation context (never nil inside a Map
-	// run). Long run bodies should poll it between expensive steps.
-	Ctx context.Context
 
 	eng *Engine
 	buf *obs.Collector
@@ -244,7 +160,7 @@ func (rc *RunCtx) Report(res vmsim.Result) {
 // carries a progress callback, even when the base observer is disabled —
 // that combination is the gated fast path with live position updates.
 func (e *Engine) newRunCtx(index int, base *obs.Observer, runID int) *RunCtx {
-	rc := &RunCtx{Index: index, Ctx: e.context(), eng: e, progressID: -1}
+	rc := &RunCtx{Index: index, eng: e, progressID: -1}
 	var prog obs.ProgressFunc
 	if e.progress != nil && runID >= 0 {
 		prog = e.progress.runProgressFn(runID)
@@ -265,28 +181,21 @@ func (e *Engine) newRunCtx(index int, base *obs.Observer, runID int) *RunCtx {
 	return rc
 }
 
-// Map executes fn over every item on the engine's worker pool and
+// MapNamed executes fn over every item on the engine's worker pool and
 // returns the results in declaration order. Every item is attempted —
 // an error in one run never skips another, so the failure set is a
 // function of the plan alone — and all failures are aggregated into a
 // *PlanError ordered by declaration index: the identical error value at
-// any parallelism level. Transient failures are retried per WithRetry
-// before being recorded; a done engine context fails not-yet-started
-// runs with ctx.Err(). With Workers() == 1 the plan runs inline, in
+// any parallelism level. With one worker the plan runs inline, in
 // order, with no goroutines — the overhead-guard path.
 //
-// Map is MapNamed with an auto-generated plan label.
-func Map[T, R any](e *Engine, items []T, fn func(*RunCtx, T) (R, error)) ([]R, error) {
-	return MapNamed(e, "", items, fn)
-}
-
-// MapNamed is Map with an explicit plan label for the engine's Progress
-// tracker and logs ("table1", "chaos", ...). While an event tracer is
-// attached the whole plan additionally holds the engine's plan lock, so
-// simultaneous plans produce contiguous, deterministically ordered
-// merged streams (and must not nest — see the Engine doc).
+// label names the plan in the engine's Progress tracker and logs
+// ("table1", "chaos", ...; "" gets an auto-generated label). While an
+// event tracer is attached the whole plan additionally holds the
+// engine's plan lock, so simultaneous plans produce contiguous,
+// deterministically ordered merged streams (and must not nest — see the
+// Engine doc).
 func MapNamed[T, R any](e *Engine, label string, items []T, fn func(*RunCtx, T) (R, error)) ([]R, error) {
-	e = Or(e)
 	base := e.obs
 	if base != nil && base.Tracer != nil {
 		e.planMu.Lock()
@@ -355,56 +264,26 @@ func MapNamed[T, R any](e *Engine, label string, items []T, fn func(*RunCtx, T) 
 	return results, nil
 }
 
-// runOne executes one run, retrying transient failures with exponential
-// backoff up to the engine's retry budget. Every attempt gets a fresh
-// RunCtx so a failed attempt's buffered events and memo-request records
-// are discarded; the returned RunCtx is the final attempt's. Lifecycle
-// transitions (running/retrying/terminal) are mirrored into the
-// engine's Progress tracker under runID when one is attached.
+// runOne executes one run. Its lifecycle (running, then terminal) is
+// mirrored into the engine's Progress tracker under runID when one is
+// attached.
 func runOne[T, R any](e *Engine, base *obs.Observer, i, runID int, item T, fn func(*RunCtx, T) (R, error)) (R, *RunCtx, error) {
-	ctx := e.context()
 	p := e.progress
 	if runID < 0 {
 		p = nil
 	}
-	for attempt := 0; ; attempt++ {
-		rc := e.newRunCtx(i, base, runID)
-		if err := ctx.Err(); err != nil {
-			if p != nil {
-				p.runFinish(runID, nil, err)
-			}
-			var zero R
-			return zero, rc, err
-		}
-		if p != nil {
-			p.runStart(runID)
-		}
-		res, err := fn(rc, item)
-		if err == nil || attempt >= e.retries || !IsTransient(err) {
-			if p != nil {
-				p.runFinish(runID, any(res), err)
-			}
-			if err != nil && e.log != nil {
-				e.log.Error("run failed", "run", i, "attempts", attempt+1, "err", err)
-			}
-			return res, rc, err
-		}
-		if p != nil {
-			p.runRetrying(runID, err)
-		}
-		if e.log != nil {
-			e.log.Warn("transient run failure, retrying",
-				"run", i, "attempt", attempt+1, "retries", e.retries, "err", err)
-		}
-		if e.backoff > 0 {
-			t := time.NewTimer(e.backoff << attempt)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-			case <-t.C:
-			}
-		}
+	rc := e.newRunCtx(i, base, runID)
+	if p != nil {
+		p.runStart(runID)
 	}
+	res, err := fn(rc, item)
+	if p != nil {
+		p.runFinish(runID, any(res), err)
+	}
+	if err != nil && e.log != nil {
+		e.log.Error("run failed", "run", i, "err", err)
+	}
+	return res, rc, err
 }
 
 // mergeEvents flushes buffered events into the base tracer in

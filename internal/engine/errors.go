@@ -1,37 +1,12 @@
 package engine
 
-import (
-	"errors"
-	"fmt"
-)
-
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// Transient marks err as transient: a Map run failing with a transient
-// error is retried (with backoff) up to the engine's WithRetry budget
-// before the failure is recorded. A nil err stays nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is (or wraps) a transient error.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
+import "fmt"
 
 // RunError ties one failed run to its position in the declared plan.
 type RunError struct {
 	// Index is the run's declaration-order position.
 	Index int
-	// Err is the run's final error (after any retries).
+	// Err is the error the run returned.
 	Err error
 }
 
@@ -41,7 +16,7 @@ func (e *RunError) Error() string { return fmt.Sprintf("run %d: %v", e.Index, e.
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// PlanError aggregates every failed run of a Map plan, in declaration
+// PlanError aggregates every failed run of a MapNamed plan, in declaration
 // order — the same error value at any parallelism level, because the
 // engine executes the whole plan rather than aborting at the first
 // failure observed.

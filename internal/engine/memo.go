@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"cdmm/internal/explain"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
 	"cdmm/internal/sweep"
@@ -87,7 +86,7 @@ func (m *memo) flush(k Key, t obs.Tracer) {
 // nested memo requests and a private observer whose events are buffered
 // with the entry and merged into the plan's event stream at the position
 // of the earliest-declared requester. rc may be nil for standalone
-// (non-Map) use, in which case events are flushed to the base tracer
+// (non-MapNamed) use, in which case events are flushed to the base tracer
 // immediately after computation.
 func (e *Engine) Memo(rc *RunCtx, k Key, fn func(comp *RunCtx, o *obs.Observer) (any, error)) (any, error) {
 	e.memo.mu.Lock()
@@ -144,15 +143,6 @@ func (e *Engine) Memo(rc *RunCtx, k Key, fn func(comp *RunCtx, o *obs.Observer) 
 		e.flushMu.Unlock()
 	}
 	return ent.val, ent.err
-}
-
-// Forget drops the memoized value for k, if any. Tests use it to force
-// recomputation; production plans never need it because keys are fully
-// parameterized.
-func (e *Engine) Forget(k Key) {
-	e.memo.mu.Lock()
-	delete(e.memo.m, k)
-	e.memo.mu.Unlock()
 }
 
 // setParams serializes a directive set's full parameterization (not just
@@ -417,23 +407,4 @@ func fmtFactors(factors []float64) string {
 		fmt.Fprintf(&b, "%g", f)
 	}
 	return b.String()
-}
-
-// ExplainRun builds (once per engine and full parameterization) the
-// fault-attribution report for a variant: CD under the directive set
-// plus tuned LRU and WS, each attributed site by site. The ledgers are
-// immutable after construction, so sharing the memoized pointer is safe.
-func (e *Engine) ExplainRun(rc *RunCtx, program string, set workloads.Set, minAlloc int) (*explain.Report, error) {
-	k := Key{Kind: "explain", Program: program, Set: set.Name, Policy: "CD", Params: setParams(set, minAlloc)}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, _ *obs.Observer) (any, error) {
-		c, err := e.Compiled(comp, program)
-		if err != nil {
-			return nil, err
-		}
-		return explain.Analyze(c.Trace, explain.Options{Selector: set.Selector(), MinAlloc: minAlloc})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*explain.Report), nil
 }

@@ -18,12 +18,9 @@ const (
 	RunQueued RunState = iota
 	// RunRunning: a worker is executing the run body.
 	RunRunning
-	// RunRetrying: the last attempt failed with a transient error; the
-	// run is sleeping out its backoff before the next attempt.
-	RunRetrying
 	// RunDone: finished without error.
 	RunDone
-	// RunFailed: finished with an error (after exhausting retries).
+	// RunFailed: finished with an error.
 	RunFailed
 	// RunDegraded: finished without error, but the simulation tripped the
 	// CD directive-contract and served part of the run from its WS
@@ -38,8 +35,6 @@ func (s RunState) String() string {
 		return "queued"
 	case RunRunning:
 		return "running"
-	case RunRetrying:
-		return "retrying"
 	case RunDone:
 		return "done"
 	case RunFailed:
@@ -96,7 +91,6 @@ type runEntry struct {
 	label    string
 	policy   string
 	state    RunState
-	attempts int
 	started  time.Time
 	finished time.Time
 	err      string
@@ -133,7 +127,7 @@ func (p *Progress) finishPlan(planID int) {
 	p.seq.Add(1)
 }
 
-// runStart marks one attempt of the run as executing.
+// runStart marks the run as executing.
 func (p *Progress) runStart(id int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -142,25 +136,7 @@ func (p *Progress) runStart(id int) {
 		return
 	}
 	r.state = RunRunning
-	r.attempts++
-	if r.attempts == 1 {
-		r.started = time.Now()
-	}
-	p.seq.Add(1)
-}
-
-// runRetrying marks the run as sleeping out its retry backoff.
-func (p *Progress) runRetrying(id int, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r := p.run(id)
-	if r == nil {
-		return
-	}
-	r.state = RunRetrying
-	if err != nil {
-		r.err = err.Error()
-	}
+	r.started = time.Now()
 	p.seq.Add(1)
 }
 
@@ -273,15 +249,14 @@ type PlanSnapshot struct {
 
 // RunSnapshot is one run's status in a Snapshot.
 type RunSnapshot struct {
-	ID       int    `json:"id"`
-	Plan     int    `json:"plan"`
-	Index    int    `json:"index"`
-	Label    string `json:"label,omitempty"`
-	Policy   string `json:"policy,omitempty"`
-	State    string `json:"state"`
-	Attempts int    `json:"attempts"`
-	// WallMs is wall-clock time attributed to the run: start of the
-	// first attempt to finish (or to now while still running).
+	ID     int    `json:"id"`
+	Plan   int    `json:"plan"`
+	Index  int    `json:"index"`
+	Label  string `json:"label,omitempty"`
+	Policy string `json:"policy,omitempty"`
+	State  string `json:"state"`
+	// WallMs is wall-clock time attributed to the run: start to finish
+	// (or to now while still running).
 	WallMs float64 `json:"wall_ms"`
 	// Done/Total are the live trace position (events or references,
 	// path-dependent — consume the ratio); VirtualTime is the simulated
@@ -304,7 +279,7 @@ type Snapshot struct {
 	// Seq increases on every state change; pollers can cheaply detect
 	// "nothing new".
 	Seq int64 `json:"seq"`
-	// Idle reports that no run is queued, running or retrying.
+	// Idle reports that no run is queued or running.
 	Idle bool `json:"idle"`
 	// Counts maps run state names to how many runs are in each.
 	Counts map[string]int `json:"counts"`
@@ -321,7 +296,7 @@ func (p *Progress) Snapshot() Snapshot {
 	s := Snapshot{
 		Seq:    p.seq.Load(),
 		Idle:   true,
-		Counts: make(map[string]int, 6),
+		Counts: make(map[string]int, 5),
 		Plans:  make([]PlanSnapshot, 0, len(p.plans)),
 		Runs:   make([]RunSnapshot, 0, len(p.runs)),
 	}
@@ -364,7 +339,6 @@ func (p *Progress) runSnapshotLocked(r *runEntry, now time.Time) RunSnapshot {
 		Label:       r.label,
 		Policy:      r.policy,
 		State:       r.state.String(),
-		Attempts:    r.attempts,
 		Done:        r.done.Load(),
 		Total:       r.total.Load(),
 		VirtualTime: r.vt.Load(),

@@ -101,12 +101,10 @@ func (c *ChaosConfig) Cells() []ChaosCell {
 	return cells
 }
 
-// ChaosMatrix runs the fault matrix through the engine. A nil engine
-// uses engine.Default(). Simulator breakage (invariant violations,
-// panics) is reported in the rows, not as an error: the matrix's job is
-// to complete and show the damage.
+// ChaosMatrix runs the fault matrix through the engine. Simulator
+// breakage (invariant violations, panics) is reported in the rows, not
+// as an error: the matrix's job is to complete and show the damage.
 func ChaosMatrix(eng *engine.Engine, cfg ChaosConfig) ([]ChaosRow, error) {
-	eng = engine.Or(eng)
 	cells := cfg.Cells()
 	return engine.MapNamed(eng, "chaos", cells, func(rc *engine.RunCtx, cell ChaosCell) (ChaosRow, error) {
 		row := ChaosRow{Cell: cell}

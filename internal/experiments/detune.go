@@ -44,8 +44,7 @@ type DetuneRow struct {
 // curve mode the grid replays in lockstep through a single trace
 // traversal (sweep.Multi via the engine's CDDetune artifact), in cell
 // mode one replay per factor — and rows come back variant-major,
-// factor-minor, identical in either mode. A nil engine uses
-// engine.Default().
+// factor-minor, identical in either mode.
 func DetuneStudy(eng *engine.Engine, variants []Variant, factors []float64) ([]DetuneRow, error) {
 	if variants == nil {
 		variants = Table2Variants
@@ -53,7 +52,6 @@ func DetuneStudy(eng *engine.Engine, variants []Variant, factors []float64) ([]D
 	if factors == nil {
 		factors = []float64{0.5, 0.75, 0.9, 1.0, 1.1, 1.5, 2.0}
 	}
-	eng = engine.Or(eng)
 	grids, err := engine.MapNamed(eng, "detune", variants, func(rc *engine.RunCtx, v Variant) ([]DetuneRow, error) {
 		rc.Describe(fmt.Sprintf("%s/%s x%d factors", v.Program, v.Set, len(factors)), "CD detuned")
 		set, err := variantSet(eng, rc, v)

@@ -33,7 +33,7 @@ func TestDetuneScalesGrants(t *testing.T) {
 
 func TestDetuneStudyMonotoneFaults(t *testing.T) {
 	rows, err := DetuneStudy(
-		nil,
+		testEng,
 		[]Variant{{"MAIN", "MAIN"}, {"TQL", "TQL1"}},
 		[]float64{0.5, 1.0, 2.0},
 	)

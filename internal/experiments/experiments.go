@@ -15,7 +15,8 @@
 // pool, shared prerequisites (compiled traces, LRU/WS sweeps, CD runs)
 // are memoized with singleflight semantics, and results are gathered in
 // declaration order — the rendered tables are byte-identical at any
-// parallelism level. Passing a nil *engine.Engine uses engine.Default().
+// parallelism level. Every generator takes the engine it runs on; the
+// caller owns it, and runs sharing one engine share its memo store.
 package experiments
 
 import (
@@ -83,12 +84,6 @@ func cdRun(eng *engine.Engine, rc *engine.RunCtx, v Variant) (vmsim.Result, erro
 	return eng.CDRun(rc, v.Program, set, cdMinAlloc)
 }
 
-// CDRun runs (and memoizes in the default engine) the CD policy for one
-// variant.
-func CDRun(v Variant) (vmsim.Result, error) {
-	return cdRun(engine.Default(), nil, v)
-}
-
 func pct(other, cd float64) float64 {
 	if cd == 0 {
 		return 0
@@ -105,9 +100,8 @@ type Row1 struct {
 }
 
 // Table1 reproduces Table 1: the effect of executing different directive
-// sets under the CD policy. A nil engine uses engine.Default().
+// sets under the CD policy.
 func Table1(eng *engine.Engine) ([]Row1, error) {
-	eng = engine.Or(eng)
 	return engine.MapNamed(eng, "table1", Table1Variants, func(rc *engine.RunCtx, v Variant) (Row1, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD")
 		r, err := cdRun(eng, rc, v)
@@ -138,7 +132,6 @@ type Row2 struct {
 // CD. The LRU minimum is over every allocation 1..V; the WS minimum is
 // over the τ ladder.
 func Table2(eng *engine.Engine) ([]Row2, error) {
-	eng = engine.Or(eng)
 	return engine.MapNamed(eng, "table2", Table2Variants, func(rc *engine.RunCtx, v Variant) (Row2, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs LRU/WS minima")
 		cd, err := cdRun(eng, rc, v)
@@ -189,7 +182,6 @@ type Row3 struct {
 // CD used (LRU gets the rounded allocation, WS the window whose mean
 // working-set size is closest) and compare faults and space-time cost.
 func Table3(eng *engine.Engine) ([]Row3, error) {
-	eng = engine.Or(eng)
 	return engine.MapNamed(eng, "table3", Table34Variants, func(rc *engine.RunCtx, v Variant) (Row3, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs equal-MEM LRU/WS")
 		cd, err := cdRun(eng, rc, v)
@@ -256,7 +248,6 @@ type Row4 struct {
 // count — the smallest LRU allocation and WS window that do so, compared
 // on memory and space-time cost.
 func Table4(eng *engine.Engine) ([]Row4, error) {
-	eng = engine.Or(eng)
 	return engine.MapNamed(eng, "table4", Table34Variants, func(rc *engine.RunCtx, v Variant) (Row4, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs equal-PF LRU/WS")
 		cd, err := cdRun(eng, rc, v)

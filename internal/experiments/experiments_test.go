@@ -9,8 +9,12 @@ import (
 	"cdmm/internal/workloads"
 )
 
+// testEng is shared by the package's tests, so compiled programs and
+// sweeps stay memoized across them instead of being rebuilt per test.
+var testEng = engine.New(0)
+
 func TestTable1ShapeMatchesPaper(t *testing.T) {
-	rows, err := Table1(nil)
+	rows, err := Table1(testEng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func TestTable1ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestTable2CDWins(t *testing.T) {
-	rows, err := Table2(nil)
+	rows, err := Table2(testEng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +81,7 @@ func TestTable2CDWins(t *testing.T) {
 }
 
 func TestTable3EqualMemory(t *testing.T) {
-	rows, err := Table3(nil)
+	rows, err := Table3(testEng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestTable3EqualMemory(t *testing.T) {
 }
 
 func TestTable4EqualFaults(t *testing.T) {
-	rows, err := Table4(nil)
+	rows, err := Table4(testEng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +147,11 @@ func TestTable4EqualFaults(t *testing.T) {
 
 func TestCDRunCaches(t *testing.T) {
 	v := Variant{"MAIN", "MAIN"}
-	r1, err := CDRun(v)
+	r1, err := cdRun(testEng, nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := CDRun(v)
+	r2, err := cdRun(testEng, nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +161,10 @@ func TestCDRunCaches(t *testing.T) {
 }
 
 func TestCDRunUnknown(t *testing.T) {
-	if _, err := CDRun(Variant{"MAIN", "NOPE"}); err == nil {
+	if _, err := cdRun(testEng, nil, Variant{"MAIN", "NOPE"}); err == nil {
 		t.Error("expected error for unknown set")
 	}
-	if _, err := CDRun(Variant{"NOPE", "X"}); err == nil {
+	if _, err := cdRun(testEng, nil, Variant{"NOPE", "X"}); err == nil {
 		t.Error("expected error for unknown program")
 	}
 }
@@ -247,7 +251,7 @@ func TestMemoCompositeKeys(t *testing.T) {
 }
 
 func TestRendering(t *testing.T) {
-	r1, err := Table1(nil)
+	r1, err := Table1(testEng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,15 +261,15 @@ func TestRendering(t *testing.T) {
 			t.Errorf("Table 1 rendering missing %q", want)
 		}
 	}
-	r2, _ := Table2(nil)
+	r2, _ := Table2(testEng)
 	if out := RenderTable2(r2); !strings.Contains(out, "LRU vs. CD") {
 		t.Error("Table 2 rendering missing header")
 	}
-	r3, _ := Table3(nil)
+	r3, _ := Table3(testEng)
 	if out := RenderTable3(r3); !strings.Contains(out, "HWSCRT") {
 		t.Error("Table 3 rendering missing HWSCRT row")
 	}
-	r4, _ := Table4(nil)
+	r4, _ := Table4(testEng)
 	if out := RenderTable4(r4); !strings.Contains(out, "%MEM-LRU") {
 		t.Error("Table 4 rendering missing header")
 	}

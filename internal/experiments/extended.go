@@ -31,13 +31,11 @@ type FamilyRow struct {
 }
 
 // PolicyFamily runs the comparison for the given variants (nil means the
-// Table 2 canonical set), one engine run per variant. A nil engine uses
-// engine.Default().
+// Table 2 canonical set), one engine run per variant.
 func PolicyFamily(eng *engine.Engine, variants []Variant) ([]FamilyRow, error) {
 	if variants == nil {
 		variants = Table2Variants
 	}
-	eng = engine.Or(eng)
 	return engine.MapNamed(eng, "family", variants, func(rc *engine.RunCtx, v Variant) (FamilyRow, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs WS family")
 		cd, err := cdRun(eng, rc, v)
@@ -112,7 +110,6 @@ func PageSizeSensitivity(eng *engine.Engine, program string, pageSizes []int) ([
 		return nil, err
 	}
 	set := w.DefaultSet()
-	eng = engine.Or(eng)
 	return engine.MapNamed(eng, "pagesize", pageSizes, func(rc *engine.RunCtx, ps int) (PageSizeRow, error) {
 		rc.Describe(fmt.Sprintf("%s ps=%d", program, ps), "CD")
 		prog, err := core.CompileSourceOpts(w.Name, w.Source, core.Options{

@@ -3,12 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"cdmm/internal/engine"
 )
 
 func TestPolicyFamilySubset(t *testing.T) {
-	rows, err := PolicyFamily(nil, []Variant{{"MAIN", "MAIN"}, {"TQL", "TQL1"}})
+	rows, err := PolicyFamily(testEng, []Variant{{"MAIN", "MAIN"}, {"TQL", "TQL1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +43,7 @@ func TestPolicyFamilySubset(t *testing.T) {
 
 func cacheVFor(t *testing.T, program string) int {
 	t.Helper()
-	c, err := engine.Default().Compiled(nil, program)
+	c, err := testEng.Compiled(nil, program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +51,7 @@ func cacheVFor(t *testing.T, program string) int {
 }
 
 func TestPageSizeSensitivity(t *testing.T) {
-	rows, err := PageSizeSensitivity(nil, "HWSCRT", []int{128, 256, 512})
+	rows, err := PageSizeSensitivity(testEng, "HWSCRT", []int{128, 256, 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +73,7 @@ func TestPageSizeSensitivity(t *testing.T) {
 }
 
 func TestPageSizeSensitivityUnknown(t *testing.T) {
-	if _, err := PageSizeSensitivity(nil, "NOPE", []int{256}); err == nil {
+	if _, err := PageSizeSensitivity(testEng, "NOPE", []int{256}); err == nil {
 		t.Error("expected error for unknown program")
 	}
 }

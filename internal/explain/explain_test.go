@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cdmm/internal/engine"
 	"cdmm/internal/experiments"
 	"cdmm/internal/explain"
 	"cdmm/internal/trace"
@@ -17,7 +16,6 @@ import (
 // unattributed bucket and never a directive insertion point — and the
 // rendered table must lead with it.
 func TestTable2HotspotRanking(t *testing.T) {
-	eng := engine.New(0)
 	for _, v := range experiments.Table2Variants {
 		v := v
 		t.Run(v.Program+"/"+v.Set, func(t *testing.T) {
@@ -30,7 +28,11 @@ func TestTable2HotspotRanking(t *testing.T) {
 			if !ok {
 				t.Fatalf("no set %q", v.Set)
 			}
-			rep, err := eng.ExplainRun(nil, v.Program, set, 2)
+			c, err := workloads.Compile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := explain.Analyze(c.Trace, explain.Options{Selector: set.Selector(), MinAlloc: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,27 +105,5 @@ func TestAnalyzeRequiresSites(t *testing.T) {
 	}
 	if rep.CDRes.Faults != rep.CD.Faults {
 		t.Errorf("result/ledger fault mismatch: %d vs %d", rep.CDRes.Faults, rep.CD.Faults)
-	}
-}
-
-// TestExplainRunMemoizes pins the engine integration: the second call
-// returns the identical report pointer from the memo store.
-func TestExplainRunMemoizes(t *testing.T) {
-	eng := engine.New(0)
-	p, err := workloads.Get("FDJAC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, _ := p.Set("FDJAC")
-	a, err := eng.ExplainRun(nil, "FDJAC", set, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := eng.ExplainRun(nil, "FDJAC", set, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("ExplainRun not memoized")
 	}
 }

@@ -570,7 +570,6 @@ func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 		totalFrames += f
 	}
 
-	eng = engine.Or(eng)
 	var gaugesOnce sync.Once
 	var gauges *liveGauges
 

@@ -31,9 +31,9 @@ type Options struct {
 	// TimelineBuckets sets the virtual-time bucket count of the fault
 	// timeline section; 0 means 64.
 	TimelineBuckets int
-	// Engine executes the simulation sections' runs; nil means
-	// engine.Default(). The report text is byte-identical at any
-	// parallelism level.
+	// Engine executes the simulation sections' runs; it is required
+	// unless SkipSimulation is set. The report text is byte-identical at
+	// any parallelism level.
 	Engine *engine.Engine
 }
 
@@ -72,8 +72,7 @@ func Generate(p *core.Program, opts Options) (string, error) {
 	}
 
 	if !opts.SkipSimulation {
-		eng := engine.Or(opts.Engine)
-		if err := writeSimulation(&b, p, eng); err != nil {
+		if err := writeSimulation(&b, p, opts.Engine); err != nil {
 			return "", err
 		}
 		if err := writeAttribution(&b, tr); err != nil {
@@ -83,7 +82,7 @@ func Generate(p *core.Program, opts Options) (string, error) {
 		if buckets == 0 {
 			buckets = 64
 		}
-		tl, err := TimelineReport(eng, p, buckets)
+		tl, err := TimelineReport(opts.Engine, p, buckets)
 		if err != nil {
 			return "", err
 		}

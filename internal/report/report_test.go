@@ -20,7 +20,7 @@ func TestGenerateFullReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Generate(p, Options{})
+	out, err := Generate(p, Options{Engine: engine.New(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

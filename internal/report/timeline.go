@@ -43,13 +43,12 @@ func runCDLevels(eng *engine.Engine, p *core.Program) ([]vmsim.Result, error) {
 // aggregates. Each row is normalized to its own virtual-time span, so the
 // strips show each policy's phase structure rather than a shared clock.
 // The three rows are independent simulations and run in parallel on the
-// engine's pool (nil means engine.Default()); the rendered text is
-// byte-identical at any parallelism level.
+// engine's pool; the rendered text is byte-identical at any parallelism
+// level.
 func TimelineReport(eng *engine.Engine, p *core.Program, buckets int) (string, error) {
 	if buckets < 1 {
 		buckets = 64
 	}
-	eng = engine.Or(eng)
 	tr, err := p.Trace()
 	if err != nil {
 		return "", err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cdmm/internal/core"
+	"cdmm/internal/engine"
 	"cdmm/internal/workloads"
 )
 
@@ -17,7 +18,7 @@ func TestTimelineReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := TimelineReport(nil, p, 32)
+	out, err := TimelineReport(engine.New(0), p, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestMetricsRenderAllocFlat(t *testing.T) {
 	measure := func(metrics int) float64 {
 		s := New(Options{})
 		for i := 0; i < metrics; i++ {
-			s.Registry().Counter(fmt.Sprintf("load.metric-%03d", i)).Add(int64(i) * 977)
+			s.opt.Registry.Counter(fmt.Sprintf("load.metric-%03d", i)).Add(int64(i) * 977)
 		}
 		s.renderMetrics(&s.scrapeBuf) // warm up pooled snapshot and buffers
 		return testing.AllocsPerRun(50, func() {

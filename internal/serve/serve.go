@@ -187,9 +187,6 @@ func (s *Server) Observer() *obs.Observer {
 // Progress returns the tracker backing /progress (never nil after New).
 func (s *Server) Progress() *engine.Progress { return s.opt.Progress }
 
-// Registry returns the scraped registry (never nil after New).
-func (s *Server) Registry() *obs.Registry { return s.opt.Registry }
-
 // Open implements obs.Gate: instrumentation is live while someone is
 // watching — an SSE subscriber connected, or a Prometheus scrape within
 // the scrape window.
@@ -274,7 +271,7 @@ func (s *Server) writeServeMetrics(buf *bytes.Buffer) {
 	gauge("_serve_events_total", "counter", "SSE frames fanned out", s.hub.total.Load())
 	gauge("_serve_dropped_frames_total", "counter", "SSE frames dropped at slow subscribers", s.hub.drops.Load())
 	write("# HELP ", ns, "_serve_runs engine runs by lifecycle state\n# TYPE ", ns, "_serve_runs gauge\n")
-	for _, state := range []string{"queued", "running", "retrying", "done", "failed", "degraded"} {
+	for _, state := range []string{"queued", "running", "done", "failed", "degraded"} {
 		write(ns, `_serve_runs{state="`, state, `"} `)
 		value(int64(counts[state]))
 	}

@@ -160,6 +160,16 @@ func TestServeSmokeEndToEnd(t *testing.T) {
 	if vals["cdmm_serve_subscribers"] != 1 {
 		t.Errorf("cdmm_serve_subscribers = %v, want 1", vals["cdmm_serve_subscribers"])
 	}
+	// The run-state family lists exactly the states a run can reach.
+	var states []string
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, `cdmm_serve_runs{state="`); ok {
+			states = append(states, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	if got, want := strings.Join(states, ","), "queued,running,done,failed,degraded"; got != want {
+		t.Errorf("cdmm_serve_runs states = %s, want %s", got, want)
+	}
 
 	code, body = get(t, client, srv.URL()+"/progress")
 	if code != http.StatusOK {
@@ -171,6 +181,15 @@ func TestServeSmokeEndToEnd(t *testing.T) {
 	}
 	if !snap.Idle || snap.Counts["done"] != 1 {
 		t.Errorf("progress = idle=%v counts=%v, want idle with 1 done", snap.Idle, snap.Counts)
+	}
+	var raw struct{ Runs []map[string]any }
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
+		t.Fatalf("progress body: %v", err)
+	}
+	for _, run := range raw.Runs {
+		if _, ok := run["attempts"]; ok {
+			t.Errorf("progress run carries an attempts field: %v", run)
+		}
 	}
 
 	code, body = get(t, client, srv.URL()+"/runs/0")
@@ -363,7 +382,7 @@ func TestScrapeDuringChaos(t *testing.T) {
 
 	_, body := get(t, client, srv.URL()+"/metrics")
 	vals := checkPromBody(t, body)
-	snap := srv.Registry().Snapshot()
+	snap := srv.opt.Registry.Snapshot()
 	for _, c := range snap.Counters {
 		series := "cdmm_" + strings.Map(sanitizeRune, c.Name)
 		if !strings.HasSuffix(series, "_total") {
@@ -409,7 +428,7 @@ func TestServeObserverFastPathWhenUnwatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := srv.Registry().Snapshot(); len(snap.Counters) != 0 {
+	if snap := srv.opt.Registry.Snapshot(); len(snap.Counters) != 0 {
 		t.Errorf("unwatched run leaked %d counters into the registry", len(snap.Counters))
 	}
 	c, err := eng.Compiled(nil, "CONDUCT")
