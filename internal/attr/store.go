@@ -65,21 +65,6 @@ func (s *Store) Len() int {
 	return len(s.ledgers)
 }
 
-// Snapshot returns the ledgers keyed and sorted by run key. The ledgers
-// themselves are shared (immutable once published).
-func (s *Store) Snapshot() map[string]*Ledger {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]*Ledger, len(s.ledgers))
-	for k, l := range s.ledgers {
-		out[k] = l
-	}
-	return out
-}
-
 // SortedKeys returns the published run keys sorted lexically (for
 // deterministic exports regardless of publication order).
 func (s *Store) SortedKeys() []string {

@@ -96,26 +96,6 @@ type Plan struct {
 	Locks []*Lock
 }
 
-// AllocateFor returns the ALLOCATE directive preceding the loop, or nil.
-func (p *Plan) AllocateFor(l *sem.Loop) *Allocate {
-	for _, d := range p.PreLoop[l] {
-		if a, ok := d.(*Allocate); ok {
-			return a
-		}
-	}
-	return nil
-}
-
-// LockFor returns the LOCK directive preceding the loop, or nil.
-func (p *Plan) LockFor(l *sem.Loop) *Lock {
-	for _, d := range p.PreLoop[l] {
-		if lk, ok := d.(*Lock); ok {
-			return lk
-		}
-	}
-	return nil
-}
-
 // Build runs Procedure 1, Algorithm 1 and Algorithm 2 over the analyzed
 // program and returns the directive plan.
 func Build(a *locality.Analysis) *Plan {

@@ -52,6 +52,26 @@ func planFor(t *testing.T, src string) *Plan {
 // TestFigure2PriorityAssignment reproduces the Figure 2 example: a nest
 // where the outermost loop encloses a depth-3 chain and a depth-1 leaf;
 // merging paths take the maximum.
+// allocateFor returns the ALLOCATE directive preceding the loop, or nil.
+func allocateFor(p *Plan, l *sem.Loop) *Allocate {
+	for _, d := range p.PreLoop[l] {
+		if a, ok := d.(*Allocate); ok {
+			return a
+		}
+	}
+	return nil
+}
+
+// lockFor returns the LOCK directive preceding the loop, or nil.
+func lockFor(p *Plan, l *sem.Loop) *Lock {
+	for _, d := range p.PreLoop[l] {
+		if lk, ok := d.(*Lock); ok {
+			return lk
+		}
+	}
+	return nil
+}
+
 func TestFigure2PriorityAssignment(t *testing.T) {
 	p := planFor(t, `
 PROGRAM FIG2
@@ -102,7 +122,7 @@ func TestFigure5AllocateChains(t *testing.T) {
 
 	check := func(l *sem.Loop, want []Arm) {
 		t.Helper()
-		a := p.AllocateFor(l)
+		a := allocateFor(p, l)
 		if a == nil {
 			t.Fatalf("no ALLOCATE for %s", l.Label())
 		}
@@ -129,7 +149,7 @@ func TestFigure5Locks(t *testing.T) {
 	for _, l := range p.Analysis.Info.Loops {
 		byLabel[l.Stmt.Label] = l
 	}
-	lk2 := p.LockFor(byLabel["2"])
+	lk2 := lockFor(p, byLabel["2"])
 	if lk2 == nil {
 		t.Fatal("no LOCK before loop 2")
 	}
@@ -140,7 +160,7 @@ func TestFigure5Locks(t *testing.T) {
 		t.Errorf("LOCK before loop 2 arrays = %s, want A,B", got)
 	}
 
-	lk1 := p.LockFor(byLabel["1"])
+	lk1 := lockFor(p, byLabel["1"])
 	if lk1 == nil {
 		t.Fatal("no LOCK before loop 1")
 	}
@@ -152,7 +172,7 @@ func TestFigure5Locks(t *testing.T) {
 	}
 
 	// No LOCK between loop 2 and loop 3 (no array statements in between).
-	if lk3 := p.LockFor(byLabel["3"]); lk3 != nil {
+	if lk3 := lockFor(p, byLabel["3"]); lk3 != nil {
 		t.Errorf("unexpected LOCK before loop 3: %v", lk3)
 	}
 
@@ -210,7 +230,7 @@ END DO
 END
 `)
 	inner := p.Analysis.Info.Root.Children[0].Children[0]
-	if lk := p.LockFor(inner); lk != nil {
+	if lk := lockFor(p, inner); lk != nil {
 		t.Errorf("EXIT in scanned segment should suppress LOCK, got %v", lk)
 	}
 }
@@ -233,10 +253,10 @@ END
 `)
 	outer := p.Analysis.Info.Root.Children[0]
 	loopJ, loopK := outer.Children[0], outer.Children[1]
-	if lk := p.LockFor(loopJ); lk != nil {
+	if lk := lockFor(p, loopJ); lk != nil {
 		t.Errorf("no arrays before first inner loop; got LOCK %v", lk)
 	}
-	lk := p.LockFor(loopK)
+	lk := lockFor(p, loopK)
 	if lk == nil {
 		t.Fatal("expected LOCK before second inner loop")
 	}
@@ -275,7 +295,7 @@ func TestPriorityProperties(t *testing.T) {
 				return false
 			}
 			// ALLOCATE arm count equals the nest depth of the loop.
-			a := p.AllocateFor(l)
+			a := allocateFor(p, l)
 			if a == nil || len(a.Arms) != l.Depth {
 				return false
 			}

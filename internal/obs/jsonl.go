@@ -40,9 +40,6 @@ func (s *JSONLSink) Emit(e Event) {
 	}
 }
 
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error { return s.err }
-
 // Flush drains buffered events to the destination.
 func (s *JSONLSink) Flush() error {
 	if s.err != nil {

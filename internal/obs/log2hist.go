@@ -66,12 +66,6 @@ func (h *Log2Hist) Observe(v int64) {
 	h.sum += v
 }
 
-// Count returns the number of observations.
-func (h *Log2Hist) Count() int64 { return h.count }
-
-// Sum returns the sum of observations.
-func (h *Log2Hist) Sum() int64 { return h.sum }
-
 // Min returns the smallest observation, or 0 when empty.
 func (h *Log2Hist) Min() int64 {
 	if h.count == 0 {
@@ -86,14 +80,6 @@ func (h *Log2Hist) Max() int64 {
 		return 0
 	}
 	return h.max
-}
-
-// Mean returns the average observation, or 0 when empty.
-func (h *Log2Hist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
 }
 
 // Merge adds o's observations into h. Because every field is an integer,
@@ -152,7 +138,7 @@ func (h *Log2Hist) Quantile(q float64) (lo, hi int64) {
 }
 
 // Snapshot returns the histogram's current state with only the occupied
-// buckets, suitable for JSON export and for merging with other snapshots.
+// buckets, suitable for JSON export.
 func (h *Log2Hist) Snapshot() Log2Snapshot {
 	s := Log2Snapshot{Count: h.count, Sum: h.sum, Min: h.Min(), Max: h.Max()}
 	for i, n := range h.counts {
@@ -175,8 +161,7 @@ type Log2Bucket struct {
 }
 
 // Log2Snapshot is a point-in-time copy of a Log2Hist with sparse buckets
-// (only occupied ones, in ascending index order). Snapshots merge exactly
-// like the histograms they were taken from.
+// (only occupied ones, in ascending index order).
 type Log2Snapshot struct {
 	Count   int64        `json:"count"`
 	Sum     int64        `json:"sum"`
@@ -185,39 +170,12 @@ type Log2Snapshot struct {
 	Buckets []Log2Bucket `json:"buckets,omitempty"`
 }
 
-// Hist rebuilds a Log2Hist from the snapshot.
-func (s Log2Snapshot) Hist() Log2Hist {
-	var h Log2Hist
-	h.count, h.sum, h.min, h.max = s.Count, s.Sum, s.Min, s.Max
-	for _, bk := range s.Buckets {
-		if bk.Idx >= 0 && bk.Idx < log2Buckets {
-			h.counts[bk.Idx] = bk.N
-		}
-	}
-	return h
-}
-
-// Merge returns the exact merge of two snapshots.
-func (s Log2Snapshot) Merge(o Log2Snapshot) Log2Snapshot {
-	h := s.Hist()
-	oh := o.Hist()
-	h.Merge(&oh)
-	return h.Snapshot()
-}
-
 // Mean returns the average observation, or 0 when empty.
 func (s Log2Snapshot) Mean() float64 {
 	if s.Count == 0 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile returns the bucket bounds containing the q-quantile; see
-// Log2Hist.Quantile.
-func (s Log2Snapshot) Quantile(q float64) (lo, hi int64) {
-	h := s.Hist()
-	return h.Quantile(q)
 }
 
 // AppendProm renders the snapshot as a Prometheus histogram under the

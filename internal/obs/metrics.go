@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -157,14 +155,6 @@ func (h *Histogram) Max() float64 {
 	return h.max.load()
 }
 
-// Mean returns the average observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if n := h.count.Load(); n != 0 {
-		return h.sum.load() / float64(n)
-	}
-	return 0
-}
-
 // Bucket returns the upper bound (math.Inf(1) for the overflow bucket)
 // and count of bucket i.
 func (h *Histogram) Bucket(i int) (float64, int64) {
@@ -308,45 +298,4 @@ func appendFloat(b []byte, v float64) []byte {
 		return strconv.AppendInt(b, int64(v), 10)
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// Render returns a human-readable snapshot: counters and gauges aligned,
-// histograms with per-bucket bars.
-func (r *Registry) Render() string {
-	s := r.Snapshot()
-	var b strings.Builder
-	for _, c := range s.Counters {
-		fmt.Fprintf(&b, "%-28s %d\n", c.Name, c.Value)
-	}
-	for _, g := range s.Gauges {
-		fmt.Fprintf(&b, "%-28s %g\n", g.Name, g.Value)
-	}
-	for _, h := range s.Histograms {
-		mean := 0.0
-		if h.Count != 0 {
-			mean = h.Sum / float64(h.Count)
-		}
-		fmt.Fprintf(&b, "%s: count=%d mean=%.3g min=%g max=%g\n", h.Name, h.Count, mean, h.Min, h.Max)
-		var peak int64
-		for _, bk := range h.Buckets {
-			if bk.N > peak {
-				peak = bk.N
-			}
-		}
-		for _, bk := range h.Buckets {
-			if bk.N == 0 {
-				continue
-			}
-			le := "+Inf"
-			if !bk.Infinite() {
-				le = strconv.FormatFloat(bk.LE, 'g', -1, 64)
-			}
-			bar := ""
-			if peak > 0 {
-				bar = strings.Repeat("#", int(1+bk.N*29/peak))
-			}
-			fmt.Fprintf(&b, "  le %-10s %-10d %s\n", le, bk.N, bar)
-		}
-	}
-	return b.String()
 }

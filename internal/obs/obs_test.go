@@ -54,9 +54,6 @@ func TestHistogramBucketEdges(t *testing.T) {
 	if h.Count() != 7 || h.Sum() != 17 {
 		t.Errorf("count=%d sum=%g, want 7/17", h.Count(), h.Sum())
 	}
-	if h.Mean() != 17.0/7 {
-		t.Errorf("mean = %g", h.Mean())
-	}
 }
 
 func TestBoundsBuilders(t *testing.T) {
@@ -100,9 +97,6 @@ func TestRegistryJSONAndRender(t *testing.T) {
 	if d.Count != 2 || len(d.Buckets) != 3 || d.Buckets[0].N != 1 || d.Buckets[2].N != 1 {
 		t.Errorf("histogram snapshot = %+v", d)
 	}
-	if out := r.Render(); out == "" {
-		t.Error("Render returned nothing")
-	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
@@ -117,7 +111,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{T: 2600, Kind: KindLockRel, Page: 7},
 		{T: 2700, Kind: KindSwap, Job: "a", Why: "signal"},
 		{T: 2800, Kind: KindJobDone, Job: "a", Refs: 100, Faults: 3},
-		{T: 2900, Kind: KindSweep, Label: "LRU(m=3)", Faults: 9, Mem: 3, ST: 123.5},
 		{T: 3000, Kind: KindEnd, Refs: 100, Faults: 3, Mem: 1.75},
 	}
 	var buf bytes.Buffer

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -21,23 +20,10 @@ import (
 // the Prometheus text exposition format this package writes.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format under the given namespace prefix (pass "" for none). It takes
-// one registry snapshot; the hot path is never touched.
-func (r *Registry) WritePrometheus(w io.Writer, namespace string) error {
-	return r.Snapshot().WritePrometheus(w, namespace)
-}
-
-// WritePrometheus renders an already-taken snapshot; see
-// Registry.WritePrometheus.
-func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
-	_, err := w.Write(s.AppendPrometheus(make([]byte, 0, 4096), namespace))
-	return err
-}
-
-// AppendPrometheus appends the snapshot's exposition-format rendering to
-// b and returns the extended slice. Callers that reuse b (and the
-// Snapshot, via SnapshotInto) scrape without allocating.
+// AppendPrometheus appends the snapshot's exposition-format rendering,
+// under the given namespace prefix (pass "" for none), to b and returns
+// the extended slice. Callers that reuse b (and the Snapshot, via
+// SnapshotInto) scrape without allocating.
 func (s Snapshot) AppendPrometheus(b []byte, namespace string) []byte {
 	// The sanitized metric name is rebuilt into a stack scratch buffer
 	// per metric so the scrape loop performs no string allocation.

@@ -32,17 +32,17 @@ func promRegistry() *Registry {
 	return r
 }
 
+// promText renders one fresh snapshot of r in the exposition format.
+func promText(r *Registry) []byte { return r.Snapshot().AppendPrometheus(nil, "cdmm") }
+
 func TestWritePrometheusGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := promRegistry().WritePrometheus(&buf, "cdmm"); err != nil {
-		t.Fatal(err)
-	}
+	got := promText(promRegistry())
 	golden := filepath.Join("testdata", "prom.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,8 +50,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run `go test ./internal/obs -run Golden -update` to create it)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("prometheus text drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("prometheus text drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 
@@ -108,11 +108,7 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
-	var buf bytes.Buffer
-	if err := promRegistry().WritePrometheus(&buf, "cdmm"); err != nil {
-		t.Fatal(err)
-	}
-	s := parseProm(t, buf.String())
+	s := parseProm(t, string(promText(promRegistry())))
 	if got := s["cdmm_faults_total"]; got != 42 {
 		t.Errorf("cdmm_faults_total = %g, want 42", got)
 	}
@@ -182,11 +178,7 @@ func TestWritePrometheusDuringConcurrentWrites(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 50; i++ {
-		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf, "cdmm"); err != nil {
-			t.Fatal(err)
-		}
-		parseProm(t, buf.String()) // must stay well-formed mid-flight
+		parseProm(t, string(promText(r))) // must stay well-formed mid-flight
 	}
 	close(stop)
 	wg.Wait()

@@ -33,12 +33,9 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		r.SnapshotInto(&s)
 		got := s.AppendPrometheus(nil, "cdmm")
-		var want bytes.Buffer
-		if err := r.WritePrometheus(&want, "cdmm"); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("round %d: pooled scrape differs from fresh scrape\n--- pooled ---\n%s\n--- fresh ---\n%s", round, got, want.Bytes())
+		want := promText(r)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: pooled scrape differs from fresh scrape\n--- pooled ---\n%s\n--- fresh ---\n%s", round, got, want)
 		}
 		// Grow the registry between rounds: reuse must stay correct
 		// when sections change size and sort order.

@@ -98,15 +98,6 @@ func (tl *Timeline) FaultsF() []float64 {
 	return out
 }
 
-// TotalFaults sums the per-bucket fault counts.
-func (tl *Timeline) TotalFaults() int {
-	n := 0
-	for _, f := range tl.Faults {
-		n += f
-	}
-	return n
-}
-
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
 // Sparkline renders values as a fixed-width unicode bar strip scaled to

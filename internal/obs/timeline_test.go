@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// totalFaults sums the per-bucket fault counts.
+func totalFaults(tl *Timeline) int {
+	n := 0
+	for _, f := range tl.Faults {
+		n += f
+	}
+	return n
+}
+
 func TestSparkline(t *testing.T) {
 	if got := Sparkline([]float64{0, 0, 0}); got != "···" {
 		t.Errorf("all-zero sparkline = %q", got)
@@ -37,7 +46,7 @@ func TestTimelineBucketsFaultsAndResidency(t *testing.T) {
 	if tl.Span != 100 {
 		t.Fatalf("span = %d", tl.Span)
 	}
-	if tl.Faults[0] != 1 || tl.Faults[9] != 1 || tl.TotalFaults() != 2 {
+	if tl.Faults[0] != 1 || tl.Faults[9] != 1 || totalFaults(tl) != 2 {
 		t.Errorf("faults = %v", tl.Faults)
 	}
 	for i := 0; i < 5; i++ {
@@ -70,8 +79,8 @@ func TestTimelineShortRunClampsBuckets(t *testing.T) {
 	if len(tl.Faults) != 3 || len(tl.Resident) != 3 {
 		t.Fatalf("series lengths = %d/%d, want 3/3", len(tl.Faults), len(tl.Resident))
 	}
-	if tl.TotalFaults() != 1 {
-		t.Errorf("total faults = %d, want 1", tl.TotalFaults())
+	if totalFaults(tl) != 1 {
+		t.Errorf("total faults = %d, want 1", totalFaults(tl))
 	}
 	if got := len([]rune(Sparkline(tl.FaultsF()))); got != 3 {
 		t.Errorf("sparkline width = %d, want 3", got)
@@ -92,7 +101,7 @@ func TestTimelineShortRunClampsBuckets(t *testing.T) {
 
 func TestTimelineEmpty(t *testing.T) {
 	tl := NewTimeline(nil, 8)
-	if tl.Span != 0 || tl.TotalFaults() != 0 {
+	if tl.Span != 0 || totalFaults(tl) != 0 {
 		t.Errorf("empty timeline = %+v", tl)
 	}
 	if s := Sparkline(tl.FaultsF()); s != strings.Repeat("·", 8) {

@@ -35,9 +35,6 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, slots: make(map[int]int, k)}
 }
 
-// K returns the sketch capacity.
-func (t *TopK) K() int { return t.k }
-
 // Add credits inc (> 0) to key. If the sketch is full and key is
 // untracked, the minimum entry is evicted space-saving style: the new
 // entry inherits the evictee's count as its error bound.

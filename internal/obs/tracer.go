@@ -18,7 +18,6 @@ const (
 	KindSwap    = "swap"    // swap signal / swap-out: T, Job, Why
 	KindDegrade = "degrade" // CD directive-contract violation: T, Why (policy falls back to WS)
 	KindJobDone = "jobdone" // multiprogramming job finished: T, Job, Refs, PF
-	KindSweep   = "sweep"   // sweep point summary: Label, PF, Mem, ST
 	KindEnd     = "end"     // run end: T, Refs, PF, Mem
 )
 

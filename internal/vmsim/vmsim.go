@@ -56,14 +56,6 @@ func (r Result) MEM() float64 {
 // ST returns the space-time cost.
 func (r Result) ST() float64 { return r.SpaceTime }
 
-// FaultRate returns faults per thousand references.
-func (r Result) FaultRate() float64 {
-	if r.Refs == 0 {
-		return 0
-	}
-	return 1000 * float64(r.Faults) / float64(r.Refs)
-}
-
 // String summarizes the result. The CD-specific swap-signal and forced
 // lock-release counters are included when nonzero.
 func (r Result) String() string {

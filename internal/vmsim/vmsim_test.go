@@ -170,14 +170,6 @@ func TestDefaultTaus(t *testing.T) {
 	}
 }
 
-func TestFaultRate(t *testing.T) {
-	tr := refTrace(1, 2, 3, 1, 2, 3)
-	res := Run(tr, policy.NewLRU(10))
-	if got := res.FaultRate(); math.Abs(got-500) > 1e-9 {
-		t.Errorf("fault rate = %v, want 500 per thousand", got)
-	}
-}
-
 func TestRunIsRepeatable(t *testing.T) {
 	tr := refTrace(1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5)
 	p := policy.NewLRU(3)
