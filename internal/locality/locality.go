@@ -147,7 +147,6 @@ func (a *Analysis) buildGroups() {
 // per-reference classification: the deepest drivers across all refs win.
 func classifyGroup(refs []*sem.ArrayRef) (sem.RefOrder, *sem.Loop, *sem.Loop) {
 	var rowD, colD *sem.Loop
-	isVector := refs[0].Array.IsVector()
 	for _, r := range refs {
 		if r.RowDriver != nil && (rowD == nil || r.RowDriver.Depth > rowD.Depth) {
 			rowD = r.RowDriver
@@ -156,26 +155,7 @@ func classifyGroup(refs []*sem.ArrayRef) (sem.RefOrder, *sem.Loop, *sem.Loop) {
 			colD = r.ColDriver
 		}
 	}
-	if isVector {
-		if rowD == nil {
-			return sem.OrderNone, nil, nil
-		}
-		return sem.OrderVector, rowD, nil
-	}
-	switch {
-	case rowD == nil && colD == nil:
-		return sem.OrderNone, nil, nil
-	case rowD != nil && colD == nil:
-		return sem.OrderColumnWise, rowD, nil
-	case rowD == nil && colD != nil:
-		return sem.OrderRowWise, colD, nil
-	case rowD == colD:
-		return sem.OrderDiagonal, rowD, nil
-	case rowD.Depth > colD.Depth:
-		return sem.OrderColumnWise, rowD, colD
-	default:
-		return sem.OrderRowWise, colD, rowD
-	}
+	return sem.Classify(refs[0].Array.IsVector(), rowD, colD)
 }
 
 // ActiveSize returns the ALLOCATE X for the loop: the number of pages the

@@ -8,7 +8,6 @@ package sem
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cdmm/internal/fortran"
@@ -189,28 +188,32 @@ type ArrayRef struct {
 	Key string
 }
 
-// Order classifies the reference's Θ.
-func (r *ArrayRef) Order() RefOrder {
-	if r.Array.IsVector() {
-		if r.RowDriver == nil {
-			return OrderNone
+// Classify is the Θ (order-of-reference) rule. Given whether the array
+// is a vector and the loops driving its row and column subscripts (nil
+// when loop-invariant; colD is ignored for vectors), it returns Θ and
+// the deep and shallow drivers: deep walks the reference's fast
+// direction, shallow (nil unless the two subscripts vary with different
+// loops) its slow one.
+func Classify(vector bool, rowD, colD *Loop) (order RefOrder, deep, shallow *Loop) {
+	if vector {
+		if rowD == nil {
+			return OrderNone, nil, nil
 		}
-		return OrderVector
+		return OrderVector, rowD, nil
 	}
-	rd, cd := r.RowDriver, r.ColDriver
 	switch {
-	case rd == nil && cd == nil:
-		return OrderNone
-	case rd != nil && cd == nil:
-		return OrderColumnWise // walks down a fixed column
-	case rd == nil && cd != nil:
-		return OrderRowWise // walks along a fixed row
-	case rd == cd:
-		return OrderDiagonal
-	case rd.Depth > cd.Depth:
-		return OrderColumnWise
+	case rowD == nil && colD == nil:
+		return OrderNone, nil, nil
+	case rowD != nil && colD == nil:
+		return OrderColumnWise, rowD, nil // walks down a fixed column
+	case rowD == nil && colD != nil:
+		return OrderRowWise, colD, nil // walks along a fixed row
+	case rowD == colD:
+		return OrderDiagonal, rowD, nil
+	case rowD.Depth > colD.Depth:
+		return OrderColumnWise, rowD, colD
 	default:
-		return OrderRowWise
+		return OrderRowWise, colD, rowD
 	}
 }
 
@@ -417,19 +420,4 @@ func DistinctColKeys(refs []*ArrayRef) int {
 		seen[fortran.FormatExpr(r.Ref.Subs[1])] = true
 	}
 	return len(seen)
-}
-
-// ArraysReferenced returns the names of all arrays referenced anywhere in
-// the loop subtree, sorted.
-func ArraysReferenced(l *Loop) []string {
-	set := map[string]bool{}
-	for _, r := range l.SubtreeRefs() {
-		set[r.Array.Name] = true
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

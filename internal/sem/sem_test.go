@@ -1,6 +1,8 @@
 package sem
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"cdmm/internal/fortran"
@@ -69,14 +71,14 @@ func TestRefOrderClassification(t *testing.T) {
 	// E(I,K) inside loop 20 (K inner): column subscript K varies with the
 	// deeper loop -> row-wise.
 	for _, r := range loop20.Refs {
-		if got := r.Order(); got != OrderRowWise {
+		if got := order(r); got != OrderRowWise {
 			t.Errorf("%s in loop 20: order = %v, want row-wise", r.Array.Name, got)
 		}
 	}
 	// G(K,I) inside loop 30 (K inner): row subscript varies with the deeper
 	// loop -> column-wise.
 	for _, r := range loop30.Refs {
-		if got := r.Order(); got != OrderColumnWise {
+		if got := order(r); got != OrderColumnWise {
 			t.Errorf("%s in loop 30: order = %v, want column-wise", r.Array.Name, got)
 		}
 	}
@@ -93,16 +95,16 @@ END
 `)
 	loop := info.Root.Children[0]
 	byName := func(i int) *ArrayRef { return loop.Refs[i] }
-	if got := byName(0).Order(); got != OrderVector {
+	if got := order(byName(0)); got != OrderVector {
 		t.Errorf("V(I): %v, want vector", got)
 	}
-	if got := byName(1).Order(); got != OrderDiagonal {
+	if got := order(byName(1)); got != OrderDiagonal {
 		t.Errorf("A(I,I): %v, want diagonal", got)
 	}
-	if got := byName(2).Order(); got != OrderColumnWise {
+	if got := order(byName(2)); got != OrderColumnWise {
 		t.Errorf("A(I,3): %v, want column-wise", got)
 	}
-	if got := byName(3).Order(); got != OrderRowWise {
+	if got := order(byName(3)); got != OrderRowWise {
 		t.Errorf("A(3,I): %v, want row-wise", got)
 	}
 }
@@ -117,7 +119,7 @@ END DO
 END
 `)
 	r := info.Root.Children[0].Refs[0]
-	if got := r.Order(); got != OrderNone {
+	if got := order(r); got != OrderNone {
 		t.Errorf("V(3): %v, want invariant", got)
 	}
 	if r.RowDriver != nil {
@@ -145,8 +147,8 @@ END
 	if r.ColDriver != outer {
 		t.Errorf("col driver should be outer loop, got %v", r.ColDriver.Label())
 	}
-	if r.Order() != OrderColumnWise {
-		t.Errorf("A(I,J) I-inner should be column-wise, got %v", r.Order())
+	if order(r) != OrderColumnWise {
+		t.Errorf("A(I,J) I-inner should be column-wise, got %v", order(r))
 	}
 }
 
@@ -214,6 +216,12 @@ func TestSemanticErrors(t *testing.T) {
 	}
 }
 
+// order classifies one reference's Θ through the shared rule.
+func order(r *ArrayRef) RefOrder {
+	o, _, _ := Classify(r.Array.IsVector(), r.RowDriver, r.ColDriver)
+	return o
+}
+
 func TestEnclosesAndSubtreeRefs(t *testing.T) {
 	info := analyze(t, figure1Src)
 	outer := info.Root.Children[0]
@@ -228,18 +236,13 @@ func TestEnclosesAndSubtreeRefs(t *testing.T) {
 		t.Error("a loop encloses itself")
 	}
 	refs := outer.SubtreeRefs()
-	if len(refs) != 4 {
-		t.Errorf("subtree refs = %d, want 4 (E,F,G,H)", len(refs))
+	var names []string
+	for _, r := range refs {
+		names = append(names, r.Array.Name)
 	}
-	names := ArraysReferenced(outer)
-	want := []string{"E", "F", "G", "H"}
-	if len(names) != len(want) {
-		t.Fatalf("arrays = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("arrays[%d] = %s, want %s", i, names[i], want[i])
-		}
+	sort.Strings(names)
+	if got := strings.Join(names, ","); got != "E,F,G,H" {
+		t.Errorf("subtree ref arrays = %s, want E,F,G,H", got)
 	}
 }
 
@@ -278,7 +281,7 @@ func TestRefsOutsideLoops(t *testing.T) {
 	if len(info.Root.Refs) != 1 {
 		t.Fatalf("root refs = %d, want 1", len(info.Root.Refs))
 	}
-	if info.Root.Refs[0].Order() != OrderNone {
+	if order(info.Root.Refs[0]) != OrderNone {
 		t.Errorf("ref outside loops should be invariant")
 	}
 }
