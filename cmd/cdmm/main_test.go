@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,6 +110,35 @@ func TestCmdRejectsHostileTraces(t *testing.T) {
 		}
 		if err := cmdConvert([]string{path}); err == nil {
 			t.Errorf("%s: convert succeeded", name)
+		}
+	}
+}
+
+// TestCmdRejectsHostilePrograms checks that programs declaring more array
+// elements than mem.MaxElems fail with an error naming the array and the
+// limit, in every command that compiles a program, instead of the
+// interpreter trying to allocate their storage.
+func TestCmdRejectsHostilePrograms(t *testing.T) {
+	dir := t.TempDir()
+	for i, dims := range []string{
+		"A(2000000000)",
+		"A(2000000000), B(2000000000)",
+		"A(100000,100000)",
+		"A(3000000000,3000000000)",
+		"A(4000000000000,4000000)",
+		"A(70000000000000000)",
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("hostile%d.f", i))
+		src := "PROGRAM H\nDIMENSION " + dims + "\nEND\n"
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, cmd := range []string{"compile", "trace", "sim", "report", "explain"} {
+			err := runCommand(cmd, []string{path})
+			if err == nil || !strings.Contains(err.Error(), "array A declares") ||
+				!strings.Contains(err.Error(), "over the limit of 16777216") {
+				t.Errorf("%s %s: err = %v, want the declared-size limit error", cmd, dims, err)
+			}
 		}
 	}
 }

@@ -7,7 +7,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"math/big"
 
 	"cdmm/internal/fortran"
 )
@@ -43,6 +43,13 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
+// MaxElems bounds the array elements a program may declare, per array
+// and summed over all of its arrays. The interpreter allocates every
+// declared element up front (one float64 each), so the bound caps that
+// storage at 128 MiB; the suite's largest program, CONDUCT, declares
+// 16,984 elements.
+const MaxElems = 1 << 24
+
 // Page is a virtual page number within a program's address space.
 type Page int32
 
@@ -67,20 +74,33 @@ type Layout struct {
 	total    int
 }
 
-// NewLayout builds the address-space layout for a program's arrays.
+// NewLayout builds the address-space layout for a program's arrays. It
+// rejects a program declaring more than MaxElems elements, in one array
+// or in all of them together.
 func NewLayout(prog *fortran.Program, geo Geometry) (*Layout, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
 	l := &Layout{Geo: geo, byName: make(map[string]int, len(prog.Arrays))}
 	next := Page(0)
+	declared := 0
 	for _, a := range prog.Arrays {
+		rows, cols := a.Rows(), a.Cols()
+		if rows > MaxElems/cols {
+			n := new(big.Int).Mul(big.NewInt(int64(rows)), big.NewInt(int64(cols)))
+			return nil, fmt.Errorf("mem: array %s declares %s elements, over the limit of %d", a.Name, n, MaxElems)
+		}
+		declared += rows * cols
+		if declared > MaxElems {
+			return nil, fmt.Errorf("mem: array %s brings the program to %d declared elements, over the limit of %d",
+				a.Name, declared, MaxElems)
+		}
 		seg := Segment{
 			Name:  a.Name,
 			Base:  next,
-			Pages: geo.PagesFor(a.Elems()),
-			Rows:  a.Rows(),
-			Cols:  a.Cols(),
+			Pages: geo.PagesFor(rows * cols),
+			Rows:  rows,
+			Cols:  cols,
 		}
 		l.byName[a.Name] = len(l.Segments)
 		l.Segments = append(l.Segments, seg)
@@ -118,43 +138,6 @@ func (l *Layout) PageOf(name string, row, col int) (Page, error) {
 	}
 	elem := (col-1)*s.Rows + (row - 1) // column-major linear index
 	return s.Base + Page(elem/l.Geo.ElemsPerPage()), nil
-}
-
-// ColumnPages returns the pages spanned by one column of the named array
-// (the paper's CVS-sized unit that LOCK directives pin).
-func (l *Layout) ColumnPages(name string, col int) ([]Page, error) {
-	i, ok := l.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("mem: array %s not in layout", name)
-	}
-	s := l.Segments[i]
-	if col < 1 || col > s.Cols {
-		return nil, fmt.Errorf("mem: %s column %d out of bounds (N=%d)", name, col, s.Cols)
-	}
-	first, err := l.PageOf(name, 1, col)
-	if err != nil {
-		return nil, err
-	}
-	last, err := l.PageOf(name, s.Rows, col)
-	if err != nil {
-		return nil, err
-	}
-	pages := make([]Page, 0, last-first+1)
-	for p := first; p <= last; p++ {
-		pages = append(pages, p)
-	}
-	return pages, nil
-}
-
-// ArrayOf returns the name of the array owning page p, or "" if the page
-// is outside every segment.
-func (l *Layout) ArrayOf(p Page) string {
-	// Segments are sorted by base; binary search.
-	i := sort.Search(len(l.Segments), func(i int) bool { return l.Segments[i].End() > p })
-	if i < len(l.Segments) && p >= l.Segments[i].Base {
-		return l.Segments[i].Name
-	}
-	return ""
 }
 
 // AVS returns the array virtual size in pages for the named array, per the

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -100,20 +101,6 @@ func TestPageOfBounds(t *testing.T) {
 	}
 }
 
-func TestColumnPages(t *testing.T) {
-	l := layoutFor(t, "PROGRAM P\nDIMENSION A(128,3)\nEND\n")
-	pages, err := l.ColumnPages("A", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pages) != 2 || pages[0] != 2 || pages[1] != 3 {
-		t.Errorf("column 2 pages = %v, want [2 3]", pages)
-	}
-	if _, err := l.ColumnPages("A", 4); err == nil {
-		t.Error("column 4 should be out of bounds")
-	}
-}
-
 func TestAVSAndCVS(t *testing.T) {
 	// The paper's formulas: AVS = M*N/P, CVS = M/P (pages).
 	l := layoutFor(t, "PROGRAM P\nDIMENSION A(200,100), V(500)\nEND\n")
@@ -128,16 +115,6 @@ func TestAVSAndCVS(t *testing.T) {
 	}
 	if got := l.AVS("MISSING"); got != 0 {
 		t.Errorf("AVS of unknown = %d, want 0", got)
-	}
-}
-
-func TestArrayOf(t *testing.T) {
-	l := layoutFor(t, "PROGRAM P\nDIMENSION A(64,2), V(65)\nEND\n")
-	cases := map[Page]string{0: "A", 1: "A", 2: "V", 3: "V", 4: "", 99: ""}
-	for p, want := range cases {
-		if got := l.ArrayOf(p); got != want {
-			t.Errorf("ArrayOf(%d) = %q, want %q", p, got, want)
-		}
 	}
 }
 
@@ -162,39 +139,41 @@ func TestPageOfProperties(t *testing.T) {
 				return false
 			}
 		}
-		return l.ArrayOf(p) == "A"
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: the page sequence of a full column scan covers exactly
-// ColumnPages, in order.
-func TestColumnScanMatchesColumnPages(t *testing.T) {
-	l := layoutFor(t, "PROGRAM P\nDIMENSION A(150,4)\nEND\n")
-	for col := 1; col <= 4; col++ {
-		want, err := l.ColumnPages("A", col)
+func TestNewLayoutBoundsDeclaredElements(t *testing.T) {
+	for _, c := range []struct {
+		dims string
+		err  string // "" means accepted
+	}{
+		{"A(16777216)", ""},
+		{"A(4096,4096)", ""},
+		{"A(16777217)", "mem: array A declares 16777217 elements, over the limit of 16777216"},
+		{"A(2000000000)", "mem: array A declares 2000000000 elements, over the limit of 16777216"},
+		{"A(2000000000), B(2000000000)", "mem: array A declares 2000000000 elements"},
+		{"A(100000,100000)", "mem: array A declares 10000000000 elements"},
+		{"A(3000000000,3000000000)", "mem: array A declares 9000000000000000000 elements"},
+		{"A(4000000000000,4000000)", "mem: array A declares 16000000000000000000 elements"},
+		{"A(70000000000000000)", "mem: array A declares 70000000000000000 elements"},
+		{"A(10000000), B(10000000)", "mem: array B brings the program to 20000000 declared elements, over the limit of 16777216"},
+	} {
+		prog, err := fortran.Parse("PROGRAM P\nDIMENSION " + c.dims + "\nEND\n")
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.dims, err)
 		}
-		var got []Page
-		for row := 1; row <= 150; row++ {
-			p, err := l.PageOf("A", row, col)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) == 0 || got[len(got)-1] != p {
-				got = append(got, p)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("col %d: scan pages %v != ColumnPages %v", col, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("col %d page %d: %d != %d", col, i, got[i], want[i])
-			}
+		l, err := NewLayout(prog, DefaultGeometry)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: rejected at the limit: %v", c.dims, err)
+		case c.err == "" && l.TotalPages() != MaxElems/DefaultGeometry.ElemsPerPage():
+			t.Errorf("%s: V = %d, want %d", c.dims, l.TotalPages(), MaxElems/DefaultGeometry.ElemsPerPage())
+		case c.err != "" && (err == nil || !strings.HasPrefix(err.Error(), c.err)):
+			t.Errorf("%s: err = %v, want prefix %q", c.dims, err, c.err)
 		}
 	}
 }
