@@ -120,21 +120,6 @@ func (l *Loop) Height() int {
 	return h + 1
 }
 
-// SubtreeRefs returns all array references in l's body including nested
-// loops, in source order.
-func (l *Loop) SubtreeRefs() []*ArrayRef {
-	var out []*ArrayRef
-	var walk func(n *Loop)
-	walk = func(n *Loop) {
-		out = append(out, n.Refs...)
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(l)
-	return out
-}
-
 // RefOrder is the paper's Θ, the order of reference of an array.
 type RefOrder int
 

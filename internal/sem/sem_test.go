@@ -216,6 +216,16 @@ func TestSemanticErrors(t *testing.T) {
 	}
 }
 
+// subtreeRefs returns all array references in l's body including nested
+// loops, in source order.
+func subtreeRefs(l *Loop) []*ArrayRef {
+	out := append([]*ArrayRef(nil), l.Refs...)
+	for _, c := range l.Children {
+		out = append(out, subtreeRefs(c)...)
+	}
+	return out
+}
+
 // order classifies one reference's Θ through the shared rule.
 func order(r *ArrayRef) RefOrder {
 	o, _, _ := Classify(r.Array.IsVector(), r.RowDriver, r.ColDriver)
@@ -235,7 +245,7 @@ func TestEnclosesAndSubtreeRefs(t *testing.T) {
 	if !outer.Encloses(outer) {
 		t.Error("a loop encloses itself")
 	}
-	refs := outer.SubtreeRefs()
+	refs := subtreeRefs(outer)
 	var names []string
 	for _, r := range refs {
 		names = append(names, r.Array.Name)
