@@ -163,7 +163,6 @@ func (p *Progress) runFinish(id int, res any, err error) {
 		r.state = RunDegraded
 	default:
 		r.state = RunDone
-		r.err = ""
 	}
 	p.seq.Add(1)
 }
