@@ -134,12 +134,10 @@ func observeHooks(o *obs.Observer, pol policy.Policy, src trace.Source) (*hooks,
 			}
 		}
 	}
+	// The end event carries the run's totals. The registry gets no
+	// per-run gauge: every run of a plan shares it, so a gauge would keep
+	// whichever run finished last.
 	w.end = func(res Result) {
-		if reg := o.Metrics; reg != nil {
-			reg.Gauge("max_resident").Set(float64(res.MaxResident))
-			reg.Gauge("virtual_time").Set(float64(res.VirtualTime))
-			reg.Gauge("mem_avg").Set(res.MEM())
-		}
 		o.Emit(obs.Event{Kind: obs.KindEnd, T: res.VirtualTime, Refs: res.Refs, Faults: res.Faults, Mem: res.MEM()})
 	}
 
