@@ -20,6 +20,7 @@ import (
 
 	"cdmm/internal/engine"
 	"cdmm/internal/experiments"
+	"cdmm/internal/kernel"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
 	"cdmm/internal/sweep"
@@ -300,7 +301,8 @@ func BenchmarkAblationOptGap(b *testing.B) {
 }
 
 // BenchmarkMultiprog measures the multiprogramming extension: a three-job
-// mix under CD versus under WS over a shared 80-frame pool.
+// mix under CD versus under WS over a shared 80-frame pool, run as a
+// kernel job list. Completion is the last job's finish time.
 func BenchmarkMultiprog(b *testing.B) {
 	mix := []string{"TQL", "HWSCRT", "MAIN"}
 	var traces []*trace.Trace
@@ -317,30 +319,33 @@ func BenchmarkMultiprog(b *testing.B) {
 		traces = append(traces, c.Trace)
 		sets = append(sets, w.DefaultSet())
 	}
-	b.Run("CD", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			jobs := make([]*vmsim.Job, len(mix))
-			for k, name := range mix {
-				jobs[k] = &vmsim.Job{Name: name, Trace: traces[k], Policy: policy.NewCD(sets[k].Selector(), 2)}
+	for _, pc := range []struct {
+		name string
+		pol  func(k int) policy.Policy
+	}{
+		{"CD", func(k int) policy.Policy { return policy.NewCD(sets[k].Selector(), 2) }},
+		{"WS", func(int) policy.Policy { return policy.NewWS(1000) }},
+	} {
+		b.Run(pc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				jobs := make([]kernel.Job, len(mix))
+				for k := range mix {
+					jobs[k] = kernel.Job{Source: traces[k], Policy: pc.pol(k)}
+				}
+				res, err := kernel.Run(kernel.Config{Jobs: jobs, Frames: 80, Checked: true}, engine.New(1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					var done int64
+					for _, j := range res.PerTenant {
+						done = max(done, j.Finished)
+					}
+					b.Logf("%s mix: completed=%d suspends=%d pf=%d", pc.name, done, res.Suspends, res.Faults)
+				}
 			}
-			res := vmsim.RunMulti(jobs, vmsim.MultiConfig{Frames: 80})
-			if i == 0 {
-				b.Logf("CD mix: makespan=%d swaps=%d", res.Makespan, res.Swaps)
-			}
-		}
-	})
-	b.Run("WS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			jobs := make([]*vmsim.Job, len(mix))
-			for k, name := range mix {
-				jobs[k] = &vmsim.Job{Name: name, Trace: traces[k].RefsOnly(), Policy: policy.NewWS(1000)}
-			}
-			res := vmsim.RunMulti(jobs, vmsim.MultiConfig{Frames: 80})
-			if i == 0 {
-				b.Logf("WS mix: makespan=%d swaps=%d", res.Makespan, res.Swaps)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkCompile measures the full compiler pipeline (parse through

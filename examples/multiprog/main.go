@@ -1,12 +1,12 @@
 // Multiprog demonstrates the extension the paper leaves open ("the
 // performance of CD in a multiprogramming environment is still to be
-// evaluated"): several workloads share a fixed page-frame pool, fault
-// service overlaps across jobs, and the memory manager swaps jobs under
-// pressure. The same mix is run twice — all jobs under CD with their
-// canonical directive sets, then all jobs under WS — and the makespans,
-// faults and swap counts are compared.
+// evaluated"): several workloads share a fixed page-frame pool on the
+// multiprogramming kernel, fault service overlaps across jobs, and the
+// kernel suspends jobs under pressure. The same mix is run twice — all
+// jobs under CD with their canonical directive sets, then all jobs under
+// WS — and the completion times, faults and suspensions are compared.
 //
-// Run with: go run ./examples/multiprog [frames]   (default 80: moderate pressure; try 30 for severe)
+// Run with: go run ./examples/multiprog [frames]   (default 80: moderate pressure; try 60 for severe)
 package main
 
 import (
@@ -15,9 +15,9 @@ import (
 	"os"
 	"strconv"
 
+	"cdmm/internal/engine"
+	"cdmm/internal/kernel"
 	"cdmm/internal/policy"
-	"cdmm/internal/trace"
-	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
 )
 
@@ -32,7 +32,7 @@ func main() {
 	}
 
 	mix := []string{"TQL", "HWSCRT", "MAIN"}
-	traces := map[string]*trace.Trace{}
+	var progs []*workloads.Compiled
 	for _, name := range mix {
 		w, err := workloads.Get(name)
 		if err != nil {
@@ -42,39 +42,36 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		traces[name] = c.Trace
+		progs = append(progs, c)
 		fmt.Println(c.Trace.Summary())
 	}
 	fmt.Printf("\nshared pool: %d frames\n", frames)
 
+	run := func(title string, pol func(*workloads.Compiled) policy.Policy) int64 {
+		jobs := make([]kernel.Job, len(progs))
+		for i, c := range progs {
+			jobs[i] = kernel.Job{Source: c.Trace, Policy: pol(c)}
+		}
+		res, err := kernel.Run(kernel.Config{Jobs: jobs, Frames: frames, Checked: true}, engine.New(1))
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\n--- all jobs under %s ---\n", title)
+		var done int64
+		for _, j := range res.PerTenant {
+			fmt.Printf("  %-10s PF=%-6d MEM=%6.2f finished@%d suspends=%d\n",
+				j.Name, j.Faults, float64(j.MemSum)/float64(j.Refs), j.Finished, j.Swaps)
+			done = max(done, j.Finished)
+		}
+		fmt.Printf("  completed@%d idle=%d suspends=%d violations=%d\n", done, res.Idle, res.Suspends, len(res.Violations))
+		return done
+	}
 	// Run 1: every job under CD with its canonical directive set.
-	cdJobs := make([]*vmsim.Job, len(mix))
-	for i, name := range mix {
-		w, _ := workloads.Get(name)
-		cdJobs[i] = &vmsim.Job{
-			Name:   name,
-			Trace:  traces[name],
-			Policy: policy.NewCD(w.DefaultSet().Selector(), 2),
-		}
-	}
-	cdRes := vmsim.RunMulti(cdJobs, vmsim.MultiConfig{Frames: frames})
-	fmt.Println("\n--- all jobs under CD ---")
-	fmt.Println(cdRes)
-
+	cd := run("CD", func(c *workloads.Compiled) policy.Policy {
+		return policy.NewCD(c.Program.DefaultSet().Selector(), 2)
+	})
 	// Run 2: the same mix under the Working Set policy.
-	wsJobs := make([]*vmsim.Job, len(mix))
-	for i, name := range mix {
-		wsJobs[i] = &vmsim.Job{
-			Name:   name,
-			Trace:  traces[name].RefsOnly(),
-			Policy: policy.NewWS(1000),
-		}
-	}
-	wsRes := vmsim.RunMulti(wsJobs, vmsim.MultiConfig{Frames: frames})
-	fmt.Println("\n--- all jobs under WS (tau=1000) ---")
-	fmt.Println(wsRes)
+	ws := run("WS (tau=1000)", func(*workloads.Compiled) policy.Policy { return policy.NewWS(1000) })
 
-	fmt.Printf("\nmakespan: CD=%d WS=%d (%+.1f%%)\n",
-		cdRes.Makespan, wsRes.Makespan,
-		float64(wsRes.Makespan-cdRes.Makespan)/float64(cdRes.Makespan)*100)
+	fmt.Printf("\ncompletion: CD=%d WS=%d (%+.1f%%)\n", cd, ws, float64(ws-cd)/float64(cd)*100)
 }

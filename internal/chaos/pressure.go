@@ -67,7 +67,7 @@ func memPressure(v, refs int, rng *Rand, intensity float64) *Schedule {
 // and through immediate frame reclamation when the resident set
 // overshoots a shrink. Directive-blind policies only feel the Avail-less
 // part, i.e. nothing: machine faults are a CD-specific stressor, exactly
-// like the multiprogramming driver that Avail exists for.
+// like the multiprogramming kernel's shared pool that Avail exists for.
 type Pressured struct {
 	policy.Policy
 	sched *Schedule

@@ -34,11 +34,8 @@ type flightRing struct {
 	n   int64 // total events ever recorded
 }
 
-func newFlightRing(size int) *flightRing {
-	if size < 1 {
-		size = 1
-	}
-	return &flightRing{buf: make([]FlightEvent, size)}
+func newFlightRing() *flightRing {
+	return &flightRing{buf: make([]FlightEvent, flightEvents)}
 }
 
 // record appends an event, overwriting the oldest when full.
@@ -128,13 +125,13 @@ func (sh *shard) flight(kind, tenant, detail string) {
 }
 
 // incident snapshots the ring. Captures per shard are bounded by
-// MaxIncidents; overflow is counted, not stored, so a chaos soak cannot
+// maxIncidents; overflow is counted, not stored, so a chaos soak cannot
 // balloon the result.
 func (sh *shard) incident(trigger, tenant, detail string) {
 	if sh.fr == nil {
 		return
 	}
-	if len(sh.res.Incidents) >= sh.cfg.MaxIncidents {
+	if len(sh.res.Incidents) >= maxIncidents {
 		sh.res.IncidentsDropped++
 		return
 	}

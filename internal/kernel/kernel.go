@@ -17,11 +17,14 @@ import (
 )
 
 // Config parameterizes a kernel run. The zero value is not runnable;
-// set Tenants and call Run, which applies the documented defaults to
-// zero fields and rejects out-of-range ones.
+// set Tenants (or Jobs and Frames) and call Run, which applies the
+// documented defaults to zero fields and rejects out-of-range ones.
 type Config struct {
-	// Tenants is the population size.
+	// Tenants is the synthesized population size.
 	Tenants int
+	// Jobs, when non-empty, replaces the synthesized population with an
+	// explicit job list; Tenants must then be 0 and Frames set.
+	Jobs []Job
 	// Frames is the global frame pool. 0 derives it from Overcommit:
 	// Σ declared estimates / Overcommit (each shard's slice is widened to
 	// fit its largest tenant so a default-sized run never sheds).
@@ -48,28 +51,6 @@ type Config struct {
 	// Default 1.
 	Scale float64
 
-	// AdmitHi closes the admission gate when the admitted estimate sum
-	// would exceed AdmitHi × frames; AdmitLo reopens it below AdmitLo ×
-	// frames. Defaults 1.0 and 0.85.
-	AdmitHi, AdmitLo float64
-	// AgingTicks bounds suspension: the suspension-FIFO head is force-
-	// resumed after waiting this long, whatever the pressure. Default
-	// 256 × FaultService.
-	AgingTicks int64
-	// StarveBound is the wait above which a resume counts as starved.
-	// Default AgingTicks + 16 × Quantum — the scheduler's provable bound
-	// with margin (see the bounded-wait test).
-	StarveBound int64
-	// SwapInDelay is charged to a tenant at suspension. Default
-	// FaultService.
-	SwapInDelay int64
-	// ThrashWindow (references) and ThrashRate (faults per 1000
-	// references) parameterize the thrash watermark. Defaults 32768 and
-	// 400.
-	ThrashWindow int
-	ThrashRate   float64
-	// MaxRestarts bounds chaos kill-restarts per tenant. Default 1.
-	MaxRestarts int
 	// Checked enables the kernel-wide invariant checks (lock audits,
 	// frame conservation, residency bounds). Violations are collected on
 	// the Result, never panicked.
@@ -84,28 +65,23 @@ type Config struct {
 	// run barrier, so results stay byte-identical at any -j and
 	// identical to a telemetry-off run.
 	Telemetry bool
-	// TopK is the heavy-hitter sketch capacity per dimension. Default 64.
-	TopK int
-	// SLOAdmitWait is the admission-wait objective in virtual ticks: an
-	// admission within it counts good, beyond it bad. Default
-	// 256 × FaultService.
-	SLOAdmitWait int64
-	// SLOFaultRate is the fault-rate objective in faults per 1000
-	// references, scored per closed thrash window. Default ThrashRate/2.
-	SLOFaultRate float64
-	// SLOBudget is the allowed bad fraction per objective (the error
-	// budget burn rate divides by it). Default 0.1.
-	SLOBudget float64
-	// FlightEvents is the per-shard flight-recorder ring capacity.
-	// Default 64.
-	FlightEvents int
-	// MaxIncidents bounds captured incident dumps per shard; further
-	// triggers are counted, not stored. Default 4.
-	MaxIncidents int
 	// Publish, when non-nil, receives live telemetry during the run and
 	// the final view at the barrier (the serve plane's /kernel source).
 	// Setting it implies Telemetry.
 	Publish *TelemetryStore
+}
+
+// Job is one program of an explicit job list: a reference stream and
+// the caller-built policy that manages it. Run turns each job into one
+// tenant, in order, named after Source.Meta().Name. A job declares no
+// footprint estimate, so the admission gate never queues or sheds it;
+// it is scheduled, suspended and chaos-injected like any synthesized
+// tenant, and a CD policy gets its shard's Avail hook at admission.
+// Heavy-hitter tables name a job by its index (t00000 is the first).
+type Job struct {
+	Source trace.Source
+	// Policy must implement policy.BlockStepper; Run resets it first.
+	Policy policy.Policy
 }
 
 // MaxTenants bounds Config.Tenants. Run derives every tenant's spec up
@@ -117,6 +93,47 @@ const MaxTenants = 1_000_000
 // beyond its tenants' state, so a shard per tenant would nearly double a
 // MaxTenants population's memory.
 const maxShards = 4096
+
+// The scheduler's fixed parameters.
+const (
+	// admitHi closes the admission gate when the admitted estimate sum
+	// would exceed admitHi × frames; admitLo reopens it below admitLo ×
+	// frames.
+	admitHi = 1.0
+	admitLo = 0.85 * admitHi
+	// agingTicks bounds suspension: the suspension-FIFO head is force-
+	// resumed after waiting this long, whatever the pressure. The starve
+	// bound adds 16 quanta of margin (Config.starveBound).
+	agingTicks = 256 * policy.FaultService
+	// swapInDelay is charged to a tenant at suspension.
+	swapInDelay = policy.FaultService
+	// thrashWindow (references) and thrashRate (faults per 1000
+	// references) parameterize the thrash watermark.
+	thrashWindow = 32768
+	thrashRate   = 400.0
+	// maxRestarts bounds chaos kill-restarts per tenant.
+	maxRestarts = 1
+)
+
+// The telemetry plane's fixed parameters.
+const (
+	// topK is the heavy-hitter sketch capacity per dimension.
+	topK = 64
+	// sloAdmitWait is the admission-wait objective in virtual ticks: an
+	// admission within it counts good, beyond it bad.
+	sloAdmitWait = 256 * policy.FaultService
+	// sloFaultRate is the fault-rate objective in faults per 1000
+	// references, scored per closed thrash window.
+	sloFaultRate = thrashRate / 2
+	// sloBudget is the allowed bad fraction per objective (the error
+	// budget burn rate divides by it).
+	sloBudget = 0.1
+	// flightEvents is the per-shard flight-recorder ring capacity.
+	flightEvents = 64
+	// maxIncidents bounds captured incident dumps per shard; further
+	// triggers are counted, not stored.
+	maxIncidents = 4
+)
 
 // withDefaults returns a copy with the documented defaults applied to
 // every zero field. Negative and out-of-range values are left for
@@ -137,58 +154,36 @@ func (c Config) withDefaults() Config {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.AdmitHi == 0 {
-		c.AdmitHi = 1.0
-	}
-	if c.AdmitLo == 0 {
-		c.AdmitLo = 0.85 * c.AdmitHi
-	}
-	if c.AgingTicks == 0 {
-		c.AgingTicks = 256 * policy.FaultService
-	}
-	if c.StarveBound == 0 {
-		c.StarveBound = c.AgingTicks + 16*int64(c.Quantum)
-	}
-	if c.SwapInDelay == 0 {
-		c.SwapInDelay = policy.FaultService
-	}
-	if c.ThrashWindow == 0 {
-		c.ThrashWindow = 32768
-	}
-	if c.ThrashRate == 0 {
-		c.ThrashRate = 400
-	}
-	if c.MaxRestarts == 0 {
-		c.MaxRestarts = 1
-	}
 	if c.Publish != nil {
 		c.Telemetry = true
-	}
-	if c.TopK == 0 {
-		c.TopK = 64
-	}
-	if c.SLOAdmitWait == 0 {
-		c.SLOAdmitWait = 256 * policy.FaultService
-	}
-	if c.SLOFaultRate == 0 {
-		c.SLOFaultRate = c.ThrashRate / 2
-	}
-	if c.SLOBudget == 0 {
-		c.SLOBudget = 0.1
-	}
-	if c.FlightEvents == 0 {
-		c.FlightEvents = 64
-	}
-	if c.MaxIncidents == 0 {
-		c.MaxIncidents = 4
 	}
 	return c
 }
 
+// starveBound is the wait above which a resume counts as starved: the
+// aging bound plus 16 quanta, the scheduler's provable bound with margin
+// (see the bounded-wait test).
+func (c *Config) starveBound() int64 { return agingTicks + 16*int64(c.Quantum) }
+
 // validate rejects a defaulted configuration with any field out of
 // range, naming the field and its value.
 func (c *Config) validate() error {
-	if c.Tenants <= 0 || c.Tenants > MaxTenants {
+	if len(c.Jobs) > 0 {
+		if c.Tenants != 0 {
+			return fmt.Errorf("kernel: Tenants must be 0 with Jobs (got %d)", c.Tenants)
+		}
+		if c.Frames <= 0 {
+			return fmt.Errorf("kernel: Frames must be positive with Jobs (got %d)", c.Frames)
+		}
+		for i, j := range c.Jobs {
+			if j.Source == nil {
+				return fmt.Errorf("kernel: Jobs[%d].Source must not be nil (got nil)", i)
+			}
+			if _, ok := j.Policy.(policy.BlockStepper); !ok {
+				return fmt.Errorf("kernel: Jobs[%d].Policy must be a policy.BlockStepper (got %T)", i, j.Policy)
+			}
+		}
+	} else if c.Tenants <= 0 || c.Tenants > MaxTenants {
 		return fmt.Errorf("kernel: Tenants must be in [1, %d] (got %d)", MaxTenants, c.Tenants)
 	}
 	if c.Shards < 0 || c.Shards > maxShards {
@@ -201,13 +196,9 @@ func (c *Config) validate() error {
 	}
 	for _, f := range []struct {
 		name string
-		v    int64
+		v    int
 	}{
-		{"Frames", int64(c.Frames)}, {"Level", int64(c.Level)},
-		{"Quantum", int64(c.Quantum)}, {"AgingTicks", c.AgingTicks}, {"StarveBound", c.StarveBound},
-		{"SwapInDelay", c.SwapInDelay}, {"ThrashWindow", int64(c.ThrashWindow)},
-		{"MaxRestarts", int64(c.MaxRestarts)}, {"TopK", int64(c.TopK)}, {"SLOAdmitWait", c.SLOAdmitWait},
-		{"FlightEvents", int64(c.FlightEvents)}, {"MaxIncidents", int64(c.MaxIncidents)},
+		{"Frames", c.Frames}, {"Level", c.Level}, {"Quantum", c.Quantum},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("kernel: %s must not be negative (got %d)", f.name, f.v)
@@ -217,18 +208,11 @@ func (c *Config) validate() error {
 		name string
 		v    float64
 	}{
-		{"Overcommit", c.Overcommit}, {"Scale", c.Scale}, {"AdmitHi", c.AdmitHi},
-		{"ThrashRate", c.ThrashRate}, {"SLOFaultRate", c.SLOFaultRate},
+		{"Overcommit", c.Overcommit}, {"Scale", c.Scale},
 	} {
 		if !(f.v > 0) || math.IsInf(f.v, 1) {
 			return fmt.Errorf("kernel: %s must be a positive finite number (got %v)", f.name, f.v)
 		}
-	}
-	if !(c.AdmitLo > 0 && c.AdmitLo <= c.AdmitHi) {
-		return fmt.Errorf("kernel: AdmitLo must be in (0, AdmitHi = %v] (got %v)", c.AdmitHi, c.AdmitLo)
-	}
-	if !(c.SLOBudget > 0 && c.SLOBudget <= 1) {
-		return fmt.Errorf("kernel: SLOBudget must be in (0, 1] (got %v)", c.SLOBudget)
 	}
 	if in := c.Chaos.Intensity; !(in >= 0 && in <= 1) {
 		return fmt.Errorf("kernel: Chaos.Intensity must be in [0, 1] (got %v)", in)
@@ -250,20 +234,26 @@ func defaultShards(tenants int) int {
 	return s
 }
 
-// newTenantPolicy builds a tenant's pool policy. Only CD tenants get a
-// validator and an Avail hook; LRU tenants run a fixed partition sized
-// to their declared estimate, WS tenants the directive-blind default
-// window — the comparison pools of the overload study.
-func newTenantPolicy(cfg *Config, spec *SynthSpec) (policy.Policy, *policy.CD) {
+// newTenantPolicy builds a tenant's policy. A job brings its own, reset
+// and sized to its stream. Otherwise the pool decides: only CD tenants
+// get a validator (and, at admission, an Avail hook); LRU tenants run a
+// fixed partition sized to their declared estimate, WS tenants the
+// directive-blind default window — the comparison pools of the overload
+// study.
+func newTenantPolicy(cfg *Config, t *tenant) policy.Policy {
+	if t.job != nil {
+		vmsim.Prepare(t.job.Policy, t.job.Source.Meta())
+		return t.job.Policy
+	}
 	switch cfg.Pool {
 	case "lru":
-		return policy.NewLRU(spec.Est), nil
+		return policy.NewLRU(t.spec.Est)
 	case "ws":
-		return policy.NewWS(policy.DefaultFallbackTau), nil
+		return policy.NewWS(policy.DefaultFallbackTau)
 	default:
 		cd := policy.NewCD(policy.SelectLevel(cfg.Level), 2)
-		cd.Check = &policy.CheckConfig{MaxPage: spec.V}
-		return cd, cd
+		cd.Check = &policy.CheckConfig{MaxPage: t.spec.V}
+		return cd
 	}
 }
 
@@ -349,8 +339,11 @@ func (r *Result) FaultRate() float64 {
 // String renders the deterministic run summary.
 func (r *Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "kernel: %d tenants, %d frames, %d shards, pool %s, overcommit %.2f, seed %d\n",
-		r.Tenants, r.Frames, r.Shards, r.Pool, r.Overcommit, r.Seed)
+	fmt.Fprintf(&b, "kernel: %d tenants, %d frames, %d shards, pool %s", r.Tenants, r.Frames, r.Shards, r.Pool)
+	if r.Overcommit > 0 { // a job run derives nothing from it
+		fmt.Fprintf(&b, ", overcommit %.2f", r.Overcommit)
+	}
+	fmt.Fprintf(&b, ", seed %d\n", r.Seed)
 	fmt.Fprintf(&b, "refs=%d pf=%d (%.2f/1k refs) memsum=%d makespan=%d idle=%d\n",
 		r.Refs, r.Faults, r.FaultRate(), r.MemSum, r.Makespan, r.Idle)
 	fmt.Fprintf(&b, "admitted=%d done=%d shed=%d suspends=%d resumes=%d reclaim-waves=%d reclaimed=%d\n",
@@ -517,11 +510,24 @@ func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 		return nil, err
 	}
 
-	specs := make([]SynthSpec, cfg.Tenants)
+	var specs []SynthSpec
 	estSum := 0
-	for i := range specs {
-		specs[i] = NewSynthSpec(cfg.Seed, i, cfg.Scale)
-		estSum += specs[i].Est
+	if len(cfg.Jobs) > 0 {
+		// One tenant per job, in order. A job's spec only names it and
+		// sizes it: no phases and no estimate, and the pool and
+		// overcommit settings do not apply.
+		cfg.Tenants, cfg.Pool, cfg.Overcommit = len(cfg.Jobs), "jobs", 0
+		specs = make([]SynthSpec, len(cfg.Jobs))
+		for i, j := range cfg.Jobs {
+			m := j.Source.Meta()
+			specs[i] = SynthSpec{ID: i, Name: m.Name, V: int(m.MaxPage) + 1, Refs: m.Refs}
+		}
+	} else {
+		specs = make([]SynthSpec, cfg.Tenants)
+		for i := range specs {
+			specs[i] = NewSynthSpec(cfg.Seed, i, cfg.Scale)
+			estSum += specs[i].Est
+		}
 	}
 
 	shards := cfg.Shards
@@ -573,7 +579,7 @@ func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 	var gaugesOnce sync.Once
 	var gauges *liveGauges
 
-	cfg.Publish.begin(fmt.Sprintf("kernel/%s tenants=%d seed=%d", cfg.Pool, cfg.Tenants, cfg.Seed), cfg, shards)
+	cfg.Publish.begin(fmt.Sprintf("kernel/%s tenants=%d seed=%d", cfg.Pool, cfg.Tenants, cfg.Seed), shards)
 
 	idxs := make([]int, shards)
 	for i := range idxs {
@@ -615,7 +621,7 @@ func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 		Seed:        cfg.Seed,
 		Pool:        cfg.Pool,
 		Overcommit:  cfg.Overcommit,
-		StarveBound: cfg.StarveBound,
+		StarveBound: cfg.starveBound(),
 		PerTenant:   make([]TenantResult, cfg.Tenants),
 	}
 	for _, sr := range shardResults {
@@ -663,7 +669,7 @@ func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 		for _, sr := range shardResults[1:] {
 			merged.merge(sr.Telem)
 		}
-		res.Telemetry = merged.snapshot(&cfg)
+		res.Telemetry = merged.snapshot()
 		cfg.Publish.publishFinal(&TelemetryView{
 			Run:              fmt.Sprintf("kernel/%s tenants=%d seed=%d", cfg.Pool, cfg.Tenants, cfg.Seed),
 			Final:            true,

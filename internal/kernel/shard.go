@@ -99,15 +99,18 @@ func newShard(cfg *Config, idx, frames int, specs []SynthSpec, o *obs.Observer, 
 	sh.res.Shard = idx
 	sh.res.Frames = frames
 	if cfg.Telemetry {
-		sh.tl = newTelem(cfg)
-		sh.fr = newFlightRing(cfg.FlightEvents)
+		sh.tl = newTelem()
+		sh.fr = newFlightRing()
 	}
 	sh.trip = planShardTrip(cfg, idx)
 	sh.osc = newOscillator(cfg, idx, frames)
 	sh.tenants = make([]*tenant, 0, len(specs))
 	sh.queue = make([]*tenant, 0, len(specs))
 	for _, spec := range specs {
-		t := &tenant{spec: spec, state: StateQueued, maxRestarts: cfg.MaxRestarts}
+		t := &tenant{spec: spec, state: StateQueued}
+		if len(cfg.Jobs) > 0 {
+			t.job = &cfg.Jobs[spec.ID]
+		}
 		planTenantChaos(cfg, t)
 		sh.tenants = append(sh.tenants, t)
 		sh.queue = append(sh.queue, t)
@@ -213,11 +216,11 @@ func (sh *shard) iterBudget() int64 {
 func (sh *shard) admitStep() {
 	frames := sh.framesNow()
 	// Resume pass. The head resumes when its estimate fits, when it has
-	// aged past AgingTicks (the bounded-wait guarantee: pressure cannot
+	// aged past agingTicks (the bounded-wait guarantee: pressure cannot
 	// postpone a resume forever), or when the shard would otherwise idle.
 	for len(sh.suspended) > 0 {
 		s := sh.suspended[0]
-		aged := sh.clock-s.suspendedAt >= sh.cfg.AgingTicks
+		aged := sh.clock-s.suspendedAt >= agingTicks
 		if !aged && len(sh.active) > 0 && sh.usage()+s.spec.Est > frames {
 			break
 		}
@@ -226,10 +229,10 @@ func (sh *shard) admitStep() {
 	if len(sh.suspended) > 0 {
 		return // suspended tenants outrank fresh admissions
 	}
-	// Gate hysteresis: closed at AdmitHi, reopens below AdmitLo (and
+	// Gate hysteresis: closed at admitHi, reopens below admitLo (and
 	// after any thrash hold-down expires).
 	if sh.gateClosed && sh.clock >= sh.gateUntil &&
-		sh.estSum <= int(sh.cfg.AdmitLo*float64(frames)) {
+		sh.estSum <= int(admitLo*float64(frames)) {
 		sh.gateClosed = false
 	}
 	for len(sh.queue) > 0 {
@@ -246,7 +249,7 @@ func (sh *shard) admitStep() {
 			sh.shed(t, "oversize")
 			continue
 		}
-		if sh.estSum+t.spec.Est > int(sh.cfg.AdmitHi*float64(frames)) && !mustAdmit {
+		if sh.estSum+t.spec.Est > int(admitHi*float64(frames)) && !mustAdmit {
 			sh.gateClosed = true
 			return
 		}
@@ -261,9 +264,10 @@ func (sh *shard) popQueue() {
 	sh.queue = sh.queue[1:]
 }
 
-// admit moves a queued tenant to Running: open its stream (generated on
-// demand, under chaos-perturbed tables if its plan says so), build its
-// pool policy, and charge its estimate against the gate. A re-admission
+// admit moves a queued tenant to Running: open its stream (its job's
+// source or its spec generated on demand, under chaos-perturbed tables
+// if its plan says so), pick its policy, hook a CD policy to the shard's
+// free frames, and charge its estimate against the gate. A re-admission
 // after a chaos kill reuses the existing source, its rewound cursor and
 // the policy.
 func (sh *shard) admit(t *tenant) {
@@ -275,12 +279,11 @@ func (sh *shard) admit(t *tenant) {
 		t.openStream()
 	}
 	if t.pol == nil {
-		pol, cd := newTenantPolicy(sh.cfg, &t.spec)
-		t.pol = pol
-		t.step = pol.(policy.BlockStepper)
-		t.cd = cd
-		if cd != nil {
-			cd.Avail = sh.availFn
+		t.pol = newTenantPolicy(sh.cfg, t)
+		t.step = t.pol.(policy.BlockStepper)
+		t.cd = policy.AsCD(t.pol)
+		if t.cd != nil {
+			t.cd.Avail = sh.availFn
 		}
 	}
 	t.queueWait += sh.clock - t.queuedAt
@@ -290,7 +293,7 @@ func (sh *shard) admit(t *tenant) {
 	if sh.tl != nil {
 		wait := sh.clock - t.queuedAt
 		sh.tl.admitWait.Observe(wait)
-		if wait <= sh.cfg.SLOAdmitWait {
+		if wait <= sloAdmitWait {
 			sh.tl.admitGood++
 		} else {
 			sh.tl.admitBad++
@@ -327,7 +330,7 @@ func (sh *shard) step(t *tenant) {
 	act := sh.runQuantum(t)
 	// Chaos kill: evaluated after the quantum so the kill point is a pure
 	// function of executed references, independent of scheduling.
-	if act != actDone && t.killAt > 0 && t.refs >= t.killAt && t.restarts < t.maxRestarts {
+	if act != actDone && t.killAt > 0 && t.refs >= t.killAt && t.restarts < maxRestarts {
 		sh.kill(t)
 		return
 	}
@@ -345,11 +348,11 @@ func (sh *shard) step(t *tenant) {
 
 // runQuantum executes up to Quantum references of t through the block
 // stepper, applying directive events (free of quantum) at block
-// boundaries. The clock advances by the references executed; fault
-// service is aggregated into the tenant's readyAt, overlapping with
-// other tenants exactly as vmsim.RunMulti overlaps per-fault — batched
-// rather than per reference, which is what lets a shard sustain millions
-// of references per second.
+// boundaries. The clock advances by the references executed; the
+// quantum's fault service is aggregated into the tenant's readyAt, so it
+// overlaps with other tenants' execution — batched per quantum rather
+// than yielding on every fault, which is what lets a shard sustain
+// millions of references per second.
 func (sh *shard) runQuantum(t *tenant) action {
 	budget := sh.cfg.Quantum
 	var out policy.BlockResult
@@ -482,7 +485,7 @@ func (sh *shard) suspend(t *tenant, why string) {
 	sh.removeActive(t)
 	t.state = StateSuspended
 	t.suspendedAt = sh.clock
-	if rt := sh.clock + sh.cfg.SwapInDelay; rt > t.readyAt {
+	if rt := sh.clock + swapInDelay; rt > t.readyAt {
 		t.readyAt = rt
 	}
 	t.swaps++
@@ -511,7 +514,7 @@ func (sh *shard) resume(t *tenant) {
 	if wait > sh.res.MaxSuspendWait {
 		sh.res.MaxSuspendWait = wait
 	}
-	if wait > sh.cfg.StarveBound {
+	if wait > sh.cfg.starveBound() {
 		sh.res.Starved++
 	}
 	t.state = StateRunning
@@ -570,6 +573,9 @@ func (sh *shard) finish(t *tenant) {
 	sh.res.SwapSignals += t.signals
 	sh.res.LockReleases += t.lockReleases
 	t.closeStream(true)
+	if t.cd != nil {
+		t.cd.Avail = nil // a job's policy outlives the shard
+	}
 	t.pol = nil
 	t.step = nil
 	t.cd = nil
@@ -713,19 +719,19 @@ func (sh *shard) pickVictim() *tenant {
 // reduces the multiprogramming level (suspend the newest admission);
 // persistent thrash additionally sheds never-admitted queued load.
 func (sh *shard) thrashCheck() {
-	if sh.winRefs < int64(sh.cfg.ThrashWindow) {
+	if sh.winRefs < thrashWindow {
 		return
 	}
 	rate := float64(sh.winFaults) * 1000 / float64(sh.winRefs)
 	sh.winRefs, sh.winFaults = 0, 0
 	if sh.tl != nil {
-		if rate <= sh.cfg.SLOFaultRate {
+		if rate <= sloFaultRate {
 			sh.tl.rateGood++
 		} else {
 			sh.tl.rateBad++
 		}
 	}
-	if rate <= sh.cfg.ThrashRate {
+	if rate <= thrashRate {
 		sh.thrashStreak = 0
 		return
 	}
@@ -772,7 +778,7 @@ func (sh *shard) advanceClock() {
 		}
 	}
 	if len(sh.suspended) > 0 {
-		if a := sh.suspended[0].suspendedAt + sh.cfg.AgingTicks; a < next {
+		if a := sh.suspended[0].suspendedAt + agingTicks; a < next {
 			next = a
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"cdmm/internal/directive"
 	"cdmm/internal/engine"
 	"cdmm/internal/mem"
+	"cdmm/internal/policy"
 	"cdmm/internal/trace"
 )
 
@@ -227,28 +228,28 @@ func TestConfigValidation(t *testing.T) {
 		{func(c *Config) { c.Shards = maxShards }, ""},
 		{func(c *Config) { c.Level = -2 }, "Level must not be negative (got -2)"},
 		{func(c *Config) { c.Quantum = -5 }, "Quantum must not be negative (got -5)"},
-		{func(c *Config) { c.AgingTicks = -1 }, "AgingTicks must not be negative (got -1)"},
-		{func(c *Config) { c.StarveBound = -1 }, "StarveBound must not be negative (got -1)"},
-		{func(c *Config) { c.SwapInDelay = -1 }, "SwapInDelay must not be negative (got -1)"},
-		{func(c *Config) { c.ThrashWindow = -1 }, "ThrashWindow must not be negative (got -1)"},
-		{func(c *Config) { c.MaxRestarts = -1 }, "MaxRestarts must not be negative (got -1)"},
-		{func(c *Config) { c.TopK = -1 }, "TopK must not be negative (got -1)"},
-		{func(c *Config) { c.SLOAdmitWait = -1 }, "SLOAdmitWait must not be negative (got -1)"},
-		{func(c *Config) { c.FlightEvents = -1 }, "FlightEvents must not be negative (got -1)"},
-		{func(c *Config) { c.MaxIncidents = -1 }, "MaxIncidents must not be negative (got -1)"},
 		{func(c *Config) { c.Overcommit = -1 }, "Overcommit must be a positive finite number (got -1)"},
 		{func(c *Config) { c.Overcommit = math.Inf(1) }, "Overcommit must be a positive finite number (got +Inf)"},
 		{func(c *Config) { c.Scale = math.NaN() }, "Scale must be a positive finite number (got NaN)"},
-		{func(c *Config) { c.AdmitHi = -0.5 }, "AdmitHi must be a positive finite number (got -0.5)"},
-		{func(c *Config) { c.ThrashRate = -1 }, "ThrashRate must be a positive finite number (got -1)"},
-		{func(c *Config) { c.SLOFaultRate = -1 }, "SLOFaultRate must be a positive finite number (got -1)"},
-		{func(c *Config) { c.AdmitLo = 1.5 }, "AdmitLo must be in (0, AdmitHi = 1] (got 1.5)"},
-		{func(c *Config) { c.AdmitLo = -1 }, "AdmitLo must be in (0, AdmitHi = 1] (got -1)"},
-		{func(c *Config) { c.SLOBudget = 2 }, "SLOBudget must be in (0, 1] (got 2)"},
 		{func(c *Config) { c.Chaos.Intensity = 7 }, "Chaos.Intensity must be in [0, 1] (got 7)"},
 		{func(c *Config) { c.Chaos.Intensity = -0.1 }, "Chaos.Intensity must be in [0, 1] (got -0.1)"},
 		{func(c *Config) { c.Chaos = Chaos{Kill: true, Intensity: 1} }, ""},
-		{func(c *Config) { c.AdmitHi, c.AdmitLo = 2, 1.5 }, ""},
+		{func(c *Config) { c.Jobs = specJobs(2) }, "Tenants must be 0 with Jobs (got 4)"},
+		{func(c *Config) { c.Tenants, c.Jobs = 0, specJobs(2) }, "Frames must be positive with Jobs (got 0)"},
+		{func(c *Config) { c.Tenants, c.Jobs, c.Frames = 0, specJobs(2), -3 }, "Frames must be positive with Jobs (got -3)"},
+		{func(c *Config) { c.Tenants, c.Jobs, c.Frames = 0, specJobs(2), 16 }, ""},
+		{func(c *Config) {
+			c.Tenants, c.Jobs, c.Frames = 0, specJobs(2), 16
+			c.Jobs[1].Source = nil
+		}, "Jobs[1].Source must not be nil (got nil)"},
+		{func(c *Config) {
+			c.Tenants, c.Jobs, c.Frames = 0, specJobs(2), 16
+			c.Jobs[0].Policy = policy.NewPFF(100)
+		}, "Jobs[0].Policy must be a policy.BlockStepper (got *policy.PFF)"},
+		{func(c *Config) {
+			c.Tenants, c.Jobs, c.Frames = 0, specJobs(2), 16
+			c.Jobs[1].Policy = nil
+		}, "Jobs[1].Policy must be a policy.BlockStepper (got <nil>)"},
 	}
 	for i, tc := range cases {
 		cfg := testConfig(4)

@@ -77,11 +77,11 @@ func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 
 // TestTelemetryContent cross-checks the plane against the kernel's own
 // accounting: every admission is timed and SLO-scored, resumes match
-// the suspension histogram, and with the sketch capacity above the
-// population the heavy-hitter counts are exact per-tenant values.
+// the suspension histogram, and every heavy-hitter entry brackets its
+// tenant's true fault count. The 96 tenants outnumber the sketch
+// capacity (topK), so the table holds only the heaviest of them.
 func TestTelemetryContent(t *testing.T) {
 	cfg := chaosTelemetryConfig(96)
-	cfg.TopK = 128 // above the population: sketches degenerate to exact counts
 	res := mustRun(t, cfg, engine.New(4))
 	ts := res.Telemetry
 
@@ -112,18 +112,10 @@ func TestTelemetryContent(t *testing.T) {
 	if len(tbl.Entries) == 0 {
 		t.Fatal("faults table empty")
 	}
-	var tableSum int64
 	for _, e := range tbl.Entries {
-		if e.Err != 0 {
-			t.Errorf("tenant %s has err=%d with k above population", e.Tenant, e.Err)
+		if f := faults[e.Tenant]; f < e.Count-e.Err || f > e.Count {
+			t.Errorf("tenant %s: table brackets [%d, %d] faults, accounting says %d", e.Tenant, e.Count-e.Err, e.Count, f)
 		}
-		if e.Count != faults[e.Tenant] {
-			t.Errorf("tenant %s: table says %d faults, accounting says %d", e.Tenant, e.Count, faults[e.Tenant])
-		}
-		tableSum += e.Count
-	}
-	if tableSum != res.Faults {
-		t.Errorf("faults table sums to %d, run had %d", tableSum, res.Faults)
 	}
 }
 
@@ -173,7 +165,7 @@ func TestChaosMatrixIncidents(t *testing.T) {
 		if c.Corrupt && res.Degraded > 0 && len(res.Incidents) == 0 {
 			t.Errorf("chaos %+v: %d degrades but no incidents", c, res.Degraded)
 		}
-		if max := cfg.Shards * 4; len(res.Incidents) > max { // default MaxIncidents=4
+		if max := cfg.Shards * maxIncidents; len(res.Incidents) > max {
 			t.Errorf("chaos %+v: %d incidents exceed the %d cap", c, len(res.Incidents), max)
 		}
 		for i := range res.Incidents {

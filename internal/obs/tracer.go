@@ -17,7 +17,7 @@ const (
 	KindLockRel = "lockrel" // OS force-released a locked page: T, Page
 	KindSwap    = "swap"    // swap signal / swap-out: T, Job, Why
 	KindDegrade = "degrade" // CD directive-contract violation: T, Why (policy falls back to WS)
-	KindJobDone = "jobdone" // multiprogramming job finished: T, Job, Refs, PF
+	KindJobDone = "jobdone" // kernel tenant or job finished: T, Job, Refs, PF
 	KindEnd     = "end"     // run end: T, Refs, PF, Mem
 )
 

@@ -73,9 +73,9 @@ func SelectLevels(def int, overrides map[string]int) ArmSelector {
 //
 // Concurrency contract: a CD instance is not safe for concurrent use.
 // In particular Reclaim — the operating system's pressure valve — must
-// be serialized with StepBlock/Ref by the caller (the kernel and the
-// multiprogramming driver run each tenant's policy on a single
-// simulation thread; anything else needs an external mutex). The
+// be serialized with StepBlock/Ref by the caller (the multiprogramming
+// kernel runs each tenant's policy on its shard's single simulation
+// thread; anything else needs an external mutex). The
 // mutators enforce this with a cheap in-flight guard that panics with a
 // clear message instead of corrupting the LRU list silently.
 type CD struct {
@@ -83,7 +83,8 @@ type CD struct {
 	minAlloc int
 
 	// Avail, when non-nil, reports how many pages the operating system can
-	// currently grant this program (used by the multiprogramming driver).
+	// currently grant this program (the multiprogramming kernel hooks it
+	// to its shard's free frames).
 	// When nil the memory is unbounded and the selector alone decides,
 	// which is the paper's uniprogramming §5 setup.
 	Avail func() int
