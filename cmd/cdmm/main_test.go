@@ -143,6 +143,36 @@ func TestCmdRejectsHostilePrograms(t *testing.T) {
 	}
 }
 
+// TestCmdRejectsBadFlagValues checks that out-of-range -m, -tau and -j
+// values fail with an error naming the flag and its value, instead of
+// running with the value clamped to the nearest legal one.
+func TestCmdRejectsBadFlagValues(t *testing.T) {
+	trc := filepath.Join(t.TempDir(), "main.cdt3")
+	if err := runCommand("trace", []string{"MAIN", "-o", trc}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+		want string
+	}{
+		{"sim", []string{"MAIN", "-policy", "lru", "-m", "-5"}, `invalid value "-5" for flag -m`},
+		{"sim", []string{"MAIN", "-policy", "lru", "-m", "0"}, `invalid value "0" for flag -m`},
+		{"sim", []string{"MAIN", "-policy", "ws", "-tau", "-3"}, `invalid value "-3" for flag -tau`},
+		{"replay", []string{trc, "-policy", "lru", "-m", "0"}, `invalid value "0" for flag -m`},
+		{"replay", []string{trc, "-policy", "ws", "-tau", "-1"}, `invalid value "-1" for flag -tau`},
+		{"table1", []string{"-j", "-4"}, `invalid value "-4" for flag -j`},
+		{"sweep", []string{"MAIN", "-j", "-1"}, `invalid value "-1" for flag -j`},
+		{"report", []string{"MAIN", "-j", "-2"}, `invalid value "-2" for flag -j`},
+		{"sim", []string{"MAIN", "-j", "-8"}, `invalid value "-8" for flag -j`},
+	} {
+		err := runCommand(tc.cmd, tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v: err = %v, want one containing %q", tc.cmd, tc.args, err, tc.want)
+		}
+	}
+}
+
 func TestCmdList(t *testing.T) {
 	if err := cmdList(); err != nil {
 		t.Fatal(err)
