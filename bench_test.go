@@ -13,11 +13,10 @@ package cdmm_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"cdmm/internal/bli"
-
+	"cdmm/internal/core"
 	"cdmm/internal/engine"
 	"cdmm/internal/experiments"
 	"cdmm/internal/kernel"
@@ -30,8 +29,7 @@ import (
 )
 
 // benchEng is shared by the benchmarks that regenerate whole studies, so
-// compiled programs, sweeps and CD runs stay memoized across benchmarks
-// and iterations.
+// sweeps and CD runs stay memoized across benchmarks and iterations.
 var benchEng = engine.New(0)
 
 // BenchmarkTable1 regenerates Table 1: the effect of executing different
@@ -127,15 +125,15 @@ func BenchmarkTablesParallel(b *testing.B) { benchTables(b, 0) }
 // compiledTrace fetches a workload's cached trace.
 func compiledTrace(b *testing.B, name string) *trace.Trace {
 	b.Helper()
-	w, err := workloads.Get(name)
+	c, err := workloads.Compile(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := workloads.Compile(w)
+	tr, err := c.Trace()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return c.Trace
+	return tr
 }
 
 // BenchmarkRun measures the vmsim.Run hot path per policy over the
@@ -244,13 +242,10 @@ func BenchmarkWSSweepAnalytic(b *testing.B) {
 func BenchmarkAblationLock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, w := range workloads.All() {
-			c, err := workloads.Compile(w)
-			if err != nil {
-				b.Fatal(err)
-			}
+			tr := compiledTrace(b, w.Name)
 			set := w.DefaultSet()
-			withLocks := vmsim.Run(c.Trace, policy.NewCD(set.Selector(), 2))
-			noLocks := vmsim.Run(stripLocks(c.Trace), policy.NewCD(set.Selector(), 2))
+			withLocks := vmsim.Run(tr, policy.NewCD(set.Selector(), 2))
+			noLocks := vmsim.Run(stripLocks(tr), policy.NewCD(set.Selector(), 2))
 			if i == 0 {
 				b.Logf("%-8s with locks: PF=%-6d ST=%.4g | without: PF=%-6d ST=%.4g (dPF=%+d)",
 					w.Name, withLocks.Faults, withLocks.ST(),
@@ -281,17 +276,14 @@ func stripLocks(tr *trace.Trace) *trace.Trace {
 func BenchmarkAblationOptGap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, w := range workloads.All() {
-			c, err := workloads.Compile(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cd := vmsim.Run(c.Trace, policy.NewCD(w.DefaultSet().Selector(), 2))
+			tr := compiledTrace(b, w.Name)
+			cd := vmsim.Run(tr, policy.NewCD(w.DefaultSet().Selector(), 2))
 			m := int(cd.MEM() + 0.5)
 			if m < 1 {
 				m = 1
 			}
-			refs := c.Trace.RefsOnly()
-			opt := vmsim.Run(refs, policy.NewOPT(c.Trace.Pages(), m))
+			refs := tr.RefsOnly()
+			opt := vmsim.Run(refs, policy.NewOPT(tr.Pages(), m))
 			if i == 0 {
 				b.Logf("%-8s CD: PF=%-6d | OPT(m=%d): PF=%-6d (CD/OPT fault ratio %.2f)",
 					w.Name, cd.Faults, m, opt.Faults, float64(cd.Faults)/float64(opt.Faults))
@@ -312,11 +304,7 @@ func BenchmarkMultiprog(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := workloads.Compile(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		traces = append(traces, c.Trace)
+		traces = append(traces, compiledTrace(b, name))
 		sets = append(sets, w.DefaultSet())
 	}
 	for _, pc := range []struct {
@@ -355,13 +343,13 @@ func BenchmarkCompile(b *testing.B) {
 		w := w
 		b.Run(w.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				// Bypass the cache with a per-iteration clone name.
-				clone := &workloads.Program{
-					Name:   fmt.Sprintf("%s-bench-%d", w.Name, i),
-					Source: w.Source,
-					Sets:   w.Sets,
+				// core compiles afresh each time; workloads.Compile would
+				// return its cached program.
+				p, err := core.CompileSource(w.Name, w.Source)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if _, err := workloads.Compile(clone); err != nil {
+				if _, err := p.Trace(); err != nil {
 					b.Fatal(err)
 				}
 			}

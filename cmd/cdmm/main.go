@@ -391,13 +391,9 @@ func cmdSim(args []string) error {
 			o := of.observer
 			newEngine(*j, o) // after activate: a -serve tracker attaches here
 			var res vmsim.Result
-			var err error
 			switch *polName {
 			case "cd":
-				res, err = p.RunCDObserved(core.CDOptions{Level: *level}, o)
-				if err != nil {
-					return err
-				}
+				res = vmsim.RunObserved(tr, policy.NewCD(policy.SelectLevel(*level), 2), o)
 			case "lru":
 				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewLRU(*frames), o)
 			case "fifo":
@@ -452,11 +448,11 @@ func sweepSummary(target string, o *obs.Observer) error {
 	if err != nil {
 		return err
 	}
-	lru, err := p.LRUSweep()
+	lru, err := sweep.NewLRU(tr)
 	if err != nil {
 		return err
 	}
-	ws, err := p.WSSweep()
+	ws, err := sweep.NewWS(tr)
 	if err != nil {
 		return err
 	}
@@ -469,10 +465,7 @@ func sweepSummary(target string, o *obs.Observer) error {
 	fmt.Printf("best LRU: ST=%.4g at m=%d (PF=%d)\n", lruST, mBest, lru.Faults(mBest))
 	fmt.Printf("best WS : ST=%.4g at tau=%d (PF=%d, MEM=%.2f)\n", wsRes.ST(), tauBest, wsRes.Faults, wsRes.MEM())
 	for lvl := 1; lvl <= p.MaxPI(); lvl++ {
-		res, err := p.RunCDObserved(core.CDOptions{Level: lvl}, o)
-		if err != nil {
-			return err
-		}
+		res := vmsim.RunObserved(tr, policy.NewCD(policy.SelectLevel(lvl), 2), o)
 		marker := ""
 		if res.ST() < lruST && res.ST() < wsRes.ST() {
 			marker = "   <- beats both"
@@ -696,10 +689,10 @@ func cmdTables(which string, args []string) error {
 		return err
 	}
 	if *timing {
-		// workloads.Compile is a process-global cache, so whichever leg
-		// runs first would otherwise pay FORTRAN compilation and trace
-		// generation for both. Warm it up front so the timed legs
-		// compare sweep work only.
+		// workloads.Compile compiles each program once per process, so
+		// whichever leg runs first would otherwise pay FORTRAN
+		// compilation and trace generation for both. Warm it up front so
+		// the timed legs compare sweep work only.
 		if err := warmTableCompiles(which); err != nil {
 			return err
 		}
@@ -744,11 +737,7 @@ func warmTableCompiles(which string) error {
 			continue
 		}
 		seen[v.Program] = true
-		p, err := workloads.Get(v.Program)
-		if err != nil {
-			return err
-		}
-		if _, err := workloads.Compile(p); err != nil {
+		if _, err := workloads.Compile(v.Program); err != nil {
 			return err
 		}
 	}

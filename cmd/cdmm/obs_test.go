@@ -7,8 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"cdmm/internal/core"
 	"cdmm/internal/obs"
+	"cdmm/internal/policy"
+	"cdmm/internal/vmsim"
 )
 
 // TestCmdSimEventsMatchResult is the acceptance check for the event
@@ -43,10 +44,11 @@ func TestCmdSimEventsMatchResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.RunCD(core.CDOptions{Level: 2})
+	tr, err := p.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := vmsim.Run(tr, policy.NewCD(policy.SelectLevel(2), 2))
 	if refs != res.Refs || faults != res.Faults {
 		t.Errorf("replayed refs/faults = %d/%d, result %d/%d", refs, faults, res.Refs, res.Faults)
 	}

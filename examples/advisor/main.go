@@ -14,6 +14,7 @@ import (
 	"cdmm/internal/advisor"
 	"cdmm/internal/core"
 	"cdmm/internal/policy"
+	"cdmm/internal/vmsim"
 )
 
 // rowwise is a transpose-accumulate kernel written with the row index
@@ -70,6 +71,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	trBefore, err := before.Trace()
+	if err != nil {
+		log.Fatal(err)
+	}
+	trAfter, err := after.Trace()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("--- advisor findings on the original kernel ---")
 	fmt.Print(advisor.Render(advisor.Analyze(before.Analysis, advisor.Options{})))
@@ -84,24 +93,11 @@ func main() {
 		func() policy.Policy { return policy.NewWS(2000) },
 	} {
 		p1, p2 := mk(), mk()
-		r1, err := before.Simulate(p1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r2, err := after.Simulate(p2)
-		if err != nil {
-			log.Fatal(err)
-		}
+		r1, r2 := vmsim.Run(trBefore, p1), vmsim.Run(trAfter, p2)
 		fmt.Printf("%-22s %12d %12d\n", p1.Name(), r1.Faults, r2.Faults)
 	}
-	cd1, err := before.RunCD(core.CDOptions{Level: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cd2, err := after.RunCD(core.CDOptions{Level: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
+	cd1 := vmsim.Run(trBefore, policy.NewCD(policy.SelectLevel(2), 2))
+	cd2 := vmsim.Run(trAfter, policy.NewCD(policy.SelectLevel(2), 2))
 	fmt.Printf("%-22s %12d %12d\n", "CD (level 2)", cd1.Faults, cd2.Faults)
 	fmt.Printf("\nCD space-time: %.4g -> %.4g (%.1fx better after interchange)\n",
 		cd1.ST(), cd2.ST(), cd1.ST()/cd2.ST())

@@ -18,6 +18,7 @@ import (
 	"cdmm/internal/engine"
 	"cdmm/internal/kernel"
 	"cdmm/internal/policy"
+	"cdmm/internal/trace"
 	"cdmm/internal/workloads"
 )
 
@@ -32,25 +33,31 @@ func main() {
 	}
 
 	mix := []string{"TQL", "HWSCRT", "MAIN"}
-	var progs []*workloads.Compiled
+	var progs []*workloads.Program
+	var traces []*trace.Trace
 	for _, name := range mix {
 		w, err := workloads.Get(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		c, err := workloads.Compile(w)
+		c, err := workloads.Compile(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		progs = append(progs, c)
-		fmt.Println(c.Trace.Summary())
+		tr, err := c.Trace()
+		if err != nil {
+			log.Fatal(err)
+		}
+		progs = append(progs, w)
+		traces = append(traces, tr)
+		fmt.Println(tr.Summary())
 	}
 	fmt.Printf("\nshared pool: %d frames\n", frames)
 
-	run := func(title string, pol func(*workloads.Compiled) policy.Policy) int64 {
+	run := func(title string, pol func(*workloads.Program) policy.Policy) int64 {
 		jobs := make([]kernel.Job, len(progs))
-		for i, c := range progs {
-			jobs[i] = kernel.Job{Source: c.Trace, Policy: pol(c)}
+		for i, w := range progs {
+			jobs[i] = kernel.Job{Source: traces[i], Policy: pol(w)}
 		}
 		res, err := kernel.Run(kernel.Config{Jobs: jobs, Frames: frames, Checked: true}, engine.New(1))
 		if err != nil {
@@ -67,11 +74,11 @@ func main() {
 		return done
 	}
 	// Run 1: every job under CD with its canonical directive set.
-	cd := run("CD", func(c *workloads.Compiled) policy.Policy {
-		return policy.NewCD(c.Program.DefaultSet().Selector(), 2)
+	cd := run("CD", func(w *workloads.Program) policy.Policy {
+		return policy.NewCD(w.DefaultSet().Selector(), 2)
 	})
 	// Run 2: the same mix under the Working Set policy.
-	ws := run("WS (tau=1000)", func(*workloads.Compiled) policy.Policy { return policy.NewWS(1000) })
+	ws := run("WS (tau=1000)", func(*workloads.Program) policy.Policy { return policy.NewWS(1000) })
 
 	fmt.Printf("\ncompletion: CD=%d WS=%d (%+.1f%%)\n", cd, ws, float64(ws-cd)/float64(cd)*100)
 }

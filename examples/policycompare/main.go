@@ -13,6 +13,7 @@ import (
 
 	"cdmm/internal/core"
 	"cdmm/internal/policy"
+	"cdmm/internal/sweep"
 	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
 )
@@ -36,8 +37,8 @@ func main() {
 	}
 	fmt.Println(tr.Summary())
 
-	lru, _ := prog.LRUSweep()
-	ws, _ := prog.WSSweep()
+	lru, _ := sweep.NewLRU(tr)
+	ws, _ := sweep.NewWS(tr)
 	refs := tr.RefsOnly()
 	pages := tr.Pages()
 
@@ -69,17 +70,11 @@ func main() {
 	// CD across directive strata, plus the workload's canonical set.
 	fmt.Println("\n  CD level    CD-PF    CD-MEM      CD-ST")
 	for lvl := 1; lvl <= prog.MaxPI(); lvl++ {
-		r, err := prog.RunCD(core.CDOptions{Level: lvl})
-		if err != nil {
-			log.Fatal(err)
-		}
+		r := vmsim.Run(tr, policy.NewCD(policy.SelectLevel(lvl), 2))
 		fmt.Printf("%10d %8d %9.2f %10.4g\n", lvl, r.Faults, r.MEM(), r.ST())
 	}
 	set := w.DefaultSet()
-	canonical, err := prog.RunCD(core.CDOptions{Level: set.Level, Overrides: set.Overrides})
-	if err != nil {
-		log.Fatal(err)
-	}
+	canonical := vmsim.Run(tr, policy.NewCD(set.Selector(), 2))
 	fmt.Printf("canonical set %q: PF=%d MEM=%.2f ST=%.4g\n",
 		set.Name, canonical.Faults, canonical.MEM(), canonical.ST())
 	fmt.Printf("\nCD vs best LRU: %+.0f%% ST   CD vs best WS: %+.0f%% ST\n",

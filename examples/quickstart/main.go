@@ -11,6 +11,7 @@ import (
 
 	"cdmm/internal/core"
 	"cdmm/internal/policy"
+	"cdmm/internal/sweep"
 	"cdmm/internal/vmsim"
 )
 
@@ -64,10 +65,7 @@ func main() {
 	fmt.Println("--- simulation:", tr.Summary(), "---")
 
 	// CD honoring the level-2 directive stratum.
-	cd, err := prog.RunCD(core.CDOptions{Level: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
+	cd := vmsim.Run(tr, policy.NewCD(policy.SelectLevel(2), 2))
 	fmt.Println(cd)
 
 	// Baselines on the same reference string.
@@ -81,10 +79,10 @@ func main() {
 	}
 
 	// The tuned baselines: best LRU allocation and best WS window.
-	lru, _ := prog.LRUSweep()
+	lru, _ := sweep.NewLRU(tr)
 	m, st := lru.MinST()
 	fmt.Printf("best LRU over all allocations: m=%d ST=%.4g\n", m, st)
-	ws, _ := prog.WSSweep()
+	ws, _ := sweep.NewWS(tr)
 	tau, res, _ := ws.MinST()
 	fmt.Printf("best WS over all windows:      tau=%d ST=%.4g\n", tau, res.ST())
 	fmt.Printf("CD space-time advantage: %.0f%% vs best LRU, %.0f%% vs best WS\n",

@@ -15,6 +15,7 @@ import (
 	"cdmm/internal/fortran"
 	"cdmm/internal/mem"
 	"cdmm/internal/policy"
+	"cdmm/internal/sweep"
 	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
@@ -128,10 +129,7 @@ func TestPipelineInvariantsOnRandomPrograms(t *testing.T) {
 			// a higher stratum never increases faults.
 			prevPF := 1 << 30
 			for lvl := 1; lvl <= prog.MaxPI(); lvl++ {
-				res, err := prog.RunCD(core.CDOptions{Level: lvl})
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := vmsim.Run(tr, policy.NewCD(policy.SelectLevel(lvl), 2))
 				if res.Faults < tr.Distinct {
 					t.Fatalf("level %d: faults %d below compulsory %d", lvl, res.Faults, tr.Distinct)
 				}
@@ -143,15 +141,15 @@ func TestPipelineInvariantsOnRandomPrograms(t *testing.T) {
 
 			// Invariant: the analytic LRU sweep matches a brute replay at
 			// spot-checked allocations.
-			sweep, err := prog.LRUSweep()
+			curve, err := sweep.NewLRU(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			refs := tr.RefsOnly()
-			for _, m := range []int{1, 3, sweep.V} {
+			for _, m := range []int{1, 3, curve.V} {
 				brute := vmsim.Run(refs, policy.NewLRU(m))
-				if sweep.Faults(m) != brute.Faults {
-					t.Fatalf("m=%d: sweep %d != brute %d", m, sweep.Faults(m), brute.Faults)
+				if curve.Faults(m) != brute.Faults {
+					t.Fatalf("m=%d: sweep %d != brute %d", m, curve.Faults(m), brute.Faults)
 				}
 			}
 
@@ -174,6 +172,21 @@ func TestPipelineInvariantsOnRandomPrograms(t *testing.T) {
 	}
 }
 
+// compiled returns the named workload and its trace from the shared
+// compile cache.
+func compiled(t *testing.T, name string) (*core.Program, *trace.Trace) {
+	t.Helper()
+	c, err := workloads.Compile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, tr
+}
+
 // TestWorkloadsUnderEveryPolicy runs every workload under every policy
 // family member once, checking the compulsory lower bound and that the
 // simulator never loses references.
@@ -182,11 +195,8 @@ func TestWorkloadsUnderEveryPolicy(t *testing.T) {
 		t.Skip("full policy × workload sweep")
 	}
 	for _, w := range workloads.All() {
-		c, err := workloads.Compile(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs := c.Trace.RefsOnly()
+		c, tr := compiled(t, w.Name)
+		refs := tr.RefsOnly()
 		pols := []policy.Policy{
 			policy.NewLRU(16),
 			policy.NewFIFO(16),
@@ -200,15 +210,15 @@ func TestWorkloadsUnderEveryPolicy(t *testing.T) {
 		for _, p := range pols {
 			var res vmsim.Result
 			if _, ok := p.(*policy.CD); ok {
-				res = vmsim.Run(c.Trace, p)
+				res = vmsim.Run(tr, p)
 			} else {
 				res = vmsim.Run(refs, p)
 			}
-			if res.Refs != c.Trace.Refs {
-				t.Errorf("%s/%s: refs %d != %d", w.Name, p.Name(), res.Refs, c.Trace.Refs)
+			if res.Refs != tr.Refs {
+				t.Errorf("%s/%s: refs %d != %d", w.Name, p.Name(), res.Refs, tr.Refs)
 			}
-			if res.Faults < c.Trace.Distinct {
-				t.Errorf("%s/%s: faults %d below compulsory %d", w.Name, p.Name(), res.Faults, c.Trace.Distinct)
+			if res.Faults < tr.Distinct {
+				t.Errorf("%s/%s: faults %d below compulsory %d", w.Name, p.Name(), res.Faults, tr.Distinct)
 			}
 			if res.MaxResident > c.V() {
 				t.Errorf("%s/%s: resident %d exceeds V %d", w.Name, p.Name(), res.MaxResident, c.V())
@@ -220,13 +230,9 @@ func TestWorkloadsUnderEveryPolicy(t *testing.T) {
 // TestOPTLowerBoundsEverything verifies Belady's oracle lower-bounds every
 // demand policy at equal allocation on a real workload trace.
 func TestOPTLowerBoundsEverything(t *testing.T) {
-	w, _ := workloads.Get("HWSCRT")
-	c, err := workloads.Compile(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := c.Trace.RefsOnly()
-	pages := c.Trace.Pages()
+	_, tr := compiled(t, "HWSCRT")
+	refs := tr.RefsOnly()
+	pages := tr.Pages()
 	for _, m := range []int{4, 8, 16, 32} {
 		opt := vmsim.Run(refs, policy.NewOPT(pages, m))
 		lru := vmsim.Run(refs, policy.NewLRU(m))

@@ -127,15 +127,15 @@ func TestDominantSizes(t *testing.T) {
 // Batson's trace-level model — the paper's core premise.
 func TestCompileTimePredictionsMatchRuntime(t *testing.T) {
 	for _, name := range []string{"MAIN", "HWSCRT"} {
-		w, err := workloads.Get(name)
+		c, err := workloads.Compile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := workloads.Compile(w)
+		tr, err := c.Trace()
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs := c.Trace.Pages()
+		refs := tr.Pages()
 		ivs := Detect(refs, Config{MaxSize: c.V() + 4})
 		dominant := DominantSizes(ivs, len(refs), 0.5)
 		if len(dominant) == 0 {

@@ -1,16 +1,18 @@
-// Package core is the front door of the CDMM library: it ties the
-// compiler pipeline (parse → semantic analysis → address-space layout →
-// locality analysis → directive insertion), the trace-generating
-// interpreter, and the virtual memory simulator into one API.
+// Package core is the front door of the CDMM compiler: it runs the
+// pipeline (parse → semantic analysis → address-space layout → locality
+// analysis → directive insertion) and the trace-generating interpreter,
+// and hands back one compiled Program. Simulation lives in vmsim and
+// sweep, which replay a Program's trace.
 //
 // The typical flow mirrors the paper end to end:
 //
-//	p, err := core.CompileSource("MYPROG", src)   // compiler + directives
-//	fmt.Println(p.RenderDirectives())              // Figure 5c-style view
-//	fmt.Println(p.RenderLocalityTree())            // Figure 1-style view
-//	res := p.RunCD(core.CDOptions{Level: 2})       // CD policy simulation
-//	lru := p.Simulate(policy.NewLRU(10))           // baselines on the
-//	ws := p.Simulate(policy.NewWS(500))            // same reference string
+//	p, err := core.CompileSource("MYPROG", src)    // compiler + directives
+//	fmt.Println(p.RenderDirectives())               // Figure 5c-style view
+//	fmt.Println(p.RenderLocalityTree())             // Figure 1-style view
+//	tr, err := p.Trace()                            // the reference string
+//	cd := vmsim.Run(tr, policy.NewCD(policy.SelectLevel(2), 2)) // CD policy
+//	lru := vmsim.Run(tr, policy.NewLRU(10))         // baselines on the
+//	ws := vmsim.Run(tr, policy.NewWS(500))          // same reference string
 package core
 
 import (
@@ -22,12 +24,8 @@ import (
 	"cdmm/internal/interp"
 	"cdmm/internal/locality"
 	"cdmm/internal/mem"
-	"cdmm/internal/obs"
-	"cdmm/internal/policy"
 	"cdmm/internal/sem"
-	"cdmm/internal/sweep"
 	"cdmm/internal/trace"
-	"cdmm/internal/vmsim"
 )
 
 // Options configures compilation.
@@ -35,21 +33,6 @@ type Options struct {
 	// Geometry of the paged machine; zero value means the paper's
 	// 256-byte pages of 4-byte reals.
 	Geometry mem.Geometry
-	// MinResident is the system-default minimum allocation (pages) used
-	// when a loop forms no locality. Zero means the default of 2.
-	MinResident int
-	// MaxRefs caps trace generation; zero means the interpreter default.
-	MaxRefs int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Geometry == (mem.Geometry{}) {
-		o.Geometry = mem.DefaultGeometry
-	}
-	if o.MinResident == 0 {
-		o.MinResident = locality.DefaultParams.MinResident
-	}
-	return o
 }
 
 // Program is a fully compiled program: source, analyses, directive plan,
@@ -62,7 +45,6 @@ type Program struct {
 	Analysis *locality.Analysis
 	Plan     *directive.Plan
 
-	opts      Options
 	traceOnce sync.Once
 	tr        *trace.Trace
 	traceErr  error
@@ -75,7 +57,9 @@ func CompileSource(name, src string) (*Program, error) {
 
 // CompileSourceOpts compiles with explicit options.
 func CompileSourceOpts(name, src string, opts Options) (*Program, error) {
-	opts = opts.withDefaults()
+	if opts.Geometry == (mem.Geometry{}) {
+		opts.Geometry = mem.DefaultGeometry
+	}
 	ast, err := fortran.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
@@ -91,7 +75,7 @@ func CompileSourceOpts(name, src string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	analysis := locality.Analyze(info, layout, locality.Params{MinResident: opts.MinResident})
+	analysis := locality.Analyze(info, layout, locality.DefaultParams)
 	plan := directive.Build(analysis)
 	return &Program{
 		Name:     name,
@@ -100,7 +84,6 @@ func CompileSourceOpts(name, src string, opts Options) (*Program, error) {
 		Layout:   layout,
 		Analysis: analysis,
 		Plan:     plan,
-		opts:     opts,
 	}, nil
 }
 
@@ -117,9 +100,8 @@ func (p *Program) MaxPI() int { return p.Plan.MaxPI }
 func (p *Program) Trace() (*trace.Trace, error) {
 	p.traceOnce.Do(func() {
 		tr, err := interp.Run(p.Info, interp.Config{
-			Layout:  p.Layout,
-			Plan:    p.Plan,
-			MaxRefs: p.opts.MaxRefs,
+			Layout: p.Layout,
+			Plan:   p.Plan,
 			// The provenance side-band costs nothing on the simulation
 			// fast path and lets explain/report attribute every fault.
 			Sites: true,
@@ -131,73 +113,6 @@ func (p *Program) Trace() (*trace.Trace, error) {
 		p.tr = tr
 	})
 	return p.tr, p.traceErr
-}
-
-// Simulate replays the program's trace under any policy.
-func (p *Program) Simulate(pol policy.Policy) (vmsim.Result, error) {
-	return p.SimulateObserved(pol, nil)
-}
-
-// SimulateObserved replays the program's trace under any policy with an
-// observer attached (nil observes nothing).
-func (p *Program) SimulateObserved(pol policy.Policy, o *obs.Observer) (vmsim.Result, error) {
-	tr, err := p.Trace()
-	if err != nil {
-		return vmsim.Result{}, err
-	}
-	return vmsim.RunObserved(tr, pol, o), nil
-}
-
-// CDOptions selects the directive set for a CD run.
-type CDOptions struct {
-	// Level is the honored directive stratum (1 = innermost loops only).
-	// Zero means 1.
-	Level int
-	// Overrides gives per-loop stratum overrides keyed by loop key
-	// (statement label or "L<line>").
-	Overrides map[string]int
-	// MinAlloc is the system-default minimum allocation; zero means 2.
-	MinAlloc int
-}
-
-// RunCD simulates the program under the Compiler Directed policy.
-func (p *Program) RunCD(opts CDOptions) (vmsim.Result, error) {
-	return p.RunCDObserved(opts, nil)
-}
-
-// RunCDObserved is RunCD with an observer attached.
-func (p *Program) RunCDObserved(opts CDOptions, o *obs.Observer) (vmsim.Result, error) {
-	if opts.Level == 0 {
-		opts.Level = 1
-	}
-	if opts.MinAlloc == 0 {
-		opts.MinAlloc = 2
-	}
-	var sel policy.ArmSelector
-	if len(opts.Overrides) > 0 {
-		sel = policy.SelectLevels(opts.Level, opts.Overrides)
-	} else {
-		sel = policy.SelectLevel(opts.Level)
-	}
-	return p.SimulateObserved(policy.NewCD(sel, opts.MinAlloc), o)
-}
-
-// LRUSweep returns the one-pass all-allocations LRU curve of the trace.
-func (p *Program) LRUSweep() (*sweep.LRUCurve, error) {
-	tr, err := p.Trace()
-	if err != nil {
-		return nil, err
-	}
-	return sweep.NewLRU(tr)
-}
-
-// WSSweep returns the one-pass all-windows WS curve of the trace.
-func (p *Program) WSSweep() (*sweep.WS, error) {
-	tr, err := p.Trace()
-	if err != nil {
-		return nil, err
-	}
-	return sweep.NewWS(tr)
 }
 
 // RenderDirectives renders the directive plan in Figure 5c style.

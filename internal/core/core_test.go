@@ -6,6 +6,8 @@ import (
 
 	"cdmm/internal/mem"
 	"cdmm/internal/policy"
+	"cdmm/internal/sweep"
+	"cdmm/internal/vmsim"
 )
 
 const demoSrc = `
@@ -72,10 +74,7 @@ func TestTraceCachedAndSimulate(t *testing.T) {
 	if tr1 != tr2 {
 		t.Error("trace not cached")
 	}
-	res, err := p.Simulate(policy.NewLRU(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := vmsim.Run(tr1, policy.NewLRU(8))
 	if res.Refs != tr1.Refs {
 		t.Errorf("refs = %d, want %d", res.Refs, tr1.Refs)
 	}
@@ -86,14 +85,12 @@ func TestTraceCachedAndSimulate(t *testing.T) {
 
 func TestRunCDLevels(t *testing.T) {
 	p := compile(t)
-	inner, err := p.RunCD(CDOptions{Level: 1})
+	tr, err := p.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	outer, err := p.RunCD(CDOptions{Level: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := vmsim.Run(tr, policy.NewCD(policy.SelectLevel(1), 2))
+	outer := vmsim.Run(tr, policy.NewCD(policy.SelectLevel(2), 2))
 	if outer.MEM() < inner.MEM() {
 		t.Errorf("outer-level MEM %v < inner-level MEM %v", outer.MEM(), inner.MEM())
 	}
@@ -101,10 +98,7 @@ func TestRunCDLevels(t *testing.T) {
 		t.Errorf("outer-level faults %d > inner-level %d", outer.Faults, inner.Faults)
 	}
 	// Overrides apply.
-	ov, err := p.RunCD(CDOptions{Level: 1, Overrides: map[string]int{"10": 2, "20": 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ov := vmsim.Run(tr, policy.NewCD(policy.SelectLevels(1, map[string]int{"10": 2, "20": 2}), 2))
 	if ov.MEM() < inner.MEM() {
 		t.Errorf("override run should not shrink MEM below the base level")
 	}
@@ -112,18 +106,18 @@ func TestRunCDLevels(t *testing.T) {
 
 func TestSweepAccessors(t *testing.T) {
 	p := compile(t)
-	lru, err := p.LRUSweep()
+	tr, err := p.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := p.Trace()
+	lru, err := sweep.NewLRU(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lru.V != tr.Distinct {
 		t.Errorf("sweep V = %d, want %d", lru.V, tr.Distinct)
 	}
-	ws, err := p.WSSweep()
+	ws, err := sweep.NewWS(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +144,28 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
-func TestMaxRefsOption(t *testing.T) {
-	p, err := CompileSourceOpts("X", demoSrc, Options{MaxRefs: 10})
+// TestTraceRunError checks that Trace surfaces an interpreter run-time
+// error (here an out-of-bounds subscript the compiler cannot see) instead
+// of returning a partial trace, and keeps returning it.
+func TestTraceRunError(t *testing.T) {
+	p, err := CompileSource("X", `
+PROGRAM X
+DIMENSION A(4)
+DO 10 I = 1, 8
+  A(I) = 1.0
+10 CONTINUE
+END
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Trace(); err == nil {
-		t.Error("expected max-refs error")
+	for i := 0; i < 2; i++ {
+		tr, err := p.Trace()
+		if err == nil || !strings.Contains(err.Error(), "out of bounds") {
+			t.Fatalf("Trace error = %v, want an out-of-bounds run-time error", err)
+		}
+		if tr != nil {
+			t.Fatal("Trace returned a trace alongside its error")
+		}
 	}
 }

@@ -3,9 +3,10 @@
 // whole experiment grids (experiments, report, the CLI). Callers declare
 // a set of independent runs — MapNamed over a slice of run descriptors —
 // and the engine executes them on a bounded worker pool, memoizing shared
-// prerequisites (compiled workloads, LRU/WS sweeps, CD policy runs) with
-// singleflight semantics so each expensive artifact is computed exactly
-// once per engine however many runs request it.
+// prerequisites (LRU/WS sweeps, CD policy runs) with singleflight
+// semantics so each expensive artifact is computed exactly once per
+// engine however many runs request it. Compiled programs come from
+// workloads.Compile, once per process for every engine.
 //
 // Determinism is the engine's contract: results are gathered in
 // declaration order, memo keys are composite (program, set, policy,

@@ -174,18 +174,50 @@ func TestEventMergeDeterministic(t *testing.T) {
 	}
 }
 
-func TestCompiledSharedAcrossRuns(t *testing.T) {
-	eng := engine.New(4)
-	out, err := engine.MapNamed(eng, "", make([]struct{}, 8), func(rc *engine.RunCtx, _ struct{}) (*workloads.Compiled, error) {
-		return eng.Compiled(rc, "MAIN")
+// wsMinEvents runs an observed WSMinST per program and returns the
+// minima and the merged event stream.
+func wsMinEvents(t *testing.T, workers int, cell bool, progs []string) ([]int, []obs.Event) {
+	t.Helper()
+	col := &obs.Collector{}
+	eng := engine.New(workers).WithObserver(&obs.Observer{Tracer: col}).WithCellMode(cell)
+	taus, err := engine.MapNamed(eng, "", progs, func(rc *engine.RunCtx, prog string) (int, error) {
+		tau, _, err := eng.WSMinST(rc, prog)
+		return tau, err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[0] {
-			t.Fatal("Compiled returned different pointers for the same program")
+	return taus, col.Events
+}
+
+// TestObservedWSMinSTReplaysOnce checks that observing the WS minimum
+// search does not change it: the search stays unobserved and emits
+// exactly one WS run per program, the minimizing window's, with the same
+// stream in curve and cell mode.
+func TestObservedWSMinSTReplaysOnce(t *testing.T) {
+	progs := []string{"MAIN", "TQL"}
+	taus, want := wsMinEvents(t, 1, false, progs)
+	var runs []string
+	for _, ev := range want {
+		if ev.Kind == obs.KindRun {
+			runs = append(runs, ev.Label)
 		}
+	}
+	plain := engine.New(1)
+	for i, prog := range progs {
+		tau, _, err := plain.WSMinST(nil, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if taus[i] != tau {
+			t.Errorf("%s: observed minimum at tau=%d, unobserved at tau=%d", prog, taus[i], tau)
+		}
+	}
+	if len(runs) != len(progs) {
+		t.Fatalf("observed WSMinST emitted %d run events, want one per program (%d)", len(runs), len(progs))
+	}
+	if _, got := wsMinEvents(t, 4, true, progs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cell mode: merged stream differs from curve mode (%d vs %d events)", len(got), len(want))
 	}
 }
 

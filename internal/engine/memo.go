@@ -6,9 +6,11 @@ import (
 	"strings"
 	"sync"
 
+	"cdmm/internal/core"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
 	"cdmm/internal/sweep"
+	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
 )
@@ -19,8 +21,8 @@ import (
 // unlike the old per-set-name bundle cache (which returned stale results
 // when a different Set selector reused a name mid-process).
 type Key struct {
-	// Kind discriminates the artifact: "compile", "lru-sweep", "ws-sweep",
-	// "cd-run", "ws-run", "ws-min", ...
+	// Kind discriminates the artifact: "lru-sweep", "ws-sweep", "cd-run",
+	// "ws-run", "ws-min", ...
 	Kind string
 	// Program is the workload name.
 	Program string
@@ -164,20 +166,15 @@ func setParams(set workloads.Set, minAlloc int) string {
 	return b.String()
 }
 
-// Compiled returns the program's compiled workload (AST, layout,
-// directive plan, trace), computed once per engine.
-func (e *Engine) Compiled(rc *RunCtx, program string) (*workloads.Compiled, error) {
-	v, err := e.Memo(rc, Key{Kind: "compile", Program: program}, func(*RunCtx, *obs.Observer) (any, error) {
-		p, err := workloads.Get(program)
-		if err != nil {
-			return nil, err
-		}
-		return workloads.Compile(p)
-	})
+// compiled returns the named workload and its trace. workloads.Compile
+// compiles each program once per process, so every engine shares it.
+func compiled(program string) (*core.Program, *trace.Trace, error) {
+	p, err := workloads.Compile(program)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return v.(*workloads.Compiled), nil
+	tr, err := p.Trace()
+	return p, tr, err
 }
 
 // modeParams appends the engine's sweep mode to a memo-key Params
@@ -199,20 +196,20 @@ func (e *Engine) modeParams(base string) string {
 // mode.
 func (e *Engine) LRUSweep(rc *RunCtx, program string) (*sweep.LRUCurve, error) {
 	k := Key{Kind: "lru-sweep", Program: program, Policy: "LRU", Params: e.modeParams("")}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, _ *obs.Observer) (any, error) {
-		c, err := e.Compiled(comp, program)
+	v, err := e.Memo(rc, k, func(*RunCtx, *obs.Observer) (any, error) {
+		p, tr, err := compiled(program)
 		if err != nil {
 			return nil, err
 		}
 		if e.cellMode {
-			refs := c.Trace.RefsOnly()
-			cells := make([]vmsim.Result, c.V())
+			refs := tr.RefsOnly()
+			cells := make([]vmsim.Result, p.V())
 			for m := range cells {
 				cells[m] = vmsim.Run(refs, policy.NewLRU(m+1))
 			}
 			return sweep.FromLRUCells(cells), nil
 		}
-		return sweep.NewLRU(c.Trace)
+		return sweep.NewLRU(tr)
 	})
 	if err != nil {
 		return nil, err
@@ -226,12 +223,12 @@ func (e *Engine) LRUSweep(rc *RunCtx, program string) (*sweep.LRUCurve, error) {
 // cell mode diverges at the full-replay artifacts (WSRun, WSMinST), not
 // at the histograms, which predate the curve engines.
 func (e *Engine) WSSweep(rc *RunCtx, program string) (*sweep.WS, error) {
-	v, err := e.Memo(rc, Key{Kind: "ws-sweep", Program: program, Policy: "WS"}, func(comp *RunCtx, _ *obs.Observer) (any, error) {
-		c, err := e.Compiled(comp, program)
+	v, err := e.Memo(rc, Key{Kind: "ws-sweep", Program: program, Policy: "WS"}, func(*RunCtx, *obs.Observer) (any, error) {
+		_, tr, err := compiled(program)
 		if err != nil {
 			return nil, err
 		}
-		return sweep.NewWS(c.Trace)
+		return sweep.NewWS(tr)
 	})
 	if err != nil {
 		return nil, err
@@ -243,13 +240,13 @@ func (e *Engine) WSSweep(rc *RunCtx, program string) (*sweep.WS, error) {
 // over the program's trace under the given directive set.
 func (e *Engine) CDRun(rc *RunCtx, program string, set workloads.Set, minAlloc int) (vmsim.Result, error) {
 	k := Key{Kind: "cd-run", Program: program, Set: set.Name, Policy: "CD", Params: setParams(set, minAlloc)}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
-		c, err := e.Compiled(comp, program)
+	v, err := e.Memo(rc, k, func(_ *RunCtx, o *obs.Observer) (any, error) {
+		_, tr, err := compiled(program)
 		if err != nil {
 			return nil, err
 		}
 		cd := policy.NewCD(set.Selector(), minAlloc)
-		return vmsim.RunObserved(c.Trace, cd, o), nil
+		return vmsim.RunObserved(tr, cd, o), nil
 	})
 	if err != nil {
 		return vmsim.Result{}, err
@@ -269,19 +266,15 @@ func (e *Engine) WSRun(rc *RunCtx, program string, tau int) (vmsim.Result, error
 		if err != nil {
 			return nil, err
 		}
-		if o.Enabled() {
-			c, err := e.Compiled(comp, program)
+		if o.Enabled() || e.cellMode {
+			_, tr, err := compiled(program)
 			if err != nil {
 				return nil, err
 			}
-			return vmsim.RunObserved(c.Trace, policy.NewWS(tau), o), nil
-		}
-		if e.cellMode {
-			c, err := e.Compiled(comp, program)
-			if err != nil {
-				return nil, err
+			if o.Enabled() {
+				return vmsim.RunObserved(tr, policy.NewWS(tau), o), nil
 			}
-			return vmsim.Run(c.Trace.RefsOnly(), policy.NewWS(tau)), nil
+			return vmsim.Run(tr.RefsOnly(), policy.NewWS(tau)), nil
 		}
 		return s.Run(tau)
 	})
@@ -300,60 +293,43 @@ type wsMin struct {
 // WSMinST returns the working-set window minimizing space-time cost and
 // its full result, computed once per engine. In curve mode the whole τ
 // ladder falls out of one grid-engine traversal; cell mode replays the
-// trace at every ladder point (formerly the most expensive per-program
-// artifact); an enabled observer keeps the historical instrumented
-// search — histogram-pruned ladder replays — so event streams are
-// unchanged.
+// trace at every ladder point. The search itself is never observed: with
+// an enabled observer the minimizing window's result comes from WSRun,
+// so a watched run replays only the one window the table prints, and its
+// event stream is the same in either mode.
 func (e *Engine) WSMinST(rc *RunCtx, program string) (int, vmsim.Result, error) {
 	k := Key{Kind: "ws-min", Program: program, Policy: "WS", Params: e.modeParams("")}
 	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
-		s, err := e.WSSweep(comp, program)
-		if err != nil {
-			return nil, err
+		var m wsMin
+		if e.cellMode {
+			_, tr, err := compiled(program)
+			if err != nil {
+				return nil, err
+			}
+			refs := tr.RefsOnly()
+			taus := vmsim.DefaultTaus(tr.Refs)
+			m = wsMin{taus[0], vmsim.Run(refs, policy.NewWS(taus[0]))}
+			for _, tau := range taus[1:] {
+				if r := vmsim.Run(refs, policy.NewWS(tau)); r.SpaceTime < m.res.SpaceTime {
+					m = wsMin{tau, r}
+				}
+			}
+		} else {
+			s, err := e.WSSweep(comp, program)
+			if err != nil {
+				return nil, err
+			}
+			if m.tau, m.res, err = s.MinST(); err != nil {
+				return nil, err
+			}
 		}
 		if o.Enabled() {
-			c, err := e.Compiled(comp, program)
-			if err != nil {
+			var err error
+			if m.res, err = e.WSRun(comp, program, m.tau); err != nil {
 				return nil, err
 			}
-			taus := vmsim.DefaultTaus(c.Trace.Refs)
-			bestTau := taus[0]
-			best := vmsim.RunObserved(c.Trace, policy.NewWS(bestTau), o)
-			for _, tau := range taus[1:] {
-				// Histogram lower bound: ST >= MemSum + FaultService·faults;
-				// skip τ whose bound already exceeds the best (cheap pruning,
-				// winner identical to the unpruned strict-< scan).
-				lower := s.MemSum(tau) + float64(policy.FaultService)*float64(s.Faults(tau))
-				if lower >= best.SpaceTime {
-					continue
-				}
-				if r := vmsim.RunObserved(c.Trace, policy.NewWS(tau), o); r.SpaceTime < best.SpaceTime {
-					bestTau, best = tau, r
-				}
-			}
-			return wsMin{bestTau, best}, nil
 		}
-		if e.cellMode {
-			c, err := e.Compiled(comp, program)
-			if err != nil {
-				return nil, err
-			}
-			refs := c.Trace.RefsOnly()
-			taus := vmsim.DefaultTaus(c.Trace.Refs)
-			bestTau := taus[0]
-			best := vmsim.Run(refs, policy.NewWS(bestTau))
-			for _, tau := range taus[1:] {
-				if r := vmsim.Run(refs, policy.NewWS(tau)); r.SpaceTime < best.SpaceTime {
-					bestTau, best = tau, r
-				}
-			}
-			return wsMin{bestTau, best}, nil
-		}
-		tau, res, err := s.MinST()
-		if err != nil {
-			return nil, err
-		}
-		return wsMin{tau, res}, nil
+		return m, nil
 	})
 	if err != nil {
 		return 0, vmsim.Result{}, err
@@ -372,8 +348,8 @@ func (e *Engine) CDDetune(rc *RunCtx, program string, set workloads.Set, minAllo
 	detune func(policy.ArmSelector, float64) policy.ArmSelector) ([]vmsim.Result, error) {
 	params := setParams(set, minAlloc) + ",factors=" + fmtFactors(factors)
 	k := Key{Kind: "cd-detune", Program: program, Set: set.Name, Policy: "CD", Params: e.modeParams(params)}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
-		c, err := e.Compiled(comp, program)
+	v, err := e.Memo(rc, k, func(_ *RunCtx, o *obs.Observer) (any, error) {
+		_, tr, err := compiled(program)
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +357,7 @@ func (e *Engine) CDDetune(rc *RunCtx, program string, set workloads.Set, minAllo
 			out := make([]vmsim.Result, len(factors))
 			for i, f := range factors {
 				cd := policy.NewCD(detune(set.Selector(), f), minAlloc)
-				out[i] = vmsim.RunObserved(c.Trace, cd, o)
+				out[i] = vmsim.RunObserved(tr, cd, o)
 			}
 			return out, nil
 		}
@@ -389,7 +365,7 @@ func (e *Engine) CDDetune(rc *RunCtx, program string, set workloads.Set, minAllo
 		for i, f := range factors {
 			pols[i] = policy.NewCD(detune(set.Selector(), f), minAlloc)
 		}
-		return sweep.Multi(c.Trace, pols)
+		return sweep.Multi(tr, pols)
 	})
 	if err != nil {
 		return nil, err

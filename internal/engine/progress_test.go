@@ -9,7 +9,9 @@ import (
 	"cdmm/internal/engine"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
+	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
+	"cdmm/internal/workloads"
 )
 
 // snapshotRun finds one run's snapshot by id.
@@ -28,12 +30,12 @@ func TestProgressPlanLifecycle(t *testing.T) {
 
 	items := []string{"CONDUCT", "MAIN", "TQL"}
 	_, err := engine.MapNamed(eng, "table-test", items, func(rc *engine.RunCtx, prog string) (vmsim.Result, error) {
-		c, err := eng.Compiled(rc, prog)
+		tr, err := workloadTrace(prog)
 		if err != nil {
 			return vmsim.Result{}, err
 		}
 		rc.Describe(prog, "LRU")
-		res := vmsim.RunObserved(c.Trace.RefsOnly(), policy.NewLRU(16), rc.Obs)
+		res := vmsim.RunObserved(tr.RefsOnly(), policy.NewLRU(16), rc.Obs)
 		rc.Report(res)
 		return res, nil
 	})
@@ -146,11 +148,11 @@ func TestProgressBehindDisabledObserver(t *testing.T) {
 		WithProgress(p)
 
 	results, err := engine.MapNamed(eng, "gated", []string{"CONDUCT"}, func(rc *engine.RunCtx, prog string) (vmsim.Result, error) {
-		c, err := eng.Compiled(rc, prog)
+		tr, err := workloadTrace(prog)
 		if err != nil {
 			return vmsim.Result{}, err
 		}
-		return vmsim.RunObserved(c.Trace.RefsOnly(), policy.NewLRU(32), rc.Obs), nil
+		return vmsim.RunObserved(tr.RefsOnly(), policy.NewLRU(32), rc.Obs), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,4 +233,13 @@ func TestConcurrentPlansKeepMemoEventsWithComputingPlan(t *testing.T) {
 			t.Fatalf("stream = %v, want %v (shared memo events must stay with the computing plan)", labels, want)
 		}
 	}
+}
+
+// workloadTrace returns the named workload's compiled trace.
+func workloadTrace(name string) (*trace.Trace, error) {
+	c, err := workloads.Compile(name)
+	if err != nil {
+		return nil, err
+	}
+	return c.Trace()
 }

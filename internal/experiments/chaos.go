@@ -18,6 +18,7 @@ import (
 	"cdmm/internal/policy"
 	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
+	"cdmm/internal/workloads"
 )
 
 // ChaosCell identifies one fault-matrix run.
@@ -57,11 +58,6 @@ type ChaosConfig struct {
 	Faults []string
 	// Intensities are the fault dials to sweep (default: 0.1 and 0.4).
 	Intensities []float64
-	// MinAlloc is CD's system minimum allocation (default cdMinAlloc).
-	MinAlloc int
-	// FallbackTau is the degraded-mode WS window (default
-	// policy.DefaultFallbackTau).
-	FallbackTau int
 }
 
 // defaults fills unset fields.
@@ -77,12 +73,6 @@ func (c *ChaosConfig) defaults() {
 	}
 	if len(c.Intensities) == 0 {
 		c.Intensities = []float64{0.1, 0.4}
-	}
-	if c.MinAlloc < 1 {
-		c.MinAlloc = cdMinAlloc
-	}
-	if c.FallbackTau < 1 {
-		c.FallbackTau = policy.DefaultFallbackTau
 	}
 }
 
@@ -110,13 +100,17 @@ func ChaosMatrix(eng *engine.Engine, cfg ChaosConfig) ([]ChaosRow, error) {
 		row := ChaosRow{Cell: cell}
 		rc.Describe(fmt.Sprintf("%s/%s %s@%g", cell.Variant.Program, cell.Variant.Set, cell.Fault, cell.Intensity), "CD+faults")
 
-		comp, err := eng.Compiled(rc, cell.Variant.Program)
+		comp, err := workloads.Compile(cell.Variant.Program)
 		if err != nil {
 			return row, err
 		}
-		set, ok := comp.Program.Set(cell.Variant.Set)
-		if !ok {
-			return row, fmt.Errorf("chaos: program %s has no set %q", cell.Variant.Program, cell.Variant.Set)
+		tr, err := comp.Trace()
+		if err != nil {
+			return row, err
+		}
+		set, err := variantSet(cell.Variant)
+		if err != nil {
+			return row, err
 		}
 		fault, err := chaos.Get(cell.Fault)
 		if err != nil {
@@ -124,22 +118,21 @@ func ChaosMatrix(eng *engine.Engine, cfg ChaosConfig) ([]ChaosRow, error) {
 		}
 
 		// Anchors first (memoized across cells).
-		if row.Clean, err = eng.CDRun(rc, cell.Variant.Program, set, cfg.MinAlloc); err != nil {
+		if row.Clean, err = eng.CDRun(rc, cell.Variant.Program, set, cdMinAlloc); err != nil {
 			return row, err
 		}
-		if row.Floor, err = eng.WSRun(rc, cell.Variant.Program, cfg.FallbackTau); err != nil {
+		if row.Floor, err = eng.WSRun(rc, cell.Variant.Program, policy.DefaultFallbackTau); err != nil {
 			return row, err
 		}
 
 		rng := chaos.NewRand(chaos.DeriveSeed(cfg.Seed,
 			cell.Variant.Program, cell.Variant.Set, cell.Fault, fmt.Sprintf("%g", cell.Intensity)))
 
-		tr := comp.Trace
 		if fault.Perturb != nil {
 			tr = fault.Perturb(tr, rng, cell.Intensity)
 		}
-		cd := policy.NewCD(set.Selector(), cfg.MinAlloc)
-		cd.Check = &policy.CheckConfig{MaxPage: comp.V(), FallbackTau: cfg.FallbackTau}
+		cd := policy.NewCD(set.Selector(), cdMinAlloc)
+		cd.Check = &policy.CheckConfig{MaxPage: comp.V()}
 		var pol policy.Policy = cd
 		if fault.Pressure != nil {
 			pol = chaos.NewPressured(cd, fault.Pressure(comp.V(), tr.Refs, rng, cell.Intensity))

@@ -54,7 +54,7 @@ func DetuneStudy(eng *engine.Engine, variants []Variant, factors []float64) ([]D
 	}
 	grids, err := engine.MapNamed(eng, "detune", variants, func(rc *engine.RunCtx, v Variant) ([]DetuneRow, error) {
 		rc.Describe(fmt.Sprintf("%s/%s x%d factors", v.Program, v.Set, len(factors)), "CD detuned")
-		set, err := variantSet(eng, rc, v)
+		set, err := variantSet(v)
 		if err != nil {
 			return nil, err
 		}

@@ -61,14 +61,14 @@ var Table34Variants = []Variant{
 // cdMinAlloc is the system-default minimum allocation the §5 runs use.
 const cdMinAlloc = 2
 
-// variantSet resolves a variant's directive set from its compiled
-// program.
-func variantSet(eng *engine.Engine, rc *engine.RunCtx, v Variant) (workloads.Set, error) {
-	c, err := eng.Compiled(rc, v.Program)
+// variantSet resolves a variant's directive set from the workload
+// registry, without compiling the program.
+func variantSet(v Variant) (workloads.Set, error) {
+	p, err := workloads.Get(v.Program)
 	if err != nil {
 		return workloads.Set{}, err
 	}
-	set, ok := c.Program.Set(v.Set)
+	set, ok := p.Set(v.Set)
 	if !ok {
 		return workloads.Set{}, fmt.Errorf("experiments: program %s has no set %q", v.Program, v.Set)
 	}
@@ -77,7 +77,7 @@ func variantSet(eng *engine.Engine, rc *engine.RunCtx, v Variant) (workloads.Set
 
 // cdRun runs (memoized in eng) the CD policy for one variant.
 func cdRun(eng *engine.Engine, rc *engine.RunCtx, v Variant) (vmsim.Result, error) {
-	set, err := variantSet(eng, rc, v)
+	set, err := variantSet(v)
 	if err != nil {
 		return vmsim.Result{}, err
 	}

@@ -9,8 +9,8 @@ import (
 	"cdmm/internal/workloads"
 )
 
-// testEng is shared by the package's tests, so compiled programs and
-// sweeps stay memoized across them instead of being rebuilt per test.
+// testEng is shared by the package's tests, so sweeps and CD runs stay
+// memoized across them instead of being rebuilt per test.
 var testEng = engine.New(0)
 
 func TestTable1ShapeMatchesPaper(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"cdmm/internal/engine"
 	"cdmm/internal/mem"
 	"cdmm/internal/policy"
+	"cdmm/internal/sweep"
 	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
 )
@@ -50,11 +51,15 @@ func PolicyFamily(eng *engine.Engine, variants []Variant) ([]FamilyRow, error) {
 		if tau < 4 {
 			tau = 4
 		}
-		c, err := eng.Compiled(rc, v.Program)
+		c, err := workloads.Compile(v.Program)
 		if err != nil {
 			return FamilyRow{}, err
 		}
-		refs := c.Trace.RefsOnly()
+		tr, err := c.Trace()
+		if err != nil {
+			return FamilyRow{}, err
+		}
+		refs := tr.RefsOnly()
 		o := rc.Obs
 		return FamilyRow{
 			Variant: v,
@@ -118,12 +123,13 @@ func PageSizeSensitivity(eng *engine.Engine, program string, pageSizes []int) ([
 		if err != nil {
 			return PageSizeRow{}, err
 		}
-		cd, err := prog.RunCDObserved(core.CDOptions{Level: set.Level, Overrides: set.Overrides}, rc.Obs)
+		tr, err := prog.Trace()
 		if err != nil {
 			return PageSizeRow{}, err
 		}
+		cd := vmsim.RunObserved(tr, policy.NewCD(set.Selector(), cdMinAlloc), rc.Obs)
 		rc.Report(cd)
-		lru, err := prog.LRUSweep()
+		lru, err := sweep.NewLRU(tr)
 		if err != nil {
 			return PageSizeRow{}, err
 		}

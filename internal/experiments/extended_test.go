@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"cdmm/internal/workloads"
 )
 
 func TestPolicyFamilySubset(t *testing.T) {
@@ -43,11 +45,15 @@ func TestPolicyFamilySubset(t *testing.T) {
 
 func cacheVFor(t *testing.T, program string) int {
 	t.Helper()
-	c, err := testEng.Compiled(nil, program)
+	c, err := workloads.Compile(program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Trace.Distinct
+	tr, err := c.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Distinct
 }
 
 func TestPageSizeSensitivity(t *testing.T) {

@@ -23,8 +23,6 @@ type Options struct {
 	// Selector picks the honored directive arms for the CD run; nil
 	// means policy.SelectLevel(1).
 	Selector policy.ArmSelector
-	// MinAlloc is the CD system-default minimum allocation; zero means 2.
-	MinAlloc int
 }
 
 // Report bundles the attribution ledgers of one workload: CD under the
@@ -54,12 +52,8 @@ func Analyze(tr *trace.Trace, opts Options) (*Report, error) {
 	if sel == nil {
 		sel = policy.SelectLevel(1)
 	}
-	minAlloc := opts.MinAlloc
-	if minAlloc == 0 {
-		minAlloc = 2
-	}
 	r := &Report{Program: tr.Name}
-	r.CDRes, r.CD = vmsim.RunAttributed(tr, policy.NewCD(sel, minAlloc), nil)
+	r.CDRes, r.CD = vmsim.RunAttributed(tr, policy.NewCD(sel, 2), nil)
 
 	refs := tr.RefsOnly()
 	lru, err := sweep.NewLRU(tr)

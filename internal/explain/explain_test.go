@@ -28,11 +28,8 @@ func TestTable2HotspotRanking(t *testing.T) {
 			if !ok {
 				t.Fatalf("no set %q", v.Set)
 			}
-			c, err := workloads.Compile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := explain.Analyze(c.Trace, explain.Options{Selector: set.Selector(), MinAlloc: 2})
+			tr := compiledTrace(t, p.Name)
+			rep, err := explain.Analyze(tr, explain.Options{Selector: set.Selector()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,19 +88,30 @@ func TestTable2HotspotRanking(t *testing.T) {
 // TestAnalyzeRequiresSites pins the contract: a trace without the
 // side-band is rejected rather than silently unattributed.
 func TestAnalyzeRequiresSites(t *testing.T) {
-	w, err := workloads.Get("MAIN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := workloads.MustCompile(w)
-	if _, err := explain.Analyze(c.Trace.WithoutSites(), explain.Options{}); err == nil {
+	tr := compiledTrace(t, "MAIN")
+	if _, err := explain.Analyze(tr.WithoutSites(), explain.Options{}); err == nil {
 		t.Fatal("siteless trace accepted")
 	}
-	rep, err := explain.Analyze(c.Trace, explain.Options{})
+	rep, err := explain.Analyze(tr, explain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.CDRes.Faults != rep.CD.Faults {
 		t.Errorf("result/ledger fault mismatch: %d vs %d", rep.CDRes.Faults, rep.CD.Faults)
 	}
+}
+
+// compiledTrace returns the named workload's trace from the shared
+// compile cache.
+func compiledTrace(t *testing.T, name string) *trace.Trace {
+	t.Helper()
+	c, err := workloads.Compile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }

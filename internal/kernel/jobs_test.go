@@ -5,6 +5,7 @@ import (
 
 	"cdmm/internal/engine"
 	"cdmm/internal/policy"
+	"cdmm/internal/trace"
 	"cdmm/internal/workloads"
 )
 
@@ -45,28 +46,34 @@ func specJobs(n int) []Job { return synthJobs(1, n, 0.25, 0) }
 // through its large-locality phases, while WS completes first. A CD
 // policy that saw unlimited memory would be suspended at 60 frames.
 func TestAblationBMultiprogramming(t *testing.T) {
-	var progs []*workloads.Compiled
+	var progs []*workloads.Program
+	var traces []*trace.Trace
 	for _, name := range []string{"TQL", "HWSCRT", "MAIN"} {
 		w, err := workloads.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := workloads.Compile(w)
+		c, err := workloads.Compile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		progs = append(progs, c)
+		tr, err := c.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, w)
+		traces = append(traces, tr)
 	}
 	// run returns the mix's completion (the last job's finish time) and
 	// its suspension count.
 	run := func(frames, quantum int, cd bool) (int64, int64) {
 		jobs := make([]Job, len(progs))
-		for i, c := range progs {
+		for i, w := range progs {
 			var pol policy.Policy = policy.NewWS(1000)
 			if cd {
-				pol = policy.NewCD(c.Program.DefaultSet().Selector(), 2)
+				pol = policy.NewCD(w.DefaultSet().Selector(), 2)
 			}
-			jobs[i] = Job{Source: c.Trace, Policy: pol}
+			jobs[i] = Job{Source: traces[i], Policy: pol}
 		}
 		res := mustRun(t, Config{Jobs: jobs, Frames: frames, Quantum: quantum, Checked: true}, engine.New(1))
 		if len(res.Violations) != 0 || res.Done != int64(len(jobs)) {

@@ -137,11 +137,10 @@ func Collect(quick bool) (*Baseline, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := workloads.Compile(w)
+		tr, err := compiledTrace(sp.workload)
 		if err != nil {
 			return nil, err
 		}
-		tr := c.Trace
 		if !sp.directives {
 			tr = tr.RefsOnly()
 		}
@@ -185,15 +184,11 @@ func Collect(quick bool) (*Baseline, error) {
 // the speedup block stepping buys; the fault anchors tie both to the
 // simulated behavior.
 func collectBlockStep(b *Baseline, target time.Duration) error {
-	w, err := workloads.Get("CONDUCT")
+	tr, err := compiledTrace("CONDUCT")
 	if err != nil {
 		return err
 	}
-	c, err := workloads.Compile(w)
-	if err != nil {
-		return err
-	}
-	pages := c.Trace.RefsOnly().Pages()
+	pages := tr.RefsOnly().Pages()
 	pol := policy.NewLRU(32)
 	pol.Reset()
 	var warm policy.BlockResult
@@ -233,15 +228,14 @@ func collectBlockStep(b *Baseline, target time.Duration) error {
 // single-policy case (LRU/m=32, WS/tau=1000), and a differential check
 // pins curve results to per-cell results before anything is timed.
 func collectSweepCurves(b *Baseline, target time.Duration) error {
-	w, err := workloads.Get("CONDUCT")
+	c, err := workloads.Compile("CONDUCT")
 	if err != nil {
 		return err
 	}
-	c, err := workloads.Compile(w)
+	tr, err := c.Trace()
 	if err != nil {
 		return err
 	}
-	tr := c.Trace
 	v := c.V()
 	taus := vmsim.DefaultTaus(tr.Refs)
 
@@ -326,6 +320,16 @@ func collectSweepCurves(b *Baseline, target time.Duration) error {
 	return nil
 }
 
+// compiledTrace returns the named workload's trace from the shared
+// compile cache.
+func compiledTrace(name string) (*trace.Trace, error) {
+	c, err := workloads.Compile(name)
+	if err != nil {
+		return nil, err
+	}
+	return c.Trace()
+}
+
 // minTime returns the fastest of k timed runs of fn.
 func minTime(k int, fn func()) time.Duration {
 	var best time.Duration
@@ -349,7 +353,7 @@ func collectStreamDecode(b *Baseline, target time.Duration) error {
 	if err != nil {
 		return err
 	}
-	c, err := workloads.Compile(w)
+	tr, err := compiledTrace(w.Name)
 	if err != nil {
 		return err
 	}
@@ -358,7 +362,7 @@ func collectStreamDecode(b *Baseline, target time.Duration) error {
 		return err
 	}
 	defer os.Remove(f.Name())
-	if _, err := trace.WriteCDT3(f, c.Trace, 0); err != nil {
+	if _, err := trace.WriteCDT3(f, tr, 0); err != nil {
 		f.Close()
 		return err
 	}
@@ -386,7 +390,7 @@ func collectStreamDecode(b *Baseline, target time.Duration) error {
 	// Fault anchor: a streamed replay must fault exactly like the
 	// in-memory one (representation independence, checked here so the
 	// baseline pins it on every machine).
-	memRes := vmsim.Run(c.Trace, policy.NewCD(w.DefaultSet().Selector(), 2))
+	memRes := vmsim.Run(tr, policy.NewCD(w.DefaultSet().Selector(), 2))
 	streamRes, err := vmsim.RunSource(src, policy.NewCD(w.DefaultSet().Selector(), 2), nil)
 	if err != nil {
 		return err
@@ -434,11 +438,10 @@ func collectServeOverhead(b *Baseline, target time.Duration) error {
 	if err != nil {
 		return err
 	}
-	c, err := workloads.Compile(w)
+	tr, err := compiledTrace(w.Name)
 	if err != nil {
 		return err
 	}
-	tr := c.Trace
 	pol := policy.NewCD(w.DefaultSet().Selector(), 2)
 	o := servedObserver()
 	plainRes := vmsim.Run(tr, pol)
@@ -482,11 +485,10 @@ func collectAttrOverhead(b *Baseline, target time.Duration) error {
 	if err != nil {
 		return err
 	}
-	c, err := workloads.Compile(w)
+	sited, err := compiledTrace(w.Name)
 	if err != nil {
 		return err
 	}
-	sited := c.Trace
 	if !sited.HasSites() {
 		return fmt.Errorf("perf: CONDUCT trace lost its site side-band")
 	}

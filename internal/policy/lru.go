@@ -28,9 +28,6 @@ func NewLRU(frames int) *LRU {
 // Name implements Policy.
 func (p *LRU) Name() string { return p.name }
 
-// Frames returns the fixed allocation.
-func (p *LRU) Frames() int { return p.frames }
-
 // HintPages implements PageHinter.
 func (p *LRU) HintPages(maxPage mem.Page, distinct int) { p.list.hint(maxPage, distinct) }
 

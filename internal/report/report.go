@@ -18,8 +18,13 @@ import (
 	"cdmm/internal/explain"
 	"cdmm/internal/locality"
 	"cdmm/internal/sem"
+	"cdmm/internal/sweep"
 	"cdmm/internal/trace"
 )
+
+// timelineBuckets is the virtual-time bucket count of the report's fault
+// timeline section.
+const timelineBuckets = 64
 
 // Options controls report contents.
 type Options struct {
@@ -28,9 +33,6 @@ type Options struct {
 	SkipBLI bool
 	// SkipSimulation disables the policy comparison section.
 	SkipSimulation bool
-	// TimelineBuckets sets the virtual-time bucket count of the fault
-	// timeline section; 0 means 64.
-	TimelineBuckets int
 	// Engine executes the simulation sections' runs; it is required
 	// unless SkipSimulation is set. The report text is byte-identical at
 	// any parallelism level.
@@ -72,17 +74,13 @@ func Generate(p *core.Program, opts Options) (string, error) {
 	}
 
 	if !opts.SkipSimulation {
-		if err := writeSimulation(&b, p, opts.Engine); err != nil {
+		if err := writeSimulation(&b, p, tr, opts.Engine); err != nil {
 			return "", err
 		}
 		if err := writeAttribution(&b, tr); err != nil {
 			return "", err
 		}
-		buckets := opts.TimelineBuckets
-		if buckets == 0 {
-			buckets = 64
-		}
-		tl, err := TimelineReport(opts.Engine, p, buckets)
+		tl, err := TimelineReport(opts.Engine, p, timelineBuckets)
 		if err != nil {
 			return "", err
 		}
@@ -181,23 +179,23 @@ func writeAttribution(b *strings.Builder, tr *trace.Trace) error {
 	return nil
 }
 
-func writeSimulation(b *strings.Builder, p *core.Program, eng *engine.Engine) error {
+func writeSimulation(b *strings.Builder, p *core.Program, tr *trace.Trace, eng *engine.Engine) error {
 	b.WriteString("\n## Policy comparison\n\n")
 	fmt.Fprintf(b, "| policy | PF | MEM | ST |\n|---|---|---|---|\n")
-	results, err := runCDLevels(eng, p)
+	results, err := runCDLevels(eng, p, tr)
 	if err != nil {
 		return err
 	}
 	for i, res := range results {
 		fmt.Fprintf(b, "| CD level %d | %d | %.2f | %.4g |\n", i+1, res.Faults, res.MEM(), res.ST())
 	}
-	lru, err := p.LRUSweep()
+	lru, err := sweep.NewLRU(tr)
 	if err != nil {
 		return err
 	}
 	m, st := lru.MinST()
 	fmt.Fprintf(b, "| best LRU (m=%d) | %d | %.2f | %.4g |\n", m, lru.Faults(m), lru.MEM(m), st)
-	ws, err := p.WSSweep()
+	ws, err := sweep.NewWS(tr)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,8 @@ import (
 	"cdmm/internal/engine"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
+	"cdmm/internal/sweep"
+	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
 )
 
@@ -18,21 +20,20 @@ type timelineRow struct {
 	res  vmsim.Result
 }
 
-// runCDLevels runs CD at every directive stratum 1..Δ on the engine's
-// pool, returning the results indexed by level-1 (declaration order, so
-// the report rows and the best-level choice are deterministic).
-func runCDLevels(eng *engine.Engine, p *core.Program) ([]vmsim.Result, error) {
+// runCDLevels runs CD over p's trace tr at every directive stratum 1..Δ
+// on the engine's pool, returning the results indexed by level-1
+// (declaration order, so the report rows and the best-level choice are
+// deterministic).
+func runCDLevels(eng *engine.Engine, p *core.Program, tr *trace.Trace) ([]vmsim.Result, error) {
 	levels := make([]int, p.MaxPI())
 	for i := range levels {
 		levels[i] = i + 1
 	}
 	return engine.MapNamed(eng, "cd-levels", levels, func(rc *engine.RunCtx, lvl int) (vmsim.Result, error) {
 		rc.Describe(fmt.Sprintf("%s level %d", p.Name, lvl), "CD")
-		res, err := p.RunCDObserved(core.CDOptions{Level: lvl}, rc.Obs)
-		if err == nil {
-			rc.Report(res)
-		}
-		return res, err
+		res := vmsim.RunObserved(tr, policy.NewCD(policy.SelectLevel(lvl), 2), rc.Obs)
+		rc.Report(res)
+		return res, nil
 	})
 }
 
@@ -53,11 +54,11 @@ func TimelineReport(eng *engine.Engine, p *core.Program, buckets int) (string, e
 	if err != nil {
 		return "", err
 	}
-	lru, err := p.LRUSweep()
+	lru, err := sweep.NewLRU(tr)
 	if err != nil {
 		return "", err
 	}
-	ws, err := p.WSSweep()
+	ws, err := sweep.NewWS(tr)
 	if err != nil {
 		return "", err
 	}
@@ -70,32 +71,27 @@ func TimelineReport(eng *engine.Engine, p *core.Program, buckets int) (string, e
 	// The CD row runs the directive stratum with the least space-time
 	// cost — the level the sweep command would crown. Ties break toward
 	// the shallower level (strict-less scan in declaration order).
-	levelRes, err := runCDLevels(eng, p)
+	levelRes, err := runCDLevels(eng, p, tr)
 	if err != nil {
 		return "", err
 	}
-	cdLevel, bestST := 1, 0.0
+	bestLevel, bestST := 1, 0.0
 	for i, r := range levelRes {
 		if i == 0 || r.ST() < bestST {
-			cdLevel, bestST = i+1, r.ST()
+			bestLevel, bestST = i+1, r.ST()
 		}
 	}
 
 	refs := tr.RefsOnly()
 	type rowSpec struct {
 		label string
-		run   func(o *obs.Observer) (vmsim.Result, error)
+		tr    *trace.Trace
+		pol   policy.Policy
 	}
 	specs := []rowSpec{
-		{fmt.Sprintf("CD L%d", cdLevel), func(o *obs.Observer) (vmsim.Result, error) {
-			return p.RunCDObserved(core.CDOptions{Level: cdLevel}, o)
-		}},
-		{fmt.Sprintf("LRU m=%d", m), func(o *obs.Observer) (vmsim.Result, error) {
-			return vmsim.RunObserved(refs, policy.NewLRU(m), o), nil
-		}},
-		{fmt.Sprintf("WS tau=%d", tau), func(o *obs.Observer) (vmsim.Result, error) {
-			return vmsim.RunObserved(refs, policy.NewWS(tau), o), nil
-		}},
+		{fmt.Sprintf("CD L%d", bestLevel), tr, policy.NewCD(policy.SelectLevel(bestLevel), 2)},
+		{fmt.Sprintf("LRU m=%d", m), refs, policy.NewLRU(m)},
+		{fmt.Sprintf("WS tau=%d", tau), refs, policy.NewWS(tau)},
 	}
 	// Each row collects its own timeline events, forwarding to the run's
 	// engine-provided observer so -events files still see these runs (in
@@ -110,10 +106,7 @@ func TimelineReport(eng *engine.Engine, p *core.Program, buckets int) (string, e
 			}
 			o.Metrics = amb.Metrics
 		}
-		res, err := s.run(o)
-		if err != nil {
-			return timelineRow{}, err
-		}
+		res := vmsim.RunObserved(s.tr, s.pol, o)
 		label := s.label
 		if res.Degraded {
 			// A CD run that tripped directive validation finished on its WS

@@ -90,7 +90,6 @@ func (s *Server) writeExplainMetrics(buf *bytes.Buffer) {
 	if store.Len() == 0 {
 		return
 	}
-	ns := s.opt.Namespace
 	type series struct {
 		name, help string
 		value      func(*attr.SiteStats) int64

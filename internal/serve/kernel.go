@@ -55,7 +55,6 @@ func (s *Server) writeKernelMetrics(buf *bytes.Buffer) {
 	if v == nil || v.Telemetry == nil {
 		return
 	}
-	ns := s.opt.Namespace
 	final := 0
 	if v.Final {
 		final = 1

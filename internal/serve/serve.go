@@ -36,6 +36,9 @@ import (
 	"cdmm/internal/obs"
 )
 
+// ns prefixes every exported metric name.
+const ns = "cdmm"
+
 // Options configures a Server. The zero value is usable: a fresh
 // registry and tracker are created on demand and defaults are applied
 // by New.
@@ -57,8 +60,6 @@ type Options struct {
 	// ScrapeWindow is how long after a /metrics scrape the observer
 	// gate stays open so the scraped series keep moving (default 15s).
 	ScrapeWindow time.Duration
-	// Namespace prefixes every exported metric name (default "cdmm").
-	Namespace string
 	// Explain is the fault-attribution ledger store behind /explain and
 	// the per-site scrape series (a fresh, empty store when nil — an
 	// empty store exports nothing and costs nothing).
@@ -111,9 +112,6 @@ func New(opt Options) *Server {
 	}
 	if opt.ScrapeWindow <= 0 {
 		opt.ScrapeWindow = 15 * time.Second
-	}
-	if opt.Namespace == "" {
-		opt.Namespace = "cdmm"
 	}
 	if opt.Explain == nil {
 		opt.Explain = attr.NewStore()
@@ -240,7 +238,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) renderMetrics(buf *bytes.Buffer) {
 	buf.Reset()
 	s.opt.Registry.SnapshotInto(&s.scrapeSnap)
-	s.scrapeRaw = s.scrapeSnap.AppendPrometheus(s.scrapeRaw[:0], s.opt.Namespace)
+	s.scrapeRaw = s.scrapeSnap.AppendPrometheus(s.scrapeRaw[:0], ns)
 	buf.Write(s.scrapeRaw)
 	s.writeServeMetrics(buf)
 	s.writeExplainMetrics(buf)
@@ -251,7 +249,6 @@ func (s *Server) renderMetrics(buf *bytes.Buffer) {
 // writes the pieces straight into the buffer rather than through fmt,
 // whose operand boxing would cost allocations on every scrape.
 func (s *Server) writeServeMetrics(buf *bytes.Buffer) {
-	ns := s.opt.Namespace
 	counts := s.opt.Progress.Snapshot().Counts
 	write := func(parts ...string) {
 		for _, p := range parts {

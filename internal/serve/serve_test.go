@@ -16,7 +16,9 @@ import (
 	"cdmm/internal/experiments"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
+	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
+	"cdmm/internal/workloads"
 )
 
 // waitNoLeak polls until the process goroutine count is back at (or
@@ -131,12 +133,12 @@ func TestServeSmokeEndToEnd(t *testing.T) {
 	}
 
 	results, err := engine.MapNamed(eng, "smoke", []string{"CONDUCT"}, func(rc *engine.RunCtx, prog string) (vmsim.Result, error) {
-		c, err := eng.Compiled(rc, prog)
+		tr, err := workloadTrace(prog)
 		if err != nil {
 			return vmsim.Result{}, err
 		}
 		rc.Describe(prog, "LRU")
-		res := vmsim.RunObserved(c.Trace.RefsOnly(), policy.NewLRU(32), rc.Obs)
+		res := vmsim.RunObserved(tr.RefsOnly(), policy.NewLRU(32), rc.Obs)
 		rc.Report(res)
 		return res, nil
 	})
@@ -419,11 +421,11 @@ func TestServeObserverFastPathWhenUnwatched(t *testing.T) {
 
 	eng := engine.New(1).WithObserver(srv.Observer()).WithProgress(srv.Progress())
 	out, err := engine.MapNamed(eng, "dark", []string{"CONDUCT"}, func(rc *engine.RunCtx, prog string) (vmsim.Result, error) {
-		c, err := eng.Compiled(rc, prog)
+		tr, err := workloadTrace(prog)
 		if err != nil {
 			return vmsim.Result{}, err
 		}
-		return vmsim.RunObserved(c.Trace.RefsOnly(), policy.NewLRU(32), rc.Obs), nil
+		return vmsim.RunObserved(tr.RefsOnly(), policy.NewLRU(32), rc.Obs), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -431,11 +433,11 @@ func TestServeObserverFastPathWhenUnwatched(t *testing.T) {
 	if snap := srv.opt.Registry.Snapshot(); len(snap.Counters) != 0 {
 		t.Errorf("unwatched run leaked %d counters into the registry", len(snap.Counters))
 	}
-	c, err := eng.Compiled(nil, "CONDUCT")
+	tr, err := workloadTrace("CONDUCT")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain := vmsim.Run(c.Trace.RefsOnly(), policy.NewLRU(32)); out[0] != plain {
+	if plain := vmsim.Run(tr.RefsOnly(), policy.NewLRU(32)); out[0] != plain {
 		t.Errorf("unwatched result drifted: got %+v want %+v", out[0], plain)
 	}
 	// Live position still flowed through the progress callback.
@@ -443,4 +445,13 @@ func TestServeObserverFastPathWhenUnwatched(t *testing.T) {
 	if !ok || rs.Done == 0 || rs.Done != rs.Total {
 		t.Errorf("dark run position = %+v", rs)
 	}
+}
+
+// workloadTrace returns the named workload's compiled trace.
+func workloadTrace(name string) (*trace.Trace, error) {
+	c, err := workloads.Compile(name)
+	if err != nil {
+		return nil, err
+	}
+	return c.Trace()
 }

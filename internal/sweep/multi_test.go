@@ -3,8 +3,10 @@ package sweep_test
 import (
 	"testing"
 
+	"cdmm/internal/core"
 	"cdmm/internal/policy"
 	"cdmm/internal/sweep"
+	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
 )
@@ -52,10 +54,7 @@ func TestMultiLRUWSMixMatchesSeparateRuns(t *testing.T) {
 // degradation).
 func TestMultiCDDetuneMatchesSeparateRuns(t *testing.T) {
 	for _, prog := range workloads.All() {
-		c, err := workloads.Compile(prog)
-		if err != nil {
-			t.Fatalf("%s: %v", prog.Name, err)
-		}
+		c, tr := compiled(t, prog.Name)
 		set := prog.DefaultSet()
 		minAlloc := c.V()
 		factors := []float64{0.25, 0.5, 1.0, 2.0}
@@ -63,12 +62,12 @@ func TestMultiCDDetuneMatchesSeparateRuns(t *testing.T) {
 		for i, f := range factors {
 			pols[i] = policy.NewCD(set.Selector(), int(float64(minAlloc)*f))
 		}
-		got, err := sweep.Multi(c.Trace, pols)
+		got, err := sweep.Multi(tr, pols)
 		if err != nil {
 			t.Fatalf("%s: %v", prog.Name, err)
 		}
 		for i, f := range factors {
-			solo := vmsim.Run(c.Trace, policy.NewCD(set.Selector(), int(float64(minAlloc)*f)))
+			solo := vmsim.Run(tr, policy.NewCD(set.Selector(), int(float64(minAlloc)*f)))
 			if got[i] != solo {
 				t.Errorf("%s factor=%v:\n lockstep %+v\n solo     %+v", prog.Name, f, got[i], solo)
 			}
@@ -81,29 +80,41 @@ func TestMultiCDDetuneMatchesSeparateRuns(t *testing.T) {
 // capacities and windows on every compiled program trace.
 func TestWorkloadCurvesMatchCells(t *testing.T) {
 	for _, prog := range workloads.All() {
-		c, err := workloads.Compile(prog)
-		if err != nil {
-			t.Fatalf("%s: %v", prog.Name, err)
-		}
-		lru := mustLRU(t, c.Trace)
+		_, tr := compiled(t, prog.Name)
+		lru := mustLRU(t, tr)
 		for _, m := range []int{1, 2, lru.V / 2, lru.V} {
 			if m < 1 {
 				m = 1
 			}
-			b := vmsim.Run(c.Trace.RefsOnly(), policy.NewLRU(m))
+			b := vmsim.Run(tr.RefsOnly(), policy.NewLRU(m))
 			if got := lru.Result(m); got != b {
 				t.Errorf("%s LRU m=%d:\n curve %+v\n cell  %+v", prog.Name, m, got, b)
 			}
 		}
-		ws := mustWS(t, c.Trace)
-		for _, tau := range []int{1, 10, 100, 1000, c.Trace.Refs} {
+		ws := mustWS(t, tr)
+		for _, tau := range []int{1, 10, 100, 1000, tr.Refs} {
 			got, err := ws.Run(tau)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b := vmsim.Run(c.Trace.RefsOnly(), policy.NewWS(tau)); got != b {
+			if b := vmsim.Run(tr.RefsOnly(), policy.NewWS(tau)); got != b {
 				t.Errorf("%s WS tau=%d:\n curve %+v\n cell  %+v", prog.Name, tau, got, b)
 			}
 		}
 	}
+}
+
+// compiled returns the named workload and its trace from the shared
+// compile cache.
+func compiled(t *testing.T, name string) (*core.Program, *trace.Trace) {
+	t.Helper()
+	c, err := workloads.Compile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, tr
 }

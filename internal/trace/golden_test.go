@@ -41,14 +41,18 @@ func TestColumnsGolden(t *testing.T) {
 
 	compiled := map[string]*trace.Trace{}
 	for _, w := range workloads.All() {
-		c, err := workloads.Compile(w)
+		c, err := workloads.Compile(w.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compiled[w.Name] = c.Trace
-		record(w.Name, c.Trace)
-		record(w.Name+"/refs-only", c.Trace.RefsOnly())
-		record(w.Name+"/without-sites", c.Trace.WithoutSites())
+		tr, err := c.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled[w.Name] = tr
+		record(w.Name, tr)
+		record(w.Name+"/refs-only", tr.RefsOnly())
+		record(w.Name+"/without-sites", tr.WithoutSites())
 	}
 	for _, name := range []string{"TQL", "HWSCRT"} {
 		for _, f := range chaos.Faults() {

@@ -67,15 +67,6 @@ func noSites(n int) []int32 {
 // HasSites reports whether the trace carries a site column.
 func (t *Trace) HasSites() bool { return t.sitesOn }
 
-// Site returns the site table entry for id, or a zero Site for NoSite and
-// out-of-range ids.
-func (t *Trace) Site(id int32) Site {
-	if id < 0 || int(id) >= len(t.Sites) {
-		return Site{}
-	}
-	return t.Sites[id]
-}
-
 // WithoutSites returns a view of the trace with no site column, sharing
 // t's event columns and directive side tables. The view is always a new
 // trace, even for a column-less t, so a caller may replace its side

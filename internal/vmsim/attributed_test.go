@@ -277,11 +277,8 @@ func TestAttributedShrinkRefault(t *testing.T) {
 // Result matches the plain Run.
 func TestAttributedConservationWorkloads(t *testing.T) {
 	for _, p := range workloads.All() {
-		c, err := workloads.Compile(p)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", p.Name, err)
-		}
-		if !c.Trace.HasSites() {
+		c, tr := compiled(t, p.Name)
+		if !tr.HasSites() {
 			t.Fatalf("%s: compiled trace carries no site column", p.Name)
 		}
 		pols := []struct {
@@ -289,9 +286,9 @@ func TestAttributedConservationWorkloads(t *testing.T) {
 			mk   func() policy.Policy
 			tr   *trace.Trace
 		}{
-			{"CD", func() policy.Policy { return policy.NewCD(c.Program.DefaultSet().Selector(), 2) }, c.Trace},
-			{"LRU", func() policy.Policy { return policy.NewLRU(c.V()/2 + 1) }, c.Trace.RefsOnly()},
-			{"WS", func() policy.Policy { return policy.NewWS(1000) }, c.Trace.RefsOnly()},
+			{"CD", func() policy.Policy { return policy.NewCD(p.DefaultSet().Selector(), 2) }, tr},
+			{"LRU", func() policy.Policy { return policy.NewLRU(c.V()/2 + 1) }, tr.RefsOnly()},
+			{"WS", func() policy.Policy { return policy.NewWS(1000) }, tr.RefsOnly()},
 		}
 		for _, pc := range pols {
 			want := Run(pc.tr, pc.mk())
@@ -319,11 +316,8 @@ func TestAttributedConservationWorkloads(t *testing.T) {
 // shrug.
 func TestAttributedHotspotIsLoopSite(t *testing.T) {
 	for _, p := range workloads.All() {
-		c, err := workloads.Compile(p)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", p.Name, err)
-		}
-		_, led := RunAttributed(c.Trace, policy.NewCD(c.Program.DefaultSet().Selector(), 2), nil)
+		_, tr := compiled(t, p.Name)
+		_, led := RunAttributed(tr, policy.NewCD(p.DefaultSet().Selector(), 2), nil)
 		hs := led.Hotspot()
 		if hs == nil {
 			continue // fault-free run

@@ -133,13 +133,9 @@ func TestBlockStepAllWorkloads(t *testing.T) {
 		t.Fatalf("workload suite shrank: %d programs", len(progs))
 	}
 	for _, p := range progs {
-		c, err := workloads.Compile(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		tr := c.Trace
+		c, tr := compiled(t, p.Name)
 		cdt3 := writeCDT3Temp(t, tr)
-		sel := c.Program.DefaultSet().Selector()
+		sel := p.DefaultSet().Selector()
 		v := c.V()
 		for _, pc := range []struct {
 			name string

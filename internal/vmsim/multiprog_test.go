@@ -76,7 +76,11 @@ func TestMultiSingleJobMatchesUniprogramming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := workloads.Compile(w)
+		c, err := workloads.Compile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := c.Trace()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +89,11 @@ func TestMultiSingleJobMatchesUniprogramming(t *testing.T) {
 			func() policy.Policy { return policy.NewWS(1000) },
 			func() policy.Policy { return policy.NewLRU(c.V() / 2) },
 		} {
-			uni, err := vmsim.RunSource(c.Trace, mk(), nil)
+			uni, err := vmsim.RunSource(tr, mk(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _ := runJobs(t, 1000, kernel.Job{Source: c.Trace, Policy: mk()})
+			res, _ := runJobs(t, 1000, kernel.Job{Source: tr, Policy: mk()})
 			got := res.PerTenant[0]
 			if got.Name != name || got.Swaps != 0 || got.Faults != int64(uni.Faults) ||
 				got.Refs != int64(uni.Refs) || got.MemSum != int64(uni.MemSum) || got.VTime != uni.VirtualTime {

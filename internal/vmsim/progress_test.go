@@ -3,25 +3,34 @@ package vmsim
 import (
 	"testing"
 
+	"cdmm/internal/core"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
 	"cdmm/internal/trace"
 	"cdmm/internal/workloads"
 )
 
+// compiled returns the named workload and its trace from the shared
+// compile cache.
+func compiled(t *testing.T, name string) (*core.Program, *trace.Trace) {
+	t.Helper()
+	c, err := workloads.Compile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, tr
+}
+
 // progressTrace compiles a real workload trace big enough to cross
 // several progress chunks.
 func progressTrace(t *testing.T) *trace.Trace {
 	t.Helper()
-	w, err := workloads.Get("CONDUCT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := workloads.Compile(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c.Trace
+	_, tr := compiled(t, "CONDUCT")
+	return tr
 }
 
 type progressRecord struct {
@@ -118,15 +127,8 @@ func TestClosedGateTakesFastPath(t *testing.T) {
 
 func TestProgressOnEmptyAndTinyTraces(t *testing.T) {
 	// A trace smaller than one chunk must still get its terminal call.
-	w, err := workloads.Get("MAIN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := workloads.Compile(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := c.Trace.RefsOnly()
+	_, full := compiled(t, "MAIN")
+	tr := full.RefsOnly()
 	var last progressRecord
 	calls := 0
 	o := &obs.Observer{Progress: func(done, total int, vt int64) {

@@ -28,12 +28,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 func TestReplayGolden(t *testing.T) {
 	var b strings.Builder
 	for _, p := range workloads.All() {
-		c, err := workloads.Compile(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		tr := c.Trace
-		sel := c.Program.DefaultSet().Selector()
+		c, tr := compiled(t, p.Name)
+		sel := p.DefaultSet().Selector()
 		v := c.V()
 		fmt.Fprintf(&b, "== %s ==\n", p.Name)
 		for _, pol := range []policy.Policy{

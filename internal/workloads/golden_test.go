@@ -21,7 +21,7 @@ func TestGoldenDirectivePlans(t *testing.T) {
 	for _, p := range All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			c, err := Compile(p)
+			c, err := Compile(p.Name)
 			if err != nil {
 				t.Fatal(err)
 			}

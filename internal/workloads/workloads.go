@@ -15,14 +15,8 @@ import (
 	"sort"
 	"sync"
 
-	"cdmm/internal/directive"
-	"cdmm/internal/fortran"
-	"cdmm/internal/interp"
-	"cdmm/internal/locality"
-	"cdmm/internal/mem"
+	"cdmm/internal/core"
 	"cdmm/internal/policy"
-	"cdmm/internal/sem"
-	"cdmm/internal/trace"
 )
 
 // Program is one workload: a source text plus its directive-set variants.
@@ -36,6 +30,9 @@ type Program struct {
 	// outermost. The first set is the program's canonical one (the name
 	// used in Tables 2–4).
 	Sets []Set
+
+	// compile is the program's one compilation, set by register.
+	compile func() (*core.Program, error)
 }
 
 // Set is a named directive-set variant. Level is the default stratum;
@@ -74,13 +71,23 @@ var (
 	registry   = map[string]*Program{}
 )
 
-// register adds a program at package init.
+// register adds a program at package init, with its compile slot.
 func register(p *Program) *Program {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[p.Name]; dup {
 		panic("workloads: duplicate program " + p.Name)
 	}
+	p.compile = sync.OnceValues(func() (*core.Program, error) {
+		c, err := core.CompileSource(p.Name, p.Source)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := c.Trace(); err != nil {
+			return nil, err
+		}
+		return c, nil
+	})
 	registry[p.Name] = p
 	return p
 }
@@ -118,102 +125,14 @@ func Names() []string {
 	return names
 }
 
-// Compiled bundles everything derived from one program's source: the AST,
-// semantic info, address-space layout, locality analysis, directive plan,
-// and the directive-carrying execution trace.
-type Compiled struct {
-	Program  *Program
-	AST      *fortran.Program
-	Info     *sem.Info
-	Layout   *mem.Layout
-	Analysis *locality.Analysis
-	Plan     *directive.Plan
-	Trace    *trace.Trace
-}
-
-// V returns the program's virtual size in pages.
-func (c *Compiled) V() int { return c.Layout.TotalPages() }
-
-// compileEntry is one singleflight compilation slot: done is closed when
-// c and err are final.
-type compileEntry struct {
-	done chan struct{}
-	c    *Compiled
-	err  error
-}
-
-var (
-	compileMu    sync.Mutex
-	compileCache = map[string]*compileEntry{}
-)
-
-// Compile parses, analyzes and executes the program with the default
-// geometry, producing its directive plan and trace. Results are cached
-// with singleflight semantics — concurrent callers for the same program
-// block on one compilation instead of duplicating the pipeline; traces
-// are deterministic and immutable, so sharing is safe. A failed
-// compilation is not cached (every caller retries).
-func Compile(p *Program) (*Compiled, error) {
-	compileMu.Lock()
-	ent, ok := compileCache[p.Name]
-	if !ok {
-		ent = &compileEntry{done: make(chan struct{})}
-		compileCache[p.Name] = ent
-	}
-	compileMu.Unlock()
-	if ok {
-		<-ent.done
-		return ent.c, ent.err
-	}
-	ent.c, ent.err = compile(p)
-	if ent.err != nil {
-		compileMu.Lock()
-		delete(compileCache, p.Name)
-		compileMu.Unlock()
-	}
-	close(ent.done)
-	return ent.c, ent.err
-}
-
-// compile is the uncached pipeline.
-func compile(p *Program) (*Compiled, error) {
-	ast, err := fortran.Parse(p.Source)
+// Compile returns the named program compiled by core with its trace
+// built. Each registered program compiles once per process: concurrent
+// callers block on that one compilation and share its result. Traces are
+// deterministic and immutable, so sharing is safe.
+func Compile(name string) (*core.Program, error) {
+	p, err := Get(name)
 	if err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", p.Name, err)
+		return nil, err
 	}
-	info, err := sem.Analyze(ast)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", p.Name, err)
-	}
-	layout, err := mem.NewLayout(ast, mem.DefaultGeometry)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", p.Name, err)
-	}
-	analysis := locality.Analyze(info, layout, locality.DefaultParams)
-	plan := directive.Build(analysis)
-	// Sites: the compiled trace carries the provenance side-band so the
-	// attribution plane (cdmm explain, /explain) can name fault sources;
-	// the un-instrumented simulation path never reads it.
-	tr, err := interp.Run(info, interp.Config{Layout: layout, Plan: plan, Sites: true})
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", p.Name, err)
-	}
-	return &Compiled{
-		Program:  p,
-		AST:      ast,
-		Info:     info,
-		Layout:   layout,
-		Analysis: analysis,
-		Plan:     plan,
-		Trace:    tr,
-	}, nil
-}
-
-// MustCompile is Compile but panics on error; for the embedded suite.
-func MustCompile(p *Program) *Compiled {
-	c, err := Compile(p)
-	if err != nil {
-		panic(err)
-	}
-	return c
+	return p.compile()
 }

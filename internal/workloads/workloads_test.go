@@ -3,12 +3,29 @@ package workloads
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
+	"cdmm/internal/core"
 	"cdmm/internal/policy"
 	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
 )
+
+// compiled compiles the named program through the shared cache and
+// returns it with its trace.
+func compiled(t *testing.T, name string) (*core.Program, *trace.Trace) {
+	t.Helper()
+	c, err := Compile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, tr
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"APPROX", "CONDUCT", "FDJAC", "FIELD", "HWSCRT", "HYBRJ", "INIT", "MAIN", "TQL"}
@@ -33,25 +50,22 @@ func TestAllProgramsCompile(t *testing.T) {
 	for _, p := range All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			c, err := Compile(p)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
+			c, tr := compiled(t, p.Name)
+			if tr.Refs < 10_000 {
+				t.Errorf("trace too short: R = %d", tr.Refs)
 			}
-			if c.Trace.Refs < 10_000 {
-				t.Errorf("trace too short: R = %d", c.Trace.Refs)
-			}
-			if c.Trace.Refs > 5_000_000 {
-				t.Errorf("trace too long: R = %d", c.Trace.Refs)
+			if tr.Refs > 5_000_000 {
+				t.Errorf("trace too long: R = %d", tr.Refs)
 			}
 			if c.V() < 20 {
 				t.Errorf("virtual size too small: V = %d pages", c.V())
 			}
-			if c.Trace.Distinct > c.V() {
-				t.Errorf("distinct pages %d exceed virtual size %d", c.Trace.Distinct, c.V())
+			if tr.Distinct > c.V() {
+				t.Errorf("distinct pages %d exceed virtual size %d", tr.Distinct, c.V())
 			}
 			// Directives must be present in every trace.
 			var allocs int
-			_ = c.Trace.WalkBlocks(trace.CursorOpts{}, func(b trace.Block) bool {
+			_ = tr.WalkBlocks(trace.CursorOpts{}, func(b trace.Block) bool {
 				if b.HasDir && b.Dir.Kind == trace.EvAlloc {
 					allocs++
 				}
@@ -72,11 +86,7 @@ func TestPaperVirtualSizes(t *testing.T) {
 		"HWSCRT":  {69, 69},
 	}
 	for name, want := range cases {
-		p, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Compile(p)
+		c, err := Compile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,12 +96,64 @@ func TestPaperVirtualSizes(t *testing.T) {
 	}
 }
 
+// TestCompileCached has 8 concurrent callers compile MAIN: every one must
+// get the same *core.Program, so the pipeline ran once.
 func TestCompileCached(t *testing.T) {
-	p, _ := Get("MAIN")
-	c1 := MustCompile(p)
-	c2 := MustCompile(p)
-	if c1 != c2 {
-		t.Error("Compile should cache and return the same instance")
+	out := make([]*core.Program, 8)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := Compile("MAIN")
+			if err != nil {
+				t.Error(err)
+			}
+			out[i] = c
+		}(i)
+	}
+	wg.Wait()
+	for i, c := range out {
+		if c == nil || c != out[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p: want one shared compilation", i, c, out[0])
+		}
+	}
+}
+
+// TestCompileIgnoresNamesakes checks that a program outside the registry
+// that borrows a registered name cannot change what Compile returns for
+// that name: the cache is keyed by the registered program.
+func TestCompileIgnoresNamesakes(t *testing.T) {
+	const outsider = `
+PROGRAM MAIN
+DIMENSION A(64)
+DO 10 I = 1, 64
+  A(I) = 1.0
+10 CONTINUE
+END
+`
+	o, err := core.CompileSource("MAIN", outsider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otr, err := o.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if otr.Refs != 64 || o.V() != 1 {
+		t.Fatalf("outsider: R=%d V=%d, want R=64 V=1", otr.Refs, o.V())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("registering a second MAIN did not panic")
+			}
+		}()
+		register(&Program{Name: "MAIN", Source: outsider})
+	}()
+	c, tr := compiled(t, "MAIN")
+	if tr.Refs == 64 || c.V() == 1 {
+		t.Fatalf("Compile(MAIN) = R=%d V=%d: the outsider leaked into the cache", tr.Refs, c.V())
 	}
 }
 
@@ -127,7 +189,10 @@ func TestSetsResolve(t *testing.T) {
 // sources evolve).
 func TestOverrideKeysExist(t *testing.T) {
 	for _, p := range All() {
-		c := MustCompile(p)
+		c, err := Compile(p.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		keys := map[string]bool{}
 		for _, l := range c.Info.Loops {
 			keys[l.Key()] = true
@@ -145,15 +210,14 @@ func TestOverrideKeysExist(t *testing.T) {
 // TestDirectiveSetOrdering verifies the Table 1 property on MAIN: higher
 // strata allocate more memory and fault less.
 func TestDirectiveSetOrdering(t *testing.T) {
-	p, _ := Get("MAIN")
-	c := MustCompile(p)
+	_, tr := compiled(t, "MAIN")
 	type point struct {
 		mem float64
 		pf  int
 	}
 	run := func(level int) point {
 		cd := policy.NewCD(policy.SelectLevel(level), 2)
-		r := vmsim.Run(c.Trace, cd)
+		r := vmsim.Run(tr, cd)
 		return point{r.MEM(), r.Faults}
 	}
 	p1, p2, p4, p5 := run(1), run(2), run(4), run(5)
@@ -166,20 +230,24 @@ func TestDirectiveSetOrdering(t *testing.T) {
 }
 
 // TestTracesDeterministic recompiles one program from scratch (bypassing
-// the cache) and compares the two traces' CDT3 encodings byte for byte.
+// the cache through core) and compares the two traces' CDT3 encodings
+// byte for byte.
 func TestTracesDeterministic(t *testing.T) {
 	p, _ := Get("HWSCRT")
-	c := MustCompile(p)
-	clone := &Program{Name: "HWSCRT-CLONE", Source: p.Source, Sets: p.Sets}
-	c2, err := Compile(clone)
+	_, tr := compiled(t, p.Name)
+	c2, err := core.CompileSource(p.Name, p.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr2, err := c2.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	if _, err := trace.WriteCDT3(&a, c.Trace, 0); err != nil {
+	if _, err := trace.WriteCDT3(&a, tr, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.WriteCDT3(&b, c2.Trace, 0); err != nil {
+	if _, err := trace.WriteCDT3(&b, tr2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
