@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,13 +29,17 @@ func cmdExplain(args []string) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
+		if *of.events != "" || *of.metrics != "" {
+			// Rejected before activate creates either file.
+			return errors.New("explain does not take -events or -metrics: attributed runs emit no events; use -chrome or -folded")
+		}
 		tr, err := p.Trace()
 		if err != nil {
 			return err
 		}
 		return of.withObs(func() error {
-			newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
-			rep, err := explain.Analyze(tr, explain.Options{Selector: policy.SelectLevel(*level)})
+			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
+			rep, err := explain.Analyze(eng, tr, explain.Options{Selector: policy.SelectLevel(*level)})
 			if err != nil {
 				return err
 			}

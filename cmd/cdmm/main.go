@@ -271,12 +271,12 @@ commands:
       -- table1 -j 8               nested command to run with telemetry
   table1..table4 | tables   regenerate the paper's tables
 
-parallelism flag (sim, replay, explain, profile, report, family, detune, pagesize, table*):
+parallelism flag (profile, report, sweep, family, detune, pagesize, chaos, kernel, table*):
   -j N                      run up to N simulations concurrently
                             (default GOMAXPROCS); tables, reports and event
                             streams are byte-identical at any -j
 
-observability flags (sim, replay, explain, profile, table*):
+observability flags (sim, replay, profile, table*):
   -events f.jsonl           structured event trace (virtual-time stamped JSONL)
   -metrics f.json           metrics snapshot (counters, gauges, histograms)
   -serve host:port          expose live telemetry for this command (same
@@ -378,7 +378,7 @@ func cmdSim(args []string) error {
 		level := fs.Int("level", 1, "CD directive-set stratum")
 		frames := intFlagMin(fs, "m", 8, 1, "fixed allocation for lru/fifo/opt")
 		tau := intFlagMin(fs, "tau", 500, 1, "WS window size")
-		j := registerJFlag(fs)
+		registerJFlag(fs) // accepted for symmetry; sim runs one simulation
 		of := registerObsFlags(fs)
 		if err := fs.Parse(rest); err != nil {
 			return err
@@ -389,7 +389,6 @@ func cmdSim(args []string) error {
 		}
 		return of.withObs(func() error {
 			o := of.observer
-			newEngine(*j, o) // after activate: a -serve tracker attaches here
 			var res vmsim.Result
 			switch *polName {
 			case "cd":
@@ -429,17 +428,18 @@ func cmdSweep(args []string) error {
 		return err
 	}
 	return of.withObs(func() error {
-		newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
+		eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
 		if *polName == "" {
-			return sweepSummary(target, of.observer)
+			return sweepSummary(eng, target)
 		}
-		return sweepCurve(os.Stdout, target, *polName, *grid, *level, *asJSON)
+		return sweepCurve(os.Stdout, eng, target, *polName, *grid, *level, *asJSON)
 	})
 }
 
 // sweepSummary is the original sweep report: CD at every directive
-// stratum versus the tuned LRU and WS minima. o observes the CD runs.
-func sweepSummary(target string, o *obs.Observer) error {
+// stratum versus the tuned LRU and WS minima, all read from eng (whose
+// observer sees the CD runs).
+func sweepSummary(eng *engine.Engine, target string) error {
 	p, err := loadProgram(target)
 	if err != nil {
 		return err
@@ -448,11 +448,11 @@ func sweepSummary(target string, o *obs.Observer) error {
 	if err != nil {
 		return err
 	}
-	lru, err := sweep.NewLRU(tr)
+	lru, err := eng.LRUSweep(nil, tr)
 	if err != nil {
 		return err
 	}
-	ws, err := sweep.NewWS(tr)
+	ws, err := eng.WSSweep(nil, tr)
 	if err != nil {
 		return err
 	}
@@ -461,16 +461,19 @@ func sweepSummary(target string, o *obs.Observer) error {
 	if err != nil {
 		return err
 	}
+	levels, err := report.CDLevels(eng, p, tr)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%s: V=%d R=%d\n", p.Name, p.V(), tr.Refs)
 	fmt.Printf("best LRU: ST=%.4g at m=%d (PF=%d)\n", lruST, mBest, lru.Faults(mBest))
 	fmt.Printf("best WS : ST=%.4g at tau=%d (PF=%d, MEM=%.2f)\n", wsRes.ST(), tauBest, wsRes.Faults, wsRes.MEM())
-	for lvl := 1; lvl <= p.MaxPI(); lvl++ {
-		res := vmsim.RunObserved(tr, policy.NewCD(policy.SelectLevel(lvl), 2), o)
+	for i, res := range levels {
 		marker := ""
 		if res.ST() < lruST && res.ST() < wsRes.ST() {
 			marker = "   <- beats both"
 		}
-		fmt.Printf("CD level %d: PF=%-6d MEM=%-8.2f ST=%.4g%s\n", lvl, res.Faults, res.MEM(), res.ST(), marker)
+		fmt.Printf("CD level %d: PF=%-6d MEM=%-8.2f ST=%.4g%s\n", i+1, res.Faults, res.MEM(), res.ST(), marker)
 	}
 	return nil
 }
@@ -500,8 +503,9 @@ type curvePoint struct {
 }
 
 // sweepCurve computes a whole policy curve from one traversal of the
-// reference stream and renders it as a table or JSON.
-func sweepCurve(w io.Writer, target, polName, gridSpec string, level int, asJSON bool) error {
+// reference stream and renders it as a table or JSON. The CD detune
+// grid is eng's memoized artifact.
+func sweepCurve(w io.Writer, eng *engine.Engine, target, polName, gridSpec string, level int, asJSON bool) error {
 	var points []curvePoint
 	switch polName {
 	case "lru", "ws", "fifo":
@@ -529,11 +533,7 @@ func sweepCurve(w io.Writer, target, polName, gridSpec string, level int, asJSON
 		if err != nil {
 			return err
 		}
-		pols := make([]policy.Policy, len(factors))
-		for i, f := range factors {
-			pols[i] = policy.NewCD(experiments.Detune(policy.SelectLevel(level), f), 2)
-		}
-		results, err := sweep.Multi(tr, pols)
+		results, err := eng.CDDetune(nil, tr, workloads.Set{Level: level}, 2, factors, experiments.Detune)
 		if err != nil {
 			return err
 		}
@@ -868,14 +868,13 @@ func cmdReplay(args []string) error {
 	frames := intFlagMin(fs, "m", 8, 1, "fixed allocation for lru/fifo/opt")
 	tau := intFlagMin(fs, "tau", 500, 1, "WS window size")
 	memCeil := fs.Int("memceil", 0, "fail if peak RSS exceeds this many MiB (Linux VmHWM; 0 = no check)")
-	j := registerJFlag(fs)
+	registerJFlag(fs) // accepted for symmetry; replay runs one simulation
 	of := registerObsFlags(fs)
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
 	return of.withObs(func() error {
 		o := of.observer
-		newEngine(*j, o) // after activate: a -serve tracker attaches here
 		meta := src.Meta()
 		var res vmsim.Result
 		var err error

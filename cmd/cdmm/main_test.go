@@ -147,10 +147,12 @@ func TestCmdRejectsHostilePrograms(t *testing.T) {
 // values fail with an error naming the flag and its value, instead of
 // running with the value clamped to the nearest legal one.
 func TestCmdRejectsBadFlagValues(t *testing.T) {
-	trc := filepath.Join(t.TempDir(), "main.cdt3")
+	dir := t.TempDir()
+	trc := filepath.Join(dir, "main.cdt3")
 	if err := runCommand("trace", []string{"MAIN", "-o", trc}); err != nil {
 		t.Fatal(err)
 	}
+	events, metrics := filepath.Join(dir, "x.jsonl"), filepath.Join(dir, "x.json")
 	for _, tc := range []struct {
 		cmd  string
 		args []string
@@ -165,10 +167,17 @@ func TestCmdRejectsBadFlagValues(t *testing.T) {
 		{"sweep", []string{"MAIN", "-j", "-1"}, `invalid value "-1" for flag -j`},
 		{"report", []string{"MAIN", "-j", "-2"}, `invalid value "-2" for flag -j`},
 		{"sim", []string{"MAIN", "-j", "-8"}, `invalid value "-8" for flag -j`},
+		{"explain", []string{"HWSCRT", "-events", events}, "explain does not take -events or -metrics"},
+		{"explain", []string{"HWSCRT", "-metrics", metrics}, "explain does not take -events or -metrics"},
 	} {
 		err := runCommand(tc.cmd, tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s %v: err = %v, want one containing %q", tc.cmd, tc.args, err, tc.want)
+		}
+	}
+	for _, f := range []string{events, metrics} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("rejected explain flags left %s behind (stat err = %v)", f, err)
 		}
 	}
 }

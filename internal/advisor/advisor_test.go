@@ -24,7 +24,7 @@ func analyze(t *testing.T, src string, opts Options) []Finding {
 	if err != nil {
 		t.Fatalf("layout: %v", err)
 	}
-	return Analyze(locality.Analyze(info, layout, locality.DefaultParams), opts)
+	return Analyze(locality.Analyze(info, layout), opts)
 }
 
 func TestInterchangeCandidate(t *testing.T) {

@@ -75,7 +75,7 @@ func CompileSourceOpts(name, src string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	analysis := locality.Analyze(info, layout, locality.DefaultParams)
+	analysis := locality.Analyze(info, layout)
 	plan := directive.Build(analysis)
 	return &Program{
 		Name:     name,

@@ -46,7 +46,7 @@ func planFor(t *testing.T, src string) *Plan {
 	if err != nil {
 		t.Fatalf("layout: %v", err)
 	}
-	return Build(locality.Analyze(info, layout, locality.DefaultParams))
+	return Build(locality.Analyze(info, layout))
 }
 
 // TestFigure2PriorityAssignment reproduces the Figure 2 example: a nest
@@ -283,7 +283,7 @@ func TestPriorityProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p := Build(locality.Analyze(info, layout, locality.DefaultParams))
+		p := Build(locality.Analyze(info, layout))
 		for _, l := range info.Loops {
 			if l.IsLeaf() && p.PI[l] != 1 {
 				return false

@@ -3,36 +3,55 @@ package engine
 import (
 	"testing"
 
-	"cdmm/internal/core"
+	"cdmm/internal/sweep"
 	"cdmm/internal/trace"
+	"cdmm/internal/workloads"
 )
 
 // TestCompiledSharedAcrossRuns has 8 runs on each of two engines fetch
-// MAIN through compiled: every run must see the same program and trace,
-// so the compilation is shared across runs and across engines.
+// MAIN's trace from workloads.Compile and its LRU curve from the engine:
+// every run must see the same trace, so the compilation is shared across
+// runs and engines, and every run on one engine the same memoized curve.
 func TestCompiledSharedAcrossRuns(t *testing.T) {
 	type artifact struct {
-		p  *core.Program
-		tr *trace.Trace
+		tr    *trace.Trace
+		curve *sweep.LRUCurve
 	}
-	var all []artifact
+	var curves []*sweep.LRUCurve
+	var first *trace.Trace
 	for _, eng := range []*Engine{New(4), New(1)} {
-		out, err := MapNamed(eng, "", make([]struct{}, 8), func(_ *RunCtx, _ struct{}) (artifact, error) {
-			p, tr, err := compiled("MAIN")
-			return artifact{p, tr}, err
+		out, err := MapNamed(eng, "", make([]struct{}, 8), func(rc *RunCtx, _ struct{}) (artifact, error) {
+			p, err := workloads.Compile("MAIN")
+			if err != nil {
+				return artifact{}, err
+			}
+			tr, err := p.Trace()
+			if err != nil {
+				return artifact{}, err
+			}
+			curve, err := eng.LRUSweep(rc, tr)
+			return artifact{tr, curve}, err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, out...)
+		if first == nil {
+			first = out[0].tr
+		}
+		for i, a := range out {
+			if a.tr == nil || a.curve == nil {
+				t.Fatalf("run %d: nil trace or curve", i)
+			}
+			if a.tr != first {
+				t.Fatalf("run %d got trace %p, want %p: want one shared compilation", i, a.tr, first)
+			}
+			if a.curve != out[0].curve {
+				t.Fatalf("run %d got curve %p, run 0 got %p: want one memoized curve per engine", i, a.curve, out[0].curve)
+			}
+		}
+		curves = append(curves, out[0].curve)
 	}
-	for i, a := range all {
-		if a.p == nil || a.tr == nil {
-			t.Fatalf("run %d: nil program or trace", i)
-		}
-		if a != all[0] {
-			t.Fatalf("run %d got program %p trace %p, run 0 got %p %p: want one shared compilation",
-				i, a.p, a.tr, all[0].p, all[0].tr)
-		}
+	if curves[0] == curves[1] {
+		t.Error("two engines share one curve: the memo store must be per engine")
 	}
 }

@@ -5,13 +5,15 @@
 // and the engine executes them on a bounded worker pool, memoizing shared
 // prerequisites (LRU/WS sweeps, CD policy runs) with singleflight
 // semantics so each expensive artifact is computed exactly once per
-// engine however many runs request it. Compiled programs come from
-// workloads.Compile, once per process for every engine.
+// engine however many runs request it. Artifacts are keyed by the
+// *trace.Trace they are computed from, so registered workloads, program
+// files, recompiled page sizes and generated programs share one store;
+// callers compile and pass the trace.
 //
 // Determinism is the engine's contract: results are gathered in
-// declaration order, memo keys are composite (program, set, policy,
-// parameters), and observability events are buffered per run and merged
-// in declaration order — so tables, reports and JSONL event streams are
+// declaration order, memo keys are composite (trace, set, parameters),
+// and observability events are buffered per run and merged in
+// declaration order — so tables, reports and JSONL event streams are
 // byte-identical at any parallelism level, including one worker, which
 // degenerates to a plain sequential loop with no goroutines at all.
 //

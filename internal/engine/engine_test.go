@@ -8,11 +8,31 @@ import (
 	"testing"
 	"time"
 
+	"cdmm/internal/core"
 	"cdmm/internal/engine"
 	"cdmm/internal/experiments"
+	"cdmm/internal/mem"
 	"cdmm/internal/obs"
+	"cdmm/internal/trace"
 	"cdmm/internal/workloads"
 )
+
+// compiled returns the named workloads' traces from the shared compile
+// cache, keyed by name. Call it on the test goroutine, before the plan.
+func compiled(t *testing.T, names ...string) map[string]*trace.Trace {
+	t.Helper()
+	trs := map[string]*trace.Trace{}
+	for _, name := range names {
+		p, err := workloads.Compile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trs[name], err = p.Trace(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return trs
+}
 
 func TestMapDeclarationOrder(t *testing.T) {
 	items := make([]int, 16)
@@ -60,7 +80,7 @@ func TestMapRunCtxIndex(t *testing.T) {
 func TestMemoSingleflight(t *testing.T) {
 	eng := engine.New(8)
 	var computed atomic.Int32
-	k := engine.Key{Kind: "test", Program: "X"}
+	k := engine.Key{Kind: "test", Params: "X"}
 	out, err := engine.MapNamed(eng, "", make([]struct{}, 32), func(rc *engine.RunCtx, _ struct{}) (int, error) {
 		v, err := eng.Memo(rc, k, func(*engine.RunCtx, *obs.Observer) (any, error) {
 			computed.Add(1)
@@ -88,7 +108,7 @@ func TestMemoSingleflight(t *testing.T) {
 func TestMemoErrorShared(t *testing.T) {
 	eng := engine.New(4)
 	boom := errors.New("boom")
-	k := engine.Key{Kind: "test", Program: "ERR"}
+	k := engine.Key{Kind: "test", Params: "ERR"}
 	_, err := engine.MapNamed(eng, "", make([]struct{}, 8), func(rc *engine.RunCtx, _ struct{}) (int, error) {
 		_, err := eng.Memo(rc, k, func(*engine.RunCtx, *obs.Observer) (any, error) {
 			return nil, boom
@@ -131,8 +151,8 @@ func TestMapErrorAggregationDeterministic(t *testing.T) {
 }
 
 // planEvents executes a fixed run plan with an event collector attached
-// and returns the merged stream. The plan mixes memoized CD runs (with a
-// deliberate duplicate) and a compile prerequisite.
+// and returns the merged stream. The plan mixes memoized CD runs over
+// three traces, with a deliberate duplicate.
 func planEvents(t *testing.T, workers int) []obs.Event {
 	t.Helper()
 	col := &obs.Collector{}
@@ -146,9 +166,10 @@ func planEvents(t *testing.T, workers int) []obs.Event {
 		{"MAIN", 2}, // duplicate: its events must flush exactly once
 		{"FDJAC", 2},
 	}
+	trs := compiled(t, "MAIN", "FDJAC", "TQL")
 	_, err := engine.MapNamed(eng, "", jobs, func(rc *engine.RunCtx, j job) (int, error) {
 		set := workloads.Set{Name: fmt.Sprintf("L%d", j.level), Level: j.level}
-		r, err := eng.CDRun(rc, j.prog, set, 2)
+		r, err := eng.CDRun(rc, trs[j.prog], set, 2)
 		if err != nil {
 			return 0, err
 		}
@@ -180,8 +201,9 @@ func wsMinEvents(t *testing.T, workers int, cell bool, progs []string) ([]int, [
 	t.Helper()
 	col := &obs.Collector{}
 	eng := engine.New(workers).WithObserver(&obs.Observer{Tracer: col}).WithCellMode(cell)
+	trs := compiled(t, progs...)
 	taus, err := engine.MapNamed(eng, "", progs, func(rc *engine.RunCtx, prog string) (int, error) {
-		tau, _, err := eng.WSMinST(rc, prog)
+		tau, _, err := eng.WSMinST(rc, trs[prog])
 		return tau, err
 	})
 	if err != nil {
@@ -204,8 +226,9 @@ func TestObservedWSMinSTReplaysOnce(t *testing.T) {
 		}
 	}
 	plain := engine.New(1)
+	trs := compiled(t, progs...)
 	for i, prog := range progs {
-		tau, _, err := plain.WSMinST(nil, prog)
+		tau, _, err := plain.WSMinST(nil, trs[prog])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,12 +255,14 @@ func sweepPlanEvents(t *testing.T, workers int, cell bool) []obs.Event {
 	eng := engine.New(workers).WithObserver(&obs.Observer{Tracer: col}).WithCellMode(cell)
 	progs := []string{"APPROX", "HWSCRT", "TQL", "HYBRJ"}
 	set := workloads.Set{Name: "L1", Level: 1}
+	trs := compiled(t, progs...)
 	_, err := engine.MapNamed(eng, "", progs, func(rc *engine.RunCtx, prog string) (int, error) {
-		curve, err := eng.LRUSweep(rc, prog)
+		tr := trs[prog]
+		curve, err := eng.LRUSweep(rc, tr)
 		if err != nil {
 			return 0, err
 		}
-		grid, err := eng.CDDetune(rc, prog, set, 2, []float64{0.5, 1, 2}, experiments.Detune)
+		grid, err := eng.CDDetune(rc, tr, set, 2, []float64{0.5, 1, 2}, experiments.Detune)
 		if err != nil {
 			return 0, err
 		}
@@ -258,6 +283,46 @@ func TestCellModeObservedStreamDeterministic(t *testing.T) {
 		if got := sweepPlanEvents(t, workers, true); !reflect.DeepEqual(got, want) {
 			t.Fatalf("cell mode at Workers=%d: merged stream differs from curve mode (%d vs %d events)",
 				workers, len(got), len(want))
+		}
+	}
+}
+
+// TestArtifactsKeyedByTrace compiles HWSCRT at two page sizes; both
+// compilations are named HWSCRT. One engine must keep an artifact per
+// trace, not per name, and serve a repeated request from its memo.
+func TestArtifactsKeyedByTrace(t *testing.T) {
+	w, err := workloads.Get("HWSCRT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(1)
+	for _, c := range []struct{ pageSize, v int }{{256, 69}, {512, 37}} {
+		p, err := core.CompileSourceOpts(w.Name, w.Source, core.Options{
+			Geometry: mem.Geometry{PageSize: c.pageSize, ElemSize: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := p.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Name != "HWSCRT" {
+			t.Fatalf("page size %d: trace named %q, want HWSCRT", c.pageSize, tr.Name)
+		}
+		curve, err := eng.LRUSweep(nil, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if curve.V != c.v {
+			t.Errorf("page size %d: curve V = %d, want %d", c.pageSize, curve.V, c.v)
+		}
+		again, err := eng.LRUSweep(nil, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != curve {
+			t.Errorf("page size %d: second request built a new curve (%p, first %p)", c.pageSize, again, curve)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"cdmm/internal/core"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
 	"cdmm/internal/sweep"
@@ -16,20 +15,21 @@ import (
 )
 
 // Key identifies one memoized computation. Keys are explicit composites —
-// program, directive set, policy, and the full parameterization — so two
+// trace, directive set, and the full parameterization — so two
 // runs that differ only in a selector or a tuning knob can never collide,
 // unlike the old per-set-name bundle cache (which returned stale results
 // when a different Set selector reused a name mid-process).
 type Key struct {
-	// Kind discriminates the artifact: "lru-sweep", "ws-sweep", "cd-run",
-	// "ws-run", "ws-min", ...
+	// Kind discriminates the artifact, and with it the policy:
+	// "lru-sweep", "ws-sweep", "cd-run", "ws-run", "ws-min", "cd-detune".
 	Kind string
-	// Program is the workload name.
-	Program string
+	// Trace is the reference stream the artifact is computed from,
+	// compared by identity: two compilations of one source (a program
+	// recompiled at another page size keeps its name) never share an
+	// artifact.
+	Trace *trace.Trace
 	// Set is the directive-set name ("" for set-independent artifacts).
 	Set string
-	// Policy names the policy ("" for policy-independent artifacts).
-	Policy string
 	// Params serializes every remaining parameter of the computation.
 	Params string
 }
@@ -166,17 +166,6 @@ func setParams(set workloads.Set, minAlloc int) string {
 	return b.String()
 }
 
-// compiled returns the named workload and its trace. workloads.Compile
-// compiles each program once per process, so every engine shares it.
-func compiled(program string) (*core.Program, *trace.Trace, error) {
-	p, err := workloads.Compile(program)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr, err := p.Trace()
-	return p, tr, err
-}
-
 // modeParams appends the engine's sweep mode to a memo-key Params
 // string, so curve-mode and cell-mode artifacts coexist in one memo
 // store (the -timing comparison computes both in one process).
@@ -190,20 +179,16 @@ func (e *Engine) modeParams(base string) string {
 	return base + ",mode=cell"
 }
 
-// LRUSweep returns the program's all-allocations LRU curve, computed
+// LRUSweep returns the trace's all-allocations LRU curve, computed
 // once per engine: one Mattson stack-distance pass over the trace in
-// curve mode, or V independent replays (one per allocation) in cell
-// mode.
-func (e *Engine) LRUSweep(rc *RunCtx, program string) (*sweep.LRUCurve, error) {
-	k := Key{Kind: "lru-sweep", Program: program, Policy: "LRU", Params: e.modeParams("")}
+// curve mode, or V = tr.Distinct independent replays (one per
+// allocation) in cell mode.
+func (e *Engine) LRUSweep(rc *RunCtx, tr *trace.Trace) (*sweep.LRUCurve, error) {
+	k := Key{Kind: "lru-sweep", Trace: tr, Params: e.modeParams("")}
 	v, err := e.Memo(rc, k, func(*RunCtx, *obs.Observer) (any, error) {
-		p, tr, err := compiled(program)
-		if err != nil {
-			return nil, err
-		}
 		if e.cellMode {
 			refs := tr.RefsOnly()
-			cells := make([]vmsim.Result, p.V())
+			cells := make([]vmsim.Result, tr.Distinct)
 			for m := range cells {
 				cells[m] = vmsim.Run(refs, policy.NewLRU(m+1))
 			}
@@ -217,17 +202,13 @@ func (e *Engine) LRUSweep(rc *RunCtx, program string) (*sweep.LRUCurve, error) {
 	return v.(*sweep.LRUCurve), nil
 }
 
-// WSSweep returns the program's working-set curve index (the backward
+// WSSweep returns the trace's working-set curve index (the backward
 // and forward interval histograms: PF(τ) and MemSum(τ) for every τ from
 // one pass), computed once per engine. The index is mode-independent —
 // cell mode diverges at the full-replay artifacts (WSRun, WSMinST), not
 // at the histograms, which predate the curve engines.
-func (e *Engine) WSSweep(rc *RunCtx, program string) (*sweep.WS, error) {
-	v, err := e.Memo(rc, Key{Kind: "ws-sweep", Program: program, Policy: "WS"}, func(*RunCtx, *obs.Observer) (any, error) {
-		_, tr, err := compiled(program)
-		if err != nil {
-			return nil, err
-		}
+func (e *Engine) WSSweep(rc *RunCtx, tr *trace.Trace) (*sweep.WS, error) {
+	v, err := e.Memo(rc, Key{Kind: "ws-sweep", Trace: tr}, func(*RunCtx, *obs.Observer) (any, error) {
 		return sweep.NewWS(tr)
 	})
 	if err != nil {
@@ -237,16 +218,11 @@ func (e *Engine) WSSweep(rc *RunCtx, program string) (*sweep.WS, error) {
 }
 
 // CDRun runs (once per engine and full parameterization) the CD policy
-// over the program's trace under the given directive set.
-func (e *Engine) CDRun(rc *RunCtx, program string, set workloads.Set, minAlloc int) (vmsim.Result, error) {
-	k := Key{Kind: "cd-run", Program: program, Set: set.Name, Policy: "CD", Params: setParams(set, minAlloc)}
+// over the trace under the given directive set.
+func (e *Engine) CDRun(rc *RunCtx, tr *trace.Trace, set workloads.Set, minAlloc int) (vmsim.Result, error) {
+	k := Key{Kind: "cd-run", Trace: tr, Set: set.Name, Params: setParams(set, minAlloc)}
 	v, err := e.Memo(rc, k, func(_ *RunCtx, o *obs.Observer) (any, error) {
-		_, tr, err := compiled(program)
-		if err != nil {
-			return nil, err
-		}
-		cd := policy.NewCD(set.Selector(), minAlloc)
-		return vmsim.RunObserved(tr, cd, o), nil
+		return vmsim.RunObserved(tr, policy.NewCD(set.Selector(), minAlloc), o), nil
 	})
 	if err != nil {
 		return vmsim.Result{}, err
@@ -254,27 +230,23 @@ func (e *Engine) CDRun(rc *RunCtx, program string, set workloads.Set, minAlloc i
 	return v.(vmsim.Result), nil
 }
 
-// WSRun returns the WS(tau) result for the program, once per engine and
+// WSRun returns the WS(tau) result over the trace, once per engine and
 // window. With an enabled observer the full trace is replayed
 // instrumented (per-reference events, exactly as before the curve
 // plane); otherwise curve mode reads the point off the one-pass grid
 // engine and cell mode replays the directive-stripped trace solo.
-func (e *Engine) WSRun(rc *RunCtx, program string, tau int) (vmsim.Result, error) {
-	k := Key{Kind: "ws-run", Program: program, Policy: "WS", Params: e.modeParams(fmt.Sprintf("tau=%d", tau))}
+func (e *Engine) WSRun(rc *RunCtx, tr *trace.Trace, tau int) (vmsim.Result, error) {
+	k := Key{Kind: "ws-run", Trace: tr, Params: e.modeParams(fmt.Sprintf("tau=%d", tau))}
 	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
-		s, err := e.WSSweep(comp, program)
+		if o.Enabled() {
+			return vmsim.RunObserved(tr, policy.NewWS(tau), o), nil
+		}
+		if e.cellMode {
+			return vmsim.Run(tr.RefsOnly(), policy.NewWS(tau)), nil
+		}
+		s, err := e.WSSweep(comp, tr)
 		if err != nil {
 			return nil, err
-		}
-		if o.Enabled() || e.cellMode {
-			_, tr, err := compiled(program)
-			if err != nil {
-				return nil, err
-			}
-			if o.Enabled() {
-				return vmsim.RunObserved(tr, policy.NewWS(tau), o), nil
-			}
-			return vmsim.Run(tr.RefsOnly(), policy.NewWS(tau)), nil
 		}
 		return s.Run(tau)
 	})
@@ -297,15 +269,11 @@ type wsMin struct {
 // an enabled observer the minimizing window's result comes from WSRun,
 // so a watched run replays only the one window the table prints, and its
 // event stream is the same in either mode.
-func (e *Engine) WSMinST(rc *RunCtx, program string) (int, vmsim.Result, error) {
-	k := Key{Kind: "ws-min", Program: program, Policy: "WS", Params: e.modeParams("")}
+func (e *Engine) WSMinST(rc *RunCtx, tr *trace.Trace) (int, vmsim.Result, error) {
+	k := Key{Kind: "ws-min", Trace: tr, Params: e.modeParams("")}
 	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
 		var m wsMin
 		if e.cellMode {
-			_, tr, err := compiled(program)
-			if err != nil {
-				return nil, err
-			}
 			refs := tr.RefsOnly()
 			taus := vmsim.DefaultTaus(tr.Refs)
 			m = wsMin{taus[0], vmsim.Run(refs, policy.NewWS(taus[0]))}
@@ -315,7 +283,7 @@ func (e *Engine) WSMinST(rc *RunCtx, program string) (int, vmsim.Result, error) 
 				}
 			}
 		} else {
-			s, err := e.WSSweep(comp, program)
+			s, err := e.WSSweep(comp, tr)
 			if err != nil {
 				return nil, err
 			}
@@ -325,7 +293,7 @@ func (e *Engine) WSMinST(rc *RunCtx, program string) (int, vmsim.Result, error) 
 		}
 		if o.Enabled() {
 			var err error
-			if m.res, err = e.WSRun(comp, program, m.tau); err != nil {
+			if m.res, err = e.WSRun(comp, tr, m.tau); err != nil {
 				return nil, err
 			}
 		}
@@ -344,28 +312,23 @@ func (e *Engine) WSMinST(rc *RunCtx, program string) (int, vmsim.Result, error) 
 // (sweep.Multi); cell mode and the instrumented path replay per factor,
 // in factor order. detune wraps the set's selector with the caller's
 // scaling rule. Results are in factors order.
-func (e *Engine) CDDetune(rc *RunCtx, program string, set workloads.Set, minAlloc int, factors []float64,
+func (e *Engine) CDDetune(rc *RunCtx, tr *trace.Trace, set workloads.Set, minAlloc int, factors []float64,
 	detune func(policy.ArmSelector, float64) policy.ArmSelector) ([]vmsim.Result, error) {
 	params := setParams(set, minAlloc) + ",factors=" + fmtFactors(factors)
-	k := Key{Kind: "cd-detune", Program: program, Set: set.Name, Policy: "CD", Params: e.modeParams(params)}
+	k := Key{Kind: "cd-detune", Trace: tr, Set: set.Name, Params: e.modeParams(params)}
 	v, err := e.Memo(rc, k, func(_ *RunCtx, o *obs.Observer) (any, error) {
-		_, tr, err := compiled(program)
-		if err != nil {
-			return nil, err
-		}
-		if o.Enabled() || e.cellMode {
-			out := make([]vmsim.Result, len(factors))
-			for i, f := range factors {
-				cd := policy.NewCD(detune(set.Selector(), f), minAlloc)
-				out[i] = vmsim.RunObserved(tr, cd, o)
-			}
-			return out, nil
-		}
 		pols := make([]policy.Policy, len(factors))
 		for i, f := range factors {
 			pols[i] = policy.NewCD(detune(set.Selector(), f), minAlloc)
 		}
-		return sweep.Multi(tr, pols)
+		if !o.Enabled() && !e.cellMode {
+			return sweep.Multi(tr, pols)
+		}
+		out := make([]vmsim.Result, len(pols))
+		for i, pol := range pols {
+			out[i] = vmsim.RunObserved(tr, pol, o)
+		}
+		return out, nil
 	})
 	if err != nil {
 		return nil, err

@@ -18,7 +18,6 @@ import (
 	"cdmm/internal/policy"
 	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
-	"cdmm/internal/workloads"
 )
 
 // ChaosCell identifies one fault-matrix run.
@@ -100,15 +99,7 @@ func ChaosMatrix(eng *engine.Engine, cfg ChaosConfig) ([]ChaosRow, error) {
 		row := ChaosRow{Cell: cell}
 		rc.Describe(fmt.Sprintf("%s/%s %s@%g", cell.Variant.Program, cell.Variant.Set, cell.Fault, cell.Intensity), "CD+faults")
 
-		comp, err := workloads.Compile(cell.Variant.Program)
-		if err != nil {
-			return row, err
-		}
-		tr, err := comp.Trace()
-		if err != nil {
-			return row, err
-		}
-		set, err := variantSet(cell.Variant)
+		comp, tr, set, err := variant(cell.Variant)
 		if err != nil {
 			return row, err
 		}
@@ -118,10 +109,10 @@ func ChaosMatrix(eng *engine.Engine, cfg ChaosConfig) ([]ChaosRow, error) {
 		}
 
 		// Anchors first (memoized across cells).
-		if row.Clean, err = eng.CDRun(rc, cell.Variant.Program, set, cdMinAlloc); err != nil {
+		if row.Clean, err = eng.CDRun(rc, tr, set, cdMinAlloc); err != nil {
 			return row, err
 		}
-		if row.Floor, err = eng.WSRun(rc, cell.Variant.Program, policy.DefaultFallbackTau); err != nil {
+		if row.Floor, err = eng.WSRun(rc, tr, policy.DefaultFallbackTau); err != nil {
 			return row, err
 		}
 

@@ -54,11 +54,11 @@ func DetuneStudy(eng *engine.Engine, variants []Variant, factors []float64) ([]D
 	}
 	grids, err := engine.MapNamed(eng, "detune", variants, func(rc *engine.RunCtx, v Variant) ([]DetuneRow, error) {
 		rc.Describe(fmt.Sprintf("%s/%s x%d factors", v.Program, v.Set, len(factors)), "CD detuned")
-		set, err := variantSet(v)
+		_, tr, set, err := variant(v)
 		if err != nil {
 			return nil, err
 		}
-		results, err := eng.CDDetune(rc, v.Program, set, cdMinAlloc, factors, Detune)
+		results, err := eng.CDDetune(rc, tr, set, cdMinAlloc, factors, Detune)
 		if err != nil {
 			return nil, err
 		}

@@ -12,8 +12,8 @@
 // Every table is an embarrassingly parallel grid of independent strata,
 // so each generator declares its rows as a run plan and executes it
 // through the engine package: rows run concurrently on a bounded worker
-// pool, shared prerequisites (compiled traces, LRU/WS sweeps, CD runs)
-// are memoized with singleflight semantics, and results are gathered in
+// pool, shared prerequisites (LRU/WS sweeps, CD runs) are memoized per
+// trace with singleflight semantics, and results are gathered in
 // declaration order — the rendered tables are byte-identical at any
 // parallelism level. Every generator takes the engine it runs on; the
 // caller owns it, and runs sharing one engine share its memo store.
@@ -22,7 +22,9 @@ package experiments
 import (
 	"fmt"
 
+	"cdmm/internal/core"
 	"cdmm/internal/engine"
+	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
 )
@@ -61,27 +63,39 @@ var Table34Variants = []Variant{
 // cdMinAlloc is the system-default minimum allocation the §5 runs use.
 const cdMinAlloc = 2
 
-// variantSet resolves a variant's directive set from the workload
-// registry, without compiling the program.
-func variantSet(v Variant) (workloads.Set, error) {
-	p, err := workloads.Get(v.Program)
+// variant resolves a variant to its compiled program, the program's
+// trace and the variant's directive set. workloads.Compile compiles each
+// program once per process, so every variant of a program shares one
+// trace and with it the engine's artifacts.
+func variant(v Variant) (*core.Program, *trace.Trace, workloads.Set, error) {
+	w, err := workloads.Get(v.Program)
 	if err != nil {
-		return workloads.Set{}, err
+		return nil, nil, workloads.Set{}, err
 	}
-	set, ok := p.Set(v.Set)
+	set, ok := w.Set(v.Set)
 	if !ok {
-		return workloads.Set{}, fmt.Errorf("experiments: program %s has no set %q", v.Program, v.Set)
+		return nil, nil, workloads.Set{}, fmt.Errorf("experiments: program %s has no set %q", v.Program, v.Set)
 	}
-	return set, nil
+	p, err := workloads.Compile(v.Program)
+	if err != nil {
+		return nil, nil, workloads.Set{}, err
+	}
+	tr, err := p.Trace()
+	if err != nil {
+		return nil, nil, workloads.Set{}, err
+	}
+	return p, tr, set, nil
 }
 
-// cdRun runs (memoized in eng) the CD policy for one variant.
-func cdRun(eng *engine.Engine, rc *engine.RunCtx, v Variant) (vmsim.Result, error) {
-	set, err := variantSet(v)
+// cdRun runs (memoized in eng) the CD policy for one variant and returns
+// the variant's trace with the result.
+func cdRun(eng *engine.Engine, rc *engine.RunCtx, v Variant) (*trace.Trace, vmsim.Result, error) {
+	_, tr, set, err := variant(v)
 	if err != nil {
-		return vmsim.Result{}, err
+		return nil, vmsim.Result{}, err
 	}
-	return eng.CDRun(rc, v.Program, set, cdMinAlloc)
+	r, err := eng.CDRun(rc, tr, set, cdMinAlloc)
+	return tr, r, err
 }
 
 func pct(other, cd float64) float64 {
@@ -104,7 +118,7 @@ type Row1 struct {
 func Table1(eng *engine.Engine) ([]Row1, error) {
 	return engine.MapNamed(eng, "table1", Table1Variants, func(rc *engine.RunCtx, v Variant) (Row1, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD")
-		r, err := cdRun(eng, rc, v)
+		_, r, err := cdRun(eng, rc, v)
 		if err != nil {
 			return Row1{}, err
 		}
@@ -134,17 +148,17 @@ type Row2 struct {
 func Table2(eng *engine.Engine) ([]Row2, error) {
 	return engine.MapNamed(eng, "table2", Table2Variants, func(rc *engine.RunCtx, v Variant) (Row2, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs LRU/WS minima")
-		cd, err := cdRun(eng, rc, v)
+		tr, cd, err := cdRun(eng, rc, v)
 		if err != nil {
 			return Row2{}, err
 		}
 		rc.Report(cd)
-		lru, err := eng.LRUSweep(rc, v.Program)
+		lru, err := eng.LRUSweep(rc, tr)
 		if err != nil {
 			return Row2{}, err
 		}
 		mLRU, stLRU := lru.MinST()
-		tauWS, wsRes, err := eng.WSMinST(rc, v.Program)
+		tauWS, wsRes, err := eng.WSMinST(rc, tr)
 		if err != nil {
 			return Row2{}, err
 		}
@@ -184,12 +198,12 @@ type Row3 struct {
 func Table3(eng *engine.Engine) ([]Row3, error) {
 	return engine.MapNamed(eng, "table3", Table34Variants, func(rc *engine.RunCtx, v Variant) (Row3, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs equal-MEM LRU/WS")
-		cd, err := cdRun(eng, rc, v)
+		tr, cd, err := cdRun(eng, rc, v)
 		if err != nil {
 			return Row3{}, err
 		}
 		rc.Report(cd)
-		lruSweep, err := eng.LRUSweep(rc, v.Program)
+		lruSweep, err := eng.LRUSweep(rc, tr)
 		if err != nil {
 			return Row3{}, err
 		}
@@ -199,12 +213,12 @@ func Table3(eng *engine.Engine) ([]Row3, error) {
 		}
 		lru := lruSweep.Result(m)
 
-		wsSweep, err := eng.WSSweep(rc, v.Program)
+		wsSweep, err := eng.WSSweep(rc, tr)
 		if err != nil {
 			return Row3{}, err
 		}
 		tau := wsSweep.TauForMEM(cd.MEM())
-		ws, err := eng.WSRun(rc, v.Program, tau)
+		ws, err := eng.WSRun(rc, tr, tau)
 		if err != nil {
 			return Row3{}, err
 		}
@@ -250,24 +264,24 @@ type Row4 struct {
 func Table4(eng *engine.Engine) ([]Row4, error) {
 	return engine.MapNamed(eng, "table4", Table34Variants, func(rc *engine.RunCtx, v Variant) (Row4, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs equal-PF LRU/WS")
-		cd, err := cdRun(eng, rc, v)
+		tr, cd, err := cdRun(eng, rc, v)
 		if err != nil {
 			return Row4{}, err
 		}
 		rc.Report(cd)
-		lruSweep, err := eng.LRUSweep(rc, v.Program)
+		lruSweep, err := eng.LRUSweep(rc, tr)
 		if err != nil {
 			return Row4{}, err
 		}
 		m, okLRU := lruSweep.MinAllocationForFaults(cd.Faults)
 		lru := lruSweep.Result(m)
 
-		wsSweep, err := eng.WSSweep(rc, v.Program)
+		wsSweep, err := eng.WSSweep(rc, tr)
 		if err != nil {
 			return Row4{}, err
 		}
 		tau, okWS := wsSweep.MinTauForFaults(cd.Faults)
-		ws, err := eng.WSRun(rc, v.Program, tau)
+		ws, err := eng.WSRun(rc, tr, tau)
 		if err != nil {
 			return Row4{}, err
 		}

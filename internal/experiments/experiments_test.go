@@ -147,11 +147,11 @@ func TestTable4EqualFaults(t *testing.T) {
 
 func TestCDRunCaches(t *testing.T) {
 	v := Variant{"MAIN", "MAIN"}
-	r1, err := cdRun(testEng, nil, v)
+	_, r1, err := cdRun(testEng, nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := cdRun(testEng, nil, v)
+	_, r2, err := cdRun(testEng, nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestCDRunCaches(t *testing.T) {
 }
 
 func TestCDRunUnknown(t *testing.T) {
-	if _, err := cdRun(testEng, nil, Variant{"MAIN", "NOPE"}); err == nil {
+	if _, _, err := cdRun(testEng, nil, Variant{"MAIN", "NOPE"}); err == nil {
 		t.Error("expected error for unknown set")
 	}
-	if _, err := cdRun(testEng, nil, Variant{"NOPE", "X"}); err == nil {
+	if _, _, err := cdRun(testEng, nil, Variant{"NOPE", "X"}); err == nil {
 		t.Error("expected error for unknown program")
 	}
 }
@@ -216,13 +216,17 @@ func TestTablesDeterministicAcrossParallelism(t *testing.T) {
 // but selecting different strata must not collide in the memo store.
 func TestMemoCompositeKeys(t *testing.T) {
 	eng := engine.New(1)
-	a := workloads.Set{Name: "SAME", Level: 1}
-	b := workloads.Set{Name: "SAME", Level: 3}
-	ra, err := eng.CDRun(nil, "MAIN", a, 2)
+	_, tr, _, err := variant(Variant{"MAIN", "MAIN"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := eng.CDRun(nil, "MAIN", b, 2)
+	a := workloads.Set{Name: "SAME", Level: 1}
+	b := workloads.Set{Name: "SAME", Level: 3}
+	ra, err := eng.CDRun(nil, tr, a, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := eng.CDRun(nil, tr, b, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +235,7 @@ func TestMemoCompositeKeys(t *testing.T) {
 			ra.Faults, ra.SpaceTime)
 	}
 	// Same name, same level, different minimum allocation must also miss.
-	rc, err := eng.CDRun(nil, "MAIN", a, 12)
+	rc, err := eng.CDRun(nil, tr, a, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +245,7 @@ func TestMemoCompositeKeys(t *testing.T) {
 	// Same parameterization under a different name keys separately but
 	// must reproduce the identical result (simulations are deterministic).
 	e := workloads.Set{Name: "OTHER", Level: 3}
-	re, err := eng.CDRun(nil, "MAIN", e, 2)
+	re, err := eng.CDRun(nil, tr, e, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

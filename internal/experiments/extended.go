@@ -8,7 +8,6 @@ import (
 	"cdmm/internal/engine"
 	"cdmm/internal/mem"
 	"cdmm/internal/policy"
-	"cdmm/internal/sweep"
 	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
 )
@@ -39,25 +38,17 @@ func PolicyFamily(eng *engine.Engine, variants []Variant) ([]FamilyRow, error) {
 	}
 	return engine.MapNamed(eng, "family", variants, func(rc *engine.RunCtx, v Variant) (FamilyRow, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs WS family")
-		cd, err := cdRun(eng, rc, v)
+		tr, cd, err := cdRun(eng, rc, v)
 		if err != nil {
 			return FamilyRow{}, err
 		}
-		ws, err := eng.WSSweep(rc, v.Program)
+		ws, err := eng.WSSweep(rc, tr)
 		if err != nil {
 			return FamilyRow{}, err
 		}
 		tau := ws.TauForMEM(cd.MEM())
 		if tau < 4 {
 			tau = 4
-		}
-		c, err := workloads.Compile(v.Program)
-		if err != nil {
-			return FamilyRow{}, err
-		}
-		tr, err := c.Trace()
-		if err != nil {
-			return FamilyRow{}, err
 		}
 		refs := tr.RefsOnly()
 		o := rc.Obs
@@ -127,9 +118,12 @@ func PageSizeSensitivity(eng *engine.Engine, program string, pageSizes []int) ([
 		if err != nil {
 			return PageSizeRow{}, err
 		}
-		cd := vmsim.RunObserved(tr, policy.NewCD(set.Selector(), cdMinAlloc), rc.Obs)
+		cd, err := eng.CDRun(rc, tr, set, cdMinAlloc)
+		if err != nil {
+			return PageSizeRow{}, err
+		}
 		rc.Report(cd)
-		lru, err := sweep.NewLRU(tr)
+		lru, err := eng.LRUSweep(rc, tr)
 		if err != nil {
 			return PageSizeRow{}, err
 		}

@@ -12,8 +12,8 @@ import (
 	"strings"
 
 	"cdmm/internal/attr"
+	"cdmm/internal/engine"
 	"cdmm/internal/policy"
-	"cdmm/internal/sweep"
 	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
 )
@@ -40,11 +40,12 @@ type Report struct {
 	WSTau     int
 }
 
-// Analyze runs the three attributed simulations over tr. The trace must
-// carry the site side-band (interp.Config.Sites); without it every fault
-// would land in the unattributed bucket and the explanation would be
-// vacuous, so that is an error rather than a silent degradation.
-func Analyze(tr *trace.Trace, opts Options) (*Report, error) {
+// Analyze runs the three attributed simulations over tr, reading the
+// tuned LRU allocation and WS window from eng's curves for tr. The trace
+// must carry the site side-band (interp.Config.Sites); without it every
+// fault would land in the unattributed bucket and the explanation would
+// be vacuous, so that is an error rather than a silent degradation.
+func Analyze(eng *engine.Engine, tr *trace.Trace, opts Options) (*Report, error) {
 	if !tr.HasSites() {
 		return nil, fmt.Errorf("explain: trace %q carries no site side-band; recompile with sites enabled", tr.Name)
 	}
@@ -56,14 +57,14 @@ func Analyze(tr *trace.Trace, opts Options) (*Report, error) {
 	r.CDRes, r.CD = vmsim.RunAttributed(tr, policy.NewCD(sel, 2), nil)
 
 	refs := tr.RefsOnly()
-	lru, err := sweep.NewLRU(tr)
+	lru, err := eng.LRUSweep(nil, tr)
 	if err != nil {
 		return nil, err // unreachable: in-memory cursors cannot fail
 	}
 	r.LRUFrames, _ = lru.MinST()
 	r.LRURes, r.LRU = vmsim.RunAttributed(refs, policy.NewLRU(r.LRUFrames), nil)
 
-	ws, err := sweep.NewWS(tr)
+	ws, err := eng.WSSweep(nil, tr)
 	if err != nil {
 		return nil, err
 	}

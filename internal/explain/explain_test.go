@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cdmm/internal/engine"
 	"cdmm/internal/experiments"
 	"cdmm/internal/explain"
 	"cdmm/internal/trace"
@@ -29,7 +30,7 @@ func TestTable2HotspotRanking(t *testing.T) {
 				t.Fatalf("no set %q", v.Set)
 			}
 			tr := compiledTrace(t, p.Name)
-			rep, err := explain.Analyze(tr, explain.Options{Selector: set.Selector()})
+			rep, err := explain.Analyze(engine.New(1), tr, explain.Options{Selector: set.Selector()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,10 +90,11 @@ func TestTable2HotspotRanking(t *testing.T) {
 // side-band is rejected rather than silently unattributed.
 func TestAnalyzeRequiresSites(t *testing.T) {
 	tr := compiledTrace(t, "MAIN")
-	if _, err := explain.Analyze(tr.WithoutSites(), explain.Options{}); err == nil {
+	eng := engine.New(1)
+	if _, err := explain.Analyze(eng, tr.WithoutSites(), explain.Options{}); err == nil {
 		t.Fatal("siteless trace accepted")
 	}
-	rep, err := explain.Analyze(tr, explain.Options{})
+	rep, err := explain.Analyze(eng, tr, explain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func setup(t *testing.T, src string, withPlan bool) (*sem.Info, Config) {
 	}
 	cfg := Config{Layout: layout}
 	if withPlan {
-		cfg.Plan = directive.Build(locality.Analyze(info, layout, locality.DefaultParams))
+		cfg.Plan = directive.Build(locality.Analyze(info, layout))
 	}
 	return info, cfg
 }

@@ -7,7 +7,7 @@ import (
 
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
-	"cdmm/internal/trace"
+	"cdmm/internal/vmsim"
 )
 
 // shard is one independent slice of the kernel: a private frame budget,
@@ -358,7 +358,6 @@ func (sh *shard) runQuantum(t *tenant) action {
 	var out policy.BlockResult
 	executed := 0
 	act := actNone
-loop:
 	for budget > 0 {
 		if t.bi >= len(t.blk.Pages) && !t.dirPend && !t.eof {
 			if !t.cur.Next(&t.blk) {
@@ -383,22 +382,16 @@ loop:
 			executed += n
 			continue
 		}
-		// The block's closing directive.
+		// The block's closing directive. Only an ALLOCATE can raise a
+		// swap signal.
 		t.dirPend = false
-		switch e := t.blk.Dir; e.Kind {
-		case trace.EvAlloc:
-			t.pol.Alloc(t.tables.Alloc(e))
-			if t.cd != nil && t.cd.SwapSignals > t.seenSignals {
-				t.seenSignals = t.cd.SwapSignals
-				// The tenant's own PI = 1 request was ungrantable: suspend
-				// it (the §4 swapping mechanism, kernel edition).
-				act = actSignal
-				break loop
-			}
-		case trace.EvLock:
-			t.pol.Lock(t.tables.Lock(e))
-		case trace.EvUnlock:
-			t.pol.Unlock(t.tables.Unlock(e))
+		vmsim.ApplyDirective(t.pol, t.tables, t.blk.Dir)
+		if t.cd != nil && t.cd.SwapSignals > t.seenSignals {
+			t.seenSignals = t.cd.SwapSignals
+			// The tenant's own PI = 1 request was ungrantable: suspend
+			// it (the §4 swapping mechanism, kernel edition).
+			act = actSignal
+			break
 		}
 	}
 	t.refs += int64(executed)

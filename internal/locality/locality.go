@@ -31,16 +31,11 @@ import (
 	"cdmm/internal/sem"
 )
 
-// Params configures the analysis.
-type Params struct {
-	// MinResident is the system-default minimum allocation in pages, used
-	// when a loop forms no locality ("X is evaluated to the minimum number
-	// of pages which a program is allocated by system default").
-	MinResident int
-}
-
-// DefaultParams matches the evaluation setup.
-var DefaultParams = Params{MinResident: 2}
+// MinResident is the system-default minimum allocation in pages, used
+// when a loop forms no locality ("X is evaluated to the minimum number
+// of pages which a program is allocated by system default"), as in the
+// evaluation setup.
+const MinResident = 2
 
 // Group aggregates all references to one array that share the same
 // innermost loop, the unit over which the paper counts distinct index
@@ -66,18 +61,16 @@ type Group struct {
 type Analysis struct {
 	Info   *sem.Info
 	Layout *mem.Layout
-	Params Params
 	Groups []*Group
 
 	active map[*sem.Loop]int
 }
 
 // Analyze computes locality sizes for every loop in the program.
-func Analyze(info *sem.Info, layout *mem.Layout, params Params) *Analysis {
+func Analyze(info *sem.Info, layout *mem.Layout) *Analysis {
 	a := &Analysis{
 		Info:   info,
 		Layout: layout,
-		Params: params,
 		active: make(map[*sem.Loop]int),
 	}
 	a.buildGroups()
@@ -164,7 +157,7 @@ func (a *Analysis) ActiveSize(l *sem.Loop) int {
 	if v, ok := a.active[l]; ok {
 		return v
 	}
-	return a.Params.MinResident
+	return MinResident
 }
 
 // computeActive sums, over all arrays referenced in the loop's subtree,
@@ -184,8 +177,8 @@ func (a *Analysis) computeActive(l *sem.Loop) int {
 	for _, c := range byArray {
 		total += c
 	}
-	if total < a.Params.MinResident {
-		total = a.Params.MinResident
+	if total < MinResident {
+		total = MinResident
 	}
 	return total
 }
@@ -277,7 +270,7 @@ func (a *Analysis) Contribution(g *Group, l *sem.Loop) int {
 		}
 		return capAVS(g.Keys)
 	}
-	return a.Params.MinResident
+	return MinResident
 }
 
 // LocalitySet is one array's membership in a loop-level locality, for the

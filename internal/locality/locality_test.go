@@ -62,7 +62,7 @@ func analyzeSrc(t *testing.T, src string) *Analysis {
 	if err != nil {
 		t.Fatalf("layout: %v", err)
 	}
-	return Analyze(info, layout, DefaultParams)
+	return Analyze(info, layout)
 }
 
 func groupFor(a *Analysis, array string, loop *sem.Loop) *Group {
@@ -193,8 +193,8 @@ END
 `)
 	l := a.Info.Root.Children[0]
 	// One walking vector = 1 page, floored at MinResident = 2.
-	if got := a.ActiveSize(l); got != DefaultParams.MinResident {
-		t.Errorf("ActiveSize = %d, want floor %d", got, DefaultParams.MinResident)
+	if got := a.ActiveSize(l); got != MinResident {
+		t.Errorf("ActiveSize = %d, want floor %d", got, MinResident)
 	}
 }
 

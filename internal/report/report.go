@@ -18,7 +18,6 @@ import (
 	"cdmm/internal/explain"
 	"cdmm/internal/locality"
 	"cdmm/internal/sem"
-	"cdmm/internal/sweep"
 	"cdmm/internal/trace"
 )
 
@@ -77,7 +76,7 @@ func Generate(p *core.Program, opts Options) (string, error) {
 		if err := writeSimulation(&b, p, tr, opts.Engine); err != nil {
 			return "", err
 		}
-		if err := writeAttribution(&b, tr); err != nil {
+		if err := writeAttribution(&b, opts.Engine, tr); err != nil {
 			return "", err
 		}
 		tl, err := TimelineReport(opts.Engine, p, timelineBuckets)
@@ -140,11 +139,11 @@ func writeAdvisories(b *strings.Builder, p *core.Program) {
 // hotspot table and directive coverage from the attribution ledger. A
 // trace without the site side-band (possible for externally built
 // traces) simply skips the section.
-func writeAttribution(b *strings.Builder, tr *trace.Trace) error {
+func writeAttribution(b *strings.Builder, eng *engine.Engine, tr *trace.Trace) error {
 	if !tr.HasSites() {
 		return nil
 	}
-	rep, err := explain.Analyze(tr, explain.Options{})
+	rep, err := explain.Analyze(eng, tr, explain.Options{})
 	if err != nil {
 		return err
 	}
@@ -182,20 +181,20 @@ func writeAttribution(b *strings.Builder, tr *trace.Trace) error {
 func writeSimulation(b *strings.Builder, p *core.Program, tr *trace.Trace, eng *engine.Engine) error {
 	b.WriteString("\n## Policy comparison\n\n")
 	fmt.Fprintf(b, "| policy | PF | MEM | ST |\n|---|---|---|---|\n")
-	results, err := runCDLevels(eng, p, tr)
+	results, err := CDLevels(eng, p, tr)
 	if err != nil {
 		return err
 	}
 	for i, res := range results {
 		fmt.Fprintf(b, "| CD level %d | %d | %.2f | %.4g |\n", i+1, res.Faults, res.MEM(), res.ST())
 	}
-	lru, err := sweep.NewLRU(tr)
+	lru, err := eng.LRUSweep(nil, tr)
 	if err != nil {
 		return err
 	}
 	m, st := lru.MinST()
 	fmt.Fprintf(b, "| best LRU (m=%d) | %d | %.2f | %.4g |\n", m, lru.Faults(m), lru.MEM(m), st)
-	ws, err := sweep.NewWS(tr)
+	ws, err := eng.WSSweep(nil, tr)
 	if err != nil {
 		return err
 	}

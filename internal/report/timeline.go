@@ -8,9 +8,9 @@ import (
 	"cdmm/internal/engine"
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
-	"cdmm/internal/sweep"
 	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
+	"cdmm/internal/workloads"
 )
 
 // timelineRow is one policy's bucketed run for the timeline view.
@@ -20,18 +20,22 @@ type timelineRow struct {
 	res  vmsim.Result
 }
 
-// runCDLevels runs CD over p's trace tr at every directive stratum 1..Δ
+// CDLevels runs CD over p's trace tr at every directive stratum 1..Δ
 // on the engine's pool, returning the results indexed by level-1
 // (declaration order, so the report rows and the best-level choice are
-// deterministic).
-func runCDLevels(eng *engine.Engine, p *core.Program, tr *trace.Trace) ([]vmsim.Result, error) {
+// deterministic). Each level is the engine's memoized CD run, so a
+// second call on the same engine replays nothing.
+func CDLevels(eng *engine.Engine, p *core.Program, tr *trace.Trace) ([]vmsim.Result, error) {
 	levels := make([]int, p.MaxPI())
 	for i := range levels {
 		levels[i] = i + 1
 	}
 	return engine.MapNamed(eng, "cd-levels", levels, func(rc *engine.RunCtx, lvl int) (vmsim.Result, error) {
 		rc.Describe(fmt.Sprintf("%s level %d", p.Name, lvl), "CD")
-		res := vmsim.RunObserved(tr, policy.NewCD(policy.SelectLevel(lvl), 2), rc.Obs)
+		res, err := eng.CDRun(rc, tr, workloads.Set{Level: lvl}, 2)
+		if err != nil {
+			return vmsim.Result{}, err
+		}
 		rc.Report(res)
 		return res, nil
 	})
@@ -54,11 +58,11 @@ func TimelineReport(eng *engine.Engine, p *core.Program, buckets int) (string, e
 	if err != nil {
 		return "", err
 	}
-	lru, err := sweep.NewLRU(tr)
+	lru, err := eng.LRUSweep(nil, tr)
 	if err != nil {
 		return "", err
 	}
-	ws, err := sweep.NewWS(tr)
+	ws, err := eng.WSSweep(nil, tr)
 	if err != nil {
 		return "", err
 	}
@@ -71,7 +75,7 @@ func TimelineReport(eng *engine.Engine, p *core.Program, buckets int) (string, e
 	// The CD row runs the directive stratum with the least space-time
 	// cost — the level the sweep command would crown. Ties break toward
 	// the shallower level (strict-less scan in declaration order).
-	levelRes, err := runCDLevels(eng, p, tr)
+	levelRes, err := CDLevels(eng, p, tr)
 	if err != nil {
 		return "", err
 	}

@@ -18,7 +18,7 @@ import (
 // Explain returns the attribution store backing /explain (never nil
 // after New). Publish ledgers into it with Put; the endpoint and the
 // per-site scrape series appear as soon as the first ledger lands.
-func (s *Server) Explain() *attr.Store { return s.opt.Explain }
+func (s *Server) Explain() *attr.Store { return s.explain }
 
 // explainSummary is one run's row in the /explain listing.
 type explainSummary struct {
@@ -36,7 +36,7 @@ type explainSummary struct {
 // summary per published run; ?run=<key> returns that run's full ledger
 // with its sites ranked by fault count.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	store := s.opt.Explain
+	store := s.explain
 	if key := r.URL.Query().Get("run"); key != "" {
 		led := store.Get(key)
 		if led == nil {
@@ -86,7 +86,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // backslashes once real-FORTRAN ingestion lands). An empty store writes
 // nothing, keeping unattributed scrapes byte-identical.
 func (s *Server) writeExplainMetrics(buf *bytes.Buffer) {
-	store := s.opt.Explain
+	store := s.explain
 	if store.Len() == 0 {
 		return
 	}

@@ -18,12 +18,12 @@ import (
 // Kernel returns the telemetry store backing /kernel (never nil after
 // New). Pass it as kernel.Config.Publish; the endpoint and the
 // cdmm_kernel_* scrape series appear as soon as a run begins.
-func (s *Server) Kernel() *kernel.TelemetryStore { return s.opt.Kernel }
+func (s *Server) Kernel() *kernel.TelemetryStore { return s.kernel }
 
 // handleKernel serves the current kernel telemetry view: shard partials
 // merged live mid-run, the final merged snapshot after the run.
 func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
-	v := s.opt.Kernel.Snapshot()
+	v := s.kernel.Snapshot()
 	if v == nil {
 		writeJSON(w, http.StatusOK, map[string]any{"active": false})
 		return
@@ -48,10 +48,10 @@ var kernelHistHelp = map[string]string{
 // gauges, and per-SLO good/bad/burn-rate series. An empty store writes
 // nothing, keeping kernel-less scrapes byte-identical.
 func (s *Server) writeKernelMetrics(buf *bytes.Buffer) {
-	if s.opt.Kernel.Len() == 0 {
+	if s.kernel.Len() == 0 {
 		return
 	}
-	v := s.opt.Kernel.Snapshot()
+	v := s.kernel.Snapshot()
 	if v == nil || v.Telemetry == nil {
 		return
 	}

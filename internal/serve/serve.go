@@ -40,15 +40,11 @@ import (
 const ns = "cdmm"
 
 // Options configures a Server. The zero value is usable: a fresh
-// registry and tracker are created on demand and defaults are applied
-// by New.
+// registry is created on demand and defaults are applied by New.
 type Options struct {
 	// Registry is scraped at /metrics (a fresh one when nil). Share it
 	// with the observers of the runs to be monitored.
 	Registry *obs.Registry
-	// Progress backs /progress and /runs/{id} (a fresh, empty tracker
-	// when nil). Attach the same tracker to the engines to be monitored.
-	Progress *engine.Progress
 	// Log receives structured lifecycle records; nil logs nothing.
 	Log *slog.Logger
 	// Pprof exposes /debug/pprof/ when true.
@@ -60,15 +56,6 @@ type Options struct {
 	// ScrapeWindow is how long after a /metrics scrape the observer
 	// gate stays open so the scraped series keep moving (default 15s).
 	ScrapeWindow time.Duration
-	// Explain is the fault-attribution ledger store behind /explain and
-	// the per-site scrape series (a fresh, empty store when nil — an
-	// empty store exports nothing and costs nothing).
-	Explain *attr.Store
-	// Kernel is the multiprogrammed kernel's telemetry store behind
-	// /kernel and the cdmm_kernel_* scrape series (a fresh, empty store
-	// when nil). Pass it as kernel.Config.Publish to watch a run live; an
-	// empty store exports nothing and keeps scrapes byte-identical.
-	Kernel *kernel.TelemetryStore
 }
 
 // Server is the telemetry daemon. Construct with New, then Start.
@@ -76,6 +63,16 @@ type Server struct {
 	opt Options
 	log *slog.Logger
 	hub *hub
+
+	// progress backs /progress and /runs/{id}; Progress hands it to the
+	// engines to be monitored.
+	progress *engine.Progress
+	// explain backs /explain and the per-site scrape series; an empty
+	// store exports nothing and costs nothing.
+	explain *attr.Store
+	// kernel backs /kernel and the cdmm_kernel_* scrape series; an empty
+	// store exports nothing and keeps scrapes byte-identical.
+	kernel *kernel.TelemetryStore
 
 	ln      net.Listener
 	srv     *http.Server
@@ -104,26 +101,22 @@ func New(opt Options) *Server {
 	if opt.Registry == nil {
 		opt.Registry = obs.NewRegistry()
 	}
-	if opt.Progress == nil {
-		opt.Progress = engine.NewProgress()
-	}
 	if opt.EventBuffer <= 0 {
 		opt.EventBuffer = 256
 	}
 	if opt.ScrapeWindow <= 0 {
 		opt.ScrapeWindow = 15 * time.Second
 	}
-	if opt.Explain == nil {
-		opt.Explain = attr.NewStore()
-	}
-	if opt.Kernel == nil {
-		opt.Kernel = kernel.NewTelemetryStore()
-	}
 	log := opt.Log
 	if log == nil {
 		log = slog.New(discardHandler{})
 	}
-	s := &Server{opt: opt, log: log, hub: newHub(), started: time.Now()}
+	s := &Server{
+		opt: opt, log: log, hub: newHub(), started: time.Now(),
+		progress: engine.NewProgress(),
+		explain:  attr.NewStore(),
+		kernel:   kernel.NewTelemetryStore(),
+	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 
 	mux := http.NewServeMux()
@@ -183,7 +176,7 @@ func (s *Server) Observer() *obs.Observer {
 }
 
 // Progress returns the tracker backing /progress (never nil after New).
-func (s *Server) Progress() *engine.Progress { return s.opt.Progress }
+func (s *Server) Progress() *engine.Progress { return s.progress }
 
 // Open implements obs.Gate: instrumentation is live while someone is
 // watching — an SSE subscriber connected, or a Prometheus scrape within
@@ -211,7 +204,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	snap := s.opt.Progress.Snapshot()
+	snap := s.progress.Snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"uptime_ms":   float64(time.Since(s.started)) / float64(time.Millisecond),
@@ -249,7 +242,7 @@ func (s *Server) renderMetrics(buf *bytes.Buffer) {
 // writes the pieces straight into the buffer rather than through fmt,
 // whose operand boxing would cost allocations on every scrape.
 func (s *Server) writeServeMetrics(buf *bytes.Buffer) {
-	counts := s.opt.Progress.Snapshot().Counts
+	counts := s.progress.Snapshot().Counts
 	write := func(parts ...string) {
 		for _, p := range parts {
 			buf.WriteString(p)
@@ -275,7 +268,7 @@ func (s *Server) writeServeMetrics(buf *bytes.Buffer) {
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.opt.Progress.Snapshot())
+	writeJSON(w, http.StatusOK, s.progress.Snapshot())
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -284,7 +277,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "run id must be an integer"})
 		return
 	}
-	rs, ok := s.opt.Progress.Run(id)
+	rs, ok := s.progress.Run(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such run"})
 		return

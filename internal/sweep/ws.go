@@ -28,7 +28,8 @@ import (
 // and does not reduce to a histogram; Curve computes it exactly for a
 // whole τ grid in one event-driven traversal (see Curve), which is what
 // MinST and Run use. All paths are cross-validated against brute
-// per-cell replay in the tests.
+// per-cell replay in the tests. A WS is safe for concurrent use: the
+// engine shares one per trace across concurrent table rows.
 type WS struct {
 	Refs int
 	src  trace.Source
@@ -40,11 +41,8 @@ type WS struct {
 	cntPrefix []int64
 	wPrefix   []int64
 
-	// mu guards the memoized curve points; the engine shares one WS per
-	// program across concurrent table rows.
-	mu     sync.Mutex
-	cache  map[int]vmsim.Result
-	ladder []vmsim.Result // Curve(DefaultTaus), built on first MinST
+	// ladder is Curve(vmsim.DefaultTaus(Refs)), built once on first MinST.
+	ladder func() ([]vmsim.Result, error)
 }
 
 // NewWS analyzes a reference stream's histograms in one traversal. The
@@ -53,7 +51,10 @@ type WS struct {
 func NewWS(src trace.Source) (*WS, error) {
 	meta := src.Meta()
 	n := meta.Refs
-	s := &WS{Refs: n, src: src, cache: map[int]vmsim.Result{}}
+	s := &WS{Refs: n, src: src}
+	s.ladder = sync.OnceValues(func() ([]vmsim.Result, error) {
+		return s.Curve(vmsim.DefaultTaus(n))
+	})
 
 	last := make([]int, int(meta.MaxPage)+2)
 	fwdCnt := make([]int64, n+2) // distance -> count, d in [1, n+1]
@@ -170,17 +171,9 @@ func (s *WS) MinTauForFaults(target int) (int, bool) {
 }
 
 // Run returns the exact replay result at one window size, computed by the
-// curve engine (one stream traversal; memoized per τ).
+// curve engine in one stream traversal.
 func (s *WS) Run(tau int) (vmsim.Result, error) {
-	if tau < 1 {
-		tau = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.cache[tau]; ok {
-		return r, nil
-	}
-	rs, err := s.curveLocked([]int{tau})
+	rs, err := s.Curve([]int{tau})
 	if err != nil {
 		return vmsim.Result{}, err
 	}
@@ -194,7 +187,7 @@ func (s *WS) Run(tau int) (vmsim.Result, error) {
 // ladder scan.
 func (s *WS) MinST() (int, vmsim.Result, error) {
 	taus := vmsim.DefaultTaus(s.Refs)
-	curve, err := s.Ladder()
+	curve, err := s.ladder()
 	if err != nil {
 		return 0, vmsim.Result{}, err
 	}
@@ -205,21 +198,6 @@ func (s *WS) MinST() (int, vmsim.Result, error) {
 		}
 	}
 	return bestTau, best, nil
-}
-
-// Ladder returns the exact curve over vmsim.DefaultTaus(Refs), computed
-// once and memoized.
-func (s *WS) Ladder() ([]vmsim.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ladder == nil {
-		curve, err := s.curveLocked(vmsim.DefaultTaus(s.Refs))
-		if err != nil {
-			return nil, err
-		}
-		s.ladder = curve
-	}
-	return s.ladder, nil
 }
 
 // Curve computes the exact replay result for every window size in taus —
@@ -237,26 +215,16 @@ func (s *WS) Ladder() ([]vmsim.Result, error) {
 // expires the page and the chain advances to u+τ₁, and so on up the
 // grid. Total work is O(R·log|grid| + Σ_i PF(τ_i) + Σ_i X(τ_i)) — the
 // activity the curves themselves measure — instead of O(R×|grid|).
+// Windows below 1 are treated as 1.
 func (s *WS) Curve(taus []int) ([]vmsim.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.curveLocked(taus)
-}
-
-func (s *WS) curveLocked(taus []int) ([]vmsim.Result, error) {
 	if len(taus) == 0 {
 		return nil, nil
 	}
-	// Sorted unique grid of the points not already cached; results fan
-	// back out to the caller's order at the end.
-	uniq := make([]int, 0, len(taus))
-	for _, tau := range taus {
-		if tau < 1 {
-			tau = 1
-		}
-		if _, ok := s.cache[tau]; !ok {
-			uniq = append(uniq, tau)
-		}
+	// Sorted unique grid; results fan back out to the caller's order at
+	// the end.
+	uniq := make([]int, len(taus))
+	for i, tau := range taus {
+		uniq[i] = max(tau, 1)
 	}
 	sort.Ints(uniq)
 	g := 0
@@ -267,27 +235,20 @@ func (s *WS) curveLocked(taus []int) ([]vmsim.Result, error) {
 		}
 	}
 	uniq = uniq[:g]
-	if g > 0 {
-		if err := s.runGrid(uniq); err != nil {
-			for _, tau := range uniq {
-				delete(s.cache, tau)
-			}
-			return nil, err
-		}
+	grid, err := s.runGrid(uniq)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]vmsim.Result, len(taus))
 	for i, tau := range taus {
-		if tau < 1 {
-			tau = 1
-		}
-		out[i] = s.cache[tau]
+		out[i] = grid[sort.SearchInts(uniq, max(tau, 1))]
 	}
 	return out, nil
 }
 
 // runGrid executes the event-driven lockstep pass over the sorted unique
-// grid, filling s.cache.
-func (s *WS) runGrid(uniq []int) error {
+// grid, returning one result per window in grid order.
+func (s *WS) runGrid(uniq []int) ([]vmsim.Result, error) {
 	n := s.Refs
 	g := len(uniq)
 	meta := s.src.Meta()
@@ -423,9 +384,10 @@ func (s *WS) runGrid(uniq []int) error {
 		}
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Materialize the tail: constant working set to the end of the run.
+	out := make([]vmsim.Result, g)
 	for i := range ws {
 		if gap := n + 1 - lastT[i]; gap > 0 {
 			r := int64(ws[i])
@@ -433,7 +395,7 @@ func (s *WS) runGrid(uniq []int) error {
 			stS[i] += r * int64(gap)
 		}
 		vt := int64(n) + int64(pf[i])*policy.FaultService
-		s.cache[uniq[i]] = vmsim.ResultOf(policy.NewWS(uniq[i]), n, &policy.BlockResult{
+		out[i] = vmsim.ResultOf(policy.NewWS(uniq[i]), n, &policy.BlockResult{
 			Faults:      pf[i],
 			MaxResident: maxws[i],
 			VTime:       vt,
@@ -441,5 +403,5 @@ func (s *WS) runGrid(uniq []int) error {
 			SpaceTime:   stS[i],
 		})
 	}
-	return nil
+	return out, nil
 }
