@@ -1,8 +1,8 @@
-// cdmm convert: re-encode any trace — a CDT1/CDT2/CDT3 file, a workload
-// or a .f program — as CDT3, with a byte-exact round-trip check and a
-// per-section size breakdown. CDT3 is the only format cdmm writes, and
-// the one the streaming replay path (cdmm replay on a CDT3 file)
-// consumes in O(chunk) memory; the row formats CDT1/CDT2 are read-only.
+// cdmm convert: re-encode a trace — a CDT3 file, re-chunked, or a
+// workload or .f program, traced — as CDT3, with a byte-exact
+// round-trip check and a per-section size breakdown. CDT3 is the one
+// trace format cdmm reads and writes, and the streaming replay path
+// (cdmm replay) consumes it in O(chunk) memory.
 package main
 
 import (
@@ -10,80 +10,77 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cdmm/internal/trace"
 	"cdmm/internal/workloads"
 )
 
-func cmdConvert(args []string) error {
-	var in string
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		in, args = args[0], args[1:]
-	}
-	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
+func convertFlags(fs *flag.FlagSet) func(string) error {
 	out := fs.String("o", "", "output CDT3 trace file")
 	chunk := fs.Int("chunk", trace.DefaultChunkEvents, "CDT3 chunk size in events")
 	check := fs.Bool("check", false, "verify the output decodes and re-encodes byte-identically")
 	stat := fs.Bool("stat", false, "print per-section sizes")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if in == "" {
+	return func(in string) error {
+		if in == "" {
+			if *stat {
+				return convertStatAll(*chunk)
+			}
+			return fmt.Errorf("missing input (trace file, workload, or .f program); or -stat for the suite-wide breakdown")
+		}
+
+		tr, inBytes, err := loadTraceInput(in)
+		if err != nil {
+			return err
+		}
+		var buf bytes.Buffer
+		var stats trace.CDT3Stats
+		if _, err := trace.WriteCDT3Stats(&buf, tr, *chunk, &stats); err != nil {
+			return err
+		}
+		outBytes := buf.Bytes()
+
+		if *check {
+			if err := checkRoundTrip(outBytes, *chunk); err != nil {
+				return err
+			}
+			fmt.Println("round-trip check: ok (re-encode is byte-identical)")
+		}
 		if *stat {
-			return convertStatAll(*chunk)
+			printCDT3Stats(tr.Name, &stats, inBytes)
 		}
-		return fmt.Errorf("missing input (trace file, workload, or .f program); or -stat for the suite-wide breakdown")
-	}
-
-	tr, inBytes, err := loadTraceInput(in)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	var stats trace.CDT3Stats
-	if _, err := trace.WriteCDT3Stats(&buf, tr, *chunk, &stats); err != nil {
-		return err
-	}
-	outBytes := buf.Bytes()
-
-	if *check {
-		if err := checkRoundTrip(outBytes, *chunk); err != nil {
-			return err
+		if *out != "" {
+			if err := os.WriteFile(*out, outBytes, 0o644); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %d bytes to %s\n", len(outBytes), *out)
+		} else if !*stat && !*check {
+			fmt.Printf("%s: %d events -> %d bytes (no -o given, nothing written)\n", tr.Name, stats.Events, len(outBytes))
 		}
-		fmt.Println("round-trip check: ok (re-encode is byte-identical)")
+		return nil
 	}
-	if *stat {
-		printCDT3Stats(tr.Name, &stats, inBytes)
-	}
-	if *out != "" {
-		if err := os.WriteFile(*out, outBytes, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d bytes to %s\n", len(outBytes), *out)
-	} else if !*stat && !*check {
-		fmt.Printf("%s: %d events -> %d bytes (no -o given, nothing written)\n", tr.Name, stats.Events, len(outBytes))
-	}
-	return nil
 }
 
-// loadTraceInput resolves the convert input: an existing trace file (any
-// CDT format), whose size it also returns, or a workload/program name
+// loadTraceInput resolves the convert input: a trace file, recognized by
+// its content, whose size it also returns, or a workload/program name
 // compiled and traced on the fly (size 0).
 func loadTraceInput(in string) (*trace.Trace, int64, error) {
-	if raw, err := os.ReadFile(in); err == nil && bytes.HasPrefix(raw, []byte("CDT")) {
-		tr, err := trace.Read(bytes.NewReader(raw))
+	if !isTraceFile(in) {
+		p, err := loadProgram(in)
 		if err != nil {
-			return nil, 0, fmt.Errorf("%s: %w", in, err)
+			return nil, 0, err
 		}
-		return tr, int64(len(raw)), nil
+		tr, err := p.Trace()
+		return tr, 0, err
 	}
-	p, err := loadProgram(in)
+	raw, err := os.ReadFile(in)
 	if err != nil {
 		return nil, 0, err
 	}
-	tr, err := p.Trace()
-	return tr, 0, err
+	tr, err := trace.Read(bytes.NewReader(raw))
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", in, err)
+	}
+	return tr, int64(len(raw)), nil
 }
 
 // checkRoundTrip decodes the freshly encoded CDT3 output and verifies

@@ -13,22 +13,19 @@ import (
 	"cdmm/internal/policy"
 )
 
-// cmdExplain attributes every page fault of a program to its source
-// loop, statement and directive: the ranked hotspot table, directive
-// coverage, and per-site CD-vs-LRU/WS deltas, with optional Perfetto
-// (Chrome trace-event) and flamegraph (folded stacks) exports.
-func cmdExplain(args []string) error {
-	return withProgram(args, func(p *core.Program, rest []string) error {
-		fs := flag.NewFlagSet("explain", flag.ContinueOnError)
-		level := fs.Int("level", 1, "CD directive-set stratum")
-		top := fs.Int("top", 12, "rows in the hotspot table")
-		chrome := fs.String("chrome", "", "write a Chrome trace-event JSON (Perfetto) fault timeline to this file")
-		folded := fs.String("folded", "", "write folded flamegraph stacks (site;...;expr faults) to this file")
-		j := registerJFlag(fs)
-		of := registerObsFlags(fs)
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
+// explainFlags declares explain, which attributes every page fault of a
+// program to its source loop, statement and directive: the ranked
+// hotspot table, directive coverage, and per-site CD-vs-LRU/WS deltas,
+// with optional Perfetto (Chrome trace-event) and flamegraph (folded
+// stacks) exports.
+func explainFlags(fs *flag.FlagSet) func(string) error {
+	level := fs.Int("level", 1, "CD directive-set stratum")
+	top := fs.Int("top", 12, "rows in the hotspot table")
+	chrome := fs.String("chrome", "", "write a Chrome trace-event JSON (Perfetto) fault timeline to this file")
+	folded := fs.String("folded", "", "write folded flamegraph stacks (site;...;expr faults) to this file")
+	j := registerJFlag(fs)
+	of := registerObsFlags(fs)
+	return withProgram(func(p *core.Program) error {
 		if *of.events != "" || *of.metrics != "" {
 			// Rejected before activate creates either file.
 			return errors.New("explain does not take -events or -metrics: attributed runs emit no events; use -chrome or -folded")

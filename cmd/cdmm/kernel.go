@@ -11,12 +11,11 @@ import (
 	"cdmm/internal/kernel"
 )
 
-// cmdKernel runs the sharded multiprogrammed CD kernel: thousands of
-// synthesized tenants over one overcommitted frame pool, with admission
-// control, pressure-driven reclamation and aging — the paper's §4
-// operating-system component at population scale.
-func cmdKernel(args []string) error {
-	fs := flag.NewFlagSet("kernel", flag.ExitOnError)
+// kernelFlags declares kernel, the sharded multiprogrammed CD kernel:
+// thousands of synthesized tenants over one overcommitted frame pool,
+// with admission control, pressure-driven reclamation and aging — the
+// paper's §4 operating-system component at population scale.
+func kernelFlags(fs *flag.FlagSet) func(string) error {
 	tenants := fs.Int("tenants", 1000, "tenant population size")
 	frames := fs.Int("frames", 0, "global frame pool (0 = derive from -overcommit)")
 	overcommit := fs.Float64("overcommit", 4, "declared-estimate-to-frames ratio when -frames is 0")
@@ -36,102 +35,100 @@ func cmdKernel(args []string) error {
 	incidentDir := fs.String("incident-dir", "", "write flight-recorder incident dumps (JSONL) into this directory")
 	j := registerJFlag(fs)
 	of := registerObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	cfg := kernel.Config{
-		Tenants:    *tenants,
-		Frames:     *frames,
-		Overcommit: *overcommit,
-		Shards:     *shards,
-		Seed:       *seed,
-		Pool:       *pool,
-		Level:      *level,
-		Quantum:    *quantum,
-		Checked:    *checked,
-		// Set even without -chaos, so Run rejects an out-of-range value.
-		Chaos: kernel.Chaos{Intensity: *intensity},
-	}
-	if *quick {
-		cfg.Scale = 0.25
-	}
-	if *chaosSel != "" {
-		for _, name := range strings.Split(*chaosSel, ",") {
-			switch strings.TrimSpace(name) {
-			case "kill":
-				cfg.Chaos.Kill = true
-			case "oscillate":
-				cfg.Chaos.Oscillate = true
-			case "corrupt":
-				cfg.Chaos.Corrupt = true
-			case "trip":
-				cfg.Chaos.Trip = true
-			case "all":
-				cfg.Chaos.Kill, cfg.Chaos.Oscillate, cfg.Chaos.Corrupt = true, true, true
-			default:
-				return fmt.Errorf("kernel: unknown chaos fault %q (want kill, oscillate, corrupt, trip or all)", name)
+	return func(string) error {
+		cfg := kernel.Config{
+			Tenants:    *tenants,
+			Frames:     *frames,
+			Overcommit: *overcommit,
+			Shards:     *shards,
+			Seed:       *seed,
+			Pool:       *pool,
+			Level:      *level,
+			Quantum:    *quantum,
+			Checked:    *checked,
+			// Set even without -chaos, so Run rejects an out-of-range value.
+			Chaos: kernel.Chaos{Intensity: *intensity},
+		}
+		if *quick {
+			cfg.Scale = 0.25
+		}
+		if *chaosSel != "" {
+			for _, name := range strings.Split(*chaosSel, ",") {
+				switch strings.TrimSpace(name) {
+				case "kill":
+					cfg.Chaos.Kill = true
+				case "oscillate":
+					cfg.Chaos.Oscillate = true
+				case "corrupt":
+					cfg.Chaos.Corrupt = true
+				case "trip":
+					cfg.Chaos.Trip = true
+				case "all":
+					cfg.Chaos.Kill, cfg.Chaos.Oscillate, cfg.Chaos.Corrupt = true, true, true
+				default:
+					return fmt.Errorf("kernel: unknown chaos fault %q (want kill, oscillate, corrupt, trip or all)", name)
+				}
 			}
 		}
-	}
 
-	// Any telemetry consumer turns the plane on; an unwatched kernel
-	// pays nothing for it.
-	if *telemetry || *topN > 0 || *slo || *incidentDir != "" {
-		cfg.Telemetry = true
-	}
+		// Any telemetry consumer turns the plane on; an unwatched kernel
+		// pays nothing for it.
+		if *telemetry || *topN > 0 || *slo || *incidentDir != "" {
+			cfg.Telemetry = true
+		}
 
-	return of.withObs(func() error {
-		eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
-		cfg.Publish = of.kernelStore()
-		start := time.Now()
-		res, err := kernel.Run(cfg, eng)
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		fmt.Println(res)
-		if res.Telemetry != nil {
-			fmt.Print(res.Telemetry.RenderHists())
-			if *topN > 0 {
-				fmt.Print(res.Telemetry.RenderTop(*topN))
-			}
-			if *slo {
-				fmt.Print(res.Telemetry.RenderSLO())
-			}
-		}
-		if *incidentDir != "" {
-			if err := writeIncidents(*incidentDir, res); err != nil {
+		return of.withObs(func() error {
+			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
+			cfg.Publish = of.kernelStore()
+			start := time.Now()
+			res, err := kernel.Run(cfg, eng)
+			if err != nil {
 				return err
 			}
-		}
-		if s := elapsed.Seconds(); s > 0 {
-			fmt.Fprintf(os.Stderr, "kernel: %d refs in %.2fs (%.1fM refs/s aggregate)\n",
-				res.Refs, s, float64(res.Refs)/s/1e6)
-		}
-		if store := of.explainStore(); store != nil {
-			store.Put("kernel/"+res.Pool, res.Ledger(256))
-		}
-		if *memCeil > 0 {
-			kb, err := peakRSSKiB()
-			if err != nil {
-				return fmt.Errorf("-memceil: %w", err)
+			elapsed := time.Since(start)
+			fmt.Println(res)
+			if res.Telemetry != nil {
+				fmt.Print(res.Telemetry.RenderHists())
+				if *topN > 0 {
+					fmt.Print(res.Telemetry.RenderTop(*topN))
+				}
+				if *slo {
+					fmt.Print(res.Telemetry.RenderSLO())
+				}
 			}
-			fmt.Printf("peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, *memCeil)
-			if kb > int64(*memCeil)<<10 {
-				return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: kernel memory must grow with the tenant count alone, never with the references tenants generate",
-					float64(kb)/1024, *memCeil)
+			if *incidentDir != "" {
+				if err := writeIncidents(*incidentDir, res); err != nil {
+					return err
+				}
 			}
-		}
-		if n := len(res.Violations); n > 0 {
-			return fmt.Errorf("kernel: %d invariant violations (first: %s)", n, res.Violations[0])
-		}
-		if res.Starved > 0 {
-			return fmt.Errorf("kernel: %d starved resumes (max suspend wait %d exceeds bound %d)",
-				res.Starved, res.MaxSuspendWait, res.StarveBound)
-		}
-		return nil
-	})
+			if s := elapsed.Seconds(); s > 0 {
+				fmt.Fprintf(os.Stderr, "kernel: %d refs in %.2fs (%.1fM refs/s aggregate)\n",
+					res.Refs, s, float64(res.Refs)/s/1e6)
+			}
+			if store := of.explainStore(); store != nil {
+				store.Put("kernel/"+res.Pool, res.Ledger(256))
+			}
+			if *memCeil > 0 {
+				kb, err := peakRSSKiB()
+				if err != nil {
+					return fmt.Errorf("-memceil: %w", err)
+				}
+				fmt.Printf("peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, *memCeil)
+				if kb > int64(*memCeil)<<10 {
+					return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: kernel memory must grow with the tenant count alone, never with the references tenants generate",
+						float64(kb)/1024, *memCeil)
+				}
+			}
+			if n := len(res.Violations); n > 0 {
+				return fmt.Errorf("kernel: %d invariant violations (first: %s)", n, res.Violations[0])
+			}
+			if res.Starved > 0 {
+				return fmt.Errorf("kernel: %d starved resumes (max suspend wait %d exceeds bound %d)",
+					res.Starved, res.MaxSuspendWait, res.StarveBound)
+			}
+			return nil
+		})
+	}
 }
 
 // writeIncidents dumps each flight-recorder incident to its own JSONL

@@ -10,7 +10,7 @@ import (
 )
 
 func TestCmdKernelTelemetryFlags(t *testing.T) {
-	if err := cmdKernel([]string{"-tenants", "48", "-quick", "-top", "3", "-slo"}); err != nil {
+	if err := runCommand("kernel", []string{"-tenants", "48", "-quick", "-top", "3", "-slo"}); err != nil {
 		t.Fatalf("kernel -top -slo: %v", err)
 	}
 }
@@ -20,7 +20,7 @@ func TestCmdKernelTelemetryFlags(t *testing.T) {
 // design) and leave one deterministic JSONL dump per shard.
 func TestCmdKernelTripWritesIncidents(t *testing.T) {
 	dir := t.TempDir()
-	err := cmdKernel([]string{"-tenants", "48", "-quick", "-shards", "2", "-chaos", "trip", "-incident-dir", dir})
+	err := runCommand("kernel", []string{"-tenants", "48", "-quick", "-shards", "2", "-chaos", "trip", "-incident-dir", dir})
 	if err == nil || !strings.Contains(err.Error(), "invariant violations") {
 		t.Fatalf("trip chaos returned %v, want an invariant-violation failure", err)
 	}
@@ -50,7 +50,7 @@ func TestCmdKernelTripWritesIncidents(t *testing.T) {
 }
 
 func TestCmdKernelRejectsUnknownChaos(t *testing.T) {
-	if err := cmdKernel([]string{"-tenants", "8", "-quick", "-chaos", "sparks"}); err == nil {
+	if err := runCommand("kernel", []string{"-tenants", "8", "-quick", "-chaos", "sparks"}); err == nil {
 		t.Fatal("unknown chaos fault accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestCmdKernelRejectsBadConfig(t *testing.T) {
 		{"-tenants", "200000000", "Tenants"},
 		{"-shards", "1000000", "Shards"},
 	} {
-		err := cmdKernel([]string{"-tenants", "100", "-quick", tc.flag, tc.value})
+		err := runCommand("kernel", []string{"-tenants", "100", "-quick", tc.flag, tc.value})
 		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), tc.value) {
 			t.Errorf("kernel %s %s: got %v, want an error naming %s and %s", tc.flag, tc.value, err, tc.field, tc.value)
 		}

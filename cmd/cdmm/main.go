@@ -2,17 +2,7 @@
 // Memory Management reproduction: it compiles FORTRAN-subset programs,
 // shows their inserted memory directives and locality structure, runs the
 // virtual memory simulator under LRU/FIFO/WS/OPT/CD, and regenerates the
-// paper's Tables 1-4.
-//
-// Usage:
-//
-//	cdmm list                         # the built-in workload suite
-//	cdmm compile  <prog|file.f>       # show inserted directives (Fig. 5c)
-//	cdmm locality <prog|file.f>       # conceptual locality tree (Fig. 1)
-//	cdmm trace    <prog|file.f>       # trace summary
-//	cdmm sim      <prog|file.f> -policy cd -level 2 [-m N] [-tau N]
-//	cdmm sweep    <prog|file.f>       # CD levels vs best LRU / best WS
-//	cdmm table1 | table2 | table3 | table4 | tables
+// paper's Tables 1-4. Run `cdmm help` for every command and its flags.
 package main
 
 import (
@@ -40,10 +30,239 @@ import (
 	"cdmm/internal/workloads"
 )
 
+// command declares one cdmm command. Dispatch, flag parsing and the
+// usage text all read this one declaration.
+type command struct {
+	name string
+	// operand is what the command takes before its flags, as usage
+	// shows it: "<...>" when required, "[...]" when optional, "" for
+	// nothing.
+	operand  string
+	synopsis string
+	// flags declares the command's flags on fs and returns the command's
+	// runner, which receives the operand ("" when absent) after fs has
+	// parsed the rest of the arguments.
+	flags func(fs *flag.FlagSet) func(operand string) error
+}
+
+const progOperand = "<prog|file.f>"
+
+// commands lists every command once, in usage order. init fills it
+// because serve's runner dispatches through it.
+var commands []command
+
+func init() {
+	commands = []command{
+		{"list", "", "list the built-in workload programs", noFlags(func(string) error {
+			for _, p := range workloads.All() {
+				sets := make([]string, len(p.Sets))
+				for i, s := range p.Sets {
+					sets[i] = s.Name
+				}
+				fmt.Printf("%-8s sets=%-32s %s\n", p.Name, strings.Join(sets, ","), p.Description)
+			}
+			return nil
+		})},
+		{"compile", progOperand, "compile and show the inserted memory directives", noFlags(withProgram(func(p *core.Program) error {
+			fmt.Println(p.Summary())
+			fmt.Print(p.RenderDirectives())
+			return nil
+		}))},
+		{"locality", progOperand, "show the hierarchical locality structure", noFlags(withProgram(func(p *core.Program) error {
+			fmt.Println(p.Summary())
+			fmt.Print(p.RenderLocalityTree())
+			return nil
+		}))},
+		{"trace", progOperand, "execute and summarize the trace; -o saves it (CDT3, whatever the file name)", traceFlags},
+		{"replay", "<trace-file>", "simulate a policy over a saved CDT3 trace, streamed in O(chunk) memory", replayFlags},
+		{"convert", "[trace-file|prog]", "re-encode a CDT3 file or a program's trace as CDT3 (no operand: -stat for every workload)", convertFlags},
+		{"bli", progOperand, "detect runtime localities (Madison-Batson BLIs)", noFlags(withProgram(cmdBLI))},
+		{"sim", progOperand, "simulate one policy over the trace", simFlags},
+		{"explain", progOperand, "attribute every page fault to its source loop, statement and directive", explainFlags},
+		{"report", progOperand, "full markdown analysis report", reportFlags},
+		{"advise", progOperand, "compiler advisories (loop interchange, big localities)", noFlags(withProgram(func(p *core.Program) error {
+			fmt.Println(p.Summary())
+			fmt.Print(advisor.Render(advisor.Analyze(p.Analysis, advisor.Options{})))
+			return nil
+		}))},
+		{"family", "", "compare CD vs WS/DWS/SWS/VSWS/PFF on the suite", familyFlags},
+		{"pagesize", "[prog]", "page-size sensitivity study (default HWSCRT)", pageSizeFlags},
+		{"detune", "", "CD sensitivity to mis-estimated locality sizes", detuneFlags},
+		{"sweep", "<prog|file.f|trace-file>", "CD at every level vs tuned LRU and WS, or one policy's whole curve", sweepFlags},
+		{"profile", progOperand, "fault-timeline and residency sparklines for CD vs tuned LRU and WS", profileFlags},
+		{"chaos", "", "fault-injection matrix: CD with directive validation under seeded faults", chaosFlags},
+		{"kernel", "", "sharded multi-tenant CD kernel over one overcommitted frame pool", kernelFlags},
+		{"bench", "", "measure the simulation hot path (ns/ref, allocs/ref, fault anchors)", benchFlags},
+		{"serve", "", "live telemetry daemon; runs the command after -- under it", serveFlags},
+		{"table1", "", "regenerate the paper's Table 1", tablesFlags("table1")},
+		{"table2", "", "regenerate the paper's Table 2", tablesFlags("table2")},
+		{"table3", "", "regenerate the paper's Table 3", tablesFlags("table3")},
+		{"table4", "", "regenerate the paper's Table 4", tablesFlags("table4")},
+		{"tables", "", "regenerate all four tables", tablesFlags("tables")},
+	}
+}
+
+// lookupCommand returns the command named name, or nil.
+func lookupCommand(name string) *command {
+	for i := range commands {
+		if commands[i].name == name {
+			return &commands[i]
+		}
+	}
+	return nil
+}
+
+// newFlagSet is where cdmm makes its FlagSets: a bad flag is returned
+// as an error, never exits the process, so `cdmm serve` outlives a
+// failed nested command.
+func newFlagSet(name string) *flag.FlagSet {
+	return flag.NewFlagSet(name, flag.ContinueOnError)
+}
+
+// flagSet returns a FlagSet declaring c's flags, whose -h prints c's
+// usage, and c's runner.
+func (c *command) flagSet() (*flag.FlagSet, func(string) error) {
+	fs := newFlagSet(c.name)
+	fs.Usage = func() {
+		w := fs.Output()
+		fmt.Fprintf(w, "usage: cdmm %s [flags]\n  %s\n", strings.TrimSpace(c.name+" "+c.operand), c.synopsis)
+		printFlags(w, fs, nil)
+	}
+	return fs, c.flags(fs)
+}
+
+// noFlags is the flags function of a command that declares none.
+func noFlags(run func(operand string) error) func(*flag.FlagSet) func(string) error {
+	return func(*flag.FlagSet) func(string) error { return run }
+}
+
+// withProgram adapts a runner over a compiled program to take the
+// program's operand.
+func withProgram(fn func(*core.Program) error) func(string) error {
+	return func(name string) error {
+		p, err := loadProgram(name)
+		if err != nil {
+			return err
+		}
+		return fn(p)
+	}
+}
+
+func main() {
+	if len(os.Args) < 2 {
+		usage(os.Stderr)
+		os.Exit(2)
+	}
+	name, args := os.Args[1], os.Args[2:]
+	switch {
+	case name == "help" || name == "-h" || name == "--help":
+		usage(os.Stdout)
+		return
+	case lookupCommand(name) == nil:
+		fmt.Fprintf(os.Stderr, "cdmm: unknown command %q\n\n", name)
+		usage(os.Stderr)
+		os.Exit(2)
+	}
+	if err := runCommand(name, args); err != nil {
+		fmt.Fprintln(os.Stderr, "cdmm:", err)
+		os.Exit(1)
+	}
+}
+
+// runCommand dispatches one command: it takes the operand, parses the
+// rest of args with the command's flags and runs it. It is the
+// reentrant core of main: `cdmm serve -- <cmd> ...` routes the nested
+// command through it with telemetry attached.
+func runCommand(name string, args []string) error {
+	c := lookupCommand(name)
+	if c == nil {
+		return fmt.Errorf("unknown command %q (cdmm help lists them)", name)
+	}
+	fs, run := c.flagSet()
+	var operand string
+	if c.operand != "" && len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		operand, args = args[0], args[1:]
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: fs printed the command's usage
+		}
+		return err
+	}
+	if operand == "" && strings.HasPrefix(c.operand, "<") {
+		return fmt.Errorf("%s: missing %s", c.name, c.operand)
+	}
+	// Only serve takes arguments after its flags: the command it runs.
+	if fs.NArg() > 0 && c.name != "serve" {
+		return fmt.Errorf("%s: unexpected argument %q", c.name, fs.Arg(0))
+	}
+	return run(operand)
+}
+
+// usage prints every command with its synopsis and flags, generated
+// from the command table and the commands' FlagSets. The flags many
+// commands share are printed once per group, naming the commands whose
+// FlagSets declare them.
+func usage(w io.Writer) {
+	jfs, ofs := newFlagSet("j"), newFlagSet("obs")
+	registerJFlag(jfs)
+	registerObsFlags(ofs)
+	type flagGroup struct {
+		title string
+		fs    *flag.FlagSet
+		cmds  []string
+	}
+	groups := []*flagGroup{{title: "parallelism flag", fs: jfs}, {title: "observability flags", fs: ofs}}
+	shared := map[string]bool{}
+	for _, g := range groups {
+		g.fs.VisitAll(func(f *flag.Flag) { shared[f.Name] = true })
+	}
+
+	fmt.Fprint(w, "cdmm - Compiler Directed Memory Management (Malkawi & Patel, SOSP 1985)\n\n"+
+		"usage: cdmm <command> [operand] [flags]   (cdmm <command> -h: one command's usage)\n\n"+
+		"commands:\n")
+	for i := range commands {
+		c := &commands[i]
+		fs, _ := c.flagSet()
+		fmt.Fprintf(w, "  %-9s%-26s %s\n", c.name, c.operand, c.synopsis)
+		printFlags(w, fs, shared)
+		for _, g := range groups {
+			declared := true
+			g.fs.VisitAll(func(f *flag.Flag) { declared = declared && fs.Lookup(f.Name) != nil })
+			if declared {
+				g.cmds = append(g.cmds, c.name)
+			}
+		}
+	}
+	for _, g := range groups {
+		fmt.Fprintf(w, "\n%s (%s):\n", g.title, strings.Join(g.cmds, ", "))
+		printFlags(w, g.fs, nil)
+	}
+}
+
+// printFlags prints one line per flag of fs not in skip: its name, its
+// argument, its usage and any non-zero default.
+func printFlags(w io.Writer, fs *flag.FlagSet, skip map[string]bool) {
+	fs.VisitAll(func(f *flag.Flag) {
+		if skip[f.Name] {
+			return
+		}
+		arg, text := flag.UnquoteUsage(f)
+		switch {
+		case f.DefValue == "" || f.DefValue == "0" || f.DefValue == "false" || f.DefValue == "0s":
+		case arg == "string":
+			text += fmt.Sprintf(" (default %q)", f.DefValue)
+		default:
+			text += fmt.Sprintf(" (default %s)", f.DefValue)
+		}
+		fmt.Fprintf(w, "      %-24s %s\n", strings.TrimSpace("-"+f.Name+" "+arg), text)
+	})
+}
+
 // registerJFlag adds the shared -j parallelism flag: the bound on
 // concurrent simulations in the run-plan engine.
 func registerJFlag(fs *flag.FlagSet) *int {
-	return intFlagMin(fs, "j", 0, 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	return intFlagMin(fs, "j", 0, 0, "run up to `N` simulations concurrently (0 = GOMAXPROCS); output is byte-identical at any -j")
 }
 
 // intFlagMin defines an int flag that rejects values below min when the
@@ -87,218 +306,6 @@ func newEngine(j int, o *obs.Observer) *engine.Engine {
 	return e
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	if cmd == "help" || cmd == "-h" || cmd == "--help" {
-		usage()
-		return
-	}
-	if err := runCommand(cmd, args); err != nil {
-		fmt.Fprintln(os.Stderr, "cdmm:", err)
-		os.Exit(1)
-	}
-}
-
-// runCommand dispatches one subcommand. It is the reentrant core of
-// main: `cdmm serve -- <cmd> ...` routes the nested command through it
-// with telemetry attached.
-func runCommand(cmd string, args []string) error {
-	var err error
-	switch cmd {
-	case "list":
-		err = cmdList()
-	case "compile":
-		err = withProgram(args, func(p *core.Program, _ []string) error {
-			fmt.Println(p.Summary())
-			fmt.Print(p.RenderDirectives())
-			return nil
-		})
-	case "locality":
-		err = withProgram(args, func(p *core.Program, _ []string) error {
-			fmt.Println(p.Summary())
-			fmt.Print(p.RenderLocalityTree())
-			return nil
-		})
-	case "trace":
-		err = cmdTrace(args)
-	case "replay":
-		err = cmdReplay(args)
-	case "convert":
-		err = cmdConvert(args)
-	case "bli":
-		err = withProgram(args, func(p *core.Program, _ []string) error {
-			tr, err := p.Trace()
-			if err != nil {
-				return err
-			}
-			fmt.Println(tr.Summary())
-			refs := tr.Pages()
-			ivs := bli.Detect(refs, bli.Config{MaxSize: p.V() + 4})
-			fmt.Println("bounded locality intervals (Madison & Batson model):")
-			fmt.Print(bli.Render(ivs, len(refs)))
-			fmt.Printf("dominant runtime locality sizes (>=25%% coverage): %v\n",
-				bli.DominantSizes(ivs, len(refs), 0.25))
-			return nil
-		})
-	case "report":
-		err = withProgram(args, func(p *core.Program, rest []string) error {
-			fs := flag.NewFlagSet("report", flag.ContinueOnError)
-			j := registerJFlag(fs)
-			if perr := fs.Parse(rest); perr != nil {
-				return perr
-			}
-			out, rerr := report.Generate(p, report.Options{Engine: newEngine(*j, serveObserver)})
-			if rerr != nil {
-				return rerr
-			}
-			fmt.Print(out)
-			return nil
-		})
-	case "advise":
-		err = withProgram(args, func(p *core.Program, _ []string) error {
-			fmt.Println(p.Summary())
-			fmt.Print(advisor.Render(advisor.Analyze(p.Analysis, advisor.Options{})))
-			return nil
-		})
-	case "family":
-		err = cmdFamily(args)
-	case "detune":
-		err = cmdDetune(args)
-	case "pagesize":
-		err = cmdPageSize(args)
-	case "explain":
-		err = cmdExplain(args)
-	case "sim":
-		err = cmdSim(args)
-	case "sweep":
-		err = cmdSweep(args)
-	case "profile":
-		err = cmdProfile(args)
-	case "chaos":
-		err = cmdChaos(args)
-	case "kernel":
-		err = cmdKernel(args)
-	case "bench":
-		err = cmdBench(args)
-	case "serve":
-		err = cmdServe(args)
-	case "table1", "table2", "table3", "table4", "tables":
-		err = cmdTables(cmd, args)
-	default:
-		fmt.Fprintf(os.Stderr, "cdmm: unknown command %q\n\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	return err
-}
-
-func usage() {
-	fmt.Fprint(os.Stderr, `cdmm - Compiler Directed Memory Management (Malkawi & Patel, SOSP 1985)
-
-commands:
-  list                      list the built-in workload programs
-  compile  <prog|file.f>    compile and show the inserted memory directives
-  locality <prog|file.f>    show the hierarchical locality structure
-  trace    <prog|file.f> [-o file]   execute, summarize, optionally save the
-                            trace (CDT3, whatever the file name)
-  replay   <trace-file> [sim flags]  simulate a policy over a saved trace;
-                            CDT3 files stream in O(chunk) memory
-  convert  <trace|prog> [-o f] [-chunk N] [-check] [-stat]
-                            re-encode any trace (CDT1/CDT2/CDT3 file,
-                            workload or program) as CDT3
-      -check                       byte-identical round-trip verification
-      -stat                        per-section sizes
-                            (no input: breakdown for every built-in workload)
-  bli      <prog|file.f>    detect runtime localities (Madison-Batson BLIs)
-  sim      <prog|file.f> [flags]   simulate one policy over the trace
-      -policy cd|lru|fifo|ws|opt   (default cd)
-      -level N                     CD directive-set stratum (default 1)
-      -m N                         LRU/FIFO/OPT allocation (default 8)
-      -tau N                       WS window size (default 500)
-  explain  <prog|file.f> [flags]   attribute every page fault to its
-                            source loop, statement and directive: ranked
-                            hotspot table, directive coverage, per-site
-                            CD vs tuned-LRU/WS fault deltas
-      -level N                     CD directive-set stratum (default 1)
-      -top N                       hotspot table rows (default 12)
-      -chrome f.json               Perfetto/Chrome trace-event timeline
-      -folded f.txt                folded flamegraph stacks
-  report   <prog|file.f>    full markdown analysis report
-  advise   <prog|file.f>    compiler advisories (loop interchange, big localities)
-  family   compare CD vs WS/DWS/SWS/VSWS/PFF on the suite
-  pagesize [prog]           page-size sensitivity study
-  detune                    CD sensitivity to mis-estimated locality sizes
-  sweep    <prog|file.f>    CD at every level vs tuned LRU and WS
-  profile  <prog|file.f> [-buckets N]   fault-timeline and residency
-                            sparklines for CD vs tuned LRU and WS
-  chaos    [flags]          fault-injection matrix: CD with directive
-                            validation + degraded mode under seeded faults
-      -seed N                      injector seed (default 1)
-      -quick                       smoke mode (two programs, one intensity)
-      -progs A,B/set               programs (optionally program/set)
-      -faults a,b -intensity x,y   restrict the matrix
-      -list                        list the registered fault injectors
-  kernel   [flags]          sharded multi-tenant CD kernel: admission
-                            control, pressure reclaim, aging, thrash
-                            shedding over one overcommitted frame pool
-      -tenants N -seed S           population (default 1000)
-      -frames F | -overcommit X    pool size, explicit or derived (default 4x)
-      -pool cd|lru|ws -level N     per-tenant policy (default cd, level 2)
-      -chaos kill,oscillate,corrupt,trip|all -intensity x   fault injection
-      -checked=false               skip invariant verification
-      -shards N                    fix the shard split (determines results)
-      -telemetry                   latency histograms + SLO burn rates
-      -top N                       heavy-hitter tenant tables (implies -telemetry)
-      -slo                         SLO compliance report (implies -telemetry)
-      -incident-dir DIR            write flight-recorder dumps (implies -telemetry)
-  bench    [flags]          measure the simulation hot path (ns/ref,
-                            allocs/ref, fault anchors) as JSON baselines
-      -quick                       short windows (CI smoke mode)
-      -o file.json                 write the measured baseline
-      -compare base.json           fail on regressions vs a baseline
-      -threshold 0.25              ns/ref growth fraction that fails
-  serve    [flags] [-- cmd ...]   live telemetry daemon: Prometheus
-                            /metrics, /progress + /runs/{id} lifecycle,
-                            /events SSE stream, /healthz
-      -addr host:port              listen address (default 127.0.0.1:8377)
-      -pprof                       expose /debug/pprof/
-      -linger 30s                  keep serving after the nested command
-      -sse-buffer N                per-subscriber event buffer (default 256)
-      -- table1 -j 8               nested command to run with telemetry
-  table1..table4 | tables   regenerate the paper's tables
-
-parallelism flag (profile, report, sweep, family, detune, pagesize, chaos, kernel, table*):
-  -j N                      run up to N simulations concurrently
-                            (default GOMAXPROCS); tables, reports and event
-                            streams are byte-identical at any -j
-
-observability flags (sim, replay, profile, table*):
-  -events f.jsonl           structured event trace (virtual-time stamped JSONL)
-  -metrics f.json           metrics snapshot (counters, gauges, histograms)
-  -serve host:port          expose live telemetry for this command (same
-                            endpoints as the serve daemon; with -events or
-                            -metrics instrumentation stays always-on and the
-                            registry is shared with the JSON snapshot)
-  -cpuprofile f.pprof       pprof CPU profile of the command
-  -memprofile f.pprof       pprof heap profile of the command
-`)
-}
-
-func cmdList() error {
-	for _, p := range workloads.All() {
-		sets := make([]string, len(p.Sets))
-		for i, s := range p.Sets {
-			sets[i] = s.Name
-		}
-		fmt.Printf("%-8s sets=%-32s %s\n", p.Name, strings.Join(sets, ","), p.Description)
-	}
-	return nil
-}
-
 // loadProgram resolves a name to a built-in workload or reads a source
 // file from disk.
 func loadProgram(name string) (*core.Program, error) {
@@ -313,76 +320,80 @@ func loadProgram(name string) (*core.Program, error) {
 	return core.CompileSource("", string(src))
 }
 
-func withProgram(args []string, fn func(*core.Program, []string) error) error {
-	if len(args) < 1 {
-		return fmt.Errorf("missing program name or file")
-	}
-	p, err := loadProgram(args[0])
+func cmdBLI(p *core.Program) error {
+	tr, err := p.Trace()
 	if err != nil {
 		return err
 	}
-	return fn(p, args[1:])
-}
-
-func cmdFamily(args []string) error {
-	fs := flag.NewFlagSet("family", flag.ContinueOnError)
-	j := registerJFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rows, err := experiments.PolicyFamily(newEngine(*j, serveObserver), nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.RenderFamily(rows))
+	fmt.Println(tr.Summary())
+	refs := tr.Pages()
+	ivs := bli.Detect(refs, bli.Config{MaxSize: p.V() + 4})
+	fmt.Println("bounded locality intervals (Madison & Batson model):")
+	fmt.Print(bli.Render(ivs, len(refs)))
+	fmt.Printf("dominant runtime locality sizes (>=25%% coverage): %v\n",
+		bli.DominantSizes(ivs, len(refs), 0.25))
 	return nil
 }
 
-func cmdDetune(args []string) error {
-	fs := flag.NewFlagSet("detune", flag.ContinueOnError)
+func reportFlags(fs *flag.FlagSet) func(string) error {
 	j := registerJFlag(fs)
-	cell := fs.Bool("cellmode", false, "replay one full simulation per detune factor instead of the lockstep one-pass grid (the differential oracle)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rows, err := experiments.DetuneStudy(newEngine(*j, serveObserver).WithCellMode(*cell), nil, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.RenderDetune(rows))
-	return nil
-}
-
-func cmdPageSize(args []string) error {
-	prog := "HWSCRT"
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		prog, args = args[0], args[1:]
-	}
-	fs := flag.NewFlagSet("pagesize", flag.ContinueOnError)
-	j := registerJFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rows, err := experiments.PageSizeSensitivity(newEngine(*j, serveObserver), prog, []int{128, 256, 512, 1024})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.RenderPageSize(rows))
-	return nil
-}
-
-func cmdSim(args []string) error {
-	return withProgram(args, func(p *core.Program, rest []string) error {
-		fs := flag.NewFlagSet("sim", flag.ContinueOnError)
-		polName := fs.String("policy", "cd", "policy: cd, lru, fifo, ws, opt")
-		level := fs.Int("level", 1, "CD directive-set stratum")
-		frames := intFlagMin(fs, "m", 8, 1, "fixed allocation for lru/fifo/opt")
-		tau := intFlagMin(fs, "tau", 500, 1, "WS window size")
-		registerJFlag(fs) // accepted for symmetry; sim runs one simulation
-		of := registerObsFlags(fs)
-		if err := fs.Parse(rest); err != nil {
+	return withProgram(func(p *core.Program) error {
+		out, err := report.Generate(p, report.Options{Engine: newEngine(*j, serveObserver)})
+		if err != nil {
 			return err
 		}
+		fmt.Print(out)
+		return nil
+	})
+}
+
+func familyFlags(fs *flag.FlagSet) func(string) error {
+	j := registerJFlag(fs)
+	return func(string) error {
+		rows, err := experiments.PolicyFamily(newEngine(*j, serveObserver), nil)
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiments.RenderFamily(rows))
+		return nil
+	}
+}
+
+func detuneFlags(fs *flag.FlagSet) func(string) error {
+	j := registerJFlag(fs)
+	cell := fs.Bool("cellmode", false, "replay one full simulation per detune factor instead of the lockstep one-pass grid (the differential oracle)")
+	return func(string) error {
+		rows, err := experiments.DetuneStudy(newEngine(*j, serveObserver).WithCellMode(*cell), nil, nil)
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiments.RenderDetune(rows))
+		return nil
+	}
+}
+
+func pageSizeFlags(fs *flag.FlagSet) func(string) error {
+	j := registerJFlag(fs)
+	return func(prog string) error {
+		if prog == "" {
+			prog = "HWSCRT"
+		}
+		rows, err := experiments.PageSizeSensitivity(newEngine(*j, serveObserver), prog, []int{128, 256, 512, 1024})
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiments.RenderPageSize(rows))
+		return nil
+	}
+}
+
+func simFlags(fs *flag.FlagSet) func(string) error {
+	polName := fs.String("policy", "cd", "policy: cd, lru, fifo, ws, opt")
+	level := fs.Int("level", 1, "CD directive-set stratum")
+	frames := intFlagMin(fs, "m", 8, 1, "fixed allocation of `N` frames for lru/fifo/opt")
+	tau := intFlagMin(fs, "tau", 500, 1, "WS window of `N` references")
+	of := registerObsFlags(fs)
+	return withProgram(func(p *core.Program) error {
 		tr, err := p.Trace()
 		if err != nil {
 			return err
@@ -412,35 +423,29 @@ func cmdSim(args []string) error {
 	})
 }
 
-func cmdSweep(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("missing program name, source file or trace file")
-	}
-	target := args[0]
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+func sweepFlags(fs *flag.FlagSet) func(string) error {
 	polName := fs.String("policy", "", "curve policy: lru, ws, fifo, cd (empty: CD-levels summary)")
 	grid := fs.String("grid", "", "comma-separated curve grid: allocations (lru/fifo), windows (ws), detune factors (cd)")
 	level := fs.Int("level", 1, "CD directive-set stratum (policy cd)")
 	asJSON := fs.Bool("json", false, "emit the curve as JSON")
 	j := registerJFlag(fs)
 	of := registerObsFlags(fs)
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
+	return func(target string) error {
+		return of.withObs(func() error {
+			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
+			if *polName == "" {
+				return sweepSummary(eng, target)
+			}
+			return sweepCurve(os.Stdout, eng, target, *polName, *grid, *level, *asJSON)
+		})
 	}
-	return of.withObs(func() error {
-		eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
-		if *polName == "" {
-			return sweepSummary(eng, target)
-		}
-		return sweepCurve(os.Stdout, eng, target, *polName, *grid, *level, *asJSON)
-	})
 }
 
 // sweepSummary is the original sweep report: CD at every directive
 // stratum versus the tuned LRU and WS minima, all read from eng (whose
 // observer sees the CD runs).
 func sweepSummary(eng *engine.Engine, target string) error {
-	p, err := loadProgram(target)
+	p, err := sweepProgram(target, "the CD-levels summary")
 	if err != nil {
 		return err
 	}
@@ -478,17 +483,27 @@ func sweepSummary(eng *engine.Engine, target string) error {
 	return nil
 }
 
-// sweepSource resolves the sweep target: a saved trace file (CDT3 files
-// stream block by block) or a workload/source program's trace.
+// sweepSource resolves the sweep target: a saved trace file, streamed
+// block by block, or a workload/source program's trace.
 func sweepSource(target string) (trace.Source, error) {
-	if strings.HasSuffix(target, ".cdt1") || strings.HasSuffix(target, ".cdt2") || strings.HasSuffix(target, ".cdt3") {
-		return trace.OpenSource(target)
+	if isTraceFile(target) {
+		return trace.OpenCDT3(target)
 	}
 	p, err := loadProgram(target)
 	if err != nil {
 		return nil, err
 	}
 	return p.Trace()
+}
+
+// sweepProgram loads the program a CD sweep needs for what: a trace
+// file carries the directives CD replays but not the program the sweep
+// reports and selects directive sets from.
+func sweepProgram(target, what string) (*core.Program, error) {
+	if isTraceFile(target) {
+		return nil, fmt.Errorf("%s is a trace file: %s needs a program (a curve over a trace takes -policy lru, ws or fifo)", target, what)
+	}
+	return loadProgram(target)
 }
 
 // curvePoint is one (parameter, result) pair of a policy curve, the JSON
@@ -518,10 +533,8 @@ func sweepCurve(w io.Writer, eng *engine.Engine, target, polName, gridSpec strin
 			return err
 		}
 	case "cd":
-		// CD needs the program's directive side-band and selector, so the
-		// target must be a program; the grid detunes every granted
-		// allocation by each factor.
-		p, err := loadProgram(target)
+		// The grid detunes every granted allocation by each factor.
+		p, err := sweepProgram(target, "a CD curve")
 		if err != nil {
 			return err
 		}
@@ -675,45 +688,47 @@ func parseFloatGrid(spec string, def []float64) ([]float64, error) {
 	return grid, nil
 }
 
-func cmdTables(which string, args []string) error {
-	fs := flag.NewFlagSet(which, flag.ContinueOnError)
-	j := registerJFlag(fs)
-	cell := fs.Bool("cellmode", false, "compute sweep artifacts by per-cell replay (one full simulation per curve point; the differential oracle)")
-	timing := fs.Bool("timing", false, "after rendering, recompute the tables in the other sweep mode and print the wall-clock comparison")
-	of := registerObsFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	finish, err := of.activate()
-	if err != nil {
-		return err
-	}
-	if *timing {
-		// workloads.Compile compiles each program once per process, so
-		// whichever leg runs first would otherwise pay FORTRAN
-		// compilation and trace generation for both. Warm it up front so
-		// the timed legs compare sweep work only.
-		if err := warmTableCompiles(which); err != nil {
+// tablesFlags declares the flags of the table command that renders
+// which ("table1".."table4" or "tables").
+func tablesFlags(which string) func(*flag.FlagSet) func(string) error {
+	return func(fs *flag.FlagSet) func(string) error {
+		j := registerJFlag(fs)
+		cell := fs.Bool("cellmode", false, "compute sweep artifacts by per-cell replay (one full simulation per curve point; the differential oracle)")
+		timing := fs.Bool("timing", false, "after rendering, recompute the tables in the other sweep mode and print the wall-clock comparison")
+		of := registerObsFlags(fs)
+		return func(string) error {
+			finish, err := of.activate()
+			if err != nil {
+				return err
+			}
+			if *timing {
+				// workloads.Compile compiles each program once per process, so
+				// whichever leg runs first would otherwise pay FORTRAN
+				// compilation and trace generation for both. Warm it up front so
+				// the timed legs compare sweep work only.
+				if err := warmTableCompiles(which); err != nil {
+					return err
+				}
+			}
+			start := time.Now()
+			err = runTablesTo(os.Stdout, which, newEngine(*j, of.observer).WithCellMode(*cell))
+			if err == nil && *timing {
+				// The other mode renders to the bit bucket on a fresh, unobserved
+				// engine: same compiled programs, but every simulation and sweep
+				// redone.
+				thisDur := time.Since(start)
+				otherStart := time.Now()
+				err = runTablesTo(io.Discard, which, engine.New(*j).WithCellMode(!*cell))
+				if err == nil {
+					fmt.Println(renderTimingLine(*cell, thisDur, time.Since(otherStart)))
+				}
+			}
+			if ferr := finish(); err == nil {
+				err = ferr
+			}
 			return err
 		}
 	}
-	start := time.Now()
-	err = runTablesTo(os.Stdout, which, newEngine(*j, of.observer).WithCellMode(*cell))
-	if err == nil && *timing {
-		// The other mode renders to the bit bucket on a fresh, unobserved
-		// engine: same compiled programs, but every simulation and sweep
-		// redone.
-		thisDur := time.Since(start)
-		otherStart := time.Now()
-		err = runTablesTo(io.Discard, which, engine.New(*j).WithCellMode(!*cell))
-		if err == nil {
-			fmt.Println(renderTimingLine(*cell, thisDur, time.Since(otherStart)))
-		}
-	}
-	if ferr := finish(); err == nil {
-		err = ferr
-	}
-	return err
 }
 
 // warmTableCompiles compiles every program the selected table draws on,
@@ -759,10 +774,6 @@ func renderTimingLine(cellMode bool, thisDur, otherDur time.Duration) string {
 	}
 	return fmt.Sprintf("sweep timing: curve %s vs per-cell %s (%.1fx)",
 		curve.Round(time.Millisecond), cell.Round(time.Millisecond), speedup)
-}
-
-func runTables(which string, eng *engine.Engine) error {
-	return runTablesTo(os.Stdout, which, eng)
 }
 
 func runTablesTo(w io.Writer, which string, eng *engine.Engine) error {
@@ -813,15 +824,11 @@ func runTablesTo(w io.Writer, which string, eng *engine.Engine) error {
 	})
 }
 
-func cmdTrace(args []string) error {
-	return withProgram(args, func(p *core.Program, rest []string) error {
-		fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-		out := fs.String("o", "", "write the trace to this file (CDT3)")
-		chunk := fs.Int("chunk", trace.DefaultChunkEvents, "CDT3 chunk size in events")
-		repeat := fs.Int("repeat", 1, "replicate the reference string N times in the output (drops directives; for big-trace streaming tests)")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
+func traceFlags(fs *flag.FlagSet) func(string) error {
+	out := fs.String("o", "", "write the trace to this file (CDT3)")
+	chunk := fs.Int("chunk", trace.DefaultChunkEvents, "CDT3 chunk size in events")
+	repeat := fs.Int("repeat", 1, "replicate the reference string N times in the output (drops directives; for big-trace streaming tests)")
+	return withProgram(func(p *core.Program) error {
 		if *repeat > 1 && *out == "" {
 			return fmt.Errorf("-repeat needs an -o output")
 		}
@@ -852,73 +859,67 @@ func cmdTrace(args []string) error {
 	})
 }
 
-func cmdReplay(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("missing trace file")
-	}
-	// CDT3 files stream block by block in O(chunk) memory; CDT1/CDT2
-	// files decode fully (their row encoding has no chunk framing).
-	src, err := trace.OpenSource(args[0])
-	if err != nil {
-		return err
-	}
-	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+func replayFlags(fs *flag.FlagSet) func(string) error {
 	polName := fs.String("policy", "cd", "policy: cd, lru, fifo, ws, opt")
 	level := fs.Int("level", 1, "CD directive-set stratum")
-	frames := intFlagMin(fs, "m", 8, 1, "fixed allocation for lru/fifo/opt")
-	tau := intFlagMin(fs, "tau", 500, 1, "WS window size")
+	frames := intFlagMin(fs, "m", 8, 1, "fixed allocation of `N` frames for lru/fifo/opt")
+	tau := intFlagMin(fs, "tau", 500, 1, "WS window of `N` references")
 	memCeil := fs.Int("memceil", 0, "fail if peak RSS exceeds this many MiB (Linux VmHWM; 0 = no check)")
-	registerJFlag(fs) // accepted for symmetry; replay runs one simulation
 	of := registerObsFlags(fs)
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	return of.withObs(func() error {
-		o := of.observer
-		meta := src.Meta()
-		var res vmsim.Result
-		var err error
-		switch *polName {
-		case "cd":
-			res, err = vmsim.RunSource(src, policy.NewCD(policy.SelectLevel(*level), 2), o)
-		case "lru":
-			// LRU/FIFO/WS ignore directives, so streaming the full event
-			// stream gives the same Result as the directive-free view.
-			res, err = vmsim.RunSource(src, policy.NewLRU(*frames), o)
-		case "fifo":
-			res, err = vmsim.RunSource(src, policy.NewFIFO(*frames), o)
-		case "ws":
-			res, err = vmsim.RunSource(src, policy.NewWS(*tau), o)
-		case "opt":
-			// OPT needs the whole future reference string, so it cannot
-			// stream; materialize the trace whatever the input format.
-			tr, merr := materialize(src, args[0])
-			if merr != nil {
-				return merr
-			}
-			res = vmsim.RunObserved(tr.RefsOnly(), policy.NewOPT(tr.Pages(), *frames), o)
-		default:
-			return fmt.Errorf("unknown policy %q", *polName)
-		}
+	return func(path string) error {
+		// The trace streams block by block in O(chunk) memory.
+		src, err := trace.OpenCDT3(path)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: R=%d references, V=%d distinct pages, %d directive events\n",
-			meta.Name, meta.Refs, meta.Distinct, meta.Events-meta.Refs)
-		fmt.Println(res)
-		if *memCeil > 0 {
-			kb, err := peakRSSKiB()
+		defer src.Close()
+		return of.withObs(func() error {
+			o := of.observer
+			meta := src.Meta()
+			var res vmsim.Result
+			var err error
+			switch *polName {
+			case "cd":
+				res, err = vmsim.RunSource(src, policy.NewCD(policy.SelectLevel(*level), 2), o)
+			case "lru":
+				// LRU/FIFO/WS ignore directives, so streaming the full event
+				// stream gives the same Result as the directive-free view.
+				res, err = vmsim.RunSource(src, policy.NewLRU(*frames), o)
+			case "fifo":
+				res, err = vmsim.RunSource(src, policy.NewFIFO(*frames), o)
+			case "ws":
+				res, err = vmsim.RunSource(src, policy.NewWS(*tau), o)
+			case "opt":
+				// OPT needs the whole future reference string, so it cannot
+				// stream; decode the whole file.
+				tr, rerr := readTraceFile(path)
+				if rerr != nil {
+					return rerr
+				}
+				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewOPT(tr.Pages(), *frames), o)
+			default:
+				return fmt.Errorf("unknown policy %q", *polName)
+			}
 			if err != nil {
-				return fmt.Errorf("-memceil: %w", err)
+				return err
 			}
-			fmt.Printf("peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, *memCeil)
-			if kb > int64(*memCeil)<<10 {
-				return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: streamed replay is not O(chunk)",
-					float64(kb)/1024, *memCeil)
+			fmt.Printf("%s: R=%d references, V=%d distinct pages, %d directive events\n",
+				meta.Name, meta.Refs, meta.Distinct, meta.Events-meta.Refs)
+			fmt.Println(res)
+			if *memCeil > 0 {
+				kb, err := peakRSSKiB()
+				if err != nil {
+					return fmt.Errorf("-memceil: %w", err)
+				}
+				fmt.Printf("peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, *memCeil)
+				if kb > int64(*memCeil)<<10 {
+					return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: streamed replay is not O(chunk)",
+						float64(kb)/1024, *memCeil)
+				}
 			}
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 }
 
 // peakRSSKiB reads the process's peak resident set size from the Linux
@@ -946,16 +947,27 @@ func peakRSSKiB() (int64, error) {
 	return 0, fmt.Errorf("no VmHWM in /proc/self/status")
 }
 
-// materialize turns any Source into an in-memory Trace, re-reading the
-// file for streamed sources.
-func materialize(src trace.Source, path string) (*trace.Trace, error) {
-	if tr, ok := src.(*trace.Trace); ok {
-		return tr, nil
-	}
+// readTraceFile decodes a whole trace file into memory.
+func readTraceFile(path string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	return trace.Read(f)
+}
+
+// isTraceFile reports whether path is a file whose content starts like
+// a binary trace, whatever its name. Such a file is decoded as a trace,
+// which rejects any format but CDT3 by its magic; any other operand is
+// taken for a program.
+func isTraceFile(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var magic [3]byte
+	_, err = io.ReadFull(f, magic[:])
+	return err == nil && string(magic[:]) == "CDT"
 }

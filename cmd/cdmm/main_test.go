@@ -45,7 +45,7 @@ func TestLoadProgramMissing(t *testing.T) {
 }
 
 func TestWithProgramRequiresArg(t *testing.T) {
-	err := withProgram(nil, nil)
+	err := runCommand("compile", nil)
 	if err == nil {
 		t.Error("expected missing-argument error")
 	}
@@ -53,11 +53,11 @@ func TestWithProgramRequiresArg(t *testing.T) {
 
 func TestCmdSimPolicies(t *testing.T) {
 	for _, pol := range []string{"cd", "lru", "fifo", "ws", "opt"} {
-		if err := cmdSim([]string{"HWSCRT", "-policy", pol, "-m", "16", "-tau", "300", "-level", "2"}); err != nil {
+		if err := runCommand("sim", []string{"HWSCRT", "-policy", pol, "-m", "16", "-tau", "300", "-level", "2"}); err != nil {
 			t.Errorf("sim %s: %v", pol, err)
 		}
 	}
-	if err := cmdSim([]string{"HWSCRT", "-policy", "bogus"}); err == nil {
+	if err := runCommand("sim", []string{"HWSCRT", "-policy", "bogus"}); err == nil {
 		t.Error("expected unknown-policy error")
 	}
 }
@@ -65,19 +65,19 @@ func TestCmdSimPolicies(t *testing.T) {
 func TestCmdTraceAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "t.trc")
-	if err := cmdTrace([]string{"HWSCRT", "-o", out}); err != nil {
+	if err := runCommand("trace", []string{"HWSCRT", "-o", out}); err != nil {
 		t.Fatal(err)
 	}
 	if raw, err := os.ReadFile(out); err != nil || !strings.HasPrefix(string(raw), "CDT3") {
 		t.Fatalf("trace file missing or not CDT3: %v", err)
 	}
-	if err := cmdReplay([]string{out, "-policy", "cd", "-level", "2"}); err != nil {
+	if err := runCommand("replay", []string{out, "-policy", "cd", "-level", "2"}); err != nil {
 		t.Errorf("replay: %v", err)
 	}
-	if err := cmdReplay([]string{out, "-policy", "ws", "-tau", "200"}); err != nil {
+	if err := runCommand("replay", []string{out, "-policy", "ws", "-tau", "200"}); err != nil {
 		t.Errorf("replay ws: %v", err)
 	}
-	if err := cmdReplay([]string{filepath.Join(dir, "missing.trc")}); err == nil {
+	if err := runCommand("replay", []string{filepath.Join(dir, "missing.trc")}); err == nil {
 		t.Error("expected error for missing trace file")
 	}
 }
@@ -101,14 +101,14 @@ func TestCmdRejectsHostileTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range []string{"lru", "ws", "cd", "opt"} {
-			if err := cmdReplay([]string{path, "-policy", pol}); err == nil {
+			if err := runCommand("replay", []string{path, "-policy", pol}); err == nil {
 				t.Errorf("%s: replay -policy %s succeeded", name, pol)
 			}
 		}
-		if err := cmdSweep([]string{path, "-policy", "lru"}); err == nil {
+		if err := runCommand("sweep", []string{path, "-policy", "lru"}); err == nil {
 			t.Errorf("%s: sweep succeeded", name)
 		}
-		if err := cmdConvert([]string{path}); err == nil {
+		if err := runCommand("convert", []string{path}); err == nil {
 			t.Errorf("%s: convert succeeded", name)
 		}
 	}
@@ -145,7 +145,8 @@ func TestCmdRejectsHostilePrograms(t *testing.T) {
 
 // TestCmdRejectsBadFlagValues checks that out-of-range -m, -tau and -j
 // values fail with an error naming the flag and its value, instead of
-// running with the value clamped to the nearest legal one.
+// running with the value clamped to the nearest legal one, and that
+// undeclared flags and stray arguments fail instead of being dropped.
 func TestCmdRejectsBadFlagValues(t *testing.T) {
 	dir := t.TempDir()
 	trc := filepath.Join(dir, "main.cdt3")
@@ -166,7 +167,17 @@ func TestCmdRejectsBadFlagValues(t *testing.T) {
 		{"table1", []string{"-j", "-4"}, `invalid value "-4" for flag -j`},
 		{"sweep", []string{"MAIN", "-j", "-1"}, `invalid value "-1" for flag -j`},
 		{"report", []string{"MAIN", "-j", "-2"}, `invalid value "-2" for flag -j`},
-		{"sim", []string{"MAIN", "-j", "-8"}, `invalid value "-8" for flag -j`},
+		{"sim", []string{"MAIN", "-j", "-8"}, "flag provided but not defined: -j"},
+		{"replay", []string{trc, "-j", "2"}, "flag provided but not defined: -j"},
+		{"serve", []string{"-j", "2"}, "flag provided but not defined: -j"},
+		{"kernel", []string{"-j", "-1"}, `invalid value "-1" for flag -j`},
+		{"chaos", []string{"-j", "-1"}, `invalid value "-1" for flag -j`},
+		{"chaos", []string{"-no-such-flag"}, "flag provided but not defined: -no-such-flag"},
+		{"compile", []string{"MAIN", "-bogus"}, "flag provided but not defined: -bogus"},
+		{"list", []string{"extra"}, `list: unexpected argument "extra"`},
+		{"report", []string{"MAIN", "extra", "-j", "2"}, `report: unexpected argument "extra"`},
+		{"sim", []string{"MAIN", "-m", "3", "extra"}, `sim: unexpected argument "extra"`},
+		{"family", []string{"extra"}, `family: unexpected argument "extra"`},
 		{"explain", []string{"HWSCRT", "-events", events}, "explain does not take -events or -metrics"},
 		{"explain", []string{"HWSCRT", "-metrics", metrics}, "explain does not take -events or -metrics"},
 	} {
@@ -183,13 +194,13 @@ func TestCmdRejectsBadFlagValues(t *testing.T) {
 }
 
 func TestCmdList(t *testing.T) {
-	if err := cmdList(); err != nil {
+	if err := runCommand("list", nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCmdSweepRuns(t *testing.T) {
-	if err := cmdSweep([]string{"HWSCRT"}); err != nil {
+	if err := runCommand("sweep", []string{"HWSCRT"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -198,7 +209,7 @@ func TestCmdExplain(t *testing.T) {
 	dir := t.TempDir()
 	chrome := filepath.Join(dir, "tl.json")
 	folded := filepath.Join(dir, "fl.txt")
-	if err := cmdExplain([]string{"HWSCRT", "-top", "4", "-chrome", chrome, "-folded", folded}); err != nil {
+	if err := runCommand("explain", []string{"HWSCRT", "-top", "4", "-chrome", chrome, "-folded", folded}); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{chrome, folded} {
@@ -206,7 +217,7 @@ func TestCmdExplain(t *testing.T) {
 			t.Errorf("export %s missing or empty: %v", f, err)
 		}
 	}
-	if err := cmdExplain(nil); err == nil {
+	if err := runCommand("explain", nil); err == nil {
 		t.Error("expected missing-argument error")
 	}
 }

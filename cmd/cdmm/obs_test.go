@@ -20,7 +20,7 @@ func TestCmdSimEventsMatchResult(t *testing.T) {
 	dir := t.TempDir()
 	ev := filepath.Join(dir, "out.jsonl")
 	met := filepath.Join(dir, "metrics.json")
-	err := cmdSim([]string{"HWSCRT", "-policy", "cd", "-level", "2", "-events", ev, "-metrics", met})
+	err := runCommand("sim", []string{"HWSCRT", "-policy", "cd", "-level", "2", "-events", ev, "-metrics", met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCmdSimProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	heap := filepath.Join(dir, "heap.pprof")
-	err := cmdSim([]string{"HWSCRT", "-policy", "lru", "-m", "16", "-cpuprofile", cpu, "-memprofile", heap})
+	err := runCommand("sim", []string{"HWSCRT", "-policy", "lru", "-m", "16", "-cpuprofile", cpu, "-memprofile", heap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestCmdSimProfileFlags(t *testing.T) {
 func TestCmdReplayEvents(t *testing.T) {
 	dir := t.TempDir()
 	trc := filepath.Join(dir, "t.trc")
-	if err := cmdTrace([]string{"HWSCRT", "-o", trc}); err != nil {
+	if err := runCommand("trace", []string{"HWSCRT", "-o", trc}); err != nil {
 		t.Fatal(err)
 	}
 	ev := filepath.Join(dir, "replay.jsonl")
-	if err := cmdReplay([]string{trc, "-policy", "ws", "-tau", "300", "-events", ev}); err != nil {
+	if err := runCommand("replay", []string{trc, "-policy", "ws", "-tau", "300", "-events", ev}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(ev)
@@ -108,10 +108,10 @@ func TestCmdReplayEvents(t *testing.T) {
 }
 
 func TestCmdProfile(t *testing.T) {
-	if err := cmdProfile([]string{"HWSCRT", "-buckets", "32"}); err != nil {
+	if err := runCommand("profile", []string{"HWSCRT", "-buckets", "32"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdProfile([]string{}); err == nil {
+	if err := runCommand("profile", []string{}); err == nil {
 		t.Error("expected missing-argument error")
 	}
 }
@@ -119,7 +119,7 @@ func TestCmdProfile(t *testing.T) {
 func TestCmdTablesObsFlags(t *testing.T) {
 	dir := t.TempDir()
 	ev := filepath.Join(dir, "t1.jsonl")
-	if err := cmdTables("table1", []string{"-events", ev}); err != nil {
+	if err := runCommand("table1", []string{"-events", ev}); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(ev); err != nil || fi.Size() == 0 {
@@ -135,10 +135,10 @@ func TestCmdTablesEventsDeterministicAcrossJ(t *testing.T) {
 	dir := t.TempDir()
 	seq := filepath.Join(dir, "seq.jsonl")
 	par := filepath.Join(dir, "par.jsonl")
-	if err := cmdTables("table1", []string{"-j", "1", "-events", seq}); err != nil {
+	if err := runCommand("table1", []string{"-j", "1", "-events", seq}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdTables("table1", []string{"-j", "8", "-events", par}); err != nil {
+	if err := runCommand("table1", []string{"-j", "8", "-events", par}); err != nil {
 		t.Fatal(err)
 	}
 	a, err := os.ReadFile(seq)

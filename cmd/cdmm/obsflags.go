@@ -14,9 +14,9 @@ import (
 	"cdmm/internal/serve"
 )
 
-// obsFlags holds the observability flags shared by sim, replay, profile
-// and the table commands: structured event tracing, a metrics snapshot,
-// a live telemetry server, and pprof CPU/heap profiles.
+// obsFlags holds the observability flags many commands share (cdmm help
+// lists them): structured event tracing, a metrics snapshot, a live
+// telemetry server, and pprof CPU/heap profiles.
 type obsFlags struct {
 	events     *string
 	metrics    *string
@@ -39,11 +39,11 @@ type obsFlags struct {
 // registerObsFlags adds the flags to fs.
 func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	f := &obsFlags{}
-	f.events = fs.String("events", "", "write a JSONL structured event trace to this file")
-	f.metrics = fs.String("metrics", "", "write a JSON metrics snapshot to this file")
-	f.serveAddr = fs.String("serve", "", "expose live telemetry (/metrics, /progress, /events) at this host:port for the command's duration")
-	f.cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	f.memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file")
+	f.events = fs.String("events", "", "write a JSONL structured event trace to this `file`")
+	f.metrics = fs.String("metrics", "", "write a JSON metrics snapshot (counters, log2 histograms) to this `file`")
+	f.serveAddr = fs.String("serve", "", "expose live telemetry (/metrics, /progress, /events) at this `host:port` for the command's duration")
+	f.cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this `file`")
+	f.memprofile = fs.String("memprofile", "", "write a pprof heap profile to this `file`")
 	return f
 }
 

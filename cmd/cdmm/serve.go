@@ -38,64 +38,61 @@ func newServeLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
 }
 
-// cmdServe starts the live telemetry daemon. With a nested command
-// after `--` it runs that command with telemetry attached and keeps
-// serving for -linger afterwards; without one it serves until SIGINT.
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+// serveFlags declares serve, the live telemetry daemon. With a nested
+// command after `--` it runs that command with telemetry attached and
+// keeps serving for -linger afterwards; without one it serves until
+// SIGINT.
+func serveFlags(fs *flag.FlagSet) func(string) error {
 	addr := fs.String("addr", "127.0.0.1:8377", "telemetry listen address (host:port; port 0 picks one)")
 	withPprof := fs.Bool("pprof", false, "expose /debug/pprof/ handlers")
 	linger := fs.Duration("linger", 0, "keep serving this long after the nested command finishes")
 	sseBuffer := fs.Int("sse-buffer", 256, "per-subscriber SSE frame buffer (slow clients drop the newest frames)")
-	j := registerJFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	nested := fs.Args() // everything after --
+	return func(string) error {
+		nested := fs.Args() // everything after --
 
-	logger := newServeLogger()
-	srv := serve.New(serve.Options{Log: logger, Pprof: *withPprof, EventBuffer: *sseBuffer})
-	if err := srv.Start(*addr); err != nil {
-		return err
-	}
-	serveProgress = srv.Progress()
-	serveLogger = logger
-	serveObserver = srv.Observer()
-	defer func() {
-		serveObserver = nil
-		serveProgress = nil
-		serveLogger = nil
-	}()
-	newEngine(*j, serveObserver)
+		logger := newServeLogger()
+		srv := serve.New(serve.Options{Log: logger, Pprof: *withPprof, EventBuffer: *sseBuffer})
+		if err := srv.Start(*addr); err != nil {
+			return err
+		}
+		serveProgress = srv.Progress()
+		serveLogger = logger
+		serveObserver = srv.Observer()
+		defer func() {
+			serveObserver = nil
+			serveProgress = nil
+			serveLogger = nil
+		}()
 
-	var cmdErr error
-	if len(nested) > 0 {
-		if nested[0] == "serve" {
-			cmdErr = fmt.Errorf("serve cannot nest another serve")
-		} else {
-			cmdErr = runCommand(nested[0], nested[1:])
-		}
-		if *linger > 0 {
-			logger.Info("nested command finished, lingering", "linger", *linger, "url", srv.URL())
-			time.Sleep(*linger)
-		}
-		if serveTestHook != nil {
+		var cmdErr error
+		if len(nested) > 0 {
+			if nested[0] == "serve" {
+				cmdErr = fmt.Errorf("serve cannot nest another serve")
+			} else {
+				cmdErr = runCommand(nested[0], nested[1:])
+			}
+			if *linger > 0 {
+				logger.Info("nested command finished, lingering", "linger", *linger, "url", srv.URL())
+				time.Sleep(*linger)
+			}
+			if serveTestHook != nil {
+				serveTestHook(srv)
+			}
+		} else if serveTestHook != nil {
 			serveTestHook(srv)
+		} else {
+			fmt.Fprintf(os.Stderr, "cdmm serve: listening on %s (Ctrl-C to stop)\n", srv.URL())
+			sig := make(chan os.Signal, 1)
+			signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+			<-sig
+			signal.Stop(sig)
 		}
-	} else if serveTestHook != nil {
-		serveTestHook(srv)
-	} else {
-		fmt.Fprintf(os.Stderr, "cdmm serve: listening on %s (Ctrl-C to stop)\n", srv.URL())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		signal.Stop(sig)
-	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); cmdErr == nil {
-		cmdErr = err
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); cmdErr == nil {
+			cmdErr = err
+		}
+		return cmdErr
 	}
-	return cmdErr
 }

@@ -80,7 +80,7 @@ func TestCmdTablesTimingFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("-timing recomputes the tables in cell mode; skipped under -short")
 	}
-	if err := cmdTables("table2", []string{"-timing"}); err != nil {
+	if err := runCommand("table2", []string{"-timing"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,29 +92,35 @@ func TestCmdSweepCurveModes(t *testing.T) {
 		{"HWSCRT", "-policy", "fifo", "-grid", "2,4"},
 		{"HWSCRT", "-policy", "cd", "-level", "2", "-grid", "0.5,1.0,2.0"},
 	} {
-		if err := cmdSweep(args); err != nil {
+		if err := runCommand("sweep", args); err != nil {
 			t.Errorf("sweep %v: %v", args, err)
 		}
 	}
-	if err := cmdSweep([]string{"HWSCRT", "-policy", "bogus"}); err == nil {
+	if err := runCommand("sweep", []string{"HWSCRT", "-policy", "bogus"}); err == nil {
 		t.Error("expected unknown-policy error")
 	}
 }
 
+// TestCmdSweepStreamedTrace: sweep recognizes a trace file by its
+// content, whatever its name, and streams its curves; the summary and
+// the CD curve need the program, which the file does not hold.
 func TestCmdSweepStreamedTrace(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "t.cdt3")
-	if err := cmdTrace([]string{"HWSCRT", "-o", out}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdSweep([]string{out, "-policy", "lru", "-grid", "1,4,16"}); err != nil {
-		t.Errorf("lru curve on streamed trace: %v", err)
-	}
-	if err := cmdSweep([]string{out, "-policy", "ws"}); err != nil {
-		t.Errorf("ws curve on streamed trace: %v", err)
-	}
-	// CD needs the program's selector; a bare trace file cannot supply it.
-	if err := cmdSweep([]string{out, "-policy", "cd"}); err == nil {
-		t.Error("expected error for cd curve on a trace file")
+	for _, name := range []string{"t.cdt3", "t.trc"} {
+		out := filepath.Join(dir, name)
+		if err := runCommand("trace", []string{"HWSCRT", "-o", out}); err != nil {
+			t.Fatal(err)
+		}
+		if err := runCommand("sweep", []string{out, "-policy", "lru", "-grid", "1,4,16"}); err != nil {
+			t.Errorf("%s: lru curve on streamed trace: %v", name, err)
+		}
+		if err := runCommand("sweep", []string{out, "-policy", "ws"}); err != nil {
+			t.Errorf("%s: ws curve on streamed trace: %v", name, err)
+		}
+		for _, args := range [][]string{{out}, {out, "-policy", "cd"}} {
+			if err := runCommand("sweep", args); err == nil || !strings.Contains(err.Error(), "needs a program") {
+				t.Errorf("sweep %v: err = %v, want one saying it needs a program", args, err)
+			}
+		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 // mergeable: merging shard-local histograms in a fixed order yields the
 // same bytes at any worker count.
 //
-// Unlike Histogram, Log2Hist is deliberately NOT safe for concurrent
-// use: the intended discipline is one histogram per shard, owned by the
-// shard's goroutine, merged at a barrier. That keeps atomics (and their
-// cross-core traffic) out of the hot loop entirely.
+// Log2Hist is deliberately NOT safe for concurrent use: the intended
+// discipline is one histogram per shard or run, owned by its goroutine,
+// merged at a barrier (Registry.MergeHist). That keeps atomics (and
+// their cross-core traffic) out of the hot loop entirely.
 type Log2Hist struct {
 	counts [log2Buckets]int64
 	count  int64
@@ -140,7 +140,14 @@ func (h *Log2Hist) Quantile(q float64) (lo, hi int64) {
 // Snapshot returns the histogram's current state with only the occupied
 // buckets, suitable for JSON export.
 func (h *Log2Hist) Snapshot() Log2Snapshot {
-	s := Log2Snapshot{Count: h.count, Sum: h.sum, Min: h.Min(), Max: h.Max()}
+	var s Log2Snapshot
+	h.snapshotInto(&s)
+	return s
+}
+
+// snapshotInto refills s, reusing its bucket slice.
+func (h *Log2Hist) snapshotInto(s *Log2Snapshot) {
+	*s = Log2Snapshot{Count: h.count, Sum: h.sum, Min: h.Min(), Max: h.Max(), Buckets: s.Buckets[:0]}
 	for i, n := range h.counts {
 		if n == 0 {
 			continue
@@ -148,7 +155,6 @@ func (h *Log2Hist) Snapshot() Log2Snapshot {
 		lo, hi := Log2BucketBounds(i)
 		s.Buckets = append(s.Buckets, Log2Bucket{Idx: i, Lo: lo, Hi: hi, N: n})
 	}
-	return s
 }
 
 // Log2Bucket is one occupied bucket of a Log2Snapshot: its index, its
@@ -194,6 +200,13 @@ func (s Log2Snapshot) AppendProm(b []byte, name, help string) []byte {
 	b = append(b, name...)
 	b = append(b, ` histogram`...)
 	b = append(b, '\n')
+	return appendPromSeries(b, name, &s)
+}
+
+// appendPromSeries is AppendProm without the comment lines: the
+// `_bucket`, `_sum` and `_count` series under name, which the registry
+// scrape passes as the bytes it sanitized so it allocates nothing.
+func appendPromSeries[N string | []byte](b []byte, name N, s *Log2Snapshot) []byte {
 	var cum int64
 	for _, bk := range s.Buckets {
 		cum += bk.N

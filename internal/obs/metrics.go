@@ -3,24 +3,25 @@ package obs
 import (
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// Registry holds a run's named metrics. Registration (Counter, Gauge,
-// Histogram) returns a stable handle that the hot path updates without
-// any map lookup or allocation. The registry and every handle it returns
-// are safe for concurrent use: the experiment engine shares one registry
-// across parallel simulation runs, so counter and histogram updates are
-// atomic and sum exactly regardless of interleaving. (Gauges are
-// last-write-wins; concurrent writers race by definition of the type.)
+// Registry holds a run's named metrics. Registration (Counter, Gauge)
+// returns a stable handle that the hot path updates without any map
+// lookup or allocation; histograms are Log2Hists that each run fills on
+// its own and adds with MergeHist when it ends. The registry and every
+// handle it returns are safe for concurrent use: the experiment engine
+// shares one registry across parallel simulation runs, so counter
+// updates are atomic and histogram merges are serialized, and both sum
+// exactly regardless of interleaving. (Gauges are last-write-wins;
+// concurrent writers race by definition of the type.)
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists    map[string]*Log2Hist
 }
 
 // NewRegistry returns an empty registry.
@@ -28,7 +29,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
+		hists:    map[string]*Log2Hist{},
 	}
 }
 
@@ -60,113 +61,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the last recorded value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// atomicFloat accumulates float64 values with compare-and-swap.
-type atomicFloat struct {
-	bits atomic.Uint64
-}
-
-func (f *atomicFloat) add(v float64) {
-	for {
-		old := f.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
-
-// minTo lowers the stored value to v if v is smaller.
-func (f *atomicFloat) minTo(v float64) {
-	for {
-		old := f.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if f.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// maxTo raises the stored value to v if v is larger.
-func (f *atomicFloat) maxTo(v float64) {
-	for {
-		old := f.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if f.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Histogram is a fixed-bucket distribution. Bucket i counts observations
-// v with bounds[i-1] < v <= bounds[i]; one overflow bucket counts
-// v > bounds[len-1]. Observe is allocation-free and safe for concurrent
-// use: bucket counts and the sum are atomic, so totals are exact however
-// observations interleave. (The float sum may differ in the last bits
-// across runs at different parallelism, since float addition is not
-// associative.)
-type Histogram struct {
-	name   string
-	bounds []float64 // ascending upper bounds (inclusive)
-	counts []atomic.Int64
-	count  atomic.Int64
-	sum    atomicFloat
-	min    atomicFloat // +Inf until the first observation
-	max    atomicFloat // -Inf until the first observation
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.add(v)
-	h.min.minTo(v)
-	h.max.maxTo(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
-
-// Min returns the smallest observation, or 0 when empty.
-func (h *Histogram) Min() float64 {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return h.min.load()
-}
-
-// Max returns the largest observation, or 0 when empty.
-func (h *Histogram) Max() float64 {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return h.max.load()
-}
-
-// Bucket returns the upper bound (math.Inf(1) for the overflow bucket)
-// and count of bucket i.
-func (h *Histogram) Bucket(i int) (float64, int64) {
-	if i == len(h.bounds) {
-		return math.Inf(1), h.counts[i].Load()
-	}
-	return h.bounds[i], h.counts[i].Load()
-}
-
-// NumBuckets returns the bucket count including the overflow bucket.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
 // Counter returns the counter registered under name, creating it on
 // first use.
 func (r *Registry) Counter(name string) *Counter {
@@ -192,43 +86,20 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it with
-// the given ascending bucket bounds on first use (later calls reuse the
-// original bounds).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// MergeHist adds a finished histogram's observations to the one
+// registered under name, creating it on first use (an empty h still
+// registers the name). Merging is integer addition under the registry
+// lock, so the registry's state does not depend on the order in which
+// runs finish. h is only read.
+func (r *Registry) MergeHist(name string, h *Log2Hist) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
+	rh, ok := r.hists[name]
+	if !ok {
+		rh = &Log2Hist{}
+		r.hists[name] = rh
 	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	h := &Histogram{name: name, bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-	h.min.bits.Store(math.Float64bits(math.Inf(1)))
-	h.max.bits.Store(math.Float64bits(math.Inf(-1)))
-	r.hists[name] = h
-	return h
-}
-
-// ExpBounds builds n exponentially growing bucket bounds starting at
-// start and multiplying by factor: start, start*factor, ...
-func ExpBounds(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
-// LinearBounds builds n bounds start, start+step, ...
-func LinearBounds(start, step float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*step
-	}
-	return out
+	rh.Merge(h)
 }
 
 // WriteJSON writes the registry snapshot as a single JSON object with
@@ -263,22 +134,20 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		b = append(b, `:{"count":`...)
 		b = strconv.AppendInt(b, h.Count, 10)
 		b = append(b, `,"sum":`...)
-		b = appendFloat(b, h.Sum)
+		b = strconv.AppendInt(b, h.Sum, 10)
 		b = append(b, `,"min":`...)
-		b = appendFloat(b, h.Min)
+		b = strconv.AppendInt(b, h.Min, 10)
 		b = append(b, `,"max":`...)
-		b = appendFloat(b, h.Max)
+		b = strconv.AppendInt(b, h.Max, 10)
 		b = append(b, `,"buckets":[`...)
 		for j, bk := range h.Buckets {
 			if j > 0 {
 				b = append(b, ',')
 			}
+			// One entry per occupied bucket; le is its inclusive upper
+			// bound.
 			b = append(b, `{"le":`...)
-			if bk.Infinite() {
-				b = append(b, `"+Inf"`...)
-			} else {
-				b = appendFloat(b, bk.LE)
-			}
+			b = strconv.AppendInt(b, bk.Hi, 10)
 			b = append(b, `,"n":`...)
 			b = strconv.AppendInt(b, bk.N, 10)
 			b = append(b, '}')

@@ -1,5 +1,5 @@
 // Package obs is the run-scoped observability subsystem of the simulator:
-// a lightweight metrics registry (counters, gauges, fixed-bucket
+// a lightweight metrics registry (counters, gauges, log2-bucket
 // histograms) with an allocation-free hot path, and a structured event
 // tracer whose JSONL sink records fault/alloc/lock/unlock/swap/phase
 // events with virtual-time stamps so a simulation run can be replayed and

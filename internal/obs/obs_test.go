@@ -31,37 +31,53 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketEdges(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 4, 5} {
+// mergeValues merges one run's histogram of vals into r under name.
+func mergeValues(r *Registry, name string, vals ...int64) {
+	var h Log2Hist
+	for _, v := range vals {
 		h.Observe(v)
 	}
-	// Upper bounds are inclusive: bucket i counts bounds[i-1] < v <= bounds[i].
-	want := []int64{2, 2, 2, 1}
-	if h.NumBuckets() != len(want) {
-		t.Fatalf("buckets = %d, want %d", h.NumBuckets(), len(want))
+	r.MergeHist(name, &h)
+}
+
+// TestHistogramBucketEdges: a registry histogram holds the log2 buckets
+// of every merged value, each keyed by its inclusive upper bound, and
+// merges add bucket by bucket.
+func TestHistogramBucketEdges(t *testing.T) {
+	r := NewRegistry()
+	mergeValues(r, "h", 0, 1, 2, 3, 4, 7)
+	mergeValues(r, "h", 8, 3)
+	s := r.Snapshot()
+	if len(s.Histograms) != 1 {
+		t.Fatalf("histograms = %d, want 1", len(s.Histograms))
 	}
-	for i, w := range want {
-		le, n := h.Bucket(i)
-		if n != w {
-			t.Errorf("bucket %d (le %g) = %d, want %d", i, le, n, w)
-		}
+	h := s.Histograms[0]
+	// Upper bounds are inclusive: le=3 counts 2, 3 and 3; le=7 counts 4 and 7.
+	want := []Log2Bucket{{0, 0, 0, 1}, {1, 1, 1, 1}, {2, 2, 3, 3}, {3, 4, 7, 2}, {4, 8, 15, 1}}
+	if !reflect.DeepEqual(h.Buckets, want) {
+		t.Errorf("buckets = %+v, want %+v", h.Buckets, want)
 	}
-	if le, _ := h.Bucket(3); !math.IsInf(le, 1) {
-		t.Errorf("last bucket bound = %g, want +Inf", le)
-	}
-	if h.Count() != 7 || h.Sum() != 17 {
-		t.Errorf("count=%d sum=%g, want 7/17", h.Count(), h.Sum())
+	if h.Count != 8 || h.Sum != 28 || h.Min != 0 || h.Max != 8 {
+		t.Errorf("count=%d sum=%d min=%d max=%d, want 8/28/0/8", h.Count, h.Sum, h.Min, h.Max)
 	}
 }
 
+// TestBoundsBuilders: the log2 bucket bounds tile the non-negative
+// int64 range, each bucket starting one past the previous one's
+// inclusive upper bound, so no integer observation can overflow.
 func TestBoundsBuilders(t *testing.T) {
-	if got := ExpBounds(1, 2, 4); !reflect.DeepEqual(got, []float64{1, 2, 4, 8}) {
-		t.Errorf("ExpBounds = %v", got)
+	if lo, hi := Log2BucketBounds(0); lo != 0 || hi != 0 {
+		t.Errorf("bucket 0 = [%d,%d], want [0,0]", lo, hi)
 	}
-	if got := LinearBounds(2, 3, 3); !reflect.DeepEqual(got, []float64{2, 5, 8}) {
-		t.Errorf("LinearBounds = %v", got)
+	for i := 1; i < 64; i++ {
+		_, prevHi := Log2BucketBounds(i - 1)
+		lo, hi := Log2BucketBounds(i)
+		if lo != prevHi+1 || hi < lo {
+			t.Fatalf("bucket %d = [%d,%d] after upper bound %d", i, lo, hi, prevHi)
+		}
+	}
+	if _, hi := Log2BucketBounds(63); hi != math.MaxInt64 {
+		t.Errorf("bucket 63 ends at %d, want MaxInt64", hi)
 	}
 }
 
@@ -69,9 +85,7 @@ func TestRegistryJSONAndRender(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("faults").Add(12)
 	r.Gauge("mem").Set(7.25)
-	h := r.Histogram("dist", []float64{10, 100})
-	h.Observe(3)
-	h.Observe(250)
+	mergeValues(r, "dist", 3, 250)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -82,8 +96,10 @@ func TestRegistryJSONAndRender(t *testing.T) {
 		Gauges   map[string]float64 `json:"gauges"`
 		Hists    map[string]struct {
 			Count   int64 `json:"count"`
+			Sum     int64 `json:"sum"`
 			Buckets []struct {
-				N int64 `json:"n"`
+				LE int64 `json:"le"`
+				N  int64 `json:"n"`
 			} `json:"buckets"`
 		} `json:"histograms"`
 	}
@@ -94,7 +110,8 @@ func TestRegistryJSONAndRender(t *testing.T) {
 		t.Errorf("snapshot = %+v", snap)
 	}
 	d := snap.Hists["dist"]
-	if d.Count != 2 || len(d.Buckets) != 3 || d.Buckets[0].N != 1 || d.Buckets[2].N != 1 {
+	if d.Count != 2 || d.Sum != 253 || len(d.Buckets) != 2 ||
+		d.Buckets[0].LE != 3 || d.Buckets[0].N != 1 || d.Buckets[1].LE != 255 || d.Buckets[1].N != 1 {
 		t.Errorf("histogram snapshot = %+v", d)
 	}
 }
@@ -152,8 +169,8 @@ func TestReplay(t *testing.T) {
 }
 
 // TestRegistryConcurrent checks the satellite guarantee: parallel
-// counter and histogram updates through one shared registry sum exactly.
-// Run under -race to exercise the atomic paths.
+// counter updates and histogram merges through one shared registry sum
+// exactly. Run under -race to exercise the shared paths.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const workers = 8
@@ -166,38 +183,37 @@ func TestRegistryConcurrent(t *testing.T) {
 			// Registration races with use on purpose: every goroutine
 			// must get the same handles back.
 			c := r.Counter("shared")
-			h := r.Histogram("dist", []float64{10, 100, 1000})
 			g := r.Gauge("last")
+			var h Log2Hist
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				h.Observe(float64(i % 2000))
+				h.Observe(int64(i % 2000))
 				g.Set(float64(w))
 			}
+			r.MergeHist("dist", &h)
 		}(w)
 	}
 	wg.Wait()
 	if got := r.Counter("shared").Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
-	h := r.Histogram("dist", nil)
-	if h.Count() != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*perWorker)
+	h := r.Snapshot().Histograms[0]
+	if h.Count != workers*perWorker {
+		t.Errorf("histogram count = %d, want %d", h.Count, workers*perWorker)
 	}
 	var bucketSum int64
-	for i := 0; i < h.NumBuckets(); i++ {
-		_, n := h.Bucket(i)
-		bucketSum += n
+	for _, b := range h.Buckets {
+		bucketSum += b.N
 	}
-	if bucketSum != h.Count() {
-		t.Errorf("bucket sum %d != count %d", bucketSum, h.Count())
+	if bucketSum != h.Count {
+		t.Errorf("bucket sum %d != count %d", bucketSum, h.Count)
 	}
 	// Each worker observes 0..1999 repeatedly, so min/max are exact.
-	if h.Min() != 0 || h.Max() != 1999 {
-		t.Errorf("min/max = %g/%g, want 0/1999", h.Min(), h.Max())
+	if h.Min != 0 || h.Max != 1999 {
+		t.Errorf("min/max = %d/%d, want 0/1999", h.Min, h.Max)
 	}
-	wantSum := float64(workers) * float64(perWorker/2000) * (1999.0 * 2000.0 / 2)
-	if h.Sum() != wantSum {
-		t.Errorf("sum = %g, want %g", h.Sum(), wantSum)
+	if wantSum := int64(workers * (perWorker / 2000) * (1999 * 2000 / 2)); h.Sum != wantSum {
+		t.Errorf("sum = %d, want %d", h.Sum, wantSum)
 	}
 	if g := r.Gauge("last").Value(); g < 0 || g >= workers {
 		t.Errorf("gauge = %g, want one of the written values", g)
@@ -205,18 +221,23 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 // TestHistogramEmptyMinMax pins the empty-histogram rendering contract:
-// Min and Max report 0, not the +/-Inf initialization sentinels.
+// merging an empty histogram registers the name, and Min and Max report
+// 0 with no buckets.
 func TestHistogramEmptyMinMax(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("empty", []float64{1})
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Errorf("empty min/max = %g/%g, want 0/0", h.Min(), h.Max())
+	r.MergeHist("empty", &Log2Hist{})
+	s := r.Snapshot()
+	if len(s.Histograms) != 1 || s.Histograms[0].Name != "empty" {
+		t.Fatalf("histograms = %+v, want the one empty entry", s.Histograms)
+	}
+	if h := s.Histograms[0]; h.Min != 0 || h.Max != 0 || h.Count != 0 {
+		t.Errorf("empty count/min/max = %d/%d/%d, want 0/0/0", h.Count, h.Min, h.Max)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if s := buf.String(); !strings.Contains(s, `"min":0,"max":0`) {
-		t.Errorf("empty histogram JSON should carry min/max 0: %s", s)
+	if s := buf.String(); !strings.Contains(s, `"min":0,"max":0,"buckets":[]`) {
+		t.Errorf("empty histogram JSON should carry min/max 0 and no buckets: %s", s)
 	}
 }

@@ -10,8 +10,9 @@ import (
 //
 // Every metric is prefixed with a namespace ("cdmm" for the telemetry
 // server), counters gain the conventional `_total` suffix, and
-// histograms render the cumulative `_bucket{le="..."}` series plus
-// `_sum` and `_count`, ending with the mandatory `le="+Inf"` bucket.
+// histograms render a cumulative `_bucket{le="..."}` series per occupied
+// log2 bucket (le is its inclusive upper bound) plus the mandatory
+// `le="+Inf"` bucket, `_sum` and `_count`.
 // Names are emitted in sorted order per section, so consecutive scrapes
 // of an idle registry are byte-identical — convenient for tests and for
 // diffing scrapes by eye.
@@ -44,31 +45,11 @@ func (s Snapshot) AppendPrometheus(b []byte, namespace string) []byte {
 		b = appendPromFloat(b, g.Value)
 		b = append(b, '\n')
 	}
-	for _, h := range s.Histograms {
+	for i := range s.Histograms {
+		h := &s.Histograms[i]
 		name := appendPromName(nameBuf[:0], namespace, h.Name, "")
 		b = appendPromHeader(b, name, h.Name, "histogram")
-		var cum int64
-		for _, bk := range h.Buckets {
-			cum += bk.N
-			b = append(b, name...)
-			b = append(b, `_bucket{le="`...)
-			if bk.Infinite() {
-				b = append(b, `+Inf`...)
-			} else {
-				b = appendPromFloat(b, bk.LE)
-			}
-			b = append(b, `"} `...)
-			b = strconv.AppendInt(b, cum, 10)
-			b = append(b, '\n')
-		}
-		b = append(b, name...)
-		b = append(b, `_sum `...)
-		b = appendPromFloat(b, h.Sum)
-		b = append(b, '\n')
-		b = append(b, name...)
-		b = append(b, `_count `...)
-		b = strconv.AppendInt(b, h.Count, 10)
-		b = append(b, '\n')
+		b = appendPromSeries(b, name, &h.Log2Snapshot)
 	}
 	return b
 }

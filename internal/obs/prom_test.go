@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -17,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // promRegistry builds the fixture registry the golden file pins down:
 // counters (one with characters that need sanitizing), gauges, and a
-// histogram exercising the bucket edges and the +Inf overflow bucket.
+// histogram exercising the bucket edges, merged from two runs.
 func promRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("faults").Add(42)
@@ -25,10 +24,8 @@ func promRegistry() *Registry {
 	r.Counter("swaps_total").Add(3)           // suffix must not double
 	r.Gauge("max_resident").Set(24)
 	r.Gauge("mem_avg").Set(12.25)
-	h := r.Histogram("fault_interarrival", []float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 4, 5, 2001} {
-		h.Observe(v)
-	}
+	mergeValues(r, "fault_interarrival", 0, 1, 1, 2)
+	mergeValues(r, "fault_interarrival", 3, 4, 5, 2001)
 	return r
 }
 
@@ -131,13 +128,12 @@ func TestWritePrometheusFormat(t *testing.T) {
 	if got := s["cdmm_fault_interarrival_count"]; got != 8 {
 		t.Errorf("_count = %g, want 8", got)
 	}
-	wantSum := 0.5 + 1 + 1.5 + 2 + 3 + 4 + 5 + 2001
-	if got := s["cdmm_fault_interarrival_sum"]; math.Abs(got-wantSum) > 1e-9 {
-		t.Errorf("_sum = %g, want %g", got, wantSum)
+	if got := s["cdmm_fault_interarrival_sum"]; got != 2017 {
+		t.Errorf("_sum = %g, want 2017", got)
 	}
-	// Inclusive upper bounds: le="2" counts 0.5, 1, 1.5, 2.
-	if got := s[`cdmm_fault_interarrival_bucket{le="2"}`]; got != 4 {
-		t.Errorf(`le=2 bucket = %g, want 4`, got)
+	// Inclusive upper bounds: le="3" counts 0, 1, 1, 2, 3.
+	if got := s[`cdmm_fault_interarrival_bucket{le="3"}`]; got != 5 {
+		t.Errorf(`le=3 bucket = %g, want 5`, got)
 	}
 }
 
@@ -159,13 +155,13 @@ func TestEscapeLabelValue(t *testing.T) {
 func TestWritePrometheusDuringConcurrentWrites(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("refs")
-	h := r.Histogram("res", []float64{2, 4, 8})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var h Log2Hist
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -173,7 +169,11 @@ func TestWritePrometheusDuringConcurrentWrites(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				h.Observe(float64(i % 10))
+				h.Observe(int64(i % 10))
+				if i%64 == 63 { // a run ends: merge it, start the next
+					r.MergeHist("res", &h)
+					h = Log2Hist{}
+				}
 			}
 		}()
 	}
@@ -199,11 +199,11 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 	if h.Count != 8 {
 		t.Errorf("hist count = %d, want 8", h.Count)
 	}
-	if n := len(h.Buckets); n != 4 {
-		t.Fatalf("buckets = %d, want 4 (3 bounds + overflow)", n)
+	if n := len(h.Buckets); n != 5 {
+		t.Fatalf("buckets = %d, want 5 (le 0, 1, 3, 7, 2047)", n)
 	}
-	if !h.Buckets[3].Infinite() {
-		t.Error("last bucket must be the +Inf overflow bucket")
+	if hi := h.Buckets[4].Hi; hi != 2047 {
+		t.Errorf("last bucket bound = %d, want 2047, the one holding the maximum", hi)
 	}
 	var total int64
 	for _, b := range h.Buckets {
@@ -212,8 +212,8 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 	if total != h.Count {
 		t.Errorf("bucket sum %d != count %d", total, h.Count)
 	}
-	if h.Min != 0.5 || h.Max != 2001 {
-		t.Errorf("min/max = %g/%g, want 0.5/2001", h.Min, h.Max)
+	if h.Min != 0 || h.Max != 2001 {
+		t.Errorf("min/max = %d/%d, want 0/2001", h.Min, h.Max)
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"cmp"
-	"math"
 	"slices"
 )
 
@@ -18,22 +17,10 @@ type GaugeSnapshot struct {
 	Value float64
 }
 
-// BucketSnapshot is one histogram bucket: the inclusive upper bound
-// (math.Inf(1) for the overflow bucket) and the bucket's own count
-// (non-cumulative; Prometheus rendering accumulates on the way out).
-type BucketSnapshot struct {
-	LE float64
-	N  int64
-}
-
-// HistogramSnapshot is one histogram's aggregates and buckets.
+// HistogramSnapshot is one registry histogram: its name and state.
 type HistogramSnapshot struct {
-	Name    string
-	Count   int64
-	Sum     float64
-	Min     float64
-	Max     float64
-	Buckets []BucketSnapshot
+	Name string
+	Log2Snapshot
 }
 
 // Snapshot is a point-in-time read of a whole registry with every
@@ -46,11 +33,9 @@ type Snapshot struct {
 }
 
 // Snapshot reads all counters, gauges and histograms in one pass.
-// Values observed concurrently with the snapshot land in it or in the
-// next one; within a histogram the count, sum and buckets may be skewed
-// by in-flight observations (each field is individually atomic), which
-// is as consistent as a scrape of a live system can be without stopping
-// the world.
+// Counter increments concurrent with the snapshot land in it or in the
+// next one; a histogram changes only by whole-run merges, which hold
+// the same lock as the snapshot, so each histogram is read consistent.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	r.SnapshotInto(&s)
@@ -78,31 +63,16 @@ func (r *Registry) SnapshotInto(s *Snapshot) {
 	// recycled for the new entry.
 	old := s.Histograms
 	s.Histograms = s.Histograms[:0]
-	n := 0
 	for name, h := range r.hists {
-		var bks []BucketSnapshot
-		if n < len(old) {
-			bks = old[n].Buckets[:0]
+		hs := HistogramSnapshot{Name: name}
+		if n := len(s.Histograms); n < len(old) {
+			hs.Buckets = old[n].Buckets
 		}
-		for i := 0; i < h.NumBuckets(); i++ {
-			le, cnt := h.Bucket(i)
-			bks = append(bks, BucketSnapshot{LE: le, N: cnt})
-		}
-		s.Histograms = append(s.Histograms, HistogramSnapshot{
-			Name:    name,
-			Count:   h.Count(),
-			Sum:     h.Sum(),
-			Min:     h.Min(),
-			Max:     h.Max(),
-			Buckets: bks,
-		})
-		n++
+		h.snapshotInto(&hs.Log2Snapshot)
+		s.Histograms = append(s.Histograms, hs)
 	}
 	r.mu.Unlock()
 	slices.SortFunc(s.Counters, func(a, b CounterSnapshot) int { return cmp.Compare(a.Name, b.Name) })
 	slices.SortFunc(s.Gauges, func(a, b GaugeSnapshot) int { return cmp.Compare(a.Name, b.Name) })
 	slices.SortFunc(s.Histograms, func(a, b HistogramSnapshot) int { return cmp.Compare(a.Name, b.Name) })
 }
-
-// Infinite reports whether the bucket is the +Inf overflow bucket.
-func (b BucketSnapshot) Infinite() bool { return math.IsInf(b.LE, 1) }

@@ -140,7 +140,7 @@ func TestLRUCurveStreamed(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	src, err := trace.OpenSource(path)
+	src, err := trace.OpenCDT3(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,22 @@
-// CDT3: the columnar, chunked trace format, and the only one this
-// package writes. The read-only row formats CDT1/CDT2 (encode.go) store
-// the event stream row by row (kind byte + arg varint per event); CDT3
-// stores it column by column, the shape an in-memory Trace has:
+// CDT3: the columnar, chunked trace format, the one this package reads
+// and writes. It stores the event stream column by column, the shape an
+// in-memory Trace has. Strings are a uvarint length and the bytes.
 //
 //	magic "CDT3"
-//	name            (uvarint length + bytes)
+//	name            (string)
 //	flags           (byte; bit0 = site column present)
 //	events          (uvarint: total events, references + directives)
 //	refs            (uvarint: R, page references)
 //	distinct        (uvarint: V, distinct pages)
 //	maxPage         (varint; -1 when there are no references)
-//	alloc table     \
-//	lock table       | identical to the CDT1 sections
-//	unlock table    /
-//	site table      (only when flagged; identical to the CDT2 section)
+//	alloc table     (uvarint count; per entry: label string, uvarint arm
+//	                 count, per arm: varint PI, varint X)
+//	lock table      (uvarint count; per entry: varint PJ, varint site,
+//	                 uvarint page count, varint pages)
+//	unlock table    (uvarint count; per entry: uvarint page count,
+//	                 varint pages)
+//	site table      (only when flagged: uvarint count; per site: nest
+//	                 string, varint line, array string, expr string)
 //	chunks…         (see below)
 //	terminator      (uvarint 0)
 //
@@ -100,7 +103,7 @@ func writeCDT3(w io.Writer, src Source, chunkEvents int, st *CDT3Stats) (int64, 
 	bw := bufio.NewWriter(w)
 	cw := &countWriter{w: bw}
 
-	_ = cw.bytes([]byte(traceMagicV3))
+	_ = cw.bytes([]byte(traceMagic))
 	cw.str(meta.Name)
 	var flags byte
 	if meta.HasSites {
@@ -272,8 +275,8 @@ type cdt3Header struct {
 	tables   SideTables
 }
 
-// readCDT3Header decodes everything before the chunk stream. The magic
-// has already been consumed.
+// readCDT3Header decodes everything between the magic and the chunk
+// stream.
 func readCDT3Header(cr *countReader) (*cdt3Header, error) {
 	h := &cdt3Header{}
 	h.name = cr.str()
@@ -466,10 +469,9 @@ func (d *cdt3ChunkReader) fail(err error) {
 
 // --- full decode ----------------------------------------------------
 
-// readCDT3 materializes a CDT3 stream as an in-memory Trace, for Read
-// and for format conversion. The magic has already been consumed. The
-// trace grows chunk by chunk through Append; the header's totals are
-// only checked against what the chunks hold.
+// readCDT3 materializes a CDT3 stream, past its magic, as an in-memory
+// Trace for Read. The trace grows chunk by chunk through Append; the
+// header's totals are only checked against what the chunks hold.
 func readCDT3(cr *countReader) (*Trace, error) {
 	hdr, err := readCDT3Header(cr)
 	if err != nil {
@@ -540,39 +542,34 @@ func OpenCDT3(path string) (*FileSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
-		return nil, decodeErr("magic", -1, err)
-	}
-	if string(magic[:]) != traceMagicV3 {
-		f.Close()
-		return nil, decodeErr("magic", -1, fmt.Errorf("bad magic %q (want %q)", magic[:], traceMagicV3))
-	}
-	return openCDT3(f)
-}
-
-// openCDT3 reads the header from f, positioned just past the magic. It
-// takes ownership of f: the source keeps it on success, and it is
-// closed on error. Every event takes at least one byte of the chunk
-// stream, so a header declaring more events than the file has bytes
-// left is rejected here — which bounds every total in Meta, and so
-// anything a replay pre-sizes from them, by the file size.
-func openCDT3(f *os.File) (*FileSource, error) {
-	cr := &countReader{r: bufio.NewReader(f)}
-	hdr, err := readCDT3Header(cr)
+	src, err := openCDT3(f)
 	if err != nil {
 		f.Close()
+		return nil, err
+	}
+	return src, nil
+}
+
+// openCDT3 reads the magic and header from f. Every event takes at
+// least one byte of the chunk stream, so a header declaring more events
+// than the file has bytes left is rejected here — which bounds every
+// total in Meta, and so anything a replay pre-sizes from them, by the
+// file size.
+func openCDT3(f *os.File) (*FileSource, error) {
+	cr := &countReader{r: bufio.NewReader(f)}
+	if err := readMagic(cr.r); err != nil {
+		return nil, err
+	}
+	hdr, err := readCDT3Header(cr)
+	if err != nil {
 		return nil, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	dataOff := int64(len(traceMagicV3)) + cr.n
+	dataOff := int64(len(traceMagic)) + cr.n
 	if rest := fi.Size() - dataOff; hdr.events > rest {
-		f.Close()
 		return nil, decodeErr("header", -1, fmt.Errorf("%d events declared with %d bytes of chunks left", hdr.events, rest))
 	}
 	return &FileSource{
@@ -589,28 +586,6 @@ func openCDT3(f *os.File) (*FileSource, error) {
 		hdr:     hdr,
 		dataOff: dataOff,
 	}, nil
-}
-
-// OpenSource opens a trace file of any format as a Source: CDT3 files
-// stream (FileSource); CDT1/CDT2 files decode fully into a Trace.
-func OpenSource(path string) (Source, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
-		return nil, decodeErr("magic", -1, err)
-	}
-	if string(magic[:]) == traceMagicV3 {
-		return openCDT3(f) // takes ownership of f
-	}
-	defer f.Close()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return Read(f)
 }
 
 // Meta implements Source.

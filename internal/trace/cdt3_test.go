@@ -154,9 +154,6 @@ func TestHostileTotals(t *testing.T) {
 		if _, err := OpenCDT3(path); !errors.As(err, &de) {
 			t.Errorf("%s: OpenCDT3 returned %v, want a *DecodeError", name, err)
 		}
-		if _, err := OpenSource(path); !errors.As(err, &de) {
-			t.Errorf("%s: OpenSource returned %v, want a *DecodeError", name, err)
-		}
 	}
 }
 
@@ -409,32 +406,18 @@ func TestCDT3StatsAddUp(t *testing.T) {
 	}
 }
 
-// TestOpenSourceSniffs: OpenSource streams CDT3 files and fully decodes
-// row-format files, both behind the same Source interface.
+// TestOpenSourceSniffs: OpenCDT3 recognizes a trace by its content, so
+// a CDT3 file streams whatever its name.
 func TestOpenSourceSniffs(t *testing.T) {
 	tr := sampleTrace()
-	dir := t.TempDir()
-
-	rowPath := filepath.Join(dir, "t.cdt")
-	_, row := readFixture(t, "sample.cdt1")
-	if err := os.WriteFile(rowPath, row, 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "t.trc")
+	if err := os.WriteFile(path, encodeCDT3(t, tr, 0), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, err := OpenSource(rowPath)
+	src, err := OpenCDT3(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.(*Trace); !ok {
-		t.Fatalf("row file opened as %T, want *Trace", src)
-	}
-
-	src, err = OpenSource(writeTempCDT3(t, tr, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, ok := src.(*FileSource)
-	if !ok {
-		t.Fatalf("CDT3 file opened as %T, want *FileSource", src)
-	}
-	sameEvents(t, eventsOf(t, fs), eventsOf(t, tr), "streamed")
+	defer src.Close()
+	sameEvents(t, eventsOf(t, src), eventsOf(t, tr), "streamed")
 }

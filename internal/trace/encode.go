@@ -11,32 +11,9 @@ import (
 	"cdmm/internal/mem"
 )
 
-// Binary trace formats. CDT3, the columnar chunked layout of cdt3.go,
-// is the only format this package writes. The two row formats it
-// superseded stay readable, so old trace files can still be replayed or
-// converted to CDT3. Their layout:
-//
-//	magic "CDT1"
-//	name            (uvarint length + bytes)
-//	alloc table     (uvarint count; per entry: label, uvarint arm count,
-//	                 per arm: varint PI, varint X)
-//	lock table      (uvarint count; per entry: varint PJ, varint site,
-//	                 uvarint page count, varint pages)
-//	unlock table    (uvarint count; per entry: uvarint count, varint pages)
-//	events          (uvarint count; per event: byte kind, varint arg)
-//
-// Traces carrying a site column (site.go) have magic "CDT2" instead and
-// two more sections after the events:
-//
-//	site table      (uvarint count; per site: nest, varint line, array, expr)
-//	site runs       (uvarint count; per run: uvarint n, varint site)
-//
-// Read accepts all three magics.
-const (
-	traceMagic   = "CDT1"
-	traceMagicV2 = "CDT2"
-	traceMagicV3 = "CDT3"
-)
+// traceMagic opens every trace file. CDT3, the columnar chunked layout
+// of cdt3.go, is the one format this package reads and writes.
+const traceMagic = "CDT3"
 
 // DecodeError describes a structural problem found while decoding a
 // binary trace: truncation, corruption, or values outside the ranges
@@ -104,8 +81,8 @@ func writeSiteTable(cw *countWriter, sites []Site) {
 	}
 }
 
-// readSideTables decodes the directive side tables, shared by the row
-// and CDT3 decoders. The site table, when present, follows separately.
+// readSideTables decodes the directive side tables of a CDT3 header.
+// The site table, when present, follows separately.
 func readSideTables(cr *countReader) (SideTables, error) {
 	var tb SideTables
 	nAllocs := cr.uvarint()
@@ -205,91 +182,30 @@ func readSiteRuns(cr *countReader, runs []siteRun, nSites int, events int64) ([]
 	return runs, cr.err
 }
 
-// Read decodes a trace file of any format (CDT1, CDT2 or CDT3) into an
-// in-memory Trace. Any structural defect — truncation, bad magic,
-// out-of-range table indexes, negative pages, values overflowing the
-// on-disk width, totals the stream does not hold — is reported as a
-// *DecodeError; Read never panics on corrupt input, and it sizes nothing
-// from a declared count, only from what it has decoded.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, decodeErr("magic", -1, err)
+// readMagic consumes the magic and rejects anything but CDT3.
+func readMagic(r io.Reader) error {
+	var magic [len(traceMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return decodeErr("magic", -1, err)
 	}
-	cr := &countReader{r: br}
-	switch string(magic) {
-	case traceMagic:
-		return readRows(cr, false)
-	case traceMagicV2:
-		return readRows(cr, true)
-	case traceMagicV3:
-		return readCDT3(cr)
+	if string(magic[:]) != traceMagic {
+		return decodeErr("magic", -1, fmt.Errorf("bad magic %q (want %q)", magic[:], traceMagic))
 	}
-	return nil, decodeErr("magic", -1, fmt.Errorf("bad magic %q", magic))
+	return nil
 }
 
-// readRows decodes a CDT1 (or, with hasSites, CDT2) body. The site runs
-// follow all the events, so the events are decoded first and appended to
-// the trace only once the runs are known to cover exactly them.
-func readRows(cr *countReader, hasSites bool) (*Trace, error) {
-	t := New(cr.str())
-	if cr.err != nil {
-		return nil, decodeErr("name", -1, cr.err)
-	}
-	var err error
-	if t.SideTables, err = readSideTables(cr); err != nil {
+// Read decodes a CDT3 trace into an in-memory Trace. Any structural
+// defect — truncation, bad magic, out-of-range table indexes, negative
+// pages, values overflowing the on-disk width, totals the stream does
+// not hold — is reported as a *DecodeError; Read never panics on corrupt
+// input, and it sizes nothing from a declared count, only from what it
+// has decoded.
+func Read(r io.Reader) (*Trace, error) {
+	br := bufio.NewReader(r)
+	if err := readMagic(br); err != nil {
 		return nil, err
 	}
-
-	var events []Event
-	nEvents := cr.uvarint()
-	for i := uint64(0); i < nEvents; i++ {
-		kind := EventKind(cr.byte())
-		arg := cr.varint31()
-		if cr.err != nil {
-			return nil, decodeErr("events", int64(i), cr.err)
-		}
-		switch kind {
-		case EvRef:
-			if arg < 0 {
-				return nil, decodeErr("events", int64(i), fmt.Errorf("negative page %d", arg))
-			}
-		case EvAlloc, EvLock, EvUnlock:
-			if arg < 0 || int(arg) >= t.count(kind) {
-				return nil, decodeErr("events", int64(i), fmt.Errorf("%v index %d out of range", kind, arg))
-			}
-		default:
-			return nil, decodeErr("events", int64(i), fmt.Errorf("unknown kind %d", kind))
-		}
-		events = append(events, Event{Kind: kind, Arg: int32(arg)})
-	}
-	if cr.err != nil {
-		return nil, decodeErr("events", -1, cr.err)
-	}
-	if !hasSites {
-		for _, e := range events {
-			t.Append(e)
-		}
-		return t, nil
-	}
-
-	if t.Sites, err = readSiteTable(cr); err != nil {
-		return nil, err
-	}
-	runs, err := readSiteRuns(cr, nil, len(t.Sites), int64(len(events)))
-	if err != nil {
-		return nil, decodeErr("site runs", -1, err)
-	}
-	t.enableSites()
-	for _, r := range runs {
-		t.SetSite(r.site)
-		for ; r.n > 0; r.n-- {
-			t.Append(events[0])
-			events = events[1:]
-		}
-	}
-	return t, nil
+	return readCDT3(&countReader{r: br})
 }
 
 // countWriter accumulates write errors and byte counts.

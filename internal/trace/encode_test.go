@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,26 +29,24 @@ func sampleTrace() *Trace {
 	return tr
 }
 
-// readFixture decodes a checked-in trace file.
-func readFixture(t testing.TB, name string) (*Trace, []byte) {
+// fixture returns the bytes of a checked-in file.
+func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	return tr, raw
+	return raw
 }
 
-// TestEncodeDecodeRoundTrip: the CDT1 fixture, written by the row
-// encoder from sampleTrace, decodes to sampleTrace's counters, event
-// stream and side tables.
+// TestEncodeDecodeRoundTrip: sampleTrace, encoded as CDT3, decodes to
+// its counters, event stream and side tables.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := sampleTrace()
-	got, _ := readFixture(t, "sample.cdt1")
+	got, err := Read(bytes.NewReader(encodeCDT3(t, tr, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Name != tr.Name {
 		t.Errorf("name = %q, want %q", got.Name, tr.Name)
 	}
@@ -70,7 +70,7 @@ func TestDecodeErrors(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad magic": []byte("NOPE1234"),
-		"truncated": []byte("CDT1\x02AB\x00"),
+		"truncated": []byte("CDT3\x02AB\x00"),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -82,22 +82,23 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestDecodeRejectsBadEventIndex(t *testing.T) {
-	// A CDT1 trace "X" with empty side tables and one event: an EvAlloc
-	// indexing entry 1 of the empty alloc table.
-	data := []byte("CDT1\x01X\x00\x00\x00\x01\x01\x02")
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	// A trace "X" with an empty alloc table and one event: an EvAlloc
+	// indexing entry 1 of it.
+	tr := New("X")
+	tr.Append(Event{Kind: EvAlloc, Arg: 1})
+	if _, err := Read(bytes.NewReader(encodeCDT3(t, tr, 0))); err == nil {
 		t.Error("expected out-of-range index error")
 	}
-	// The same event as a reference to page 1 decodes.
-	data[len(data)-2] = byte(EvRef)
-	if _, err := Read(bytes.NewReader(data)); err != nil {
-		t.Errorf("valid one-reference trace rejected: %v", err)
+	// The same event decodes once the table holds an entry 1.
+	tr.Allocs = make([]AllocDirective, 2)
+	if _, err := Read(bytes.NewReader(encodeCDT3(t, tr, 0))); err != nil {
+		t.Errorf("valid one-directive trace rejected: %v", err)
 	}
 }
 
 func TestDecodeRejectsHugeString(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString("CDT1")
+	buf.WriteString("CDT3")
 	// A name length of 2^30.
 	buf.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x04})
 	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "too large") {
@@ -105,18 +106,20 @@ func TestDecodeRejectsHugeString(t *testing.T) {
 	}
 }
 
-// TestRowFixtures: CDT1/CDT2 files are read-only inputs. The checked-in
-// fixtures (written by the row encoder from sampleTrace and
-// sitedSampleTrace) must decode to the same stream as the in-memory
-// traces, compared through their CDT3 bytes.
+// TestRowFixtures: CDT3 is the one trace format. The checked-in row
+// format files (CDT1, and CDT2 with a site column) fail both decoders
+// on their magic, with a *DecodeError naming it.
 func TestRowFixtures(t *testing.T) {
-	for file, tr := range map[string]*Trace{
-		"sample.cdt1": sampleTrace(),
-		"sample.cdt2": sitedSampleTrace(),
-	} {
-		got, _ := readFixture(t, file)
-		if !bytes.Equal(encodeCDT3(t, got, 0), encodeCDT3(t, tr, 0)) {
-			t.Errorf("%s: decoded stream differs from the in-memory trace", file)
+	for name, magic := range map[string]string{"sample.cdt1": "CDT1", "sample.cdt2": "CDT2"} {
+		want := fmt.Sprintf(`trace: decode magic: bad magic %q (want "CDT3")`, magic)
+		var de *DecodeError
+		_, err := Read(bytes.NewReader(fixture(t, name)))
+		if !errors.As(err, &de) || err.Error() != want {
+			t.Errorf("%s: Read returned %v, want %s", name, err, want)
+		}
+		_, err = OpenCDT3(filepath.Join("testdata", name))
+		if !errors.As(err, &de) || err.Error() != want {
+			t.Errorf("%s: OpenCDT3 returned %v, want %s", name, err, want)
 		}
 	}
 }

@@ -14,22 +14,21 @@ import (
 // round-trips through WriteCDT3 to the same stream. The seed corpus
 // below runs as ordinary unit tests during plain `go test`.
 func FuzzDecode(f *testing.F) {
-	_, cdt1 := readFixture(f, "sample.cdt1")
-	_, cdt2 := readFixture(f, "sample.cdt2")
-	f.Add(cdt1)
+	// Bad magics, among them the row formats CDT1 and CDT2.
+	f.Add(fixture(f, "sample.cdt1"))
 	f.Add([]byte{})
 	f.Add([]byte("NOPE1234"))
 	f.Add([]byte("CDT1"))
 	f.Add([]byte("CDT1\x00\x00\x00\x00\x01"))
 	f.Add([]byte("CDT1\x02AB\x00\x00\x00\x03\x00\x04\x00\x06"))
+	f.Add(fixture(f, "sample.cdt2"))
 	// A name length claiming 2^30 bytes.
-	f.Add([]byte{'C', 'D', 'T', '1', 0x80, 0x80, 0x80, 0x80, 0x04})
+	f.Add([]byte{'C', 'D', 'T', '3', 0x80, 0x80, 0x80, 0x80, 0x04})
 	// Columnar seeds: valid CDT3 streams (siteless, sited, tiny chunks)
 	// plus a bare header, so mutations explore the chunk framing.
 	for _, seed := range cdt3Seeds(f) {
 		f.Add(seed)
 	}
-	f.Add(cdt2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
@@ -119,7 +118,7 @@ func FuzzDecodeCDT3(f *testing.F) {
 			if !errors.As(oerr, &de) {
 				t.Fatalf("OpenCDT3 failure is not a *DecodeError: %v", oerr)
 			}
-			if rerr == nil && len(data) >= 4 && string(data[:4]) == traceMagicV3 {
+			if rerr == nil && len(data) >= 4 && string(data[:4]) == traceMagic {
 				t.Fatalf("Read accepted what OpenCDT3 rejected: %v", oerr)
 			}
 			return

@@ -4,8 +4,8 @@
 // directive events. Each event carries a 4-byte id into a small site
 // table, one column parallel to the page column and one parallel to the
 // directive column. Traces built without SetSite carry no site columns
-// and encode exactly as before the side-band existed; the CDT2 and CDT3
-// formats store the ids on disk as runs.
+// and encode exactly as before the side-band existed; CDT3 stores the
+// ids on disk as runs.
 package trace
 
 // Site identifies one source construct: a statement-level array reference

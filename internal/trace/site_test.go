@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -116,17 +117,19 @@ func TestSiteFreeEncodingUnchanged(t *testing.T) {
 }
 
 func TestSiteDecodeRejectsBadRuns(t *testing.T) {
-	_, raw := readFixture(t, "sample.cdt2")
-	// Truncate the last byte: the final run is cut short.
-	if _, err := Read(bytes.NewReader(raw[:len(raw)-1])); err == nil {
-		t.Fatal("decoding a truncated site section succeeded")
+	// One chunk: its site runs end the stream, the last run (a one-byte
+	// length and site) just before the terminator.
+	raw := encodeCDT3(t, sitedSampleTrace(), 0)
+	var de *DecodeError
+	// Cut the final run short.
+	if _, err := Read(bytes.NewReader(raw[:len(raw)-2])); !errors.As(err, &de) || de.Section != "site runs" {
+		t.Fatalf("decoding a truncated site run returned %v, want a site runs error", err)
 	}
-	// A run one event too long overruns the events it must cover. The
-	// fixture's last run (one-byte length and site) is its final bytes.
+	// A run one event too long overruns the events it must cover.
 	long := append([]byte(nil), raw...)
-	long[len(long)-2]++
-	if _, err := Read(bytes.NewReader(long)); err == nil {
-		t.Fatal("decoding site runs longer than the event stream succeeded")
+	long[len(long)-3]++
+	if _, err := Read(bytes.NewReader(long)); !errors.As(err, &de) || de.Section != "site runs" {
+		t.Fatalf("decoding site runs longer than the event stream returned %v, want a site runs error", err)
 	}
 }
 

@@ -34,27 +34,26 @@ func RunObserved(tr *trace.Trace, pol policy.Policy, o *obs.Observer) Result {
 func observeHooks(o *obs.Observer, pol policy.Policy, src trace.Source) (*hooks, func()) {
 	w := &hooks{}
 	tb := src.Tables()
-	var (
-		cRefs, cFaults, cSwapSig, cLockRel *obs.Counter
-		hInter, hRes, hLock                *obs.Histogram
-	)
-	if reg := o.Metrics; reg != nil {
+	reg := o.Metrics
+	var cRefs, cFaults, cSwapSig, cLockRel *obs.Counter
+	if reg != nil {
 		cRefs = reg.Counter("refs")
 		cFaults = reg.Counter("faults")
 		cSwapSig = reg.Counter("swap_signals")
 		cLockRel = reg.Counter("lock_releases")
-		hInter = reg.Histogram("fault_interarrival_vtime", obs.ExpBounds(1, 4, 12))
-		hRes = reg.Histogram("resident_pages", obs.LinearBounds(2, 2, 16))
-		hLock = reg.Histogram("lock_hold_vtime", obs.ExpBounds(1, 4, 12))
 	}
+	// The run fills its own histograms and merges them into the shared
+	// registry when it ends, so parallel runs never contend on them.
+	// Every observation is an integer: a virtual-time gap or a page count.
+	var hInter, hRes, hLock obs.Log2Hist
 
 	// lockAt tracks when each page was locked (directive-level, virtual
 	// time) to measure lock-hold durations.
 	lockAt := map[mem.Page]int64{}
 	closeHold := func(pg mem.Page) {
 		if t0, ok := lockAt[pg]; ok {
-			if hLock != nil {
-				hLock.Observe(float64(w.acc.VTime - t0))
+			if reg != nil {
+				hLock.Observe(w.acc.VTime - t0)
 			}
 			delete(lockAt, pg)
 		}
@@ -98,12 +97,12 @@ func observeHooks(o *obs.Observer, pol policy.Policy, src trace.Source) (*hooks,
 		vt := w.acc.VTime
 		if cRefs != nil {
 			cRefs.Inc()
-			hRes.Observe(float64(m))
+			hRes.Observe(int64(m))
 		}
 		if fault {
 			if cFaults != nil {
 				cFaults.Inc()
-				hInter.Observe(float64(vt - lastFaultVT))
+				hInter.Observe(vt - lastFaultVT)
 			}
 			o.Emit(obs.Event{Kind: obs.KindFault, T: vt, I: refs, Page: int(pg), Res: m})
 			lastFaultVT = vt
@@ -138,6 +137,11 @@ func observeHooks(o *obs.Observer, pol policy.Policy, src trace.Source) (*hooks,
 	// per-run gauge: every run of a plan shares it, so a gauge would keep
 	// whichever run finished last.
 	w.end = func(res Result) {
+		if reg != nil {
+			reg.MergeHist("fault_interarrival_vtime", &hInter)
+			reg.MergeHist("resident_pages", &hRes)
+			reg.MergeHist("lock_hold_vtime", &hLock)
+		}
 		o.Emit(obs.Event{Kind: obs.KindEnd, T: res.VirtualTime, Refs: res.Refs, Faults: res.Faults, Mem: res.MEM()})
 	}
 

@@ -75,11 +75,16 @@ func TestEventStreamMatchesResult(t *testing.T) {
 				t.Errorf("refs counter = %d, result %d", got, res.Refs)
 			}
 			// The resident histogram observes the same per-reference charge
-			// the memory sum accumulates, in the same order.
-			h := reg.Histogram("resident_pages", nil)
-			if h.Sum() != res.MemSum || h.Count() != int64(res.Refs) {
-				t.Errorf("resident histogram sum/count = %v/%d, want %v/%d",
-					h.Sum(), h.Count(), res.MemSum, res.Refs)
+			// the memory sum accumulates.
+			var h obs.HistogramSnapshot
+			for _, hs := range reg.Snapshot().Histograms {
+				if hs.Name == "resident_pages" {
+					h = hs
+				}
+			}
+			if float64(h.Sum) != res.MemSum || h.Count != int64(res.Refs) {
+				t.Errorf("resident histogram sum/count = %d/%d, want %v/%d",
+					h.Sum, h.Count, res.MemSum, res.Refs)
 			}
 		})
 	}
