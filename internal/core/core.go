@@ -99,13 +99,7 @@ func (p *Program) MaxPI() int { return p.Plan.MaxPI }
 // Program) block on the single generation instead of racing.
 func (p *Program) Trace() (*trace.Trace, error) {
 	p.traceOnce.Do(func() {
-		tr, err := interp.Run(p.Info, interp.Config{
-			Layout: p.Layout,
-			Plan:   p.Plan,
-			// The provenance side-band costs nothing on the simulation
-			// fast path and lets explain/report attribute every fault.
-			Sites: true,
-		})
+		tr, err := interp.Run(p.Info, interp.Config{Layout: p.Layout, Plan: p.Plan})
 		if err != nil {
 			p.traceErr = fmt.Errorf("core: %s: %w", p.Name, err)
 			return

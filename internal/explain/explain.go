@@ -42,9 +42,10 @@ type Report struct {
 
 // Analyze runs the three attributed simulations over tr, reading the
 // tuned LRU allocation and WS window from eng's curves for tr. The trace
-// must carry the site side-band (interp.Config.Sites); without it every
-// fault would land in the unattributed bucket and the explanation would
-// be vacuous, so that is an error rather than a silent degradation.
+// must carry the site side-band (every interpreted trace does; a trace
+// file may not); without it every fault would land in the unattributed
+// bucket and the explanation would be vacuous, so that is an error
+// rather than a silent degradation.
 func Analyze(eng *engine.Engine, tr *trace.Trace, opts Options) (*Report, error) {
 	if !tr.HasSites() {
 		return nil, fmt.Errorf("explain: trace %q carries no site side-band; recompile with sites enabled", tr.Name)

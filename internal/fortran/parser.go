@@ -762,6 +762,11 @@ func (p *parser) parsePower() (Expr, error) {
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
+	// REAL is a type keyword and an intrinsic: followed by "(" in an
+	// expression it is the conversion call.
+	if t.Kind == TokKeyword && t.Text == "REAL" && p.toks[p.pos+1].Kind == TokLParen {
+		t.Kind = TokIdent
+	}
 	switch t.Kind {
 	case TokInt:
 		p.next()

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"bytes"
 	"testing"
 
 	"cdmm/internal/directive"
@@ -320,22 +321,127 @@ END
 	}
 }
 
+// TestRuntimeErrors is the error table: every runtime error the
+// interpreter raises, with its exact text, from both the lowered
+// interpreter and the tree-walking oracle. A row with no error pins code
+// that must not fail (an error is raised only when its code executes);
+// there both traces must be identical. edit reaches errors that parsing
+// and semantic analysis rule out.
 func TestRuntimeErrors(t *testing.T) {
-	cases := []struct{ name, src string }{
-		{"out of bounds", "PROGRAM P\nDIMENSION V(10)\nDO I = 1, 11\nV(I) = 1.0\nEND DO\nEND\n"},
-		{"undefined scalar", "PROGRAM P\nDIMENSION V(10)\nV(1) = X\nEND\n"},
-		{"division by zero", "PROGRAM P\nX = 0.0\nY = 1.0 / X\nEND\n"},
-		{"sqrt negative", "PROGRAM P\nX = SQRT(-1.0)\nEND\n"},
-		{"zero step", "PROGRAM P\nN = 0\nDO I = 1, 5, N\nX = 1.0\nEND DO\nEND\n"},
+	cases := []struct {
+		name, src string
+		plan      bool
+		maxRefs   int
+		edit      func(info *sem.Info, cfg *Config)
+		want      string
+	}{
+		{name: "out of bounds", src: "PROGRAM P\nDIMENSION V(10)\nDO I = 1, 11\nV(I) = 1.0\nEND DO\nEND\n",
+			want: "line 4: mem: V(11,1) out of bounds (10x1)"},
+		{name: "undefined scalar", src: "PROGRAM P\nDIMENSION V(10)\nV(1) = X\nEND\n",
+			want: "line 3: scalar X used before assignment"},
+		{name: "division by zero", src: "PROGRAM P\nX = 0.0\nY = 1.0 / X\nEND\n",
+			want: "division by zero"},
+		{name: "sqrt negative", src: "PROGRAM P\nX = SQRT(-1.0)\nEND\n",
+			want: "SQRT of negative -1"},
+		{name: "zero step", src: "PROGRAM P\nN = 0\nDO I = 1, 5, N\nX = 1.0\nEND DO\nEND\n",
+			want: "line 3: zero DO step"},
+		{name: "out of bounds column", src: "PROGRAM P\nDIMENSION A(4,3)\nX = A(2,4)\nEND\n",
+			want: "line 3: mem: A(2,4) out of bounds (4x3)"},
+		{name: "undefined subscript", src: "PROGRAM P\nDIMENSION V(10)\nV(K) = 1.0\nEND\n",
+			want: "line 3: scalar K used before assignment"},
+		{name: "undefined DO bound", src: "PROGRAM P\nDO I = 1, N\nX = 1.0\nEND DO\nEND\n",
+			want: "line 2: scalar N used before assignment"},
+		{name: "log non-positive", src: "PROGRAM P\nX = LOG(0.0)\nEND\n",
+			want: "LOG of non-positive 0"},
+		{name: "mod by zero", src: "PROGRAM P\nX = MOD(1.0, 0.0)\nEND\n",
+			want: "MOD by zero"},
+		{name: "unary arity", src: "PROGRAM P\nX = SQRT(1.0, 2.0)\nEND\n",
+			want: "SQRT expects 1 arguments, got 2"},
+		{name: "binary arity", src: "PROGRAM P\nX = MOD(1.0)\nEND\n",
+			want: "MOD expects 2 arguments, got 1"},
+		{name: "variadic arity", src: "PROGRAM P\nX = MAX(1.0)\nEND\n",
+			want: "MAX needs at least 2 arguments"},
+		{name: "arguments before arity", src: "PROGRAM P\nDIMENSION V(10)\nX = ABS(V(0), 1.0)\nEND\n",
+			want: "line 3: mem: V(0,1) out of bounds (10x1)"},
+		{name: "left operand first", src: "PROGRAM P\nX = SQRT(-4.0) + LOG(0.0)\nEND\n",
+			want: "SQRT of negative -4"},
+		{name: "rhs before lhs", src: "PROGRAM P\nDIMENSION V(10)\nV(11) = LOG(-1.0)\nEND\n",
+			want: "LOG of non-positive -1"},
+		{name: "max refs", src: "PROGRAM P\nDIMENSION V(64)\nDO I = 1, 1000\nV(1) = 1.0\nEND DO\nEND\n",
+			maxRefs: 100, want: "interp: P exceeded 100 references"},
+		{name: "step budget", src: "PROGRAM H\nDO I = 1, 2000000000\nX = 1.0\nEND DO\nEND\n",
+			maxRefs: 100, want: "interp: H exceeded 800 steps"},
+		{name: "unexecuted branch", src: "PROGRAM P\nDIMENSION V(10)\nX = 1.0\nIF (X .LT. 0.0) THEN\n" +
+			"Y = SQRT(1.0, 2.0) + MOD(X, 0.0) + V(11) + Z\nENDIF\nV(1) = X\nEND\n"},
+		{name: "lock sites skipped", plan: true, src: "PROGRAM P\nDIMENSION A(64), B(64)\nDO I = 1, 3\n" +
+			"IF (I .GT. 5) X = A(K) + A(K + 100) + A(INT(B(2)) + 1)\n" +
+			"DO J = 1, 2\nB(J) = 1.0\nEND DO\nK = I\nEND DO\nEND\n"},
+		{name: "unknown operator", src: "PROGRAM P\nDIMENSION V(10)\nX = V(1) + V(2)\nEND\n",
+			edit: func(info *sem.Info, _ *Config) {
+				info.Prog.Body[0].(*fortran.AssignStmt).RHS.(*fortran.BinExpr).Op = "%"
+			},
+			want: "unknown operator %"},
+		{name: "unknown intrinsic", src: "PROGRAM P\nDIMENSION V(10)\nX = ABS(V(1))\nEND\n",
+			edit: func(info *sem.Info, _ *Config) {
+				info.Prog.Body[0].(*fortran.AssignStmt).RHS.(*fortran.CallExpr).Name = "NOPE"
+			},
+			want: "unknown intrinsic NOPE"},
+		{name: "exit outside loop", src: "PROGRAM P\nX = 1.0\nEND\n",
+			edit: func(info *sem.Info, _ *Config) {
+				info.Prog.Body = append(info.Prog.Body, &fortran.ExitStmt{Line: 9})
+			},
+			want: "line 9: EXIT/CYCLE outside loop"},
+		{name: "array not in layout", src: "PROGRAM P\nDIMENSION V(10), B(10)\nX = B(1)\nEND\n",
+			edit: func(_ *sem.Info, cfg *Config) {
+				prog, err := fortran.Parse("PROGRAM Q\nDIMENSION V(10)\nEND\n")
+				if err != nil {
+					panic(err)
+				}
+				if cfg.Layout, err = mem.NewLayout(prog, mem.DefaultGeometry); err != nil {
+					panic(err)
+				}
+			},
+			want: "line 3: mem: array B not in layout"},
+		{name: "unlock unknown array", plan: true, src: "PROGRAM P\nDIMENSION V(10)\nDO I = 1, 2\nV(I) = 1.0\nEND DO\nEND\n",
+			edit: func(info *sem.Info, cfg *Config) {
+				l := info.Loops[0]
+				cfg.Plan.PostLoop[l] = append(cfg.Plan.PostLoop[l], &directive.Unlock{Arrays: []string{"ZZ"}, After: l})
+			},
+			want: "UNLOCK: unknown array ZZ"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			info, cfg := setup(t, c.src, false)
-			if _, err := Run(info, cfg); err == nil {
-				t.Error("expected runtime error")
+			info, cfg := setup(t, c.src, c.plan)
+			cfg.MaxRefs = c.maxRefs
+			if c.edit != nil {
+				c.edit(info, &cfg)
+			}
+			got, gotErr := Run(info, cfg)
+			want, wantErr := runTree(info, cfg)
+			if errText(gotErr) != c.want || errText(wantErr) != c.want {
+				t.Fatalf("error %q, oracle %q, want %q", errText(gotErr), errText(wantErr), c.want)
+			}
+			if c.want == "" && !bytes.Equal(encode(t, got), encode(t, want)) {
+				t.Error("trace differs from the oracle's")
 			}
 		})
 	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+func encode(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := trace.WriteCDT3(&buf, tr, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestMaxRefsGuard(t *testing.T) {

@@ -65,6 +65,21 @@ type Segment struct {
 // End returns one past the last page of the segment.
 func (s Segment) End() Page { return s.Base + Page(s.Pages) }
 
+// Elem returns the column-major linear index of the 1-based (row, col)
+// element (col is 1 for vectors). It reports false when the subscript
+// falls outside the array.
+func (s Segment) Elem(row, col int) (int, bool) {
+	if row < 1 || row > s.Rows || col < 1 || col > s.Cols {
+		return 0, false
+	}
+	return (col-1)*s.Rows + (row - 1), true
+}
+
+// BoundsError is the error for a (row, col) subscript Elem rejects.
+func (s Segment) BoundsError(row, col int) error {
+	return fmt.Errorf("mem: %s(%d,%d) out of bounds (%dx%d)", s.Name, row, col, s.Rows, s.Cols)
+}
+
 // Layout maps each declared array to a page-aligned segment of the virtual
 // space, in declaration order.
 type Layout struct {
@@ -133,10 +148,10 @@ func (l *Layout) PageOf(name string, row, col int) (Page, error) {
 		return 0, fmt.Errorf("mem: array %s not in layout", name)
 	}
 	s := l.Segments[i]
-	if row < 1 || row > s.Rows || col < 1 || col > s.Cols {
-		return 0, fmt.Errorf("mem: %s(%d,%d) out of bounds (%dx%d)", name, row, col, s.Rows, s.Cols)
+	elem, ok := s.Elem(row, col)
+	if !ok {
+		return 0, s.BoundsError(row, col)
 	}
-	elem := (col-1)*s.Rows + (row - 1) // column-major linear index
 	return s.Base + Page(elem/l.Geo.ElemsPerPage()), nil
 }
 

@@ -1,9 +1,11 @@
 // Package perf is the machine-readable performance-regression harness:
 // it measures the simulation hot path (vmsim.Run) per policy over the
-// largest workload trace, emits a JSON baseline (ns/ref, allocs/ref, and
-// the fault count as a machine-independent sanity anchor), and compares a
-// fresh measurement against a checked-in baseline, failing on timing
-// regressions beyond a threshold or on any fault-count drift.
+// largest workload trace, and the stages around it — building that trace
+// (compile plus interpreter), one-pass sweep curves, streamed decode and
+// the multi-tenant kernel. It emits a JSON baseline (ns/ref, allocs/ref,
+// and the fault count as a machine-independent sanity anchor), and
+// compares a fresh measurement against a checked-in baseline, failing on
+// timing regressions beyond a threshold or on any fault-count drift.
 package perf
 
 import (
@@ -16,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cdmm/internal/core"
 	"cdmm/internal/engine"
 	"cdmm/internal/kernel"
 	"cdmm/internal/obs"
@@ -153,6 +156,9 @@ func Collect(quick bool) (*Baseline, error) {
 		cs.Faults = res.Faults
 		b.Cases = append(b.Cases, cs)
 	}
+	if err := collectTraceBuild(b, target); err != nil {
+		return nil, err
+	}
 	if err := collectBlockStep(b, target); err != nil {
 		return nil, err
 	}
@@ -175,6 +181,41 @@ func Collect(quick bool) (*Baseline, error) {
 		return nil, err
 	}
 	return b, nil
+}
+
+// collectTraceBuild measures producing the CONDUCT reference string from
+// source: each iteration compiles a fresh core.Program (parse through
+// directive insertion) and runs the interpreter to build its trace. The
+// anchor is the CD/default fault count on the built trace, so the case
+// fails if the trace it times changes.
+func collectTraceBuild(b *Baseline, target time.Duration) error {
+	w, err := workloads.Get("CONDUCT")
+	if err != nil {
+		return err
+	}
+	build := func() (*trace.Trace, error) {
+		p, err := core.CompileSource(w.Name, w.Source)
+		if err != nil {
+			return nil, err
+		}
+		return p.Trace()
+	}
+	tr, err := build()
+	if err != nil {
+		return err
+	}
+	res := vmsim.Run(tr, policy.NewCD(w.DefaultSet().Selector(), 2))
+	cs := measure(target, tr.Refs, func() {
+		if _, err := build(); err != nil {
+			panic(err)
+		}
+	})
+	cs.Name = "trace_build"
+	cs.Workload = w.Name
+	cs.Refs = tr.Refs
+	cs.Faults = res.Faults
+	b.Cases = append(b.Cases, cs)
+	return nil
 }
 
 // collectBlockStep measures StepBlock throughput with the whole CONDUCT

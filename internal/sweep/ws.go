@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -24,6 +25,10 @@ import (
 //     so Σ_t |W(t,τ)| = Σ_u min(τ, d_u), a prefix sum over the forward
 //     distance histogram.
 //
+// Both histograms are kept compact: one entry per distinct interval or
+// distance (a few hundred per workload trace, against one per
+// reference), searched by binary search.
+//
 // The space-time integral couples the working-set size to fault instants
 // and does not reduce to a histogram; Curve computes it exactly for a
 // whole τ grid in one event-driven traversal (see Curve), which is what
@@ -34,15 +39,26 @@ type WS struct {
 	Refs int
 	src  trace.Source
 
-	// interval suffix counts: faultsGE[k] = #refs with interval >= k.
-	faultsGE []int
-	// forward-distance histogram prefix aggregates: over distances
-	// d in [1, k], cntPrefix counts refs and wPrefix sums d.
-	cntPrefix []int64
-	wPrefix   []int64
+	// atLeast lists the distinct backward intervals b in ascending order,
+	// each with the number of references whose interval is at least b.
+	// First references count as interval Refs+1.
+	atLeast []intervalCount
+	// upTo lists the distinct forward distances d in ascending order, each
+	// with the count and the sum of the distances of the references whose
+	// distance is at most d.
+	upTo []distanceSum
 
 	// ladder is Curve(vmsim.DefaultTaus(Refs)), built once on first MinST.
 	ladder func() ([]vmsim.Result, error)
+}
+
+type intervalCount struct {
+	b, refs int
+}
+
+type distanceSum struct {
+	d         int
+	refs, sum int64
 }
 
 // NewWS analyzes a reference stream's histograms in one traversal. The
@@ -56,18 +72,20 @@ func NewWS(src trace.Source) (*WS, error) {
 		return s.Curve(vmsim.DefaultTaus(n))
 	})
 
+	// hist counts references by interval; a build-time temporary. A
+	// re-reference at backward interval k also ends the forward distance
+	// k of the reference before it, so one histogram serves both sides.
 	last := make([]int, int(meta.MaxPage)+2)
-	fwdCnt := make([]int64, n+2) // distance -> count, d in [1, n+1]
-	s.faultsGE = make([]int, n+3)
+	hist := make([]int, n+2)
+	firsts := 0
 	t := 0
 	err := walkRefs(src, func(pages []mem.Page) {
 		for _, pg := range pages {
 			t++
 			if prev := last[pg]; prev != 0 {
-				s.faultsGE[t-prev]++ // backward interval; always <= n
-				fwdCnt[t-prev]++     // forward distance of the ref at prev
+				hist[t-prev]++ // always <= n
 			} else {
-				s.faultsGE[n+1]++ // first ref
+				firsts++
 			}
 			last[pg] = t
 		}
@@ -75,21 +93,32 @@ func NewWS(src trace.Source) (*WS, error) {
 	if err != nil {
 		return nil, err
 	}
+
+	refs := firsts
+	if firsts > 0 {
+		s.atLeast = append(s.atLeast, intervalCount{n + 1, refs})
+	}
+	for b := n; b >= 1; b-- {
+		if hist[b] > 0 {
+			refs += hist[b]
+			s.atLeast = append(s.atLeast, intervalCount{b, refs})
+		}
+	}
+	slices.Reverse(s.atLeast)
+
 	// Final references run to the end of the stream.
 	for _, pos := range last {
 		if pos != 0 {
-			fwdCnt[n-pos+1]++
+			hist[n-pos+1]++
 		}
 	}
-
-	for k := n + 1; k >= 1; k-- {
-		s.faultsGE[k] += s.faultsGE[k+1]
-	}
-	s.cntPrefix = make([]int64, n+2)
-	s.wPrefix = make([]int64, n+2)
+	var cnt, sum int64
 	for d := 1; d <= n+1; d++ {
-		s.cntPrefix[d] = s.cntPrefix[d-1] + fwdCnt[d]
-		s.wPrefix[d] = s.wPrefix[d-1] + int64(d)*fwdCnt[d]
+		if hist[d] > 0 {
+			cnt += int64(hist[d])
+			sum += int64(d) * int64(hist[d])
+			s.upTo = append(s.upTo, distanceSum{d, cnt, sum})
+		}
 	}
 	return s, nil
 }
@@ -103,7 +132,12 @@ func (s *WS) Faults(tau int) int {
 	if k > s.Refs+1 {
 		k = s.Refs + 1
 	}
-	return s.faultsGE[k]
+	// References with interval >= k.
+	i := sort.Search(len(s.atLeast), func(i int) bool { return s.atLeast[i].b >= k })
+	if i == len(s.atLeast) {
+		return 0
+	}
+	return s.atLeast[i].refs
 }
 
 // MemSum returns Σ_t |W(t,τ)|.
@@ -117,8 +151,15 @@ func (s *WS) MemSum(tau int) float64 {
 	// Σ min(τ, d) = Σ_{d<=τ} d + τ·#{d>τ}. Every partial sum is an
 	// integer below 2^53, so the float64 conversion is exact and matches
 	// per-cell accumulation bit for bit.
-	i := int64(tau)
-	return float64(s.wPrefix[tau]) + float64(i)*float64(s.cntPrefix[s.Refs+1]-s.cntPrefix[tau])
+	var within distanceSum
+	if i := sort.Search(len(s.upTo), func(i int) bool { return s.upTo[i].d > tau }); i > 0 {
+		within = s.upTo[i-1]
+	}
+	var total int64
+	if len(s.upTo) > 0 {
+		total = s.upTo[len(s.upTo)-1].refs
+	}
+	return float64(within.sum) + float64(tau)*float64(total-within.refs)
 }
 
 // MEM returns the average working-set size under window size tau.

@@ -74,7 +74,44 @@ type Trace struct {
 	curSite int32 // site stamped on the next appended event
 
 	allocIndex map[*directive.Allocate]int32
-	seen       map[mem.Page]bool
+	seen       pageSet
+}
+
+// seenDense is the page range pageSet tracks in a bitset. Pages outside
+// it (only a hostile trace file has them) fall back to a map, so no page
+// number can make the bitset huge.
+const seenDense = 1 << 22
+
+// pageSet records which pages a trace has referenced: a bitset grown on
+// demand over [0, seenDense), a map beyond it.
+type pageSet struct {
+	bits []uint64
+	far  map[mem.Page]bool
+}
+
+// add inserts p and reports whether it was new.
+func (s *pageSet) add(p mem.Page) bool {
+	if uint32(p) >= seenDense {
+		if s.far[p] {
+			return false
+		}
+		if s.far == nil {
+			s.far = map[mem.Page]bool{}
+		}
+		s.far[p] = true
+		return true
+	}
+	w, bit := int(p>>6), uint64(1)<<(p&63)
+	if w >= len(s.bits) {
+		grown := make([]uint64, min(max(w+1, 2*len(s.bits)), seenDense/64))
+		copy(grown, s.bits)
+		s.bits = grown
+	}
+	if s.bits[w]&bit != 0 {
+		return false
+	}
+	s.bits[w] |= bit
+	return true
 }
 
 // columns is the layout Blocks are cut from: a trace's whole stream, or
@@ -101,7 +138,6 @@ func New(name string) *Trace {
 		maxPage:    -1,
 		curSite:    NoSite,
 		allocIndex: map[*directive.Allocate]int32{},
-		seen:       map[mem.Page]bool{},
 	}
 }
 
@@ -115,8 +151,7 @@ func (t *Trace) AddRef(p mem.Page) {
 	if p > t.maxPage {
 		t.maxPage = p
 	}
-	if !t.seen[p] {
-		t.seen[p] = true
+	if t.seen.add(p) {
 		t.Distinct++
 	}
 }

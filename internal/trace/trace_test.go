@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"cdmm/internal/directive"
@@ -8,15 +9,29 @@ import (
 )
 
 func TestAddRefCountsDistinct(t *testing.T) {
-	tr := New("t")
-	for _, p := range []mem.Page{1, 2, 1, 3, 2, 1} {
-		tr.AddRef(p)
-	}
-	if tr.Refs != 6 {
-		t.Errorf("refs = %d, want 6", tr.Refs)
-	}
-	if tr.Distinct != 3 {
-		t.Errorf("distinct = %d, want 3", tr.Distinct)
+	for _, c := range []struct {
+		pages    []mem.Page
+		distinct int
+	}{
+		{[]mem.Page{1, 2, 1, 3, 2, 1}, 3},
+		// Pages past the bitset's range, which only a hostile trace file
+		// holds, are counted without growing the bitset to reach them,
+		// and doubling never takes it past that range.
+		{[]mem.Page{0, seenDense, 40000 * 64, seenDense - 1, math.MaxInt32, seenDense, 0, math.MaxInt32, -1}, 6},
+	} {
+		tr := New("t")
+		for _, p := range c.pages {
+			tr.AddRef(p)
+		}
+		if tr.Refs != len(c.pages) {
+			t.Errorf("%v: refs = %d, want %d", c.pages, tr.Refs, len(c.pages))
+		}
+		if tr.Distinct != c.distinct {
+			t.Errorf("%v: distinct = %d, want %d", c.pages, tr.Distinct, c.distinct)
+		}
+		if len(tr.seen.bits) > seenDense/64 {
+			t.Errorf("%v: bitset grew to %d words", c.pages, len(tr.seen.bits))
+		}
 	}
 }
 
