@@ -50,7 +50,7 @@ func chaosFlags(fs *flag.FlagSet) func(string) error {
 			cfg.Intensities = nil
 			for _, s := range strings.Split(*intensities, ",") {
 				v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-				if err != nil || v < 0 || v > 1 {
+				if err != nil || !(v >= 0 && v <= 1) {
 					return fmt.Errorf("chaos: bad intensity %q (want a number in [0,1])", s)
 				}
 				cfg.Intensities = append(cfg.Intensities, v)

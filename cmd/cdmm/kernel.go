@@ -108,16 +108,8 @@ func kernelFlags(fs *flag.FlagSet) func(string) error {
 			if store := of.explainStore(); store != nil {
 				store.Put("kernel/"+res.Pool, res.Ledger(256))
 			}
-			if *memCeil > 0 {
-				kb, err := peakRSSKiB()
-				if err != nil {
-					return fmt.Errorf("-memceil: %w", err)
-				}
-				fmt.Printf("peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, *memCeil)
-				if kb > int64(*memCeil)<<10 {
-					return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: kernel memory must grow with the tenant count alone, never with the references tenants generate",
-						float64(kb)/1024, *memCeil)
-				}
+			if err := checkMemCeil(*memCeil, "kernel memory must grow with the tenant count alone, never with the references tenants generate"); err != nil {
+				return err
 			}
 			if n := len(res.Violations); n > 0 {
 				return fmt.Errorf("kernel: %d invariant violations (first: %s)", n, res.Violations[0])

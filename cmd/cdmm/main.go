@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -45,7 +46,12 @@ type command struct {
 	flags func(fs *flag.FlagSet) func(operand string) error
 }
 
-const progOperand = "<prog|file.f>"
+const (
+	progOperand = "<prog|file.f>"
+	// anyOperand also takes a CDT3 trace file, recognized by its content
+	// whatever its name (see withOperand).
+	anyOperand = "<prog|file.f|trace-file>"
+)
 
 // commands lists every command once, in usage order. init fills it
 // because serve's runner dispatches through it.
@@ -73,11 +79,9 @@ func init() {
 			fmt.Print(p.RenderLocalityTree())
 			return nil
 		}))},
-		{"trace", progOperand, "execute and summarize the trace; -o saves it (CDT3, whatever the file name)", traceFlags},
-		{"replay", "<trace-file>", "simulate a policy over a saved CDT3 trace, streamed in O(chunk) memory", replayFlags},
-		{"convert", "[trace-file|prog]", "re-encode a CDT3 file or a program's trace as CDT3 (no operand: -stat for every workload)", convertFlags},
+		{"trace", "[prog|file.f|trace-file]", "summarize the trace; -o writes it as CDT3, a trace file streamed (no operand: -stat for every workload)", traceFlags},
 		{"bli", progOperand, "detect runtime localities (Madison-Batson BLIs)", noFlags(withProgram(cmdBLI))},
-		{"sim", progOperand, "simulate one policy over the trace", simFlags},
+		{"sim", anyOperand, "simulate one policy over the trace, a trace file streamed in O(chunk) memory", simFlags},
 		{"explain", progOperand, "attribute every page fault to its source loop, statement and directive", explainFlags},
 		{"report", progOperand, "full markdown analysis report", reportFlags},
 		{"advise", progOperand, "compiler advisories (loop interchange, big localities)", noFlags(withProgram(func(p *core.Program) error {
@@ -88,7 +92,7 @@ func init() {
 		{"family", "", "compare CD vs WS/DWS/SWS/VSWS/PFF on the suite", familyFlags},
 		{"pagesize", "[prog]", "page-size sensitivity study (default HWSCRT)", pageSizeFlags},
 		{"detune", "", "CD sensitivity to mis-estimated locality sizes", detuneFlags},
-		{"sweep", "<prog|file.f|trace-file>", "CD at every level vs tuned LRU and WS, or one policy's whole curve", sweepFlags},
+		{"sweep", anyOperand, "CD at every level vs tuned LRU and WS, or one policy's whole curve", sweepFlags},
 		{"profile", progOperand, "fault-timeline and residency sparklines for CD vs tuned LRU and WS", profileFlags},
 		{"chaos", "", "fault-injection matrix: CD with directive validation under seeded faults", chaosFlags},
 		{"kernel", "", "sharded multi-tenant CD kernel over one overcommitted frame pool", kernelFlags},
@@ -320,6 +324,65 @@ func loadProgram(name string) (*core.Program, error) {
 	return core.CompileSource("", string(src))
 }
 
+// operand is a resolved <prog|file.f|trace-file> operand: a program
+// compiled and traced in memory, or a CDT3 file streamed from disk in
+// O(chunk) memory.
+type operand struct {
+	src  trace.Source
+	prog *core.Program // nil for a trace file
+	path string        // the trace file; "" for a program
+}
+
+// withOperand adapts a runner over a resolved operand to take the
+// operand's name. A file whose content starts like a binary trace is
+// opened as one, whatever its name; anything else is taken for a
+// program. The trace file is closed when the runner returns.
+func withOperand(fn func(*operand) error) func(string) error {
+	return func(name string) error {
+		if isTraceFile(name) {
+			f, err := trace.OpenCDT3(name)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			return fn(&operand{src: f, path: name})
+		}
+		p, err := loadProgram(name)
+		if err != nil {
+			return err
+		}
+		tr, err := p.Trace()
+		if err != nil {
+			return err
+		}
+		return fn(&operand{src: tr, prog: p})
+	}
+}
+
+// whole returns the operand's trace in memory, decoding a trace file in
+// full.
+func (in *operand) whole() (*trace.Trace, error) {
+	if in.prog != nil {
+		return in.prog.Trace()
+	}
+	f, err := os.Open(in.path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return trace.Read(f)
+}
+
+// program returns the operand's program, or an error saying that what
+// needs one when the operand is a trace file, which holds the
+// directives CD replays but not the program.
+func (in *operand) program(what string) (*core.Program, error) {
+	if in.prog == nil {
+		return nil, fmt.Errorf("%s is a trace file: %s needs a program (a curve over a trace takes -policy lru, ws or fifo)", in.path, what)
+	}
+	return in.prog, nil
+}
+
 func cmdBLI(p *core.Program) error {
 	tr, err := p.Trace()
 	if err != nil {
@@ -392,33 +455,45 @@ func simFlags(fs *flag.FlagSet) func(string) error {
 	level := fs.Int("level", 1, "CD directive-set stratum")
 	frames := intFlagMin(fs, "m", 8, 1, "fixed allocation of `N` frames for lru/fifo/opt")
 	tau := intFlagMin(fs, "tau", 500, 1, "WS window of `N` references")
+	memCeil := fs.Int("memceil", 0, "fail if peak RSS exceeds this many MiB (Linux VmHWM; 0 = no check)")
 	of := registerObsFlags(fs)
-	return withProgram(func(p *core.Program) error {
-		tr, err := p.Trace()
-		if err != nil {
-			return err
-		}
+	return withOperand(func(in *operand) error {
 		return of.withObs(func() error {
-			o := of.observer
-			var res vmsim.Result
+			// Every policy replays the stream as it is: the directive-blind
+			// ones ignore its ALLOCATE/LOCK/UNLOCK events.
+			src := in.src
+			var pol policy.Policy
 			switch *polName {
 			case "cd":
-				res = vmsim.RunObserved(tr, policy.NewCD(policy.SelectLevel(*level), 2), o)
+				pol = policy.NewCD(policy.SelectLevel(*level), 2)
 			case "lru":
-				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewLRU(*frames), o)
+				pol = policy.NewLRU(*frames)
 			case "fifo":
-				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewFIFO(*frames), o)
+				pol = policy.NewFIFO(*frames)
 			case "ws":
-				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewWS(*tau), o)
+				pol = policy.NewWS(*tau)
 			case "opt":
-				refs := tr.Pages()
-				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewOPT(refs, *frames), o)
+				// OPT needs the whole future reference string, so it cannot
+				// stream: a trace file is decoded whole.
+				tr, err := in.whole()
+				if err != nil {
+					return err
+				}
+				src, pol = tr, policy.NewOPT(tr.Pages(), *frames)
 			default:
 				return fmt.Errorf("unknown policy %q", *polName)
 			}
-			fmt.Println(p.Summary())
+			res, err := vmsim.RunSource(src, pol, of.observer)
+			if err != nil {
+				return err
+			}
+			if in.prog != nil {
+				fmt.Println(in.prog.Summary())
+			} else {
+				fmt.Println(src.Meta().Summary())
+			}
 			fmt.Println(res)
-			return nil
+			return checkMemCeil(*memCeil, "streamed replay is not O(chunk)")
 		})
 	})
 }
@@ -430,25 +505,25 @@ func sweepFlags(fs *flag.FlagSet) func(string) error {
 	asJSON := fs.Bool("json", false, "emit the curve as JSON")
 	j := registerJFlag(fs)
 	of := registerObsFlags(fs)
-	return func(target string) error {
+	return withOperand(func(in *operand) error {
 		return of.withObs(func() error {
 			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
 			if *polName == "" {
-				return sweepSummary(eng, target)
+				p, err := in.program("the CD-levels summary")
+				if err != nil {
+					return err
+				}
+				return sweepSummary(eng, p)
 			}
-			return sweepCurve(os.Stdout, eng, target, *polName, *grid, *level, *asJSON)
+			return sweepCurve(os.Stdout, eng, in, *polName, *grid, *level, *asJSON)
 		})
-	}
+	})
 }
 
 // sweepSummary is the original sweep report: CD at every directive
 // stratum versus the tuned LRU and WS minima, all read from eng (whose
 // observer sees the CD runs).
-func sweepSummary(eng *engine.Engine, target string) error {
-	p, err := sweepProgram(target, "the CD-levels summary")
-	if err != nil {
-		return err
-	}
+func sweepSummary(eng *engine.Engine, p *core.Program) error {
 	tr, err := p.Trace()
 	if err != nil {
 		return err
@@ -483,29 +558,6 @@ func sweepSummary(eng *engine.Engine, target string) error {
 	return nil
 }
 
-// sweepSource resolves the sweep target: a saved trace file, streamed
-// block by block, or a workload/source program's trace.
-func sweepSource(target string) (trace.Source, error) {
-	if isTraceFile(target) {
-		return trace.OpenCDT3(target)
-	}
-	p, err := loadProgram(target)
-	if err != nil {
-		return nil, err
-	}
-	return p.Trace()
-}
-
-// sweepProgram loads the program a CD sweep needs for what: a trace
-// file carries the directives CD replays but not the program the sweep
-// reports and selects directive sets from.
-func sweepProgram(target, what string) (*core.Program, error) {
-	if isTraceFile(target) {
-		return nil, fmt.Errorf("%s is a trace file: %s needs a program (a curve over a trace takes -policy lru, ws or fifo)", target, what)
-	}
-	return loadProgram(target)
-}
-
 // curvePoint is one (parameter, result) pair of a policy curve, the JSON
 // row of `cdmm sweep -policy ... -json`.
 type curvePoint struct {
@@ -520,44 +572,27 @@ type curvePoint struct {
 // sweepCurve computes a whole policy curve from one traversal of the
 // reference stream and renders it as a table or JSON. The CD detune
 // grid is eng's memoized artifact.
-func sweepCurve(w io.Writer, eng *engine.Engine, target, polName, gridSpec string, level int, asJSON bool) error {
-	var points []curvePoint
+func sweepCurve(w io.Writer, eng *engine.Engine, in *operand, polName, gridSpec string, level int, asJSON bool) error {
+	var params []float64
+	var results []vmsim.Result
+	var err error
 	switch polName {
 	case "lru", "ws", "fifo":
-		src, err := sweepSource(target)
-		if err != nil {
-			return err
-		}
-		points, err = refCurve(src, polName, gridSpec)
-		if err != nil {
-			return err
-		}
+		params, results, err = refCurve(in.src, polName, gridSpec)
 	case "cd":
-		// The grid detunes every granted allocation by each factor.
-		p, err := sweepProgram(target, "a CD curve")
-		if err != nil {
-			return err
-		}
-		tr, err := p.Trace()
-		if err != nil {
-			return err
-		}
-		factors, err := parseFloatGrid(gridSpec, []float64{0.5, 0.75, 0.9, 1.0, 1.1, 1.5, 2.0})
-		if err != nil {
-			return err
-		}
-		results, err := eng.CDDetune(nil, tr, workloads.Set{Level: level}, 2, factors, experiments.Detune)
-		if err != nil {
-			return err
-		}
-		for i, r := range results {
-			points = append(points, curvePoint{
-				Policy: r.Policy, Param: factors[i], PF: r.Faults,
-				MEM: r.MEM(), ST: r.ST(), MaxRes: r.MaxResident,
-			})
-		}
+		params, results, err = cdCurve(eng, in, gridSpec, level)
 	default:
 		return fmt.Errorf("unknown sweep policy %q (want lru, ws, fifo or cd)", polName)
+	}
+	if err != nil {
+		return err
+	}
+	var points []curvePoint
+	for i, r := range results {
+		points = append(points, curvePoint{
+			Policy: r.Policy, Param: params[i], PF: r.Faults,
+			MEM: r.MEM(), ST: r.ST(), MaxRes: r.MaxResident,
+		})
 	}
 
 	if asJSON {
@@ -573,63 +608,60 @@ func sweepCurve(w io.Writer, eng *engine.Engine, target, polName, gridSpec strin
 	return nil
 }
 
-// refCurve computes the lru/ws/fifo curve over a reference stream.
-func refCurve(src trace.Source, polName, gridSpec string) ([]curvePoint, error) {
+// cdCurve runs CD over the operand's program with every granted
+// allocation detuned by each factor of the grid.
+func cdCurve(eng *engine.Engine, in *operand, gridSpec string, level int) ([]float64, []vmsim.Result, error) {
+	p, err := in.program("a CD curve")
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := p.Trace()
+	if err != nil {
+		return nil, nil, err
+	}
+	factors, err := parseGrid(gridSpec, []float64{0.5, 0.75, 0.9, 1.0, 1.1, 1.5, 2.0}, gridFactor)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := eng.CDDetune(nil, tr, workloads.Set{Level: level}, 2, factors, experiments.Detune)
+	return factors, results, err
+}
+
+// refCurve computes the lru/ws/fifo curve over a reference stream: its
+// grid, as curve parameters, and the result at each point.
+func refCurve(src trace.Source, polName, gridSpec string) ([]float64, []vmsim.Result, error) {
 	meta := src.Meta()
-	var points []curvePoint
+	var grid []int
+	var results []vmsim.Result
+	var err error
 	switch polName {
 	case "lru":
-		curve, err := sweep.NewLRU(src)
-		if err != nil {
-			return nil, err
+		var curve *sweep.LRUCurve
+		if curve, err = sweep.NewLRU(src); err != nil {
+			return nil, nil, err
 		}
-		grid, err := parseIntGrid(gridSpec, capLadder(curve.V))
-		if err != nil {
-			return nil, err
-		}
+		grid, err = parseGrid(gridSpec, capLadder(curve.V), gridSize)
 		for _, m := range grid {
-			r := curve.Result(m)
-			points = append(points, curvePoint{
-				Policy: r.Policy, Param: float64(m), PF: r.Faults,
-				MEM: r.MEM(), ST: r.ST(), MaxRes: r.MaxResident,
-			})
+			results = append(results, curve.Result(m))
 		}
 	case "ws":
-		ws, err := sweep.NewWS(src)
-		if err != nil {
-			return nil, err
+		var ws *sweep.WS
+		if ws, err = sweep.NewWS(src); err != nil {
+			return nil, nil, err
 		}
-		grid, err := parseIntGrid(gridSpec, vmsim.DefaultTaus(meta.Refs))
-		if err != nil {
-			return nil, err
-		}
-		results, err := ws.Curve(grid)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range results {
-			points = append(points, curvePoint{
-				Policy: r.Policy, Param: float64(grid[i]), PF: r.Faults,
-				MEM: r.MEM(), ST: r.ST(), MaxRes: r.MaxResident,
-			})
+		if grid, err = parseGrid(gridSpec, vmsim.DefaultTaus(meta.Refs), gridSize); err == nil {
+			results, err = ws.Curve(grid)
 		}
 	case "fifo":
-		grid, err := parseIntGrid(gridSpec, capLadder(meta.Distinct))
-		if err != nil {
-			return nil, err
-		}
-		results, err := sweep.FIFOCurve(src, grid)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range results {
-			points = append(points, curvePoint{
-				Policy: r.Policy, Param: float64(grid[i]), PF: r.Faults,
-				MEM: r.MEM(), ST: r.ST(), MaxRes: r.MaxResident,
-			})
+		if grid, err = parseGrid(gridSpec, capLadder(meta.Distinct), gridSize); err == nil {
+			results, err = sweep.FIFOCurve(src, grid)
 		}
 	}
-	return points, nil
+	params := make([]float64, len(grid))
+	for i, n := range grid {
+		params[i] = float64(n)
+	}
+	return params, results, err
 }
 
 // capLadder is the default capacity grid: every allocation up to 16,
@@ -652,40 +684,39 @@ func capLadder(v int) []int {
 	return grid
 }
 
-// parseIntGrid parses a comma-separated integer grid, or returns def
-// when the spec is empty.
-func parseIntGrid(spec string, def []int) ([]int, error) {
+// parseGrid parses a comma-separated curve grid, or returns def when
+// spec is empty. parse reads one point and rejects it out of range.
+func parseGrid[T int | float64](spec string, def []T, parse func(string) (T, error)) ([]T, error) {
 	if spec == "" {
 		return def, nil
 	}
-	parts := strings.Split(spec, ",")
-	grid := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
+	var grid []T
+	for _, p := range strings.Split(spec, ",") {
+		v, err := parse(strings.TrimSpace(p))
 		if err != nil {
 			return nil, fmt.Errorf("bad grid point %q: %w", p, err)
 		}
-		grid = append(grid, n)
+		grid = append(grid, v)
 	}
 	return grid, nil
 }
 
-// parseFloatGrid parses a comma-separated float grid, or returns def
-// when the spec is empty.
-func parseFloatGrid(spec string, def []float64) ([]float64, error) {
-	if spec == "" {
-		return def, nil
+// gridSize reads an lru/fifo allocation or a ws window: at least 1.
+func gridSize(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && n < 1 {
+		err = errors.New("must be at least 1")
 	}
-	parts := strings.Split(spec, ",")
-	grid := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad grid point %q: %w", p, err)
-		}
-		grid = append(grid, f)
+	return n, err
+}
+
+// gridFactor reads a CD detune factor: positive and finite.
+func gridFactor(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(f > 0 && f <= math.MaxFloat64) {
+		err = errors.New("must be positive and finite")
 	}
-	return grid, nil
+	return f, err
 }
 
 // tablesFlags declares the flags of the table command that renders
@@ -824,107 +855,27 @@ func runTablesTo(w io.Writer, which string, eng *engine.Engine) error {
 	})
 }
 
-func traceFlags(fs *flag.FlagSet) func(string) error {
-	out := fs.String("o", "", "write the trace to this file (CDT3)")
-	chunk := fs.Int("chunk", trace.DefaultChunkEvents, "CDT3 chunk size in events")
-	repeat := fs.Int("repeat", 1, "replicate the reference string N times in the output (drops directives; for big-trace streaming tests)")
-	return withProgram(func(p *core.Program) error {
-		if *repeat > 1 && *out == "" {
-			return fmt.Errorf("-repeat needs an -o output")
-		}
-		tr, err := p.Trace()
-		if err != nil {
-			return err
-		}
-		fmt.Println(tr.Summary())
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			var src trace.Source = tr
-			if *repeat > 1 {
-				src = trace.Repeat(tr, *repeat)
-			}
-			n, err := trace.WriteCDT3(f, src, *chunk)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Printf("wrote %d bytes to %s\n", n, *out)
-		}
+// checkMemCeil enforces a -memceil of ceil MiB (0: none): it prints the
+// process's peak RSS and fails, saying why the ceiling holds, when the
+// peak exceeds it. CI proves with it that a multi-GB CDT3 trace replays
+// in O(chunk) memory and that kernel memory follows the tenant count.
+func checkMemCeil(ceil int, why string) error {
+	if ceil <= 0 {
 		return nil
-	})
-}
-
-func replayFlags(fs *flag.FlagSet) func(string) error {
-	polName := fs.String("policy", "cd", "policy: cd, lru, fifo, ws, opt")
-	level := fs.Int("level", 1, "CD directive-set stratum")
-	frames := intFlagMin(fs, "m", 8, 1, "fixed allocation of `N` frames for lru/fifo/opt")
-	tau := intFlagMin(fs, "tau", 500, 1, "WS window of `N` references")
-	memCeil := fs.Int("memceil", 0, "fail if peak RSS exceeds this many MiB (Linux VmHWM; 0 = no check)")
-	of := registerObsFlags(fs)
-	return func(path string) error {
-		// The trace streams block by block in O(chunk) memory.
-		src, err := trace.OpenCDT3(path)
-		if err != nil {
-			return err
-		}
-		defer src.Close()
-		return of.withObs(func() error {
-			o := of.observer
-			meta := src.Meta()
-			var res vmsim.Result
-			var err error
-			switch *polName {
-			case "cd":
-				res, err = vmsim.RunSource(src, policy.NewCD(policy.SelectLevel(*level), 2), o)
-			case "lru":
-				// LRU/FIFO/WS ignore directives, so streaming the full event
-				// stream gives the same Result as the directive-free view.
-				res, err = vmsim.RunSource(src, policy.NewLRU(*frames), o)
-			case "fifo":
-				res, err = vmsim.RunSource(src, policy.NewFIFO(*frames), o)
-			case "ws":
-				res, err = vmsim.RunSource(src, policy.NewWS(*tau), o)
-			case "opt":
-				// OPT needs the whole future reference string, so it cannot
-				// stream; decode the whole file.
-				tr, rerr := readTraceFile(path)
-				if rerr != nil {
-					return rerr
-				}
-				res = vmsim.RunObserved(tr.RefsOnly(), policy.NewOPT(tr.Pages(), *frames), o)
-			default:
-				return fmt.Errorf("unknown policy %q", *polName)
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s: R=%d references, V=%d distinct pages, %d directive events\n",
-				meta.Name, meta.Refs, meta.Distinct, meta.Events-meta.Refs)
-			fmt.Println(res)
-			if *memCeil > 0 {
-				kb, err := peakRSSKiB()
-				if err != nil {
-					return fmt.Errorf("-memceil: %w", err)
-				}
-				fmt.Printf("peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, *memCeil)
-				if kb > int64(*memCeil)<<10 {
-					return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: streamed replay is not O(chunk)",
-						float64(kb)/1024, *memCeil)
-				}
-			}
-			return nil
-		})
 	}
+	kb, err := peakRSSKiB()
+	if err != nil {
+		return fmt.Errorf("-memceil: %w", err)
+	}
+	fmt.Printf("peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, ceil)
+	if kb > int64(ceil)<<10 {
+		return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: %s", float64(kb)/1024, ceil, why)
+	}
+	return nil
 }
 
 // peakRSSKiB reads the process's peak resident set size from the Linux
-// /proc interface. The streamed-replay CI job uses it to prove a
-// multi-GB CDT3 trace replays in O(chunk) memory.
+// /proc interface.
 func peakRSSKiB() (int64, error) {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
@@ -945,16 +896,6 @@ func peakRSSKiB() (int64, error) {
 		return kb, nil
 	}
 	return 0, fmt.Errorf("no VmHWM in /proc/self/status")
-}
-
-// readTraceFile decodes a whole trace file into memory.
-func readTraceFile(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.Read(f)
 }
 
 // isTraceFile reports whether path is a file whose content starts like

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"cdmm/internal/trace"
+	"cdmm/internal/workloads"
 )
 
 func TestLoadProgramWorkload(t *testing.T) {
@@ -71,14 +76,77 @@ func TestCmdTraceAndReplay(t *testing.T) {
 	if raw, err := os.ReadFile(out); err != nil || !strings.HasPrefix(string(raw), "CDT3") {
 		t.Fatalf("trace file missing or not CDT3: %v", err)
 	}
-	if err := runCommand("replay", []string{out, "-policy", "cd", "-level", "2"}); err != nil {
-		t.Errorf("replay: %v", err)
+	if err := runCommand("sim", []string{out, "-policy", "cd", "-level", "2"}); err != nil {
+		t.Errorf("sim trace file: %v", err)
 	}
-	if err := runCommand("replay", []string{out, "-policy", "ws", "-tau", "200"}); err != nil {
-		t.Errorf("replay ws: %v", err)
+	if err := runCommand("sim", []string{out, "-policy", "ws", "-tau", "200"}); err != nil {
+		t.Errorf("sim trace file ws: %v", err)
 	}
-	if err := runCommand("replay", []string{filepath.Join(dir, "missing.trc")}); err == nil {
+	if err := runCommand("sim", []string{filepath.Join(dir, "missing.trc")}); err == nil {
 		t.Error("expected error for missing trace file")
+	}
+	again := filepath.Join(dir, "again.trc")
+	if err := runCommand("trace", []string{out, "-o", again, "-chunk", "4096", "-check", "-stat"}); err != nil {
+		t.Errorf("trace trace file: %v", err)
+	}
+	if err := runCommand("trace", []string{again, "-o", again}); err == nil {
+		t.Error("trace wrote its input trace file over itself")
+	}
+}
+
+// TestCmdSimTraceFileMatchesProgram: on every workload, `sim <prog>`
+// and `sim <file written by trace -o>` print the same Result line under
+// each policy; the first line differs by design (the program summary vs
+// the trace's).
+func TestCmdSimTraceFileMatchesProgram(t *testing.T) {
+	dir := t.TempDir()
+	for _, w := range workloads.Names() {
+		trc := filepath.Join(dir, w+".cdt3")
+		captureStdout(t, func() error { return runCommand("trace", []string{w, "-o", trc}) })
+		for _, pol := range []string{"cd", "lru", "fifo", "ws", "opt"} {
+			result := func(operand string) string {
+				out := captureStdout(t, func() error { return runCommand("sim", []string{operand, "-policy", pol}) })
+				lines := strings.Split(strings.TrimSpace(out), "\n")
+				return lines[len(lines)-1]
+			}
+			if prog, file := result(w), result(trc); prog != file {
+				t.Errorf("%s -policy %s: program %q, trace file %q", w, pol, prog, file)
+			}
+		}
+	}
+}
+
+// TestCmdTraceRechunksFile: `trace <file> -o` streams the file into the
+// same bytes WriteCDT3 makes of the decoded trace, at either chunk size.
+func TestCmdTraceRechunksFile(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.cdt3")
+	captureStdout(t, func() error { return runCommand("trace", []string{"HWSCRT", "-o", in, "-chunk", "1000"}) })
+	f, err := os.Open(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{4096, 65536} {
+		out := filepath.Join(dir, fmt.Sprintf("out%d.cdt3", chunk))
+		captureStdout(t, func() error {
+			return runCommand("trace", []string{in, "-o", out, "-chunk", strconv.Itoa(chunk), "-check"})
+		})
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if _, err := trace.WriteCDT3(&want, tr, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("-chunk %d: trace wrote %d bytes, WriteCDT3 of the decoded trace %d, not the same", chunk, len(got), want.Len())
+		}
 	}
 }
 
@@ -101,16 +169,39 @@ func TestCmdRejectsHostileTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range []string{"lru", "ws", "cd", "opt"} {
-			if err := runCommand("replay", []string{path, "-policy", pol}); err == nil {
-				t.Errorf("%s: replay -policy %s succeeded", name, pol)
+			if err := runCommand("sim", []string{path, "-policy", pol}); err == nil {
+				t.Errorf("%s: sim -policy %s succeeded", name, pol)
 			}
 		}
 		if err := runCommand("sweep", []string{path, "-policy", "lru"}); err == nil {
 			t.Errorf("%s: sweep succeeded", name)
 		}
-		if err := runCommand("convert", []string{path}); err == nil {
-			t.Errorf("%s: convert succeeded", name)
+		for _, args := range [][]string{{path}, {path, "-stat"}, {path, "-o", filepath.Join(dir, "out.cdt3")}} {
+			if err := runCommand("trace", args); err == nil {
+				t.Errorf("%s: trace %v succeeded", name, args[1:])
+			}
 		}
+	}
+}
+
+// TestCmdTraceRejectsLyingHeader: a trace file whose stream holds fewer
+// distinct pages than its header declares opens and streams, but trace
+// fails to re-encode it and leaves no output file behind.
+func TestCmdTraceRejectsLyingHeader(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "lie.cdt3"), filepath.Join(dir, "out.cdt3")
+	raw, err := hex.DecodeString("43445433" + "01480002020200000000" + "0202000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(in, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCommand("trace", []string{in, "-o", out}); err == nil || !strings.Contains(err.Error(), "its header declares") {
+		t.Errorf("trace of a lying header: err = %v, want the header mismatch", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("failed trace left %s behind (stat err = %v)", out, err)
 	}
 }
 
@@ -162,13 +253,25 @@ func TestCmdRejectsBadFlagValues(t *testing.T) {
 		{"sim", []string{"MAIN", "-policy", "lru", "-m", "-5"}, `invalid value "-5" for flag -m`},
 		{"sim", []string{"MAIN", "-policy", "lru", "-m", "0"}, `invalid value "0" for flag -m`},
 		{"sim", []string{"MAIN", "-policy", "ws", "-tau", "-3"}, `invalid value "-3" for flag -tau`},
-		{"replay", []string{trc, "-policy", "lru", "-m", "0"}, `invalid value "0" for flag -m`},
-		{"replay", []string{trc, "-policy", "ws", "-tau", "-1"}, `invalid value "-1" for flag -tau`},
+		{"sim", []string{trc, "-policy", "lru", "-m", "0"}, `invalid value "0" for flag -m`},
+		{"sim", []string{trc, "-policy", "ws", "-tau", "-1"}, `invalid value "-1" for flag -tau`},
+		{"sweep", []string{"MAIN", "-policy", "lru", "-grid", "0,-3"}, `bad grid point "0": must be at least 1`},
+		{"sweep", []string{"MAIN", "-policy", "fifo", "-grid", "2,-3"}, `bad grid point "-3": must be at least 1`},
+		{"sweep", []string{trc, "-policy", "ws", "-grid", "0"}, `bad grid point "0": must be at least 1`},
+		{"sweep", []string{"MAIN", "-policy", "cd", "-grid", "NaN,Inf"}, `bad grid point "NaN": must be positive and finite`},
+		{"sweep", []string{"MAIN", "-policy", "cd", "-grid", "1,Inf"}, `bad grid point "Inf": must be positive and finite`},
+		{"sweep", []string{"MAIN", "-policy", "cd", "-grid", "0"}, `bad grid point "0": must be positive and finite`},
+		{"chaos", []string{"-intensity", "NaN"}, `bad intensity "NaN"`},
+		{"trace", []string{"MAIN", "-chunk", "-5"}, `invalid value "-5" for flag -chunk`},
+		{"trace", []string{"MAIN", "-repeat", "-3"}, `invalid value "-3" for flag -repeat`},
+		{"trace", []string{"MAIN", "-stat", "-chunk", "16777217"}, "chunks of 16777217 events exceed the limit of 16777216"},
+		{"trace", []string{trc, "-check"}, "-check needs an -o output"},
+		{"trace", []string{"-o", filepath.Join(dir, "x.cdt3")}, "trace: missing"},
 		{"table1", []string{"-j", "-4"}, `invalid value "-4" for flag -j`},
 		{"sweep", []string{"MAIN", "-j", "-1"}, `invalid value "-1" for flag -j`},
 		{"report", []string{"MAIN", "-j", "-2"}, `invalid value "-2" for flag -j`},
 		{"sim", []string{"MAIN", "-j", "-8"}, "flag provided but not defined: -j"},
-		{"replay", []string{trc, "-j", "2"}, "flag provided but not defined: -j"},
+		{"sim", []string{trc, "-j", "2"}, "flag provided but not defined: -j"},
 		{"serve", []string{"-j", "2"}, "flag provided but not defined: -j"},
 		{"kernel", []string{"-j", "-1"}, `invalid value "-1" for flag -j`},
 		{"chaos", []string{"-j", "-1"}, `invalid value "-1" for flag -j`},

@@ -93,7 +93,7 @@ func TestCmdReplayEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := filepath.Join(dir, "replay.jsonl")
-	if err := runCommand("replay", []string{trc, "-policy", "ws", "-tau", "300", "-events", ev}); err != nil {
+	if err := runCommand("sim", []string{trc, "-policy", "ws", "-tau", "300", "-events", ev}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(ev)
@@ -103,7 +103,7 @@ func TestCmdReplayEvents(t *testing.T) {
 	defer f.Close()
 	events, err := obs.ReadEvents(f)
 	if err != nil || len(events) == 0 {
-		t.Fatalf("replay wrote no usable events: %v (%d events)", err, len(events))
+		t.Fatalf("sim of a trace file wrote no usable events: %v (%d events)", err, len(events))
 	}
 }
 

@@ -36,9 +36,10 @@ func NewLRU(src trace.Source) (*LRUCurve, error) {
 	meta := src.Meta()
 	s := &LRUCurve{Refs: meta.Refs}
 
-	// Pages are addressed directly (Meta bounds the universe), so the
+	// Pages are addressed directly (pageSpan bounds them), so the
 	// per-page last-position bookkeeping is array indexing.
-	lastPos := make([]int, int(meta.MaxPage)+2)
+	span, _ := pageSpan(meta)
+	lastPos := make([]int, span)
 	distHist := make([]int, meta.Distinct+2)
 
 	// Fenwick capacity: room for ~4 live positions per distinct page

@@ -32,17 +32,65 @@
 package sweep
 
 import (
+	"fmt"
+
 	"cdmm/internal/mem"
 	"cdmm/internal/trace"
 )
 
+// renumberBlock caps the blocks of a renumbered walk, and so the buffer
+// its renumbered pages are handed over in.
+const renumberBlock = 1 << 12
+
+// pageSpan returns the length of the per-page tables an engine keeps
+// over a stream: every page walkRefs hands over is below it. Pages
+// index the tables directly while the header's MaxPage is near its
+// distinct-page count, as on every workload trace; past that, walkRefs
+// renumbers them (renumber), so a lone reference to page 2^31−2 costs
+// one table entry instead of 2^31.
+func pageSpan(meta trace.Meta) (span int, renumber bool) {
+	if n := int(meta.MaxPage) + 2; n <= max(8*meta.Distinct, 1<<10) {
+		return n, false
+	}
+	return meta.Distinct + 2, true
+}
+
 // walkRefs streams the source's reference string through fn block by
 // block, ignoring directive events (the closed-form engines model
 // directive-blind policies, matching their per-cell oracles which replay
-// the directive-free view).
+// the directive-free view). When pageSpan renumbers, fn sees each page
+// as its first-touch ordinal: the engines depend on page identity alone,
+// so their curves are unchanged.
 func walkRefs(src trace.Source, fn func(pages []mem.Page)) error {
-	return trace.Walk(src, trace.CursorOpts{}, func(b trace.Block) bool {
-		fn(b.Pages)
+	meta := src.Meta()
+	if _, renumber := pageSpan(meta); !renumber {
+		return trace.Walk(src, trace.CursorOpts{}, func(b trace.Block) bool {
+			fn(b.Pages)
+			return true
+		})
+	}
+	ids := map[mem.Page]mem.Page{}
+	var buf []mem.Page
+	var err error
+	werr := trace.Walk(src, trace.CursorOpts{MaxBlock: renumberBlock}, func(b trace.Block) bool {
+		buf = buf[:0]
+		for _, pg := range b.Pages {
+			id, ok := ids[pg]
+			if !ok {
+				if len(ids) == meta.Distinct {
+					err = fmt.Errorf("sweep: %s references more than the %d distinct pages it declares", meta.Name, meta.Distinct)
+					return false
+				}
+				id = mem.Page(len(ids))
+				ids[pg] = id
+			}
+			buf = append(buf, id)
+		}
+		fn(buf)
 		return true
 	})
+	if werr != nil {
+		return werr
+	}
+	return err
 }

@@ -1,9 +1,12 @@
 package sweep_test
 
 import (
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -215,5 +218,95 @@ func TestFromLRUCells(t *testing.T) {
 	m, st := curve.MinST()
 	if cm != m || cst != st {
 		t.Fatalf("MinST: cells (%d, %v) != curve (%d, %v)", cm, cst, m, st)
+	}
+}
+
+// sparseFile writes the CDT3 bytes given in hex to a temporary file and
+// opens it as a streamed source.
+func sparseFile(t *testing.T, hexBytes string) *trace.FileSource {
+	t.Helper()
+	raw, err := hex.DecodeString(hexBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sparse.cdt3")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.OpenCDT3(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	return src
+}
+
+// checkCurvesMatchCells requires the LRU, WS and FIFO curves of src to
+// equal one vmsim.Run of tr, the same stream in memory, per curve point
+// (LRU's up to V, where its curve ends).
+func checkCurvesMatchCells(t *testing.T, src trace.Source, tr *trace.Trace, caps, taus []int) {
+	t.Helper()
+	lru := mustLRU(t, src)
+	ws, err := mustWS(t, src).Curve(taus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fifo, err := sweep.FIFOCurve(src, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range caps {
+		if got, want := lru.Result(m), vmsim.Run(tr, policy.NewLRU(m)); m <= lru.V && got != want {
+			t.Errorf("LRU m=%d: curve %+v, cell %+v", m, got, want)
+		}
+		if want := vmsim.Run(tr, policy.NewFIFO(m)); fifo[i] != want {
+			t.Errorf("FIFO m=%d: curve %+v, cell %+v", m, fifo[i], want)
+		}
+	}
+	for i, tau := range taus {
+		if want := vmsim.Run(tr, policy.NewWS(tau)); ws[i] != want {
+			t.Errorf("WS tau=%d: curve %+v, cell %+v", tau, ws[i], want)
+		}
+	}
+}
+
+// TestSparsePagesSizeTablesByReferences: a valid 26-byte CDT3 file whose
+// one reference is to page 2^31−2 sweeps like any other stream. Its
+// curves equal per-cell replay, and the sweep allocates a few KiB: the
+// per-page tables follow the pages referenced, not the header's MaxPage.
+func TestSparsePagesSizeTablesByReferences(t *testing.T) {
+	src := sparseFile(t, "43445433"+"014800010101fcffffff0f000000"+"0101fcffffff0f00")
+	tr := trace.New("H")
+	tr.AddRef(1<<31 - 2)
+	caps, taus := []int{1, 2, 8}, []int{1, 2, 500}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	checkCurvesMatchCells(t, src, tr, caps, taus)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("sweeping one reference allocated %d bytes, want under 1 MiB", n)
+	}
+
+	// Reuse across far-apart pages: the renumbered curves still match.
+	sparse := trace.New("sparse")
+	for _, pg := range randomTrace(5, 3000, 30).Pages() {
+		sparse.AddRef(pg << 26)
+	}
+	checkCurvesMatchCells(t, sparse, sparse, []int{1, 3, 7, 16, 30}, []int{1, 10, 100, 1000})
+}
+
+// TestSparsePagesRejectUnderstatedDistinct: a renumbered stream that
+// references more distinct pages than its header declares fails the
+// sweep with an error instead of overrunning its tables.
+func TestSparsePagesRejectUnderstatedDistinct(t *testing.T) {
+	// Two references, to pages 2^31−2 and 2^31−3, under a header
+	// declaring one distinct page.
+	src := sparseFile(t, "43445433"+"014800020201fcffffff0f000000"+"0202fcffffff0f0100")
+	if _, err := sweep.NewLRU(src); err == nil || !strings.Contains(err.Error(), "distinct pages it declares") {
+		t.Errorf("NewLRU: err = %v, want the distinct-page error", err)
+	}
+	if _, err := sweep.NewWS(src); err == nil {
+		t.Error("NewWS succeeded")
 	}
 }

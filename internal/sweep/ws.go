@@ -75,7 +75,8 @@ func NewWS(src trace.Source) (*WS, error) {
 	// hist counts references by interval; a build-time temporary. A
 	// re-reference at backward interval k also ends the forward distance
 	// k of the reference before it, so one histogram serves both sides.
-	last := make([]int, int(meta.MaxPage)+2)
+	span, _ := pageSpan(meta)
+	last := make([]int, span)
 	hist := make([]int, n+2)
 	firsts := 0
 	t := 0
@@ -323,7 +324,8 @@ func (s *WS) runGrid(uniq []int) ([]vmsim.Result, error) {
 	nodePage := make([]int32, w)
 	nodeIdx := make([]int32, w) // node -> grid index of pending expiry
 
-	last := make([]int, int(meta.MaxPage)+2)
+	span, _ := pageSpan(meta)
+	last := make([]int, span)
 	exits := make([]int32, 0, g)
 	tau0 := uniq[0]
 	fs := int64(1 + policy.FaultService)

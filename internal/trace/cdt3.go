@@ -64,7 +64,7 @@ const DefaultChunkEvents = 1 << 16
 const maxChunkEvents = 1 << 24
 
 // CDT3Stats breaks a written CDT3 file into its sections, for
-// `cdmm convert -stat`.
+// `cdmm trace -stat`.
 type CDT3Stats struct {
 	HeaderBytes int64 // magic, name, flags, totals
 	TableBytes  int64 // alloc/lock/unlock (+ site) tables
@@ -79,9 +79,13 @@ type CDT3Stats struct {
 }
 
 // WriteCDT3 encodes any Source as a CDT3 stream. chunkEvents bounds the
-// events per chunk (0 selects DefaultChunkEvents); the same source and
-// chunk size always produce identical bytes, so re-encoding a decoded
-// file round-trips exactly.
+// events per chunk: 0 selects DefaultChunkEvents, and a size above the
+// 2^24 events a reader accepts fails. The same source and chunk size
+// always produce identical bytes, so re-encoding a decoded file
+// round-trips exactly. The header is written from the source's Meta
+// before its stream is read, so a source whose stream disagrees with
+// its Meta (a streamed file whose header lies) fails instead of ending
+// the output with a terminator.
 func WriteCDT3(w io.Writer, src Source, chunkEvents int) (int64, error) {
 	return writeCDT3(w, src, chunkEvents, nil)
 }
@@ -96,7 +100,7 @@ func writeCDT3(w io.Writer, src Source, chunkEvents int, st *CDT3Stats) (int64, 
 		chunkEvents = DefaultChunkEvents
 	}
 	if chunkEvents > maxChunkEvents {
-		chunkEvents = maxChunkEvents
+		return 0, fmt.Errorf("trace: chunks of %d events exceed the limit of %d", chunkEvents, maxChunkEvents)
 	}
 	meta := src.Meta()
 	tb := src.Tables()
@@ -122,7 +126,8 @@ func writeCDT3(w io.Writer, src Source, chunkEvents int, st *CDT3Stats) (int64, 
 	}
 	tablesEnd := cw.n
 
-	enc := cdt3ChunkWriter{cw: cw, cap: chunkEvents, sites: meta.HasSites, st: st}
+	enc := cdt3ChunkWriter{cw: cw, cap: chunkEvents, sites: meta.HasSites, st: st,
+		got: Meta{Name: meta.Name, MaxPage: -1, HasSites: meta.HasSites}}
 	cur := src.Blocks(CursorOpts{WithSites: meta.HasSites})
 	defer cur.Close()
 	var b Block
@@ -136,6 +141,10 @@ func writeCDT3(w io.Writer, src Source, chunkEvents int, st *CDT3Stats) (int64, 
 		return cw.n, err
 	}
 	enc.flush()
+	if g := enc.got; cw.err == nil && g != meta {
+		return cw.n, fmt.Errorf("trace: %s streams %d events, %d refs, %d distinct pages up to page %d; its header declares %d, %d, %d up to %d",
+			meta.Name, g.Events, g.Refs, g.Distinct, g.MaxPage, meta.Events, meta.Refs, meta.Distinct, meta.MaxPage)
+	}
 	frameStart := cw.n
 	cw.uvarint(0)
 
@@ -171,6 +180,11 @@ type cdt3ChunkWriter struct {
 	sites bool
 	st    *CDT3Stats
 
+	// got counts the totals the stream holds, checked against the
+	// header's.
+	got  Meta
+	seen pageSet
+
 	pages    []mem.Page
 	dirs     []dirPos // positions relative to the chunk start
 	runs     []siteRun
@@ -180,10 +194,16 @@ type cdt3ChunkWriter struct {
 func (e *cdt3ChunkWriter) events() int { return len(e.pages) + len(e.dirs) }
 
 func (e *cdt3ChunkWriter) addBlock(b *Block) {
+	e.got.Events += b.Events()
+	e.got.Refs += len(b.Pages)
 	for i, pg := range b.Pages {
 		if e.events() >= e.cap {
 			e.flush()
 		}
+		if e.seen.add(pg) {
+			e.got.Distinct++
+		}
+		e.got.MaxPage = max(e.got.MaxPage, pg)
 		e.pages = append(e.pages, pg)
 		if e.sites {
 			site := NoSite

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cdmm/internal/directive"
@@ -157,10 +159,40 @@ func TestHostileTotals(t *testing.T) {
 	}
 }
 
+// TestWriteRejectsLyingHeader: files whose streams hold fewer distinct
+// pages, or a lower max page, than their headers declare open and
+// stream (a cursor checks neither), but re-encoding one fails instead
+// of copying the lie into a terminated file; Read rejects them too.
+func TestWriteRejectsLyingHeader(t *testing.T) {
+	for name, data := range map[string][]byte{
+		// Two references to page 0 under headers declaring two distinct
+		// pages, or max page 5.
+		"distinct": mustHex("43445433" + "01480002020200000000" + "0202000000"),
+		"maxpage":  mustHex("43445433" + "0148000202010a000000" + "0202000000"),
+	} {
+		if _, err := Read(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: Read succeeded", name)
+		}
+		path := filepath.Join(t.TempDir(), name+".cdt3")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenCDT3(path)
+		if err != nil {
+			t.Fatalf("%s: OpenCDT3: %v", name, err)
+		}
+		_, err = WriteCDT3(io.Discard, src, 0)
+		if err == nil || !strings.Contains(err.Error(), "its header declares") {
+			t.Errorf("%s: WriteCDT3 returned %v, want the header mismatch", name, err)
+		}
+		src.Close()
+	}
+}
+
 // TestCDT3RoundTrip: encode → decode reproduces the event stream, the
 // counters, the side tables and the site column, and re-encoding the
 // decoded trace at the same chunk size is byte-identical (the contract
-// `cdmm convert -check` relies on).
+// `cdmm trace -check` relies on).
 func TestCDT3RoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -8,6 +8,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"cdmm/internal/mem"
 )
 
@@ -28,6 +30,11 @@ type Meta struct {
 	MaxPage mem.Page
 	// HasSites reports whether the stream carries a source-site column.
 	HasSites bool
+}
+
+// Summary renders the stream's totals as one line.
+func (m Meta) Summary() string {
+	return fmt.Sprintf("%s: R=%d references, V=%d distinct pages, %d directive events", m.Name, m.Refs, m.Distinct, m.Events-m.Refs)
 }
 
 // SideTables holds the directive side tables a stream's directive events

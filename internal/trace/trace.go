@@ -7,8 +7,6 @@
 package trace
 
 import (
-	"fmt"
-
 	"cdmm/internal/directive"
 	"cdmm/internal/mem"
 )
@@ -235,6 +233,4 @@ func (t *Trace) share(tables SideTables, cols columns, sitesOn bool) *Trace {
 }
 
 // Summary renders a one-line description.
-func (t *Trace) Summary() string {
-	return fmt.Sprintf("%s: R=%d references, V=%d distinct pages, %d directive events", t.Name, t.Refs, t.Distinct, len(t.cols.dirs))
-}
+func (t *Trace) Summary() string { return t.Meta().Summary() }
