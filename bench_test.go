@@ -397,7 +397,7 @@ func BenchmarkBLIDetect(b *testing.B) {
 	b.SetBytes(int64(len(refs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bli.Detect(refs, bli.Config{MaxSize: 300})
+		bli.Detect(refs)
 	}
 }
 

@@ -24,8 +24,9 @@ func benchFlags(fs *flag.FlagSet) func(string) error {
 			fmt.Printf("%-14s %-8s refs=%-7d %8.2f ns/ref  %.3f allocs/ref  PF=%d\n",
 				c.Name, c.Workload, c.Refs, c.NsPerRef, c.AllocsPerRef, c.Faults)
 		}
-		fmt.Printf("serve overhead (no client attached): %+.2f%%\n", 100*cur.ServeOverhead)
-		fmt.Printf("kernel telemetry overhead (unwatched): %+.2f%%\n", 100*cur.TelemetryOverhead)
+		if *compare == "" {
+			fmt.Print(perf.Gates(cur)) // -compare's report ends with them
+		}
 		if *out != "" {
 			if err := perf.Save(*out, cur); err != nil {
 				return err

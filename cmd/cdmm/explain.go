@@ -10,7 +10,6 @@ import (
 	"cdmm/internal/attr"
 	"cdmm/internal/core"
 	"cdmm/internal/explain"
-	"cdmm/internal/policy"
 )
 
 // explainFlags declares explain, which attributes every page fault of a
@@ -19,7 +18,7 @@ import (
 // with optional Perfetto (Chrome trace-event) and flamegraph (folded
 // stacks) exports.
 func explainFlags(fs *flag.FlagSet) func(string) error {
-	level := fs.Int("level", 1, "CD directive-set stratum")
+	level := intFlagMin(fs, "level", 1, 1, "CD directive-set stratum `N` (at least 1)")
 	top := fs.Int("top", 12, "rows in the hotspot table")
 	chrome := fs.String("chrome", "", "write a Chrome trace-event JSON (Perfetto) fault timeline to this file")
 	folded := fs.String("folded", "", "write folded flamegraph stacks (site;...;expr faults) to this file")
@@ -36,7 +35,7 @@ func explainFlags(fs *flag.FlagSet) func(string) error {
 		}
 		return of.withObs(func() error {
 			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
-			rep, err := explain.Analyze(eng, tr, explain.Options{Selector: policy.SelectLevel(*level)})
+			rep, err := explain.Analyze(eng, tr, *level)
 			if err != nil {
 				return err
 			}

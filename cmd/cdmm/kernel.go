@@ -22,7 +22,7 @@ func kernelFlags(fs *flag.FlagSet) func(string) error {
 	shards := fs.Int("shards", 0, "shard count, at most 4096 (0 = ~1 per 256 tenants; fixes the result, not -j)")
 	seed := fs.Uint64("seed", 1, "base seed for tenant synthesis and chaos")
 	pool := fs.String("pool", "cd", "per-tenant policy: cd, lru, ws")
-	level := fs.Int("level", 2, "CD directive-set stratum")
+	level := intFlagMin(fs, "level", 2, 1, "CD directive-set stratum `N` (at least 1)")
 	quantum := fs.Int("quantum", 512, "scheduler quantum in references")
 	chaosSel := fs.String("chaos", "", "comma-separated faults: kill, oscillate, corrupt, trip (or 'all'; trip always fails the run)")
 	intensity := fs.Float64("intensity", 0.4, "chaos intensity in [0,1]")

@@ -65,7 +65,7 @@ func TestCmdKernelRejectsBadConfig(t *testing.T) {
 		{"-frames", "-5", "Frames"},
 		{"-overcommit", "-1", "Overcommit"},
 		{"-shards", "-3", "Shards"},
-		{"-level", "-2", "Level"},
+		{"-level", "-2", "flag -level"}, // rejected when flags are parsed
 		{"-pool", "bogus", "Pool"},
 		{"-tenants", "200000000", "Tenants"},
 		{"-shards", "1000000", "Shards"},

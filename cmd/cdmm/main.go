@@ -15,7 +15,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"cdmm/internal/advisor"
 	"cdmm/internal/bli"
@@ -86,7 +85,7 @@ func init() {
 		{"report", progOperand, "full markdown analysis report", reportFlags},
 		{"advise", progOperand, "compiler advisories (loop interchange, big localities)", noFlags(withProgram(func(p *core.Program) error {
 			fmt.Println(p.Summary())
-			fmt.Print(advisor.Render(advisor.Analyze(p.Analysis, advisor.Options{})))
+			fmt.Print(advisor.Render(advisor.Analyze(p.Analysis)))
 			return nil
 		}))},
 		{"family", "", "compare CD vs WS/DWS/SWS/VSWS/PFF on the suite", familyFlags},
@@ -390,7 +389,7 @@ func cmdBLI(p *core.Program) error {
 	}
 	fmt.Println(tr.Summary())
 	refs := tr.Pages()
-	ivs := bli.Detect(refs, bli.Config{MaxSize: p.V() + 4})
+	ivs := bli.Detect(refs)
 	fmt.Println("bounded locality intervals (Madison & Batson model):")
 	fmt.Print(bli.Render(ivs, len(refs)))
 	fmt.Printf("dominant runtime locality sizes (>=25%% coverage): %v\n",
@@ -401,7 +400,7 @@ func cmdBLI(p *core.Program) error {
 func reportFlags(fs *flag.FlagSet) func(string) error {
 	j := registerJFlag(fs)
 	return withProgram(func(p *core.Program) error {
-		out, err := report.Generate(p, report.Options{Engine: newEngine(*j, serveObserver)})
+		out, err := report.Generate(p, newEngine(*j, serveObserver))
 		if err != nil {
 			return err
 		}
@@ -452,7 +451,7 @@ func pageSizeFlags(fs *flag.FlagSet) func(string) error {
 
 func simFlags(fs *flag.FlagSet) func(string) error {
 	polName := fs.String("policy", "cd", "policy: cd, lru, fifo, ws, opt")
-	level := fs.Int("level", 1, "CD directive-set stratum")
+	level := intFlagMin(fs, "level", 1, 1, "CD directive-set stratum `N` (at least 1)")
 	frames := intFlagMin(fs, "m", 8, 1, "fixed allocation of `N` frames for lru/fifo/opt")
 	tau := intFlagMin(fs, "tau", 500, 1, "WS window of `N` references")
 	memCeil := fs.Int("memceil", 0, "fail if peak RSS exceeds this many MiB (Linux VmHWM; 0 = no check)")
@@ -501,7 +500,7 @@ func simFlags(fs *flag.FlagSet) func(string) error {
 func sweepFlags(fs *flag.FlagSet) func(string) error {
 	polName := fs.String("policy", "", "curve policy: lru, ws, fifo, cd (empty: CD-levels summary)")
 	grid := fs.String("grid", "", "comma-separated curve grid: allocations (lru/fifo), windows (ws), detune factors (cd)")
-	level := fs.Int("level", 1, "CD directive-set stratum (policy cd)")
+	level := intFlagMin(fs, "level", 1, 1, "CD directive-set stratum `N` (at least 1; policy cd)")
 	asJSON := fs.Bool("json", false, "emit the curve as JSON")
 	j := registerJFlag(fs)
 	of := registerObsFlags(fs)
@@ -725,86 +724,13 @@ func tablesFlags(which string) func(*flag.FlagSet) func(string) error {
 	return func(fs *flag.FlagSet) func(string) error {
 		j := registerJFlag(fs)
 		cell := fs.Bool("cellmode", false, "compute sweep artifacts by per-cell replay (one full simulation per curve point; the differential oracle)")
-		timing := fs.Bool("timing", false, "after rendering, recompute the tables in the other sweep mode and print the wall-clock comparison")
 		of := registerObsFlags(fs)
 		return func(string) error {
-			finish, err := of.activate()
-			if err != nil {
-				return err
-			}
-			if *timing {
-				// workloads.Compile compiles each program once per process, so
-				// whichever leg runs first would otherwise pay FORTRAN
-				// compilation and trace generation for both. Warm it up front so
-				// the timed legs compare sweep work only.
-				if err := warmTableCompiles(which); err != nil {
-					return err
-				}
-			}
-			start := time.Now()
-			err = runTablesTo(os.Stdout, which, newEngine(*j, of.observer).WithCellMode(*cell))
-			if err == nil && *timing {
-				// The other mode renders to the bit bucket on a fresh, unobserved
-				// engine: same compiled programs, but every simulation and sweep
-				// redone.
-				thisDur := time.Since(start)
-				otherStart := time.Now()
-				err = runTablesTo(io.Discard, which, engine.New(*j).WithCellMode(!*cell))
-				if err == nil {
-					fmt.Println(renderTimingLine(*cell, thisDur, time.Since(otherStart)))
-				}
-			}
-			if ferr := finish(); err == nil {
-				err = ferr
-			}
-			return err
+			return of.withObs(func() error {
+				return runTablesTo(os.Stdout, which, newEngine(*j, of.observer).WithCellMode(*cell))
+			})
 		}
 	}
-}
-
-// warmTableCompiles compiles every program the selected table draws on,
-// populating the shared workloads cache before `-timing` starts its
-// clocks.
-func warmTableCompiles(which string) error {
-	var vs []experiments.Variant
-	switch which {
-	case "table1":
-		vs = experiments.Table1Variants
-	case "table2":
-		vs = experiments.Table2Variants
-	case "table3", "table4":
-		vs = experiments.Table34Variants
-	default: // tables: Table34Variants covers every program in 1 and 2
-		vs = experiments.Table34Variants
-	}
-	seen := map[string]bool{}
-	for _, v := range vs {
-		if seen[v.Program] {
-			continue
-		}
-		seen[v.Program] = true
-		if _, err := workloads.Compile(v.Program); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// renderTimingLine formats the curve-vs-cell wall-clock comparison for
-// `cdmm table* -timing`. thisDur is the rendered leg's duration in the
-// requested mode (cell when cellMode, else curve), otherDur the silent
-// recomputation in the opposite mode.
-func renderTimingLine(cellMode bool, thisDur, otherDur time.Duration) string {
-	curve, cell := thisDur, otherDur
-	if cellMode {
-		curve, cell = otherDur, thisDur
-	}
-	speedup := 0.0
-	if curve > 0 {
-		speedup = float64(cell) / float64(curve)
-	}
-	return fmt.Sprintf("sweep timing: curve %s vs per-cell %s (%.1fx)",
-		curve.Round(time.Millisecond), cell.Round(time.Millisecond), speedup)
 }
 
 func runTablesTo(w io.Writer, which string, eng *engine.Engine) error {

@@ -185,8 +185,8 @@ func TestCmdRejectsHostileTraces(t *testing.T) {
 }
 
 // TestCmdTraceRejectsLyingHeader: a trace file whose stream holds fewer
-// distinct pages than its header declares opens and streams, but trace
-// fails to re-encode it and leaves no output file behind.
+// distinct pages than its header declares opens, but trace fails to
+// re-encode it and leaves no output file behind.
 func TestCmdTraceRejectsLyingHeader(t *testing.T) {
 	dir := t.TempDir()
 	in, out := filepath.Join(dir, "lie.cdt3"), filepath.Join(dir, "out.cdt3")
@@ -202,6 +202,37 @@ func TestCmdTraceRejectsLyingHeader(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("failed trace left %s behind (stat err = %v)", out, err)
+	}
+}
+
+// TestCmdRejectsLyingHeaders: trace files that hold two references to
+// page 0 under headers declaring two distinct pages, or max page 5, fail
+// every command that replays them when the stream ends, instead of
+// printing results under the header's totals.
+func TestCmdRejectsLyingHeaders(t *testing.T) {
+	dir := t.TempDir()
+	for name, hexBytes := range map[string]string{
+		"distinct.cdt3": "43445433" + "01480002020200000000" + "0202000000",
+		"maxpage.cdt3":  "43445433" + "0148000202010a000000" + "0202000000",
+	} {
+		raw, err := hex.DecodeString(hexBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{
+			{"sim", path, "-policy", "lru"}, {"sim", path, "-policy", "fifo"}, {"sim", path, "-policy", "ws"},
+			{"sim", path, "-policy", "cd"}, {"sim", path, "-policy", "opt"},
+			{"sweep", path, "-policy", "lru"}, {"sweep", path, "-policy", "ws"}, {"sweep", path, "-policy", "fifo"},
+		} {
+			err := runCommand(args[0], args[1:])
+			if err == nil || !strings.Contains(err.Error(), "its header declares") {
+				t.Errorf("%s: %v: err = %v, want the header mismatch", name, args, err)
+			}
+		}
 	}
 }
 
@@ -255,6 +286,11 @@ func TestCmdRejectsBadFlagValues(t *testing.T) {
 		{"sim", []string{"MAIN", "-policy", "ws", "-tau", "-3"}, `invalid value "-3" for flag -tau`},
 		{"sim", []string{trc, "-policy", "lru", "-m", "0"}, `invalid value "0" for flag -m`},
 		{"sim", []string{trc, "-policy", "ws", "-tau", "-1"}, `invalid value "-1" for flag -tau`},
+		{"sim", []string{"MAIN", "-level", "0"}, `invalid value "0" for flag -level`},
+		{"sim", []string{"MAIN", "-level", "-3"}, `invalid value "-3" for flag -level`},
+		{"sweep", []string{"MAIN", "-policy", "cd", "-level", "0"}, `invalid value "0" for flag -level`},
+		{"explain", []string{"HWSCRT", "-level", "0"}, `invalid value "0" for flag -level`},
+		{"kernel", []string{"-level", "0"}, `invalid value "0" for flag -level`},
 		{"sweep", []string{"MAIN", "-policy", "lru", "-grid", "0,-3"}, `bad grid point "0": must be at least 1`},
 		{"sweep", []string{"MAIN", "-policy", "fifo", "-grid", "2,-3"}, `bad grid point "-3": must be at least 1`},
 		{"sweep", []string{trc, "-policy", "ws", "-grid", "0"}, `bad grid point "0": must be at least 1`},

@@ -5,26 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"cdmm/internal/engine"
 	"cdmm/internal/experiments"
 )
-
-func TestRenderTimingLine(t *testing.T) {
-	want := "sweep timing: curve 100ms vs per-cell 1s (10.0x)"
-	if got := renderTimingLine(false, 100*time.Millisecond, time.Second); got != want {
-		t.Errorf("curve mode: %q, want %q", got, want)
-	}
-	// In cell mode the rendered leg is the per-cell one; the line reads
-	// the same either way round.
-	if got := renderTimingLine(true, time.Second, 100*time.Millisecond); got != want {
-		t.Errorf("cell mode: %q, want %q", got, want)
-	}
-	if got := renderTimingLine(false, 0, time.Second); !strings.Contains(got, "(0.0x)") {
-		t.Errorf("zero curve duration: %q, want 0.0x guard", got)
-	}
-}
 
 // TestTable2CurveCellByteIdentical renders Table 2 — the table whose LRU
 // and WS columns the sweep plane computes in one traversal each — in
@@ -73,15 +57,6 @@ func TestDetuneCurveCellByteIdentical(t *testing.T) {
 	curve, cellR := render(false), render(true)
 	if curve == "" || curve != cellR {
 		t.Errorf("detune renderings differ:\n%s\nvs\n%s", curve, cellR)
-	}
-}
-
-func TestCmdTablesTimingFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("-timing recomputes the tables in cell mode; skipped under -short")
-	}
-	if err := runCommand("table2", []string{"-timing"}); err != nil {
-		t.Fatal(err)
 	}
 }
 

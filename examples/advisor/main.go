@@ -81,10 +81,10 @@ func main() {
 	}
 
 	fmt.Println("--- advisor findings on the original kernel ---")
-	fmt.Print(advisor.Render(advisor.Analyze(before.Analysis, advisor.Options{})))
+	fmt.Print(advisor.Render(advisor.Analyze(before.Analysis)))
 
 	fmt.Println("\n--- advisor findings after the interchange ---")
-	fmt.Print(advisor.Render(advisor.Analyze(after.Analysis, advisor.Options{})))
+	fmt.Print(advisor.Render(advisor.Analyze(after.Analysis)))
 
 	fmt.Println("\n--- effect on every policy (same computation, reordered) ---")
 	fmt.Printf("%-22s %12s %12s\n", "policy", "row-wise PF", "col-wise PF")

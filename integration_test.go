@@ -251,7 +251,7 @@ func TestGeometryConsistency(t *testing.T) {
 	var bytesLo, bytesHi int
 	for _, ps := range []int{128, 1024} {
 		prog, err := core.CompileSourceOpts(w.Name, w.Source, core.Options{
-			Geometry: mem.Geometry{PageSize: ps, ElemSize: 4},
+			Geometry: mem.Geometry{PageSize: ps},
 		})
 		if err != nil {
 			t.Fatal(err)

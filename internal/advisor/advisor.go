@@ -59,20 +59,14 @@ type Finding struct {
 	Msg   string
 }
 
-// Options configures the advisor.
-type Options struct {
-	// LocalityBudget is the page threshold above which a loop locality is
-	// reported. 0 means 64 (one quarter of a era-typical 64 KiB memory at
-	// 256-byte pages).
-	LocalityBudget int
-}
+// localityBudget is the page count above which a loop's locality is
+// reported: one quarter of an era-typical 64 KiB memory at 256-byte
+// pages.
+const localityBudget = 64
 
 // Analyze produces the findings for an analyzed program, ordered by
 // source line.
-func Analyze(a *locality.Analysis, opts Options) []Finding {
-	if opts.LocalityBudget == 0 {
-		opts.LocalityBudget = 64
-	}
+func Analyze(a *locality.Analysis) []Finding {
 	var out []Finding
 
 	for _, g := range a.Groups {
@@ -110,7 +104,7 @@ func Analyze(a *locality.Analysis, opts Options) []Finding {
 	}
 
 	for _, l := range a.Info.Loops {
-		if x := a.ActiveSize(l); x > opts.LocalityBudget {
+		if x := a.ActiveSize(l); x > localityBudget {
 			out = append(out, Finding{
 				Kind:  LargeLocality,
 				Loop:  l,
@@ -118,7 +112,7 @@ func Analyze(a *locality.Analysis, opts Options) []Finding {
 				Line:  l.Stmt.Line,
 				Msg: fmt.Sprintf(
 					"line %d: %s requires a %d-page locality (budget %d); its ALLOCATE request may be hard to grant under contention",
-					l.Stmt.Line, l.Label(), x, opts.LocalityBudget),
+					l.Stmt.Line, l.Label(), x, localityBudget),
 			})
 		}
 	}

@@ -10,7 +10,7 @@ import (
 	"cdmm/internal/sem"
 )
 
-func analyze(t *testing.T, src string, opts Options) []Finding {
+func analyze(t *testing.T, src string) []Finding {
 	t.Helper()
 	prog, err := fortran.Parse(src)
 	if err != nil {
@@ -24,7 +24,7 @@ func analyze(t *testing.T, src string, opts Options) []Finding {
 	if err != nil {
 		t.Fatalf("layout: %v", err)
 	}
-	return Analyze(locality.Analyze(info, layout), opts)
+	return Analyze(locality.Analyze(info, layout))
 }
 
 func TestInterchangeCandidate(t *testing.T) {
@@ -37,7 +37,7 @@ DO I = 1, 128
   END DO
 END DO
 END
-`, Options{})
+`)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %d, want 1: %+v", len(findings), findings)
 	}
@@ -63,7 +63,7 @@ DO J = 1, 16
   END DO
 END DO
 END
-`, Options{})
+`)
 	if len(findings) != 0 {
 		t.Errorf("column-wise nest should be clean, got %+v", findings)
 	}
@@ -83,7 +83,7 @@ DO I = 1, 128
   END DO
 END DO
 END
-`, Options{})
+`)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %d, want 1: %+v", len(findings), findings)
 	}
@@ -93,7 +93,8 @@ END
 }
 
 func TestLargeLocalityBudget(t *testing.T) {
-	// The K loop re-references the whole 157-page array every iteration.
+	// The K loop re-references the whole 157-page array every iteration;
+	// the J and I loops need 2 pages and 1.
 	findings := analyze(t, `
 PROGRAM P
 DIMENSION A(100,100)
@@ -105,18 +106,18 @@ DO K = 1, 3
   END DO
 END DO
 END
-`, Options{LocalityBudget: 100})
-	var large int
+`)
+	var large []Finding
 	for _, f := range findings {
 		if f.Kind == LargeLocality {
-			large++
-			if f.Pages <= 100 {
-				t.Errorf("large-locality finding with %d pages under budget", f.Pages)
-			}
+			large = append(large, f)
 		}
 	}
-	if large == 0 {
-		t.Errorf("expected a large-locality finding, got %+v", findings)
+	if len(large) != 1 || large[0].Pages != 157 || large[0].Loop.Var() != "K" {
+		t.Fatalf("want one large-locality finding, the K loop's 157 pages, got %+v", large)
+	}
+	if !strings.Contains(large[0].Msg, "157-page locality (budget 64)") {
+		t.Errorf("finding message %q does not name the locality and the budget of 64", large[0].Msg)
 	}
 }
 
@@ -135,7 +136,7 @@ DO I2 = 1, 128
   END DO
 END DO
 END
-`, Options{})
+`)
 	if len(findings) != 2 {
 		t.Fatalf("findings = %d, want 2", len(findings))
 	}
@@ -154,7 +155,7 @@ DO I = 1, 128
   END DO
 END DO
 END
-`, Options{})
+`)
 	out := Render(findings)
 	if !strings.Contains(out, "interchange") {
 		t.Errorf("rendering missing interchange advice:\n%s", out)

@@ -36,41 +36,26 @@ type Interval struct {
 // Duration returns the interval length in references.
 func (iv Interval) Duration() int { return iv.End - iv.Start }
 
-// Config controls detection.
-type Config struct {
-	// MaxSize bounds the locality sizes tracked (stack levels above it
-	// are ignored). 0 means 512.
-	MaxSize int
-	// MinDuration drops intervals shorter than this many references;
-	// Madison & Batson's "bounded" qualifier requires an interval to
-	// persist long enough to be meaningful. 0 means 8×size.
-	MinDuration func(size int) int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxSize == 0 {
-		c.MaxSize = 512
-	}
-	if c.MinDuration == nil {
-		c.MinDuration = func(size int) int { return 8 * size }
-	}
-	return c
-}
+// minDuration is the shortest interval Detect reports for a locality of
+// size pages: Madison & Batson's "bounded" qualifier requires an
+// interval to persist long enough to be meaningful.
+func minDuration(size int) int { return 8 * size }
 
 // Detect scans the reference string and returns all bounded locality
-// intervals up to cfg.MaxSize, ordered by start time then size.
-func Detect(refs []mem.Page, cfg Config) []Interval {
-	cfg = cfg.withDefaults()
+// intervals, ordered by start time then size. Every size up to the
+// trace's distinct page count is tracked.
+func Detect(refs []mem.Page) []Interval {
 	var out []Interval
 
 	// LRU stack as a slice (top at index 0); depth lookups via map.
-	stack := make([]mem.Page, 0, cfg.MaxSize+1)
+	var stack []mem.Page
 	pos := map[mem.Page]int{} // page -> stack index
-	// lastChange[s] is the time the top-(s+1) set last changed.
-	lastChange := make([]int, cfg.MaxSize)
+	// lastChange[s] is the time the top-(s+1) set last changed; it grows
+	// with the stack.
+	var lastChange []int
 
 	emit := func(size, start, end int) {
-		if end-start >= cfg.MinDuration(size) {
+		if end-start >= minDuration(size) {
 			out = append(out, Interval{Size: size, Start: start, End: end})
 		}
 	}
@@ -80,6 +65,7 @@ func Detect(refs []mem.Page, cfg Config) []Interval {
 		if !seen {
 			d = len(stack)
 			stack = append(stack, pg)
+			lastChange = append(lastChange, 0)
 		}
 		// Move to top: stack positions [0, d) shift down one.
 		for i := d; i > 0; i-- {
@@ -94,9 +80,6 @@ func Detect(refs []mem.Page, cfg Config) []Interval {
 		if !seen {
 			limit = len(stack) // a brand-new page changes every level
 		}
-		if limit > cfg.MaxSize {
-			limit = cfg.MaxSize
-		}
 		for s := 1; s <= limit; s++ {
 			emit(s, lastChange[s-1], t)
 			lastChange[s-1] = t
@@ -104,11 +87,7 @@ func Detect(refs []mem.Page, cfg Config) []Interval {
 	}
 	// Close intervals still open at trace end.
 	n := len(refs)
-	limit := len(stack)
-	if limit > cfg.MaxSize {
-		limit = cfg.MaxSize
-	}
-	for s := 1; s <= limit; s++ {
+	for s := 1; s <= len(stack); s++ {
 		emit(s, lastChange[s-1], n)
 	}
 

@@ -1,6 +1,7 @@
 package bli
 
 import (
+	"reflect"
 	"testing"
 
 	"cdmm/internal/mem"
@@ -22,7 +23,7 @@ func phaseTrace(n1, n2 int) []mem.Page {
 
 func TestDetectTwoPhases(t *testing.T) {
 	refs := phaseTrace(400, 400)
-	ivs := Detect(refs, Config{})
+	ivs := Detect(refs)
 	// A size-2 interval must cover (nearly) the whole first phase and a
 	// size-4 interval the second.
 	var got2, got4 bool
@@ -52,7 +53,7 @@ func TestHierarchicalNesting(t *testing.T) {
 		}
 		refs = append(refs, 5)
 	}
-	ivs := Detect(refs, Config{})
+	ivs := Detect(refs)
 	stats := Stats(ivs)
 	var cover2, cover3 int
 	for _, s := range stats {
@@ -71,17 +72,31 @@ func TestHierarchicalNesting(t *testing.T) {
 	}
 }
 
+// TestMinDurationFilters pins the 8×size rule at its boundary: page 0
+// for n0 references, then page 1 for n1. A size-1 interval needs 8
+// references and a size-2 interval 16.
 func TestMinDurationFilters(t *testing.T) {
-	refs := phaseTrace(40, 40)
-	strict := Detect(refs, Config{MinDuration: func(s int) int { return 1000 }})
-	if len(strict) != 0 {
-		t.Errorf("intervals survived an impossible duration floor: %d", len(strict))
+	for _, c := range []struct {
+		n0, n1 int
+		want   []Interval
+	}{
+		{7, 16, []Interval{{1, 7, 23}, {2, 7, 23}}},
+		{8, 16, []Interval{{1, 0, 8}, {1, 8, 24}, {2, 8, 24}}},
+		{8, 15, []Interval{{1, 0, 8}, {1, 8, 23}}},
+	} {
+		var refs []mem.Page
+		for i := 0; i < c.n0+c.n1; i++ {
+			refs = append(refs, mem.Page(min(i/c.n0, 1)))
+		}
+		if got := Detect(refs); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%d refs to page 0, %d to page 1: intervals %v, want %v", c.n0, c.n1, got, c.want)
+		}
 	}
 }
 
 func TestIntervalInvariants(t *testing.T) {
 	refs := phaseTrace(300, 500)
-	ivs := Detect(refs, Config{})
+	ivs := Detect(refs)
 	for _, iv := range ivs {
 		if iv.Start < 0 || iv.End > len(refs) || iv.Start >= iv.End {
 			t.Fatalf("malformed interval %+v", iv)
@@ -95,19 +110,9 @@ func TestIntervalInvariants(t *testing.T) {
 	}
 }
 
-func TestMaxSizeCap(t *testing.T) {
-	refs := phaseTrace(200, 200)
-	ivs := Detect(refs, Config{MaxSize: 2})
-	for _, iv := range ivs {
-		if iv.Size > 2 {
-			t.Fatalf("interval above MaxSize: %+v", iv)
-		}
-	}
-}
-
 func TestDominantSizes(t *testing.T) {
 	refs := phaseTrace(1000, 0)
-	sizes := DominantSizes(Detect(refs, Config{}), len(refs), 0.9)
+	sizes := DominantSizes(Detect(refs), len(refs), 0.9)
 	found := false
 	for _, s := range sizes {
 		if s == 2 {
@@ -136,7 +141,7 @@ func TestCompileTimePredictionsMatchRuntime(t *testing.T) {
 			t.Fatal(err)
 		}
 		refs := tr.Pages()
-		ivs := Detect(refs, Config{MaxSize: c.V() + 4})
+		ivs := Detect(refs)
 		dominant := DominantSizes(ivs, len(refs), 0.5)
 		if len(dominant) == 0 {
 			t.Fatalf("%s: no dominant runtime localities", name)
@@ -175,7 +180,7 @@ func keys(m map[int]bool) []int {
 
 func TestRender(t *testing.T) {
 	refs := phaseTrace(200, 200)
-	out := Render(Detect(refs, Config{}), len(refs))
+	out := Render(Detect(refs), len(refs))
 	if out == "" || len(out) < 40 {
 		t.Errorf("rendering too small:\n%s", out)
 	}

@@ -30,8 +30,8 @@ import (
 
 // Options configures compilation.
 type Options struct {
-	// Geometry of the paged machine; zero value means the paper's
-	// 256-byte pages of 4-byte reals.
+	// Geometry of the paged machine, its page size (elements are
+	// mem.ElemSize bytes); zero value means the paper's 256-byte pages.
 	Geometry mem.Geometry
 }
 

@@ -56,7 +56,7 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := CompileSource("X", "PROGRAM P\nA(1) = 2.0\nEND\n"); err == nil {
 		t.Error("semantic error not surfaced")
 	}
-	if _, err := CompileSourceOpts("X", demoSrc, Options{Geometry: mem.Geometry{PageSize: 7, ElemSize: 4}}); err == nil {
+	if _, err := CompileSourceOpts("X", demoSrc, Options{Geometry: mem.Geometry{PageSize: 7}}); err == nil {
 		t.Error("bad geometry not surfaced")
 	}
 }

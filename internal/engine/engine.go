@@ -65,8 +65,7 @@ type Engine struct {
 
 	// cellMode forces the per-cell replay path for sweep artifacts: every
 	// curve point is an independent full-trace simulation instead of a
-	// point on a one-pass curve. The differential oracle and the slow leg
-	// of `cdmm table* -timing`.
+	// point on a one-pass curve. The differential oracle.
 	cellMode bool
 }
 
@@ -105,10 +104,8 @@ func (e *Engine) WithLogger(l *slog.Logger) *Engine {
 // WithCellMode selects how sweep artifacts (LRU curves, WS runs and
 // minima, CD detune grids) are computed: false (the default) uses the
 // one-pass curve engines in internal/sweep, true replays the trace per
-// curve point through vmsim — the differential oracle. Memo keys carry
-// the mode, so one engine can hold both modes' artifacts without
-// collision (the -timing comparison does exactly that). Call before
-// MapNamed.
+// curve point through vmsim — the differential oracle. An engine holds
+// one mode's artifacts, so call before MapNamed.
 func (e *Engine) WithCellMode(cell bool) *Engine {
 	e.cellMode = cell
 	return e

@@ -298,7 +298,7 @@ func TestArtifactsKeyedByTrace(t *testing.T) {
 	eng := engine.New(1)
 	for _, c := range []struct{ pageSize, v int }{{256, 69}, {512, 37}} {
 		p, err := core.CompileSourceOpts(w.Name, w.Source, core.Options{
-			Geometry: mem.Geometry{PageSize: c.pageSize, ElemSize: 4},
+			Geometry: mem.Geometry{PageSize: c.pageSize},
 		})
 		if err != nil {
 			t.Fatal(err)

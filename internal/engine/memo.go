@@ -166,25 +166,12 @@ func setParams(set workloads.Set, minAlloc int) string {
 	return b.String()
 }
 
-// modeParams appends the engine's sweep mode to a memo-key Params
-// string, so curve-mode and cell-mode artifacts coexist in one memo
-// store (the -timing comparison computes both in one process).
-func (e *Engine) modeParams(base string) string {
-	if !e.cellMode {
-		return base
-	}
-	if base == "" {
-		return "mode=cell"
-	}
-	return base + ",mode=cell"
-}
-
 // LRUSweep returns the trace's all-allocations LRU curve, computed
 // once per engine: one Mattson stack-distance pass over the trace in
 // curve mode, or V = tr.Distinct independent replays (one per
 // allocation) in cell mode.
 func (e *Engine) LRUSweep(rc *RunCtx, tr *trace.Trace) (*sweep.LRUCurve, error) {
-	k := Key{Kind: "lru-sweep", Trace: tr, Params: e.modeParams("")}
+	k := Key{Kind: "lru-sweep", Trace: tr}
 	v, err := e.Memo(rc, k, func(*RunCtx, *obs.Observer) (any, error) {
 		if e.cellMode {
 			refs := tr.RefsOnly()
@@ -236,7 +223,7 @@ func (e *Engine) CDRun(rc *RunCtx, tr *trace.Trace, set workloads.Set, minAlloc 
 // plane); otherwise curve mode reads the point off the one-pass grid
 // engine and cell mode replays the directive-stripped trace solo.
 func (e *Engine) WSRun(rc *RunCtx, tr *trace.Trace, tau int) (vmsim.Result, error) {
-	k := Key{Kind: "ws-run", Trace: tr, Params: e.modeParams(fmt.Sprintf("tau=%d", tau))}
+	k := Key{Kind: "ws-run", Trace: tr, Params: fmt.Sprintf("tau=%d", tau)}
 	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
 		if o.Enabled() {
 			return vmsim.RunObserved(tr, policy.NewWS(tau), o), nil
@@ -270,7 +257,7 @@ type wsMin struct {
 // so a watched run replays only the one window the table prints, and its
 // event stream is the same in either mode.
 func (e *Engine) WSMinST(rc *RunCtx, tr *trace.Trace) (int, vmsim.Result, error) {
-	k := Key{Kind: "ws-min", Trace: tr, Params: e.modeParams("")}
+	k := Key{Kind: "ws-min", Trace: tr}
 	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
 		var m wsMin
 		if e.cellMode {
@@ -315,7 +302,7 @@ func (e *Engine) WSMinST(rc *RunCtx, tr *trace.Trace) (int, vmsim.Result, error)
 func (e *Engine) CDDetune(rc *RunCtx, tr *trace.Trace, set workloads.Set, minAlloc int, factors []float64,
 	detune func(policy.ArmSelector, float64) policy.ArmSelector) ([]vmsim.Result, error) {
 	params := setParams(set, minAlloc) + ",factors=" + fmtFactors(factors)
-	k := Key{Kind: "cd-detune", Trace: tr, Set: set.Name, Params: e.modeParams(params)}
+	k := Key{Kind: "cd-detune", Trace: tr, Set: set.Name, Params: params}
 	v, err := e.Memo(rc, k, func(_ *RunCtx, o *obs.Observer) (any, error) {
 		pols := make([]policy.Policy, len(factors))
 		for i, f := range factors {

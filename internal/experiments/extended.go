@@ -109,7 +109,7 @@ func PageSizeSensitivity(eng *engine.Engine, program string, pageSizes []int) ([
 	return engine.MapNamed(eng, "pagesize", pageSizes, func(rc *engine.RunCtx, ps int) (PageSizeRow, error) {
 		rc.Describe(fmt.Sprintf("%s ps=%d", program, ps), "CD")
 		prog, err := core.CompileSourceOpts(w.Name, w.Source, core.Options{
-			Geometry: mem.Geometry{PageSize: ps, ElemSize: 4},
+			Geometry: mem.Geometry{PageSize: ps},
 		})
 		if err != nil {
 			return PageSizeRow{}, err

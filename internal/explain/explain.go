@@ -18,13 +18,6 @@ import (
 	"cdmm/internal/vmsim"
 )
 
-// Options parameterizes an attribution analysis.
-type Options struct {
-	// Selector picks the honored directive arms for the CD run; nil
-	// means policy.SelectLevel(1).
-	Selector policy.ArmSelector
-}
-
 // Report bundles the attribution ledgers of one workload: CD under the
 // directive set, plus tuned LRU and tuned WS over the same reference
 // string for per-site comparison.
@@ -40,22 +33,19 @@ type Report struct {
 	WSTau     int
 }
 
-// Analyze runs the three attributed simulations over tr, reading the
+// Analyze runs the three attributed simulations over tr, CD under the
+// directive set of stratum level (policy.SelectLevel), reading the
 // tuned LRU allocation and WS window from eng's curves for tr. The trace
 // must carry the site side-band (every interpreted trace does; a trace
 // file may not); without it every fault would land in the unattributed
 // bucket and the explanation would be vacuous, so that is an error
 // rather than a silent degradation.
-func Analyze(eng *engine.Engine, tr *trace.Trace, opts Options) (*Report, error) {
+func Analyze(eng *engine.Engine, tr *trace.Trace, level int) (*Report, error) {
 	if !tr.HasSites() {
 		return nil, fmt.Errorf("explain: trace %q carries no site side-band; recompile with sites enabled", tr.Name)
 	}
-	sel := opts.Selector
-	if sel == nil {
-		sel = policy.SelectLevel(1)
-	}
 	r := &Report{Program: tr.Name}
-	r.CDRes, r.CD = vmsim.RunAttributed(tr, policy.NewCD(sel, 2), nil)
+	r.CDRes, r.CD = vmsim.RunAttributed(tr, policy.NewCD(policy.SelectLevel(level), 2), nil)
 
 	refs := tr.RefsOnly()
 	lru, err := eng.LRUSweep(nil, tr)

@@ -30,7 +30,7 @@ func TestTable2HotspotRanking(t *testing.T) {
 				t.Fatalf("no set %q", v.Set)
 			}
 			tr := compiledTrace(t, p.Name)
-			rep, err := explain.Analyze(engine.New(1), tr, explain.Options{Selector: set.Selector()})
+			rep, err := explain.Analyze(engine.New(1), tr, set.Level)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,10 +91,10 @@ func TestTable2HotspotRanking(t *testing.T) {
 func TestAnalyzeRequiresSites(t *testing.T) {
 	tr := compiledTrace(t, "MAIN")
 	eng := engine.New(1)
-	if _, err := explain.Analyze(eng, tr.WithoutSites(), explain.Options{}); err == nil {
+	if _, err := explain.Analyze(eng, tr.WithoutSites(), 1); err == nil {
 		t.Fatal("siteless trace accepted")
 	}
-	rep, err := explain.Analyze(eng, tr, explain.Options{})
+	rep, err := explain.Analyze(eng, tr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,7 +280,6 @@ func (sh *shard) admit(t *tenant) {
 	}
 	if t.pol == nil {
 		t.pol = newTenantPolicy(sh.cfg, t)
-		t.step = t.pol.(policy.BlockStepper)
 		t.cd = policy.AsCD(t.pol)
 		if t.cd != nil {
 			t.cd.Avail = sh.availFn
@@ -346,13 +345,13 @@ func (sh *shard) step(t *tenant) {
 	}
 }
 
-// runQuantum executes up to Quantum references of t through the block
-// stepper, applying directive events (free of quantum) at block
-// boundaries. The clock advances by the references executed; the
-// quantum's fault service is aggregated into the tenant's readyAt, so it
-// overlaps with other tenants' execution — batched per quantum rather
-// than yielding on every fault, which is what lets a shard sustain
-// millions of references per second.
+// runQuantum executes up to Quantum references of t through policy.Step,
+// applying directive events (free of quantum) at block boundaries. The
+// clock advances by the references executed; the quantum's fault
+// service is aggregated into the tenant's readyAt, so it overlaps with
+// other tenants' execution — batched per quantum rather than yielding
+// on every fault, which is what lets a shard sustain millions of
+// references per second.
 func (sh *shard) runQuantum(t *tenant) action {
 	budget := sh.cfg.Quantum
 	var out policy.BlockResult
@@ -376,7 +375,7 @@ func (sh *shard) runQuantum(t *tenant) action {
 			if n > budget {
 				n = budget
 			}
-			t.step.StepBlock(t.blk.Pages[t.bi:t.bi+n], &out)
+			policy.Step(t.pol, t.blk.Pages[t.bi:t.bi+n], &out)
 			t.bi += n
 			budget -= n
 			executed += n
@@ -570,7 +569,6 @@ func (sh *shard) finish(t *tenant) {
 		t.cd.Avail = nil // a job's policy outlives the shard
 	}
 	t.pol = nil
-	t.step = nil
 	t.cd = nil
 	sh.g.finishFromRunning()
 	sh.flight("finish", t.spec.Name, "")

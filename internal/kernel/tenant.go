@@ -391,9 +391,8 @@ type tenant struct {
 	job   *Job // the tenant's job in a job run, nil when synthesized
 	state State
 
-	pol  policy.Policy
-	step policy.BlockStepper
-	cd   *policy.CD // non-nil only for a CD policy
+	pol policy.Policy
+	cd  *policy.CD // non-nil only for a CD policy
 
 	src     trace.Source // the base stream, or the base under chaos-perturbed tables
 	cur     trace.Cursor

@@ -12,18 +12,20 @@ import (
 	"cdmm/internal/fortran"
 )
 
+// ElemSize is the bytes of one array element: a FORTRAN REAL*4.
+const ElemSize = 4
+
 // Geometry describes the paging parameters of the simulated machine.
 type Geometry struct {
 	PageSize int // bytes per page; the paper uses 256
-	ElemSize int // bytes per array element; FORTRAN REAL*4
 }
 
-// DefaultGeometry is the paper's configuration: 256-byte pages of 4-byte
-// reals, 64 elements per page.
-var DefaultGeometry = Geometry{PageSize: 256, ElemSize: 4}
+// DefaultGeometry is the paper's configuration: 256-byte pages, 64
+// elements per page.
+var DefaultGeometry = Geometry{PageSize: 256}
 
 // ElemsPerPage returns how many array elements fit in one page.
-func (g Geometry) ElemsPerPage() int { return g.PageSize / g.ElemSize }
+func (g Geometry) ElemsPerPage() int { return g.PageSize / ElemSize }
 
 // PagesFor returns the number of pages needed to hold n elements
 // (the paper's AVS for n = M·N, CVS for n = M).
@@ -34,11 +36,11 @@ func (g Geometry) PagesFor(n int) int {
 
 // Validate checks that the geometry is usable.
 func (g Geometry) Validate() error {
-	if g.PageSize <= 0 || g.ElemSize <= 0 {
-		return fmt.Errorf("mem: page size %d and element size %d must be positive", g.PageSize, g.ElemSize)
+	if g.PageSize <= 0 {
+		return fmt.Errorf("mem: page size %d must be positive", g.PageSize)
 	}
-	if g.PageSize%g.ElemSize != 0 {
-		return fmt.Errorf("mem: page size %d not a multiple of element size %d", g.PageSize, g.ElemSize)
+	if g.PageSize%ElemSize != 0 {
+		return fmt.Errorf("mem: page size %d not a multiple of element size %d", g.PageSize, ElemSize)
 	}
 	return nil
 }

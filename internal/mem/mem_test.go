@@ -32,13 +32,13 @@ func TestGeometryDefaults(t *testing.T) {
 }
 
 func TestGeometryValidate(t *testing.T) {
-	if err := (Geometry{PageSize: 256, ElemSize: 4}).Validate(); err != nil {
+	if err := (Geometry{PageSize: 256}).Validate(); err != nil {
 		t.Errorf("valid geometry rejected: %v", err)
 	}
-	if err := (Geometry{PageSize: 0, ElemSize: 4}).Validate(); err == nil {
+	if err := (Geometry{PageSize: 0}).Validate(); err == nil {
 		t.Error("zero page size accepted")
 	}
-	if err := (Geometry{PageSize: 250, ElemSize: 4}).Validate(); err == nil {
+	if err := (Geometry{PageSize: 250}).Validate(); err == nil {
 		t.Error("non-multiple page size accepted")
 	}
 }

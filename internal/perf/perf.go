@@ -720,11 +720,28 @@ func Load(path string) (*Baseline, error) {
 	return &b, nil
 }
 
-// Compare renders a benchstat-style old/new table and returns the list of
-// regressions: cases whose ns/ref grew more than threshold (a fraction,
-// e.g. 0.25 for +25%), whose allocs/ref became nonzero, or whose fault
-// anchor drifted. Cases present on only one side are reported but never
-// fail the comparison (the matrix may grow).
+// Gates renders every whole-run number Compare gates, beside its
+// ceiling or floor: the three overheads and the two sweep speedups.
+func Gates(b *Baseline) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "serve overhead (no client attached): %+.2f%% (ceiling +%.0f%%)\n",
+		100*b.ServeOverhead, 100*ServeOverheadMax)
+	fmt.Fprintf(&sb, "attr side-band overhead (attribution off): %+.2f%% (ceiling +%.0f%%)\n",
+		100*b.AttrOverhead, 100*AttrOverheadMax)
+	fmt.Fprintf(&sb, "kernel telemetry overhead (unwatched): %+.2f%% (ceiling +%.0f%%)\n",
+		100*b.TelemetryOverhead, 100*TelemetryOverheadMax)
+	fmt.Fprintf(&sb, "sweep LRU curve vs per-cell column: %.1fx (floor %.0fx)\n", b.SweepSpeedupLRU, SweepSpeedupMin)
+	fmt.Fprintf(&sb, "sweep WS curve vs per-cell column: %.1fx (floor %.0fx)\n", b.SweepSpeedupWS, SweepSpeedupMin)
+	return sb.String()
+}
+
+// Compare renders a benchstat-style old/new table followed by the
+// current run's Gates, and returns the list of regressions: cases whose
+// ns/ref grew more than threshold (a fraction, e.g. 0.25 for +25%),
+// whose allocs/ref became nonzero, or whose fault anchor drifted, and
+// every overhead over its ceiling or speedup under its floor. Cases
+// present on only one side are reported but never fail the comparison
+// (the matrix may grow).
 func Compare(baseline, current *Baseline, threshold float64) (string, []string) {
 	var sb strings.Builder
 	var regressions []string
@@ -771,22 +788,17 @@ func Compare(baseline, current *Baseline, threshold float64) (string, []string) 
 	for _, name := range missing {
 		fmt.Fprintf(&sb, "%-14s (missing from current run)\n", name)
 	}
-	fmt.Fprintf(&sb, "serve overhead (no client attached): %+.2f%% (ceiling +%.0f%%)\n",
-		100*current.ServeOverhead, 100*ServeOverheadMax)
+	sb.WriteString(Gates(current))
 	if current.ServeOverhead > ServeOverheadMax {
 		regressions = append(regressions,
 			fmt.Sprintf("serve-attached overhead %+.2f%% > +%.0f%% (unwatched telemetry is no longer near-free)",
 				100*current.ServeOverhead, 100*ServeOverheadMax))
 	}
-	fmt.Fprintf(&sb, "attr side-band overhead (attribution off): %+.2f%% (ceiling +%.0f%%)\n",
-		100*current.AttrOverhead, 100*AttrOverheadMax)
 	if current.AttrOverhead > AttrOverheadMax {
 		regressions = append(regressions,
 			fmt.Sprintf("site side-band overhead %+.2f%% > +%.0f%% (carrying provenance is no longer free on the fast path)",
 				100*current.AttrOverhead, 100*AttrOverheadMax))
 	}
-	fmt.Fprintf(&sb, "kernel telemetry overhead (unwatched): %+.2f%% (ceiling +%.0f%%)\n",
-		100*current.TelemetryOverhead, 100*TelemetryOverheadMax)
 	if current.TelemetryOverhead > TelemetryOverheadMax {
 		regressions = append(regressions,
 			fmt.Sprintf("kernel telemetry overhead %+.2f%% > +%.0f%% (the unwatched telemetry plane is no longer near-free)",
@@ -794,19 +806,13 @@ func Compare(baseline, current *Baseline, threshold float64) (string, []string) 
 	}
 	// The speedup gates only arm once a baseline records them (older
 	// baselines carry zero), so growing the matrix never fails retroactively.
-	sweeps := []struct {
+	for _, s := range []struct {
 		name      string
 		base, cur float64
 	}{
 		{"LRU", baseline.SweepSpeedupLRU, current.SweepSpeedupLRU},
 		{"WS", baseline.SweepSpeedupWS, current.SweepSpeedupWS},
-	}
-	for _, s := range sweeps {
-		if s.base == 0 && s.cur == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "sweep %s curve vs per-cell column: %.1fx (floor %.0fx)\n",
-			s.name, s.cur, SweepSpeedupMin)
+	} {
 		if s.base > 0 && s.cur < SweepSpeedupMin {
 			regressions = append(regressions,
 				fmt.Sprintf("sweep %s curve speedup %.1fx < %.0fx (one-pass sweep no longer pays for itself)",

@@ -26,9 +26,22 @@ type BlockResult struct {
 // MaxResident. Batching exists so a policy can hoist loop-invariant work
 // (interface dispatch, constant charges, degraded checks) out of the
 // per-reference path. Policies without a StepBlock of their own are
-// stepped through StepRef.
+// stepped through StepRef; Step picks the path.
 type BlockStepper interface {
 	StepBlock(pages []mem.Page, out *BlockResult)
+}
+
+// Step replays a run of consecutive page references under p and adds
+// their indexes into out: in one StepBlock call when p has one, else one
+// StepRef per page. It is how every replay loop steps any policy.
+func Step(p Policy, pages []mem.Page, out *BlockResult) {
+	if bst, ok := p.(BlockStepper); ok {
+		bst.StepBlock(pages, out)
+		return
+	}
+	for _, pg := range pages {
+		StepRef(p, pg, out)
+	}
 }
 
 // StepRef replays one reference under p by the per-reference charging

@@ -9,9 +9,9 @@ import (
 )
 
 // DefaultFallbackTau is the WS window (in references) a degraded CD policy
-// falls back to when the CheckConfig does not choose one. It sits in the
-// middle of the paper's §5 WS sweep range, a directive-blind setting that
-// needs no information from the (now distrusted) compiler.
+// falls back to. It sits in the middle of the paper's §5 WS sweep range,
+// a directive-blind setting that needs no information from the (now
+// distrusted) compiler.
 const DefaultFallbackTau = 500
 
 // CheckConfig enables directive validation on a CD policy. When CD.Check
@@ -26,17 +26,6 @@ type CheckConfig struct {
 	// outside [0, MaxPage) violates the contract. Zero disables the
 	// address-space checks (priority-shape checks still apply).
 	MaxPage int
-	// FallbackTau is the WS window used after degradation; zero selects
-	// DefaultFallbackTau.
-	FallbackTau int
-}
-
-// tau returns the effective fallback window.
-func (c *CheckConfig) tau() int {
-	if c != nil && c.FallbackTau > 0 {
-		return c.FallbackTau
-	}
-	return DefaultFallbackTau
 }
 
 // Degraded reports whether a directive-contract violation has switched
@@ -95,7 +84,7 @@ func (p *CD) degrade(reason string) {
 	for site, ps := range p.locksBySite {
 		p.locksBySite[site] = ps[:0]
 	}
-	ws := NewWS(p.Check.tau())
+	ws := NewWS(DefaultFallbackTau)
 	ws.Warm(resident)
 	ws.SetEvictHook(p.onEvict)
 	p.fallback = ws

@@ -126,7 +126,7 @@ func TestDegradeOnContractViolations(t *testing.T) {
 // WS fallback (no refault storm), and later directives are ignored.
 func TestDegradeReleasesLocksAndWarmsFallback(t *testing.T) {
 	p := NewCD(SelectLevel(2), 2)
-	p.Check = &CheckConfig{MaxPage: 16, FallbackTau: 100}
+	p.Check = &CheckConfig{MaxPage: 16}
 	p.Alloc(alloc("10", directive.Arm{PI: 1, X: 8}))
 	for i := 0; i < 5; i++ {
 		p.Ref(mem.Page(i))

@@ -25,21 +25,10 @@ import (
 // timeline section.
 const timelineBuckets = 64
 
-// Options controls report contents.
-type Options struct {
-	// SkipBLI disables the (relatively expensive) runtime locality
-	// interval detection.
-	SkipBLI bool
-	// SkipSimulation disables the policy comparison section.
-	SkipSimulation bool
-	// Engine executes the simulation sections' runs; it is required
-	// unless SkipSimulation is set. The report text is byte-identical at
-	// any parallelism level.
-	Engine *engine.Engine
-}
-
-// Generate renders the markdown report for a compiled program.
-func Generate(p *core.Program, opts Options) (string, error) {
+// Generate renders the markdown report for a compiled program. eng
+// executes the simulation sections' runs; the report text is
+// byte-identical at any parallelism level.
+func Generate(p *core.Program, eng *engine.Engine) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n\n%s\n", p.Name, p.Summary())
 
@@ -62,29 +51,25 @@ func Generate(p *core.Program, opts Options) (string, error) {
 	}
 	fmt.Fprintf(&b, "\n## Execution trace\n\n%s\n", tr.Summary())
 
-	if !opts.SkipBLI {
-		refs := tr.Pages()
-		ivs := bli.Detect(refs, bli.Config{MaxSize: p.V() + 4})
-		b.WriteString("\n## Runtime localities (Madison-Batson intervals)\n\n```\n")
-		b.WriteString(bli.Render(ivs, len(refs)))
-		b.WriteString("```\n")
-		fmt.Fprintf(&b, "\nDominant runtime locality sizes (≥25%% coverage): %v\n",
-			bli.DominantSizes(ivs, len(refs), 0.25))
-	}
+	refs := tr.Pages()
+	ivs := bli.Detect(refs)
+	b.WriteString("\n## Runtime localities (Madison-Batson intervals)\n\n```\n")
+	b.WriteString(bli.Render(ivs, len(refs)))
+	b.WriteString("```\n")
+	fmt.Fprintf(&b, "\nDominant runtime locality sizes (≥25%% coverage): %v\n",
+		bli.DominantSizes(ivs, len(refs), 0.25))
 
-	if !opts.SkipSimulation {
-		if err := writeSimulation(&b, p, tr, opts.Engine); err != nil {
-			return "", err
-		}
-		if err := writeAttribution(&b, opts.Engine, tr); err != nil {
-			return "", err
-		}
-		tl, err := TimelineReport(opts.Engine, p, timelineBuckets)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(tl)
+	if err := writeSimulation(&b, p, tr, eng); err != nil {
+		return "", err
 	}
+	if err := writeAttribution(&b, eng, tr); err != nil {
+		return "", err
+	}
+	tl, err := TimelineReport(eng, p, timelineBuckets)
+	if err != nil {
+		return "", err
+	}
+	b.WriteString(tl)
 	return b.String(), nil
 }
 
@@ -129,7 +114,7 @@ func orders(a *locality.Analysis, l *sem.Loop) string {
 }
 
 func writeAdvisories(b *strings.Builder, p *core.Program) {
-	findings := advisor.Analyze(p.Analysis, advisor.Options{})
+	findings := advisor.Analyze(p.Analysis)
 	b.WriteString("\n## Compiler advisories\n\n```\n")
 	b.WriteString(advisor.Render(findings))
 	b.WriteString("```\n")
@@ -143,7 +128,7 @@ func writeAttribution(b *strings.Builder, eng *engine.Engine, tr *trace.Trace) e
 	if !tr.HasSites() {
 		return nil
 	}
-	rep, err := explain.Analyze(eng, tr, explain.Options{})
+	rep, err := explain.Analyze(eng, tr, 1)
 	if err != nil {
 		return err
 	}

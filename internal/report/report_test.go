@@ -20,7 +20,7 @@ func TestGenerateFullReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Generate(p, Options{Engine: engine.New(0)})
+	out, err := Generate(p, engine.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +47,9 @@ func TestGenerateFullReport(t *testing.T) {
 	}
 }
 
+// TestGenerateSkips: the full report of a one-loop program renders every
+// section, and its attribution table skips the sites that took no fault:
+// the loop's ALLOCATE site appears in the directive table only.
 func TestGenerateSkips(t *testing.T) {
 	p, err := core.CompileSource("T", `
 PROGRAM T
@@ -59,18 +62,22 @@ END
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Generate(p, Options{SkipBLI: true, SkipSimulation: true})
+	out, err := Generate(p, engine.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(out, "Runtime localities") {
-		t.Error("BLI section present despite SkipBLI")
+	for _, want := range []string{
+		"## Arrays", "## Runtime localities", "## Policy comparison",
+		"## Fault attribution", "## Fault timeline",
+		"| 1 | DO(I)@4 · V(I) | 128 | 2 | 2 | 1.50 | 100.0% |",
+		"| DO(I)@4 · ALLOCATE | 1 | 0 | 0 | 0 | 0 | 0 | 0 |",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
 	}
-	if strings.Contains(out, "Policy comparison") {
-		t.Error("simulation section present despite SkipSimulation")
-	}
-	if !strings.Contains(out, "## Arrays") {
-		t.Error("static sections missing")
+	if n := strings.Count(out, "DO(I)@4 · ALLOCATE"); n != 1 {
+		t.Errorf("the fault-free ALLOCATE site appears %d times, want once (the directive table):\n%s", n, out)
 	}
 }
 
@@ -88,7 +95,7 @@ END
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Generate(p, Options{SkipBLI: true, SkipSimulation: true})
+	out, err := Generate(p, engine.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +124,7 @@ func TestReportDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Generate(p, Options{SkipBLI: true, Engine: engine.New(workers)})
+		out, err := Generate(p, engine.New(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,27 +16,19 @@ import (
 // grid instead of once per cell. This is the grouped pass behind FIFO
 // capacity grids and CD detune grids, which have no closed-form curve.
 //
-// Policies without a StepBlock of their own step per reference through
-// policy.StepRef; each policy value must be exclusive to this call.
+// Each policy steps through policy.Step; each policy value must be
+// exclusive to this call.
 func Multi(src trace.Source, pols []policy.Policy) ([]vmsim.Result, error) {
 	meta := src.Meta()
 	tb := src.Tables()
-	steppers := make([]policy.BlockStepper, len(pols))
 	outs := make([]policy.BlockResult, len(pols))
-	for i, pol := range pols {
+	for _, pol := range pols {
 		vmsim.Prepare(pol, meta)
-		steppers[i], _ = pol.(policy.BlockStepper)
 	}
 
 	err := trace.Walk(src, trace.CursorOpts{}, func(b trace.Block) bool {
-		for i, bst := range steppers {
-			if bst != nil {
-				bst.StepBlock(b.Pages, &outs[i])
-				continue
-			}
-			for _, pg := range b.Pages {
-				policy.StepRef(pols[i], pg, &outs[i])
-			}
+		for i, pol := range pols {
+			policy.Step(pol, b.Pages, &outs[i])
 		}
 		if b.HasDir {
 			for _, pol := range pols {

@@ -343,9 +343,10 @@ func readCDT3Header(cr *countReader) (*cdt3Header, error) {
 // --- chunk reader ---------------------------------------------------
 
 // cdt3ChunkReader decodes the chunk stream one chunk at a time into the
-// columns a Trace holds, validating every count against the header. It
-// is shared by the full decoder (readCDT3) and the streaming cursor
-// (fileCursor).
+// columns a Trace holds, validating every count against the header: the
+// events, references and distinct pages the stream holds and its
+// highest page. It is shared by the full decoder (readCDT3) and the
+// streaming cursor (fileCursor).
 type cdt3ChunkReader struct {
 	cr  *countReader
 	hdr *cdt3Header
@@ -359,6 +360,11 @@ type cdt3ChunkReader struct {
 	prevPage int64
 	seenEv   int64
 	seenRefs int64
+	// pages, distinct and pageEnd track the pages referenced so far:
+	// the set, its size, and one past the highest.
+	pages    pageSet
+	distinct int64
+	pageEnd  int64
 	chunk    int64 // index of the chunk being decoded, for errors
 	done     bool
 	err      error
@@ -377,9 +383,10 @@ func (d *cdt3ChunkReader) next() bool {
 		return false
 	}
 	if n == 0 {
-		if d.seenEv != d.hdr.events || d.seenRefs != d.hdr.refs {
-			d.fail(decodeErr("chunk", d.chunk, fmt.Errorf("stream holds %d events / %d refs, header declares %d / %d",
-				d.seenEv, d.seenRefs, d.hdr.events, d.hdr.refs)))
+		h := d.hdr
+		if d.seenEv != h.events || d.seenRefs != h.refs || d.distinct != h.distinct || d.pageEnd-1 != int64(h.maxPage) {
+			d.fail(decodeErr("chunk", d.chunk, fmt.Errorf("stream holds %d events, %d refs, %d distinct pages up to page %d; its header declares %d, %d, %d up to %d",
+				d.seenEv, d.seenRefs, d.distinct, d.pageEnd-1, h.events, h.refs, h.distinct, h.maxPage)))
 			return false
 		}
 		d.done = true
@@ -416,6 +423,13 @@ func (d *cdt3ChunkReader) next() bool {
 			return false
 		}
 		d.prevPage = pg
+		if !d.pages.has(mem.Page(pg)) && d.pages.add(mem.Page(pg)) {
+			if d.distinct++; d.distinct > d.hdr.distinct {
+				d.fail(decodeErr("page column", int64(i), fmt.Errorf("stream references more than the %d distinct pages it declares", d.hdr.distinct)))
+				return false
+			}
+		}
+		d.pageEnd = max(d.pageEnd, pg+1)
 		c.pages = append(c.pages, mem.Page(pg))
 	}
 
@@ -491,7 +505,7 @@ func (d *cdt3ChunkReader) fail(err error) {
 
 // readCDT3 materializes a CDT3 stream, past its magic, as an in-memory
 // Trace for Read. The trace grows chunk by chunk through Append; the
-// header's totals are only checked against what the chunks hold.
+// chunk reader checks the header's totals against what the chunks hold.
 func readCDT3(cr *countReader) (*Trace, error) {
 	hdr, err := readCDT3Header(cr)
 	if err != nil {
@@ -523,12 +537,6 @@ func readCDT3(cr *countReader) (*Trace, error) {
 	}
 	if d.err != nil {
 		return nil, d.err
-	}
-	if int64(t.Distinct) != hdr.distinct {
-		return nil, decodeErr("chunk", -1, fmt.Errorf("stream references %d distinct pages, header declares %d", t.Distinct, hdr.distinct))
-	}
-	if t.MaxPage() != hdr.maxPage {
-		return nil, decodeErr("chunk", -1, fmt.Errorf("stream max page %d, header declares %d", t.MaxPage(), hdr.maxPage))
 	}
 	return t, nil
 }
@@ -637,7 +645,8 @@ func (s *FileSource) Blocks(opts CursorOpts) Cursor {
 	c.src = s
 	c.cr = countReader{r: c.br}
 	withSites := opts.WithSites && s.meta.HasSites
-	c.dec = cdt3ChunkReader{cr: &c.cr, hdr: s.hdr, cols: c.dec.cols, runs: c.dec.runs, sites: withSites}
+	c.dec.pages.reset()
+	c.dec = cdt3ChunkReader{cr: &c.cr, hdr: s.hdr, cols: c.dec.cols, runs: c.dec.runs, pages: c.dec.pages, sites: withSites}
 	c.chunk = memCursor{max: opts.MaxBlock, withSites: withSites}
 	c.closed = false
 	return c

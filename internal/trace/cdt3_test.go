@@ -160,9 +160,10 @@ func TestHostileTotals(t *testing.T) {
 }
 
 // TestWriteRejectsLyingHeader: files whose streams hold fewer distinct
-// pages, or a lower max page, than their headers declare open and
-// stream (a cursor checks neither), but re-encoding one fails instead
-// of copying the lie into a terminated file; Read rejects them too.
+// pages, or a lower max page, than their headers declare open, but a
+// cursor walk fails at the terminator with a *DecodeError, so
+// re-encoding one fails instead of copying the lie into a terminated
+// file; Read rejects them with the same error.
 func TestWriteRejectsLyingHeader(t *testing.T) {
 	for name, data := range map[string][]byte{
 		// Two references to page 0 under headers declaring two distinct
@@ -170,7 +171,8 @@ func TestWriteRejectsLyingHeader(t *testing.T) {
 		"distinct": mustHex("43445433" + "01480002020200000000" + "0202000000"),
 		"maxpage":  mustHex("43445433" + "0148000202010a000000" + "0202000000"),
 	} {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
+		_, rerr := Read(bytes.NewReader(data))
+		if rerr == nil {
 			t.Errorf("%s: Read succeeded", name)
 		}
 		path := filepath.Join(t.TempDir(), name+".cdt3")
@@ -181,6 +183,17 @@ func TestWriteRejectsLyingHeader(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: OpenCDT3: %v", name, err)
 		}
+		cur := src.Blocks(CursorOpts{})
+		refs := 0
+		var b Block
+		for cur.Next(&b) {
+			refs += len(b.Pages)
+		}
+		var de *DecodeError
+		if cerr := cur.Err(); !errors.As(cerr, &de) || rerr == nil || cerr.Error() != rerr.Error() {
+			t.Errorf("%s: cursor error %v after %d refs, want a *DecodeError equal to Read's %v", name, cerr, refs, rerr)
+		}
+		cur.Close()
 		_, err = WriteCDT3(io.Discard, src, 0)
 		if err == nil || !strings.Contains(err.Error(), "its header declares") {
 			t.Errorf("%s: WriteCDT3 returned %v, want the header mismatch", name, err)

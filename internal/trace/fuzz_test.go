@@ -89,11 +89,9 @@ func cdt3Seeds(f *testing.F) [][]byte {
 // FuzzDecodeCDT3 cross-checks the two CDT3 decoders on arbitrary bytes:
 // the full materializing decoder (Read) and the O(chunk) streaming
 // cursor (OpenCDT3). Neither may panic, every failure must be a
-// structured *DecodeError, and whenever the full decoder accepts a
-// stream the cursor must replay exactly the declared totals. (The
-// streaming path skips the full decoder's whole-trace audits — distinct
-// count, max page — so it may accept streams Read rejects, but
-// never vice versa.)
+// structured *DecodeError, the two must accept the same streams (both
+// check every header total, distinct pages and max page included), and
+// an accepted stream must replay exactly the declared totals.
 func FuzzDecodeCDT3(f *testing.F) {
 	for _, seed := range cdt3Seeds(f) {
 		f.Add(seed)
@@ -141,12 +139,15 @@ func FuzzDecodeCDT3(f *testing.F) {
 			}
 			return
 		}
+		if rerr != nil {
+			t.Fatalf("the cursor accepted what Read rejected: %v", rerr)
+		}
 		meta := src.Meta()
 		if events != meta.Events || refs != meta.Refs {
 			t.Fatalf("stream replayed %d events / %d refs, header declares %d / %d",
 				events, refs, meta.Events, meta.Refs)
 		}
-		if rerr == nil && (tr.Meta().Events != events || tr.Refs != refs) {
+		if tr.Meta().Events != events || tr.Refs != refs {
 			t.Fatalf("stream %d events / %d refs, full decode %d / %d",
 				events, refs, tr.Meta().Events, tr.Refs)
 		}

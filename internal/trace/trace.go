@@ -87,6 +87,19 @@ type pageSet struct {
 	far  map[mem.Page]bool
 }
 
+// reset empties the set, keeping its dense words for reuse.
+func (s *pageSet) reset() {
+	clear(s.bits)
+	s.far = nil
+}
+
+// has reports whether p is in the bitset. It inlines, so a hot loop
+// calls add only for pages it has not seen.
+func (s *pageSet) has(p mem.Page) bool {
+	w := uint(uint32(p) >> 6)
+	return w < uint(len(s.bits)) && s.bits[w]&(1<<(p&63)) != 0
+}
+
 // add inserts p and reports whether it was new.
 func (s *pageSet) add(p mem.Page) bool {
 	if uint32(p) >= seenDense {

@@ -69,7 +69,7 @@ func swapEvents(events []obs.Event) []obs.Event {
 // TestMultiSingleJobMatchesUniprogramming is the differential oracle: a
 // job alone in a pool larger than its address space is never suspended
 // and never short of frames, so the kernel's quantum-sliced replay must
-// equal the uniprogramming replay exactly, for CD, WS and LRU.
+// equal the uniprogramming replay exactly, for CD, WS, LRU and PFF.
 func TestMultiSingleJobMatchesUniprogramming(t *testing.T) {
 	for _, name := range []string{"TQL", "HWSCRT", "MAIN"} {
 		w, err := workloads.Get(name)
@@ -88,6 +88,8 @@ func TestMultiSingleJobMatchesUniprogramming(t *testing.T) {
 			func() policy.Policy { return policy.NewCD(w.DefaultSet().Selector(), 2) },
 			func() policy.Policy { return policy.NewWS(1000) },
 			func() policy.Policy { return policy.NewLRU(c.V() / 2) },
+			// PFF has no StepBlock: the kernel steps it per reference.
+			func() policy.Policy { return policy.NewPFF(100) },
 		} {
 			uni, err := vmsim.RunSource(tr, mk(), nil)
 			if err != nil {
@@ -256,7 +258,7 @@ func TestMultiDegradedCDJobCompletes(t *testing.T) {
 		bad.AddRef(mem.Page(i % 6))
 	}
 	cd := policy.NewCD(policy.SelectLevel(2), 2)
-	cd.Check = &policy.CheckConfig{MaxPage: 8, FallbackTau: 50}
+	cd.Check = &policy.CheckConfig{MaxPage: 8}
 	res, _ := runJobs(t, 10, kernel.Job{Source: bad, Policy: cd},
 		kernel.Job{Source: loopTrace("filler", 100, 6, 100), Policy: policy.NewWS(2000)})
 	job := res.PerTenant[0]

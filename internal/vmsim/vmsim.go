@@ -195,11 +195,12 @@ type hooks struct {
 // charge and time step is an integer, so the sums are exact where the
 // float64 Result fields would start rounding past 2^53).
 //
-// Unwatched (w == nil), a policy with a StepBlock of its own replays each
-// directive-free block in one call, hoisting loop-invariant work out of
-// the per-reference path; any other policy, and every watched replay,
-// steps one reference at a time through policy.StepRef — the rule every
-// StepBlock must fold, and so the differential oracle of the block path.
+// Unwatched (w == nil), each directive-free block goes through
+// policy.Step, so a policy with a StepBlock of its own replays it in one
+// call, hoisting loop-invariant work out of the per-reference path.
+// Every watched replay steps one reference at a time through
+// policy.StepRef — the rule every StepBlock must fold, and so the
+// differential oracle of the block path.
 //
 // prog, when non-nil, caps blocks at progressChunk events and receives
 // the events consumed (out of Meta().Events) and the virtual time after
@@ -214,7 +215,6 @@ func replay(src trace.Source, pol policy.Policy, prog obs.ProgressFunc, w *hooks
 		opts.MaxBlock = progressChunk
 	}
 	var out *policy.BlockResult
-	var bst policy.BlockStepper
 	if w != nil {
 		opts.WithSites = w.sites
 		out = &w.acc
@@ -225,19 +225,13 @@ func replay(src trace.Source, pol policy.Policy, prog obs.ProgressFunc, w *hooks
 		out = blockResultPool.Get().(*policy.BlockResult)
 		*out = policy.BlockResult{}
 		defer blockResultPool.Put(out)
-		bst, _ = pol.(policy.BlockStepper)
 	}
 
 	done := 0 // events consumed, for progress reporting
 	step := func(b trace.Block) bool {
-		switch {
-		case bst != nil:
-			bst.StepBlock(b.Pages, out)
-		case w == nil:
-			for _, pg := range b.Pages {
-				policy.StepRef(pol, pg, out)
-			}
-		default:
+		if w == nil {
+			policy.Step(pol, b.Pages, out)
+		} else {
 			for i, pg := range b.Pages {
 				w.site, w.kind = trace.NoSite, trace.EvRef
 				if b.Sites != nil {
