@@ -67,30 +67,22 @@ func chaosFlags(fs *flag.FlagSet) func(string) error {
 			}
 		}
 
-		finish, err := of.activate()
-		if err != nil {
-			return err
-		}
-		eng := newEngine(*j, of.observer)
-		rows, err := experiments.ChaosMatrix(eng, cfg)
-		if err != nil {
-			finish()
-			return err
-		}
-		fmt.Print(experiments.RenderChaos(rows))
-
-		broken := 0
-		for _, r := range rows {
-			if r.Err != "" {
-				broken++
+		return of.withObs(func() error {
+			rows, err := experiments.ChaosMatrix(newEngine(*j, of.observer), cfg)
+			if err != nil {
+				return err
 			}
-		}
-		if err := finish(); err != nil {
-			return err
-		}
-		if broken > 0 {
-			return fmt.Errorf("chaos: %d of %d cells broke the simulator (see STATUS column)", broken, len(rows))
-		}
-		return nil
+			fmt.Print(experiments.RenderChaos(rows))
+			broken := 0
+			for _, r := range rows {
+				if r.Err != "" {
+					broken++
+				}
+			}
+			if broken > 0 {
+				return fmt.Errorf("chaos: %d of %d cells broke the simulator (see STATUS column)", broken, len(rows))
+			}
+			return nil
+		})
 	}
 }

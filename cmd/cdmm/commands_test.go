@@ -116,7 +116,7 @@ func TestServeNestedCommandErrorShutsDown(t *testing.T) {
 			resp.Body.Close()
 			t.Errorf("serve -- %v: telemetry server still answers after serve returned", tc.nested)
 		}
-		if serveProgress != nil || serveObserver != nil || serveLogger != nil {
+		if served != nil {
 			t.Errorf("serve -- %v: telemetry still attached after serve returned", tc.nested)
 		}
 	}

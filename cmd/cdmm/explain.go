@@ -34,13 +34,14 @@ func explainFlags(fs *flag.FlagSet) func(string) error {
 			return err
 		}
 		return of.withObs(func() error {
-			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
+			eng := newEngine(*j, of.observer)
 			rep, err := explain.Analyze(eng, tr, *level)
 			if err != nil {
 				return err
 			}
 			fmt.Print(explain.Render(rep, *top))
-			if store := of.explainStore(); store != nil {
+			if served != nil {
+				store := served.Explain()
 				store.Put(p.Name+"/CD", rep.CD)
 				store.Put(p.Name+"/LRU", rep.LRU)
 				store.Put(p.Name+"/WS", rep.WS)

@@ -29,7 +29,7 @@ func kernelFlags(fs *flag.FlagSet) func(string) error {
 	checked := fs.Bool("checked", true, "verify kernel-wide invariants during and after the run")
 	quick := fs.Bool("quick", false, "smoke mode: quarter-length tenant workloads")
 	memCeil := fs.Int("memceil", 0, "fail if peak RSS exceeds this many MiB (Linux VmHWM; 0 = no check)")
-	telemetry := fs.Bool("telemetry", false, "collect the telemetry plane (implied by -top, -slo, -incident-dir or -serve)")
+	telemetry := fs.Bool("telemetry", false, "collect the telemetry plane and print its histograms (implied by -top, -slo or -incident-dir)")
 	topN := fs.Int("top", 0, "print the top N heavy-hitter tenants by faults, frames and displacements")
 	slo := fs.Bool("slo", false, "print SLO compliance and burn rates")
 	incidentDir := fs.String("incident-dir", "", "write flight-recorder incident dumps (JSONL) into this directory")
@@ -71,15 +71,16 @@ func kernelFlags(fs *flag.FlagSet) func(string) error {
 			}
 		}
 
-		// Any telemetry consumer turns the plane on; an unwatched kernel
-		// pays nothing for it.
-		if *telemetry || *topN > 0 || *slo || *incidentDir != "" {
-			cfg.Telemetry = true
+		// Any telemetry consumer turns the plane on, and only those print
+		// it; an unwatched kernel pays nothing for it. A served run also
+		// collects it, to publish.
+		cfg.Telemetry = *telemetry || *topN > 0 || *slo || *incidentDir != ""
+		if served != nil {
+			cfg.Publish = served.Kernel()
 		}
 
 		return of.withObs(func() error {
-			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
-			cfg.Publish = of.kernelStore()
+			eng := newEngine(*j, of.observer)
 			start := time.Now()
 			res, err := kernel.Run(cfg, eng)
 			if err != nil {
@@ -87,7 +88,7 @@ func kernelFlags(fs *flag.FlagSet) func(string) error {
 			}
 			elapsed := time.Since(start)
 			fmt.Println(res)
-			if res.Telemetry != nil {
+			if cfg.Telemetry {
 				fmt.Print(res.Telemetry.RenderHists())
 				if *topN > 0 {
 					fmt.Print(res.Telemetry.RenderTop(*topN))
@@ -105,8 +106,8 @@ func kernelFlags(fs *flag.FlagSet) func(string) error {
 				fmt.Fprintf(os.Stderr, "kernel: %d refs in %.2fs (%.1fM refs/s aggregate)\n",
 					res.Refs, s, float64(res.Refs)/s/1e6)
 			}
-			if store := of.explainStore(); store != nil {
-				store.Put("kernel/"+res.Pool, res.Ledger(256))
+			if served != nil {
+				served.Explain().Put("kernel/"+res.Pool, res.Ledger(256))
 			}
 			if err := checkMemCeil(*memCeil, "kernel memory must grow with the tenant count alone, never with the references tenants generate"); err != nil {
 				return err

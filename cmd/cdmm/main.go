@@ -295,16 +295,12 @@ func (f *minInt) Set(s string) error {
 }
 
 // newEngine builds the command's engine from -j, observing its runs
-// through o (nil observes nothing). When a telemetry server is live
-// (cdmm serve, or the -serve flag) the engine also reports plan/run
-// lifecycle into its tracker and logger.
+// through o (nil observes nothing). Under `cdmm serve` the engine also
+// reports plan/run lifecycle into the served server's /progress.
 func newEngine(j int, o *obs.Observer) *engine.Engine {
 	e := engine.New(j).WithObserver(o)
-	if serveProgress != nil {
-		e.WithProgress(serveProgress)
-	}
-	if serveLogger != nil {
-		e.WithLogger(serveLogger)
+	if served != nil {
+		e.WithProgress(served.Progress())
 	}
 	return e
 }
@@ -400,7 +396,7 @@ func cmdBLI(p *core.Program) error {
 func reportFlags(fs *flag.FlagSet) func(string) error {
 	j := registerJFlag(fs)
 	return withProgram(func(p *core.Program) error {
-		out, err := report.Generate(p, newEngine(*j, serveObserver))
+		out, err := report.Generate(p, newEngine(*j, runObserver(nil, nil)))
 		if err != nil {
 			return err
 		}
@@ -412,7 +408,7 @@ func reportFlags(fs *flag.FlagSet) func(string) error {
 func familyFlags(fs *flag.FlagSet) func(string) error {
 	j := registerJFlag(fs)
 	return func(string) error {
-		rows, err := experiments.PolicyFamily(newEngine(*j, serveObserver), nil)
+		rows, err := experiments.PolicyFamily(newEngine(*j, runObserver(nil, nil)), nil)
 		if err != nil {
 			return err
 		}
@@ -425,7 +421,7 @@ func detuneFlags(fs *flag.FlagSet) func(string) error {
 	j := registerJFlag(fs)
 	cell := fs.Bool("cellmode", false, "replay one full simulation per detune factor instead of the lockstep one-pass grid (the differential oracle)")
 	return func(string) error {
-		rows, err := experiments.DetuneStudy(newEngine(*j, serveObserver).WithCellMode(*cell), nil, nil)
+		rows, err := experiments.DetuneStudy(newEngine(*j, runObserver(nil, nil)).WithCellMode(*cell), nil, nil)
 		if err != nil {
 			return err
 		}
@@ -440,7 +436,7 @@ func pageSizeFlags(fs *flag.FlagSet) func(string) error {
 		if prog == "" {
 			prog = "HWSCRT"
 		}
-		rows, err := experiments.PageSizeSensitivity(newEngine(*j, serveObserver), prog, []int{128, 256, 512, 1024})
+		rows, err := experiments.PageSizeSensitivity(newEngine(*j, runObserver(nil, nil)), prog, []int{128, 256, 512, 1024})
 		if err != nil {
 			return err
 		}
@@ -506,7 +502,7 @@ func sweepFlags(fs *flag.FlagSet) func(string) error {
 	of := registerObsFlags(fs)
 	return withOperand(func(in *operand) error {
 		return of.withObs(func() error {
-			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
+			eng := newEngine(*j, of.observer)
 			if *polName == "" {
 				p, err := in.program("the CD-levels summary")
 				if err != nil {
@@ -793,7 +789,7 @@ func checkMemCeil(ceil int, why string) error {
 	if err != nil {
 		return fmt.Errorf("-memceil: %w", err)
 	}
-	fmt.Printf("peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, ceil)
+	fmt.Fprintf(os.Stderr, "peak RSS: %.1f MiB (ceiling %d MiB)\n", float64(kb)/1024, ceil)
 	if kb > int64(ceil)<<10 {
 		return fmt.Errorf("peak RSS %.1f MiB exceeds the %d MiB ceiling: %s", float64(kb)/1024, ceil, why)
 	}

@@ -207,8 +207,9 @@ func TestCmdTraceRejectsLyingHeader(t *testing.T) {
 
 // TestCmdRejectsLyingHeaders: trace files that hold two references to
 // page 0 under headers declaring two distinct pages, or max page 5, fail
-// every command that replays them when the stream ends, instead of
-// printing results under the header's totals.
+// every command that replays them when the stream ends, and a bare
+// trace that summarizes them, instead of printing results under the
+// header's totals.
 func TestCmdRejectsLyingHeaders(t *testing.T) {
 	dir := t.TempDir()
 	for name, hexBytes := range map[string]string{
@@ -227,6 +228,7 @@ func TestCmdRejectsLyingHeaders(t *testing.T) {
 			{"sim", path, "-policy", "lru"}, {"sim", path, "-policy", "fifo"}, {"sim", path, "-policy", "ws"},
 			{"sim", path, "-policy", "cd"}, {"sim", path, "-policy", "opt"},
 			{"sweep", path, "-policy", "lru"}, {"sweep", path, "-policy", "ws"}, {"sweep", path, "-policy", "fifo"},
+			{"trace", path},
 		} {
 			err := runCommand(args[0], args[1:])
 			if err == nil || !strings.Contains(err.Error(), "its header declares") {

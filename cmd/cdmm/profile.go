@@ -18,7 +18,7 @@ func profileFlags(fs *flag.FlagSet) func(string) error {
 	of := registerObsFlags(fs)
 	return withProgram(func(p *core.Program) error {
 		return of.withObs(func() error {
-			eng := newEngine(*j, of.observer) // after activate: a -serve tracker attaches here
+			eng := newEngine(*j, of.observer)
 			fmt.Println(p.Summary())
 			out, err := report.TimelineReport(eng, p, *buckets)
 			if err != nil {

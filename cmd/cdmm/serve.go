@@ -10,33 +10,21 @@ import (
 	"syscall"
 	"time"
 
-	"cdmm/internal/engine"
-	"cdmm/internal/obs"
 	"cdmm/internal/serve"
 )
 
-// serveProgress and serveLogger, when non-nil, are picked up by every
-// engine newEngine builds, so a telemetry server started by `cdmm
-// serve` (or the -serve flag) tracks the plans of whatever command runs
-// under it. serveObserver is the `cdmm serve` run observer, the one a
-// nested command observes its runs through when it asks for no sinks of
-// its own. They are process-wide because commands construct engines at
-// several layers; only the serve paths write them.
-var (
-	serveProgress *engine.Progress
-	serveLogger   *slog.Logger
-	serveObserver *obs.Observer
-)
+// served is the telemetry server `cdmm serve` runs its nested command
+// under, and nil at any other time. The nested command reads it where it
+// builds engines and observers (newEngine, runObserver) and publishes
+// its attribution ledgers and kernel telemetry into its stores. It is
+// process-wide because commands construct engines at several layers;
+// only serve writes it.
+var served *serve.Server
 
 // serveTestHook, when non-nil, replaces the wait-for-SIGINT loop of a
 // bare `cdmm serve` and runs after a nested command completes; tests
 // use it to talk to the live server.
 var serveTestHook func(*serve.Server)
-
-// newServeLogger builds the structured logger the serve paths share.
-func newServeLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
-}
 
 // serveFlags declares serve, the live telemetry daemon. With a nested
 // command after `--` it runs that command with telemetry attached and
@@ -50,26 +38,20 @@ func serveFlags(fs *flag.FlagSet) func(string) error {
 	return func(string) error {
 		nested := fs.Args() // everything after --
 
-		logger := newServeLogger()
+		logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 		srv := serve.New(serve.Options{Log: logger, Pprof: *withPprof, EventBuffer: *sseBuffer})
 		if err := srv.Start(*addr); err != nil {
 			return err
 		}
-		serveProgress = srv.Progress()
-		serveLogger = logger
-		serveObserver = srv.Observer()
-		defer func() {
-			serveObserver = nil
-			serveProgress = nil
-			serveLogger = nil
-		}()
 
 		var cmdErr error
 		if len(nested) > 0 {
 			if nested[0] == "serve" {
 				cmdErr = fmt.Errorf("serve cannot nest another serve")
 			} else {
+				served = srv
 				cmdErr = runCommand(nested[0], nested[1:])
+				served = nil
 			}
 			if *linger > 0 {
 				logger.Info("nested command finished, lingering", "linger", *linger, "url", srv.URL())

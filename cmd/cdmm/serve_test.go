@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,21 +26,47 @@ func captureStdout(t *testing.T, fn func() error) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
 	var buf bytes.Buffer
 	done := make(chan struct{})
 	go func() {
 		io.Copy(&buf, r)
 		close(done)
 	}()
-	ferr := fn()
-	w.Close()
-	os.Stdout = old
+	os.Stdout = w
+	ferr := func() error {
+		// Restored even when fn stops the test from inside a serve hook.
+		defer func() {
+			os.Stdout = old
+			w.Close()
+		}()
+		return fn()
+	}()
 	<-done
 	if ferr != nil {
 		t.Fatal(ferr)
 	}
 	return buf.String()
+}
+
+// servedRun runs the nested command line under `cdmm serve` on an
+// ephemeral port and returns what it printed. inspect gets the live
+// server's base URL after the nested command returns and before the
+// server shuts down.
+func servedRun(t *testing.T, inspect func(base string), nested ...string) string {
+	t.Helper()
+	ran := false
+	serveTestHook = func(srv *serve.Server) {
+		ran = true
+		inspect(srv.URL())
+	}
+	defer func() { serveTestHook = nil }()
+	out := captureStdout(t, func() error {
+		return runCommand("serve", append([]string{"-addr", "127.0.0.1:0", "--"}, nested...))
+	})
+	if !ran {
+		t.Fatal("serveTestHook did not run")
+	}
+	return out
 }
 
 // httpGetBody fetches a URL and returns the body.
@@ -81,11 +110,7 @@ func TestServeOutputByteIdenticalToServerless(t *testing.T) {
 // command and, via serveTestHook (which fires after the nested command
 // but before shutdown), checks that the live endpoints saw the run.
 func TestServeEndpointsAfterNestedRun(t *testing.T) {
-	var hookRan bool
-	serveTestHook = func(srv *serve.Server) {
-		hookRan = true
-		base := srv.URL()
-
+	out := servedRun(t, func(base string) {
 		health := httpGetBody(t, base+"/healthz")
 		if !strings.Contains(health, `"status": "ok"`) {
 			t.Errorf("healthz missing ok status: %s", health)
@@ -152,16 +177,161 @@ func TestServeEndpointsAfterNestedRun(t *testing.T) {
 		if !strings.Contains(metrics, "cdmm_serve_runs{state=\"done\"}") {
 			t.Errorf("metrics missing run-state gauge:\n%s", metrics)
 		}
-	}
-	defer func() { serveTestHook = nil }()
-
-	out := captureStdout(t, func() error {
-		return runCommand("serve", []string{"-addr", "127.0.0.1:0", "--", "table1", "-j", "4"})
-	})
-	if !hookRan {
-		t.Fatal("serveTestHook did not run")
-	}
+	}, "table1", "-j", "4")
 	if !strings.Contains(out, "MAIN") {
 		t.Fatalf("nested table1 printed nothing:\n%s", out)
 	}
+}
+
+// TestServeFileSinksMatchScrape: a nested command's file sinks do not
+// hide its runs from the server, and the server changes nothing in
+// them. Under `cdmm serve -- table1 -metrics m.json`, with or without
+// -events, the scrape's cdmm_refs_total equals m.json's refs counter,
+// and stdout and every file equal a serverless run's byte for byte.
+func TestServeFileSinksMatchScrape(t *testing.T) {
+	type sink struct{ flag, ext string }
+	metrics, events := sink{"-metrics", ".json"}, sink{"-events", ".jsonl"}
+	for _, set := range [][]sink{{metrics}, {events, metrics}} {
+		var name string
+		for _, s := range set {
+			name += s.flag
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			file := func(name string) string { return filepath.Join(dir, name) }
+			sinks := func(side string) []string {
+				var args []string
+				for _, s := range set {
+					args = append(args, s.flag, file(side+s.ext))
+				}
+				return args
+			}
+			plain := captureStdout(t, func() error {
+				return runCommand("table1", append([]string{"-j", "1"}, sinks("plain")...))
+			})
+			var scrape string
+			out := servedRun(t, func(base string) { scrape = httpGetBody(t, base+"/metrics") },
+				append([]string{"table1", "-j", "4"}, sinks("served")...)...)
+			if out != plain {
+				t.Errorf("served table1 printed\n%s\nwant the serverless\n%s", out, plain)
+			}
+			read := func(name string) []byte {
+				b, err := os.ReadFile(file(name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			for _, s := range set {
+				if !bytes.Equal(read("served"+s.ext), read("plain"+s.ext)) {
+					t.Errorf("served table1's %s file differs from the serverless run's", s.flag)
+				}
+			}
+			var snap struct {
+				Counters map[string]int64 `json:"counters"`
+			}
+			if err := json.Unmarshal(read("served.json"), &snap); err != nil {
+				t.Fatal(err)
+			}
+			if snap.Counters["refs"] == 0 {
+				t.Fatalf("metrics file counts no refs: %v", snap.Counters)
+			}
+			if want := fmt.Sprintf("\ncdmm_refs_total %d\n", snap.Counters["refs"]); !strings.Contains(scrape, want) {
+				t.Errorf("scrape lacks %q; its refs and faults lines: %q", strings.TrimSpace(want), promLines(scrape, "cdmm_refs_total", "cdmm_faults_total"))
+			}
+		})
+	}
+}
+
+// TestServeKernelPublishes: a kernel run under `cdmm serve` publishes
+// its telemetry, so /kernel serves the final view and the scrape carries
+// the cdmm_kernel_* series, while stdout, and a -metrics file when one
+// is asked for, stay those of a serverless run, which asks for no
+// telemetry.
+func TestServeKernelPublishes(t *testing.T) {
+	for _, metrics := range []bool{false, true} {
+		t.Run(fmt.Sprint("metrics=", metrics), func(t *testing.T) {
+			dir := t.TempDir()
+			args := func(side string) []string {
+				a := []string{"kernel", "-tenants", "300", "-quick"}
+				if metrics {
+					a = append(a, "-metrics", filepath.Join(dir, side+".json"))
+				}
+				return a
+			}
+			plain := captureStdout(t, func() error { return runCommand("kernel", args("plain")[1:]) })
+			var view, scrape string
+			out := servedRun(t, func(base string) {
+				view = httpGetBody(t, base+"/kernel")
+				scrape = httpGetBody(t, base+"/metrics")
+			}, args("served")...)
+			if out != plain {
+				t.Errorf("served kernel printed\n%s\nwant the serverless\n%s", out, plain)
+			}
+			var v struct {
+				Final bool `json:"final"`
+			}
+			if err := json.Unmarshal([]byte(view), &v); err != nil || !v.Final {
+				t.Errorf("/kernel = %s (err %v), want the final view", view, err)
+			}
+			if !strings.Contains(scrape, `cdmm_kernel_fault_latency_bucket{le="+Inf"}`) {
+				t.Errorf("scrape lacks the kernel fault-latency histogram; kernel lines: %q", promLines(scrape, "cdmm_kernel_"))
+			}
+			if !metrics {
+				return
+			}
+			plainFile, err := os.ReadFile(filepath.Join(dir, "plain.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			servedFile, err := os.ReadFile(filepath.Join(dir, "served.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(servedFile, plainFile) {
+				t.Errorf("served kernel's -metrics file\n%s\nwant the serverless\n%s", servedFile, plainFile)
+			}
+		})
+	}
+}
+
+// TestServeExplainPublishes: explain under `cdmm serve` puts its CD, LRU
+// and WS ledgers into the server's attribution store, and prints what a
+// serverless explain prints.
+func TestServeExplainPublishes(t *testing.T) {
+	plain := captureStdout(t, func() error { return runCommand("explain", []string{"HWSCRT"}) })
+	var listing string
+	out := servedRun(t, func(base string) { listing = httpGetBody(t, base+"/explain") }, "explain", "HWSCRT")
+	if out != plain {
+		t.Errorf("served explain printed\n%s\nwant the serverless\n%s", out, plain)
+	}
+	var l struct {
+		Runs []struct {
+			Run string `json:"run"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal([]byte(listing), &l); err != nil {
+		t.Fatal(err)
+	}
+	var runs []string
+	for _, r := range l.Runs {
+		runs = append(runs, r.Run)
+	}
+	if want := []string{"HWSCRT/CD", "HWSCRT/LRU", "HWSCRT/WS"}; !slices.Equal(runs, want) {
+		t.Errorf("/explain lists %v, want %v", runs, want)
+	}
+}
+
+// promLines returns the lines of a scrape that start with any prefix.
+func promLines(scrape string, prefixes ...string) []string {
+	var lines []string
+	for _, line := range strings.Split(scrape, "\n") {
+		for _, p := range prefixes {
+			if strings.HasPrefix(line, p) {
+				lines = append(lines, line)
+				break
+			}
+		}
+	}
+	return lines
 }

@@ -26,6 +26,13 @@ func traceFlags(fs *flag.FlagSet) func(string) error {
 	stat := fs.Bool("stat", false, "print per-section CDT3 sizes")
 	run := withOperand(func(in *operand) error {
 		src := in.src
+		if in.path != "" && *out == "" && !*stat {
+			// Nothing below reads the file's stream: walk it through the
+			// checking decoder before printing its header's totals.
+			if err := trace.Walk(src, trace.CursorOpts{}, func(trace.Block) bool { return true }); err != nil {
+				return err
+			}
+		}
 		fmt.Println(src.Meta().Summary())
 		if *repeat > 1 {
 			src = trace.Repeat(src, *repeat)

@@ -22,10 +22,8 @@
 package engine
 
 import (
-	"log/slog"
 	"runtime"
 	"sync"
-	"time"
 
 	"cdmm/internal/obs"
 	"cdmm/internal/vmsim"
@@ -59,9 +57,6 @@ type Engine struct {
 	// status endpoints (/progress); it costs one lock-free callback per
 	// progressChunk simulated events while runs are in flight.
 	progress *Progress
-	// log, when non-nil, receives structured lifecycle records (plan
-	// start/end, failures).
-	log *slog.Logger
 
 	// cellMode forces the per-cell replay path for sweep artifacts: every
 	// curve point is an independent full-trace simulation instead of a
@@ -91,13 +86,6 @@ func (e *Engine) WithObserver(o *obs.Observer) *Engine {
 // may be shared by several engines. Call before MapNamed.
 func (e *Engine) WithProgress(p *Progress) *Engine {
 	e.progress = p
-	return e
-}
-
-// WithLogger attaches a structured logger for plan/run lifecycle
-// records; nil (the default) logs nothing. Call before MapNamed.
-func (e *Engine) WithLogger(l *slog.Logger) *Engine {
-	e.log = l
 	return e
 }
 
@@ -189,12 +177,11 @@ func (e *Engine) newRunCtx(index int, base *obs.Observer, runID int) *RunCtx {
 // any parallelism level. With one worker the plan runs inline, in
 // order, with no goroutines — the overhead-guard path.
 //
-// label names the plan in the engine's Progress tracker and logs
-// ("table1", "chaos", ...; "" gets an auto-generated label). While an
-// event tracer is attached the whole plan additionally holds the
-// engine's plan lock, so simultaneous plans produce contiguous,
-// deterministically ordered merged streams (and must not nest — see the
-// Engine doc).
+// label names the plan in the engine's Progress tracker ("table1",
+// "chaos", ...; "" gets an auto-generated label). While an event tracer
+// is attached the whole plan additionally holds the engine's plan lock,
+// so simultaneous plans produce contiguous, deterministically ordered
+// merged streams (and must not nest — see the Engine doc).
 func MapNamed[T, R any](e *Engine, label string, items []T, fn func(*RunCtx, T) (R, error)) ([]R, error) {
 	base := e.obs
 	if base != nil && base.Tracer != nil {
@@ -208,13 +195,6 @@ func MapNamed[T, R any](e *Engine, label string, items []T, fn func(*RunCtx, T) 
 		var planID int
 		planID, baseRunID = e.progress.startPlan(label, n)
 		defer e.progress.finishPlan(planID)
-	}
-	if e.log != nil {
-		e.log.Info("plan start", "plan", label, "runs", n, "workers", e.workers)
-		start := time.Now()
-		defer func() {
-			e.log.Info("plan done", "plan", label, "runs", n, "wall", time.Since(start))
-		}()
 	}
 	runID := func(i int) int {
 		if baseRunID < 0 {
@@ -256,9 +236,6 @@ func MapNamed[T, R any](e *Engine, label string, items []T, fn func(*RunCtx, T) 
 		}
 	}
 	if len(failed) > 0 {
-		if e.log != nil {
-			e.log.Error("plan failed", "plan", label, "failed", len(failed), "of", n)
-		}
 		return nil, &PlanError{Runs: failed}
 	}
 	return results, nil
@@ -279,9 +256,6 @@ func runOne[T, R any](e *Engine, base *obs.Observer, i, runID int, item T, fn fu
 	res, err := fn(rc, item)
 	if p != nil {
 		p.runFinish(runID, any(res), err)
-	}
-	if err != nil && e.log != nil {
-		e.log.Error("run failed", "run", i, "err", err)
 	}
 	return res, rc, err
 }

@@ -505,6 +505,10 @@ func (g *liveGauges) flush() {
 // results in shard order. The returned Result (including violation and
 // per-tenant ordering) is byte-identical at any -j.
 func Run(cfg Config, eng *engine.Engine) (*Result, error) {
+	// The registry counts the plane's SLO and incident totals only when
+	// the caller asked for the plane: publishing alone leaves the
+	// registry as an unpublished run leaves it.
+	countPlane := cfg.Telemetry
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -602,7 +606,7 @@ func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 		sh := newShard(&cfg, i, shardFrames[i], perShard[i], o, gauges)
 		res := sh.run(obs.ProgressOf(rc.Obs))
 		if o != nil && o.Metrics != nil {
-			addShardMetrics(o.Metrics, res)
+			addShardMetrics(o.Metrics, res, countPlane)
 		}
 		rc.Report(vmsim.Result{
 			Policy: cfg.Pool, Refs: int(res.Refs), Faults: int(res.Faults),
@@ -682,8 +686,9 @@ func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 }
 
 // addShardMetrics folds a completed shard's totals into the registry's
-// kernel counters (atomic adds: order-independent totals at any -j).
-func addShardMetrics(reg *obs.Registry, sr *shardResult) {
+// kernel counters (atomic adds: order-independent totals at any -j),
+// and the telemetry plane's when countPlane is set.
+func addShardMetrics(reg *obs.Registry, sr *shardResult, countPlane bool) {
 	reg.Counter("kernel_refs").Add(sr.Refs)
 	reg.Counter("kernel_faults").Add(sr.Faults)
 	reg.Counter("kernel_admitted").Add(sr.Admitted)
@@ -698,7 +703,7 @@ func addShardMetrics(reg *obs.Registry, sr *shardResult) {
 	reg.Counter("kernel_thrash_events").Add(sr.ThrashEvents)
 	reg.Counter("kernel_starved").Add(sr.Starved)
 	reg.Counter("kernel_violations").Add(int64(len(sr.Violations)))
-	if sr.Telem != nil {
+	if countPlane {
 		reg.Counter("kernel_slo_admit_good").Add(sr.Telem.admitGood)
 		reg.Counter("kernel_slo_admit_bad").Add(sr.Telem.admitBad)
 		reg.Counter("kernel_slo_rate_good").Add(sr.Telem.rateGood)

@@ -39,12 +39,9 @@ import (
 // ns prefixes every exported metric name.
 const ns = "cdmm"
 
-// Options configures a Server. The zero value is usable: a fresh
-// registry is created on demand and defaults are applied by New.
+// Options configures a Server. The zero value is usable: defaults are
+// applied by New.
 type Options struct {
-	// Registry is scraped at /metrics (a fresh one when nil). Share it
-	// with the observers of the runs to be monitored.
-	Registry *obs.Registry
 	// Log receives structured lifecycle records; nil logs nothing.
 	Log *slog.Logger
 	// Pprof exposes /debug/pprof/ when true.
@@ -64,6 +61,9 @@ type Server struct {
 	log *slog.Logger
 	hub *hub
 
+	// registry is scraped at /metrics; Observer hands it to the runs to
+	// be monitored.
+	registry *obs.Registry
 	// progress backs /progress and /runs/{id}; Progress hands it to the
 	// engines to be monitored.
 	progress *engine.Progress
@@ -98,9 +98,6 @@ type Server struct {
 
 // New builds a server (not yet listening) from opt.
 func New(opt Options) *Server {
-	if opt.Registry == nil {
-		opt.Registry = obs.NewRegistry()
-	}
 	if opt.EventBuffer <= 0 {
 		opt.EventBuffer = 256
 	}
@@ -113,6 +110,7 @@ func New(opt Options) *Server {
 	}
 	s := &Server{
 		opt: opt, log: log, hub: newHub(), started: time.Now(),
+		registry: obs.NewRegistry(),
 		progress: engine.NewProgress(),
 		explain:  attr.NewStore(),
 		kernel:   kernel.NewTelemetryStore(),
@@ -172,7 +170,7 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // itself as the gate, plus nothing else — callers layer file sinks on
 // top with obs.MultiTracer when both are wanted.
 func (s *Server) Observer() *obs.Observer {
-	return &obs.Observer{Tracer: s.hub, Metrics: s.opt.Registry, Gate: s}
+	return &obs.Observer{Tracer: s.hub, Metrics: s.registry, Gate: s}
 }
 
 // Progress returns the tracker backing /progress (never nil after New).
@@ -230,7 +228,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // scrapeMu when using the server's pooled state.
 func (s *Server) renderMetrics(buf *bytes.Buffer) {
 	buf.Reset()
-	s.opt.Registry.SnapshotInto(&s.scrapeSnap)
+	s.registry.SnapshotInto(&s.scrapeSnap)
 	s.scrapeRaw = s.scrapeSnap.AppendPrometheus(s.scrapeRaw[:0], ns)
 	buf.Write(s.scrapeRaw)
 	s.writeServeMetrics(buf)

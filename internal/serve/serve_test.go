@@ -384,7 +384,7 @@ func TestScrapeDuringChaos(t *testing.T) {
 
 	_, body := get(t, client, srv.URL()+"/metrics")
 	vals := checkPromBody(t, body)
-	snap := srv.opt.Registry.Snapshot()
+	snap := srv.registry.Snapshot()
 	for _, c := range snap.Counters {
 		series := "cdmm_" + strings.Map(sanitizeRune, c.Name)
 		if !strings.HasSuffix(series, "_total") {
@@ -430,7 +430,7 @@ func TestServeObserverFastPathWhenUnwatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := srv.opt.Registry.Snapshot(); len(snap.Counters) != 0 {
+	if snap := srv.registry.Snapshot(); len(snap.Counters) != 0 {
 		t.Errorf("unwatched run leaked %d counters into the registry", len(snap.Counters))
 	}
 	tr, err := workloadTrace("CONDUCT")
