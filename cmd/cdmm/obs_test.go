@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -83,6 +86,32 @@ func TestCmdSimProfileFlags(t *testing.T) {
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("profile %s missing or empty: %v", path, err)
 		}
+	}
+}
+
+// TestCmdFailedActivationLeavesNoFiles: when -cpuprofile cannot be
+// created, the command fails before it runs, with the -events sink it
+// opened first closed again and its file removed.
+func TestCmdFailedActivationLeavesNoFiles(t *testing.T) {
+	dir := t.TempDir()
+	events := filepath.Join(dir, "x.jsonl")
+	args := []string{"-events", events, "-cpuprofile", filepath.Join(dir, "missing", "x.pprof")}
+	if err := runCommand("sim", append([]string{"MAIN"}, args...)); err == nil {
+		t.Fatal("sim with an uncreatable -cpuprofile succeeded")
+	}
+	if _, err := os.Stat(events); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed activation left the -events file behind (stat: %v)", err)
+	}
+	set := flag.NewFlagSet("sim", flag.ContinueOnError)
+	of := registerObsFlags(set)
+	if err := set.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := of.activate(); err == nil {
+		t.Fatal("activate with an uncreatable -cpuprofile succeeded")
+	}
+	if of.sink != nil || of.observer != nil {
+		t.Error("failed activation left its -events sink open")
 	}
 }
 

@@ -67,7 +67,8 @@ func runObserver(tracer obs.Tracer, reg *obs.Registry) *obs.Observer {
 // activate opens the requested sinks, decides the command's run
 // observer and starts CPU profiling. The returned finish func must be
 // called exactly once after the command's work to flush and close
-// everything; its error must be propagated.
+// everything; its error must be propagated. A failed activation leaves
+// no sink open and no file behind.
 func (f *obsFlags) activate() (func() error, error) {
 	var tracer obs.Tracer
 	if *f.events != "" {
@@ -78,22 +79,29 @@ func (f *obsFlags) activate() (func() error, error) {
 		f.sink = obs.NewJSONLSink(file)
 		tracer = f.sink
 	}
+	if *f.cpuprofile != "" {
+		file, err := os.Create(*f.cpuprofile)
+		if err == nil {
+			if err = pprof.StartCPUProfile(file); err != nil {
+				file.Close()
+				os.Remove(*f.cpuprofile)
+			}
+		}
+		if err != nil {
+			if f.sink != nil {
+				f.sink.Close()
+				os.Remove(*f.events)
+				f.sink = nil
+			}
+			return nil, err
+		}
+		f.cpu = file
+	}
 	var reg *obs.Registry
 	if *f.metrics != "" {
 		reg = obs.NewRegistry()
 	}
 	f.observer = runObserver(tracer, reg)
-	if *f.cpuprofile != "" {
-		file, err := os.Create(*f.cpuprofile)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(file); err != nil {
-			file.Close()
-			return nil, err
-		}
-		f.cpu = file
-	}
 	return f.finish, nil
 }
 

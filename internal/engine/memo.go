@@ -222,7 +222,10 @@ func (e *Engine) CDRun(rc *RunCtx, tr *trace.Trace, set workloads.Set, minAlloc 
 // instrumented (per-reference events, exactly as before the curve
 // plane); otherwise curve mode reads the point off the one-pass grid
 // engine and cell mode replays the directive-stripped trace solo.
-func (e *Engine) WSRun(rc *RunCtx, tr *trace.Trace, tau int) (vmsim.Result, error) {
+// also lists windows the caller will ask for next; curve mode computes
+// any the trace's window store lacks in the same grid pass (see
+// OnePassWS).
+func (e *Engine) WSRun(rc *RunCtx, tr *trace.Trace, tau int, also ...int) (vmsim.Result, error) {
 	k := Key{Kind: "ws-run", Trace: tr, Params: fmt.Sprintf("tau=%d", tau)}
 	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
 		if o.Enabled() {
@@ -235,12 +238,22 @@ func (e *Engine) WSRun(rc *RunCtx, tr *trace.Trace, tau int) (vmsim.Result, erro
 		if err != nil {
 			return nil, err
 		}
-		return s.Run(tau)
+		return s.Run(tau, also...)
 	})
 	if err != nil {
 		return vmsim.Result{}, err
 	}
 	return v.(vmsim.Result), nil
+}
+
+// OnePassWS reports whether the engine reads WS windows off the one-pass
+// grid engine: curve mode with no enabled observer. Only then does
+// naming the windows a caller will need next (WSRun's and WSMinST's
+// also) save traversals; cell mode and observed runs replay each window
+// on its own, and an observed caller must not request extra memoized
+// runs to find those windows, which would reorder its event stream.
+func (e *Engine) OnePassWS() bool {
+	return !e.cellMode && !e.obs.Enabled()
 }
 
 // wsMin pairs the minimizing window with its result.
@@ -251,12 +264,13 @@ type wsMin struct {
 
 // WSMinST returns the working-set window minimizing space-time cost and
 // its full result, computed once per engine. In curve mode the whole τ
-// ladder falls out of one grid-engine traversal; cell mode replays the
-// trace at every ladder point. The search itself is never observed: with
-// an enabled observer the minimizing window's result comes from WSRun,
-// so a watched run replays only the one window the table prints, and its
-// event stream is the same in either mode.
-func (e *Engine) WSMinST(rc *RunCtx, tr *trace.Trace) (int, vmsim.Result, error) {
+// ladder, and the windows in also (as in WSRun), fall out of one
+// grid-engine traversal; cell mode replays the trace at every ladder
+// point. The search itself is never observed: with an enabled observer
+// the minimizing window's result comes from WSRun, so a watched run
+// replays only the one window the table prints, and its event stream is
+// the same in either mode.
+func (e *Engine) WSMinST(rc *RunCtx, tr *trace.Trace, also ...int) (int, vmsim.Result, error) {
 	k := Key{Kind: "ws-min", Trace: tr}
 	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
 		var m wsMin
@@ -274,7 +288,7 @@ func (e *Engine) WSMinST(rc *RunCtx, tr *trace.Trace) (int, vmsim.Result, error)
 			if err != nil {
 				return nil, err
 			}
-			if m.tau, m.res, err = s.MinST(); err != nil {
+			if m.tau, m.res, err = s.MinST(also...); err != nil {
 				return nil, err
 			}
 		}

@@ -98,6 +98,37 @@ func cdRun(eng *engine.Engine, rc *engine.RunCtx, v Variant) (*trace.Trace, vmsi
 	return tr, r, err
 }
 
+// wsWindows returns the WS windows Tables 3 and 4 compare at for every
+// variant of program: each variant's equal-MEM window TauForMEM(MEM) and
+// equal-PF window MinTauForFaults(PF), from its memoized CD run. A row
+// passes them as the also windows of its first WS request, so each
+// program's trace goes through the grid engine once per engine. It
+// returns none unless the engine reads windows off that one pass
+// (engine.OnePassWS): the sibling CD runs would reorder an observed
+// run's event stream.
+func wsWindows(eng *engine.Engine, rc *engine.RunCtx, tr *trace.Trace, program string) ([]int, error) {
+	if !eng.OnePassWS() {
+		return nil, nil
+	}
+	s, err := eng.WSSweep(rc, tr)
+	if err != nil {
+		return nil, err
+	}
+	var taus []int
+	for _, v := range Table34Variants {
+		if v.Program != program {
+			continue
+		}
+		_, cd, err := cdRun(eng, rc, v)
+		if err != nil {
+			return nil, err
+		}
+		tau, _ := s.MinTauForFaults(cd.Faults)
+		taus = append(taus, s.TauForMEM(cd.MEM()), tau)
+	}
+	return taus, nil
+}
+
 func pct(other, cd float64) float64 {
 	if cd == 0 {
 		return 0
@@ -144,7 +175,8 @@ type Row2 struct {
 
 // Table2 reproduces Table 2: minimal space-time cost of LRU and WS versus
 // CD. The LRU minimum is over every allocation 1..V; the WS minimum is
-// over the τ ladder.
+// over the τ ladder, whose grid pass also computes the windows Tables 3
+// and 4 read for the program (wsWindows).
 func Table2(eng *engine.Engine) ([]Row2, error) {
 	return engine.MapNamed(eng, "table2", Table2Variants, func(rc *engine.RunCtx, v Variant) (Row2, error) {
 		rc.Describe(v.Program+"/"+v.Set, "CD vs LRU/WS minima")
@@ -158,7 +190,11 @@ func Table2(eng *engine.Engine) ([]Row2, error) {
 			return Row2{}, err
 		}
 		mLRU, stLRU := lru.MinST()
-		tauWS, wsRes, err := eng.WSMinST(rc, tr)
+		also, err := wsWindows(eng, rc, tr, v.Program)
+		if err != nil {
+			return Row2{}, err
+		}
+		tauWS, wsRes, err := eng.WSMinST(rc, tr, also...)
 		if err != nil {
 			return Row2{}, err
 		}
@@ -218,7 +254,11 @@ func Table3(eng *engine.Engine) ([]Row3, error) {
 			return Row3{}, err
 		}
 		tau := wsSweep.TauForMEM(cd.MEM())
-		ws, err := eng.WSRun(rc, tr, tau)
+		also, err := wsWindows(eng, rc, tr, v.Program)
+		if err != nil {
+			return Row3{}, err
+		}
+		ws, err := eng.WSRun(rc, tr, tau, also...)
 		if err != nil {
 			return Row3{}, err
 		}
@@ -281,7 +321,11 @@ func Table4(eng *engine.Engine) ([]Row4, error) {
 			return Row4{}, err
 		}
 		tau, okWS := wsSweep.MinTauForFaults(cd.Faults)
-		ws, err := eng.WSRun(rc, tr, tau)
+		also, err := wsWindows(eng, rc, tr, v.Program)
+		if err != nil {
+			return Row4{}, err
+		}
+		ws, err := eng.WSRun(rc, tr, tau, also...)
 		if err != nil {
 			return Row4{}, err
 		}

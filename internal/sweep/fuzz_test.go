@@ -53,6 +53,23 @@ func FuzzSweep(f *testing.F) {
 		if got := ws.Faults(tau); got != wsCell.Faults {
 			t.Fatalf("WS tau=%d: histogram faults %d != cell %d", tau, got, wsCell.Faults)
 		}
+		// One Curve on a fresh index across the closed-form threshold T:
+		// below, at and above it, and past the end of the trace.
+		fresh, err := sweep.NewWS(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := fresh.Tail()
+		taus := []int{tail - 1, tail, tail + 1 + int(knob), tr.Refs + 1}
+		rs, err := fresh.Curve(taus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tau := range taus {
+			if cell := vmsim.Run(tr.RefsOnly(), policy.NewWS(max(tau, 1))); rs[i] != cell {
+				t.Fatalf("WS tau=%d (T=%d): curve %+v != cell %+v", tau, tail, rs[i], cell)
+			}
+		}
 
 		caps := []int{1, m}
 		fifo, err := sweep.FIFOCurve(tr, caps)

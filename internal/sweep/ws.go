@@ -30,11 +30,14 @@ import (
 // reference), searched by binary search.
 //
 // The space-time integral couples the working-set size to fault instants
-// and does not reduce to a histogram; Curve computes it exactly for a
-// whole τ grid in one event-driven traversal (see Curve), which is what
-// MinST and Run use. All paths are cross-validated against brute
-// per-cell replay in the tests. A WS is safe for concurrent use: the
-// engine shares one per trace across concurrent table rows.
+// and does not reduce to a histogram below the tail threshold T (see
+// tail); Curve computes it exactly for a whole τ grid in one
+// event-driven traversal (see Curve), which is what MinST and Run use.
+// Every result Curve computes stays in the WS's window store, so a
+// window is computed at most once per WS. All paths are cross-validated
+// against brute per-cell replay in the tests. A WS is safe for
+// concurrent use: the engine shares one per trace across concurrent
+// table rows.
 type WS struct {
 	Refs int
 	src  trace.Source
@@ -48,8 +51,20 @@ type WS struct {
 	// distance is at most d.
 	upTo []distanceSum
 
-	// ladder is Curve(vmsim.DefaultTaus(Refs)), built once on first MinST.
-	ladder func() ([]vmsim.Result, error)
+	// distinct is V, the number of distinct pages referenced.
+	distinct int
+	// tail is T, the larger of the largest backward interval and the
+	// time of the last first reference. At every window τ ≥ T only first
+	// references fault, and no page expires before the last of them, so
+	// the k-th fault leaves k pages resident: Curve answers those windows
+	// in closed form (closedForm) and walks the trace only for the rest.
+	tail int
+
+	// mu guards windows and serializes grid passes, so a window that
+	// concurrent callers all lack is computed by one traversal.
+	mu sync.Mutex
+	// windows is the store: every result Curve has produced, by window.
+	windows map[int]vmsim.Result
 }
 
 type intervalCount struct {
@@ -62,15 +77,12 @@ type distanceSum struct {
 }
 
 // NewWS analyzes a reference stream's histograms in one traversal. The
-// source is retained: Curve/Run/MinST traverse it again (once per grid,
-// not once per τ).
+// source is retained: Curve/Run/MinST traverse it again (at most once
+// per call, for the windows below the tail threshold the store lacks).
 func NewWS(src trace.Source) (*WS, error) {
 	meta := src.Meta()
 	n := meta.Refs
-	s := &WS{Refs: n, src: src}
-	s.ladder = sync.OnceValues(func() ([]vmsim.Result, error) {
-		return s.Curve(vmsim.DefaultTaus(n))
-	})
+	s := &WS{Refs: n, src: src, windows: map[int]vmsim.Result{}}
 
 	// hist counts references by interval; a build-time temporary. A
 	// re-reference at backward interval k also ends the forward distance
@@ -87,6 +99,7 @@ func NewWS(src trace.Source) (*WS, error) {
 				hist[t-prev]++ // always <= n
 			} else {
 				firsts++
+				s.tail = t
 			}
 			last[pg] = t
 		}
@@ -95,12 +108,14 @@ func NewWS(src trace.Source) (*WS, error) {
 		return nil, err
 	}
 
+	s.distinct = firsts
 	refs := firsts
 	if firsts > 0 {
 		s.atLeast = append(s.atLeast, intervalCount{n + 1, refs})
 	}
 	for b := n; b >= 1; b-- {
 		if hist[b] > 0 {
+			s.tail = max(s.tail, b)
 			refs += hist[b]
 			s.atLeast = append(s.atLeast, intervalCount{b, refs})
 		}
@@ -141,17 +156,16 @@ func (s *WS) Faults(tau int) int {
 	return s.atLeast[i].refs
 }
 
-// MemSum returns Σ_t |W(t,τ)|.
+// MemSum returns Σ_t |W(t,τ)|. The sum is an integer below 2^53, so the
+// float64 conversion is exact and matches per-cell accumulation bit for
+// bit.
 func (s *WS) MemSum(tau int) float64 {
-	if tau < 1 {
-		tau = 1
-	}
-	if tau > s.Refs+1 {
-		tau = s.Refs + 1
-	}
-	// Σ min(τ, d) = Σ_{d<=τ} d + τ·#{d>τ}. Every partial sum is an
-	// integer below 2^53, so the float64 conversion is exact and matches
-	// per-cell accumulation bit for bit.
+	return float64(s.memSum(tau))
+}
+
+// memSum is MemSum in integers: Σ min(τ, d) = Σ_{d<=τ} d + τ·#{d>τ}.
+func (s *WS) memSum(tau int) int64 {
+	tau = min(max(tau, 1), s.Refs+1)
 	var within distanceSum
 	if i := sort.Search(len(s.upTo), func(i int) bool { return s.upTo[i].d > tau }); i > 0 {
 		within = s.upTo[i-1]
@@ -160,7 +174,7 @@ func (s *WS) MemSum(tau int) float64 {
 	if len(s.upTo) > 0 {
 		total = s.upTo[len(s.upTo)-1].refs
 	}
-	return float64(within.sum) + float64(tau)*float64(total-within.refs)
+	return within.sum + int64(tau)*(total-within.refs)
 }
 
 // MEM returns the average working-set size under window size tau.
@@ -212,10 +226,11 @@ func (s *WS) MinTauForFaults(target int) (int, bool) {
 	return lo, true
 }
 
-// Run returns the exact replay result at one window size, computed by the
-// curve engine in one stream traversal.
-func (s *WS) Run(tau int) (vmsim.Result, error) {
-	rs, err := s.Curve([]int{tau})
+// Run returns the exact replay result at one window size, read off the
+// curve engine. also lists windows the caller will ask for next: Curve
+// computes them in the same traversal and keeps them in the store.
+func (s *WS) Run(tau int, also ...int) (vmsim.Result, error) {
+	rs, err := s.Curve(append([]int{tau}, also...))
 	if err != nil {
 		return vmsim.Result{}, err
 	}
@@ -223,13 +238,13 @@ func (s *WS) Run(tau int) (vmsim.Result, error) {
 }
 
 // MinST scans the standard τ ladder for the window minimizing the
-// space-time cost, computing the whole ladder's exact results in one
-// traversal. It returns the best τ and its full result; ties break toward
-// the smaller τ (strict-less scan in ladder order), matching the per-cell
-// ladder scan.
-func (s *WS) MinST() (int, vmsim.Result, error) {
+// space-time cost, computing the whole ladder's exact results (and the
+// windows in also, as in Run) in one traversal at most. It returns the
+// best τ and its full result; ties break toward the smaller τ
+// (strict-less scan in ladder order), matching the per-cell ladder scan.
+func (s *WS) MinST(also ...int) (int, vmsim.Result, error) {
 	taus := vmsim.DefaultTaus(s.Refs)
-	curve, err := s.ladder()
+	curve, err := s.Curve(append(taus, also...))
 	if err != nil {
 		return 0, vmsim.Result{}, err
 	}
@@ -242,50 +257,88 @@ func (s *WS) MinST() (int, vmsim.Result, error) {
 	return bestTau, best, nil
 }
 
-// Curve computes the exact replay result for every window size in taus —
-// PF, MEM, the fault-coupled space-time integral, peak working set — in
-// ONE traversal of the stream.
+// Curve returns the exact replay result for every window size in taus —
+// PF, MEM, the fault-coupled space-time integral, peak working set —
+// from the store, computing the windows it lacks first: those at or
+// above the tail threshold in closed form, the rest in ONE traversal of
+// the stream (none when every lacking window is in the tail).
 //
-// The engine is event-driven. Grid windows are kept sorted; per window i
-// it holds the live working-set size ws[i] and the last materialized
-// step lastT[i], accumulating the (overwhelmingly common) no-change
-// steps lazily as ws[i]×Δt. Per step t with backward interval b, windows
-// with τ < b fault (a prefix of the sorted grid, found by binary
-// search). Expiries are lazy chains through a calendar ring: the
+// The traversal is event-driven. Grid windows are kept sorted; per
+// window i it holds the live working-set size ws[i] and the last
+// materialized step lastT[i], accumulating the (overwhelmingly common)
+// no-change steps lazily as ws[i]×Δt. Per step t with backward interval
+// b, windows with τ < b fault (a prefix of the sorted grid, found by
+// binary search). Expiries are lazy chains through a calendar ring: the
 // reference at time u schedules one event at u+τ₀; when it fires, the
 // chain dies if the page was re-referenced meanwhile, otherwise window 0
 // expires the page and the chain advances to u+τ₁, and so on up the
 // grid. Total work is O(R·log|grid| + Σ_i PF(τ_i) + Σ_i X(τ_i)) — the
-// activity the curves themselves measure — instead of O(R×|grid|).
+// activity the curves themselves measure — instead of O(R×|grid|). The
+// ring has one slot per step of the largest window walked, which lies
+// below the tail threshold however large the requested windows are.
 // Windows below 1 are treated as 1.
 func (s *WS) Curve(taus []int) ([]vmsim.Result, error) {
 	if len(taus) == 0 {
 		return nil, nil
 	}
-	// Sorted unique grid; results fan back out to the caller's order at
-	// the end.
-	uniq := make([]int, len(taus))
-	for i, tau := range taus {
-		uniq[i] = max(tau, 1)
-	}
-	sort.Ints(uniq)
-	g := 0
-	for i, tau := range uniq {
-		if i == 0 || tau != uniq[g-1] {
-			uniq[g] = tau
-			g++
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var walk []int
+	for _, tau := range taus {
+		tau = max(tau, 1)
+		if _, ok := s.windows[tau]; ok {
+			continue
+		}
+		if tau >= s.tail {
+			s.windows[tau] = s.closedForm(tau)
+		} else {
+			walk = append(walk, tau)
 		}
 	}
-	uniq = uniq[:g]
-	grid, err := s.runGrid(uniq)
-	if err != nil {
-		return nil, err
+	if len(walk) > 0 {
+		slices.Sort(walk)
+		walk = slices.Compact(walk)
+		grid, err := s.runGrid(walk)
+		if err != nil {
+			return nil, err
+		}
+		for i, tau := range walk {
+			s.windows[tau] = grid[i]
+		}
 	}
 	out := make([]vmsim.Result, len(taus))
 	for i, tau := range taus {
-		out[i] = grid[sort.SearchInts(uniq, max(tau, 1))]
+		out[i] = s.windows[max(tau, 1)]
 	}
 	return out, nil
+}
+
+// closedForm is the result at a window τ at or above the tail threshold
+// (see tail): only the V first references fault, the k-th leaving k
+// pages resident through its FaultService extra time units. So PF and
+// the peak are V, VTime = R + V·FaultService and
+// ST = MemSum(τ) + FaultService·V(V+1)/2.
+func (s *WS) closedForm(tau int) vmsim.Result {
+	v := int64(s.distinct)
+	memSum := s.memSum(tau)
+	return vmsim.ResultOf(policy.NewWS(tau), s.Refs, &policy.BlockResult{
+		Faults:      s.distinct,
+		MaxResident: s.distinct,
+		VTime:       int64(s.Refs) + v*policy.FaultService,
+		MemSum:      memSum,
+		SpaceTime:   memSum + policy.FaultService*v*(v+1)/2,
+	})
+}
+
+// gridPass, when set, observes every grid traversal: its windows and the
+// slot count of its calendar ring. The tests count traversals with it.
+var gridPass func(grid []int, ring int)
+
+// chain is one reference's expiry chain in runGrid's calendar ring: the
+// next node+1 in its fire-slot bucket (0 ends it), the page, and the grid
+// index of its pending expiry.
+type chain struct {
+	next, page, idx int32
 }
 
 // runGrid executes the event-driven lockstep pass over the sorted unique
@@ -310,7 +363,8 @@ func (s *WS) runGrid(uniq []int) ([]vmsim.Result, error) {
 
 	// Calendar ring of expiry chains. A chain lives at node u % W (at
 	// most one per reference in the trailing τ_max window), linked into
-	// the bucket of its next fire time.
+	// the bucket of its next fire time. A chain firing at step t for
+	// window i was created at u = t − τ_i.
 	w := uniq[g-1] + 1
 	if w > n+1 {
 		w = n + 1 // fire times never exceed n
@@ -318,11 +372,11 @@ func (s *WS) runGrid(uniq []int) ([]vmsim.Result, error) {
 	if w < 1 {
 		w = 1
 	}
+	if gridPass != nil {
+		gridPass(uniq, w)
+	}
 	heads := make([]int32, w) // fire-slot -> node+1; 0 = empty
-	nxt := make([]int32, w)   // node -> next node+1 in bucket
-	nodeU := make([]int, w)   // node -> chain creation time
-	nodePage := make([]int32, w)
-	nodeIdx := make([]int32, w) // node -> grid index of pending expiry
+	nodes := make([]chain, w)
 
 	span, _ := pageSpan(meta)
 	last := make([]int, span)
@@ -344,20 +398,21 @@ func (s *WS) runGrid(uniq []int) ([]vmsim.Result, error) {
 			exits = exits[:0]
 			slot := int32(t % w)
 			for nd := heads[slot]; nd != 0; {
-				node := nd - 1
-				nd = nxt[node]
-				u := nodeU[node]
-				if last[nodePage[node]] != u {
+				link := nd // c's node+1
+				c := &nodes[nd-1]
+				nd = c.next
+				i := c.idx
+				u := t - uniq[i]
+				if last[c.page] != u {
 					continue // page re-referenced in (u, t]: chain dies
 				}
-				i := nodeIdx[node]
 				exits = append(exits, i)
 				if int(i+1) < g {
 					if fire := u + uniq[i+1]; fire <= n {
-						nodeIdx[node] = i + 1
-						s2 := int32(fire % w)
-						nxt[node] = heads[s2]
-						heads[s2] = node + 1
+						c.idx = i + 1
+						s2 := fire % w
+						c.next = heads[s2]
+						heads[s2] = link
 					}
 				}
 			}
@@ -416,13 +471,10 @@ func (s *WS) runGrid(uniq []int) ([]vmsim.Result, error) {
 
 			// Schedule this reference's expiry chain.
 			if fire := t + tau0; fire <= n {
-				node := int32(t % w)
-				nodeU[node] = t
-				nodePage[node] = int32(pg)
-				nodeIdx[node] = 0
-				s2 := int32(fire % w)
-				nxt[node] = heads[s2]
-				heads[s2] = node + 1
+				node := t % w
+				s2 := fire % w
+				nodes[node] = chain{next: heads[s2], page: int32(pg)}
+				heads[s2] = int32(node + 1)
 			}
 		}
 	})

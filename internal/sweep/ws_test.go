@@ -2,12 +2,15 @@ package sweep_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"cdmm/internal/policy"
 	"cdmm/internal/sweep"
+	"cdmm/internal/trace"
 	"cdmm/internal/vmsim"
+	"cdmm/internal/workloads"
 )
 
 var wsTaus = []int{1, 2, 3, 5, 10, 25, 80, 300, 2500}
@@ -181,5 +184,108 @@ func TestWSMinSTMatchesLadderScan(t *testing.T) {
 	}
 	if tau != bestTau || res != best {
 		t.Fatalf("MinST (%d, %+v) != ladder scan (%d, %+v)", tau, res, bestTau, best)
+	}
+}
+
+// TestWSClosedFormTailEveryWindow checks one Curve over every window τ in
+// 1..R+2 against one replay per τ on seeded random short traces. The
+// windows at or above the tail threshold T come from the closed form, the
+// others from the grid pass, so both halves and their boundary are
+// covered.
+func TestWSClosedFormTailEveryWindow(t *testing.T) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		tr := randomTrace(seed, 1+int(seed*37%240), 1+int(seed%13))
+		s := mustWS(t, tr)
+		if tail := s.Tail(); tail < 1 || tail > tr.Refs {
+			t.Fatalf("seed %d: tail threshold %d outside [1, R=%d]", seed, tail, tr.Refs)
+		}
+		taus := make([]int, tr.Refs+2)
+		for i := range taus {
+			taus[i] = i + 1
+		}
+		got, err := s.Curve(taus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tau := range taus {
+			if b := vmsim.Run(tr.RefsOnly(), policy.NewWS(tau)); got[i] != b {
+				t.Fatalf("seed %d R=%d T=%d tau=%d:\n curve %+v\n brute %+v", seed, tr.Refs, s.Tail(), tau, got[i], b)
+			}
+		}
+	}
+}
+
+// TestWSRingSizedBelowTail checks that a ladder over a repeated stream
+// sizes its calendar ring by the largest window below the tail threshold:
+// on a repeated stream the threshold is at most one copy's length, so
+// the ring stays near one copy however many copies follow.
+func TestWSRingSizedBelowTail(t *testing.T) {
+	p, err := workloads.Compile("FDJAC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := p.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustWS(t, trace.Repeat(tr, 8))
+	if s.Tail() > tr.Refs {
+		t.Fatalf("tail threshold %d exceeds one copy (%d references)", s.Tail(), tr.Refs)
+	}
+	taus := vmsim.DefaultTaus(s.Refs)
+	below := 0
+	for _, tau := range taus {
+		if tau < s.Tail() {
+			below = max(below, tau)
+		}
+	}
+	passes, stop := sweep.RecordPasses()
+	defer stop()
+	if _, err := s.Curve(taus); err != nil {
+		t.Fatal(err)
+	}
+	ps := passes()
+	if len(ps) != 1 {
+		t.Fatalf("ladder made %d grid traversals, want 1", len(ps))
+	}
+	if ps[0].Ring != below+1 {
+		t.Errorf("ring has %d slots, want %d (largest window below T=%d, plus one); R=%d, largest window %d",
+			ps[0].Ring, below+1, s.Tail(), s.Refs, taus[len(taus)-1])
+	}
+}
+
+// TestWSStoreConcurrent asks one WS for the same windows from several
+// goroutines at once: one grid traversal computes them, and every caller
+// reads the same exact results from the store.
+func TestWSStoreConcurrent(t *testing.T) {
+	tr := randomTrace(31, 3000, 40)
+	s := mustWS(t, tr)
+	taus := []int{1, 7, 40, 300, s.Tail(), 5000}
+	passes, stop := sweep.RecordPasses()
+	defer stop()
+	var wg sync.WaitGroup
+	got := make([][]vmsim.Result, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs, err := s.Curve(taus)
+			if err != nil {
+				t.Error(err)
+			}
+			got[g] = rs
+		}()
+	}
+	wg.Wait()
+	if n := len(passes()); n != 1 {
+		t.Errorf("%d concurrent requests for the same windows made %d grid traversals, want 1", len(got), n)
+	}
+	for i, tau := range taus {
+		b := vmsim.Run(tr.RefsOnly(), policy.NewWS(tau))
+		for g := range got {
+			if len(got[g]) != len(taus) || got[g][i] != b {
+				t.Fatalf("caller %d tau=%d: store result differs from brute %+v", g, tau, b)
+			}
+		}
 	}
 }
