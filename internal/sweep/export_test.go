@@ -6,8 +6,11 @@ import "sync"
 // τ ≥ T from the histograms and walks the trace only for the others.
 func (s *WS) Tail() int { return s.tail }
 
+// WSBlock is the grid pass's time block, in references.
+const WSBlock = wsBlock
+
 // Pass is one grid traversal: its sorted windows and the slot count of
-// its calendar ring.
+// its position ring.
 type Pass struct {
 	Grid []int
 	Ring int

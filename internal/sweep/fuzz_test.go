@@ -71,6 +71,28 @@ func FuzzSweep(f *testing.F) {
 			}
 		}
 
+		// One multi-window Curve on the input, and on the input repeated
+		// past one block of the grid pass.
+		k := int(knob)
+		grid := []int{1, 2, k%7 + 1, k + 1, 2*k + 3, 17*k + 1, sweep.WSBlock - 1, sweep.WSBlock, sweep.WSBlock + 1}
+		long := trace.New("fuzz-long")
+		for long.Refs <= sweep.WSBlock {
+			for _, pg := range tr.Pages() {
+				long.AddRef(pg)
+			}
+		}
+		for _, in := range []*trace.Trace{tr, long} {
+			rs, err := mustWS(t, in).Curve(grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tau := range grid {
+				if cell := vmsim.Run(in, policy.NewWS(tau)); rs[i] != cell {
+					t.Fatalf("WS grid %v tau=%d (R=%d): curve %+v != cell %+v", grid, tau, in.Refs, rs[i], cell)
+				}
+			}
+		}
+
 		caps := []int{1, m}
 		fifo, err := sweep.FIFOCurve(tr, caps)
 		if err != nil {

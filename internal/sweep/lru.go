@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"sort"
-
 	"cdmm/internal/mem"
 	"cdmm/internal/policy"
 	"cdmm/internal/trace"
@@ -53,27 +51,37 @@ func NewLRU(src trace.Source) (*LRUCurve, error) {
 	cur := 1
 	v := 0
 
+	// byPos is compact's work buffer: page+1 at each live position, else 0.
+	var byPos []int
 	compact := func() {
-		// Renumber the live positions 1..v in order and rebuild.
-		live := make([]posPage, 0, v)
+		// Renumber the live positions 1..v in order and rebuild. They
+		// are distinct and below cur, so bucketing the pages by position
+		// orders them.
+		if len(byPos) < cur {
+			byPos = make([]int, cur)
+		}
+		live := 0
 		for pg, pos := range lastPos {
 			if pos != 0 {
-				live = append(live, posPage{pos: pos, page: pg})
+				byPos[pos] = pg + 1
+				live++
 			}
 		}
-		sort.Slice(live, func(i, j int) bool { return live[i].pos < live[j].pos })
-		for n < 4*(len(live)+2) {
+		for n < 4*(live+2) {
 			n *= 2
 			bit = newFenwick(n)
 		}
-		for i := range bit.tree {
-			bit.tree[i] = 0
+		clear(bit.tree)
+		k := 0
+		for pos, pg := range byPos[:cur] {
+			if pg != 0 {
+				byPos[pos] = 0
+				k++
+				lastPos[pg-1] = k
+				bit.add(k, 1)
+			}
 		}
-		for k, lp := range live {
-			lastPos[lp.page] = k + 1
-			bit.add(k+1, 1)
-		}
-		cur = len(live) + 1
+		cur = k + 1
 	}
 
 	err := walkRefs(src, func(pages []mem.Page) {
@@ -135,8 +143,6 @@ func FromLRUCells(results []vmsim.Result) *LRUCurve {
 	}
 	return s
 }
-
-type posPage struct{ pos, page int }
 
 func (s *LRUCurve) clamp(m int) int {
 	if m < 1 {

@@ -12,10 +12,13 @@
 //
 //   - WS: Denning's windowed recurrence. One pass builds the backward
 //     inter-reference-interval and forward re-reference-distance
-//     histograms (PF(τ) and MemSum(τ) for all τ at once); a second
-//     event-driven pass steps an arbitrary τ grid in lockstep — each
-//     reference schedules one lazy expiry chain that walks the grid as
-//     the page ages — producing the exact per-τ Result (including the
+//     histograms (PF(τ) and MemSum(τ) for all τ at once); a second,
+//     window-major pass over fixed time blocks runs an arbitrary τ grid
+//     one window after another — each window hands the references it
+//     expires on to the next, since a page that outlives a window
+//     outlives every smaller one — and adds only what the histograms
+//     cannot give, the working set summed at fault instants and its
+//     peak. Together they yield the exact per-τ Result (including the
 //     fault-coupled space-time integral) in O(R + Σ_τ activity) instead
 //     of O(R × |grid|).
 //

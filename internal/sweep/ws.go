@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -29,15 +30,18 @@ import (
 // distance (a few hundred per workload trace, against one per
 // reference), searched by binary search.
 //
-// The space-time integral couples the working-set size to fault instants
-// and does not reduce to a histogram below the tail threshold T (see
-// tail); Curve computes it exactly for a whole τ grid in one
-// event-driven traversal (see Curve), which is what MinST and Run use.
-// Every result Curve computes stays in the WS's window store, so a
-// window is computed at most once per WS. All paths are cross-validated
-// against brute per-cell replay in the tests. A WS is safe for
-// concurrent use: the engine shares one per trace across concurrent
-// table rows.
+// Each step costs 1 + FaultService time units when it faults and 1
+// otherwise, so the space-time integral is
+// ST(τ) = MemSum(τ) + FaultService·Σ_{faults t} |W(t,τ)|. That last sum,
+// and the working-set peak (always reached at a fault), couple the
+// working-set size to fault instants and do not reduce to a histogram
+// below the tail threshold T (see tail); Curve computes them exactly for
+// a whole τ grid in one traversal (see Curve), which is what MinST and
+// Run use. Every result Curve computes stays in the WS's window store,
+// so a window is computed at most once per WS. All paths are
+// cross-validated against brute per-cell replay in the tests. A WS is
+// safe for concurrent use: the engine shares one per trace across
+// concurrent table rows.
 type WS struct {
 	Refs int
 	src  trace.Source
@@ -76,6 +80,44 @@ type distanceSum struct {
 	refs, sum int64
 }
 
+// denseIntervals bounds the intervals intervalHist counts in an array;
+// the longer ones, under 1% of the references of every workload trace,
+// are counted by value in a map.
+const denseIntervals = 1 << 14
+
+// intervalHist counts references by interval, one counter per distinct
+// interval: its memory follows the distinct intervals, not the stream's
+// length.
+type intervalHist struct {
+	dense  []int
+	sparse map[int]int
+}
+
+func (h *intervalHist) add(k int) {
+	if k < len(h.dense) {
+		h.dense[k]++
+	} else {
+		h.sparse[k]++
+	}
+}
+
+// counts returns the occupied intervals in ascending order, each with
+// its count.
+func (h *intervalHist) counts() []intervalCount {
+	var out []intervalCount
+	for k, c := range h.dense {
+		if c > 0 {
+			out = append(out, intervalCount{k, c})
+		}
+	}
+	long := make([]intervalCount, 0, len(h.sparse))
+	for k, c := range h.sparse {
+		long = append(long, intervalCount{k, c})
+	}
+	slices.SortFunc(long, func(a, b intervalCount) int { return cmp.Compare(a.b, b.b) })
+	return append(out, long...)
+}
+
 // NewWS analyzes a reference stream's histograms in one traversal. The
 // source is retained: Curve/Run/MinST traverse it again (at most once
 // per call, for the windows below the tail threshold the store lacks).
@@ -89,14 +131,14 @@ func NewWS(src trace.Source) (*WS, error) {
 	// k of the reference before it, so one histogram serves both sides.
 	span, _ := pageSpan(meta)
 	last := make([]int, span)
-	hist := make([]int, n+2)
+	hist := intervalHist{dense: make([]int, min(n+2, denseIntervals)), sparse: map[int]int{}}
 	firsts := 0
 	t := 0
 	err := walkRefs(src, func(pages []mem.Page) {
 		for _, pg := range pages {
 			t++
 			if prev := last[pg]; prev != 0 {
-				hist[t-prev]++ // always <= n
+				hist.add(t - prev) // always <= n
 			} else {
 				firsts++
 				s.tail = t
@@ -113,28 +155,26 @@ func NewWS(src trace.Source) (*WS, error) {
 	if firsts > 0 {
 		s.atLeast = append(s.atLeast, intervalCount{n + 1, refs})
 	}
-	for b := n; b >= 1; b-- {
-		if hist[b] > 0 {
-			s.tail = max(s.tail, b)
-			refs += hist[b]
-			s.atLeast = append(s.atLeast, intervalCount{b, refs})
-		}
+	back := hist.counts()
+	for i := len(back) - 1; i >= 0; i-- {
+		b := back[i]
+		s.tail = max(s.tail, b.b)
+		refs += b.refs
+		s.atLeast = append(s.atLeast, intervalCount{b.b, refs})
 	}
 	slices.Reverse(s.atLeast)
 
 	// Final references run to the end of the stream.
 	for _, pos := range last {
 		if pos != 0 {
-			hist[n-pos+1]++
+			hist.add(n - pos + 1)
 		}
 	}
 	var cnt, sum int64
-	for d := 1; d <= n+1; d++ {
-		if hist[d] > 0 {
-			cnt += int64(hist[d])
-			sum += int64(d) * int64(hist[d])
-			s.upTo = append(s.upTo, distanceSum{d, cnt, sum})
-		}
+	for _, d := range hist.counts() {
+		cnt += int64(d.refs)
+		sum += int64(d.b) * int64(d.refs)
+		s.upTo = append(s.upTo, distanceSum{d.b, cnt, sum})
 	}
 	return s, nil
 }
@@ -263,20 +303,21 @@ func (s *WS) MinST(also ...int) (int, vmsim.Result, error) {
 // above the tail threshold in closed form, the rest in ONE traversal of
 // the stream (none when every lacking window is in the tail).
 //
-// The traversal is event-driven. Grid windows are kept sorted; per
-// window i it holds the live working-set size ws[i] and the last
-// materialized step lastT[i], accumulating the (overwhelmingly common)
-// no-change steps lazily as ws[i]×Δt. Per step t with backward interval
-// b, windows with τ < b fault (a prefix of the sorted grid, found by
-// binary search). Expiries are lazy chains through a calendar ring: the
-// reference at time u schedules one event at u+τ₀; when it fires, the
-// chain dies if the page was re-referenced meanwhile, otherwise window 0
-// expires the page and the chain advances to u+τ₁, and so on up the
-// grid. Total work is O(R·log|grid| + Σ_i PF(τ_i) + Σ_i X(τ_i)) — the
-// activity the curves themselves measure — instead of O(R×|grid|). The
-// ring has one slot per step of the largest window walked, which lies
-// below the tail threshold however large the requested windows are.
-// Windows below 1 are treated as 1.
+// PF and MemSum come from the histograms; the traversal (runGrid)
+// computes only the working-set size summed over fault instants, and
+// its peak. It goes through the stream in fixed time blocks, window by
+// window: a block scan records each reference's backward interval and
+// the forward distance of the reference before it, then each window in
+// ascending τ expires the references due in the block that were not
+// re-referenced within τ, hands them on to the next window (a page that
+// outlives a window outlives every smaller one), and merges those
+// expiries with its faults in time order. Apart from the scan's one
+// write per reference into the previous reference's slot, every access
+// is sequential, and total work is O(R + Σ_τ PF(τ) + Σ_τ expiries(τ)),
+// the activity the curves themselves measure, instead of O(R×|grid|).
+// Its memory follows the largest window walked, which lies below the
+// tail threshold however large the requested windows are. Windows below
+// 1 are treated as 1.
 func (s *WS) Curve(taus []int) ([]vmsim.Result, error) {
 	if len(taus) == 0 {
 		return nil, nil
@@ -315,188 +356,197 @@ func (s *WS) Curve(taus []int) ([]vmsim.Result, error) {
 
 // closedForm is the result at a window τ at or above the tail threshold
 // (see tail): only the V first references fault, the k-th leaving k
-// pages resident through its FaultService extra time units. So PF and
-// the peak are V, VTime = R + V·FaultService and
-// ST = MemSum(τ) + FaultService·V(V+1)/2.
+// pages resident, so the peak is V and the working set summed over
+// fault instants is V(V+1)/2.
 func (s *WS) closedForm(tau int) vmsim.Result {
 	v := int64(s.distinct)
+	return s.result(tau, s.distinct, v*(v+1)/2)
+}
+
+// result assembles window τ's Result from its histograms and the two
+// fault-coupled figures: the working-set peak and the working-set size
+// summed over fault instants.
+func (s *WS) result(tau, peak int, atFaults int64) vmsim.Result {
+	pf := s.Faults(tau)
 	memSum := s.memSum(tau)
 	return vmsim.ResultOf(policy.NewWS(tau), s.Refs, &policy.BlockResult{
-		Faults:      s.distinct,
-		MaxResident: s.distinct,
-		VTime:       int64(s.Refs) + v*policy.FaultService,
+		Faults:      pf,
+		MaxResident: peak,
+		VTime:       int64(s.Refs) + int64(pf)*policy.FaultService,
 		MemSum:      memSum,
-		SpaceTime:   memSum + policy.FaultService*v*(v+1)/2,
+		SpaceTime:   memSum + policy.FaultService*atFaults,
 	})
 }
 
 // gridPass, when set, observes every grid traversal: its windows and the
-// slot count of its calendar ring. The tests count traversals with it.
+// slot count of its position ring. The tests count traversals with it.
 var gridPass func(grid []int, ring int)
 
-// chain is one reference's expiry chain in runGrid's calendar ring: the
-// next node+1 in its fire-slot bucket (0 ends it), the page, and the grid
-// index of its pending expiry.
-type chain struct {
-	next, page, idx int32
+// wsBlock is the grid pass's time block, in references: the pass scans
+// a block once, then runs every window across it in turn.
+const wsBlock = 1 << 12
+
+// gridWindow is one window's state in a grid pass.
+type gridWindow struct {
+	tau int
+	// ws is the live working-set size, peak its largest value so far and
+	// atFaults its sum over the fault instants so far.
+	ws, peak int
+	atFaults int64
+	// pending holds, from head on, the window's expiry sources not yet
+	// due, oldest first, by ring slot: every reference for the smallest
+	// window, and for each larger one those the window below expired.
+	pending []int32
+	head    int
 }
 
-// runGrid executes the event-driven lockstep pass over the sorted unique
-// grid, returning one result per window in grid order.
-func (s *WS) runGrid(uniq []int) ([]vmsim.Result, error) {
+// blockFault is a fault of the smallest window in the current block: its
+// step's offset in the block and its backward interval, capped below the
+// ring length (first references count as the cap).
+type blockFault struct {
+	at, gap int32
+}
+
+// runGrid executes the window-major pass over the sorted unique grid,
+// returning one result per window in grid order.
+func (s *WS) runGrid(grid []int) ([]vmsim.Result, error) {
 	n := s.Refs
-	g := len(uniq)
-	meta := s.src.Meta()
-
-	// Per-window state.
-	ws := make([]int, g)     // live working-set size
-	pf := make([]int, g)     // faults
-	maxws := make([]int, g)  // peak working-set size
-	memS := make([]int64, g) // Σ resident after each step
-	stS := make([]int64, g)  // Σ resident × dt
-	lastT := make([]int, g)  // next unmaterialized step
-	exitAt := make([]int, g) // step stamp: window expired a page this step
-	for i := range lastT {
-		lastT[i] = 1
-		exitAt[i] = -1
-	}
-
-	// Calendar ring of expiry chains. A chain lives at node u % W (at
-	// most one per reference in the trailing τ_max window), linked into
-	// the bucket of its next fire time. A chain firing at step t for
-	// window i was created at u = t − τ_i.
-	w := uniq[g-1] + 1
-	if w > n+1 {
-		w = n + 1 // fire times never exceed n
-	}
-	if w < 1 {
-		w = 1
+	// The position ring keeps, for every reference a window may still
+	// expire, the forward distance to the next reference of its page:
+	// such a reference lies within the largest window plus one block
+	// behind the scan.
+	ring := 1
+	for ring < min(grid[len(grid)-1]+wsBlock, n+1) {
+		ring *= 2
 	}
 	if gridPass != nil {
-		gridPass(uniq, w)
+		gridPass(grid, ring)
 	}
-	heads := make([]int32, w) // fire-slot -> node+1; 0 = empty
-	nodes := make([]chain, w)
-
-	span, _ := pageSpan(meta)
+	mask := ring - 1
+	// next[u&mask] is next(u)−u once the scan has seen that reference,
+	// 0 before; a distance of a whole ring or more exceeds every window
+	// and is never recorded.
+	next := make([]int32, ring)
+	span, _ := pageSpan(s.src.Meta())
 	last := make([]int, span)
-	exits := make([]int32, 0, g)
-	tau0 := uniq[0]
-	fs := int64(1 + policy.FaultService)
+	// One window past the grid: a sink for the largest one's expiries.
+	wins := make([]gridWindow, len(grid)+1)
+	for i, tau := range grid {
+		wins[i].tau = tau
+	}
+	faults := make([]blockFault, 0, wsBlock)
+	expAt := make([]int32, wsBlock)
 
-	t := 0
+	start, t := 1, 0
 	err := walkRefs(s.src, func(pages []mem.Page) {
 		for _, pg := range pages {
 			t++
-			prev := last[pg]
+			slot := t & mask
+			next[slot] = 0
+			b := mask // longer than every window: a first reference
+			if prev := last[pg]; prev != 0 && t-prev <= mask {
+				b = t - prev
+				next[prev&mask] = int32(b)
+			}
 			last[pg] = t
-
-			// Drain this step's expiry chains. The current reference is
-			// already stamped, so a chain whose page is being re-touched
-			// right now (backward interval exactly τ) correctly dies:
-			// insertion precedes expiry in the per-cell replay.
-			exits = exits[:0]
-			slot := int32(t % w)
-			for nd := heads[slot]; nd != 0; {
-				link := nd // c's node+1
-				c := &nodes[nd-1]
-				nd = c.next
-				i := c.idx
-				u := t - uniq[i]
-				if last[c.page] != u {
-					continue // page re-referenced in (u, t]: chain dies
-				}
-				exits = append(exits, i)
-				if int(i+1) < g {
-					if fire := u + uniq[i+1]; fire <= n {
-						c.idx = i + 1
-						s2 := fire % w
-						c.next = heads[s2]
-						heads[s2] = link
-					}
-				}
+			wins[0].pending = append(wins[0].pending, int32(slot))
+			if b > grid[0] {
+				faults = append(faults, blockFault{int32(t - start), int32(b)})
 			}
-			heads[slot] = 0
-
-			// Windows with τ < b fault: a prefix of the sorted grid.
-			faultIdx := 0
-			if prev == 0 {
-				faultIdx = g
-			} else if b := t - prev; b > tau0 {
-				if b > uniq[g-1] {
-					faultIdx = g
-				} else {
-					faultIdx = sort.SearchInts(uniq, b)
-				}
-			}
-
-			// Expiries alone (no fault): resident shrinks by one.
-			for _, e := range exits {
-				i := int(e)
-				if i < faultIdx {
-					exitAt[i] = t // merge with the fault below
-					continue
-				}
-				if gap := t - lastT[i]; gap > 0 {
-					r := int64(ws[i])
-					memS[i] += r * int64(gap)
-					stS[i] += r * int64(gap)
-				}
-				ws[i]--
-				r := int64(ws[i])
-				memS[i] += r
-				stS[i] += r
-				lastT[i] = t + 1
-			}
-			// Faults: resident grows by one (unless an expiry landed on
-			// the same step), and the step costs 1+FaultService.
-			for i := 0; i < faultIdx; i++ {
-				if gap := t - lastT[i]; gap > 0 {
-					r := int64(ws[i])
-					memS[i] += r * int64(gap)
-					stS[i] += r * int64(gap)
-				}
-				if exitAt[i] != t {
-					ws[i]++
-					if ws[i] > maxws[i] {
-						maxws[i] = ws[i]
-					}
-				}
-				pf[i]++
-				r := int64(ws[i])
-				memS[i] += r
-				stS[i] += r * fs
-				lastT[i] = t + 1
-			}
-
-			// Schedule this reference's expiry chain.
-			if fire := t + tau0; fire <= n {
-				node := t % w
-				s2 := fire % w
-				nodes[node] = chain{next: heads[s2], page: int32(pg)}
-				heads[s2] = int32(node + 1)
+			if t-start == wsBlock-1 {
+				advance(wins, next, faults, expAt, start, t)
+				start, faults = t+1, faults[:0]
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Materialize the tail: constant working set to the end of the run.
-	out := make([]vmsim.Result, g)
-	for i := range ws {
-		if gap := n + 1 - lastT[i]; gap > 0 {
-			r := int64(ws[i])
-			memS[i] += r * int64(gap)
-			stS[i] += r * int64(gap)
-		}
-		vt := int64(n) + int64(pf[i])*policy.FaultService
-		out[i] = vmsim.ResultOf(policy.NewWS(uniq[i]), n, &policy.BlockResult{
-			Faults:      pf[i],
-			MaxResident: maxws[i],
-			VTime:       vt,
-			MemSum:      memS[i],
-			SpaceTime:   stS[i],
-		})
+	if t >= start {
+		advance(wins, next, faults, expAt, start, t)
+	}
+	out := make([]vmsim.Result, len(grid))
+	for i, w := range wins[:len(grid)] {
+		out[i] = s.result(w.tau, w.peak, w.atFaults)
 	}
 	return out, nil
+}
+
+// advance runs every window, in ascending τ, across the block of steps
+// [start, end]. Each window expires its sources due in the block that
+// were not re-referenced within τ and hands them on to the next window
+// (a page that outlives a window outlives every smaller one). It then
+// merges those expiries with its faults in step order. faults lists the
+// smallest window's faults in the block; each window keeps, in place,
+// the ones it shares with the next. expAt is a work buffer for one
+// window's expiry offsets in the block.
+func advance(wins []gridWindow, next []int32, faults []blockFault, expAt []int32, start, end int) {
+	mask := len(next) - 1
+	for i := range wins[:len(wins)-1] {
+		w, up := &wins[i], &wins[i+1]
+		// A source lies less than a ring behind end, so its slot fixes
+		// its age; the due ones, at least τ old, are a prefix.
+		q := w.pending[w.head:]
+		due := sort.Search(len(q), func(j int) bool { return (end-int(q[j]))&mask < w.tau })
+		w.head += due
+		from := len(up.pending)
+		up.pending = expire(up.pending, q[:due], next, w.tau, end, end-start, expAt)
+		exp := expAt[:len(up.pending)-from]
+		faults = merge(w, faults, exp)
+		// Drop the popped prefix once it is half the queue, so each
+		// source moves a constant number of times on average.
+		if 2*w.head >= len(w.pending) {
+			w.pending = w.pending[:copy(w.pending, w.pending[w.head:])]
+			w.head = 0
+		}
+	}
+	sink := &wins[len(wins)-1]
+	sink.pending = sink.pending[:0]
+}
+
+// expire appends to out the sources in due not re-referenced within tau,
+// and writes to expAt the block offset of each one's expiry: the step
+// tau after it. The block ends at step end, offset endAt. Whether a
+// source survives is data, so the loop selects instead of branching.
+func expire(out, due, next []int32, tau, end, endAt int, expAt []int32) []int32 {
+	mask := len(next) - 1
+	n := len(out)
+	out = slices.Grow(out, len(due))[:n+len(due)]
+	k := 0
+	for _, slot := range due {
+		out[n+k] = slot
+		expAt[k] = int32(endAt + tau - (end-int(slot))&mask)
+		// next is 0 until the re-reference, which wraps to the
+		// largest distance here.
+		if uint32(next[slot])-1 >= uint32(tau) {
+			k++
+		}
+	}
+	return out[:n+k]
+}
+
+// merge steps window w through its faults and expiries in the block, in
+// step order, adding the working-set size just after each fault to its
+// sum and peak. An expiry on a fault's step counts first, as in a
+// replay, where the faulting page enters the working set after the
+// window has slid. It returns the faults the window keeps (in place).
+func merge(w *gridWindow, faults []blockFault, exp []int32) []blockFault {
+	tau := int32(w.tau)
+	ws, peak, sum := w.ws, w.peak, w.atFaults
+	j, n := 0, 0
+	for _, f := range faults {
+		if f.gap <= tau {
+			continue
+		}
+		faults[n] = f
+		n++
+		for j < len(exp) && exp[j] <= f.at {
+			j++
+		}
+		now := ws + n - j
+		peak = max(peak, now)
+		sum += int64(now)
+	}
+	w.ws, w.peak, w.atFaults = ws+n-len(exp), peak, sum
+	return faults[:n]
 }

@@ -2,10 +2,13 @@ package sweep_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"cdmm/internal/mem"
 	"cdmm/internal/policy"
 	"cdmm/internal/sweep"
 	"cdmm/internal/trace"
@@ -216,9 +219,11 @@ func TestWSClosedFormTailEveryWindow(t *testing.T) {
 }
 
 // TestWSRingSizedBelowTail checks that a ladder over a repeated stream
-// sizes its calendar ring by the largest window below the tail threshold:
-// on a repeated stream the threshold is at most one copy's length, so
-// the ring stays near one copy however many copies follow.
+// sizes its position ring by the largest window below the tail
+// threshold, not by the largest window requested: the ring is the
+// smallest power of two holding that window plus one block of the grid
+// pass. On a repeated stream the threshold is at most one copy's
+// length, so the ring stays near one copy however many copies follow.
 func TestWSRingSizedBelowTail(t *testing.T) {
 	p, err := workloads.Compile("FDJAC")
 	if err != nil {
@@ -239,6 +244,10 @@ func TestWSRingSizedBelowTail(t *testing.T) {
 			below = max(below, tau)
 		}
 	}
+	want := 1
+	for want < min(below+sweep.WSBlock, s.Refs+1) {
+		want *= 2
+	}
 	passes, stop := sweep.RecordPasses()
 	defer stop()
 	if _, err := s.Curve(taus); err != nil {
@@ -248,9 +257,9 @@ func TestWSRingSizedBelowTail(t *testing.T) {
 	if len(ps) != 1 {
 		t.Fatalf("ladder made %d grid traversals, want 1", len(ps))
 	}
-	if ps[0].Ring != below+1 {
-		t.Errorf("ring has %d slots, want %d (largest window below T=%d, plus one); R=%d, largest window %d",
-			ps[0].Ring, below+1, s.Tail(), s.Refs, taus[len(taus)-1])
+	if ps[0].Ring != want {
+		t.Errorf("ring has %d slots, want %d (largest window below T=%d, plus a %d-step block, to a power of two); R=%d, largest window %d",
+			ps[0].Ring, want, s.Tail(), sweep.WSBlock, s.Refs, taus[len(taus)-1])
 	}
 }
 
@@ -285,6 +294,111 @@ func TestWSStoreConcurrent(t *testing.T) {
 		for g := range got {
 			if len(got[g]) != len(taus) || got[g][i] != b {
 				t.Fatalf("caller %d tau=%d: store result differs from brute %+v", g, tau, b)
+			}
+		}
+	}
+}
+
+// churnTrace mixes a few hot pages with a quarter of references to a
+// large cold set drawn at random, so that windows of several blocks
+// still see many faults, expiries and re-references.
+func churnTrace(seed uint64, n, hot, cold int) *trace.Trace {
+	rng := func() int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed >> 33)
+	}
+	tr := trace.New("churn")
+	for i := 0; i < n; i++ {
+		if rng()%4 == 0 {
+			tr.AddRef(mem.Page(hot + rng()%cold))
+		} else {
+			tr.AddRef(mem.Page(rng() % hot))
+		}
+	}
+	return tr
+}
+
+// TestWSCurveAcrossBlocks is the per-cell differential across the grid
+// pass's time blocks: seeded traces several blocks long, under windows
+// below, at and above the block length and next to the tail threshold
+// T, walked from a smallest window of one step and of more than a block.
+// Single windows of three blocks and more size the position ring to
+// 4×WSBlock or just past it: at 3×WSBlock the ring has no slot to
+// spare, and the pass must still read every pending reference's slot
+// before the scan reuses it.
+func TestWSCurveAcrossBlocks(t *testing.T) {
+	b := sweep.WSBlock
+	for seed := uint64(1); seed <= 3; seed++ {
+		tr := churnTrace(seed, 8*b+int(seed)*977, 8+int(seed), 3000+int(seed)*200)
+		tail := mustWS(t, tr).Tail()
+		if tail <= 4*b {
+			t.Fatalf("seed %d: tail threshold %d leaves no window of four blocks to walk", seed, tail)
+		}
+		grids := [][]int{
+			{1, 2, 5, 64, b / 2, b - 1, b, b + 1, 2*b + 1, 3*b + 1, tail - 2, tail - 1, tail, tail + 1},
+			{b + 1, 2*b + 1, tail - 1},
+		}
+		for _, j := range []int{0, 1, 64, b / 2, b - 1} {
+			grids = append(grids, []int{3*b + j})
+		}
+		for _, taus := range grids {
+			got, err := mustWS(t, tr).Curve(taus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tau := range taus {
+				if want := vmsim.Run(tr.RefsOnly(), policy.NewWS(tau)); got[i] != want {
+					t.Errorf("seed %d R=%d T=%d tau=%d (grid %v):\n curve %+v\n cell  %+v", seed, tr.Refs, tail, tau, taus, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestWSCurveStreamedAndRenumbered checks that Curve gives the per-cell
+// results, as on the in-memory trace, on the same stream read from a
+// CDT3 file in chunks that do not line up with the grid pass's blocks,
+// and on a renumbered source whose pages lie far apart.
+func TestWSCurveStreamedAndRenumbered(t *testing.T) {
+	b := sweep.WSBlock
+	tr := churnTrace(7, 5*b+555, 12, 2500)
+	path := filepath.Join(t.TempDir(), "t.cdt3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.WriteCDT3(f, tr, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := trace.OpenCDT3(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	sparse := trace.New("sparse")
+	for _, pg := range tr.Pages() {
+		sparse.AddRef(pg << 19) // distinct pages stay distinct below 2^31
+	}
+
+	taus := []int{1, 3, 40, b - 1, b, b + 1, 2*b + 7, 3 * b, 4*b + 1}
+	want := make([]vmsim.Result, len(taus))
+	for i, tau := range taus {
+		want[i] = vmsim.Run(tr.RefsOnly(), policy.NewWS(tau))
+	}
+	for _, src := range []struct {
+		name string
+		src  trace.Source
+	}{{"in-memory", tr}, {"streamed", file}, {"renumbered", sparse}} {
+		got, err := mustWS(t, src.src).Curve(taus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tau := range taus {
+			if got[i] != want[i] {
+				t.Errorf("%s tau=%d:\n curve %+v\n cell  %+v", src.name, tau, got[i], want[i])
 			}
 		}
 	}
