@@ -3,7 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,27 +234,29 @@ func defaultShards(tenants int) int {
 	return s
 }
 
-// newTenantPolicy builds a tenant's policy. A job brings its own, reset
-// and sized to its stream. Otherwise the pool decides: only CD tenants
-// get a validator (and, at admission, an Avail hook); LRU tenants run a
-// fixed partition sized to their declared estimate, WS tenants the
-// directive-blind default window — the comparison pools of the overload
-// study.
+// newTenantPolicy builds a tenant's policy and readies it for the
+// tenant's stream by the one vmsim.Prepare rule: reset, then sized to
+// the stream's page universe. A job brings its own policy. Otherwise
+// the pool decides: only CD tenants get a validator (and, at admission,
+// an Avail hook); LRU tenants run a fixed partition sized to their
+// declared estimate, WS tenants the directive-blind default window —
+// the comparison pools of the overload study.
 func newTenantPolicy(cfg *Config, t *tenant) policy.Policy {
-	if t.job != nil {
-		vmsim.Prepare(t.job.Policy, t.job.Source.Meta())
-		return t.job.Policy
-	}
-	switch cfg.Pool {
-	case "lru":
-		return policy.NewLRU(t.spec.Est)
-	case "ws":
-		return policy.NewWS(policy.DefaultFallbackTau)
+	var pol policy.Policy
+	switch {
+	case t.job != nil:
+		pol = t.job.Policy
+	case cfg.Pool == "lru":
+		pol = policy.NewLRU(t.spec.Est)
+	case cfg.Pool == "ws":
+		pol = policy.NewWS(policy.DefaultFallbackTau)
 	default:
 		cd := policy.NewCD(policy.SelectLevel(cfg.Level), 2)
 		cd.Check = &policy.CheckConfig{MaxPage: t.spec.V}
-		return cd
+		pol = cd
 	}
+	vmsim.Prepare(pol, t.src.Meta())
+	return pol
 }
 
 // Violation is one recorded invariant breach.
@@ -368,20 +370,37 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// topFaulters returns the k tenants with the most faults (ties by id).
+// topFaulters returns the k tenants with the most faults (ties by id),
+// leaving out tenants without faults. It selects them in one pass over
+// PerTenant, keeping the running top k in order.
 func (r *Result) topFaulters(k int) []TenantResult {
-	out := append([]TenantResult(nil), r.PerTenant...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Faults != out[j].Faults {
-			return out[i].Faults > out[j].Faults
+	pt := r.PerTenant
+	before := func(a, b int) bool {
+		if pt[a].Faults != pt[b].Faults {
+			return pt[a].Faults > pt[b].Faults
 		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) > k {
-		out = out[:k]
+		return pt[a].ID < pt[b].ID
 	}
-	for len(out) > 0 && out[len(out)-1].Faults == 0 {
-		out = out[:len(out)-1]
+	var top []int // indexes into pt, best first
+	for i := range pt {
+		if pt[i].Faults == 0 {
+			continue
+		}
+		j := len(top)
+		for j > 0 && before(i, top[j-1]) {
+			j--
+		}
+		if j >= k {
+			continue
+		}
+		top = slices.Insert(top, j, i)
+		if len(top) > k {
+			top = top[:k]
+		}
+	}
+	out := make([]TenantResult, len(top))
+	for j, i := range top {
+		out[j] = pt[i]
 	}
 	return out
 }

@@ -1,9 +1,13 @@
 package kernel
 
 import (
+	"cmp"
+	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,6 +217,71 @@ func TestLedgerConservation(t *testing.T) {
 	}
 	if len(l.Sites) == 0 || len(l.Sites) > 16 {
 		t.Fatalf("ledger sites: %d", len(l.Sites))
+	}
+}
+
+// TestTopFaultersMatchesSort pins the one-pass top-k selection to its
+// definition: PerTenant sorted by faults descending, ties by id, cut to
+// k, tenants without faults left out. Fault counts drawn from a small
+// range make ties common.
+func TestTopFaultersMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	res := &Result{PerTenant: make([]TenantResult, 300)}
+	for i := range res.PerTenant {
+		res.PerTenant[i] = TenantResult{ID: i, Faults: int64(r.Intn(6))}
+	}
+	sorted := slices.Clone(res.PerTenant)
+	slices.SortStableFunc(sorted, func(a, b TenantResult) int { return cmp.Compare(b.Faults, a.Faults) })
+	nonzero := slices.IndexFunc(sorted, func(tr TenantResult) bool { return tr.Faults == 0 })
+	for _, k := range []int{0, 1, 5, 37, nonzero, 256, 1000} {
+		want := sorted[:min(k, nonzero)]
+		if got := res.topFaulters(k); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: top faulters %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestUsageDriftIsAViolation plants a drift in a checked shard's
+// running resident total before it runs. The audit must report it once
+// as a usage-drift violation, never panic, and resync: the shard still
+// finishes every tenant, and the frame-leak check, which recounts from
+// the policies, stays quiet. A small drift survives to the audit at
+// shard end; one of a whole shard's frames forces a pressure wave on the
+// first quantum, whose audit catches it.
+func TestUsageDriftIsAViolation(t *testing.T) {
+	cfg := testConfig(24).withDefaults()
+	specs := make([]SynthSpec, cfg.Tenants)
+	estSum := 0
+	for i := range specs {
+		specs[i] = NewSynthSpec(cfg.Seed, i, cfg.Scale)
+		estSum += specs[i].Est
+	}
+	frames := estSum / 4
+	for _, tc := range []struct {
+		drift int
+		when  string
+	}{
+		{-1, "at shard end"},
+		{3, "at shard end"},
+		{frames, "at a pressure wave"},
+	} {
+		sh := newShard(&cfg, 0, frames, specs, nil, nil)
+		sh.plantUsageDrift(tc.drift)
+		res := sh.run(nil)
+		var drift []Violation
+		for _, v := range res.Violations {
+			if v.Kind != "usage-drift" {
+				t.Errorf("drift %d: unexpected violation %s", tc.drift, v)
+				continue
+			}
+			drift = append(drift, v)
+		}
+		if len(drift) != 1 || !strings.HasSuffix(drift[0].Detail, tc.when) {
+			t.Fatalf("drift %d: usage-drift violations %v, want one %s", tc.drift, drift, tc.when)
+		}
+		if res.Done != int64(cfg.Tenants) {
+			t.Fatalf("drift %d: done=%d, want %d", tc.drift, res.Done, cfg.Tenants)
+		}
 	}
 }
 

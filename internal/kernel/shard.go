@@ -1,9 +1,10 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cdmm/internal/obs"
 	"cdmm/internal/policy"
@@ -32,6 +33,13 @@ type shard struct {
 	estSum   int // Σ Est of admitted (active + suspended) tenants
 	admitSeq int
 
+	// used is the running resident total: Σ tenant.res over active. It
+	// is recounted wherever a tenant's residency can move (after each
+	// quantum, reclaim and policy reset), and running is the tenant in
+	// its quantum, whose live delta usage adds.
+	used    int
+	running *tenant
+
 	gateClosed bool
 	gateUntil  int64
 
@@ -48,6 +56,9 @@ type shard struct {
 
 	availFn func() int
 	scratch []*tenant
+	// quantum accumulates runQuantum's indexes; a shard field, since a
+	// local passed to a policy's StepBlock would escape on every quantum.
+	quantum policy.BlockResult
 
 	o *obs.Observer // enabled observer (events), nil otherwise
 	g *liveGauges   // shared live tenant-state gauges, nil when unobserved
@@ -132,14 +143,55 @@ func newShard(cfg *Config, idx, frames int, specs []SynthSpec, o *obs.Observer, 
 // chaos fault shrinks it periodically).
 func (sh *shard) framesNow() int { return sh.osc.capAt(sh.clock, sh.frames) }
 
-// usage is the shard's resident frame total: only active tenants hold
+// usage is the shard's resident frame total in O(1): the running total
+// plus the live delta of the tenant in its quantum, whose CD policy asks
+// for its free frames mid-quantum (availFn). Only active tenants hold
 // frames (suspension resets the policy).
 func (sh *shard) usage() int {
+	if t := sh.running; t != nil {
+		return sh.used - t.res + t.pol.Resident()
+	}
+	return sh.used
+}
+
+// recount brings t's share of the running total up to its policy's
+// residency.
+func (sh *shard) recount(t *tenant) {
+	r := t.pol.Resident()
+	sh.used += r - t.res
+	t.res = r
+}
+
+// sumResident recounts the resident frame total from the active
+// tenants' policies: the audit of the running total.
+func (sh *shard) sumResident() int {
 	n := 0
 	for _, t := range sh.active {
 		n += t.pol.Resident()
 	}
 	return n
+}
+
+// auditUsage compares the running total with a full recount. A drift is
+// a violation, after which the total and every tenant's share are
+// recounted so the scheduler goes on from true numbers.
+func (sh *shard) auditUsage(when string) {
+	sum := sh.sumResident()
+	if sum == sh.used {
+		return
+	}
+	sh.violate("usage-drift", "", fmt.Sprintf("running resident total %d but %d resident %s", sh.used, sum, when))
+	for _, t := range sh.active {
+		t.res = t.pol.Resident()
+	}
+	sh.used = sum
+}
+
+// join appends t to the active set and counts its residency (zero for a
+// fresh or reset policy).
+func (sh *shard) join(t *tenant) {
+	sh.active = append(sh.active, t)
+	sh.recount(t)
 }
 
 // run executes the shard to completion and returns its result.
@@ -306,7 +358,7 @@ func (sh *shard) admit(t *tenant) {
 	t.grace = false
 	t.seenSignals = 0
 	sh.estSum += t.spec.Est
-	sh.active = append(sh.active, t)
+	sh.join(t)
 	sh.res.Admitted++
 	sh.g.admit()
 }
@@ -351,10 +403,13 @@ func (sh *shard) step(t *tenant) {
 // service is aggregated into the tenant's readyAt, so it overlaps with
 // other tenants' execution — batched per quantum rather than yielding
 // on every fault, which is what lets a shard sustain millions of
-// references per second.
+// references per second. While t runs, usage reads its live residency;
+// the quantum ends by recounting t's share of the running total.
 func (sh *shard) runQuantum(t *tenant) action {
+	sh.running = t
 	budget := sh.cfg.Quantum
-	var out policy.BlockResult
+	out := &sh.quantum
+	*out = policy.BlockResult{}
 	executed := 0
 	act := actNone
 	for budget > 0 {
@@ -375,7 +430,7 @@ func (sh *shard) runQuantum(t *tenant) action {
 			if n > budget {
 				n = budget
 			}
-			policy.Step(t.pol, t.blk.Pages[t.bi:t.bi+n], &out)
+			policy.Step(t.pol, t.blk.Pages[t.bi:t.bi+n], out)
 			t.bi += n
 			budget -= n
 			executed += n
@@ -393,6 +448,8 @@ func (sh *shard) runQuantum(t *tenant) action {
 			break
 		}
 	}
+	sh.running = nil
+	sh.recount(t)
 	t.refs += int64(executed)
 	t.faults += int64(out.Faults)
 	t.memSum += out.MemSum
@@ -412,7 +469,7 @@ func (sh *shard) runQuantum(t *tenant) action {
 			sh.tl.faultLat.Observe(int64(out.Faults) * policy.FaultService)
 			t.telFaults += int64(out.Faults)
 		}
-		sh.tl.occupancy.Observe(int64(t.pol.Resident()))
+		sh.tl.occupancy.Observe(int64(t.res))
 		t.telMem += out.MemSum
 	}
 	return act
@@ -449,6 +506,7 @@ func (sh *shard) parkPolicy(t *tenant) {
 		}
 	}
 	t.pol.Reset()
+	sh.recount(t)
 	if sh.cfg.Checked && t.pol.Resident() != 0 {
 		sh.violate("frame-leak", t.spec.Name,
 			fmt.Sprintf("%d frames resident after policy reset", t.pol.Resident()))
@@ -511,7 +569,7 @@ func (sh *shard) resume(t *tenant) {
 	}
 	t.state = StateRunning
 	t.grace = true // immune to pressure victimization until it runs once
-	sh.active = append(sh.active, t)
+	sh.join(t)
 	sh.res.Resumes++
 	sh.g.resumeToRunning()
 	if sh.tl != nil {
@@ -596,8 +654,10 @@ func (sh *shard) shed(t *tenant, why string) {
 }
 
 // removeActive deletes t from the active slice, keeping round-robin
-// order for the remaining tenants.
+// order for the remaining tenants, and its share of the running total.
 func (sh *shard) removeActive(t *tenant) {
+	sh.used -= t.res
+	t.res = 0
 	for i, a := range sh.active {
 		if a == t {
 			sh.active = append(sh.active[:i], sh.active[i+1:]...)
@@ -622,6 +682,12 @@ func (sh *shard) pressureWave() {
 	if over <= 0 {
 		return
 	}
+	if sh.cfg.Checked {
+		sh.auditUsage("at a pressure wave")
+		if over = sh.usage() - frames; over <= 0 {
+			return
+		}
+	}
 	sh.res.ReclaimWaves++
 	waveStart := over
 	waveGot := 0
@@ -632,13 +698,11 @@ func (sh *shard) pressureWave() {
 		}
 	}()
 	sh.scratch = append(sh.scratch[:0], sh.active...)
-	sort.Slice(sh.scratch, func(i, j int) bool {
-		a, b := sh.scratch[i], sh.scratch[j]
-		ra, rb := a.pol.Resident(), b.pol.Resident()
-		if ra != rb {
-			return ra > rb
+	slices.SortFunc(sh.scratch, func(a, b *tenant) int {
+		if c := cmp.Compare(b.pol.Resident(), a.pol.Resident()); c != 0 {
+			return c
 		}
-		return a.spec.ID < b.spec.ID
+		return cmp.Compare(a.spec.ID, b.spec.ID)
 	})
 	for _, v := range sh.scratch {
 		if over <= 0 {
@@ -655,6 +719,7 @@ func (sh *shard) pressureWave() {
 			excess = over
 		}
 		got := v.cd.Reclaim(excess)
+		sh.recount(v)
 		over -= got
 		waveGot += got
 		sh.res.ReclaimedFrames += int64(got)
@@ -811,7 +876,10 @@ func (sh *shard) finalChecks() {
 			sh.violate("unreachable-tenant", t.spec.Name, "final state "+t.state.String())
 		}
 	}
-	if u := sh.usage(); u != 0 {
+	if sh.cfg.Checked {
+		sh.auditUsage("at shard end")
+	}
+	if u := sh.sumResident(); u != 0 {
 		sh.violate("frame-leak", "", fmt.Sprintf("%d frames resident after shutdown", u))
 	}
 	if len(sh.res.Violations) == 0 && sh.estSum != 0 {

@@ -230,32 +230,42 @@ func TestTripIncidentGolden(t *testing.T) {
 
 // TestFullChaosGolden pins the rendered result of the CI determinism
 // population — `cdmm kernel -tenants 2000 -chaos all` at its defaults —
-// so changes to tenant synthesis, perturbation or stepping that move a
-// single count show up here. Regenerate with
+// for each pool, so changes to tenant synthesis, perturbation or
+// stepping that move a single count show up here: the cd pool gates CD
+// stepping and the lock paths, lru the fixed-partition stepping, ws the
+// WS stepping and its page tables. Regenerate with
 // go test ./internal/kernel -run FullChaosGolden -update.
 func TestFullChaosGolden(t *testing.T) {
-	cfg := Config{
-		Tenants:    2000,
-		Overcommit: 4,
-		Seed:       1,
-		Pool:       "cd",
-		Level:      2,
-		Quantum:    512,
-		Checked:    true,
-		Chaos:      Chaos{Kill: true, Oscillate: true, Corrupt: true, Intensity: 0.4},
-	}
-	got := mustRun(t, cfg, engine.New(2)).String() + "\n"
-	golden := filepath.Join("testdata", "chaos_2000.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if got != string(want) {
-		t.Errorf("kernel result drifted from golden:\n%s\nwant:\n%s", got, want)
+	for _, tc := range []struct{ pool, golden string }{
+		{"cd", "chaos_2000.golden"},
+		{"lru", "chaos_2000_lru.golden"},
+		{"ws", "chaos_2000_ws.golden"},
+	} {
+		t.Run(tc.pool, func(t *testing.T) {
+			cfg := Config{
+				Tenants:    2000,
+				Overcommit: 4,
+				Seed:       1,
+				Pool:       tc.pool,
+				Level:      2,
+				Quantum:    512,
+				Checked:    true,
+				Chaos:      Chaos{Kill: true, Oscillate: true, Corrupt: true, Intensity: 0.4},
+			}
+			got := mustRun(t, cfg, engine.New(2)).String() + "\n"
+			golden := filepath.Join("testdata", tc.golden)
+			if *updateGolden {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to regenerate)", err)
+			}
+			if got != string(want) {
+				t.Errorf("kernel result drifted from golden:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

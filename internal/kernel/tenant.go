@@ -393,6 +393,7 @@ type tenant struct {
 
 	pol policy.Policy
 	cd  *policy.CD // non-nil only for a CD policy
+	res int        // pol's residency as counted in the shard's running total
 
 	src     trace.Source // the base stream, or the base under chaos-perturbed tables
 	cur     trace.Cursor

@@ -87,16 +87,21 @@ func fixedCharge(out *BlockResult, frames, refs, faults, endResident int) {
 // StepBlock implements BlockStepper. Within a directive-free block LRU's
 // resident count never shrinks (a fault at capacity evicts one page and
 // inserts one), so the end-of-block count is the block's maximum and the
-// fixed charge folds into two multiplications.
+// fixed charge folds into two multiplications. Hits go by the run
+// through hitRun; a page it stops at is a sparse-map hit or a miss.
 func (p *LRU) StepBlock(pages []mem.Page, out *BlockResult) {
 	l := p.list
 	faults := 0
-	for _, pg := range pages {
-		if s := l.lookupResident(pg); s >= 0 {
+	for i := 0; ; i++ {
+		i += l.hitRun(pages[i:])
+		if i == len(pages) {
+			break
+		}
+		if s := l.lookupResident(pages[i]); s >= 0 {
 			l.touchSlot(s)
 			continue
 		}
-		p.refMiss(pg)
+		p.refMiss(pages[i])
 		faults++
 	}
 	fixedCharge(out, p.frames, len(pages), faults, l.n)
@@ -209,6 +214,8 @@ func (p *WS) StepBlock(pages []mem.Page, out *BlockResult) {
 // changes only on misses, so hits accumulate as flat segments — one
 // multiply per fault-to-fault run instead of three per reference — and
 // the nondecreasing count makes the end-of-block value the block max.
+// Hits go by the run through hitRun; a page it stops at is a sparse-map
+// hit or a miss.
 func (p *CD) StepBlock(pages []mem.Page, out *BlockResult) {
 	p.acquire("StepBlock")
 	defer p.release()
@@ -224,8 +231,13 @@ func (p *CD) StepBlock(pages []mem.Page, out *BlockResult) {
 	var vt, memSum, spaceTime int64
 	n := int64(l.n) // resident count of the current flat segment
 	var hits int64  // references accumulated at count n
-	for _, pg := range pages {
-		if s := l.lookupResident(pg); s >= 0 {
+	for i := 0; ; i++ {
+		h := l.hitRun(pages[i:])
+		hits += int64(h)
+		if i += h; i == len(pages) {
+			break
+		}
+		if s := l.lookupResident(pages[i]); s >= 0 {
 			l.touchSlot(s)
 			hits++
 			continue
@@ -234,7 +246,7 @@ func (p *CD) StepBlock(pages []mem.Page, out *BlockResult) {
 		spaceTime += n * hits
 		memSum += n * hits
 		hits = 0
-		p.refMiss(pg)
+		p.refMiss(pages[i])
 		faults++
 		n = int64(l.n)
 		dt := int64(1 + FaultService)

@@ -69,7 +69,7 @@ func collectEvictions(p Policy) *[]mem.Page {
 // an observer-free fast path take it), single-stepped, and the map
 // oracle — and asserts identical indexes and identical eviction
 // sequences. maxBlock caps the reference runs handed to StepBlock (0 =
-// cut only at directives), mirroring CursorOpts.MaxBlock.
+// cut only at directives and opCut), mirroring CursorOpts.MaxBlock.
 func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []diffOp, maxBlock int, tag string) {
 	t.Helper()
 	bst := blockStepper(blocked)
@@ -114,6 +114,8 @@ func runBlockDiff(t *testing.T, blocked, bare, stepped, oracle Policy, ops []dif
 			bare.Unlock(op.unlock)
 			stepped.Unlock(op.unlock)
 			oracle.Unlock(op.unlock)
+		case opCut:
+			flush()
 		}
 	}
 	flush()

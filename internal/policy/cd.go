@@ -322,7 +322,7 @@ func (p *CD) refMiss(pg mem.Page) {
 
 // releaseLock clears the lock bookkeeping for a slot being force-released.
 func (p *CD) releaseLock(s int32) {
-	site := int(p.list.site[s])
+	site := int(p.list.slots[s].site)
 	page := p.list.idx.pageOf(s)
 	pages := p.locksBySite[site]
 	for i, q := range pages {
@@ -331,7 +331,7 @@ func (p *CD) releaseLock(s int32) {
 			break
 		}
 	}
-	p.list.locked[s] = false
+	p.list.slots[s].locked = false
 	p.locked--
 }
 
@@ -352,8 +352,8 @@ func (p *CD) Lock(ls trace.LockSet) {
 	}
 	prev := p.locksBySite[ls.Site]
 	for _, old := range prev {
-		if s := p.list.lookupResident(old); s >= 0 && p.list.locked[s] && int(p.list.site[s]) == ls.Site {
-			p.list.locked[s] = false
+		if s := p.list.lookupResident(old); s >= 0 && p.list.slots[s].locked && int(p.list.slots[s].site) == ls.Site {
+			p.list.slots[s].locked = false
 			p.locked--
 		}
 	}
@@ -370,12 +370,12 @@ func (p *CD) Lock(ls trace.LockSet) {
 			// its next LOCK execution if still wanted.
 			continue
 		}
-		if !p.list.locked[s] {
+		if !p.list.slots[s].locked {
 			p.locked++
 		}
-		p.list.locked[s] = true
-		p.list.pj[s] = int32(ls.PJ)
-		p.list.site[s] = int32(ls.Site)
+		p.list.slots[s].locked = true
+		p.list.slots[s].pj = int32(ls.PJ)
+		p.list.slots[s].site = int32(ls.Site)
 		p.locksBySite[ls.Site] = append(p.locksBySite[ls.Site], pg)
 	}
 }
@@ -392,7 +392,7 @@ func (p *CD) Unlock(pages []mem.Page) {
 		}
 	}
 	for _, pg := range pages {
-		if s := p.list.lookupResident(pg); s >= 0 && p.list.locked[s] {
+		if s := p.list.lookupResident(pg); s >= 0 && p.list.slots[s].locked {
 			p.releaseLock(s)
 		}
 	}

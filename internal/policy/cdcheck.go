@@ -76,8 +76,8 @@ func (p *CD) degrade(reason string) {
 	p.degraded = true
 	p.degradedReason = reason
 	resident := make([]mem.Page, 0, p.list.len())
-	for s := p.list.tail; s >= 0; s = p.list.prev[s] { // LRU→MRU for a stable seed order
-		p.list.locked[s] = false
+	for s := p.list.tail; s >= 0; s = p.list.slots[s].prev { // LRU→MRU for a stable seed order
+		p.list.slots[s].locked = false
 		resident = append(resident, p.list.idx.pageOf(s))
 	}
 	p.locked = 0
@@ -101,21 +101,21 @@ func (p *CD) degrade(reason string) {
 // runs this after every directive event.
 func (p *CD) AuditLocks() error {
 	locked := 0
-	for s := p.list.head; s >= 0; s = p.list.next[s] {
-		if !p.list.locked[s] {
+	for s := p.list.head; s >= 0; s = p.list.slots[s].next {
+		if !p.list.slots[s].locked {
 			continue
 		}
 		locked++
 		page := p.list.idx.pageOf(s)
 		found := false
-		for _, pg := range p.locksBySite[int(p.list.site[s])] {
+		for _, pg := range p.locksBySite[int(p.list.slots[s].site)] {
 			if pg == page {
 				found = true
 				break
 			}
 		}
 		if !found {
-			return fmt.Errorf("locked page %d not recorded under site %d", page, int(p.list.site[s]))
+			return fmt.Errorf("locked page %d not recorded under site %d", page, int(p.list.slots[s].site))
 		}
 	}
 	if locked != p.locked {

@@ -22,6 +22,9 @@ const (
 	opAlloc
 	opLock
 	opUnlock
+	// opCut ends the current block without a directive (block-stepping
+	// streams only; the per-reference paths ignore it).
+	opCut
 )
 
 type diffOp struct {

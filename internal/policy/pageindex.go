@@ -1,6 +1,10 @@
 package policy
 
-import "cdmm/internal/mem"
+import (
+	"slices"
+
+	"cdmm/internal/mem"
+)
 
 // pageIndex assigns small dense slot ids to pages on first touch so the
 // policies can keep their per-page state in flat arrays instead of maps.
@@ -8,8 +12,12 @@ import "cdmm/internal/mem"
 // clears per-run state but keeps the page→slot mapping, so replaying the
 // same trace reuses every allocation.
 //
+// The dense table is sized by the pages it covers: a hint allocates
+// exactly the hinted span (a synthesized kernel tenant's table holds a
+// few dozen entries), and unhinted first touches grow it by doubling.
+//
 // Sparsity guard: the dense lookup table only grows while the page number
-// stays within pageIndexFactor× the number of assigned slots (or
+// stays within pageIndexFactor× the number of assigned slots (or below
 // pageIndexMinDense, whichever is larger). Pages beyond that window —
 // e.g. chaos wild-pointer injections near 2^30 — take a compact map path
 // instead, so one wild reference can never balloon the table to a
@@ -21,8 +29,9 @@ type pageIndex struct {
 }
 
 const (
-	// pageIndexMinDense is the dense-table size always considered cheap
-	// (4 KiB of int32s).
+	// pageIndexMinDense is the page bound below which the sparsity guard
+	// always lets the dense table grow (4 KiB of int32s at most); it is a
+	// threshold, never an allocation size.
 	pageIndexMinDense = 1 << 10
 	// pageIndexFactor bounds how far the dense table may exceed the
 	// number of assigned slots.
@@ -61,7 +70,8 @@ func (x *pageIndex) slot(p mem.Page) int32 {
 	x.pages = append(x.pages, p)
 	if p >= 0 && (int(p) < len(x.dense) || int(p) < x.denseCap()) {
 		if int(p) >= len(x.dense) {
-			x.growDense(int(p) + 1)
+			// Double, to amortize sequential first touches.
+			x.growDense(max(2*len(x.dense), int(p)+1))
 		}
 		x.dense[p] = s + 1
 	} else {
@@ -83,16 +93,9 @@ func (x *pageIndex) denseCap() int {
 	return c
 }
 
-// growDense widens the dense table to hold at least need entries,
-// doubling to amortize sequential first touches.
-func (x *pageIndex) growDense(need int) {
-	n := 2 * len(x.dense)
-	if n < need {
-		n = need
-	}
-	if n < pageIndexMinDense {
-		n = pageIndexMinDense
-	}
+// growDense widens the dense table to exactly n entries (n ≥ its
+// length).
+func (x *pageIndex) growDense(n int) {
 	nd := make([]int32, n)
 	copy(nd, x.dense)
 	x.dense = nd
@@ -106,20 +109,28 @@ func (x *pageIndex) growDense(need int) {
 	}
 }
 
-// hint pre-sizes the dense table for a trace whose largest page and
+// hint sizes the dense table for a trace whose largest page and
 // distinct-page count are known, so the first replay assigns slots
-// without growth reallocations. Hints outside the sparsity guard are
-// ignored — such pages take the map path when they arrive.
-func (x *pageIndex) hint(maxPage mem.Page, distinct int) {
+// without growth reallocations: it allocates exactly the pages up to
+// maxPage. It returns the number of slots the trace will assign, for
+// the caller to pre-size its per-slot state, or 0 when it ignores the
+// hint. Hints outside the sparsity guard are ignored — such pages take
+// the map path when they arrive.
+func (x *pageIndex) hint(maxPage mem.Page, distinct int) int {
 	if maxPage < 0 || distinct <= 0 {
-		return
+		return 0
 	}
 	need := int(maxPage) + 1
-	limit := pageIndexFactor * distinct
-	if limit < pageIndexMinDense {
-		limit = pageIndexMinDense
+	if need > max(pageIndexFactor*distinct, pageIndexMinDense) {
+		return 0
 	}
-	if need <= limit && need > len(x.dense) {
+	if need > len(x.dense) {
 		x.growDense(need)
 	}
+	// At most need distinct pages lie in [0, maxPage].
+	n := min(distinct, need)
+	if n > len(x.pages) {
+		x.pages = slices.Grow(x.pages, n-len(x.pages))
+	}
+	return n
 }

@@ -11,6 +11,8 @@
 package policy
 
 import (
+	"slices"
+
 	"cdmm/internal/mem"
 	"cdmm/internal/trace"
 )
@@ -111,44 +113,48 @@ func (noDirectives) Lock(trace.LockSet)         {}
 func (noDirectives) Unlock([]mem.Page)          {}
 
 // lruList is an intrusive doubly-linked LRU list over dense page slots:
-// prev/next are parallel int32 arrays indexed by slot, so a reference
-// costs an array lookup and a few pointer-free writes instead of a map
-// probe and a heap node. Used by the LRU and CD policies. Slot state
-// (lock bit, PJ, site) lives in parallel arrays too; reset() clears
-// per-run state while keeping every allocation for the next replay.
+// each slot's links and lock state sit together in one lruSlot, so a
+// reference costs a table lookup and a few pointer-free writes instead
+// of a map probe and a heap node, and a new slot is one append. Used by
+// the LRU and CD policies. hitRun steps a run of resident pages with the
+// list ends held in locals; reset() clears per-run state while keeping
+// every allocation for the next replay.
 type lruList struct {
 	idx        pageIndex
-	prev, next []int32 // per slot; -1 terminates, prev == notIn marks non-resident
-	locked     []bool
-	pj         []int32 // lock priority (valid while locked)
-	site       []int32 // lock site (valid while locked)
-	head, tail int32   // most/least recently used; -1 when empty
-	n          int     // resident count
+	slots      []lruSlot
+	head, tail int32 // most/least recently used; -1 when empty
+	n          int   // resident count
 }
 
-// notIn in prev[s] marks slot s as not resident, so the residency test
-// reads the same cache line the list operations are about to touch.
+// lruSlot is one page slot's list and lock state.
+type lruSlot struct {
+	prev, next int32 // -1 terminates; prev == notIn marks non-resident
+	pj         int32 // lock priority (valid while locked)
+	site       int32 // lock site (valid while locked)
+	locked     bool
+}
+
+// notIn in prev marks a slot as not resident, so the residency test
+// reads the same slot the list operations are about to touch.
 const notIn = -2
 
 func newLRUList() *lruList {
 	return &lruList{head: -1, tail: -1}
 }
 
-// hint pre-sizes the page index (see PageHinter).
+// hint pre-sizes the page index and the slot array (see PageHinter).
 func (l *lruList) hint(maxPage mem.Page, distinct int) {
-	l.idx.hint(maxPage, distinct)
+	if n := l.idx.hint(maxPage, distinct); n > len(l.slots) {
+		l.slots = slices.Grow(l.slots, n-len(l.slots))
+	}
 }
 
-// slotOf returns p's dense slot, growing the per-slot arrays when the
-// index assigns a fresh one (slot ids are handed out sequentially).
+// slotOf returns p's dense slot, appending a fresh slot when the index
+// assigns one (slot ids are handed out sequentially).
 func (l *lruList) slotOf(p mem.Page) int32 {
 	s := l.idx.slot(p)
-	if int(s) >= len(l.prev) {
-		l.prev = append(l.prev, notIn)
-		l.next = append(l.next, -1)
-		l.locked = append(l.locked, false)
-		l.pj = append(l.pj, 0)
-		l.site = append(l.site, 0)
+	if int(s) >= len(l.slots) {
+		l.slots = append(l.slots, lruSlot{prev: notIn, next: -1})
 	}
 	return s
 }
@@ -157,13 +163,57 @@ func (l *lruList) len() int { return l.n }
 
 // lookupResident returns p's slot when p is resident, -1 otherwise.
 func (l *lruList) lookupResident(p mem.Page) int32 {
-	if s := l.idx.lookup(p); s >= 0 && l.prev[s] != notIn {
+	if s := l.idx.lookup(p); s >= 0 && l.slots[s].prev != notIn {
 		return s
 	}
 	return -1
 }
 
-// touchSlot moves a resident slot to the MRU position.
+// hitRun moves each page of the leading run of pages that are resident
+// through the dense table to the MRU position, exactly as touchSlot
+// would one by one, and returns the run's length. It stops at the first
+// page it cannot serve as a hit — a miss, a first touch, or a page on
+// the sparse map — and leaves that page to the caller. The list ends
+// live in locals for the whole run, so a hit is a table load and the
+// relinking writes.
+func (l *lruList) hitRun(pages []mem.Page) int {
+	dense, slots := l.idx.dense, l.slots
+	head, tail := l.head, l.tail
+	i := 0
+	for ; i < len(pages); i++ {
+		pg := pages[i]
+		if uint64(pg) >= uint64(len(dense)) {
+			break
+		}
+		s := dense[pg] - 1
+		if s < 0 {
+			break
+		}
+		p := slots[s].prev
+		if p == notIn {
+			break
+		}
+		if s == head {
+			continue
+		}
+		nx := slots[s].next
+		slots[p].next = nx
+		if nx >= 0 {
+			slots[nx].prev = p
+		} else {
+			tail = p
+		}
+		slots[s].prev = -1
+		slots[s].next = head
+		slots[head].prev = s
+		head = s
+	}
+	l.head, l.tail = head, tail
+	return i
+}
+
+// touchSlot moves a resident slot to the MRU position: one step of
+// hitRun, for a slot found some other way.
 func (l *lruList) touchSlot(s int32) {
 	if l.head == s {
 		return
@@ -171,18 +221,17 @@ func (l *lruList) touchSlot(s int32) {
 	// s is resident but not the head, so it has a predecessor and the
 	// list stays non-empty: the head/tail branches of unlink/pushFront
 	// collapse.
-	prev, next := l.prev, l.next
-	p := prev[s]
-	nx := next[s]
-	next[p] = nx
+	slots := l.slots
+	p, nx := slots[s].prev, slots[s].next
+	slots[p].next = nx
 	if nx >= 0 {
-		prev[nx] = p
+		slots[nx].prev = p
 	} else {
 		l.tail = p
 	}
-	prev[s] = -1
-	next[s] = l.head
-	prev[l.head] = s
+	slots[s].prev = -1
+	slots[s].next = l.head
+	slots[l.head].prev = s
 	l.head = s
 }
 
@@ -190,19 +239,17 @@ func (l *lruList) touchSlot(s int32) {
 // p must not be resident.
 func (l *lruList) insert(p mem.Page) int32 {
 	s := l.slotOf(p)
-	l.locked[s] = false
-	l.pj[s] = 0
-	l.site[s] = 0
+	l.slots[s] = lruSlot{}
 	l.n++
 	l.pushFront(s)
 	return s
 }
 
 func (l *lruList) pushFront(s int32) {
-	l.prev[s] = -1
-	l.next[s] = l.head
+	l.slots[s].prev = -1
+	l.slots[s].next = l.head
 	if l.head >= 0 {
-		l.prev[l.head] = s
+		l.slots[l.head].prev = s
 	}
 	l.head = s
 	if l.tail < 0 {
@@ -211,24 +258,25 @@ func (l *lruList) pushFront(s int32) {
 }
 
 func (l *lruList) unlink(s int32) {
-	if p := l.prev[s]; p >= 0 {
-		l.next[p] = l.next[s]
+	sl := &l.slots[s]
+	if p := sl.prev; p >= 0 {
+		l.slots[p].next = sl.next
 	} else {
-		l.head = l.next[s]
+		l.head = sl.next
 	}
-	if nx := l.next[s]; nx >= 0 {
-		l.prev[nx] = l.prev[s]
+	if nx := sl.next; nx >= 0 {
+		l.slots[nx].prev = sl.prev
 	} else {
-		l.tail = l.prev[s]
+		l.tail = sl.prev
 	}
-	// prev[s]/next[s] are left stale: every caller either relinks the slot
+	// prev/next are left stale: every caller either relinks the slot
 	// (touchSlot) or marks it non-resident (removeSlot) immediately.
 }
 
 // removeSlot evicts a resident slot.
 func (l *lruList) removeSlot(s int32) {
 	l.unlink(s)
-	l.prev[s] = notIn
+	l.slots[s].prev = notIn
 	l.n--
 }
 
@@ -242,8 +290,8 @@ func (l *lruList) remove(p mem.Page) {
 // evictLRU removes and returns the least recently used unlocked page.
 // It returns false if every resident page is locked.
 func (l *lruList) evictLRU() (mem.Page, bool) {
-	for s := l.tail; s >= 0; s = l.prev[s] {
-		if !l.locked[s] {
+	for s := l.tail; s >= 0; s = l.slots[s].prev {
+		if !l.slots[s].locked {
 			l.removeSlot(s)
 			return l.idx.pageOf(s), true
 		}
@@ -257,8 +305,8 @@ func (l *lruList) evictLRU() (mem.Page, bool) {
 // the slot closest to the LRU end, matching the historical scan order.
 func (l *lruList) lowestPriorityLocked() int32 {
 	best := int32(-1)
-	for s := l.tail; s >= 0; s = l.prev[s] {
-		if l.locked[s] && (best < 0 || l.pj[s] > l.pj[best]) {
+	for s := l.tail; s >= 0; s = l.slots[s].prev {
+		if l.slots[s].locked && (best < 0 || l.slots[s].pj > l.slots[best].pj) {
 			best = s
 		}
 	}
@@ -268,11 +316,9 @@ func (l *lruList) lowestPriorityLocked() int32 {
 // reset clears residency and lock state while keeping the page index and
 // array capacity, so replaying another trace allocates nothing.
 func (l *lruList) reset() {
-	for i := range l.prev {
-		l.prev[i] = notIn
-	}
-	for i := range l.locked {
-		l.locked[i] = false
+	for i := range l.slots {
+		l.slots[i].prev = notIn
+		l.slots[i].locked = false
 	}
 	l.head, l.tail = -1, -1
 	l.n = 0

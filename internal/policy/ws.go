@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 
 	"cdmm/internal/mem"
 )
@@ -57,7 +58,11 @@ func (p *WS) Name() string { return p.name }
 func (p *WS) Tau() int { return int(p.tau) }
 
 // HintPages implements PageHinter.
-func (p *WS) HintPages(maxPage mem.Page, distinct int) { p.idx.hint(maxPage, distinct) }
+func (p *WS) HintPages(maxPage mem.Page, distinct int) {
+	if n := p.idx.hint(maxPage, distinct); n > len(p.seenAt) {
+		p.seenAt = slices.Grow(p.seenAt, n-len(p.seenAt))
+	}
+}
 
 // SetEvictHook implements EvictObserver: the hook fires when a page
 // expires out of the working set.
