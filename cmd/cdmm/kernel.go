@@ -29,9 +29,8 @@ func kernelFlags(fs *flag.FlagSet) func(string) error {
 	checked := fs.Bool("checked", true, "verify kernel-wide invariants during and after the run")
 	quick := fs.Bool("quick", false, "smoke mode: quarter-length tenant workloads")
 	memCeil := fs.Int("memceil", 0, "fail if peak RSS exceeds this many MiB (Linux VmHWM; 0 = no check)")
-	telemetry := fs.Bool("telemetry", false, "collect the telemetry plane and print its histograms (implied by -top, -slo or -incident-dir)")
-	topN := fs.Int("top", 0, "print the top N heavy-hitter tenants by faults, frames and displacements")
-	slo := fs.Bool("slo", false, "print SLO compliance and burn rates")
+	telemetry := fs.Bool("telemetry", false, "collect the telemetry plane and print its histograms (implied by -incident-dir)")
+	topN := fs.Int("top", 0, "print the top N tenants by faults, frames and displacements")
 	incidentDir := fs.String("incident-dir", "", "write flight-recorder incident dumps (JSONL) into this directory")
 	j := registerJFlag(fs)
 	of := registerObsFlags(fs)
@@ -73,8 +72,9 @@ func kernelFlags(fs *flag.FlagSet) func(string) error {
 
 		// Any telemetry consumer turns the plane on, and only those print
 		// it; an unwatched kernel pays nothing for it. A served run also
-		// collects it, to publish.
-		cfg.Telemetry = *telemetry || *topN > 0 || *slo || *incidentDir != ""
+		// collects it, to publish. -top ranks the per-tenant results and
+		// needs no plane.
+		cfg.Telemetry = *telemetry || *incidentDir != ""
 		if served != nil {
 			cfg.Publish = served.Kernel()
 		}
@@ -90,12 +90,9 @@ func kernelFlags(fs *flag.FlagSet) func(string) error {
 			fmt.Println(res)
 			if cfg.Telemetry {
 				fmt.Print(res.Telemetry.RenderHists())
-				if *topN > 0 {
-					fmt.Print(res.Telemetry.RenderTop(*topN))
-				}
-				if *slo {
-					fmt.Print(res.Telemetry.RenderSLO())
-				}
+			}
+			if *topN > 0 {
+				fmt.Print(res.RenderTop(*topN))
 			}
 			if *incidentDir != "" {
 				if err := writeIncidents(*incidentDir, res); err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 func TestCmdKernelTelemetryFlags(t *testing.T) {
-	if err := runCommand("kernel", []string{"-tenants", "48", "-quick", "-top", "3", "-slo"}); err != nil {
-		t.Fatalf("kernel -top -slo: %v", err)
+	if err := runCommand("kernel", []string{"-tenants", "48", "-quick", "-telemetry", "-top", "3"}); err != nil {
+		t.Fatalf("kernel -telemetry -top: %v", err)
 	}
 }
 

@@ -59,11 +59,10 @@ type Config struct {
 	Chaos Chaos
 
 	// Telemetry enables the distributional telemetry plane: latency
-	// histograms, heavy-hitter sketches, SLO counters and the flight
-	// recorder. Off (the default), the hot loop pays one nil check per
-	// hook; on, collection is shard-local integer state merged at the
-	// run barrier, so results stay byte-identical at any -j and
-	// identical to a telemetry-off run.
+	// histograms and the flight recorder. Off (the default), the hot
+	// loop pays one nil check per hook; on, collection is shard-local
+	// integer state merged at the run barrier, so results stay
+	// byte-identical at any -j and identical to a telemetry-off run.
 	Telemetry bool
 	// Publish, when non-nil, receives live telemetry during the run and
 	// the final view at the barrier (the serve plane's /kernel source).
@@ -77,7 +76,8 @@ type Config struct {
 // footprint estimate, so the admission gate never queues or sheds it;
 // it is scheduled, suspended and chaos-injected like any synthesized
 // tenant, and a CD policy gets its shard's Avail hook at admission.
-// Heavy-hitter tables name a job by its index (t00000 is the first).
+// Per-tenant results, the summary's top faulters and RenderTop name it
+// the same way.
 type Job struct {
 	Source trace.Source
 	// Policy is any non-nil policy; Run resets it first.
@@ -115,19 +115,8 @@ const (
 	maxRestarts = 1
 )
 
-// The telemetry plane's fixed parameters.
+// The flight recorder's fixed parameters.
 const (
-	// topK is the heavy-hitter sketch capacity per dimension.
-	topK = 64
-	// sloAdmitWait is the admission-wait objective in virtual ticks: an
-	// admission within it counts good, beyond it bad.
-	sloAdmitWait = 256 * policy.FaultService
-	// sloFaultRate is the fault-rate objective in faults per 1000
-	// references, scored per closed thrash window.
-	sloFaultRate = thrashRate / 2
-	// sloBudget is the allowed bad fraction per objective (the error
-	// budget burn rate divides by it).
-	sloBudget = 0.1
 	// flightEvents is the per-shard flight-recorder ring capacity.
 	flightEvents = 64
 	// maxIncidents bounds captured incident dumps per shard; further
@@ -361,7 +350,7 @@ func (r *Result) String() string {
 		}
 		fmt.Fprintf(&b, "\n  VIOLATION %s", v.String())
 	}
-	if top := r.topFaulters(5); len(top) > 0 {
+	if top := r.topBy(5, tenantFaults); len(top) > 0 {
 		b.WriteString("\ntop faulters:")
 		for _, t := range top {
 			fmt.Fprintf(&b, " %s(pf=%d)", t.Name, t.Faults)
@@ -370,20 +359,55 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// topFaulters returns the k tenants with the most faults (ties by id),
-// leaving out tenants without faults. It selects them in one pass over
-// PerTenant, keeping the running top k in order.
-func (r *Result) topFaulters(k int) []TenantResult {
+// RenderTop renders three tables of the top n tenants, exact from
+// PerTenant: by faults, by frames (the resident-set integral MemSum)
+// and by displacements (suspensions, kills and sheds).
+func (r *Result) RenderTop(n int) string {
+	var b strings.Builder
+	for _, tbl := range []struct {
+		name string
+		key  func(*TenantResult) int64
+	}{
+		{"faults", tenantFaults},
+		{"frames", tenantFrames},
+		{"displacements", tenantDisplacements},
+	} {
+		fmt.Fprintf(&b, "top %s:\n", tbl.name)
+		for i, t := range r.topBy(n, tbl.key) {
+			fmt.Fprintf(&b, "  %2d. %-8s %12d\n", i+1, t.Name, tbl.key(&t))
+		}
+	}
+	return b.String()
+}
+
+// The keys RenderTop, the summary and Ledger rank tenants by.
+func tenantFaults(t *TenantResult) int64 { return t.Faults }
+func tenantFrames(t *TenantResult) int64 { return t.MemSum }
+
+// tenantDisplacements counts the times the kernel took t off its frames
+// against its will: suspensions, chaos kills, and a shed.
+func tenantDisplacements(t *TenantResult) int64 {
+	n := int64(t.Swaps + t.Restarts)
+	if t.State == StateShed.String() {
+		n++
+	}
+	return n
+}
+
+// topBy returns the k tenants with the largest key (ties by id),
+// leaving out tenants whose key is zero. It selects them in one pass
+// over PerTenant, keeping the running top k in order.
+func (r *Result) topBy(k int, key func(*TenantResult) int64) []TenantResult {
 	pt := r.PerTenant
 	before := func(a, b int) bool {
-		if pt[a].Faults != pt[b].Faults {
-			return pt[a].Faults > pt[b].Faults
+		if ka, kb := key(&pt[a]), key(&pt[b]); ka != kb {
+			return ka > kb
 		}
 		return pt[a].ID < pt[b].ID
 	}
 	var top []int // indexes into pt, best first
 	for i := range pt {
-		if pt[i].Faults == 0 {
+		if key(&pt[i]) == 0 {
 			continue
 		}
 		j := len(top)
@@ -411,7 +435,7 @@ func (r *Result) topFaulters(k int) []TenantResult {
 // plane's per-site scrape series stay cardinality-bounded however large
 // the population.
 func (r *Result) Ledger(k int) *attr.Ledger {
-	top := r.topFaulters(k)
+	top := r.topBy(k, tenantFaults)
 	sites := make([]trace.Site, len(top))
 	for i, t := range top {
 		sites[i] = trace.Site{Nest: t.Name}
@@ -524,9 +548,9 @@ func (g *liveGauges) flush() {
 // results in shard order. The returned Result (including violation and
 // per-tenant ordering) is byte-identical at any -j.
 func Run(cfg Config, eng *engine.Engine) (*Result, error) {
-	// The registry counts the plane's SLO and incident totals only when
-	// the caller asked for the plane: publishing alone leaves the
-	// registry as an unpublished run leaves it.
+	// The registry counts the plane's incidents only when the caller
+	// asked for the plane: publishing alone leaves the registry as an
+	// unpublished run leaves it.
 	countPlane := cfg.Telemetry
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -706,7 +730,7 @@ func Run(cfg Config, eng *engine.Engine) (*Result, error) {
 
 // addShardMetrics folds a completed shard's totals into the registry's
 // kernel counters (atomic adds: order-independent totals at any -j),
-// and the telemetry plane's when countPlane is set.
+// and its incident count when countPlane is set.
 func addShardMetrics(reg *obs.Registry, sr *shardResult, countPlane bool) {
 	reg.Counter("kernel_refs").Add(sr.Refs)
 	reg.Counter("kernel_faults").Add(sr.Faults)
@@ -723,10 +747,6 @@ func addShardMetrics(reg *obs.Registry, sr *shardResult, countPlane bool) {
 	reg.Counter("kernel_starved").Add(sr.Starved)
 	reg.Counter("kernel_violations").Add(int64(len(sr.Violations)))
 	if countPlane {
-		reg.Counter("kernel_slo_admit_good").Add(sr.Telem.admitGood)
-		reg.Counter("kernel_slo_admit_bad").Add(sr.Telem.admitBad)
-		reg.Counter("kernel_slo_rate_good").Add(sr.Telem.rateGood)
-		reg.Counter("kernel_slo_rate_bad").Add(sr.Telem.rateBad)
 		reg.Counter("kernel_incidents").Add(int64(len(sr.Incidents)))
 	}
 }

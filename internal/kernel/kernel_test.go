@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -221,9 +222,9 @@ func TestLedgerConservation(t *testing.T) {
 }
 
 // TestTopFaultersMatchesSort pins the one-pass top-k selection to its
-// definition: PerTenant sorted by faults descending, ties by id, cut to
-// k, tenants without faults left out. Fault counts drawn from a small
-// range make ties common.
+// definition: PerTenant sorted by the key (here faults) descending, ties
+// by id, cut to k, tenants with a zero key left out. Fault counts drawn
+// from a small range make ties common.
 func TestTopFaultersMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	res := &Result{PerTenant: make([]TenantResult, 300)}
@@ -235,9 +236,76 @@ func TestTopFaultersMatchesSort(t *testing.T) {
 	nonzero := slices.IndexFunc(sorted, func(tr TenantResult) bool { return tr.Faults == 0 })
 	for _, k := range []int{0, 1, 5, 37, nonzero, 256, 1000} {
 		want := sorted[:min(k, nonzero)]
-		if got := res.topFaulters(k); !slices.Equal(got, want) {
+		if got := res.topBy(k, tenantFaults); !slices.Equal(got, want) {
 			t.Fatalf("k=%d: top faulters %v, want %v", k, got, want)
 		}
+	}
+}
+
+// TestRenderTopExact checks the -top tables against their definition:
+// each equals PerTenant stably sorted by its key, descending, with zero
+// keys left out and cut to n. The displacement key adds up to the
+// run's own suspension, restart and shed totals; the third population's
+// 16-frame shards shed its oversize tenants.
+func TestRenderTopExact(t *testing.T) {
+	shedding := chaosTelemetryConfig(96)
+	shedding.Frames = 64
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"chaos96", chaosTelemetryConfig(96)},
+		{"chaos2000", fullChaosConfig("cd")},
+		{"shed", shedding},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := mustRun(t, tc.cfg, engine.New(4))
+			if tc.cfg.Frames > 0 && res.Shed == 0 {
+				t.Fatal("fixture sheds no tenant")
+			}
+			var swaps, restarts, shed int64
+			for _, tr := range res.PerTenant {
+				swaps += int64(tr.Swaps)
+				restarts += int64(tr.Restarts)
+				if tr.State == "shed" {
+					shed++
+				}
+			}
+			if swaps != res.Suspends || restarts != res.Restarts || shed != res.Shed {
+				t.Fatalf("per-tenant swaps %d, restarts %d, shed %d; run counted %d, %d, %d",
+					swaps, restarts, shed, res.Suspends, res.Restarts, res.Shed)
+			}
+			if swaps+restarts+shed == 0 {
+				t.Fatal("fixture displaces no tenant")
+			}
+			for _, n := range []int{1, 8, len(res.PerTenant) + 1} {
+				var want strings.Builder
+				for _, tbl := range []struct {
+					name string
+					key  func(*TenantResult) int64
+				}{
+					{"faults", func(tr *TenantResult) int64 { return tr.Faults }},
+					{"frames", func(tr *TenantResult) int64 { return tr.MemSum }},
+					{"displacements", func(tr *TenantResult) int64 {
+						d := int64(tr.Swaps + tr.Restarts)
+						if tr.State == "shed" {
+							d++
+						}
+						return d
+					}},
+				} {
+					sorted := slices.Clone(res.PerTenant)
+					slices.SortStableFunc(sorted, func(a, b TenantResult) int { return cmp.Compare(tbl.key(&b), tbl.key(&a)) })
+					fmt.Fprintf(&want, "top %s:\n", tbl.name)
+					for i := 0; i < n && i < len(sorted) && tbl.key(&sorted[i]) != 0; i++ {
+						fmt.Fprintf(&want, "  %2d. %-8s %12d\n", i+1, sorted[i].Name, tbl.key(&sorted[i]))
+					}
+				}
+				if got := res.RenderTop(n); got != want.String() {
+					t.Fatalf("RenderTop(%d):\n%s\nwant:\n%s", n, got, want.String())
+				}
+			}
+		})
 	}
 }
 

@@ -110,7 +110,7 @@ func newShard(cfg *Config, idx, frames int, specs []SynthSpec, o *obs.Observer, 
 	sh.res.Shard = idx
 	sh.res.Frames = frames
 	if cfg.Telemetry {
-		sh.tl = newTelem()
+		sh.tl = &telem{}
 		sh.fr = newFlightRing()
 	}
 	sh.trip = planShardTrip(cfg, idx)
@@ -236,9 +236,6 @@ func (sh *shard) run(prog obs.ProgressFunc) *shardResult {
 	}
 	sh.g.flush()
 	sh.res.Clock = sh.clock
-	for _, t := range sh.tenants {
-		sh.telFlush(t) // residual buffered telemetry, in id order
-	}
 	sh.res.Tenants = make([]TenantResult, 0, len(sh.tenants))
 	for _, t := range sh.tenants {
 		sh.res.Tenants = append(sh.res.Tenants, t.result())
@@ -342,13 +339,7 @@ func (sh *shard) admit(t *tenant) {
 		sh.res.MaxQueueWait = t.queueWait
 	}
 	if sh.tl != nil {
-		wait := sh.clock - t.queuedAt
-		sh.tl.admitWait.Observe(wait)
-		if wait <= sloAdmitWait {
-			sh.tl.admitGood++
-		} else {
-			sh.tl.admitBad++
-		}
+		sh.tl.admitWait.Observe(sh.clock - t.queuedAt)
 		sh.flight("admit", t.spec.Name, "")
 	}
 	t.state = StateRunning
@@ -467,30 +458,10 @@ func (sh *shard) runQuantum(t *tenant) action {
 	if sh.tl != nil {
 		if out.Faults > 0 {
 			sh.tl.faultLat.Observe(int64(out.Faults) * policy.FaultService)
-			t.telFaults += int64(out.Faults)
 		}
 		sh.tl.occupancy.Observe(int64(t.res))
-		t.telMem += out.MemSum
 	}
 	return act
-}
-
-// telFlush drains a tenant's buffered fault/frame telemetry into the
-// heavy-hitter sketches. Called at scheduling transitions (suspend,
-// kill, finish) and at shard end — deterministic points in virtual
-// time — so the amortized sketch cost stays off the quantum path.
-func (sh *shard) telFlush(t *tenant) {
-	if sh.tl == nil {
-		return
-	}
-	if t.telFaults > 0 {
-		sh.tl.topFaults.Add(t.spec.ID, t.telFaults)
-		t.telFaults = 0
-	}
-	if t.telMem > 0 {
-		sh.tl.topFrames.Add(t.spec.ID, t.telMem)
-		t.telMem = 0
-	}
 }
 
 // parkPolicy folds the tenant's policy counters, audits its lock
@@ -542,11 +513,7 @@ func (sh *shard) suspend(t *tenant, why string) {
 	sh.res.Suspends++
 	sh.suspended = append(sh.suspended, t)
 	sh.g.suspendFromRunning()
-	if sh.tl != nil {
-		sh.telFlush(t)
-		sh.tl.topSheds.Add(t.spec.ID, 1)
-		sh.flight("suspend", t.spec.Name, why)
-	}
+	sh.flight("suspend", t.spec.Name, why)
 	if sh.o != nil {
 		sh.o.Emit(obs.Event{Kind: obs.KindSwap, T: sh.clock, Job: t.spec.Name, Res: res, Why: why})
 	}
@@ -594,9 +561,7 @@ func (sh *shard) kill(t *tenant) {
 	sh.estSum -= t.spec.Est
 	sh.queue = append(sh.queue, t)
 	sh.g.killToQueued()
-	if sh.tl != nil {
-		sh.telFlush(t)
-		sh.tl.topSheds.Add(t.spec.ID, 1)
+	if sh.fr != nil {
 		sh.flight("kill", t.spec.Name, fmt.Sprintf("restart %d", t.restarts))
 		sh.incident("kill", t.spec.Name, fmt.Sprintf("chaos kill at %d refs", t.refs))
 	}
@@ -609,7 +574,6 @@ func (sh *shard) kill(t *tenant) {
 // outstanding fault service into its finish time and freeing its stream
 // and policy.
 func (sh *shard) finish(t *tenant) {
-	sh.telFlush(t)
 	sh.parkPolicy(t)
 	sh.removeActive(t)
 	t.state = StateDone
@@ -647,10 +611,7 @@ func (sh *shard) shed(t *tenant, why string) {
 	sh.remaining--
 	sh.res.Shed++
 	sh.g.shedFromQueued()
-	if sh.tl != nil {
-		sh.tl.topSheds.Add(t.spec.ID, 1)
-		sh.flight("shed", t.spec.Name, why)
-	}
+	sh.flight("shed", t.spec.Name, why)
 }
 
 // removeActive deletes t from the active slice, keeping round-robin
@@ -780,13 +741,6 @@ func (sh *shard) thrashCheck() {
 	}
 	rate := float64(sh.winFaults) * 1000 / float64(sh.winRefs)
 	sh.winRefs, sh.winFaults = 0, 0
-	if sh.tl != nil {
-		if rate <= sloFaultRate {
-			sh.tl.rateGood++
-		} else {
-			sh.tl.rateBad++
-		}
-	}
 	if rate <= thrashRate {
 		sh.thrashStreak = 0
 		return

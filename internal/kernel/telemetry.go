@@ -11,9 +11,7 @@ import (
 // The kernel's telemetry plane turns the end-of-run aggregates into
 // distributions: per-shard log2 histograms of the latencies that matter
 // operationally (fault service, admission wait, suspension duration,
-// reclaim yield, resident occupancy), space-saving heavy-hitter sketches
-// of the tenants responsible (by faults, frame usage and displacement),
-// and SLO counters with burn-rate accounting. Everything is collected in
+// reclaim yield, resident occupancy). Everything is collected in
 // shard-local integer state — no locks, no atomics, no floats in the hot
 // loop — and merged shard→global in shard order at the run barrier, so a
 // telemetry-on run is byte-identical at any -j and its core results are
@@ -28,29 +26,10 @@ type telem struct {
 	suspDur      obs.Log2Hist // suspended → resumed, per resume
 	reclaimYield obs.Log2Hist // frames recovered per pressure wave (CD reclaim pass)
 	occupancy    obs.Log2Hist // resident frames of the stepped tenant, per quantum
-
-	topFaults *obs.TopK // tenant id → faults
-	topFrames *obs.TopK // tenant id → Σ resident-set integral (MemSum)
-	topSheds  *obs.TopK // tenant id → displacements (suspend/kill/shed)
-
-	// SLO counters. admission-wait objective: an admission is good when
-	// the tenant waited at most sloAdmitWait ticks. fault-rate objective:
-	// a closed thrash window is good when its rate is at most
-	// sloFaultRate faults per 1k references.
-	admitGood, admitBad int64
-	rateGood, rateBad   int64
 }
 
-func newTelem() *telem {
-	return &telem{
-		topFaults: obs.NewTopK(topK),
-		topFrames: obs.NewTopK(topK),
-		topSheds:  obs.NewTopK(topK),
-	}
-}
-
-// merge folds o into t. Shards partition tenants, so the sketch unions
-// are exact; merging in shard order makes the global state deterministic.
+// merge folds o into t. Merging in shard order makes the global state
+// deterministic.
 func (t *telem) merge(o *telem) {
 	if o == nil {
 		return
@@ -60,23 +39,13 @@ func (t *telem) merge(o *telem) {
 	t.suspDur.Merge(&o.suspDur)
 	t.reclaimYield.Merge(&o.reclaimYield)
 	t.occupancy.Merge(&o.occupancy)
-	t.topFaults.Merge(o.topFaults)
-	t.topFrames.Merge(o.topFrames)
-	t.topSheds.Merge(o.topSheds)
-	t.admitGood += o.admitGood
-	t.admitBad += o.admitBad
-	t.rateGood += o.rateGood
-	t.rateBad += o.rateBad
 }
 
-// clone deep-copies the shard state for lock-free publication: the shard
+// clone copies the shard state for lock-free publication: the shard
 // hands the store a private copy at progress cadence and keeps mutating
 // its own.
 func (t *telem) clone() *telem {
 	c := *t
-	c.topFaults = t.topFaults.Clone()
-	c.topFrames = t.topFrames.Clone()
-	c.topSheds = t.topSheds.Clone()
 	return &c
 }
 
@@ -95,54 +64,11 @@ type HistSnapshot struct {
 	P99 Bound `json:"p99"`
 }
 
-// TopHitter is one heavy-hitter table row. True count ∈ [Count-Err, Count].
-type TopHitter struct {
-	Tenant string `json:"tenant"`
-	Count  int64  `json:"count"`
-	Err    int64  `json:"err,omitempty"`
-}
-
-// TopTable is one named heavy-hitter table, ranked best-first.
-type TopTable struct {
-	Name    string      `json:"name"`
-	Entries []TopHitter `json:"entries,omitempty"`
-}
-
-// SLOSnapshot is one objective's accounting. BurnRate is the rate at
-// which the error budget is being consumed: (bad/total)/budget, so 1.0
-// means exactly on budget and 10 means burning ten times too fast.
-type SLOSnapshot struct {
-	Name       string  `json:"name"`
-	Objective  string  `json:"objective"`
-	Good       int64   `json:"good"`
-	Bad        int64   `json:"bad"`
-	Compliance float64 `json:"compliance"`
-	BurnRate   float64 `json:"burnRate"`
-	Budget     float64 `json:"budget"`
-}
-
 // TelemetrySnapshot is the merged, export-ready telemetry of a run (or
 // of its live partial state mid-run): everything JSON-serializable,
 // everything derived from integer state, byte-identical at any -j.
 type TelemetrySnapshot struct {
 	Hists []HistSnapshot `json:"histograms"`
-	Top   []TopTable     `json:"top"`
-	SLOs  []SLOSnapshot  `json:"slos"`
-}
-
-// tenantName reproduces SynthSpec naming from the id alone, so heavy-
-// hitter tables render names without holding the population. Hand-rolled
-// (one allocation) because snapshotting renders hundreds of these.
-func tenantName(id int) string {
-	if id < 0 || id > 99999 {
-		return fmt.Sprintf("t%05d", id)
-	}
-	buf := [6]byte{'t', '0', '0', '0', '0', '0'}
-	for i := 5; id > 0; i-- {
-		buf[i] = byte('0' + id%10)
-		id /= 10
-	}
-	return string(buf[:])
 }
 
 func histSnap(name string, h *obs.Log2Hist) HistSnapshot {
@@ -153,52 +79,15 @@ func histSnap(name string, h *obs.Log2Hist) HistSnapshot {
 	return s
 }
 
-func topTable(name string, tk *obs.TopK) TopTable {
-	entries := tk.Entries()
-	tbl := TopTable{Name: name}
-	if len(entries) > 0 {
-		tbl.Entries = make([]TopHitter, 0, len(entries))
-	}
-	for _, e := range entries {
-		tbl.Entries = append(tbl.Entries, TopHitter{Tenant: tenantName(e.Key), Count: e.Count, Err: e.Err})
-	}
-	return tbl
-}
-
-func sloSnap(name, objective string, good, bad int64) SLOSnapshot {
-	s := SLOSnapshot{Name: name, Objective: objective, Good: good, Bad: bad, Budget: sloBudget}
-	if total := good + bad; total > 0 {
-		s.Compliance = float64(good) / float64(total)
-		s.BurnRate = (float64(bad) / float64(total)) / sloBudget
-	}
-	return s
-}
-
-// snapshot renders the telem state for export, naming the SLO
-// objectives for self-describing output.
+// snapshot renders the telem state for export.
 func (t *telem) snapshot() *TelemetrySnapshot {
-	return &TelemetrySnapshot{
-		Hists: []HistSnapshot{
-			histSnap("fault_latency", &t.faultLat),
-			histSnap("admit_wait", &t.admitWait),
-			histSnap("suspend_duration", &t.suspDur),
-			histSnap("reclaim_yield", &t.reclaimYield),
-			histSnap("occupancy", &t.occupancy),
-		},
-		Top: []TopTable{
-			topTable("faults", t.topFaults),
-			topTable("frames", t.topFrames),
-			topTable("displacements", t.topSheds),
-		},
-		SLOs: []SLOSnapshot{
-			sloSnap("admission_wait",
-				fmt.Sprintf("admission wait <= %d ticks", sloAdmitWait),
-				t.admitGood, t.admitBad),
-			sloSnap("fault_rate",
-				fmt.Sprintf("window fault rate <= %g/1k refs", sloFaultRate),
-				t.rateGood, t.rateBad),
-		},
-	}
+	return &TelemetrySnapshot{Hists: []HistSnapshot{
+		histSnap("fault_latency", &t.faultLat),
+		histSnap("admit_wait", &t.admitWait),
+		histSnap("suspend_duration", &t.suspDur),
+		histSnap("reclaim_yield", &t.reclaimYield),
+		histSnap("occupancy", &t.occupancy),
+	}}
 }
 
 // Hist returns the named histogram, or nil.
@@ -206,16 +95,6 @@ func (ts *TelemetrySnapshot) Hist(name string) *HistSnapshot {
 	for i := range ts.Hists {
 		if ts.Hists[i].Name == name {
 			return &ts.Hists[i]
-		}
-	}
-	return nil
-}
-
-// Table returns the named heavy-hitter table, or nil.
-func (ts *TelemetrySnapshot) Table(name string) *TopTable {
-	for i := range ts.Top {
-		if ts.Top[i].Name == name {
-			return &ts.Top[i]
 		}
 	}
 	return nil
@@ -230,39 +109,6 @@ func (ts *TelemetrySnapshot) RenderHists() string {
 		h := &ts.Hists[i]
 		fmt.Fprintf(&b, "  %-17s n=%-8d mean=%-12.1f p50=[%d,%d] p99=[%d,%d] max=%d\n",
 			h.Name, h.Count, h.Mean(), h.P50.Lo, h.P50.Hi, h.P99.Lo, h.P99.Hi, h.Max)
-	}
-	return b.String()
-}
-
-// RenderTop renders the heavy-hitter tables, at most n rows each.
-func (ts *TelemetrySnapshot) RenderTop(n int) string {
-	var b strings.Builder
-	for i := range ts.Top {
-		tbl := &ts.Top[i]
-		fmt.Fprintf(&b, "top %s:\n", tbl.Name)
-		rows := tbl.Entries
-		if len(rows) > n {
-			rows = rows[:n]
-		}
-		for r, e := range rows {
-			if e.Err > 0 {
-				fmt.Fprintf(&b, "  %2d. %-8s %12d (±%d)\n", r+1, e.Tenant, e.Count, e.Err)
-			} else {
-				fmt.Fprintf(&b, "  %2d. %-8s %12d\n", r+1, e.Tenant, e.Count)
-			}
-		}
-	}
-	return b.String()
-}
-
-// RenderSLO renders the SLO block: compliance and burn rate per
-// objective.
-func (ts *TelemetrySnapshot) RenderSLO() string {
-	var b strings.Builder
-	b.WriteString("slo:\n")
-	for _, s := range ts.SLOs {
-		fmt.Fprintf(&b, "  %-15s good=%d bad=%d compliance=%.4f burn-rate=%.2f (budget %g, %s)\n",
-			s.Name, s.Good, s.Bad, s.Compliance, s.BurnRate, s.Budget, s.Objective)
 	}
 	return b.String()
 }
@@ -359,7 +205,7 @@ func (s *TelemetryStore) Snapshot() *TelemetryView {
 	if !s.published {
 		return nil
 	}
-	m := newTelem()
+	m := &telem{}
 	for _, t := range s.shards {
 		if t != nil {
 			m.merge(t)

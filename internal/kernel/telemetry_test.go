@@ -57,9 +57,8 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestTelemetryDeterministicAcrossWorkers extends the -j determinism
-// guarantee to the whole plane: histograms, heavy-hitter tables, SLO
-// counters and incident dumps must be byte-identical at any worker
-// count.
+// guarantee to the whole plane: histograms and incident dumps must be
+// byte-identical at any worker count.
 func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	cfg := chaosTelemetryConfig(96)
 	a := mustRun(t, cfg, engine.New(1))
@@ -76,10 +75,8 @@ func TestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTelemetryContent cross-checks the plane against the kernel's own
-// accounting: every admission is timed and SLO-scored, resumes match
-// the suspension histogram, and every heavy-hitter entry brackets its
-// tenant's true fault count. The 96 tenants outnumber the sketch
-// capacity (topK), so the table holds only the heaviest of them.
+// accounting: every admission is timed, resumes match the suspension
+// histogram, and every pressure wave records its yield.
 func TestTelemetryContent(t *testing.T) {
 	cfg := chaosTelemetryConfig(96)
 	res := mustRun(t, cfg, engine.New(4))
@@ -89,11 +86,6 @@ func TestTelemetryContent(t *testing.T) {
 	if aw.Count != res.Admitted {
 		t.Errorf("admit_wait n=%d, admitted=%d", aw.Count, res.Admitted)
 	}
-	for _, s := range ts.SLOs {
-		if s.Name == "admission_wait" && s.Good+s.Bad != res.Admitted {
-			t.Errorf("admission SLO scored %d events, admitted=%d", s.Good+s.Bad, res.Admitted)
-		}
-	}
 	if sd := ts.Hist("suspend_duration"); sd.Count != res.Resumes {
 		t.Errorf("suspend_duration n=%d, resumes=%d", sd.Count, res.Resumes)
 	}
@@ -102,20 +94,6 @@ func TestTelemetryContent(t *testing.T) {
 	}
 	if fl := ts.Hist("fault_latency"); fl.Count == 0 || fl.Min <= 0 {
 		t.Errorf("fault_latency degenerate: n=%d min=%d", fl.Count, fl.Min)
-	}
-
-	faults := map[string]int64{}
-	for _, tr := range res.PerTenant {
-		faults[tr.Name] += int64(tr.Faults)
-	}
-	tbl := ts.Table("faults")
-	if len(tbl.Entries) == 0 {
-		t.Fatal("faults table empty")
-	}
-	for _, e := range tbl.Entries {
-		if f := faults[e.Tenant]; f < e.Count-e.Err || f > e.Count {
-			t.Errorf("tenant %s: table brackets [%d, %d] faults, accounting says %d", e.Tenant, e.Count-e.Err, e.Count, f)
-		}
 	}
 }
 
@@ -228,6 +206,21 @@ func TestTripIncidentGolden(t *testing.T) {
 	}
 }
 
+// fullChaosConfig is the CI determinism population, `cdmm kernel
+// -tenants 2000 -chaos all` at its defaults, for the given pool.
+func fullChaosConfig(pool string) Config {
+	return Config{
+		Tenants:    2000,
+		Overcommit: 4,
+		Seed:       1,
+		Pool:       pool,
+		Level:      2,
+		Quantum:    512,
+		Checked:    true,
+		Chaos:      Chaos{Kill: true, Oscillate: true, Corrupt: true, Intensity: 0.4},
+	}
+}
+
 // TestFullChaosGolden pins the rendered result of the CI determinism
 // population — `cdmm kernel -tenants 2000 -chaos all` at its defaults —
 // for each pool, so changes to tenant synthesis, perturbation or
@@ -242,17 +235,7 @@ func TestFullChaosGolden(t *testing.T) {
 		{"ws", "chaos_2000_ws.golden"},
 	} {
 		t.Run(tc.pool, func(t *testing.T) {
-			cfg := Config{
-				Tenants:    2000,
-				Overcommit: 4,
-				Seed:       1,
-				Pool:       tc.pool,
-				Level:      2,
-				Quantum:    512,
-				Checked:    true,
-				Chaos:      Chaos{Kill: true, Oscillate: true, Corrupt: true, Intensity: 0.4},
-			}
-			got := mustRun(t, cfg, engine.New(2)).String() + "\n"
+			got := mustRun(t, fullChaosConfig(tc.pool), engine.New(2)).String() + "\n"
 			golden := filepath.Join("testdata", tc.golden)
 			if *updateGolden {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {

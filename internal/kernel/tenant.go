@@ -419,12 +419,6 @@ type tenant struct {
 	suspendedAt int64
 	admitSeq    int
 
-	// Telemetry accumulators: per-quantum faults and resident-set
-	// integral buffered here and flushed into the heavy-hitter sketches
-	// only at scheduling transitions, keeping the O(k) sketch eviction
-	// scan off the per-quantum path.
-	telFaults, telMem int64
-
 	// Folded accumulators (survive policy resets and restarts).
 	refs, faults, memSum, vtime int64
 	swaps, restarts             int

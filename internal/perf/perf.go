@@ -65,11 +65,10 @@ type Baseline struct {
 	// the side-band, so this must stay near zero.
 	AttrOverhead float64 `json:"attr_overhead"`
 	// TelemetryOverhead is the fractional cost the kernel pays for the
-	// full telemetry plane (histograms, heavy-hitter sketches, SLO
-	// counters, flight recorder) when nobody is watching: (telemetry-on -
-	// plain) / plain over full kernel runs, median of interleaved pair
-	// ratios. The plane is shard-local integer state, so this must stay
-	// small.
+	// full telemetry plane (histograms and flight recorder) when nobody
+	// is watching: (telemetry-on - plain) / plain over full kernel runs,
+	// from the minimum time of each over interleaved pairs. The plane is
+	// shard-local integer state, so this must stay small.
 	TelemetryOverhead float64 `json:"telemetry_overhead"`
 	// SweepSpeedupLRU and SweepSpeedupWS are the wall-clock ratios of
 	// the per-cell Table 2 capacity columns (one vmsim replay per LRU

@@ -296,25 +296,14 @@ func (p *CD) Ref(pg mem.Page) bool {
 
 // refMiss faults pg into a healthy (non-degraded) CD policy, replacing
 // under the directive ceiling. Shared by Ref and StepBlock so the two
-// paths cannot drift.
+// paths cannot drift. Locked pages ride above the allocation, which is
+// at least one page, so a full unlocked set always holds an LRU page to
+// evict: a miss never releases a lock. Only ForceRelease does, under
+// the operating system's pressure.
 func (p *CD) refMiss(pg mem.Page) {
 	if p.list.len()-p.locked >= p.alloc {
-		if v, ok := p.list.evictLRU(); ok {
-			if p.onEvict != nil {
-				p.onEvict(v)
-			}
-		} else {
-			// Every resident page is locked: the OS releases the locked
-			// page with the lowest priority (largest PJ) and replaces it.
-			if s := p.list.lowestPriorityLocked(); s >= 0 {
-				victim := p.list.idx.pageOf(s)
-				p.releaseLock(s)
-				p.list.removeSlot(s)
-				p.LockReleases++
-				if p.Hooks != nil && p.Hooks.LockRelease != nil {
-					p.Hooks.LockRelease(victim)
-				}
-			}
+		if v, ok := p.list.evictLRU(); ok && p.onEvict != nil {
+			p.onEvict(v)
 		}
 	}
 	p.list.insert(pg)
@@ -483,7 +472,8 @@ func (p *CD) Reset() {
 	p.LockReleases = 0
 	p.degraded = false
 	p.degradedReason = ""
-	p.fallback = nil
+	// The fallback stays, unused until the next degradation, which
+	// resets it and reuses its arrays.
 }
 
 // LockedPages returns the number of currently locked resident pages.

@@ -66,9 +66,11 @@ func pageInts(pages []mem.Page) []int {
 // degrade switches the policy into graceful degradation: every lock is
 // released (a policy that no longer trusts its directive stream must not
 // keep pages pinned on its say-so), the current resident set is carried
-// into a fresh WS fallback so no refault storm is charged to the
-// transition, and all further directives become no-ops. Idempotent: only
-// the first violation is recorded.
+// into a WS fallback so no refault storm is charged to the transition,
+// and all further directives become no-ops. Idempotent: only the first
+// violation is recorded. The fallback is built once per policy, its
+// window ring sized for τ plus the carried set, and reset for each later
+// degradation.
 func (p *CD) degrade(reason string) {
 	if p.degraded {
 		return
@@ -84,7 +86,16 @@ func (p *CD) degrade(reason string) {
 	for site, ps := range p.locksBySite {
 		p.locksBySite[site] = ps[:0]
 	}
-	ws := NewWS(DefaultFallbackTau)
+	ws := p.fallback
+	if ws == nil {
+		ws = NewWS(DefaultFallbackTau)
+		// The fallback sees at least the pages the CD has indexed.
+		ws.HintPages(mem.Page(len(p.list.idx.dense)-1), p.list.idx.size())
+	} else {
+		ws.Reset()
+	}
+	// The window never holds more than τ+1 references plus the warm set.
+	ws.growWin(DefaultFallbackTau + 1 + len(resident))
 	ws.Warm(resident)
 	ws.SetEvictHook(p.onEvict)
 	p.fallback = ws

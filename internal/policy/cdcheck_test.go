@@ -164,6 +164,52 @@ func TestDegradeReleasesLocksAndWarmsFallback(t *testing.T) {
 	}
 }
 
+// TestDegradedFallbackSizedOnceAndReused pins the fallback's storage: a
+// degradation sizes the WS window ring for τ plus the carried resident
+// set, so the run never grows it, and a degradation after Reset reuses
+// the same fallback and its ring with the faults of the first run.
+func TestDegradedFallbackSizedOnceAndReused(t *testing.T) {
+	p := NewCD(SelectLevel(2), 2)
+	p.Check = &CheckConfig{MaxPage: 16}
+	p.HintPages(15, 16)
+	run := func() (faults int, ring []wsRecord) {
+		p.Alloc(alloc("10", directive.Arm{PI: 1, X: 8}))
+		for i := 0; i < 12; i++ {
+			p.Ref(mem.Page(i % 6))
+		}
+		p.Alloc(alloc("BAD", directive.Arm{PI: 1, X: 99})) // violates MaxPage
+		if !p.Degraded() {
+			t.Fatal("expected degradation")
+		}
+		ring = p.fallback.win
+		if len(ring) < DefaultFallbackTau+1+6 {
+			t.Fatalf("fallback ring holds %d records, want room for τ+1 plus 6 warm pages", len(ring))
+		}
+		var out BlockResult
+		pages := make([]mem.Page, 64)
+		for b := 0; b < 80; b++ {
+			for i := range pages {
+				pages[i] = mem.Page((b*len(pages) + i) * 7 % 16)
+			}
+			p.StepBlock(pages, &out)
+		}
+		if &p.fallback.win[0] != &ring[0] {
+			t.Fatalf("fallback ring grew from %d to %d records", len(ring), len(p.fallback.win))
+		}
+		return out.Faults, ring
+	}
+	faults, ring := run()
+	ws := p.fallback
+	p.Reset()
+	again, ringAgain := run()
+	if p.fallback != ws || &ringAgain[0] != &ring[0] {
+		t.Error("degradation after Reset built a new fallback")
+	}
+	if again != faults {
+		t.Errorf("faults after Reset = %d, first run %d", again, faults)
+	}
+}
+
 // TestDegradeIdempotentAndHook checks the Degrade hook fires exactly once
 // with the first reason.
 func TestDegradeIdempotentAndHook(t *testing.T) {

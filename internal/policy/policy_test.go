@@ -318,6 +318,24 @@ func TestCDLockedPagesRideAboveAllocation(t *testing.T) {
 	if cd.Resident() != 3 {
 		t.Errorf("resident = %d, want 3 (2 allocated + 1 locked)", cd.Resident())
 	}
+
+	// A miss with every resident page locked, at the one-page minimum
+	// allocation, evicts nothing and releases nothing: the new page
+	// joins the locked ones.
+	full := NewCD(SelectLevel(1), 1)
+	full.Ref(1)
+	full.Lock(trace.LockSet{PJ: 2, Site: 0, Pages: []mem.Page{1}})
+	full.Ref(2)
+	full.Lock(trace.LockSet{PJ: 3, Site: 1, Pages: []mem.Page{2}})
+	evicted := 0
+	full.SetEvictHook(func(mem.Page) { evicted++ })
+	if !full.Ref(3) {
+		t.Fatal("page 3 hit before it was referenced")
+	}
+	if evicted != 0 || full.LockReleases != 0 || full.Resident() != 3 || full.LockedPages() != 2 {
+		t.Errorf("miss over an all-locked set: evicted %d, lock releases %d, resident %d, locked %d; want 0, 0, 3, 2",
+			evicted, full.LockReleases, full.Resident(), full.LockedPages())
+	}
 }
 
 func TestCDForceReleaseOrder(t *testing.T) {

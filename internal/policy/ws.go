@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"cdmm/internal/mem"
@@ -78,15 +79,24 @@ func (p *WS) slotOf(pg mem.Page) int32 {
 	return s
 }
 
+// growWin grows the ring to the smallest power of two (at least 64)
+// holding n records, keeping the records it holds.
+func (p *WS) growWin(n int) {
+	if n <= len(p.win) {
+		return
+	}
+	grown := make([]wsRecord, max(64, 1<<bits.Len(uint(n-1))))
+	for i := 0; i < p.winLen; i++ {
+		grown[i] = p.win[(p.winHead+i)&(len(p.win)-1)]
+	}
+	p.win = grown
+	p.winHead = 0
+}
+
 // pushWin appends a record at the ring's tail, doubling when full.
 func (p *WS) pushWin(t int64, s int32) {
 	if p.winLen == len(p.win) {
-		grown := make([]wsRecord, max(2*len(p.win), 64))
-		for i := 0; i < p.winLen; i++ {
-			grown[i] = p.win[(p.winHead+i)&(len(p.win)-1)]
-		}
-		p.win = grown
-		p.winHead = 0
+		p.growWin(p.winLen + 1)
 	}
 	p.win[(p.winHead+p.winLen)&(len(p.win)-1)] = wsRecord{t: t, slot: s}
 	p.winLen++

@@ -1,9 +1,8 @@
 // The kernel plane: /kernel serves the multiprogrammed kernel's live
-// telemetry view (histograms with quantile brackets, heavy-hitter
-// tables, SLO burn rates, incident counts), and the scrape gains the
-// cdmm_kernel_* series. Both are gated on the store having seen a run —
-// a server whose kernels never publish serves byte-identical scrapes to
-// a pre-kernel server and pays nothing.
+// telemetry view (histograms with quantile brackets, incident counts),
+// and the scrape gains the cdmm_kernel_* series. Both are gated on the
+// store having seen a run — a server whose kernels never publish serves
+// byte-identical scrapes to a pre-kernel server and pays nothing.
 package serve
 
 import (
@@ -43,10 +42,10 @@ var kernelHistHelp = map[string]string{
 }
 
 // writeKernelMetrics appends the kernel telemetry series to a scrape:
-// one Prometheus histogram (_bucket/_sum/_count on exact log2 bounds)
-// per kernel distribution, the heavy-hitter tables as per-tenant
-// gauges, and per-SLO good/bad/burn-rate series. An empty store writes
-// nothing, keeping kernel-less scrapes byte-identical.
+// the run's state and incident count, and one Prometheus histogram
+// (_bucket/_sum/_count on exact log2 bounds) per kernel distribution.
+// An empty store writes nothing, keeping kernel-less scrapes
+// byte-identical.
 func (s *Server) writeKernelMetrics(buf *bytes.Buffer) {
 	if s.kernel.Len() == 0 {
 		return
@@ -67,25 +66,5 @@ func (s *Server) writeKernelMetrics(buf *bytes.Buffer) {
 		h := &v.Telemetry.Hists[i]
 		s.scrapeRaw = h.AppendProm(s.scrapeRaw[:0], ns+"_kernel_"+h.Name, kernelHistHelp[h.Name])
 		buf.Write(s.scrapeRaw)
-	}
-	for i := range v.Telemetry.Top {
-		tbl := &v.Telemetry.Top[i]
-		fmt.Fprintf(buf, "# HELP %s_kernel_top_%s heavy-hitter tenants by %s (space-saving; true count within err below)\n# TYPE %s_kernel_top_%s gauge\n",
-			ns, tbl.Name, tbl.Name, ns, tbl.Name)
-		for _, e := range tbl.Entries {
-			fmt.Fprintf(buf, "%s_kernel_top_%s{tenant=%q} %d\n", ns, tbl.Name, e.Tenant, e.Count)
-		}
-	}
-	fmt.Fprintf(buf, "# HELP %s_kernel_slo_good events within the objective\n# TYPE %s_kernel_slo_good counter\n", ns, ns)
-	for _, sl := range v.Telemetry.SLOs {
-		fmt.Fprintf(buf, "%s_kernel_slo_good{slo=%q} %d\n", ns, sl.Name, sl.Good)
-	}
-	fmt.Fprintf(buf, "# HELP %s_kernel_slo_bad events outside the objective\n# TYPE %s_kernel_slo_bad counter\n", ns, ns)
-	for _, sl := range v.Telemetry.SLOs {
-		fmt.Fprintf(buf, "%s_kernel_slo_bad{slo=%q} %d\n", ns, sl.Name, sl.Bad)
-	}
-	fmt.Fprintf(buf, "# HELP %s_kernel_slo_burn_rate error-budget burn rate (1.0 = exactly on budget)\n# TYPE %s_kernel_slo_burn_rate gauge\n", ns, ns)
-	for _, sl := range v.Telemetry.SLOs {
-		fmt.Fprintf(buf, "%s_kernel_slo_burn_rate{slo=%q} %g\n", ns, sl.Name, sl.BurnRate)
 	}
 }
