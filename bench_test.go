@@ -268,6 +268,7 @@ func stripLocks(tr *trace.Trace) *trace.Trace {
 		}
 		return true
 	})
+	out.Finish()
 	return out
 }
 

@@ -730,6 +730,11 @@ func tablesFlags(which string) func(*flag.FlagSet) func(string) error {
 }
 
 func runTablesTo(w io.Writer, which string, eng *engine.Engine) error {
+	if which == "tables" {
+		if err := experiments.WarmTables(eng); err != nil {
+			return err
+		}
+	}
 	show := func(name string, gen func() (string, error)) error {
 		if which != "tables" && which != name {
 			return nil

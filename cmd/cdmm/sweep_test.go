@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cdmm/internal/engine"
 	"cdmm/internal/experiments"
+	"cdmm/internal/obs"
 )
 
 // TestTable2CurveCellByteIdentical renders Table 2 — the table whose LRU
@@ -38,6 +40,52 @@ func TestTable2CurveCellByteIdentical(t *testing.T) {
 		if got := render(c.cell, c.j); got != curve {
 			t.Errorf("cell=%v -j %d rendering differs from curve -j 1:\n%s\nvs\n%s", c.cell, c.j, got, curve)
 		}
+	}
+}
+
+// TestTablesByteIdenticalAcrossPlans: `tables` renders the same at -j 1,
+// 2 and 8, where the program plan runs ahead of the table plans, and in
+// cell mode, where it does not. Observed, `tables` skips the program
+// plan: its event stream and output are those of the four table plans
+// run alone.
+func TestTablesByteIdenticalAcrossPlans(t *testing.T) {
+	render := func(eng *engine.Engine) string {
+		var buf bytes.Buffer
+		if err := runTablesTo(&buf, "tables", eng); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := render(engine.New(1))
+	for _, j := range []int{2, 8} {
+		if got := render(engine.New(j)); got != want {
+			t.Errorf("tables -j %d differs from -j 1:\n%s\nvs\n%s", j, got, want)
+		}
+	}
+	if !testing.Short() {
+		if got := render(engine.New(8).WithCellMode(true)); got != want {
+			t.Errorf("tables -cellmode differs from curve mode:\n%s\nvs\n%s", got, want)
+		}
+	}
+
+	watched := &obs.Collector{}
+	if got := render(engine.New(2).WithObserver(&obs.Observer{Tracer: watched})); got != want {
+		t.Errorf("observed tables differ from unobserved:\n%s\nvs\n%s", got, want)
+	}
+	alone := &obs.Collector{}
+	eng := engine.New(2).WithObserver(&obs.Observer{Tracer: alone})
+	for n, gen := range []func() error{
+		func() error { _, err := experiments.Table1(eng); return err },
+		func() error { _, err := experiments.Table2(eng); return err },
+		func() error { _, err := experiments.Table3(eng); return err },
+		func() error { _, err := experiments.Table4(eng); return err },
+	} {
+		if err := gen(); err != nil {
+			t.Fatalf("table%d: %v", n+1, err)
+		}
+	}
+	if len(watched.Events) == 0 || !reflect.DeepEqual(watched.Events, alone.Events) {
+		t.Errorf("tables wrote %d events, the four table plans alone %d: the streams differ", len(watched.Events), len(alone.Events))
 	}
 }
 

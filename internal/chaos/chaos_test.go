@@ -82,6 +82,29 @@ func TestInjectorsDeterministic(t *testing.T) {
 	}
 }
 
+// TestInjectorsFinishLongTraces: every perturbing fault returns a
+// readable trace when its input is long enough to be built in chunks.
+func TestInjectorsFinishLongTraces(t *testing.T) {
+	base := trace.New("L")
+	base.AddAlloc(&directive.Allocate{Arms: []directive.Arm{{PI: 1, X: 8}}})
+	base.AddLock(1, 0, []mem.Page{0})
+	for i := 0; i < 100_000; i++ {
+		base.AddRef(mem.Page(i % 50))
+	}
+	base.AddUnlock([]mem.Page{0})
+	base.Finish()
+	for _, f := range Faults() {
+		if f.Perturb == nil {
+			continue
+		}
+		out := f.Perturb(base, NewRand(3), 0.5)
+		if got := len(out.Pages()); got != out.Refs {
+			t.Errorf("%s: %d pages in a trace of %d references", f.Name, got, out.Refs)
+		}
+		encode(t, out)
+	}
+}
+
 // TestInjectorsPreserveInput verifies injectors never mutate the shared
 // compiled trace — the memoization contract.
 func TestInjectorsPreserveInput(t *testing.T) {

@@ -32,6 +32,7 @@ func rebuild(tr *trace.Trace, suffix string, evs []trace.Event) *trace.Trace {
 	for _, e := range evs {
 		out.Append(e)
 	}
+	out.Finish()
 	return out
 }
 

@@ -55,6 +55,10 @@ type memo struct {
 	m  map[Key]*memoEntry
 }
 
+// computed, when set, is told the key of every memo computation an
+// engine starts. Tests set it.
+var computed func(Key)
+
 // flush emits the entry's buffered events once. Entries still computing
 // (possible only for keys requested by a different, concurrent plan) are
 // left for their own plan's merge.
@@ -102,6 +106,9 @@ func (e *Engine) Memo(rc *RunCtx, k Key, fn func(comp *RunCtx, o *obs.Observer) 
 	if ok {
 		<-ent.done
 	} else {
+		if computed != nil {
+			computed(k)
+		}
 		base := e.obs
 		comp := &RunCtx{eng: e, progressID: -1}
 		// The computing requester's live-position callback rides along so

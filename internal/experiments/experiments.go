@@ -144,18 +144,94 @@ type Row1 struct {
 	ST      float64
 }
 
+// rowFunc computes one variant's row of a table, and returns it with the
+// CD run the row compares against.
+type rowFunc[R any] func(eng *engine.Engine, rc *engine.RunCtx, v Variant) (R, vmsim.Result, error)
+
+// tablePlan runs a table's rows, one plan item per variant, each
+// described as policy and reporting its CD run on its Progress entry.
+func tablePlan[R any](eng *engine.Engine, label, policy string, variants []Variant, row rowFunc[R]) ([]R, error) {
+	return engine.MapNamed(eng, label, variants, func(rc *engine.RunCtx, v Variant) (R, error) {
+		rc.Describe(v.Program+"/"+v.Set, policy)
+		r, cd, err := row(eng, rc, v)
+		if err == nil {
+			rc.Report(cd)
+		}
+		return r, err
+	})
+}
+
+// programs lists the programs of Tables 1–4 in the order their variants
+// first appear in the tables.
+func programs() []string {
+	var progs []string
+	seen := map[string]bool{}
+	for _, vs := range [][]Variant{Table1Variants, Table2Variants, Table34Variants} {
+		for _, v := range vs {
+			if !seen[v.Program] {
+				seen[v.Program] = true
+				progs = append(progs, v.Program)
+			}
+		}
+	}
+	return progs
+}
+
+// WarmTables runs, ahead of the four table plans, one plan item per
+// program (programs' order) that computes the program's rows of all
+// four tables through the row functions the table plans run. It
+// therefore requests every memo entry the tables read, and the table
+// plans that follow find them all. A program's trace, sweeps and CD
+// runs are built by one item, so no worker waits on another's, and no
+// table waits for the slowest row of the one before it. It runs only
+// when the engine reads WS windows off the one-pass grid engine
+// (engine.OnePassWS): observed runs and cell mode keep the table plans'
+// own order, which their event streams follow.
+func WarmTables(eng *engine.Engine) error {
+	if !eng.OnePassWS() {
+		return nil
+	}
+	_, err := engine.MapNamed(eng, "programs", programs(), func(rc *engine.RunCtx, prog string) (struct{}, error) {
+		rc.Describe(prog, "Tables 1-4")
+		if err := programRows(eng, rc, prog, Table1Variants, row1); err != nil {
+			return struct{}{}, err
+		}
+		if err := programRows(eng, rc, prog, Table2Variants, row2); err != nil {
+			return struct{}{}, err
+		}
+		if err := programRows(eng, rc, prog, Table34Variants, row3); err != nil {
+			return struct{}{}, err
+		}
+		return struct{}{}, programRows(eng, rc, prog, Table34Variants, row4)
+	})
+	return err
+}
+
+// programRows computes the rows of variants that belong to prog.
+func programRows[R any](eng *engine.Engine, rc *engine.RunCtx, prog string, variants []Variant, row rowFunc[R]) error {
+	for _, v := range variants {
+		if v.Program != prog {
+			continue
+		}
+		if _, _, err := row(eng, rc, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Table1 reproduces Table 1: the effect of executing different directive
 // sets under the CD policy.
 func Table1(eng *engine.Engine) ([]Row1, error) {
-	return engine.MapNamed(eng, "table1", Table1Variants, func(rc *engine.RunCtx, v Variant) (Row1, error) {
-		rc.Describe(v.Program+"/"+v.Set, "CD")
-		_, r, err := cdRun(eng, rc, v)
-		if err != nil {
-			return Row1{}, err
-		}
-		rc.Report(r)
-		return Row1{Variant: v, MEM: r.MEM(), PF: r.Faults, ST: r.ST()}, nil
-	})
+	return tablePlan(eng, "table1", "CD", Table1Variants, row1)
+}
+
+func row1(eng *engine.Engine, rc *engine.RunCtx, v Variant) (Row1, vmsim.Result, error) {
+	_, r, err := cdRun(eng, rc, v)
+	if err != nil {
+		return Row1{}, r, err
+	}
+	return Row1{Variant: v, MEM: r.MEM(), PF: r.Faults, ST: r.ST()}, r, nil
 }
 
 // Row2 is one Table 2 row: excess minimum space-time cost of LRU and WS
@@ -178,37 +254,37 @@ type Row2 struct {
 // over the τ ladder, whose grid pass also computes the windows Tables 3
 // and 4 read for the program (wsWindows).
 func Table2(eng *engine.Engine) ([]Row2, error) {
-	return engine.MapNamed(eng, "table2", Table2Variants, func(rc *engine.RunCtx, v Variant) (Row2, error) {
-		rc.Describe(v.Program+"/"+v.Set, "CD vs LRU/WS minima")
-		tr, cd, err := cdRun(eng, rc, v)
-		if err != nil {
-			return Row2{}, err
-		}
-		rc.Report(cd)
-		lru, err := eng.LRUSweep(rc, tr)
-		if err != nil {
-			return Row2{}, err
-		}
-		mLRU, stLRU := lru.MinST()
-		also, err := wsWindows(eng, rc, tr, v.Program)
-		if err != nil {
-			return Row2{}, err
-		}
-		tauWS, wsRes, err := eng.WSMinST(rc, tr, also...)
-		if err != nil {
-			return Row2{}, err
-		}
-		return Row2{
-			Variant:  v,
-			CDST:     cd.ST(),
-			LRUMinST: stLRU,
-			WSMinST:  wsRes.ST(),
-			PctSTLRU: pct(stLRU, cd.ST()),
-			PctSTWS:  pct(wsRes.ST(), cd.ST()),
-			LRUAt:    mLRU,
-			WSAt:     tauWS,
-		}, nil
-	})
+	return tablePlan(eng, "table2", "CD vs LRU/WS minima", Table2Variants, row2)
+}
+
+func row2(eng *engine.Engine, rc *engine.RunCtx, v Variant) (Row2, vmsim.Result, error) {
+	tr, cd, err := cdRun(eng, rc, v)
+	if err != nil {
+		return Row2{}, cd, err
+	}
+	lru, err := eng.LRUSweep(rc, tr)
+	if err != nil {
+		return Row2{}, cd, err
+	}
+	mLRU, stLRU := lru.MinST()
+	also, err := wsWindows(eng, rc, tr, v.Program)
+	if err != nil {
+		return Row2{}, cd, err
+	}
+	tauWS, wsRes, err := eng.WSMinST(rc, tr, also...)
+	if err != nil {
+		return Row2{}, cd, err
+	}
+	return Row2{
+		Variant:  v,
+		CDST:     cd.ST(),
+		LRUMinST: stLRU,
+		WSMinST:  wsRes.ST(),
+		PctSTLRU: pct(stLRU, cd.ST()),
+		PctSTWS:  pct(wsRes.ST(), cd.ST()),
+		LRUAt:    mLRU,
+		WSAt:     tauWS,
+	}, cd, nil
 }
 
 // Row3 is one Table 3 row: LRU and WS versus CD at equal average memory.
@@ -232,51 +308,51 @@ type Row3 struct {
 // CD used (LRU gets the rounded allocation, WS the window whose mean
 // working-set size is closest) and compare faults and space-time cost.
 func Table3(eng *engine.Engine) ([]Row3, error) {
-	return engine.MapNamed(eng, "table3", Table34Variants, func(rc *engine.RunCtx, v Variant) (Row3, error) {
-		rc.Describe(v.Program+"/"+v.Set, "CD vs equal-MEM LRU/WS")
-		tr, cd, err := cdRun(eng, rc, v)
-		if err != nil {
-			return Row3{}, err
-		}
-		rc.Report(cd)
-		lruSweep, err := eng.LRUSweep(rc, tr)
-		if err != nil {
-			return Row3{}, err
-		}
-		m := int(cd.MEM() + 0.5)
-		if m < 1 {
-			m = 1
-		}
-		lru := lruSweep.Result(m)
+	return tablePlan(eng, "table3", "CD vs equal-MEM LRU/WS", Table34Variants, row3)
+}
 
-		wsSweep, err := eng.WSSweep(rc, tr)
-		if err != nil {
-			return Row3{}, err
-		}
-		tau := wsSweep.TauForMEM(cd.MEM())
-		also, err := wsWindows(eng, rc, tr, v.Program)
-		if err != nil {
-			return Row3{}, err
-		}
-		ws, err := eng.WSRun(rc, tr, tau, also...)
-		if err != nil {
-			return Row3{}, err
-		}
+func row3(eng *engine.Engine, rc *engine.RunCtx, v Variant) (Row3, vmsim.Result, error) {
+	tr, cd, err := cdRun(eng, rc, v)
+	if err != nil {
+		return Row3{}, cd, err
+	}
+	lruSweep, err := eng.LRUSweep(rc, tr)
+	if err != nil {
+		return Row3{}, cd, err
+	}
+	m := int(cd.MEM() + 0.5)
+	if m < 1 {
+		m = 1
+	}
+	lru := lruSweep.Result(m)
 
-		return Row3{
-			Variant:    v,
-			CDMEM:      cd.MEM(),
-			CDPF:       cd.Faults,
-			CDST:       cd.ST(),
-			LRUAlloc:   m,
-			DeltaPFLRU: lru.Faults - cd.Faults,
-			PctSTLRU:   pct(lru.ST(), cd.ST()),
-			WSTau:      tau,
-			WSMEM:      ws.MEM(),
-			DeltaPFWS:  ws.Faults - cd.Faults,
-			PctSTWS:    pct(ws.ST(), cd.ST()),
-		}, nil
-	})
+	wsSweep, err := eng.WSSweep(rc, tr)
+	if err != nil {
+		return Row3{}, cd, err
+	}
+	tau := wsSweep.TauForMEM(cd.MEM())
+	also, err := wsWindows(eng, rc, tr, v.Program)
+	if err != nil {
+		return Row3{}, cd, err
+	}
+	ws, err := eng.WSRun(rc, tr, tau, also...)
+	if err != nil {
+		return Row3{}, cd, err
+	}
+
+	return Row3{
+		Variant:    v,
+		CDMEM:      cd.MEM(),
+		CDPF:       cd.Faults,
+		CDST:       cd.ST(),
+		LRUAlloc:   m,
+		DeltaPFLRU: lru.Faults - cd.Faults,
+		PctSTLRU:   pct(lru.ST(), cd.ST()),
+		WSTau:      tau,
+		WSMEM:      ws.MEM(),
+		DeltaPFWS:  ws.Faults - cd.Faults,
+		PctSTWS:    pct(ws.ST(), cd.ST()),
+	}, cd, nil
 }
 
 // Row4 is one Table 4 row: the memory and space-time cost LRU and WS need
@@ -302,47 +378,47 @@ type Row4 struct {
 // count — the smallest LRU allocation and WS window that do so, compared
 // on memory and space-time cost.
 func Table4(eng *engine.Engine) ([]Row4, error) {
-	return engine.MapNamed(eng, "table4", Table34Variants, func(rc *engine.RunCtx, v Variant) (Row4, error) {
-		rc.Describe(v.Program+"/"+v.Set, "CD vs equal-PF LRU/WS")
-		tr, cd, err := cdRun(eng, rc, v)
-		if err != nil {
-			return Row4{}, err
-		}
-		rc.Report(cd)
-		lruSweep, err := eng.LRUSweep(rc, tr)
-		if err != nil {
-			return Row4{}, err
-		}
-		m, okLRU := lruSweep.MinAllocationForFaults(cd.Faults)
-		lru := lruSweep.Result(m)
+	return tablePlan(eng, "table4", "CD vs equal-PF LRU/WS", Table34Variants, row4)
+}
 
-		wsSweep, err := eng.WSSweep(rc, tr)
-		if err != nil {
-			return Row4{}, err
-		}
-		tau, okWS := wsSweep.MinTauForFaults(cd.Faults)
-		also, err := wsWindows(eng, rc, tr, v.Program)
-		if err != nil {
-			return Row4{}, err
-		}
-		ws, err := eng.WSRun(rc, tr, tau, also...)
-		if err != nil {
-			return Row4{}, err
-		}
+func row4(eng *engine.Engine, rc *engine.RunCtx, v Variant) (Row4, vmsim.Result, error) {
+	tr, cd, err := cdRun(eng, rc, v)
+	if err != nil {
+		return Row4{}, cd, err
+	}
+	lruSweep, err := eng.LRUSweep(rc, tr)
+	if err != nil {
+		return Row4{}, cd, err
+	}
+	m, okLRU := lruSweep.MinAllocationForFaults(cd.Faults)
+	lru := lruSweep.Result(m)
 
-		return Row4{
-			Variant:   v,
-			CDMEM:     cd.MEM(),
-			CDPF:      cd.Faults,
-			CDST:      cd.ST(),
-			LRUAlloc:  m,
-			LRUOK:     okLRU,
-			PctMEMLRU: pct(lru.MEM(), cd.MEM()),
-			PctSTLRU:  pct(lru.ST(), cd.ST()),
-			WSTau:     tau,
-			WSOK:      okWS,
-			PctMEMWS:  pct(ws.MEM(), cd.MEM()),
-			PctSTWS:   pct(ws.ST(), cd.ST()),
-		}, nil
-	})
+	wsSweep, err := eng.WSSweep(rc, tr)
+	if err != nil {
+		return Row4{}, cd, err
+	}
+	tau, okWS := wsSweep.MinTauForFaults(cd.Faults)
+	also, err := wsWindows(eng, rc, tr, v.Program)
+	if err != nil {
+		return Row4{}, cd, err
+	}
+	ws, err := eng.WSRun(rc, tr, tau, also...)
+	if err != nil {
+		return Row4{}, cd, err
+	}
+
+	return Row4{
+		Variant:   v,
+		CDMEM:     cd.MEM(),
+		CDPF:      cd.Faults,
+		CDST:      cd.ST(),
+		LRUAlloc:  m,
+		LRUOK:     okLRU,
+		PctMEMLRU: pct(lru.MEM(), cd.MEM()),
+		PctSTLRU:  pct(lru.ST(), cd.ST()),
+		WSTau:     tau,
+		WSOK:      okWS,
+		PctMEMWS:  pct(ws.MEM(), cd.MEM()),
+		PctSTWS:   pct(ws.ST(), cd.ST()),
+	}, cd, nil
 }

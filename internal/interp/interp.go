@@ -89,6 +89,7 @@ func Run(info *sem.Info, cfg Config) (tr *trace.Trace, err error) {
 		}
 	}()
 	main()
+	m.tr.Finish()
 	return m.tr, nil
 }
 

@@ -51,6 +51,7 @@ func runTree(info *sem.Info, cfg Config) (*trace.Trace, error) {
 		}
 		return nil, err
 	}
+	ex.tr.Finish()
 	return ex.tr, nil
 }
 

@@ -44,6 +44,7 @@ func materializeOracle(s *SynthSpec) *trace.Trace {
 			tr.AddUnlock(locked)
 		}
 	}
+	tr.Finish()
 	return tr
 }
 
@@ -128,6 +129,17 @@ func TestSynthSourceMatchesOracle(t *testing.T) {
 	if n < 500 {
 		t.Fatalf("checked %d specs, want >= 500", n)
 	}
+}
+
+// TestSynthSourceManyChunks: a spec long enough that Materialize builds
+// its trace in several chunks still matches the oracle, so Materialize
+// returns it finished.
+func TestSynthSourceManyChunks(t *testing.T) {
+	spec := NewSynthSpec(1, 5, 60)
+	if spec.Refs < 100_000 {
+		t.Fatalf("spec has %d references, want a multi-chunk trace", spec.Refs)
+	}
+	checkSynthSource(t, spec)
 }
 
 // TestSynthSourceOddWindows covers windows outside the shared table's

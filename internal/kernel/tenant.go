@@ -279,6 +279,7 @@ func (s *SynthSpec) Materialize() *trace.Trace {
 		}
 		return true
 	})
+	tr.Finish()
 	return tr
 }
 

@@ -12,7 +12,8 @@ import (
 
 // FuzzSweep feeds arbitrary byte strings as reference traces plus a
 // fuzzer-chosen τ/capacity and checks the one-pass curve engines against
-// per-cell replay. Any divergence is a real bug in one of the engines.
+// per-cell replay, and the LRU stack pass against its Fenwick oracle.
+// Any divergence is a real bug in one of the engines.
 func FuzzSweep(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 1, 0, 3, 3, 2, 1, 0}, uint8(3))
 	f.Add([]byte{5, 5, 5, 5}, uint8(1))
@@ -27,6 +28,7 @@ func FuzzSweep(f *testing.F) {
 			tr.AddRef(mem.Page(b % 64))
 		}
 
+		checkLRUOracle(t, "fuzz", tr)
 		lru, err := sweep.NewLRU(tr)
 		if err != nil {
 			t.Fatal(err)

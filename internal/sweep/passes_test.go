@@ -33,7 +33,8 @@ func renderTables(t *testing.T, eng *engine.Engine, which ...int) []string {
 // TestTablesOneGridPassPerProgram counts WS grid traversals. Table 2's
 // ladder pass per program also computes the windows Tables 3 and 4 read,
 // so Tables 1–4 walk each of the nine programs once (HWSCRT, which has
-// no Table 2 row, in Table 3); Table 3 alone walks each program once for
+// no Table 2 row, in Table 3), with or without the program plan that
+// `cdmm tables` runs first; Table 3 alone walks each program once for
 // its variants' windows only, and Table 4 then finds every window in
 // the store. Every rendering equals the per-cell oracle's.
 func TestTablesOneGridPassPerProgram(t *testing.T) {
@@ -51,13 +52,21 @@ func TestTablesOneGridPassPerProgram(t *testing.T) {
 	}
 
 	for _, j := range []int{1, 4} {
-		passes, stop := sweep.RecordPasses()
-		got := renderTables(t, engine.New(j), 1, 2, 3, 4)
-		stop()
-		if n := len(passes()); n != 9 {
-			t.Errorf("-j %d: Tables 1-4 made %d grid traversals, want 9 (one per program)", j, n)
+		for _, warm := range []bool{false, true} {
+			eng := engine.New(j)
+			passes, stop := sweep.RecordPasses()
+			if warm {
+				if err := experiments.WarmTables(eng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := renderTables(t, eng, 1, 2, 3, 4)
+			stop()
+			if n := len(passes()); n != 9 {
+				t.Errorf("-j %d, program plan %v: Tables 1-4 made %d grid traversals, want 9 (one per program)", j, warm, n)
+			}
+			sameAsCell(fmt.Sprintf("tables -j %d, program plan %v", j, warm), got, 1, 2, 3, 4)
 		}
-		sameAsCell(fmt.Sprintf("tables -j %d", j), got, 1, 2, 3, 4)
 	}
 
 	perProgram := map[string]int{}

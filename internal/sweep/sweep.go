@@ -4,10 +4,11 @@
 //
 // Three engines ride the block-stepped trace plane (trace.Source):
 //
-//   - LRUCurve: Mattson's stack algorithm over a Fenwick tree of
-//     reference positions. One traversal yields the exact reuse-distance
+//   - LRUCurve: Mattson's stack algorithm over a word bitset of live
+//     reference positions, with a Fenwick tree over its words for the
+//     long distances. One traversal yields the exact reuse-distance
 //     histogram, hence PF/MEM/ST for *every* LRU allocation m in [1, V].
-//     Periodic position compression bounds the tree at O(V) regardless
+//     Periodic position compaction bounds the stack at O(V) regardless
 //     of stream length, so multi-GB CDT3 files sweep in bounded memory.
 //
 //   - WS: Denning's windowed recurrence. One pass builds the backward

@@ -33,6 +33,7 @@ func randomTrace(seed uint64, n, universe int) *trace.Trace {
 		span := 4 + int(rng()%8)
 		tr.AddRef(mem.Page((base + int(rng())%span) % universe))
 	}
+	tr.Finish()
 	return tr
 }
 
@@ -114,9 +115,9 @@ func TestLRUCurvePropertyRandom(t *testing.T) {
 	}
 }
 
-// TestLRUCurveCompression forces many Fenwick compressions (small
-// universe, long trace: the position counter laps the tree capacity
-// hundreds of times) and checks the compressed analysis stays exact.
+// TestLRUCurveCompression forces many position compactions (small
+// universe, long trace: the position counter laps the stack's capacity
+// dozens of times) and checks the compacted analysis stays exact.
 func TestLRUCurveCompression(t *testing.T) {
 	tr := randomTrace(3, 60000, 12)
 	s := mustLRU(t, tr)
@@ -293,6 +294,7 @@ func TestSparsePagesSizeTablesByReferences(t *testing.T) {
 	for _, pg := range randomTrace(5, 3000, 30).Pages() {
 		sparse.AddRef(pg << 26)
 	}
+	sparse.Finish()
 	checkCurvesMatchCells(t, sparse, sparse, []int{1, 3, 7, 16, 30}, []int{1, 10, 100, 1000})
 }
 

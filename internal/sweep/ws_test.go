@@ -315,6 +315,7 @@ func churnTrace(seed uint64, n, hot, cold int) *trace.Trace {
 			tr.AddRef(mem.Page(rng() % hot))
 		}
 	}
+	tr.Finish()
 	return tr
 }
 
@@ -382,6 +383,7 @@ func TestWSCurveStreamedAndRenumbered(t *testing.T) {
 	for _, pg := range tr.Pages() {
 		sparse.AddRef(pg << 19) // distinct pages stay distinct below 2^31
 	}
+	sparse.Finish()
 
 	taus := []int{1, 3, 40, b - 1, b, b + 1, 2*b + 7, 3 * b, 4*b + 1}
 	want := make([]vmsim.Result, len(taus))

@@ -504,8 +504,9 @@ func (d *cdt3ChunkReader) fail(err error) {
 // --- full decode ----------------------------------------------------
 
 // readCDT3 materializes a CDT3 stream, past its magic, as an in-memory
-// Trace for Read. The trace grows chunk by chunk through Append; the
-// chunk reader checks the header's totals against what the chunks hold.
+// Trace for Read. The trace grows chunk by chunk through Append and is
+// finished at the end; the chunk reader checks the header's totals
+// against what the chunks hold.
 func readCDT3(cr *countReader) (*Trace, error) {
 	hdr, err := readCDT3Header(cr)
 	if err != nil {
@@ -538,6 +539,7 @@ func readCDT3(cr *countReader) (*Trace, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	t.Finish()
 	return t, nil
 }
 

@@ -45,21 +45,21 @@ func (t *Trace) SetSite(id int32) {
 }
 
 // enableSites turns the site columns on, backfilling events recorded
-// before they existed.
+// before they existed: the open chunk's references and every directive
+// here, the chunks already set aside when Finish joins them.
 func (t *Trace) enableSites() {
 	if t.sitesOn {
 		return
 	}
 	t.sitesOn = true
-	t.cols.sites = noSites(len(t.cols.pages))
-	t.cols.dirSites = noSites(len(t.cols.dirs))
+	t.cols.sites = appendNoSites(make([]int32, 0, cap(t.cols.pages)), len(t.cols.pages))
+	t.cols.dirSites = appendNoSites(nil, len(t.cols.dirs))
 }
 
-// noSites returns n unattributed site ids.
-func noSites(n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = NoSite
+// appendNoSites appends n unattributed site ids to s.
+func appendNoSites(s []int32, n int) []int32 {
+	for range n {
+		s = append(s, NoSite)
 	}
 	return s
 }
@@ -75,6 +75,7 @@ func (t *Trace) HasSites() bool { return t.sitesOn }
 // "attribution off" twin used for byte-compat output and overhead
 // measurement.
 func (t *Trace) WithoutSites() *Trace {
+	c := t.whole()
 	return t.share(SideTables{Allocs: t.Allocs, LockSets: t.LockSets, UnlockSets: t.UnlockSets},
-		columns{pages: t.cols.pages, dirs: t.cols.dirs}, false)
+		columns{pages: c.pages, dirs: c.dirs}, false)
 }

@@ -151,7 +151,7 @@ type Source interface {
 func (t *Trace) Meta() Meta {
 	return Meta{
 		Name:     t.Name,
-		Events:   len(t.cols.pages) + len(t.cols.dirs),
+		Events:   t.Refs + len(t.cols.dirs),
 		Refs:     t.Refs,
 		Distinct: t.Distinct,
 		MaxPage:  t.maxPage,
@@ -211,7 +211,7 @@ func Walk(src Source, opts CursorOpts, fn func(Block) bool) error {
 // blockCursor returns the concrete cursor by value so the hot in-memory
 // replay path can keep it on the stack.
 func (t *Trace) blockCursor(opts CursorOpts) memCursor {
-	return memCursor{columns: t.cols, max: opts.MaxBlock, withSites: opts.WithSites && t.sitesOn}
+	return memCursor{columns: t.whole(), max: opts.MaxBlock, withSites: opts.WithSites && t.sitesOn}
 }
 
 // memCursor cuts blocks out of a set of columns: each block runs from

@@ -53,6 +53,14 @@ type LockSet struct {
 // directive events in a column of their own at their reference
 // positions, and — when the provenance side-band is on (site.go) — a
 // site id per reference and per directive.
+//
+// While a trace is built, AddRef writes the page and site columns into
+// an open chunk of at most chunkRefs references and sets each full chunk
+// aside; Finish concatenates them once into exact-length columns. A
+// trace with chunks set aside cannot be read: every reader of its
+// columns panics until Finish. Every producer (the interpreter, the
+// decoder, the chaos injectors, Materialize) finishes the traces it
+// returns.
 type Trace struct {
 	Name string
 
@@ -65,8 +73,9 @@ type Trace struct {
 	// Distinct is V, the number of distinct pages referenced.
 	Distinct int
 
-	cols    columns
-	maxPage mem.Page // largest referenced page; -1 when there are none
+	cols    columns   // whole columns, or the open chunk while spilled holds others
+	spilled []columns // full chunks set aside by AddRef, in order; nil once finished
+	maxPage mem.Page  // largest referenced page; -1 when there are none
 
 	sitesOn bool  // the site columns exist
 	curSite int32 // site stamped on the next appended event
@@ -125,6 +134,12 @@ func (s *pageSet) add(p mem.Page) bool {
 	return true
 }
 
+// chunkRefs is the length of the chunks a trace's page and site columns
+// are built in. Only a trace's first chunk grows, by doubling; every
+// later one is allocated at full length, so a reference past the first
+// chunk is copied once, by Finish.
+const chunkRefs = 1 << 14
+
 // columns is the layout Blocks are cut from: a trace's whole stream, or
 // one decoded CDT3 chunk. The site columns are nil on streams without a
 // site column.
@@ -154,6 +169,9 @@ func New(name string) *Trace {
 
 // AddRef appends a page reference.
 func (t *Trace) AddRef(p mem.Page) {
+	if len(t.cols.pages) == cap(t.cols.pages) {
+		t.grow()
+	}
 	t.cols.pages = append(t.cols.pages, p)
 	if t.sitesOn {
 		t.cols.sites = append(t.cols.sites, t.curSite)
@@ -162,9 +180,74 @@ func (t *Trace) AddRef(p mem.Page) {
 	if p > t.maxPage {
 		t.maxPage = p
 	}
-	if t.seen.add(p) {
+	if !t.seen.has(p) && t.seen.add(p) {
 		t.Distinct++
 	}
+}
+
+// grow makes room for one more reference in the open chunk: a chunk
+// shorter than chunkRefs doubles, and a full one is set aside for a
+// fresh chunk of full length. The site column keeps the page column's
+// capacity, so its appends never reallocate.
+func (t *Trace) grow() {
+	n := len(t.cols.pages)
+	if n >= chunkRefs {
+		t.spilled = append(t.spilled, columns{pages: t.cols.pages, sites: t.cols.sites})
+		t.cols.pages, t.cols.sites = make([]mem.Page, 0, chunkRefs), nil
+		if t.sitesOn {
+			t.cols.sites = make([]int32, 0, chunkRefs)
+		}
+		return
+	}
+	c := min(max(2*n, 256), chunkRefs)
+	t.cols.pages = append(make([]mem.Page, 0, c), t.cols.pages...)
+	if t.sitesOn {
+		t.cols.sites = append(make([]int32, 0, c), t.cols.sites...)
+	}
+}
+
+// Finish concatenates the chunks AddRef set aside, with the open one,
+// into exact-length columns, and makes the trace readable. A trace that
+// never filled its first chunk is already whole and finishes without a
+// copy. Appending to a finished trace is allowed; finish it again
+// before reading it.
+func (t *Trace) Finish() {
+	if len(t.spilled) == 0 {
+		return
+	}
+	chunks := append(t.spilled, t.cols)
+	n := 0
+	for _, c := range chunks {
+		n += len(c.pages)
+	}
+	pages := make([]mem.Page, 0, n)
+	for _, c := range chunks {
+		pages = append(pages, c.pages...)
+	}
+	var sites []int32
+	if t.sitesOn {
+		// A chunk set aside before the site column was enabled has no
+		// sites: its references are unattributed.
+		sites = make([]int32, 0, n)
+		for _, c := range chunks {
+			if c.sites == nil {
+				sites = appendNoSites(sites, len(c.pages))
+			} else {
+				sites = append(sites, c.sites...)
+			}
+		}
+	}
+	t.cols.pages, t.cols.sites = pages, sites
+	t.spilled = nil
+}
+
+// whole returns the trace's columns, panicking while chunks are set
+// aside: they hold only the open chunk then.
+func (t *Trace) whole() columns {
+	if len(t.spilled) != 0 {
+		panic("trace: " + t.Name + " read before Finish")
+	}
+	return t.cols
 }
 
 // Append appends e verbatim at the current site: a reference to page
@@ -177,7 +260,7 @@ func (t *Trace) Append(e Event) {
 		t.AddRef(mem.Page(e.Arg))
 		return
 	}
-	t.cols.dirs = append(t.cols.dirs, dirPos{refsBefore: len(t.cols.pages), ev: e})
+	t.cols.dirs = append(t.cols.dirs, dirPos{refsBefore: t.Refs, ev: e})
 	if t.sitesOn {
 		t.cols.dirSites = append(t.cols.dirSites, t.curSite)
 	}
@@ -213,7 +296,7 @@ func (t *Trace) AddUnlock(pages []mem.Page) {
 
 // Pages returns the reference string (no directive events). The slice is
 // the trace's own page column: callers must treat it as read-only.
-func (t *Trace) Pages() []mem.Page { return t.cols.pages }
+func (t *Trace) Pages() []mem.Page { return t.whole().pages }
 
 // MaxPage returns the largest page number the trace references, or -1 for
 // an empty reference string.
@@ -224,10 +307,11 @@ func (t *Trace) MaxPage() mem.Page { return t.maxPage }
 // A trace with no directive events returns itself. The view shares t's
 // columns and is read-only.
 func (t *Trace) RefsOnly() *Trace {
-	if len(t.cols.dirs) == 0 {
+	c := t.whole()
+	if len(c.dirs) == 0 {
 		return t
 	}
-	return t.share(SideTables{Sites: t.Sites}, columns{pages: t.cols.pages, sites: t.cols.sites}, t.sitesOn)
+	return t.share(SideTables{Sites: t.Sites}, columns{pages: c.pages, sites: c.sites}, t.sitesOn)
 }
 
 // share returns a read-only trace over the given tables and columns (a

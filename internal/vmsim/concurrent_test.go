@@ -21,6 +21,7 @@ func syntheticTrace(pages, rounds int) *trace.Trace {
 			}
 		}
 	}
+	tr.Finish()
 	return tr
 }
 

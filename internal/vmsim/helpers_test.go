@@ -22,5 +22,6 @@ func randomTrace(seed uint64, n, universe int) *trace.Trace {
 		span := 4 + int(rng()%8)
 		tr.AddRef(mem.Page((base + int(rng())%span) % universe))
 	}
+	tr.Finish()
 	return tr
 }

@@ -32,6 +32,7 @@ func addLoop(tr *trace.Trace, base, n, rounds int) *trace.Trace {
 			tr.AddRef(mem.Page(base + i))
 		}
 	}
+	tr.Finish()
 	return tr
 }
 
