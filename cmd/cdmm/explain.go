@@ -24,7 +24,7 @@ func explainFlags(fs *flag.FlagSet) func(string) error {
 	folded := fs.String("folded", "", "write folded flamegraph stacks (site;...;expr faults) to this file")
 	j := registerJFlag(fs)
 	of := registerObsFlags(fs)
-	return withProgram(func(p *core.Program) error {
+	return withProgram("explain", func(p *core.Program) error {
 		if *of.events != "" || *of.metrics != "" {
 			// Rejected before activate creates either file.
 			return errors.New("explain does not take -events or -metrics: attributed runs emit no events; use -chrome or -folded")

@@ -16,8 +16,6 @@ import (
 	"strconv"
 	"strings"
 
-	"cdmm/internal/advisor"
-	"cdmm/internal/bli"
 	"cdmm/internal/core"
 	"cdmm/internal/engine"
 	"cdmm/internal/experiments"
@@ -68,31 +66,18 @@ func init() {
 			}
 			return nil
 		})},
-		{"compile", progOperand, "compile and show the inserted memory directives", noFlags(withProgram(func(p *core.Program) error {
-			fmt.Println(p.Summary())
-			fmt.Print(p.RenderDirectives())
-			return nil
-		}))},
-		{"locality", progOperand, "show the hierarchical locality structure", noFlags(withProgram(func(p *core.Program) error {
-			fmt.Println(p.Summary())
-			fmt.Print(p.RenderLocalityTree())
+		{"compile", progOperand, "compile-time view: locality structure, inserted memory directives, advisories", noFlags(withProgram("compile", func(p *core.Program) error {
+			fmt.Print(report.CompileTime(p))
 			return nil
 		}))},
 		{"trace", "[prog|file.f|trace-file]", "summarize the trace; -o writes it as CDT3, a trace file streamed (no operand: -stat for every workload)", traceFlags},
-		{"bli", progOperand, "detect runtime localities (Madison-Batson BLIs)", noFlags(withProgram(cmdBLI))},
 		{"sim", anyOperand, "simulate one policy over the trace, a trace file streamed in O(chunk) memory", simFlags},
 		{"explain", progOperand, "attribute every page fault to its source loop, statement and directive", explainFlags},
-		{"report", progOperand, "full markdown analysis report", reportFlags},
-		{"advise", progOperand, "compiler advisories (loop interchange, big localities)", noFlags(withProgram(func(p *core.Program) error {
-			fmt.Println(p.Summary())
-			fmt.Print(advisor.Render(advisor.Analyze(p.Analysis)))
-			return nil
-		}))},
+		{"report", progOperand, "full markdown report: compile's view, then runtime localities, policy comparison, attribution, timelines", reportFlags},
 		{"family", "", "compare CD vs WS/DWS/SWS/VSWS/PFF on the suite", familyFlags},
 		{"pagesize", "[prog]", "page-size sensitivity study (default HWSCRT)", pageSizeFlags},
 		{"detune", "", "CD sensitivity to mis-estimated locality sizes", detuneFlags},
-		{"sweep", anyOperand, "CD at every level vs tuned LRU and WS, or one policy's whole curve", sweepFlags},
-		{"profile", progOperand, "fault-timeline and residency sparklines for CD vs tuned LRU and WS", profileFlags},
+		{"sweep", anyOperand, "one policy's whole curve: LRU or FIFO allocations, WS windows or CD detune factors", sweepFlags},
 		{"chaos", "", "fault-injection matrix: CD with directive validation under seeded faults", chaosFlags},
 		{"kernel", "", "sharded multi-tenant CD kernel over one overcommitted frame pool", kernelFlags},
 		{"bench", "", "measure the simulation hot path (ns/ref, allocs/ref, fault anchors)", benchFlags},
@@ -139,10 +124,14 @@ func noFlags(run func(operand string) error) func(*flag.FlagSet) func(string) er
 	return func(*flag.FlagSet) func(string) error { return run }
 }
 
-// withProgram adapts a runner over a compiled program to take the
-// program's operand.
-func withProgram(fn func(*core.Program) error) func(string) error {
+// withProgram adapts the runner of command cmd over a compiled program
+// to take the program's operand. A trace file, recognized by its content,
+// holds no program and is rejected.
+func withProgram(cmd string, fn func(*core.Program) error) func(string) error {
 	return func(name string) error {
+		if isTraceFile(name) {
+			return fmt.Errorf("%s is a trace file: %s needs a program", name, cmd)
+		}
 		p, err := loadProgram(name)
 		if err != nil {
 			return err
@@ -306,7 +295,8 @@ func newEngine(j int, o *obs.Observer) *engine.Engine {
 }
 
 // loadProgram resolves a name to a built-in workload or reads a source
-// file from disk.
+// file from disk. A source file's compile errors name the file; the
+// compiled program is named by its PROGRAM statement.
 func loadProgram(name string) (*core.Program, error) {
 	if w, err := workloads.Get(name); err == nil {
 		return core.CompileSource(w.Name, w.Source)
@@ -316,7 +306,12 @@ func loadProgram(name string) (*core.Program, error) {
 		return nil, fmt.Errorf("%q is neither a workload (%s) nor a readable file: %v",
 			name, strings.Join(workloads.Names(), ", "), err)
 	}
-	return core.CompileSource("", string(src))
+	p, err := core.CompileSource(name, string(src))
+	if err != nil {
+		return nil, err
+	}
+	p.Name = p.AST.Name
+	return p, nil
 }
 
 // operand is a resolved <prog|file.f|trace-file> operand: a program
@@ -378,30 +373,18 @@ func (in *operand) program(what string) (*core.Program, error) {
 	return in.prog, nil
 }
 
-func cmdBLI(p *core.Program) error {
-	tr, err := p.Trace()
-	if err != nil {
-		return err
-	}
-	fmt.Println(tr.Summary())
-	refs := tr.Pages()
-	ivs := bli.Detect(refs)
-	fmt.Println("bounded locality intervals (Madison & Batson model):")
-	fmt.Print(bli.Render(ivs, len(refs)))
-	fmt.Printf("dominant runtime locality sizes (>=25%% coverage): %v\n",
-		bli.DominantSizes(ivs, len(refs), 0.25))
-	return nil
-}
-
 func reportFlags(fs *flag.FlagSet) func(string) error {
 	j := registerJFlag(fs)
-	return withProgram(func(p *core.Program) error {
-		out, err := report.Generate(p, newEngine(*j, runObserver(nil, nil)))
-		if err != nil {
-			return err
-		}
-		fmt.Print(out)
-		return nil
+	of := registerObsFlags(fs)
+	return withProgram("report", func(p *core.Program) error {
+		return of.withObs(func() error {
+			out, err := report.Generate(p, newEngine(*j, of.observer))
+			if err != nil {
+				return err
+			}
+			fmt.Print(out)
+			return nil
+		})
 	})
 }
 
@@ -478,10 +461,29 @@ func simFlags(fs *flag.FlagSet) func(string) error {
 			default:
 				return fmt.Errorf("unknown policy %q", *polName)
 			}
-			res, err := vmsim.RunSource(src, pol, of.observer)
+			// One run in an engine plan, so that under cdmm serve
+			// /progress shows the replay's position in the stream. The
+			// engine observes nothing, so the plan buffers no events:
+			// the replay gets the command's own observer with the run's
+			// progress callback.
+			runs, err := engine.MapNamed(newEngine(1, nil), "sim", []policy.Policy{pol},
+				func(rc *engine.RunCtx, pol policy.Policy) (vmsim.Result, error) {
+					rc.Describe(src.Meta().Name, strings.ToUpper(*polName))
+					var o obs.Observer
+					if of.observer != nil {
+						o = *of.observer
+					}
+					o.Progress = obs.ProgressOf(rc.Obs)
+					return vmsim.RunSource(src, pol, &o)
+				})
 			if err != nil {
+				var pe *engine.PlanError
+				if errors.As(err, &pe) {
+					err = pe.Runs[0].Err
+				}
 				return err
 			}
+			res := runs[0]
 			if in.prog != nil {
 				fmt.Println(in.prog.Summary())
 			} else {
@@ -494,63 +496,24 @@ func simFlags(fs *flag.FlagSet) func(string) error {
 }
 
 func sweepFlags(fs *flag.FlagSet) func(string) error {
-	polName := fs.String("policy", "", "curve policy: lru, ws, fifo, cd (empty: CD-levels summary)")
+	polName := fs.String("policy", "", "curve policy: lru, ws, fifo or cd")
 	grid := fs.String("grid", "", "comma-separated curve grid: allocations (lru/fifo), windows (ws), detune factors (cd)")
 	level := intFlagMin(fs, "level", 1, 1, "CD directive-set stratum `N` (at least 1; policy cd)")
 	asJSON := fs.Bool("json", false, "emit the curve as JSON")
-	j := registerJFlag(fs)
 	of := registerObsFlags(fs)
-	return withOperand(func(in *operand) error {
+	run := withOperand(func(in *operand) error {
 		return of.withObs(func() error {
-			eng := newEngine(*j, of.observer)
-			if *polName == "" {
-				p, err := in.program("the CD-levels summary")
-				if err != nil {
-					return err
-				}
-				return sweepSummary(eng, p)
-			}
-			return sweepCurve(os.Stdout, eng, in, *polName, *grid, *level, *asJSON)
+			// The CD detune grid is one memoized computation, so the
+			// engine needs no more than one worker.
+			return sweepCurve(os.Stdout, newEngine(1, of.observer), in, *polName, *grid, *level, *asJSON)
 		})
 	})
-}
-
-// sweepSummary is the original sweep report: CD at every directive
-// stratum versus the tuned LRU and WS minima, all read from eng (whose
-// observer sees the CD runs).
-func sweepSummary(eng *engine.Engine, p *core.Program) error {
-	tr, err := p.Trace()
-	if err != nil {
-		return err
-	}
-	lru, err := eng.LRUSweep(nil, tr)
-	if err != nil {
-		return err
-	}
-	ws, err := eng.WSSweep(nil, tr)
-	if err != nil {
-		return err
-	}
-	mBest, lruST := lru.MinST()
-	tauBest, wsRes, err := ws.MinST()
-	if err != nil {
-		return err
-	}
-	levels, err := report.CDLevels(eng, p, tr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: V=%d R=%d\n", p.Name, p.V(), tr.Refs)
-	fmt.Printf("best LRU: ST=%.4g at m=%d (PF=%d)\n", lruST, mBest, lru.Faults(mBest))
-	fmt.Printf("best WS : ST=%.4g at tau=%d (PF=%d, MEM=%.2f)\n", wsRes.ST(), tauBest, wsRes.Faults, wsRes.MEM())
-	for i, res := range levels {
-		marker := ""
-		if res.ST() < lruST && res.ST() < wsRes.ST() {
-			marker = "   <- beats both"
+	return func(name string) error {
+		if *polName == "" {
+			return errors.New("sweep: missing -policy lru, ws, fifo or cd (CD at every level vs tuned LRU and WS is report's Policy comparison)")
 		}
-		fmt.Printf("CD level %d: PF=%-6d MEM=%-8.2f ST=%.4g%s\n", i+1, res.Faults, res.MEM(), res.ST(), marker)
+		return run(name)
 	}
-	return nil
 }
 
 // curvePoint is one (parameter, result) pair of a policy curve, the JSON

@@ -153,7 +153,8 @@ func TestCmdTraceRechunksFile(t *testing.T) {
 // TestCmdRejectsHostileTraces: CDT3 files whose header totals dwarf
 // their bodies (2^42 events declared, none present; 2^40 distinct pages
 // declared, one reference present) fail every trace-reading command with
-// an error instead of sizing memory from the header.
+// an error instead of sizing memory from the header, and every
+// program-only command with an error saying it needs a program.
 func TestCmdRejectsHostileTraces(t *testing.T) {
 	dir := t.TempDir()
 	for name, hexBytes := range map[string]string{
@@ -179,6 +180,12 @@ func TestCmdRejectsHostileTraces(t *testing.T) {
 		for _, args := range [][]string{{path}, {path, "-stat"}, {path, "-o", filepath.Join(dir, "out.cdt3")}} {
 			if err := runCommand("trace", args); err == nil {
 				t.Errorf("%s: trace %v succeeded", name, args[1:])
+			}
+		}
+		for _, cmd := range []string{"compile", "report", "explain"} {
+			want := path + " is a trace file: " + cmd + " needs a program"
+			if err := runCommand(cmd, []string{path}); err == nil || err.Error() != want {
+				t.Errorf("%s %s: err = %v, want %q", cmd, name, err, want)
 			}
 		}
 	}
@@ -209,7 +216,7 @@ func TestCmdTraceRejectsLyingHeader(t *testing.T) {
 // page 0 under headers declaring two distinct pages, or max page 5, fail
 // every command that replays them when the stream ends, and a bare
 // trace that summarizes them, instead of printing results under the
-// header's totals.
+// header's totals. The error is the decoder's own, unwrapped.
 func TestCmdRejectsLyingHeaders(t *testing.T) {
 	dir := t.TempDir()
 	for name, hexBytes := range map[string]string{
@@ -231,7 +238,7 @@ func TestCmdRejectsLyingHeaders(t *testing.T) {
 			{"trace", path},
 		} {
 			err := runCommand(args[0], args[1:])
-			if err == nil || !strings.Contains(err.Error(), "its header declares") {
+			if err == nil || !strings.HasPrefix(err.Error(), "trace: decode chunk[1]: ") || !strings.Contains(err.Error(), "its header declares") {
 				t.Errorf("%s: %v: err = %v, want the header mismatch", name, args, err)
 			}
 		}
@@ -241,9 +248,20 @@ func TestCmdRejectsLyingHeaders(t *testing.T) {
 // TestCmdRejectsHostilePrograms checks that programs declaring more array
 // elements than mem.MaxElems fail with an error naming the array and the
 // limit, in every command that compiles a program, instead of the
-// interpreter trying to allocate their storage.
+// interpreter trying to allocate their storage; and that a source file
+// that does not lex fails every such command with an error naming it.
 func TestCmdRejectsHostilePrograms(t *testing.T) {
 	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.f")
+	if err := os.WriteFile(bad, []byte("PROGRAM H\nDIMENSION A(10)\nA(1) = $\nEND\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"compile", "trace", "sim", "report", "explain"} {
+		want := "core: " + bad + ": 3:8: lex error: unexpected character '$'"
+		if err := runCommand(cmd, []string{bad}); err == nil || err.Error() != want {
+			t.Errorf("%s bad.f: err = %v, want %q", cmd, err, want)
+		}
+	}
 	for i, dims := range []string{
 		"A(2000000000)",
 		"A(2000000000), B(2000000000)",
@@ -306,7 +324,7 @@ func TestCmdRejectsBadFlagValues(t *testing.T) {
 		{"trace", []string{trc, "-check"}, "-check needs an -o output"},
 		{"trace", []string{"-o", filepath.Join(dir, "x.cdt3")}, "trace: missing"},
 		{"table1", []string{"-j", "-4"}, `invalid value "-4" for flag -j`},
-		{"sweep", []string{"MAIN", "-j", "-1"}, `invalid value "-1" for flag -j`},
+		{"sweep", []string{"MAIN", "-policy", "lru", "-j", "2"}, "flag provided but not defined: -j"},
 		{"report", []string{"MAIN", "-j", "-2"}, `invalid value "-2" for flag -j`},
 		{"sim", []string{"MAIN", "-j", "-8"}, "flag provided but not defined: -j"},
 		{"sim", []string{trc, "-j", "2"}, "flag provided but not defined: -j"},
@@ -340,9 +358,42 @@ func TestCmdList(t *testing.T) {
 	}
 }
 
-func TestCmdSweepRuns(t *testing.T) {
-	if err := runCommand("sweep", []string{"HWSCRT"}); err != nil {
+// TestCmdSweepNeedsPolicy: sweep draws one policy's curve, so without
+// -policy it fails and points at report, whose Policy comparison holds
+// CD at every level against tuned LRU and WS.
+func TestCmdSweepNeedsPolicy(t *testing.T) {
+	if err := runCommand("sweep", []string{"HWSCRT"}); err == nil || !strings.Contains(err.Error(), "report's Policy comparison") {
+		t.Errorf("sweep HWSCRT: err = %v, want one naming report", err)
+	}
+}
+
+// TestCmdReportStartsWithCompile: on every workload, report prints
+// compile's output and then its run half, from the Execution trace
+// section on.
+func TestCmdReportStartsWithCompile(t *testing.T) {
+	for _, w := range workloads.Names() {
+		compiled := captureStdout(t, func() error { return runCommand("compile", []string{w}) })
+		rep := captureStdout(t, func() error { return runCommand("report", []string{w}) })
+		if !strings.HasPrefix(rep, compiled+"\n## Execution trace\n") {
+			t.Errorf("report %s does not start with compile %s and then its Execution trace:\n%s", w, w, compiled)
+		}
+	}
+}
+
+// TestCmdCompileBuildsNoTrace: compile runs no program, so it succeeds
+// on a program whose run trace rejects on the interpreter's step budget.
+func TestCmdCompileBuildsNoTrace(t *testing.T) {
+	hang := filepath.Join(t.TempDir(), "hang.f")
+	src := "PROGRAM H\nDIMENSION A(10)\nDO I = 1, 2000000000\nX = 1.0\nEND DO\nA(1) = 1.0\nEND\n"
+	if err := os.WriteFile(hang, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error { return runCommand("compile", []string{hang}) })
+	if !strings.HasPrefix(out, "# H\n\nH: 1 arrays, V=1 pages, 1 loops, Δ=1\n") {
+		t.Errorf("compile hang.f printed\n%s", out)
+	}
+	if err := runCommand("trace", []string{hang}); err == nil || !strings.Contains(err.Error(), "interp: H exceeded 160000000 steps") {
+		t.Errorf("trace hang.f: err = %v, want the step budget", err)
 	}
 }
 

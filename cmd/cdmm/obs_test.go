@@ -136,11 +136,38 @@ func TestCmdReplayEvents(t *testing.T) {
 	}
 }
 
-func TestCmdProfile(t *testing.T) {
-	if err := runCommand("profile", []string{"HWSCRT", "-buckets", "32"}); err != nil {
-		t.Fatal(err)
+// TestCmdReportObsFlags: an observed report prints what an unobserved
+// one prints, and its -events and -metrics files are byte-identical at
+// -j 1 and -j 8. The stream holds the CD-levels and fault-timeline runs.
+func TestCmdReportObsFlags(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name string) string { return filepath.Join(dir, name) }
+	plain := captureStdout(t, func() error { return runCommand("report", []string{"HWSCRT", "-j", "1"}) })
+	for _, j := range []string{"1", "8"} {
+		out := captureStdout(t, func() error {
+			return runCommand("report", []string{"HWSCRT", "-j", j, "-events", file(j + ".jsonl"), "-metrics", file(j + ".json")})
+		})
+		if out != plain {
+			t.Errorf("report -j %s -events -metrics printed\n%s\nwant the unobserved\n%s", j, out, plain)
+		}
 	}
-	if err := runCommand("profile", []string{}); err == nil {
+	for _, ext := range []string{".jsonl", ".json"} {
+		seq, err := os.ReadFile(file("1" + ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := os.ReadFile(file("8" + ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq) == 0 || !bytes.Equal(seq, par) {
+			t.Errorf("%s files: %d bytes at -j 1, %d at -j 8, want the same non-empty bytes", ext, len(seq), len(par))
+		}
+		if n := bytes.Count(seq, []byte(`"ev":"run"`)); ext == ".jsonl" && n != 7 {
+			t.Errorf("event stream holds %d runs, want 7: HWSCRT's 4 CD levels and 3 timeline rows", n)
+		}
+	}
+	if err := runCommand("report", []string{}); err == nil {
 		t.Error("expected missing-argument error")
 	}
 }

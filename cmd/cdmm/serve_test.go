@@ -335,3 +335,55 @@ func promLines(scrape string, prefixes ...string) []string {
 	}
 	return lines
 }
+
+// TestServeSimProgress: sim under `cdmm serve` runs as a one-run engine
+// plan, so /progress holds a finished "sim" plan whose one run is done
+// and carries the PF sim printed, for a program and a streamed trace file
+// alike. The run's live position, which only the replay's progress
+// callback reports, stands at the stream's last event.
+func TestServeSimProgress(t *testing.T) {
+	trc := filepath.Join(t.TempDir(), "h.cdt3")
+	captureStdout(t, func() error { return runCommand("trace", []string{"HWSCRT", "-o", trc}) })
+	p, err := loadProgram("HWSCRT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := p.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := int64(tr.Meta().Events)
+	for _, operand := range []string{"HWSCRT", trc} {
+		var snap struct {
+			Plans []struct {
+				Label    string `json:"label"`
+				Total    int    `json:"total"`
+				Finished bool   `json:"finished"`
+			} `json:"plans"`
+			Runs []struct {
+				State  string `json:"state"`
+				Policy string `json:"policy"`
+				Faults int    `json:"pf"`
+				Done   int64  `json:"done"`
+				Total  int64  `json:"total"`
+			} `json:"runs"`
+		}
+		out := servedRun(t, func(base string) {
+			if err := json.Unmarshal([]byte(httpGetBody(t, base+"/progress")), &snap); err != nil {
+				t.Fatalf("progress decode: %v", err)
+			}
+		}, "sim", operand, "-policy", "lru", "-m", "16")
+		_, pf, ok := strings.Cut(out, "PF=")
+		if !ok {
+			t.Fatalf("sim %s printed no PF:\n%s", operand, out)
+		}
+		pf, _, _ = strings.Cut(pf, " ")
+		if len(snap.Plans) != 1 || snap.Plans[0].Label != "sim" || snap.Plans[0].Total != 1 || !snap.Plans[0].Finished {
+			t.Errorf("sim %s: /progress plans = %+v, want one finished sim plan of one run", operand, snap.Plans)
+		}
+		if len(snap.Runs) != 1 || snap.Runs[0].State != "done" || fmt.Sprint(snap.Runs[0].Faults) != pf ||
+			snap.Runs[0].Policy != "LRU" || snap.Runs[0].Done != events || snap.Runs[0].Total != events {
+			t.Errorf("sim %s: /progress runs = %+v, want one done LRU run at event %d of %d with the printed PF=%s", operand, snap.Runs, events, events, pf)
+		}
+	}
+}

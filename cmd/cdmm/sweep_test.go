@@ -125,8 +125,8 @@ func TestCmdSweepCurveModes(t *testing.T) {
 }
 
 // TestCmdSweepStreamedTrace: sweep recognizes a trace file by its
-// content, whatever its name, and streams its curves; the summary and
-// the CD curve need the program, which the file does not hold.
+// content, whatever its name, and streams its curves; the CD curve needs
+// the program, which the file does not hold.
 func TestCmdSweepStreamedTrace(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"t.cdt3", "t.trc"} {
@@ -140,10 +140,8 @@ func TestCmdSweepStreamedTrace(t *testing.T) {
 		if err := runCommand("sweep", []string{out, "-policy", "ws"}); err != nil {
 			t.Errorf("%s: ws curve on streamed trace: %v", name, err)
 		}
-		for _, args := range [][]string{{out}, {out, "-policy", "cd"}} {
-			if err := runCommand("sweep", args); err == nil || !strings.Contains(err.Error(), "needs a program") {
-				t.Errorf("sweep %v: err = %v, want one saying it needs a program", args, err)
-			}
+		if err := runCommand("sweep", []string{out, "-policy", "cd"}); err == nil || !strings.Contains(err.Error(), "needs a program") {
+			t.Errorf("sweep %s -policy cd: err = %v, want one saying it needs a program", name, err)
 		}
 	}
 }

@@ -156,9 +156,10 @@ func DominantSizes(intervals []Interval, refLen int, frac float64) []int {
 func Render(intervals []Interval, refLen int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%6s %8s %10s %10s %10s %9s\n", "size", "count", "coverage", "cover%", "mean-dur", "max-dur")
-	for i, s := range Stats(intervals) {
+	stats := Stats(intervals)
+	for i, s := range stats {
 		if i >= 20 {
-			fmt.Fprintf(&b, "... (%d more sizes)\n", len(Stats(intervals))-20)
+			fmt.Fprintf(&b, "... (%d more sizes)\n", len(stats)-20)
 			break
 		}
 		fmt.Fprintf(&b, "%6d %8d %10d %9.1f%% %10.0f %9d\n",

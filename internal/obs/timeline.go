@@ -8,7 +8,7 @@ import (
 // Timeline buckets one run's event stream over virtual time: how many
 // faults landed in each bucket, and the time-weighted mean space-time
 // charge (resident pages) during each bucket. It is the data behind the
-// CLI's `cdmm profile` sparklines and the report's timeline section.
+// sparklines of the report's fault timeline section.
 type Timeline struct {
 	Buckets int
 	// Span is the run's total virtual time.

@@ -1,9 +1,11 @@
-// Package report generates a complete per-program analysis document: the
-// compiler's view (arrays, loop nest, reference orders, locality sizes,
-// inserted directives), the runtime view (trace statistics, detected
-// Madison-Batson locality intervals), the policy comparison (CD at every
-// stratum versus tuned LRU and WS), and the advisor's findings — the
-// full story the paper tells, for any program.
+// Package report generates a complete per-program analysis document in
+// two halves. The compile-time half (CompileTime) is the compiler's view:
+// arrays, loop nest, reference orders, locality sizes, inserted
+// directives and the advisor's findings. The run half adds the trace
+// statistics, the detected Madison-Batson locality intervals, the policy
+// comparison (CD at every stratum versus tuned LRU and WS), fault
+// attribution and fault timelines — the full story the paper tells, for
+// any program.
 package report
 
 import (
@@ -17,18 +19,15 @@ import (
 	"cdmm/internal/engine"
 	"cdmm/internal/explain"
 	"cdmm/internal/locality"
+	"cdmm/internal/policy"
 	"cdmm/internal/sem"
 	"cdmm/internal/trace"
 )
 
-// timelineBuckets is the virtual-time bucket count of the report's fault
-// timeline section.
-const timelineBuckets = 64
-
-// Generate renders the markdown report for a compiled program. eng
-// executes the simulation sections' runs; the report text is
-// byte-identical at any parallelism level.
-func Generate(p *core.Program, eng *engine.Engine) (string, error) {
+// CompileTime renders the compile-time half of p's report: the title, the
+// summary, and the Arrays, Loop nest, Locality structure, Inserted memory
+// directives and Compiler advisories sections. It builds no trace.
+func CompileTime(p *core.Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n\n%s\n", p.Name, p.Summary())
 
@@ -44,6 +43,16 @@ func Generate(p *core.Program, eng *engine.Engine) (string, error) {
 	b.WriteString("```\n")
 
 	writeAdvisories(&b, p)
+	return b.String()
+}
+
+// Generate renders the markdown report for a compiled program: its
+// CompileTime half, then the run half. eng executes the simulation
+// sections' runs; the report text is byte-identical at any parallelism
+// level.
+func Generate(p *core.Program, eng *engine.Engine) (string, error) {
+	var b strings.Builder
+	b.WriteString(CompileTime(p))
 
 	tr, err := p.Trace()
 	if err != nil {
@@ -59,17 +68,16 @@ func Generate(p *core.Program, eng *engine.Engine) (string, error) {
 	fmt.Fprintf(&b, "\nDominant runtime locality sizes (≥25%% coverage): %v\n",
 		bli.DominantSizes(ivs, len(refs), 0.25))
 
-	if err := writeSimulation(&b, p, tr, eng); err != nil {
+	rows, err := writeSimulation(&b, p, tr, eng)
+	if err != nil {
 		return "", err
 	}
 	if err := writeAttribution(&b, eng, tr); err != nil {
 		return "", err
 	}
-	tl, err := TimelineReport(eng, p, timelineBuckets)
-	if err != nil {
+	if err := writeTimeline(&b, eng, rows); err != nil {
 		return "", err
 	}
-	b.WriteString(tl)
 	return b.String(), nil
 }
 
@@ -163,30 +171,46 @@ func writeAttribution(b *strings.Builder, eng *engine.Engine, tr *trace.Trace) e
 	return nil
 }
 
-func writeSimulation(b *strings.Builder, p *core.Program, tr *trace.Trace, eng *engine.Engine) error {
+// writeSimulation writes the policy comparison: CD at every directive
+// stratum against the LRU allocation and WS window of least space-time
+// cost. It returns the fault timeline's rows: CD at its least-space-time
+// stratum and the two tuned baselines.
+func writeSimulation(b *strings.Builder, p *core.Program, tr *trace.Trace, eng *engine.Engine) ([]timelineRow, error) {
 	b.WriteString("\n## Policy comparison\n\n")
 	fmt.Fprintf(b, "| policy | PF | MEM | ST |\n|---|---|---|---|\n")
-	results, err := CDLevels(eng, p, tr)
+	results, err := cdLevels(eng, p, tr)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	// Ties break toward the shallower level (strict-less scan in
+	// declaration order).
+	best := 0
 	for i, res := range results {
 		fmt.Fprintf(b, "| CD level %d | %d | %.2f | %.4g |\n", i+1, res.Faults, res.MEM(), res.ST())
+		if res.ST() < results[best].ST() {
+			best = i
+		}
 	}
 	lru, err := eng.LRUSweep(nil, tr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m, st := lru.MinST()
 	fmt.Fprintf(b, "| best LRU (m=%d) | %d | %.2f | %.4g |\n", m, lru.Faults(m), lru.MEM(m), st)
 	ws, err := eng.WSSweep(nil, tr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tau, res, err := ws.MinST()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(b, "| best WS (τ=%d) | %d | %.2f | %.4g |\n", tau, res.Faults, res.MEM(), res.ST())
-	return nil
+
+	refs := tr.RefsOnly()
+	return []timelineRow{
+		{fmt.Sprintf("CD L%d", best+1), tr, policy.NewCD(policy.SelectLevel(best+1), 2)},
+		{fmt.Sprintf("LRU m=%d", m), refs, policy.NewLRU(m)},
+		{fmt.Sprintf("WS tau=%d", tau), refs, policy.NewWS(tau)},
+	}, nil
 }

@@ -47,6 +47,31 @@ func TestGenerateFullReport(t *testing.T) {
 	}
 }
 
+// TestCompileTimeBuildsNoTrace: the compile-time half runs no program
+// (Summary mentions the trace length once the trace exists), and the full
+// report of a fresh program starts with it.
+func TestCompileTimeBuildsNoTrace(t *testing.T) {
+	w, err := workloads.Get("MAIN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.CompileSource(w.Name, w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := CompileTime(p)
+	if strings.Contains(p.Summary(), "R=") {
+		t.Errorf("CompileTime built the trace: %s", p.Summary())
+	}
+	out, err := Generate(p, engine.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, half+"\n## Execution trace\n") {
+		t.Errorf("report does not start with its compile-time half:\n%s", half)
+	}
+}
+
 // TestGenerateSkips: the full report of a one-loop program renders every
 // section, and its attribution table skips the sites that took no fault:
 // the loop's ALLOCATE site appears in the directive table only.
