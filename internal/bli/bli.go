@@ -19,6 +19,7 @@ package bli
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,9 +48,10 @@ func minDuration(size int) int { return 8 * size }
 func Detect(refs []mem.Page) []Interval {
 	var out []Interval
 
-	// LRU stack as a slice (top at index 0); depth lookups via map.
+	// LRU stack as a slice, top at index 0. A page's depth is found by
+	// scanning the stack down to it, no further than the shift that
+	// moves it to the top walks anyway.
 	var stack []mem.Page
-	pos := map[mem.Page]int{} // page -> stack index
 	// lastChange[s] is the time the top-(s+1) set last changed; it grows
 	// with the stack.
 	var lastChange []int
@@ -61,19 +63,16 @@ func Detect(refs []mem.Page) []Interval {
 	}
 
 	for t, pg := range refs {
-		d, seen := pos[pg]
+		d := slices.Index(stack, pg)
+		seen := d >= 0
 		if !seen {
 			d = len(stack)
 			stack = append(stack, pg)
 			lastChange = append(lastChange, 0)
 		}
 		// Move to top: stack positions [0, d) shift down one.
-		for i := d; i > 0; i-- {
-			stack[i] = stack[i-1]
-			pos[stack[i]] = i
-		}
+		copy(stack[1:d+1], stack[:d])
 		stack[0] = pg
-		pos[pg] = 0
 
 		// Top-s sets changed for every s < d (s is 1-based size).
 		limit := d

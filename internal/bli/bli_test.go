@@ -1,12 +1,95 @@
 package bli
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cdmm/internal/mem"
 	"cdmm/internal/workloads"
 )
+
+// detectMap is the oracle: Detect as it was written first, with each
+// page's stack depth kept in a map that the shift rewrites entry by
+// entry.
+func detectMap(refs []mem.Page) []Interval {
+	var out []Interval
+	var stack []mem.Page
+	pos := map[mem.Page]int{}
+	var lastChange []int
+	emit := func(size, start, end int) {
+		if end-start >= minDuration(size) {
+			out = append(out, Interval{Size: size, Start: start, End: end})
+		}
+	}
+	for t, pg := range refs {
+		d, seen := pos[pg]
+		if !seen {
+			d = len(stack)
+			stack = append(stack, pg)
+			lastChange = append(lastChange, 0)
+		}
+		for i := d; i > 0; i-- {
+			stack[i] = stack[i-1]
+			pos[stack[i]] = i
+		}
+		stack[0] = pg
+		pos[pg] = 0
+		limit := d
+		if !seen {
+			limit = len(stack)
+		}
+		for s := 1; s <= limit; s++ {
+			emit(s, lastChange[s-1], t)
+			lastChange[s-1] = t
+		}
+	}
+	for s := 1; s <= len(stack); s++ {
+		emit(s, lastChange[s-1], len(refs))
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].Size < out[j].Size
+	})
+	return out
+}
+
+// TestDetectMatchesMapOracle: Detect finds exactly the oracle's
+// intervals on the nine workload traces and on seeded random strings
+// that mix a sliding locality with jumps, first touches and repeats.
+func TestDetectMatchesMapOracle(t *testing.T) {
+	for _, name := range workloads.Names() {
+		c, err := workloads.Compile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := c.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := tr.Pages()
+		if got, want := Detect(refs), detectMap(refs); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d intervals, oracle %d", name, len(got), len(want))
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		refs := make([]mem.Page, 500+r.Intn(3000))
+		base, span := 0, 1+r.Intn(40)
+		for i := range refs {
+			if r.Intn(50) == 0 {
+				base = r.Intn(200)
+			}
+			refs[i] = mem.Page(base + r.Intn(span))
+		}
+		if got, want := Detect(refs), detectMap(refs); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: %d intervals, oracle %d", seed, len(got), len(want))
+		}
+	}
+}
 
 // phaseTrace builds a trace with two phases: pages {0,1} cycled for n1
 // refs, then pages {10..13} cycled for n2 refs.

@@ -77,6 +77,46 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestShardsRecycleCDPolicies: in the full-chaos CI population every
+// shard builds no more CD policies, and no more WS fallbacks, than the
+// peak number of its tenants holding a policy at once, because finished
+// tenants hand theirs on. The run must really recycle — fewer policies
+// than admissions, fewer fallbacks than degraded tenants — and recycling
+// stays inside each shard, so the Result is the same at one worker and
+// at four.
+func TestShardsRecycleCDPolicies(t *testing.T) {
+	counts, stop := RecordPolicies()
+	defer stop()
+	cfg := fullChaosConfig("cd")
+	a := mustRun(t, cfg, engine.New(1))
+	perShard := counts()
+	stop()
+	if len(a.Violations) != 0 {
+		t.Fatalf("violations: %v", a.Violations)
+	}
+	if len(perShard) != a.Shards {
+		t.Fatalf("recorded %d shards, the run has %d", len(perShard), a.Shards)
+	}
+	var built, fallbacks int
+	for idx, c := range perShard {
+		if c.Built > c.PeakHeld || c.Fallbacks > c.PeakHeld {
+			t.Errorf("shard %d built %d policies and %d fallbacks for a peak of %d tenants holding one",
+				idx, c.Built, c.Fallbacks, c.PeakHeld)
+		}
+		built += c.Built
+		fallbacks += c.Fallbacks
+	}
+	t.Logf("%d shards: %d policies for %d tenants, %d fallbacks for %d degraded tenants",
+		a.Shards, built, a.Tenants, fallbacks, a.Degraded)
+	if int64(built) >= a.Admitted-a.Restarts || int64(fallbacks) >= a.Degraded {
+		t.Errorf("no recycling: %d policies for %d first admissions, %d fallbacks for %d degraded tenants",
+			built, a.Admitted-a.Restarts, fallbacks, a.Degraded)
+	}
+	if b := mustRun(t, cfg, engine.New(4)); !reflect.DeepEqual(a, b) {
+		t.Fatalf("results differ across -j:\n%v\nvs\n%v", a, b)
+	}
+}
+
 func TestSeedStability(t *testing.T) {
 	cfg := testConfig(48)
 	a := mustRun(t, cfg, engine.New(2))

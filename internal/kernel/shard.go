@@ -56,6 +56,12 @@ type shard struct {
 
 	availFn func() int
 	scratch []*tenant
+	// spare holds the reset CD policies of finished synthesized tenants
+	// (a job's policy belongs to its caller). The next CD admission takes
+	// one instead of building its own, so the shard builds no more
+	// policies — page indexes, slot arrays, lock lists, WS fallback
+	// rings — than it ever has tenants holding one at once.
+	spare []*policy.CD
 	// quantum accumulates runQuantum's indexes; a shard field, since a
 	// local passed to a policy's StepBlock would escape on every quantum.
 	quantum policy.BlockResult
@@ -328,7 +334,7 @@ func (sh *shard) admit(t *tenant) {
 		t.openStream()
 	}
 	if t.pol == nil {
-		t.pol = newTenantPolicy(sh.cfg, t)
+		t.pol = sh.tenantPolicy(t)
 		t.cd = policy.AsCD(t.pol)
 		if t.cd != nil {
 			t.cd.Avail = sh.availFn
@@ -353,6 +359,43 @@ func (sh *shard) admit(t *tenant) {
 	sh.res.Admitted++
 	sh.g.admit()
 }
+
+// tenantPolicy returns t's policy: a spare CD policy when the shard
+// holds one (only synthesized CD tenants leave one), re-readied for t by
+// the vmsim.Prepare rule with t's address space as its contract bound,
+// else a new one.
+func (sh *shard) tenantPolicy(t *tenant) policy.Policy {
+	var pol policy.Policy
+	ev := policyReused
+	if n := len(sh.spare); n > 0 {
+		cd := sh.spare[n-1]
+		sh.spare[n-1] = nil
+		sh.spare = sh.spare[:n-1]
+		cd.Check.MaxPage = t.spec.V
+		vmsim.Prepare(cd, t.src.Meta())
+		pol = cd
+	} else {
+		pol = newTenantPolicy(sh.cfg, t)
+		ev = policyBuilt
+	}
+	if policyHook != nil {
+		policyHook(sh, t, ev)
+	}
+	return pol
+}
+
+// policyHook, when non-nil, observes each tenant policy a shard hands
+// out or takes back. It is nil outside tests (see export_test.go).
+var policyHook func(sh *shard, t *tenant, ev policyEvent)
+
+// policyEvent is what policyHook observes.
+type policyEvent int
+
+const (
+	policyBuilt    policyEvent = iota // admission took newTenantPolicy's policy
+	policyReused                      // admission took a spare CD policy
+	policyReturned                    // a finished tenant gave its policy back
+)
 
 // pickReady returns the next ready active tenant in round-robin order.
 func (sh *shard) pickReady() *tenant {
@@ -571,8 +614,9 @@ func (sh *shard) kill(t *tenant) {
 }
 
 // finish retires a tenant that reached end of stream, draining any
-// outstanding fault service into its finish time and freeing its stream
-// and policy.
+// outstanding fault service into its finish time, freeing its stream
+// and giving up its policy: a synthesized tenant's CD policy joins the
+// shard's spares, a job's goes back to its caller.
 func (sh *shard) finish(t *tenant) {
 	sh.parkPolicy(t)
 	sh.removeActive(t)
@@ -587,8 +631,15 @@ func (sh *shard) finish(t *tenant) {
 	sh.res.SwapSignals += t.signals
 	sh.res.LockReleases += t.lockReleases
 	t.closeStream(true)
-	if t.cd != nil {
+	if policyHook != nil {
+		policyHook(sh, t, policyReturned)
+	}
+	switch {
+	case t.cd == nil:
+	case t.job != nil:
 		t.cd.Avail = nil // a job's policy outlives the shard
+	default:
+		sh.spare = append(sh.spare, t.cd) // reset by parkPolicy
 	}
 	t.pol = nil
 	t.cd = nil

@@ -78,7 +78,8 @@ func (p *CD) degrade(reason string) {
 	p.degraded = true
 	p.degradedReason = reason
 	resident := make([]mem.Page, 0, p.list.len())
-	for s := p.list.tail; s >= 0; s = p.list.slots[s].prev { // LRU→MRU for a stable seed order
+	// LRU→MRU for a stable seed order.
+	for i, s := 0, p.list.tail; i < p.list.len(); i, s = i+1, p.list.slots[s].prev {
 		p.list.slots[s].locked = false
 		resident = append(resident, p.list.idx.pageOf(s))
 	}
@@ -112,7 +113,7 @@ func (p *CD) degrade(reason string) {
 // runs this after every directive event.
 func (p *CD) AuditLocks() error {
 	locked := 0
-	for s := p.list.head; s >= 0; s = p.list.slots[s].next {
+	for i, s := 0, p.list.head; i < p.list.len(); i, s = i+1, p.list.slots[s].next {
 		if !p.list.slots[s].locked {
 			continue
 		}

@@ -72,13 +72,24 @@ func fuzzOps(data []byte) []diffOp {
 // faults, the whole BlockResult and the eviction-hook order must agree,
 // and for CD the lock and swap counters too. The two block-stepped
 // instances get a tiny page hint, so runs also stop at pages beyond
-// the hinted table; the single-stepped one and the oracle get none.
+// the hinted table; the single-stepped one and the oracle get none. At
+// the end the block-stepped and single-stepped lists must hold the
+// oracle's pages in its order (checkRing).
 // The first byte picks the policy, the second the hint, the rest are
 // ops (fuzzOps).
 func FuzzStepBlock(f *testing.F) {
 	// Cyclic sweeps of a fully resident window: tail hits.
 	f.Add([]byte{6, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0xa0, 0, 1, 2, 3})
 	f.Add([]byte{1, 3, 0xcf, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2})
+	// Longer rotations: an 8-page sweep at LRU m=8, cut mid-cycle; a
+	// one-page LRU ring; a 5-page CD sweep whose two LRU pages get
+	// locked, then rotate, sit at the tail through a shrinking
+	// ALLOCATE and unlock; and a 5-page sweep at m=4, which misses on
+	// every reference at the ring's ends.
+	f.Add([]byte{14, 63, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0xa0, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 0xa0, 4, 5, 6, 7})
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 0xa0, 1, 0, 2, 2})
+	f.Add([]byte{1, 39, 0xcc, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0xfa, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0xc3, 0, 1, 2, 3, 4, 0xfb, 0, 1, 2, 3, 4})
+	f.Add([]byte{6, 36, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4})
 	// Head hits, a sparse page mid-run, and pages beyond the hint.
 	f.Add([]byte{3, 2, 5, 0x60, 0x60, 0x80, 0x60, 20, 21, 0x61, 0x80, 5, 0x60})
 	// Locks held across a shrinking ALLOCATE, forced lock releases.
@@ -103,6 +114,10 @@ func FuzzStepBlock(f *testing.F) {
 		blocked.(PageHinter).HintPages(maxPage, distinct)
 		bare.(PageHinter).HintPages(maxPage, distinct)
 		runBlockDiff(t, blocked, bare, stepped, oracle, fuzzOps(data[2:]), 0, "fuzz")
+		for _, p := range []Policy{blocked, stepped} {
+			l, ol := listOf(p, oracle)
+			checkRing(t, l, ol, "fuzz: final list")
+		}
 
 		cd, ok := blocked.(*CD)
 		if !ok {

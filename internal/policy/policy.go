@@ -112,13 +112,23 @@ func (noDirectives) Alloc(trace.AllocDirective) {}
 func (noDirectives) Lock(trace.LockSet)         {}
 func (noDirectives) Unlock([]mem.Page)          {}
 
-// lruList is an intrusive doubly-linked LRU list over dense page slots:
-// each slot's links and lock state sit together in one lruSlot, so a
-// reference costs a table lookup and a few pointer-free writes instead
-// of a map probe and a heap node, and a new slot is one append. Used by
-// the LRU and CD policies. hitRun steps a run of resident pages with the
-// list ends held in locals; reset() clears per-run state while keeping
-// every allocation for the next replay.
+// lruList is an intrusive circular doubly-linked LRU list over dense
+// page slots: each slot's links and lock state sit together in one
+// lruSlot, so a reference costs a table lookup and a few pointer-free
+// writes instead of a map probe and a heap node, and a new slot is one
+// append. Used by the LRU and CD policies.
+//
+// The list is a ring: the tail's next is the head and the head's prev
+// is the tail. Moving the tail to the MRU position is then a rotation
+// of the two ends that writes no slot, and that is the commonest hit: a
+// loop sweeping a window that fits its allocation always re-references
+// the least recently used page. Every other move relinks between tail
+// and head with no end-of-list branches, and the walks (evictLRU,
+// lowestPriorityLocked, CD's AuditLocks and degrade) visit the n
+// resident slots instead of stopping at a terminator. hitRun steps a
+// run of resident pages with the list ends held in locals; reset()
+// clears per-run state while keeping every allocation for the next
+// replay.
 type lruList struct {
 	idx        pageIndex
 	slots      []lruSlot
@@ -128,7 +138,7 @@ type lruList struct {
 
 // lruSlot is one page slot's list and lock state.
 type lruSlot struct {
-	prev, next int32 // -1 terminates; prev == notIn marks non-resident
+	prev, next int32 // ring links; prev == notIn marks non-resident
 	pj         int32 // lock priority (valid while locked)
 	site       int32 // lock site (valid while locked)
 	locked     bool
@@ -154,7 +164,7 @@ func (l *lruList) hint(maxPage mem.Page, distinct int) {
 func (l *lruList) slotOf(p mem.Page) int32 {
 	s := l.idx.slot(p)
 	if int(s) >= len(l.slots) {
-		l.slots = append(l.slots, lruSlot{prev: notIn, next: -1})
+		l.slots = append(l.slots, lruSlot{prev: notIn})
 	}
 	return s
 }
@@ -174,15 +184,15 @@ func (l *lruList) lookupResident(p mem.Page) int32 {
 // would one by one, and returns the run's length. It stops at the first
 // page it cannot serve as a hit — a miss, a first touch, or a page on
 // the sparse map — and leaves that page to the caller. The list ends
-// live in locals for the whole run, so a hit is a table load and the
-// relinking writes.
+// live in locals for the whole run, so a head hit writes nothing, a
+// tail hit only rotates the locals, and any other hit writes six links.
 func (l *lruList) hitRun(pages []mem.Page) int {
 	dense, slots := l.idx.dense, l.slots
 	head, tail := l.head, l.tail
 	i := 0
 	for ; i < len(pages); i++ {
-		pg := pages[i]
-		if uint64(pg) >= uint64(len(dense)) {
+		pg := int(pages[i])
+		if uint(pg) >= uint(len(dense)) {
 			break
 		}
 		s := dense[pg] - 1
@@ -193,19 +203,20 @@ func (l *lruList) hitRun(pages []mem.Page) int {
 		if p == notIn {
 			break
 		}
+		if s == tail {
+			head, tail = s, p
+			continue
+		}
 		if s == head {
 			continue
 		}
 		nx := slots[s].next
 		slots[p].next = nx
-		if nx >= 0 {
-			slots[nx].prev = p
-		} else {
-			tail = p
-		}
-		slots[s].prev = -1
+		slots[nx].prev = p
+		slots[s].prev = tail
 		slots[s].next = head
 		slots[head].prev = s
+		slots[tail].next = s
 		head = s
 	}
 	l.head, l.tail = head, tail
@@ -215,82 +226,64 @@ func (l *lruList) hitRun(pages []mem.Page) int {
 // touchSlot moves a resident slot to the MRU position: one step of
 // hitRun, for a slot found some other way.
 func (l *lruList) touchSlot(s int32) {
-	if l.head == s {
-		return
-	}
-	// s is resident but not the head, so it has a predecessor and the
-	// list stays non-empty: the head/tail branches of unlink/pushFront
-	// collapse.
-	slots := l.slots
-	p, nx := slots[s].prev, slots[s].next
-	slots[p].next = nx
-	if nx >= 0 {
+	switch s {
+	case l.head:
+	case l.tail:
+		l.head, l.tail = s, l.slots[s].prev
+	default:
+		slots := l.slots
+		p, nx := slots[s].prev, slots[s].next
+		slots[p].next = nx
 		slots[nx].prev = p
-	} else {
-		l.tail = p
+		slots[s].prev = l.tail
+		slots[s].next = l.head
+		slots[l.head].prev = s
+		slots[l.tail].next = s
+		l.head = s
 	}
-	slots[s].prev = -1
-	slots[s].next = l.head
-	slots[l.head].prev = s
-	l.head = s
 }
 
 // insert makes p resident at the MRU position with a clean lock state.
 // p must not be resident.
 func (l *lruList) insert(p mem.Page) int32 {
 	s := l.slotOf(p)
-	l.slots[s] = lruSlot{}
-	l.n++
-	l.pushFront(s)
-	return s
-}
-
-func (l *lruList) pushFront(s int32) {
-	l.slots[s].prev = -1
-	l.slots[s].next = l.head
-	if l.head >= 0 {
+	if l.n == 0 {
+		l.slots[s] = lruSlot{prev: s, next: s}
+		l.tail = s
+	} else {
+		l.slots[s] = lruSlot{prev: l.tail, next: l.head}
 		l.slots[l.head].prev = s
+		l.slots[l.tail].next = s
 	}
 	l.head = s
-	if l.tail < 0 {
-		l.tail = s
-	}
-}
-
-func (l *lruList) unlink(s int32) {
-	sl := &l.slots[s]
-	if p := sl.prev; p >= 0 {
-		l.slots[p].next = sl.next
-	} else {
-		l.head = sl.next
-	}
-	if nx := sl.next; nx >= 0 {
-		l.slots[nx].prev = sl.prev
-	} else {
-		l.tail = sl.prev
-	}
-	// prev/next are left stale: every caller either relinks the slot
-	// (touchSlot) or marks it non-resident (removeSlot) immediately.
+	l.n++
+	return s
 }
 
 // removeSlot evicts a resident slot.
 func (l *lruList) removeSlot(s int32) {
-	l.unlink(s)
-	l.slots[s].prev = notIn
-	l.n--
-}
-
-// remove deletes p from the list if resident.
-func (l *lruList) remove(p mem.Page) {
-	if s := l.lookupResident(p); s >= 0 {
-		l.removeSlot(s)
+	sl := &l.slots[s]
+	if l.n == 1 {
+		l.head, l.tail = -1, -1
+	} else {
+		p, nx := sl.prev, sl.next
+		l.slots[p].next = nx
+		l.slots[nx].prev = p
+		if s == l.head {
+			l.head = nx
+		}
+		if s == l.tail {
+			l.tail = p
+		}
 	}
+	sl.prev = notIn
+	l.n--
 }
 
 // evictLRU removes and returns the least recently used unlocked page.
 // It returns false if every resident page is locked.
 func (l *lruList) evictLRU() (mem.Page, bool) {
-	for s := l.tail; s >= 0; s = l.slots[s].prev {
+	for i, s := 0, l.tail; i < l.n; i, s = i+1, l.slots[s].prev {
 		if !l.slots[s].locked {
 			l.removeSlot(s)
 			return l.idx.pageOf(s), true
@@ -305,7 +298,7 @@ func (l *lruList) evictLRU() (mem.Page, bool) {
 // the slot closest to the LRU end, matching the historical scan order.
 func (l *lruList) lowestPriorityLocked() int32 {
 	best := int32(-1)
-	for s := l.tail; s >= 0; s = l.slots[s].prev {
+	for i, s := 0, l.tail; i < l.n; i, s = i+1, l.slots[s].prev {
 		if l.slots[s].locked && (best < 0 || l.slots[s].pj > l.slots[best].pj) {
 			best = s
 		}
