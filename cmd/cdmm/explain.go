@@ -22,7 +22,6 @@ func explainFlags(fs *flag.FlagSet) func(string) error {
 	top := fs.Int("top", 12, "rows in the hotspot table")
 	chrome := fs.String("chrome", "", "write a Chrome trace-event JSON (Perfetto) fault timeline to this file")
 	folded := fs.String("folded", "", "write folded flamegraph stacks (site;...;expr faults) to this file")
-	j := registerJFlag(fs)
 	of := registerObsFlags(fs)
 	return withProgram("explain", func(p *core.Program) error {
 		if *of.events != "" || *of.metrics != "" {
@@ -34,8 +33,9 @@ func explainFlags(fs *flag.FlagSet) func(string) error {
 			return err
 		}
 		return of.withObs(func() error {
-			eng := newEngine(*j, of.observer)
-			rep, err := explain.Analyze(eng, tr, *level)
+			// Analyze runs its attributed replays one after another and
+			// memoizes only the two curves, so one worker is all it uses.
+			rep, err := explain.Analyze(newEngine(1, of.observer), tr, *level)
 			if err != nil {
 				return err
 			}

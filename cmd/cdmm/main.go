@@ -402,9 +402,8 @@ func familyFlags(fs *flag.FlagSet) func(string) error {
 
 func detuneFlags(fs *flag.FlagSet) func(string) error {
 	j := registerJFlag(fs)
-	cell := fs.Bool("cellmode", false, "replay one full simulation per detune factor instead of the lockstep one-pass grid (the differential oracle)")
 	return func(string) error {
-		rows, err := experiments.DetuneStudy(newEngine(*j, runObserver(nil, nil)).WithCellMode(*cell), nil, nil)
+		rows, err := experiments.DetuneStudy(newEngine(*j, runObserver(nil, nil)), nil, nil)
 		if err != nil {
 			return err
 		}

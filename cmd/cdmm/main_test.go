@@ -331,6 +331,8 @@ func TestCmdRejectsBadFlagValues(t *testing.T) {
 		{"serve", []string{"-j", "2"}, "flag provided but not defined: -j"},
 		{"kernel", []string{"-j", "-1"}, `invalid value "-1" for flag -j`},
 		{"chaos", []string{"-j", "-1"}, `invalid value "-1" for flag -j`},
+		{"explain", []string{"HWSCRT", "-j", "2"}, "flag provided but not defined: -j"},
+		{"detune", []string{"-cellmode"}, "flag provided but not defined: -cellmode"},
 		{"chaos", []string{"-no-such-flag"}, "flag provided but not defined: -no-such-flag"},
 		{"compile", []string{"MAIN", "-bogus"}, "flag provided but not defined: -bogus"},
 		{"list", []string{"extra"}, `list: unexpected argument "extra"`},

@@ -43,11 +43,11 @@ func TestTable2CurveCellByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTablesByteIdenticalAcrossPlans: `tables` renders the same at -j 1,
-// 2 and 8, where the program plan runs ahead of the table plans, and in
-// cell mode, where it does not. Observed, `tables` skips the program
-// plan: its event stream and output are those of the four table plans
-// run alone.
+// TestTablesByteIdenticalAcrossPlans: `tables`, whose program plan runs
+// ahead of the table plans, renders the same at -j 1, 2 and 8 and in
+// cell mode. Observed, it prints the same, and its event stream is that
+// of the four table plans run alone: the stream holds only CD runs, and
+// the program plan requests them in the order the table plans first do.
 func TestTablesByteIdenticalAcrossPlans(t *testing.T) {
 	render := func(eng *engine.Engine) string {
 		var buf bytes.Buffer
@@ -89,22 +89,19 @@ func TestTablesByteIdenticalAcrossPlans(t *testing.T) {
 	}
 }
 
-// TestDetuneCurveCellByteIdentical: the detune study's lockstep one-pass
-// factor grid must render identically to one replay per factor.
-func TestDetuneCurveCellByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cell mode replays every factor; skipped under -short")
-	}
-	render := func(cell bool) string {
-		rows, err := experiments.DetuneStudy(engine.New(2).WithCellMode(cell), nil, nil)
+// TestDetuneByteIdenticalAcrossJ: the detune study renders the same
+// whether its factor grids run one at a time or four at once.
+func TestDetuneByteIdenticalAcrossJ(t *testing.T) {
+	render := func(j int) string {
+		rows, err := experiments.DetuneStudy(engine.New(j), nil, nil)
 		if err != nil {
-			t.Fatalf("cell=%v: %v", cell, err)
+			t.Fatalf("-j %d: %v", j, err)
 		}
 		return experiments.RenderDetune(rows)
 	}
-	curve, cellR := render(false), render(true)
-	if curve == "" || curve != cellR {
-		t.Errorf("detune renderings differ:\n%s\nvs\n%s", curve, cellR)
+	seq, par := render(1), render(4)
+	if seq == "" || seq != par {
+		t.Errorf("detune renderings differ between -j 1 and -j 4:\n%s\nvs\n%s", seq, par)
 	}
 }
 

@@ -58,7 +58,7 @@ type Engine struct {
 	// progressChunk simulated events while runs are in flight.
 	progress *Progress
 
-	// cellMode forces the per-cell replay path for sweep artifacts: every
+	// cellMode forces the per-cell replay path for curve artifacts: every
 	// curve point is an independent full-trace simulation instead of a
 	// point on a one-pass curve. The differential oracle.
 	cellMode bool
@@ -89,11 +89,12 @@ func (e *Engine) WithProgress(p *Progress) *Engine {
 	return e
 }
 
-// WithCellMode selects how sweep artifacts (LRU curves, WS runs and
-// minima, CD detune grids) are computed: false (the default) uses the
-// one-pass curve engines in internal/sweep, true replays the trace per
-// curve point through vmsim — the differential oracle. An engine holds
-// one mode's artifacts, so call before MapNamed.
+// WithCellMode selects how curve artifacts (LRU curves, WS runs and
+// minima) are computed: false (the default) reads them off the one-pass
+// curve engines in internal/sweep, true replays the trace per curve
+// point through vmsim — the differential oracle. Neither mode is
+// observed, and CD runs and detune grids replay the same way in both.
+// An engine holds one mode's artifacts, so call before MapNamed.
 func (e *Engine) WithCellMode(cell bool) *Engine {
 	e.cellMode = cell
 	return e

@@ -14,6 +14,7 @@ import (
 	"cdmm/internal/mem"
 	"cdmm/internal/obs"
 	"cdmm/internal/trace"
+	"cdmm/internal/vmsim"
 	"cdmm/internal/workloads"
 )
 
@@ -195,52 +196,43 @@ func TestEventMergeDeterministic(t *testing.T) {
 	}
 }
 
-// wsMinEvents runs an observed WSMinST per program and returns the
-// minima and the merged event stream.
-func wsMinEvents(t *testing.T, workers int, cell bool, progs []string) ([]int, []obs.Event) {
+// wsMin runs WSMinST per program on an engine observing through o and
+// returns the minimizing windows and their results.
+func wsMin(t *testing.T, o *obs.Observer, cell bool, progs []string) ([]int, []vmsim.Result) {
 	t.Helper()
-	col := &obs.Collector{}
-	eng := engine.New(workers).WithObserver(&obs.Observer{Tracer: col}).WithCellMode(cell)
+	eng := engine.New(4).WithObserver(o).WithCellMode(cell)
 	trs := compiled(t, progs...)
+	results := make([]vmsim.Result, len(progs))
 	taus, err := engine.MapNamed(eng, "", progs, func(rc *engine.RunCtx, prog string) (int, error) {
-		tau, _, err := eng.WSMinST(rc, trs[prog])
+		tau, res, err := eng.WSMinST(rc, trs[prog])
+		results[rc.Index] = res
 		return tau, err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return taus, col.Events
+	return taus, results
 }
 
-// TestObservedWSMinSTReplaysOnce checks that observing the WS minimum
-// search does not change it: the search stays unobserved and emits
-// exactly one WS run per program, the minimizing window's, with the same
-// stream in curve and cell mode.
-func TestObservedWSMinSTReplaysOnce(t *testing.T) {
+// TestObservedWSMinSTEmitsNothing: observing the WS minimum search
+// changes nothing. An observed search emits no events and returns the
+// unobserved minimum, in curve and in cell mode.
+func TestObservedWSMinSTEmitsNothing(t *testing.T) {
 	progs := []string{"MAIN", "TQL"}
-	taus, want := wsMinEvents(t, 1, false, progs)
-	var runs []string
-	for _, ev := range want {
-		if ev.Kind == obs.KindRun {
-			runs = append(runs, ev.Label)
+	for _, cell := range []bool{false, true} {
+		wantTaus, wantRes := wsMin(t, nil, cell, progs)
+		col := &obs.Collector{}
+		reg := obs.NewRegistry()
+		taus, res := wsMin(t, &obs.Observer{Tracer: col, Metrics: reg}, cell, progs)
+		if !reflect.DeepEqual(taus, wantTaus) || !reflect.DeepEqual(res, wantRes) {
+			t.Errorf("cell=%v: observed minima %v %+v, unobserved %v %+v", cell, taus, res, wantTaus, wantRes)
 		}
-	}
-	plain := engine.New(1)
-	trs := compiled(t, progs...)
-	for i, prog := range progs {
-		tau, _, err := plain.WSMinST(nil, trs[prog])
-		if err != nil {
-			t.Fatal(err)
+		if len(col.Events) != 0 {
+			t.Errorf("cell=%v: observed WSMinST emitted %d events, want none", cell, len(col.Events))
 		}
-		if taus[i] != tau {
-			t.Errorf("%s: observed minimum at tau=%d, unobserved at tau=%d", prog, taus[i], tau)
+		if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Histograms) != 0 {
+			t.Errorf("cell=%v: observed WSMinST recorded metrics %+v, want none", cell, snap)
 		}
-	}
-	if len(runs) != len(progs) {
-		t.Fatalf("observed WSMinST emitted %d run events, want one per program (%d)", len(runs), len(progs))
-	}
-	if _, got := wsMinEvents(t, 4, true, progs); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cell mode: merged stream differs from curve mode (%d vs %d events)", len(got), len(want))
 	}
 }
 

@@ -225,19 +225,15 @@ func (e *Engine) CDRun(rc *RunCtx, tr *trace.Trace, set workloads.Set, minAlloc 
 }
 
 // WSRun returns the WS(tau) result over the trace, once per engine and
-// window. With an enabled observer the full trace is replayed
-// instrumented (per-reference events, exactly as before the curve
-// plane); otherwise curve mode reads the point off the one-pass grid
-// engine and cell mode replays the directive-stripped trace solo.
-// also lists windows the caller will ask for next; curve mode computes
-// any the trace's window store lacks in the same grid pass (see
-// OnePassWS).
+// window: curve mode reads the point off the one-pass grid engine, cell
+// mode replays the directive-stripped trace solo. Neither is observed,
+// so a watched run computes what an unwatched one does and emits no
+// events for the window. also lists windows the caller will ask for
+// next; curve mode computes any the trace's window store lacks in the
+// same grid pass.
 func (e *Engine) WSRun(rc *RunCtx, tr *trace.Trace, tau int, also ...int) (vmsim.Result, error) {
 	k := Key{Kind: "ws-run", Trace: tr, Params: fmt.Sprintf("tau=%d", tau)}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
-		if o.Enabled() {
-			return vmsim.RunObserved(tr, policy.NewWS(tau), o), nil
-		}
+	v, err := e.Memo(rc, k, func(comp *RunCtx, _ *obs.Observer) (any, error) {
 		if e.cellMode {
 			return vmsim.Run(tr.RefsOnly(), policy.NewWS(tau)), nil
 		}
@@ -253,16 +249,6 @@ func (e *Engine) WSRun(rc *RunCtx, tr *trace.Trace, tau int, also ...int) (vmsim
 	return v.(vmsim.Result), nil
 }
 
-// OnePassWS reports whether the engine reads WS windows off the one-pass
-// grid engine: curve mode with no enabled observer. Only then does
-// naming the windows a caller will need next (WSRun's and WSMinST's
-// also) save traversals; cell mode and observed runs replay each window
-// on its own, and an observed caller must not request extra memoized
-// runs to find those windows, which would reorder its event stream.
-func (e *Engine) OnePassWS() bool {
-	return !e.cellMode && !e.obs.Enabled()
-}
-
 // wsMin pairs the minimizing window with its result.
 type wsMin struct {
 	tau int
@@ -273,39 +259,28 @@ type wsMin struct {
 // its full result, computed once per engine. In curve mode the whole τ
 // ladder, and the windows in also (as in WSRun), fall out of one
 // grid-engine traversal; cell mode replays the trace at every ladder
-// point. The search itself is never observed: with an enabled observer
-// the minimizing window's result comes from WSRun, so a watched run
-// replays only the one window the table prints, and its event stream is
-// the same in either mode.
+// point. Like WSRun, the search is never observed.
 func (e *Engine) WSMinST(rc *RunCtx, tr *trace.Trace, also ...int) (int, vmsim.Result, error) {
 	k := Key{Kind: "ws-min", Trace: tr}
-	v, err := e.Memo(rc, k, func(comp *RunCtx, o *obs.Observer) (any, error) {
-		var m wsMin
+	v, err := e.Memo(rc, k, func(comp *RunCtx, _ *obs.Observer) (any, error) {
 		if e.cellMode {
 			refs := tr.RefsOnly()
 			taus := vmsim.DefaultTaus(tr.Refs)
-			m = wsMin{taus[0], vmsim.Run(refs, policy.NewWS(taus[0]))}
+			m := wsMin{taus[0], vmsim.Run(refs, policy.NewWS(taus[0]))}
 			for _, tau := range taus[1:] {
 				if r := vmsim.Run(refs, policy.NewWS(tau)); r.SpaceTime < m.res.SpaceTime {
 					m = wsMin{tau, r}
 				}
 			}
-		} else {
-			s, err := e.WSSweep(comp, tr)
-			if err != nil {
-				return nil, err
-			}
-			if m.tau, m.res, err = s.MinST(also...); err != nil {
-				return nil, err
-			}
+			return m, nil
 		}
-		if o.Enabled() {
-			var err error
-			if m.res, err = e.WSRun(comp, tr, m.tau); err != nil {
-				return nil, err
-			}
+		s, err := e.WSSweep(comp, tr)
+		if err != nil {
+			return nil, err
 		}
-		return m, nil
+		var m wsMin
+		m.tau, m.res, err = s.MinST(also...)
+		return m, err
 	})
 	if err != nil {
 		return 0, vmsim.Result{}, err
@@ -315,26 +290,18 @@ func (e *Engine) WSMinST(rc *RunCtx, tr *trace.Trace, also ...int) (int, vmsim.R
 }
 
 // CDDetune runs the CD policy with every granted allocation scaled by
-// each factor — the whole detune grid as one memoized artifact. Curve
-// mode steps the entire grid in lockstep through one trace traversal
-// (sweep.Multi); cell mode and the instrumented path replay per factor,
-// in factor order. detune wraps the set's selector with the caller's
-// scaling rule. Results are in factors order.
+// each factor — the whole detune grid as one memoized artifact, one
+// observed replay per factor, in factor order, in either mode. detune
+// wraps the set's selector with the caller's scaling rule. Results are
+// in factors order.
 func (e *Engine) CDDetune(rc *RunCtx, tr *trace.Trace, set workloads.Set, minAlloc int, factors []float64,
 	detune func(policy.ArmSelector, float64) policy.ArmSelector) ([]vmsim.Result, error) {
 	params := setParams(set, minAlloc) + ",factors=" + fmtFactors(factors)
 	k := Key{Kind: "cd-detune", Trace: tr, Set: set.Name, Params: params}
 	v, err := e.Memo(rc, k, func(_ *RunCtx, o *obs.Observer) (any, error) {
-		pols := make([]policy.Policy, len(factors))
+		out := make([]vmsim.Result, len(factors))
 		for i, f := range factors {
-			pols[i] = policy.NewCD(detune(set.Selector(), f), minAlloc)
-		}
-		if !o.Enabled() && !e.cellMode {
-			return sweep.Multi(tr, pols)
-		}
-		out := make([]vmsim.Result, len(pols))
-		for i, pol := range pols {
-			out[i] = vmsim.RunObserved(tr, pol, o)
+			out[i] = vmsim.RunObserved(tr, policy.NewCD(detune(set.Selector(), f), minAlloc), o)
 		}
 		return out, nil
 	})

@@ -40,11 +40,9 @@ type DetuneRow struct {
 }
 
 // DetuneStudy runs each variant's canonical CD set with every X scaled by
-// each factor. Each variant's whole factor grid is one engine run — in
-// curve mode the grid replays in lockstep through a single trace
-// traversal (sweep.Multi via the engine's CDDetune artifact), in cell
-// mode one replay per factor — and rows come back variant-major,
-// factor-minor, identical in either mode.
+// each factor. Each variant's whole factor grid is one engine run, the
+// engine's CDDetune artifact (one replay per factor), and rows come back
+// variant-major, factor-minor.
 func DetuneStudy(eng *engine.Engine, variants []Variant, factors []float64) ([]DetuneRow, error) {
 	if variants == nil {
 		variants = Table2Variants

@@ -101,15 +101,10 @@ func cdRun(eng *engine.Engine, rc *engine.RunCtx, v Variant) (*trace.Trace, vmsi
 // wsWindows returns the WS windows Tables 3 and 4 compare at for every
 // variant of program: each variant's equal-MEM window TauForMEM(MEM) and
 // equal-PF window MinTauForFaults(PF), from its memoized CD run. A row
-// passes them as the also windows of its first WS request, so each
-// program's trace goes through the grid engine once per engine. It
-// returns none unless the engine reads windows off that one pass
-// (engine.OnePassWS): the sibling CD runs would reorder an observed
-// run's event stream.
+// passes them as the also windows of its first WS request, so in curve
+// mode each program's trace goes through the grid engine once per
+// engine.
 func wsWindows(eng *engine.Engine, rc *engine.RunCtx, tr *trace.Trace, program string) ([]int, error) {
-	if !eng.OnePassWS() {
-		return nil, nil
-	}
 	s, err := eng.WSSweep(rc, tr)
 	if err != nil {
 		return nil, err
@@ -183,14 +178,8 @@ func programs() []string {
 // therefore requests every memo entry the tables read, and the table
 // plans that follow find them all. A program's trace, sweeps and CD
 // runs are built by one item, so no worker waits on another's, and no
-// table waits for the slowest row of the one before it. It runs only
-// when the engine reads WS windows off the one-pass grid engine
-// (engine.OnePassWS): observed runs and cell mode keep the table plans'
-// own order, which their event streams follow.
+// table waits for the slowest row of the one before it.
 func WarmTables(eng *engine.Engine) error {
-	if !eng.OnePassWS() {
-		return nil
-	}
 	_, err := engine.MapNamed(eng, "programs", programs(), func(rc *engine.RunCtx, prog string) (struct{}, error) {
 		rc.Describe(prog, "Tables 1-4")
 		if err := programRows(eng, rc, prog, Table1Variants, row1); err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cdmm/internal/engine"
-	"cdmm/internal/obs"
 	"cdmm/internal/workloads"
 )
 
@@ -208,44 +207,6 @@ func TestTablesDeterministicAcrossParallelism(t *testing.T) {
 		if got := renderAll(t, workers); got != want {
 			t.Errorf("tables differ between -j 1 and -j %d:\n--- j=1\n%s\n--- j=%d\n%s",
 				workers, want, workers, got)
-		}
-	}
-}
-
-// TestObservedTablesRunRowByRow: an observed Table 2 or 3 runs, row by
-// row, the row's CD run and then its one WS window. Gathering the
-// windows of a program's other variants into one grid pass would pull
-// their CD runs forward and reorder the event stream, so watched runs
-// do not gather them.
-func TestObservedTablesRunRowByRow(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		rows int
-		gen  func(*engine.Engine) error
-	}{
-		{"table2", len(Table2Variants), func(e *engine.Engine) error { _, err := Table2(e); return err }},
-		{"table3", len(Table34Variants), func(e *engine.Engine) error { _, err := Table3(e); return err }},
-	} {
-		col := &obs.Collector{}
-		if err := c.gen(engine.New(4).WithObserver(&obs.Observer{Tracer: col})); err != nil {
-			t.Fatal(err)
-		}
-		var runs []string
-		for _, ev := range col.Events {
-			if ev.Kind == obs.KindRun {
-				runs = append(runs, ev.Label)
-			}
-		}
-		if len(runs) != 2*c.rows {
-			t.Errorf("observed %s emitted %d run events, want %d (one CD run and one WS window per row): %v",
-				c.name, len(runs), 2*c.rows, runs)
-			continue
-		}
-		for i, label := range runs {
-			if want := []string{"CD", "WS("}[i%2]; !strings.HasPrefix(label, want) {
-				t.Errorf("observed %s: run event %d is %q, want %s...: %v", c.name, i, label, want, runs)
-				break
-			}
 		}
 	}
 }

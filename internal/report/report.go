@@ -17,11 +17,11 @@ import (
 	"cdmm/internal/bli"
 	"cdmm/internal/core"
 	"cdmm/internal/engine"
-	"cdmm/internal/explain"
 	"cdmm/internal/locality"
 	"cdmm/internal/policy"
 	"cdmm/internal/sem"
 	"cdmm/internal/trace"
+	"cdmm/internal/vmsim"
 )
 
 // CompileTime renders the compile-time half of p's report: the title, the
@@ -72,7 +72,7 @@ func Generate(p *core.Program, eng *engine.Engine) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := writeAttribution(&b, eng, tr); err != nil {
+	if err := writeAttribution(&b, tr); err != nil {
 		return "", err
 	}
 	if err := writeTimeline(&b, eng, rows); err != nil {
@@ -128,20 +128,20 @@ func writeAdvisories(b *strings.Builder, p *core.Program) {
 	b.WriteString("```\n")
 }
 
-// writeAttribution explains the CD run's faults site by site: the
-// hotspot table and directive coverage from the attribution ledger. A
-// trace without the site side-band (possible for externally built
+// writeAttribution explains the level-1 CD run's faults site by site:
+// the hotspot table and directive coverage from its attribution ledger.
+// A trace without the site side-band (possible for externally built
 // traces) simply skips the section.
-func writeAttribution(b *strings.Builder, eng *engine.Engine, tr *trace.Trace) error {
+func writeAttribution(b *strings.Builder, tr *trace.Trace) error {
 	if !tr.HasSites() {
 		return nil
 	}
-	rep, err := explain.Analyze(eng, tr, 1)
-	if err != nil {
-		return err
+	_, led := vmsim.RunAttributed(tr, policy.NewCD(policy.SelectLevel(1), 2), nil)
+	if err := led.Conservation(); err != nil {
+		return fmt.Errorf("report: %s under %s: %w", tr.Name, led.Policy, err)
 	}
 	b.WriteString("\n## Fault attribution (CD level 1)\n\n")
-	ranked := rep.CD.Rank()
+	ranked := led.Rank()
 	fmt.Fprintf(b, "| rank | site | refs | PF | IO | MEM | share |\n|---|---|---|---|---|---|---|\n")
 	shown := 0
 	for _, s := range ranked {
@@ -154,13 +154,13 @@ func writeAttribution(b *strings.Builder, eng *engine.Engine, tr *trace.Trace) e
 		shown++
 		fmt.Fprintf(b, "| %d | %s | %d | %d | %d | %.2f | %.1f%% |\n",
 			shown, s.Name(), s.Refs, s.Faults, s.IO(), s.MEM(),
-			float64(s.Faults)/float64(rep.CD.Faults)*100)
+			float64(s.Faults)/float64(led.Faults)*100)
 	}
-	if hs := rep.CD.Hotspot(); hs != nil {
+	if hs := led.Hotspot(); hs != nil {
 		fmt.Fprintf(b, "\nHotspot: **%s** takes %d of %d faults.\n",
-			hs.Name(), hs.Faults, rep.CD.Faults)
+			hs.Name(), hs.Faults, led.Faults)
 	}
-	if dirs := rep.CD.DirectiveSites(); len(dirs) > 0 {
+	if dirs := led.DirectiveSites(); len(dirs) > 0 {
 		fmt.Fprintf(b, "\n| directive site | allocs | locks | unlocks | locked hits | shrink PF | release PF | lock releases |\n|---|---|---|---|---|---|---|---|\n")
 		for _, s := range dirs {
 			fmt.Fprintf(b, "| %s | %d | %d | %d | %d | %d | %d | %d |\n",

@@ -13,8 +13,10 @@ import (
 // are exactly those of len(pols) independent replays — the decisions of
 // each policy are untouched by the grouping — but the stream decode,
 // directive resolution and page-id translation are paid once for the
-// grid instead of once per cell. This is the grouped pass behind FIFO
-// capacity grids and CD detune grids, which have no closed-form curve.
+// grid instead of once per cell. It is the grouped pass behind FIFO
+// capacity grids, which have no closed-form curve and may stream from a
+// trace file; an in-memory CD detune grid gains nothing from it over one
+// replay per factor.
 //
 // Each policy steps through policy.Step; each policy value must be
 // exclusive to this call.

@@ -23,12 +23,11 @@
 //     fault-coupled space-time integral) in O(R + Σ_τ activity) instead
 //     of O(R × |grid|).
 //
-//   - Multi: a lockstep grouped pass for policies with no closed form
-//     (FIFO capacity grids, CD detune grids). One cursor feeds every
-//     policy's StepBlock per block, so the stream decode and directive
-//     side-band resolution are shared across the whole grid while each
-//     policy's per-reference decisions stay exactly those of a solo
-//     replay.
+//   - Multi: a lockstep grouped pass for FIFO capacity grids, which
+//     have no closed form. One cursor feeds every policy's StepBlock per
+//     block, so a streamed trace file is decoded once for the whole grid
+//     while each policy's per-reference decisions stay exactly those of
+//     a solo replay.
 //
 // Every engine is differentially tested against per-cell vmsim replay;
 // the per-cell path remains available (engine cell mode, one vmsim.Run
