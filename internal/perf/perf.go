@@ -266,7 +266,9 @@ func collectBlockStep(b *Baseline, target time.Duration) error {
 // interval histograms plus the full default-τ-ladder curve against one
 // replay per τ. Fault anchors tie each curve to the corresponding
 // single-policy case (LRU/m=32, WS/tau=1000), and a differential check
-// pins curve results to per-cell results before anything is timed.
+// pins curve results to per-cell results before anything is timed: LRU
+// at m=32, and WS at τ=64 and τ=1000, one window on each side of the
+// grid scan's live mask.
 func collectSweepCurves(b *Baseline, target time.Duration) error {
 	c, err := workloads.Compile("CONDUCT")
 	if err != nil {
@@ -292,13 +294,15 @@ func collectSweepCurves(b *Baseline, target time.Duration) error {
 	if got, want := lru.Result(32), vmsim.Run(tr.RefsOnly(), policy.NewLRU(32)); got != want {
 		return fmt.Errorf("perf: LRU curve drifted from per-cell replay at m=32: %+v vs %+v", got, want)
 	}
-	wsCell := vmsim.Run(tr.RefsOnly(), policy.NewWS(1000))
-	wsCurve, err := ws.Run(1000)
+	wsAnchors := []int{64, 1000}
+	wsCurve, err := ws.Curve(wsAnchors)
 	if err != nil {
 		return err
 	}
-	if wsCurve != wsCell {
-		return fmt.Errorf("perf: WS curve drifted from per-cell replay at tau=1000: %+v vs %+v", wsCurve, wsCell)
+	for i, tau := range wsAnchors {
+		if cell := vmsim.Run(tr.RefsOnly(), policy.NewWS(tau)); wsCurve[i] != cell {
+			return fmt.Errorf("perf: WS curve drifted from per-cell replay at tau=%d: %+v vs %+v", tau, wsCurve[i], cell)
+		}
 	}
 
 	cs := measure(target, tr.Refs, func() {

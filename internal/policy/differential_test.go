@@ -411,3 +411,33 @@ func TestPolicyWildPages(t *testing.T) {
 		})
 	}
 }
+
+// TestRecycledListHintCoversUnseenPages hints a recycled list: its slots
+// still hold the pages of the trace it replayed before, so the hint for
+// the next trace must reserve that trace's unseen pages on top of them.
+// Admitting them then grows neither the slot array nor the page index,
+// and a replay of the same trace reserves nothing more.
+func TestRecycledListHintCoversUnseenPages(t *testing.T) {
+	l := newLRUList()
+	admit := func(lo, hi mem.Page) {
+		l.reset()
+		held := l.idx.size()
+		l.hint(hi, int(hi-lo)+1)
+		slots, pages := cap(l.slots), cap(l.idx.pages)
+		for p := lo; p <= hi; p++ {
+			l.insert(p)
+		}
+		if cap(l.slots) != slots || cap(l.idx.pages) != pages {
+			t.Errorf("pages %d..%d on a list holding %d: admitting them regrew the slots from %d to %d and the page index from %d to %d",
+				lo, hi, held, slots, cap(l.slots), pages, cap(l.idx.pages))
+		}
+	}
+	admit(0, 9)   // a fresh list
+	admit(10, 39) // every page unseen
+	admit(5, 60)  // some seen, some not
+	before := cap(l.slots)
+	admit(5, 60) // the same trace again
+	if cap(l.slots) != before {
+		t.Errorf("replaying the same pages grew the slot capacity from %d to %d", before, cap(l.slots))
+	}
+}

@@ -112,10 +112,10 @@ func (x *pageIndex) growDense(n int) {
 // hint sizes the dense table for a trace whose largest page and
 // distinct-page count are known, so the first replay assigns slots
 // without growth reallocations: it allocates exactly the pages up to
-// maxPage. It returns the number of slots the trace will assign, for
-// the caller to pre-size its per-slot state, or 0 when it ignores the
-// hint. Hints outside the sparsity guard are ignored — such pages take
-// the map path when they arrive.
+// maxPage. It returns the number of slots the index can hold once the
+// trace has run, for the caller to pre-size its per-slot state, or 0
+// when it ignores the hint. Hints outside the sparsity guard are
+// ignored — such pages take the map path when they arrive.
 func (x *pageIndex) hint(maxPage mem.Page, distinct int) int {
 	if maxPage < 0 || distinct <= 0 {
 		return 0
@@ -127,10 +127,15 @@ func (x *pageIndex) hint(maxPage mem.Page, distinct int) int {
 	if need > len(x.dense) {
 		x.growDense(need)
 	}
-	// At most need distinct pages lie in [0, maxPage].
-	n := min(distinct, need)
-	if n > len(x.pages) {
-		x.pages = slices.Grow(x.pages, n-len(x.pages))
+	// The trace can add a slot only for a page in [0, maxPage] the index
+	// has not assigned: a recycled index keeps its earlier traces' slots.
+	free := need
+	for _, s := range x.dense[:need] {
+		if s != 0 {
+			free--
+		}
 	}
+	n := len(x.pages) + min(distinct, free)
+	x.pages = slices.Grow(x.pages, n-len(x.pages))
 	return n
 }

@@ -13,11 +13,16 @@ func (s *WS) Tail() int { return s.tail }
 // WSBlock is the grid pass's time block, in references.
 const WSBlock = wsBlock
 
-// Pass is one grid traversal: its sorted windows and the slot count of
-// its position ring.
+// LiveBits is the width of the grid scan's live mask: windows up to it
+// need no expiry queue.
+const LiveBits = liveBits
+
+// Pass is one grid traversal: its sorted windows, the slot count of its
+// position ring and how many references entered its expiry queues.
 type Pass struct {
-	Grid []int
-	Ring int
+	Grid   []int
+	Ring   int
+	Queued int
 }
 
 // RecordPasses logs every grid traversal from now until stop is called;
@@ -25,10 +30,10 @@ type Pass struct {
 func RecordPasses() (passes func() []Pass, stop func()) {
 	var mu sync.Mutex
 	var log []Pass
-	gridPass = func(grid []int, ring int) {
+	gridPass = func(grid []int, ring, queued int) {
 		mu.Lock()
 		defer mu.Unlock()
-		log = append(log, Pass{Grid: append([]int(nil), grid...), Ring: ring})
+		log = append(log, Pass{Grid: append([]int(nil), grid...), Ring: ring, Queued: queued})
 	}
 	passes = func() []Pass {
 		mu.Lock()

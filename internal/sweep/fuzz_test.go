@@ -74,9 +74,10 @@ func FuzzSweep(f *testing.F) {
 		}
 
 		// One multi-window Curve on the input, and on the input repeated
-		// past one block of the grid pass.
+		// past one block of the grid pass, with windows on both sides of
+		// the scan's live mask.
 		k := int(knob)
-		grid := []int{1, 2, k%7 + 1, k + 1, 2*k + 3, 17*k + 1, sweep.WSBlock - 1, sweep.WSBlock, sweep.WSBlock + 1}
+		grid := []int{1, 2, k%7 + 1, k + 1, 2*k + 3, 17*k + 1, sweep.LiveBits - 1, sweep.LiveBits, sweep.LiveBits + 1, sweep.WSBlock - 1, sweep.WSBlock, sweep.WSBlock + 1}
 		long := trace.New("fuzz-long")
 		for long.Refs <= sweep.WSBlock {
 			for _, pg := range tr.Pages() {

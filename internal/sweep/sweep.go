@@ -13,15 +13,19 @@
 //
 //   - WS: Denning's windowed recurrence. One pass builds the backward
 //     inter-reference-interval and forward re-reference-distance
-//     histograms (PF(τ) and MemSum(τ) for all τ at once); a second,
-//     window-major pass over fixed time blocks runs an arbitrary τ grid
-//     one window after another — each window hands the references it
-//     expires on to the next, since a page that outlives a window
-//     outlives every smaller one — and adds only what the histograms
-//     cannot give, the working set summed at fault instants and its
-//     peak. Together they yield the exact per-τ Result (including the
-//     fault-coupled space-time integral) in O(R + Σ_τ activity) instead
-//     of O(R × |grid|).
+//     histograms (PF(τ) and MemSum(τ) for all τ at once); a second pass
+//     adds only what the histograms cannot give, the working set summed
+//     at fault instants and its peak, for an arbitrary τ grid. Its scan
+//     keeps a one-word mask of which of the last 64 references are
+//     still their page's latest, so a window up to 64 reads its working
+//     set as a popcount at each fault; only references the mask
+//     outlives enter the window-major queues of the larger windows,
+//     where each window hands the references it expires on to the next,
+//     since a page that outlives a window outlives every smaller one.
+//     Together they yield the exact per-τ Result (including the
+//     fault-coupled space-time integral) in O(R + Σ_{τ≤64} PF(τ) +
+//     survivors + Σ_{τ>64} (PF(τ) + expiries(τ))) instead of
+//     O(R × |grid|).
 //
 //   - Multi: a lockstep grouped pass for FIFO capacity grids, which
 //     have no closed form. One cursor feeds every policy's StepBlock per

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -305,19 +306,19 @@ func (s *WS) MinST(also ...int) (int, vmsim.Result, error) {
 //
 // PF and MemSum come from the histograms; the traversal (runGrid)
 // computes only the working-set size summed over fault instants, and
-// its peak. It goes through the stream in fixed time blocks, window by
-// window: a block scan records each reference's backward interval and
-// the forward distance of the reference before it, then each window in
-// ascending τ expires the references due in the block that were not
-// re-referenced within τ, hands them on to the next window (a page that
-// outlives a window outlives every smaller one), and merges those
-// expiries with its faults in time order. Apart from the scan's one
-// write per reference into the previous reference's slot, every access
-// is sequential, and total work is O(R + Σ_τ PF(τ) + Σ_τ expiries(τ)),
-// the activity the curves themselves measure, instead of O(R×|grid|).
-// Its memory follows the largest window walked, which lies below the
-// tail threshold however large the requested windows are. Windows below
-// 1 are treated as 1.
+// its peak. Its scan keeps a one-word live mask of the last 64 steps,
+// from which a window up to 64 reads its working set at each of its
+// faults as a popcount. The larger windows go through the stream in
+// fixed time blocks, window by window: a reference the mask outlives
+// enters the smallest one's queue, and each window in ascending τ
+// expires the references due in the block that were not re-referenced
+// within τ, hands them on to the next window (a page that outlives a
+// window outlives every smaller one), and merges those expiries with
+// its faults in time order. Total work is O(R + Σ_{τ≤64} PF(τ) +
+// survivors + Σ_{τ>64} (PF(τ) + expiries(τ))), the activity the curves
+// themselves measure, instead of O(R×|grid|). Its memory follows the
+// largest window walked, which lies below the tail threshold however
+// large the requested windows are. Windows below 1 are treated as 1.
 func (s *WS) Curve(taus []int) ([]vmsim.Result, error) {
 	if len(taus) == 0 {
 		return nil, nil
@@ -378,15 +379,34 @@ func (s *WS) result(tau, peak int, atFaults int64) vmsim.Result {
 	})
 }
 
-// gridPass, when set, observes every grid traversal: its windows and the
-// slot count of its position ring. The tests count traversals with it.
-var gridPass func(grid []int, ring int)
+// gridPass, when set, observes every grid traversal: its windows, the
+// slot count of its position ring and how many references entered its
+// expiry queues. The tests count traversals with it.
+var gridPass func(grid []int, ring, queued int)
 
 // wsBlock is the grid pass's time block, in references: the pass scans
-// a block once, then runs every window across it in turn.
+// a block once, then runs every window above the live mask across it in
+// turn.
 const wsBlock = 1 << 12
 
-// gridWindow is one window's state in a grid pass.
+// liveBits is the width of the scan's live mask: a window up to it
+// reads its working set off the mask, and a reference enters the expiry
+// queues only if it is still its page's latest reference this many
+// steps on.
+const liveBits = 64
+
+// maskWindow is the state of a window no wider than the live mask.
+type maskWindow struct {
+	tau int
+	// low selects the mask's last tau positions.
+	low uint64
+	// peak is the working set's largest size so far and atFaults its
+	// sum over the fault instants so far.
+	peak     int
+	atFaults int64
+}
+
+// gridWindow is the state of a window wider than the live mask.
 type gridWindow struct {
 	tau int
 	// ws is the live working-set size, peak its largest value so far and
@@ -394,64 +414,101 @@ type gridWindow struct {
 	ws, peak int
 	atFaults int64
 	// pending holds, from head on, the window's expiry sources not yet
-	// due, oldest first, by ring slot: every reference for the smallest
-	// window, and for each larger one those the window below expired.
+	// due, oldest first, by ring slot: for the smallest window every
+	// reference still live liveBits steps on, and for each larger one
+	// those the window below expired.
 	pending []int32
 	head    int
 }
 
-// blockFault is a fault of the smallest window in the current block: its
-// step's offset in the block and its backward interval, capped below the
-// ring length (first references count as the cap).
+// blockFault is a fault of the smallest window above the live mask in
+// the current block: its step's offset in the block and its backward
+// interval, capped below the ring length (first references count as the
+// cap).
 type blockFault struct {
 	at, gap int32
 }
 
-// runGrid executes the window-major pass over the sorted unique grid,
-// returning one result per window in grid order.
+// runGrid executes the grid pass over the sorted unique grid, returning
+// one result per window in grid order.
+//
+// The scan keeps a live mask: bit i is set while the reference i steps
+// back is still its page's latest. A re-reference at backward interval
+// b ≤ liveBits clears the bit of the reference it follows, so the
+// working set of a window τ ≤ liveBits is the popcount of the mask's
+// last τ bits, read at each of its faults. A bit still set when it
+// leaves the mask is a reference that outlived liveBits steps: only
+// those enter the window-major queues of the larger windows (advance).
 func (s *WS) runGrid(grid []int) ([]vmsim.Result, error) {
 	n := s.Refs
-	// The position ring keeps, for every reference a window may still
-	// expire, the forward distance to the next reference of its page:
-	// such a reference lies within the largest window plus one block
-	// behind the scan.
-	ring := 1
-	for ring < min(grid[len(grid)-1]+wsBlock, n+1) {
-		ring *= 2
+	k, _ := slices.BinarySearch(grid, liveBits+1)
+	small := make([]maskWindow, k)
+	for i, tau := range grid[:k] {
+		small[i] = maskWindow{tau: tau, low: ^uint64(0) >> (liveBits - tau)}
 	}
-	if gridPass != nil {
-		gridPass(grid, ring)
+	big := grid[k:]
+	// The position ring keeps, for every reference a window above the
+	// mask may still expire, the forward distance to the next reference
+	// of its page: such a reference lies within the largest window plus
+	// one block behind the scan. A grid within the mask needs none.
+	ring := 0
+	if len(big) > 0 {
+		ring = 1
+		for ring < min(big[len(big)-1]+wsBlock, n+1) {
+			ring *= 2
+		}
 	}
 	mask := ring - 1
-	// next[u&mask] is next(u)−u once the scan has seen that reference,
-	// 0 before; a distance of a whole ring or more exceeds every window
-	// and is never recorded.
+	// next[u&mask] is written only for a reference u in the queues: 0
+	// when u enters them, next(u)−u once the scan reaches its page's
+	// next reference. A distance of a whole ring or more exceeds every
+	// window and is never recorded.
 	next := make([]int32, ring)
 	span, _ := pageSpan(s.src.Meta())
 	last := make([]int, span)
 	// One window past the grid: a sink for the largest one's expiries.
-	wins := make([]gridWindow, len(grid)+1)
-	for i, tau := range grid {
+	wins := make([]gridWindow, len(big)+1)
+	for i, tau := range big {
 		wins[i].tau = tau
 	}
 	faults := make([]blockFault, 0, wsBlock)
 	expAt := make([]int32, wsBlock)
 
-	start, t := 1, 0
+	var live uint64
+	queued, start, t := 0, 1, 0
 	err := walkRefs(s.src, func(pages []mem.Page) {
 		for _, pg := range pages {
 			t++
-			slot := t & mask
-			next[slot] = 0
-			b := mask // longer than every window: a first reference
-			if prev := last[pg]; prev != 0 && t-prev <= mask {
+			b := n + 1 // a first reference: longer than every window
+			if prev := last[pg]; prev != 0 {
 				b = t - prev
-				next[prev&mask] = int32(b)
+				if b > liveBits && b <= mask {
+					next[prev&mask] = int32(b)
+				}
 			}
 			last[pg] = t
-			wins[0].pending = append(wins[0].pending, int32(slot))
-			if b > grid[0] {
-				faults = append(faults, blockFault{int32(t - start), int32(b)})
+			if b <= liveBits {
+				live &^= 1 << (b - 1)
+			}
+			outlived := live >> (liveBits - 1)
+			live = live<<1 | 1
+			for i := 0; i < len(small) && b > small[i].tau; i++ {
+				w := &small[i]
+				ws := bits.OnesCount64(live & w.low)
+				w.peak = max(w.peak, ws)
+				w.atFaults += int64(ws)
+			}
+			if len(big) == 0 {
+				continue
+			}
+			if outlived != 0 {
+				slot := (t - liveBits) & mask
+				next[slot] = 0
+				wins[0].pending = append(wins[0].pending, int32(slot))
+				queued++
+			}
+			if b > big[0] {
+				faults = append(faults, blockFault{int32(t - start), int32(min(b, mask))})
 			}
 			if t-start == wsBlock-1 {
 				advance(wins, next, faults, expAt, start, t)
@@ -465,9 +522,15 @@ func (s *WS) runGrid(grid []int) ([]vmsim.Result, error) {
 	if t >= start {
 		advance(wins, next, faults, expAt, start, t)
 	}
-	out := make([]vmsim.Result, len(grid))
-	for i, w := range wins[:len(grid)] {
-		out[i] = s.result(w.tau, w.peak, w.atFaults)
+	if gridPass != nil {
+		gridPass(grid, ring, queued)
+	}
+	out := make([]vmsim.Result, 0, len(grid))
+	for _, w := range small {
+		out = append(out, s.result(w.tau, w.peak, w.atFaults))
+	}
+	for _, w := range wins[:len(big)] {
+		out = append(out, s.result(w.tau, w.peak, w.atFaults))
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package sweep_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -401,6 +402,103 @@ func TestWSCurveStreamedAndRenumbered(t *testing.T) {
 		for i, tau := range taus {
 			if got[i] != want[i] {
 				t.Errorf("%s tau=%d:\n curve %+v\n cell  %+v", src.name, tau, got[i], want[i])
+			}
+		}
+	}
+}
+
+// cyclicBetween runs cyclicTrace over p pages for rounds between two
+// references to page p, which put the tail threshold at the end: every
+// window below it is walked, and every other re-reference has backward
+// interval p.
+func cyclicBetween(p, rounds int) *trace.Trace {
+	tr := trace.New(fmt.Sprintf("cyclic%d", p))
+	tr.AddRef(mem.Page(p))
+	for _, pg := range cyclicTrace(p, rounds).Pages() {
+		tr.AddRef(pg)
+	}
+	tr.AddRef(mem.Page(p))
+	tr.Finish()
+	return tr
+}
+
+// outliveMask counts the references of tr that are still their page's
+// latest reference LiveBits steps on: those, and only those, enter a
+// grid pass's expiry queues.
+func outliveMask(tr *trace.Trace) int {
+	pages := tr.Pages()
+	next := map[mem.Page]int{}
+	n := 0
+	for u := len(pages) - 1; u >= 0; u-- {
+		if nx, ok := next[pages[u]]; u+sweep.LiveBits < len(pages) && (!ok || nx-u > sweep.LiveBits) {
+			n++
+		}
+		next[pages[u]] = u
+	}
+	return n
+}
+
+// TestWSCurveMaskBoundary is the per-cell differential of every window
+// in 1..130 around the grid scan's live mask, whose windows up to
+// LiveBits read their working set off the mask while the larger ones
+// expire references through queues. Cyclic sweeps of 63–66 pages put
+// every backward interval at or next to the mask width, traces shorter
+// than it never fill it, and the churn traces run both halves across
+// blocks. Grids wholly within the mask and wholly above it are walked
+// on their own: the first makes no ring and queues nothing, the second
+// queues exactly the references still live LiveBits steps on.
+func TestWSCurveMaskBoundary(t *testing.T) {
+	b := sweep.WSBlock
+	inputs := []*trace.Trace{
+		churnTrace(1, 3*b+977, 9, 3200),
+		churnTrace(2, 3*b+1954, 10, 3400),
+	}
+	for _, p := range []int{63, 64, 65, 66} {
+		inputs = append(inputs, cyclicBetween(p, 2*b/p+3))
+	}
+	for n := 1; n < sweep.LiveBits; n++ {
+		inputs = append(inputs, randomTrace(uint64(n), n, 1+n%9))
+	}
+	all := make([]int, 130)
+	for i := range all {
+		all[i] = i + 1
+	}
+	within, above := all[:sweep.LiveBits], all[sweep.LiveBits:]
+	for _, tr := range inputs {
+		want := make([]vmsim.Result, len(all))
+		for i, tau := range all {
+			want[i] = vmsim.Run(tr.RefsOnly(), policy.NewWS(tau))
+		}
+		tail := mustWS(t, tr).Tail()
+		for _, taus := range [][]int{all, within, above} {
+			passes, stop := sweep.RecordPasses()
+			got, err := mustWS(t, tr).Curve(taus)
+			stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tau := range taus {
+				if got[i] != want[tau-1] {
+					t.Errorf("%s R=%d T=%d tau=%d (grid %d..%d):\n curve %+v\n cell  %+v", tr.Name, tr.Refs, tail, tau, taus[0], taus[len(taus)-1], got[i], want[tau-1])
+				}
+			}
+			ps := passes()
+			if tail <= taus[0] {
+				if len(ps) != 0 {
+					t.Errorf("%s R=%d T=%d: grid %d..%d lies in the closed-form tail yet made %d traversals", tr.Name, tr.Refs, tail, taus[0], taus[len(taus)-1], len(ps))
+				}
+				continue
+			}
+			if len(ps) != 1 {
+				t.Fatalf("%s: grid %d..%d made %d traversals, want 1", tr.Name, taus[0], taus[len(taus)-1], len(ps))
+			}
+			wantQueued, wantRing := outliveMask(tr), true
+			if walked := ps[0].Grid; walked[len(walked)-1] <= sweep.LiveBits {
+				wantQueued, wantRing = 0, false
+			}
+			if ps[0].Queued != wantQueued || (ps[0].Ring > 0) != wantRing {
+				t.Errorf("%s R=%d T=%d: pass over %v queued %d references with a %d-slot ring, want %d queued, ring %v",
+					tr.Name, tr.Refs, tail, ps[0].Grid, ps[0].Queued, ps[0].Ring, wantQueued, wantRing)
 			}
 		}
 	}
